@@ -1,11 +1,20 @@
 """Exact calculus for symmetric bilinear forms over the rationals.
 
-Everything in this module is computed with ``fractions.Fraction``; no
-floating point enters signature, complement, or intersection results.
-A form is a symmetric gram matrix on coordinate space, a subspace is a
-rational span inside it, and signatures are obtained by congruence
-(symmetric Gauss) diagonalization, so Sylvester's law makes them basis
-independent.
+Values enter and leave this module as ``fractions.Fraction``: gram
+matrices, subspace bases and canonical echelon forms, diagonalizations,
+pairings.  Inside, every routine clears denominators once and works on
+Python integers.  Row reduction is fraction-free Gauss-Jordan
+elimination with each row kept primitive by its gcd; congruence
+(symmetric Gauss) diagonalization runs the same steps on an integer
+multiple of the gram matrix and tracks the scale of every basis column,
+so its output is exactly that of the rational algorithm.  No floating
+point enters signature, complement, or intersection results, and
+Sylvester's law makes signatures basis independent.
+
+A form is a symmetric gram matrix on coordinate space and a subspace is
+a rational span inside it.  Entries may be ints, Fractions, "p/q"
+strings, or floats with an integral value; any other float is rejected
+rather than rounded.
 """
 
 from __future__ import annotations
@@ -13,6 +22,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, InputError, PreconditionError
@@ -34,7 +46,11 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         if x != x or x in (float("inf"), float("-inf")):
             raise InputError(f"not a finite number: {x!r}")
-        return Fraction(x).limit_denominator(10**12)
+        if not x.is_integer():
+            raise InputError(
+                f"float {x!r} is not exact; give it as a 'p/q' string or a Fraction"
+            )
+        return Fraction(int(x))
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
 
 
@@ -42,12 +58,229 @@ def as_vector(entries: Iterable) -> Vector:
     return tuple(_frac(e) for e in entries)
 
 
-def _zero_vector(n: int) -> Vector:
-    return tuple(Fraction(0) for _ in range(n))
+# ---------------------------------------------------------------------------
+# integer kernel (rows are lists of Python ints)
+# ---------------------------------------------------------------------------
+
+
+def _clear(v: Sequence) -> tuple[list[int], int]:
+    """(x, d) with v == x / d, d the lcm of the denominators of v."""
+    den = lcm(*[e.denominator for e in v])
+    if den == 1:
+        return [e.numerator for e in v], 1
+    return [e.numerator * (den // e.denominator) for e in v], den
+
+
+def _clear_all(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(x, d) with rows == x / d for one common d, the lcm of all denominators."""
+    den = lcm(*[e.denominator for r in rows for e in r])
+    return [[e.numerator * (den // e.denominator) for e in r] for r in rows], den
+
+
+def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Integer multiples of rational rows, one multiplier per row."""
+    return [_clear(r)[0] for r in rows]
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, x, y))
+
+
+def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination; returns (rows, pivot columns).
+
+    Makes the same pivot choices as rational elimination (left to right,
+    the first row with a nonzero entry), but replaces "subtract f times
+    the normalized pivot row" by the integer combination a * row - b *
+    pivot row and divides every new row by its gcd.  Each returned row
+    is therefore a positive multiple of the reduced row echelon row: its
+    pivot entry is positive and it vanishes in the other pivot columns.
+    The input lists are not modified.
+    """
+    m = []
+    for row in rows:
+        g = gcd(*row)
+        m.append([x // g for x in row] if g > 1 else row)
+    if not m:
+        return [], []
+    nrows = len(m)
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(m[0])):
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = m[:r]
+    for i, c in enumerate(pivots):
+        if out[i][c] < 0:
+            out[i] = [-x for x in out[i]]
+    return out, pivots
+
+
+def _lead(row: list[int]) -> int:
+    return next(x for x in row if x)
+
+
+def _echelon_rows(red: list[list[int]]) -> list[Vector]:
+    """Reduced row echelon rows of an integer echelon form, as Fractions."""
+    out = []
+    for row in red:
+        p = _lead(row)
+        out.append(tuple(Fraction(x, p) for x in row))
+    return out
+
+
+def _int_kernel(
+    red: list[list[int]], pivots: list[int], ncols: int
+) -> list[tuple[int, list[int]]]:
+    """Free-column kernel basis of an echelon form, scaled to integers.
+
+    One (f, v) per free column f: v is zero at the other free columns,
+    and v / v[f] is the basis vector with a 1 at f.
+    """
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        scale = lcm(*[row[c] for row, c in zip(red, pivots) if row[f]])
+        v = [0] * ncols
+        v[f] = scale
+        for row, c in zip(red, pivots):
+            if row[f]:
+                v[c] = -row[f] * (scale // row[c])
+        basis.append((f, v))
+    return basis
+
+
+def _unit_kernel(kernel: list[tuple[int, list[int]]]) -> tuple[Vector, ...]:
+    """The vectors of ``_int_kernel`` scaled to 1 in their free column."""
+    return tuple(tuple(Fraction(e, v[f]) for e in v) for f, v in kernel)
+
+
+def _rank_int(rows: list[list[int]]) -> int:
+    return len(_int_rref(rows)[0])
+
+
+def _congruence(m: list[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Symmetric Gauss elimination of an integer symmetric matrix, in place.
+
+    Takes exactly the steps of the rational algorithm documented in
+    ``sym_diagonalize`` (same swaps, same surgeries, same pivots), with
+    every basis update b_dst += f * b_src replaced by an integer
+    combination x_dst <- a * x_dst + b * x_src followed by division by
+    the gcd of x_dst.  Returns (cols, num, den): the rational
+    algorithm's column j is cols[j] * den[j] / num[j], and on return m
+    is diagonal with m[j][j] = L * (num[j] / den[j])**2 * diag_j when
+    the input was L times the rational gram matrix.
+    """
+    k = len(m)
+    cols = [[int(i == j) for i in range(k)] for j in range(k)]
+    num = [1] * k
+    den = [1] * k
+
+    def swap(a: int, b: int) -> None:
+        cols[a], cols[b] = cols[b], cols[a]
+        num[a], num[b] = num[b], num[a]
+        den[a], den[b] = den[b], den[a]
+        m[a], m[b] = m[b], m[a]
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+
+    def combine(dst: int, src: int, a: int, b: int) -> None:
+        x = [a * u + b * v for u, v in zip(cols[dst], cols[src])]
+        for row in m:
+            row[dst] = a * row[dst] + b * row[src]
+        m[dst] = [a * u + b * v for u, v in zip(m[dst], m[src])]
+        g = gcd(*x)
+        if g > 1:
+            x = [u // g for u in x]
+            for row in m:
+                row[dst] //= g
+            m[dst] = [u // g for u in m[dst]]
+            den[dst] *= g
+        cols[dst] = x
+
+    for p in range(k):
+        if m[p][p] == 0:
+            swap_with = next((i for i in range(p + 1, k) if m[i][i]), None)
+            if swap_with is not None:
+                swap(p, swap_with)
+            else:
+                pair = next(
+                    ((i, j) for i in range(p, k) for j in range(i + 1, k) if m[i][j]),
+                    None,
+                )
+                if pair is None:
+                    break  # remaining block is identically zero
+                i, j = pair
+                # b_i <- b_i + b_j over the common scale num[i] * num[j]
+                a, b = den[i] * num[j], den[j] * num[i]
+                num[i], den[i] = num[i] * num[j], 1
+                combine(i, j, a, b)
+                if i != p:
+                    swap(p, i)
+        pivot = m[p][p]
+        if pivot == 0:
+            continue
+        for j in range(p + 1, k):
+            f = m[p][j]
+            if f:
+                # b_j <- b_j - (f / pivot) b_p, scaled by pivot / g
+                g = gcd(pivot, f)
+                num[j] *= pivot // g
+                combine(j, p, pivot // g, -(f // g))
+    return cols, num, den
+
+
+def _inertia(m: list[list[int]]) -> "Signature":
+    """Signature of an integer symmetric matrix, diagonalized in place."""
+    _congruence(m)
+    diag = [m[i][i] for i in range(len(m))]
+    plus = sum(1 for d in diag if d > 0)
+    minus = sum(1 for d in diag if d < 0)
+    return Signature(plus, minus, len(diag) - plus - minus)
+
+
+def _int_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss elimination."""
+    a = [list(row) for row in m]
+    k = len(a)
+    sign, prev = 1, 1
+    for c in range(k):
+        pivot = next((r for r in range(c, k) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        for r in range(c + 1, k):
+            for j in range(c + 1, k):
+                a[r][j] = (a[c][c] * a[r][j] - a[r][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * a[-1][-1] if k else 1
 
 
 # ---------------------------------------------------------------------------
-# bare rational matrix routines (rows are tuples of Fractions)
+# rational matrix routines (rows are tuples of Fractions)
 # ---------------------------------------------------------------------------
 
 
@@ -58,55 +291,20 @@ def _rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
     row with a nonzero entry, which makes the output canonical for a
     given row span.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    out = [tuple(row) for row in m[:r]]
-    return out, pivots
+    red, pivots = _int_rref(_int_rows(rows))
+    return _echelon_rows(red), pivots
 
 
 def _rank(rows: Sequence[Vector]) -> int:
-    return len(_rref(rows)[0])
+    return _rank_int(_int_rows(rows))
 
 
 def _kernel(rows: Sequence[Vector], ncols: int) -> list[Vector]:
     """Basis of {x : rows @ x = 0}, from the free columns of the RREF."""
-    red, pivots = _rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
+    return list(_unit_kernel(_int_kernel(*_int_rref(_int_rows(rows)), ncols)))
 
 
-def _solve(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | None:
+def _solve(rows: Sequence[Sequence], rhs: Sequence) -> Vector | None:
     """One solution of rows @ x = rhs, or None if inconsistent.
 
     Free variables are set to zero, so the answer is canonical.
@@ -114,14 +312,12 @@ def _solve(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | None:
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
-    red, pivots = _rref(aug)
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None
+    red, pivots = _int_rref(_int_rows([tuple(row) + (b,) for row, b in zip(rows, rhs)]))
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[ncols]
+    for row, c in zip(red, pivots):
+        x[c] = Fraction(row[ncols], row[c])
     return tuple(x)
 
 
@@ -146,13 +342,27 @@ def _identity(n: int) -> Matrix:
     )
 
 
-def _mat_inverse(rows: Sequence[Vector]) -> Matrix:
+def _mat_inverse(rows: Sequence[Sequence]) -> Matrix:
     n = len(rows)
-    aug = [list(rows[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    red, pivots = _rref([tuple(r) for r in aug])
+    aug = [list(x) + [d if j == i else 0 for j in range(n)]
+           for i, (x, d) in enumerate(_clear(r) for r in rows)]
+    red, pivots = _int_rref(aug)
     if pivots != list(range(n)):
         raise PreconditionError("matrix is not invertible")
-    return tuple(tuple(row[n:]) for row in red)
+    return tuple(
+        tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red)
+    )
+
+
+def primitive_vector(v: Sequence) -> Vector:
+    """The primitive integer vector on the line of v, first nonzero entry positive."""
+    x, _ = _clear(v)
+    g = gcd(*x)
+    if g > 1:
+        x = [u // g for u in x]
+    if next((u for u in x if u), 0) < 0:
+        x = [-u for u in x]
+    return tuple(Fraction(u) for u in x)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +380,13 @@ class Signature(NamedTuple):
 
 @dataclass(frozen=True)
 class GramForm:
-    """A symmetric bilinear form given by its gram matrix on coordinates."""
+    """A symmetric bilinear form given by its gram matrix on coordinates.
+
+    The gram matrix is checked once here and also kept as an integer
+    matrix ``_igram`` equal to ``_den`` times it.  The signature and the
+    standard embedding are computed on first use and cached on the
+    instance; equality and hashing see only ``gram``.
+    """
 
     gram: Matrix
 
@@ -187,10 +403,27 @@ class GramForm:
                 if rows[i][j] != rows[j][i]:
                     raise InputError("gram matrix must be symmetric")
         object.__setattr__(self, "gram", rows)
+        igram, den = _clear_all(rows)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_igram", tuple(tuple(r) for r in igram))
 
     @property
     def dim(self) -> int:
         return len(self.gram)
+
+    def _image(self, x: Sequence[int]) -> list[int]:
+        """_igram @ x for an integer vector."""
+        return [sum(map(mul, row, x)) for row in self._igram]
+
+    def apply(self, v: Sequence) -> Vector:
+        """The vector G v, so that apply(v) . w == evaluate(v, w)."""
+        vv = as_vector(v)
+        if len(vv) != self.dim:
+            raise DimensionMismatchError(
+                f"vector must have {self.dim} entries, got {len(vv)}"
+            )
+        x, d = _clear(vv)
+        return tuple(Fraction(e, self._den * d) for e in self._image(x))
 
     def evaluate(self, v: Sequence, w: Sequence) -> Fraction:
         vv, ww = as_vector(v), as_vector(w)
@@ -198,11 +431,9 @@ class GramForm:
             raise DimensionMismatchError(
                 f"vectors must have {self.dim} entries, got {len(vv)} and {len(ww)}"
             )
-        return sum(
-            vv[i] * self.gram[i][j] * ww[j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        x, dv = _clear(vv)
+        y, dw = _clear(ww)
+        return Fraction(_dot(x, self._image(y)), self._den * dv * dw)
 
     def norm_sq(self, v: Sequence) -> Fraction:
         return self.evaluate(v, v)
@@ -219,9 +450,17 @@ class GramForm:
     def signature(self) -> Signature:
         return signature(self)
 
+    @cached_property
+    def _sig(self) -> Signature:
+        return _inertia([list(r) for r in self._igram])
+
+    @cached_property
+    def _embedding(self) -> "StandardEmbedding":
+        return _embed(self)
+
     def radical(self) -> "Subspace":
         """Vectors pairing to zero with the whole space."""
-        return Subspace(self, _kernel(self.gram, self.dim))
+        return Subspace(self, _kernel(self._igram, self.dim))
 
     def to_json(self) -> dict:
         return {
@@ -251,23 +490,46 @@ class Subspace:
     The supplied spanning vectors must be linearly independent.  Equality
     and hashing use the reduced row echelon form of the basis, which is a
     canonical representative of the span.
+
+    The span is held as the integer echelon form from ``_int_rref``
+    (``_rows``, never modified in place), which the subspace operations
+    work on directly.  The Fraction rows of ``canonical``, and of
+    ``basis`` for a span whose basis is the canonical one, are made on
+    first access.
     """
 
-    __slots__ = ("ambient", "basis", "canonical")
+    __slots__ = ("ambient", "_rows", "_basis", "_canonical")
 
     def __init__(self, ambient: GramForm, vectors: Sequence[Sequence]) -> None:
-        self.ambient = ambient
         rows = tuple(as_vector(v) for v in vectors)
         for r in rows:
             if len(r) != ambient.dim:
                 raise DimensionMismatchError(
                     f"vector length {len(r)} does not match ambient dim {ambient.dim}"
                 )
-        red, _ = _rref(rows)
+        red, _ = _int_rref(_int_rows(rows))
         if len(red) != len(rows):
             raise InputError("spanning vectors must be linearly independent")
-        self.basis = rows
-        self.canonical = tuple(red)
+        self.ambient = ambient
+        self._rows = red
+        self._basis = rows
+        self._canonical = None
+
+    @classmethod
+    def _echelon(
+        cls, ambient: GramForm, rows: list[list[int]], basis: Matrix | None = None
+    ) -> "Subspace":
+        """Span of integer rows of the ambient's length.
+
+        ``basis`` must be a basis of that span; without it the basis is
+        the canonical one.
+        """
+        sub = cls.__new__(cls)
+        sub.ambient = ambient
+        sub._rows = _int_rref(rows)[0]
+        sub._basis = basis
+        sub._canonical = None
+        return sub
 
     @staticmethod
     def spanned_by(ambient: GramForm, vectors: Sequence[Sequence]) -> "Subspace":
@@ -278,42 +540,66 @@ class Subspace:
                 raise DimensionMismatchError(
                     f"vector length {len(r)} does not match ambient dim {ambient.dim}"
                 )
-        red, _ = _rref(rows)
-        return Subspace(ambient, red)
+        return Subspace._echelon(ambient, _int_rows(rows))
+
+    @property
+    def canonical(self) -> Matrix:
+        if self._canonical is None:
+            self._canonical = tuple(_echelon_rows(self._rows))
+        return self._canonical
+
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            self._basis = self.canonical
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.canonical)
+        return len(self._rows)
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self._rows
 
     def contains(self, vector: Sequence) -> bool:
         v = as_vector(vector)
         if len(v) != self.ambient.dim:
             raise DimensionMismatchError("vector length does not match ambient")
-        red, _ = _rref(tuple(self.canonical) + (v,))
-        return len(red) == self.dim
+        return _rank_int(self._rows + [_clear(v)[0]]) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         _check_same_ambient(self, other)
-        return all(self.contains(v) for v in other.canonical)
+        return _rank_int(self._rows + other._rows) == self.dim
+
+    def _int_basis(self) -> tuple[list[list[int]], int]:
+        """(x, d) with basis == x / d for one common integer d."""
+        if self._basis is None:
+            d = lcm(*[_lead(r) for r in self._rows])
+            return [[e * (d // _lead(r)) for e in r] for r in self._rows], d
+        return _clear_all(self._basis)
+
+    def _int_gram(self) -> tuple[list[list[int]], int]:
+        """(M, s): integer matrix M equal to s times the restricted gram."""
+        x, d = self._int_basis()
+        images = [self.ambient._image(v) for v in x]
+        k = len(x)
+        m = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                m[i][j] = m[j][i] = _dot(x[i], images[j])
+        return m, self.ambient._den * d * d
 
     def restricted_gram(self) -> Matrix:
-        g = self.ambient.gram
-        b = self.basis
-        return tuple(
-            tuple(self.ambient.evaluate(b[i], b[j]) for j in range(len(b)))
-            for i in range(len(b))
-        )
+        m, s = self._int_gram()
+        return tuple(tuple(Fraction(e, s) for e in row) for row in m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.canonical == other.canonical
+        return self.ambient == other.ambient and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.canonical))
+        return hash((self.ambient, tuple(map(tuple, self._rows))))
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -355,73 +641,30 @@ def sym_diagonalize(gram: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[Fr
     T^t * gram * T = diag(diag).  Pure symmetric Gauss: use a nonzero
     diagonal pivot, create one by a row/column surgery when only an
     off-diagonal entry is nonzero, and clear the pivot row and column.
+    The elimination runs on an integer multiple of ``gram``; T and diag
+    are those of the same steps in rational arithmetic.
     """
-    k = len(gram)
-    m = [list(row) for row in gram]
-    # columns[j] is the j-th basis vector
-    cols = [[Fraction(1 if i == j else 0) for i in range(k)] for j in range(k)]
-
-    def col_swap(a, b):
-        cols[a], cols[b] = cols[b], cols[a]
-        m[a], m[b] = m[b], m[a]
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-
-    def col_add(dst, src, factor):
-        # basis op b_dst <- b_dst + factor * b_src
-        cols[dst] = [x + factor * y for x, y in zip(cols[dst], cols[src])]
-        for row in m:
-            row[dst] += factor * row[src]
-        m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
-
-    for p in range(k):
-        if m[p][p] == 0:
-            swap_with = None
-            for i in range(p + 1, k):
-                if m[i][i] != 0:
-                    swap_with = i
-                    break
-            if swap_with is not None:
-                col_swap(p, swap_with)
-            else:
-                pair = None
-                for i in range(p, k):
-                    for j in range(i + 1, k):
-                        if m[i][j] != 0:
-                            pair = (i, j)
-                            break
-                    if pair:
-                        break
-                if pair is None:
-                    break  # remaining block is identically zero
-                i, j = pair
-                col_add(i, j, Fraction(1))
-                if i != p:
-                    col_swap(p, i)
-        pivot = m[p][p]
-        if pivot == 0:
-            continue
-        for j in range(p + 1, k):
-            if m[p][j] != 0:
-                col_add(j, p, -m[p][j] / pivot)
-    t = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return t, [m[i][i] for i in range(k)]
+    rows = [as_vector(r) for r in gram]
+    k = len(rows)
+    m, scale = _clear_all(rows)
+    cols, num, den = _congruence(m)
+    t = tuple(
+        tuple(Fraction(cols[j][i] * den[j], num[j]) for j in range(k))
+        for i in range(k)
+    )
+    diag = [Fraction(m[j][j] * den[j] ** 2, scale * num[j] ** 2) for j in range(k)]
+    return t, diag
 
 
 def signature(form: GramForm, sub: Subspace | None = None) -> Signature:
     """Inertia of the form, or of its restriction to a subspace."""
     if sub is None:
-        gram = form.gram
-    else:
-        if sub.ambient != form:
-            raise DimensionMismatchError("subspace does not live over this form")
-        if sub.is_zero():
-            return Signature(0, 0, 0)
-        gram = sub.restricted_gram()
-    _, diag = sym_diagonalize(gram)
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
-    return Signature(plus, minus, len(diag) - plus - minus)
+        return form._sig
+    if sub.ambient != form:
+        raise DimensionMismatchError("subspace does not live over this form")
+    if sub.is_zero():
+        return Signature(0, 0, 0)
+    return _inertia(sub._int_gram()[0])
 
 
 def subspace_signature(sub: Subspace) -> Signature:
@@ -433,13 +676,51 @@ def is_negative_definite(sub: Subspace) -> bool:
     return sig.b_plus == 0 and sig.b_null == 0
 
 
+def _positive_columns(sub: Subspace) -> list[tuple[list[int], int, int]]:
+    """(w, p, q) for each positive column of the exact diagonalization.
+
+    The column of ``sym_diagonalize(sub.restricted_gram())`` mapped
+    through the basis of ``sub`` is the vector w * p / q.
+    """
+    m, _ = sub._int_gram()
+    cols, num, den = _congruence(m)
+    x, d = sub._int_basis()
+    return [
+        ([_dot(c, col) for col in zip(*x)], den[j], num[j] * d)
+        for j, c in enumerate(cols)
+        if m[j][j] > 0
+    ]
+
+
+def positive_vectors(sub: Subspace) -> list[Vector]:
+    """Basis vectors with positive diagonal entry in the exact diagonalization.
+
+    They are the columns of ``sym_diagonalize(sub.restricted_gram())``
+    with a positive diagonal entry, mapped through the basis of ``sub``,
+    and span a maximal positive subspace of it.
+    """
+    if sub.is_zero():
+        return []
+    return [
+        tuple(Fraction(e * p, q) for e in w) for w, p, q in _positive_columns(sub)
+    ]
+
+
+def positive_part(sub: Subspace) -> Subspace:
+    """Maximal positive subspace of a subspace, from exact diagonalization."""
+    if sub.is_zero():
+        return sub
+    return Subspace._echelon(sub.ambient, [w for w, _, _ in _positive_columns(sub)])
+
+
 def orth_complement(sub: Subspace) -> Subspace:
     """All vectors pairing to zero with the subspace."""
     form = sub.ambient
     if sub.is_zero():
         return form.full_subspace()
-    rows = tuple(_mat_vec(form.gram, v) for v in sub.basis)
-    return Subspace(form, _kernel(rows, form.dim))
+    red, pivots = _int_rref([form._image(x) for x in sub._int_basis()[0]])
+    kernel = _int_kernel(red, pivots, form.dim)
+    return Subspace._echelon(form, [v for _, v in kernel], _unit_kernel(kernel))
 
 
 def nullspace(sub: Subspace) -> Subspace:
@@ -449,7 +730,7 @@ def nullspace(sub: Subspace) -> Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    return Subspace.spanned_by(a.ambient, tuple(a.canonical) + tuple(b.canonical))
+    return Subspace._echelon(a.ambient, a._rows + b._rows)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -458,47 +739,19 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.is_zero() or b.is_zero():
         return a.ambient.zero_subspace()
     # coefficients (x, y) with sum_i x_i a_i = sum_j y_j b_j
+    xa, xb = a._rows, b._rows
     n = a.ambient.dim
-    rows = []
-    for c in range(n):
-        rows.append(
-            tuple(v[c] for v in a.canonical)
-            + tuple(-w[c] for w in b.canonical)
-        )
+    rows = [[v[c] for v in xa] + [-w[c] for w in xb] for c in range(n)]
+    red, pivots = _int_rref(rows)
     vectors = []
-    for coeff in _kernel(rows, a.dim + b.dim):
-        x = coeff[: a.dim]
-        vec = [Fraction(0)] * n
-        for xi, av in zip(x, a.canonical):
-            for c in range(n):
-                vec[c] += xi * av[c]
-        vectors.append(tuple(vec))
-    return Subspace.spanned_by(a.ambient, vectors)
+    for _, coeff in _int_kernel(red, pivots, a.dim + b.dim):
+        vectors.append([_dot(coeff, col) for col in zip(*xa)])
+    return Subspace._echelon(a.ambient, vectors)
 
 
 # ---------------------------------------------------------------------------
 # standard embedding of a signature (1, n) form
 # ---------------------------------------------------------------------------
-
-
-def _primitive_column(col: Sequence[Fraction]) -> Vector:
-    from math import gcd
-
-    den = 1
-    for x in col:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in col]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
 
 
 @dataclass(frozen=True)
@@ -514,13 +767,15 @@ class StandardEmbedding:
     matrix: Matrix  # columns are the new basis vectors
     scales: tuple[Fraction, ...]
 
+    @cached_property
+    def _inverse(self) -> Matrix:
+        return _mat_inverse(self.matrix)
+
     def to_minkowski(self, v: Sequence) -> tuple[float, ...]:
         """Float coordinates of a form-space vector in R^{1,n}."""
         import math
 
-        vv = as_vector(v)
-        inv = _mat_inverse(self.matrix)
-        y = _mat_vec(inv, vv)
+        y = _mat_vec(self._inverse, as_vector(v))
         return tuple(float(yi) * math.sqrt(float(s)) for yi, s in zip(y, self.scales))
 
 
@@ -530,31 +785,27 @@ def standard_embedding(form: GramForm) -> StandardEmbedding:
     Raises PreconditionError when the signature is not (1, n, 0).
     Columns are normalized to primitive integer vectors, so the result
     is deterministic and the scales are the resulting diagonal entries.
+    The result is cached on the form.
     """
+    return form._embedding
+
+
+def _embed(form: GramForm) -> StandardEmbedding:
     sig = signature(form)
     n = form.dim - 1
     if sig != Signature(1, n, 0):
         raise PreconditionError(
             f"standard embedding needs signature (1, {n}), got {tuple(sig)}"
         )
-    t, diag = sym_diagonalize(form.gram)
-    cols = list(zip(*t))  # column vectors
-    order = [i for i, d in enumerate(diag) if d > 0] + [
-        i for i, d in enumerate(diag) if d < 0
+    m = [list(r) for r in form._igram]
+    cols, _, _ = _congruence(m)
+    order = [i for i in range(form.dim) if m[i][i] > 0] + [
+        i for i in range(form.dim) if m[i][i] < 0
     ]
-    new_cols = []
-    scales = []
-    for idx in order:
-        col = _primitive_column(cols[idx])
-        val = sum(
-            col[i] * form.gram[i][j] * col[j]
-            for i in range(form.dim)
-            for j in range(form.dim)
-        )
-        new_cols.append(col)
-        scales.append(abs(val))
-    matrix = tuple(tuple(new_cols[j][i] for j in range(form.dim)) for i in range(form.dim))
-    return StandardEmbedding(matrix=matrix, scales=tuple(scales))
+    new_cols = [primitive_vector(cols[i]) for i in order]
+    scales = tuple(abs(form.evaluate(c, c)) for c in new_cols)
+    matrix = tuple(tuple(c[i] for c in new_cols) for i in range(form.dim))
+    return StandardEmbedding(matrix=matrix, scales=scales)
 
 
 def minkowski_form(n: int) -> GramForm:

@@ -71,6 +71,13 @@ def _frac(text: str) -> Fraction:
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"{what} must be an integer, got {text!r}") from exc
+
+
 def _fr_str(x: Fraction) -> str:
     return str(x)
 
@@ -290,7 +297,7 @@ def _cmd_systole(args) -> int:
     res = conf_systole(
         pp,
         lattice_bound=args.bound,
-        lattice_scale=_frac(args.scale) if args.scale else 1,
+        lattice_scale=1 if args.scale is None else _int(args.scale, "--scale"),
     )
     payload = {
         "value": res.value,
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=float, default=0.05)
     p.add_argument("--refine", type=float, default=1e-6)
     p.add_argument("--bound", type=int, default=None, help="cap enumeration radius")
-    p.add_argument("--scale", help="lattice scale factor, rational")
+    p.add_argument("--scale", help="lattice scale factor, an integer >= 1")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_systole)
 

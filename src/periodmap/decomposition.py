@@ -13,21 +13,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .bilinear import (
     GramForm,
     Signature,
     Subspace,
     _identity,
+    _mat_inverse,
     _mat_mul,
     _mat_vec,
     _solve,
     _transpose,
+    positive_part,
     signature,
     subspace_intersect,
     subspace_signature,
     subspace_sum,
-    sym_diagonalize,
 )
 from .errors import InconsistentDataError, InputError, PreconditionError
 
@@ -41,7 +43,8 @@ class DecompositionData:
     bhat1 and bhat2 are the relative Betti numbers of the two pieces.
     They are independent inputs: the dimension identity relating them to
     the ambient dimension is a check, not a consequence of the subspace
-    data.
+    data.  The structural checks of ``validate`` run at most once per
+    instance: ``report`` caches their result.
     """
 
     ambient: GramForm
@@ -58,6 +61,10 @@ class DecompositionData:
                 raise InputError(f"{name} does not live in the ambient form")
         if self.bhat1 < 0 or self.bhat2 < 0:
             raise InputError("relative Betti numbers must be non-negative")
+
+    @cached_property
+    def report(self) -> "ValidationReport":
+        return validate(self)
 
     def to_json(self) -> dict:
         return {
@@ -170,7 +177,7 @@ def validate(data: DecompositionData) -> ValidationReport:
 
 
 def _require_valid(data: DecompositionData) -> None:
-    report = validate(data)
+    report = data.report
     if not report.ok:
         raise PreconditionError(f"invalid decomposition data: {report}")
 
@@ -222,14 +229,10 @@ def hyperbolic_complement(data: DecompositionData) -> HyperbolicComplement:
     n = q.dim
     d_basis = list(data.D.basis)
     side = list(data.H1.basis) + list(data.H2.basis)
-    rows = [_mat_vec(q.gram, d) for d in d_basis] + [
-        _mat_vec(q.gram, s) for s in side
-    ]
+    rows = [q.apply(v) for v in d_basis + side]
     ws: list[Vector] = []
     for j in range(len(d_basis)):
-        rhs = [Fraction(int(i == j)) for i in range(len(d_basis))] + [
-            Fraction(0)
-        ] * len(side)
+        rhs = [int(i == j) for i in range(len(rows))]
         w = _solve(rows, rhs)
         if w is None:
             raise InconsistentDataError(
@@ -302,23 +305,8 @@ def limit_period_subspace(
     return out
 
 
-def default_positive_part(sub: Subspace) -> Subspace:
-    """Maximal positive subspace of a piece, from exact diagonalization."""
-    if sub.is_zero():
-        return sub
-    t, diag = sym_diagonalize(sub.restricted_gram())
-    cols = list(zip(*t))
-    amb = sub.ambient
-    vecs = []
-    for idx, d in enumerate(diag):
-        if d > 0:
-            coeff = cols[idx]
-            vec = [Fraction(0)] * amb.dim
-            for c, bv in zip(coeff, sub.basis):
-                for k in range(amb.dim):
-                    vec[k] += c * bv[k]
-            vecs.append(tuple(vec))
-    return Subspace.spanned_by(amb, vecs)
+# the decomposition module's name for the shared routine
+default_positive_part = positive_part
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +387,7 @@ def random_decomposition(
     new_gram = _mat_mul(_mat_mul(_transpose(u), gram), u)
     q = GramForm(new_gram)
 
-    u_inv_rows = _invert(u)
+    u_inv_rows = _mat_inverse(u)
     def pull(idx: int) -> Vector:
         e = [Fraction(0)] * n
         e[idx] = Fraction(1)
@@ -412,8 +400,3 @@ def random_decomposition(
         ambient=q, H1=h1, H2=h2, D=d, bhat1=n1, bhat2=n2
     )
 
-
-def _invert(m: tuple) -> tuple:
-    from .bilinear import _mat_inverse
-
-    return _mat_inverse(m)

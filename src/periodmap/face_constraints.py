@@ -25,12 +25,13 @@ from .bilinear import (
     minkowski_form,
     nullspace,
     orth_complement,
+    positive_part,
+    primitive_vector,
     signature,
     standard_embedding,
     subspace_intersect,
     subspace_signature,
     subspace_sum,
-    sym_diagonalize,
 )
 from .errors import (
     DomainError,
@@ -126,24 +127,6 @@ class FaceConstraint:
         return f"{self.sequence}  pieces {sigs}  type {kind}"
 
 
-def _positive_part(sub: Subspace) -> Subspace:
-    if sub.is_zero():
-        return sub
-    t, diag = sym_diagonalize(sub.restricted_gram())
-    cols = list(zip(*t))
-    amb = sub.ambient
-    vecs = []
-    for idx, d in enumerate(diag):
-        if d > 0:
-            coeff = cols[idx]
-            vec = [Fraction(0)] * amb.dim
-            for c, bv in zip(coeff, sub.basis):
-                for k in range(amb.dim):
-                    vec[k] += c * bv[k]
-            vecs.append(tuple(vec))
-    return Subspace.spanned_by(amb, vecs)
-
-
 def _chain_spans(cfg: SurfaceConfig, ns: NestedSequence) -> list[Subspace]:
     return [cfg.span_of(sub) for sub in ns.chain]
 
@@ -171,7 +154,7 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
         else:
             pieces.append(subspace_intersect(cur, orth_complement(chain_ext[i - 1])))
     nulls = tuple(nullspace(s) for s in spans)
-    pos_parts = tuple(_positive_part(p) for p in pieces)
+    pos_parts = tuple(positive_part(p) for p in pieces)
 
     total = cfg.form.zero_subspace()
     for part in pos_parts:
@@ -326,15 +309,7 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
         perp = orth_complement(span)
         if perp.dim != 1:
             raise InconsistentDataError("wall intersection is not a line")
-        gen = list(perp.canonical[0])
-        lcm = 1
-        for x in gen:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        gen = [x * lcm for x in gen]
-        g = 0
-        for x in gen:
-            g = _gcd(g, int(x))
-        gen = [x / g for x in gen]
+        gen = list(primitive_vector(perp.canonical[0]))
         if cfg.form.evaluate(gen, gen) <= 0:
             raise InconsistentDataError("wall vertex line is not positive")
         # orient toward the omitted wall vector
@@ -362,13 +337,6 @@ def _primitive_key(vec: Sequence[Fraction]) -> tuple:
     if first is None:
         return tuple(vec)
     return tuple(x / first for x in vec)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def simplex_from_walls(cfg: SurfaceConfig) -> list[HPoint]:

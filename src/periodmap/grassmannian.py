@@ -23,9 +23,9 @@ from .bilinear import (
     Signature,
     Subspace,
     as_vector,
+    positive_vectors,
     signature,
     subspace_signature,
-    sym_diagonalize,
     nullspace as form_nullspace,
 )
 from .errors import (
@@ -153,19 +153,10 @@ class ConstraintSet:
 
 def _positive_witness(sub: Subspace) -> tuple[Fraction, ...]:
     """First positive vector from the exact diagonalization of the span."""
-    gram = sub.restricted_gram()
-    t, diag = sym_diagonalize(gram)
-    cols = list(zip(*t))
-    for idx, d in enumerate(diag):
-        if d > 0:
-            coeff = cols[idx]
-            n = sub.ambient.dim
-            vec = [Fraction(0)] * n
-            for c, bv in zip(coeff, sub.basis):
-                for k in range(n):
-                    vec[k] += c * bv[k]
-            return tuple(vec)
-    raise PreconditionError("subspace has no positive vector")
+    vectors = positive_vectors(sub)
+    if not vectors:
+        raise PreconditionError("subspace has no positive vector")
+    return vectors[0]
 
 
 def classify_span(sub: Subspace) -> ConstraintSet:
@@ -357,8 +348,5 @@ def rational_orthogonal_approximation(
             )
         bound *= 32
 
-    lcm = 1
-    for u in best:
-        for x in u:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    lcm = math.lcm(*[x.denominator for u in best for x in u])
     return [tuple(x for x in u) for u in best], lcm

@@ -231,11 +231,6 @@ class SimplexRealization:
         bound = Fraction(1) - Fraction(tol).limit_denominator(10**15)
         return all(x >= bound for x in pt)
 
-    def face_of(self, face: SimplexFace):
-        if face.n != self.n:
-            raise InputError("face does not match this simplex")
-        return face
-
 
 def realize(n: int) -> PermRealization:
     if n < 1:

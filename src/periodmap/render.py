@@ -303,12 +303,6 @@ def _lattice_screen(v: Sequence[float]) -> tuple[float, float]:
     return (CENTER + LATTICE_STEP * v[1], CENTER - LATTICE_STEP * v[0])
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _limit_axis(form: GramForm) -> Subspace:
     if form.gram == connected_sum_split().ambient.gram:
         data = connected_sum_split()
@@ -387,7 +381,7 @@ def render_lattice_lines(form: GramForm, out: str | None = None) -> Scene:
     pencil = []
     for p in range(-3, 4):
         for q in range(-3, 4):
-            if (p, q) == (0, 0) or _gcd(p, q) != 1:
+            if (p, q) == (0, 0) or math.gcd(p, q) != 1:
                 continue
             if (p, q) < (-p, -q):
                 continue

@@ -24,6 +24,7 @@ import numpy as np
 from .bilinear import (
     GramForm,
     Subspace,
+    _int_det,
     _mat_inverse,
     as_vector,
     minkowski_form,
@@ -98,33 +99,18 @@ def _norm_matrix_exact(pp: PeriodPoint) -> list[list[Fraction]]:
     positive on H and negative on the complement.
     """
     form = pp.ambient
-    d = form.dim
-    basis = pp.subspace.basis
-    k = len(basis)
-    restricted = [[form.evaluate(u, v) for v in basis] for u in basis]
-    rinv = _mat_inverse(tuple(tuple(row) for row in restricted))
-    # P = B R^{-1} B^t G
-    bg = [[form.evaluate(basis[i], _unit(d, j)) for j in range(d)] for i in range(k)]
-    proj = [[Fraction(0)] * d for _ in range(d)]
-    for a in range(d):
-        for i in range(k):
-            coeff = sum(rinv[i][j] * bg[j][a] for j in range(k))
-            for r in range(d):
-                proj[r][a] += basis[i][r] * coeff
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for r in range(d):
-        for c in range(d):
-            acc = Fraction(0)
-            for t in range(d):
-                acc += form.gram[r][t] * (2 * proj[t][c])
-            out[r][c] = acc - form.gram[r][c]
-    return out
-
-
-def _unit(d: int, j: int) -> list[Fraction]:
-    v = [Fraction(0)] * d
-    v[j] = Fraction(1)
-    return v
+    sub = pp.subspace
+    rinv = _mat_inverse(sub.restricted_gram())
+    # columns of Y are G b_i, so M = 2 Y R^{-1} Y^t - G
+    y = [form.apply(b) for b in sub.basis]
+    k = len(y)
+    z = [[sum(y[j][a] * rinv[j][i] for j in range(k)) for i in range(k)]
+         for a in range(form.dim)]
+    return [
+        [2 * sum(z[a][i] * y[i][c] for i in range(k)) - form.gram[a][c]
+         for c in range(form.dim)]
+        for a in range(form.dim)
+    ]
 
 
 def _norm_matrix_float(pp: PeriodPoint) -> np.ndarray:
@@ -206,11 +192,17 @@ def conf_systole(
     vector), so searching the box alone is a proof of minimality.  When
     ``lattice_bound`` caps the box below that radius the search still
     runs and the result is flagged uncertified, carrying the radius a
-    certificate would need.  ``lattice_scale`` evaluates the systole of
-    the scaled sublattice (scale * Z^d).
+    certificate would need.  ``lattice_scale``, an int of at least 1,
+    evaluates the systole of the scaled sublattice (scale * Z^d).
     """
-    if lattice_scale < 1:
-        raise InputError("lattice scale must be a positive integer")
+    if (
+        isinstance(lattice_scale, bool)
+        or not isinstance(lattice_scale, int)
+        or lattice_scale < 1
+    ):
+        raise InputError(
+            f"lattice scale must be an integer of at least 1, got {lattice_scale!r}"
+        )
     d = pp.ambient.dim
     if pp.is_exact:
         m = _norm_matrix_exact(pp)
@@ -501,26 +493,6 @@ def cs_invariance_check(
     res_a = cs_supremum(form_a, cfg)
     res_b = cs_supremum(form_b, cfg)
     return abs(res_a.value - res_b.value) < 2.0 * cfg.refine_tol
-
-
-def _int_det(m: list[list[int]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in m]
-    d = len(mat)
-    det = Fraction(1)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if mat[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, d):
-            factor = mat[r][col] * inv
-            if factor:
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-    return int(det)
 
 
 def rational_disk_period_point(

@@ -3,7 +3,10 @@
 Everything here recomputes results through a different algorithm than
 the library (characteristic polynomial signs instead of congruence
 diagonalization, direct pairing tables instead of subspace machinery),
-so agreement is meaningful evidence.
+so agreement is meaningful evidence.  The exception is the rational
+reference kernel at the end: the library's elimination steps carried
+out in plain Fraction arithmetic, against which the library's integer
+kernel must give identical outputs.
 """
 
 from fractions import Fraction
@@ -172,3 +175,131 @@ def chain_kind_oracle(form_gram, vectors, chain):
             continue
         return "IdealPoint" if sig[2] > 0 else "Point"
     return "Geodesic"
+
+
+# ---------------------------------------------------------------------------
+# rational reference kernel: plain Fraction elimination, kept independent
+# of the library's integer kernel so their outputs can be compared
+# ---------------------------------------------------------------------------
+
+
+def rref_reference(rows):
+    """Reduced row echelon form over Fractions: (nonzero rows, pivots).
+
+    Pivots left to right, the first row with a nonzero entry wins, rows
+    normalized to pivot 1 and cleared above and below.
+    """
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def kernel_reference(rows, ncols):
+    """Free-column basis of {x : rows @ x = 0} from the reference RREF."""
+    red, pivots = rref_reference(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_reference(rows, rhs):
+    """Solution of rows @ x = rhs with free variables zero, or None."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    red, pivots = rref_reference([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+def inverse_reference(rows):
+    """Inverse by reducing [rows | I], or None when singular."""
+    n = len(rows)
+    aug = [tuple(rows[i]) + tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    red, pivots = rref_reference(aug)
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def sym_diagonalize_reference(gram):
+    """Symmetric Gauss congruence diagonalization over Fractions: (T, diag).
+
+    A nonzero diagonal pivot is used when there is one (swapping it into
+    place), an off-diagonal entry is turned into one by the surgery
+    b_i <- b_i + b_j, and the pivot row and column are cleared.
+    """
+    k = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    cols = [[Fraction(int(i == j)) for i in range(k)] for j in range(k)]
+
+    def col_swap(a, b):
+        cols[a], cols[b] = cols[b], cols[a]
+        m[a], m[b] = m[b], m[a]
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+
+    def col_add(dst, src, factor):
+        cols[dst] = [x + factor * y for x, y in zip(cols[dst], cols[src])]
+        for row in m:
+            row[dst] += factor * row[src]
+        m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
+
+    for p in range(k):
+        if m[p][p] == 0:
+            swap_with = next((i for i in range(p + 1, k) if m[i][i] != 0), None)
+            if swap_with is not None:
+                col_swap(p, swap_with)
+            else:
+                pair = next(
+                    ((i, j) for i in range(p, k) for j in range(i + 1, k) if m[i][j] != 0),
+                    None,
+                )
+                if pair is None:
+                    break
+                i, j = pair
+                col_add(i, j, Fraction(1))
+                if i != p:
+                    col_swap(p, i)
+        pivot = m[p][p]
+        if pivot == 0:
+            continue
+        for j in range(p + 1, k):
+            if m[p][j] != 0:
+                col_add(j, p, -m[p][j] / pivot)
+    t = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    return t, [m[i][i] for i in range(k)]

@@ -49,6 +49,7 @@ def test_evaluate_bilinearity_randomized():
         right = a * q.evaluate(u, w) + q.evaluate(v, w)
         assert left == right
         assert q.evaluate(u, w) == q.evaluate(w, u)
+        assert sum(a * b for a, b in zip(q.apply(u), w)) == q.evaluate(u, w)
 
 
 def test_gram_validation():
@@ -60,6 +61,20 @@ def test_gram_validation():
         GramForm([[1, 2]])
     with pytest.raises(DimensionMismatchError):
         minkowski_form(2).evaluate([1, 0], [1, 0, 0])
+
+
+def test_floats_must_be_integral():
+    # a float such as 0.1 has no exact rational meaning: reject, never round
+    with pytest.raises(InputError, match="p/q"):
+        GramForm([[0.1, 0], [0, -1]])
+    with pytest.raises(InputError):
+        minkowski_form(1).evaluate([0.5, 0], [1, 0])
+    with pytest.raises(InputError):
+        GramForm([[float("nan")]])
+    q = GramForm([[2.0, 0], [0, -1.0]])
+    assert q == GramForm([[2, 0], [0, -1]])
+    assert q.gram[0][0] == Fraction(2)
+    assert GramForm([["1/10", 0], [0, -1]]).gram[0][0] == Fraction(1, 10)
 
 
 def test_signature_examples():
@@ -103,6 +118,15 @@ def test_signature_congruence_invariant():
         ]
         assert signature(GramForm(conj)) == signature(q)
         checked += 1
+
+
+def test_form_caches_leave_equality_alone():
+    q = minkowski_form(2)
+    fresh = minkowski_form(2)
+    assert signature(q) is signature(q)
+    assert standard_embedding(q) is standard_embedding(q)
+    assert q == fresh and hash(q) == hash(fresh)
+    assert repr(q) == repr(fresh)
 
 
 def test_sym_diagonalize_is_congruence():

@@ -163,6 +163,24 @@ def test_systole_scale_flag(capsys, tmp_path):
     assert json.loads(out)["value_sq"] == "4"
 
 
+def test_systole_scale_must_be_integer(capsys, tmp_path):
+    form = write_form(tmp_path, [[1, 0], [0, -1]])
+    for bad in ("3/2", "1.5", "0", "-2", "x"):
+        code, out, err = run(
+            capsys,
+            "systole", "--config", form, "--period", "5,4", "--scale", bad,
+        )
+        assert code == 2, bad
+        assert out == ""
+        assert err.startswith("error:") and "scale" in err, err
+    code, out, _ = run(
+        capsys, "systole", "--config", form, "--period", "1,0", "--scale", "2",
+    )
+    assert code == 0
+    assert "Fraction" not in out
+    assert "(-2, 0)" in out and "(2, 0)" in out
+
+
 def test_systole_sup(capsys, tmp_path):
     form = write_form(tmp_path, [[1, 0], [0, -1]])
     code, out, _ = run(

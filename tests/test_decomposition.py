@@ -115,6 +115,29 @@ def test_identity_checks_need_valid_data():
         check_betti_identity(data)
 
 
+def test_validation_runs_once_per_data(monkeypatch):
+    from periodmap import decomposition
+
+    calls = []
+    real = decomposition.validate
+
+    def counting(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(decomposition, "validate", counting)
+    data = random_decomposition(random.Random(5), max_dim=8)
+    assert check_betti_identity(data)
+    assert check_bpm_identity(data)
+    hyperbolic_complement(data)
+    assert len(calls) == 1
+    # a fresh but equal instance validates on its own
+    copy = DecompositionData.from_json(data.to_json())
+    assert copy == data
+    check_betti_identity(copy)
+    assert len(calls) == 2
+
+
 def test_hyperbolic_complement_product_split():
     data = product_split()
     hc = hyperbolic_complement(data)

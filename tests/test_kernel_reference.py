@@ -1,0 +1,116 @@
+"""The integer kernel against the rational reference in oracles.py.
+
+Random rational matrices of dimension 1-8 with denominators up to 7,
+some rank-deficient and some with zero rows; every routine must return
+exactly what plain Fraction elimination returns.
+"""
+
+import random
+from fractions import Fraction
+
+from periodmap.bilinear import (
+    GramForm,
+    _int_det,
+    _kernel,
+    _mat_inverse,
+    _rref,
+    _solve,
+    signature,
+    sym_diagonalize,
+)
+from periodmap.errors import PreconditionError
+
+from oracles import (
+    charpoly_coeffs,
+    inverse_reference,
+    kernel_reference,
+    rref_reference,
+    signature_oracle,
+    solve_reference,
+    sym_diagonalize_reference,
+)
+
+CASES = 300
+
+
+def _entry(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def _matrix(rng, nrows, ncols):
+    rows = [[_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    kind = rng.random()
+    if kind < 0.25 and nrows > 1:
+        # rank-deficient: one row a combination of two others
+        a, b = rng.randrange(nrows), rng.randrange(nrows)
+        c, d = _entry(rng), _entry(rng)
+        target = rng.randrange(nrows)
+        rows[target] = [c * x + d * y for x, y in zip(rows[a], rows[b])]
+    elif kind < 0.4:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return [tuple(r) for r in rows]
+
+
+def _symmetric(rng, k):
+    m = [[Fraction(0)] * k for _ in range(k)]
+    diag_zero = rng.random() < 0.3  # forces the off-diagonal surgery
+    for i in range(k):
+        for j in range(i, k):
+            if i == j and diag_zero:
+                continue
+            m[i][j] = m[j][i] = _entry(rng)
+    if rng.random() < 0.25 and k > 1:
+        # singular: repeat a row and column
+        a, b = rng.sample(range(k), 2)
+        m[b] = list(m[a])
+        for row in m:
+            row[b] = row[a]
+    return [tuple(r) for r in m]
+
+
+def test_row_reduction_matches_reference():
+    rng = random.Random(20231)
+    for _ in range(CASES):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = _matrix(rng, nrows, ncols)
+        assert _rref(rows) == rref_reference(rows)
+        assert _kernel(rows, ncols) == kernel_reference(rows, ncols)
+        rhs = [_entry(rng) for _ in range(nrows)]
+        assert _solve(rows, rhs) == solve_reference(rows, rhs)
+
+
+def test_inverse_matches_reference():
+    rng = random.Random(20232)
+    for _ in range(CASES):
+        n = rng.randint(1, 8)
+        rows = _matrix(rng, n, n)
+        want = inverse_reference(rows)
+        if want is None:
+            try:
+                _mat_inverse(rows)
+            except PreconditionError:
+                continue
+            raise AssertionError(f"singular matrix inverted: {rows}")
+        assert _mat_inverse(rows) == want
+
+
+def test_integer_determinant_matches_charpoly():
+    rng = random.Random(20234)
+    for _ in range(CASES):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.25 and n > 1:
+            rows[0] = list(rows[-1])
+        # det(xI - M) has constant term (-1)^n det M
+        assert _int_det(rows) == (-1) ** n * charpoly_coeffs(rows)[-1]
+
+
+def test_congruence_and_signature_match_reference():
+    rng = random.Random(20233)
+    for _ in range(CASES):
+        k = rng.randint(1, 8)
+        gram = _symmetric(rng, k)
+        assert sym_diagonalize(gram) == sym_diagonalize_reference(gram)
+        assert tuple(signature(GramForm(gram))) == signature_oracle(gram)

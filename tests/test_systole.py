@@ -132,6 +132,15 @@ def test_conf_systole_sublattice_scale_doubles():
     assert (2, 0) in scaled.minimizers
 
 
+def test_conf_systole_rejects_non_integer_scale():
+    # a fractional scale used to report fractional "lattice" minimizers
+    for bad in (F(3, 2), F(2), 1.5, 2.0, 0, -1, True):
+        with pytest.raises(InputError):
+            conf_systole(x_axis_point(), lattice_scale=bad)
+    res = conf_systole(x_axis_point(), lattice_scale=3)
+    assert all(type(x) is int for m in res.minimizers for x in m)
+
+
 def test_conf_systole_uncertified_when_capped():
     pp = rational_disk_period_point(DIAG, (F(4, 5),))
     res = conf_systole(pp, lattice_bound=1)
