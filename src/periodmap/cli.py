@@ -12,7 +12,7 @@ input (bad flags, unreadable files, inconsistent data shapes).
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -45,7 +45,13 @@ from .face_constraints import (
     simplex_vertex_lines,
 )
 from .grassmannian import classify_span, to_poincare_disk
-from .permutahedron import NestedSequence, enumerate_faces, export_json, export_off
+from .permutahedron import (
+    NestedSequence,
+    all_faces,
+    enumerate_faces,
+    export_json,
+    export_off,
+)
 from .render import render_config, render_lattice_lines
 from .systole import (
     CsSearchConfig,
@@ -129,26 +135,6 @@ def _parse_subset(text: str) -> tuple[int, ...]:
     return out
 
 
-def _all_chains(k: int) -> list[NestedSequence]:
-    """Every chain of nonempty proper index subsets, shortest first."""
-    subs = []
-    for size in range(1, k):
-        subs.extend(itertools.combinations(range(1, k + 1), size))
-    chains = [(s,) for s in subs]
-    grow = chains
-    while grow:
-        nxt = []
-        for ch in grow:
-            last = set(ch[-1])
-            for s in subs:
-                if len(s) > len(ch[-1]) and last < set(s):
-                    nxt.append(ch + (s,))
-        chains.extend(nxt)
-        grow = nxt
-    chains.sort(key=lambda ch: (len(ch), [(len(s), s) for s in ch]))
-    return [NestedSequence(k - 1, ch) for ch in chains]
-
-
 def _subset_text(subset) -> str:
     return "{" + ",".join(str(i) for i in subset) + "}"
 
@@ -194,7 +180,11 @@ def _cmd_faces(args) -> int:
     if args.chain:
         chains = [NestedSequence.parse(cfg.n, args.chain)]
     elif k <= 3:
-        chains = _all_chains(k)
+        # shortest chains first, then by subset sizes, then lexicographic
+        chains = sorted(
+            all_faces(k - 1),
+            key=lambda ns: (len(ns.chain), [(len(s), s) for s in ns.chain]),
+        )
     else:
         raise InputError(
             f"{k} vectors give too many faces to sweep; pick one with --chain"
@@ -430,10 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -127,8 +127,20 @@ class FaceConstraint:
         return f"{self.sequence}  pieces {sigs}  type {kind}"
 
 
-def _chain_spans(cfg: SurfaceConfig, ns: NestedSequence) -> list[Subspace]:
-    return [cfg.span_of(sub) for sub in ns.chain]
+def _chain_pieces(
+    cfg: SurfaceConfig, ns: NestedSequence
+) -> tuple[list[Subspace], list[Subspace]]:
+    """Chain spans V_{I_i} and the pieces they cut out.
+
+    Piece i is V_{I_i} cut with the orthogonal complement of V_{I_{i-1}};
+    the final piece takes the full ambient space for V_{I_{l+1}}.
+    """
+    spans = [cfg.span_of(sub) for sub in ns.chain]
+    ext = spans + [cfg.form.full_subspace()]
+    pieces = [ext[0]]
+    for prev, cur in zip(ext, ext[1:]):
+        pieces.append(subspace_intersect(cur, orth_complement(prev)))
+    return spans, pieces
 
 
 def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstraint:
@@ -145,14 +157,7 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
         )
     if signature(cfg.form).b_null != 0:
         raise PreconditionError("face constraints need a nondegenerate ambient form")
-    spans = _chain_spans(cfg, ns)
-    chain_ext = spans + [cfg.form.full_subspace()]
-    pieces = []
-    for i, cur in enumerate(chain_ext):
-        if i == 0:
-            pieces.append(cur)
-        else:
-            pieces.append(subspace_intersect(cur, orth_complement(chain_ext[i - 1])))
+    spans, pieces = _chain_pieces(cfg, ns)
     nulls = tuple(nullspace(s) for s in spans)
     pos_parts = tuple(positive_part(p) for p in pieces)
 
@@ -192,17 +197,13 @@ def check_dimension_identity(cfg: SurfaceConfig, ns: NestedSequence) -> bool:
     """
     if ns.n != cfg.n:
         raise InputError("chain does not match the configuration")
-    spans = _chain_spans(cfg, ns)
-    chain_ext = spans + [cfg.form.full_subspace()]
-    nulls = [cfg.form.zero_subspace()] + [nullspace(s) for s in chain_ext]
+    spans, pieces = _chain_pieces(cfg, ns)
+    nulls = [cfg.form.zero_subspace()] + [
+        nullspace(s) for s in spans + [cfg.form.full_subspace()]
+    ]
 
     rhs = 0
-    for i in range(1, len(chain_ext) + 1):
-        cur = chain_ext[i - 1]
-        if i == 1:
-            piece = cur
-        else:
-            piece = subspace_intersect(cur, orth_complement(chain_ext[i - 2]))
+    for i, piece in enumerate(pieces, start=1):
         rhs += subspace_signature(piece).b_plus
         overlap = subspace_intersect(nulls[i - 1], nulls[i])
         rhs += nulls[i - 1].dim - overlap.dim
@@ -357,7 +358,7 @@ def product_codim(cfg: SurfaceConfig, ns: NestedSequence) -> int:
     """
     if ns.n != cfg.n:
         raise InputError("chain does not match the configuration")
-    spans = _chain_spans(cfg, ns)
+    spans, pieces = _chain_pieces(cfg, ns)
     for idx, s in enumerate(spans, start=1):
         if subspace_signature(s).b_null != 0:
             raise PreconditionError(
@@ -366,13 +367,8 @@ def product_codim(cfg: SurfaceConfig, ns: NestedSequence) -> int:
     amb = signature(cfg.form)
     if amb.b_null != 0:
         raise PreconditionError("ambient form must be nondegenerate")
-    chain_ext = spans + [cfg.form.full_subspace()]
     total = 0
-    for i, cur in enumerate(chain_ext):
-        if i == 0:
-            piece = cur
-        else:
-            piece = subspace_intersect(cur, orth_complement(chain_ext[i - 1]))
+    for piece in pieces:
         sig = subspace_signature(piece)
         total += sig.b_plus * sig.b_minus
     codim = amb.b_plus * amb.b_minus - total

@@ -129,23 +129,14 @@ def enumerate_faces(n: int, codim: int) -> list[NestedSequence]:
     if not 1 <= codim <= n:
         raise InputError(f"codim must be in 1..{n}, got {codim}")
     subsets = proper_subsets(n)
-    chains: list[NestedSequence] = []
-
-    # inclusion does not respect the lexicographic order, so scan every
-    # subset at each level; strictness makes each chain appear once
-    def extend(prefix: list[tuple[int, ...]]):
-        if len(prefix) == codim:
-            chains.append(NestedSequence(n, tuple(prefix)))
-            return
-        for cand in subsets:
-            if not prefix or set(prefix[-1]) < set(cand):
-                prefix.append(cand)
-                extend(prefix)
-                prefix.pop()
-
-    extend([])
-    chains.sort(key=lambda ns: ns.chain)
-    return chains
+    sets = {s: frozenset(s) for s in subsets}
+    # strict supersets of each subset; strictness makes each chain appear once
+    above = {s: [t for t in subsets if sets[s] < sets[t]] for s in subsets}
+    chains = [(s,) for s in subsets]
+    for _ in range(codim - 1):
+        chains = [ch + (t,) for ch in chains for t in above[ch[-1]]]
+    # extending a sorted list by sorted lists keeps the lexicographic order
+    return [NestedSequence(n, ch) for ch in chains]
 
 
 def all_faces(n: int) -> list[NestedSequence]:

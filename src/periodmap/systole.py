@@ -7,14 +7,17 @@ a positive definite quadratic form on the lattice.  The conformal
 systole is its minimum over nonzero integer vectors; the supremum of
 that minimum over all period points is a lattice invariant.
 
-Exact rational subspaces get exact enumeration certificates; float
-hyperboloid points run the same search in floats.
+Shortest vectors come from one Fincke-Pohst enumerator inside a box
+that provably holds them.  On rational subspaces the enumeration runs
+on an integer matrix, so the certificate is exact; floats appear only
+for hyperboloid points and in the supremum search over the disk.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -35,10 +38,11 @@ from .bilinear import (
 from .errors import (
     DomainError,
     InputError,
+    NumericalDomainError,
     PreconditionError,
     ResourceError,
 )
-from .grassmannian import HPoint, disk_to_hpoint, to_poincare_disk
+from .grassmannian import HPoint, disk_to_hpoint, line_to_hpoint, to_poincare_disk
 
 
 @dataclass(frozen=True)
@@ -113,15 +117,12 @@ def _norm_matrix_exact(pp: PeriodPoint) -> list[list[Fraction]]:
     ]
 
 
-def _norm_matrix_float(pp: PeriodPoint) -> np.ndarray:
-    u = np.array(pp.point.coords, dtype=float)
-    g = np.diag([1.0] + [-1.0] * pp.point.n)
-    gu = g @ u
-    return 2.0 * np.outer(gu, gu) - g
-
-
-def norm_matrix(pp: PeriodPoint):
-    return _norm_matrix_exact(pp) if pp.is_exact else _norm_matrix_float(pp)
+def _norm_matrix_float(u: Sequence[float], gram=None) -> np.ndarray:
+    """2 (Gu)(Gu)^t - G for the unit vector u; G defaults to diag(1, -1, ..., -1)."""
+    if gram is None:
+        gram = np.diag([1.0] + [-1.0] * (len(u) - 1))
+    gu = gram @ np.asarray(u, dtype=float)
+    return 2.0 * np.outer(gu, gu) - gram
 
 
 def period_norm_sq(pp: PeriodPoint, w: Sequence):
@@ -132,7 +133,7 @@ def period_norm_sq(pp: PeriodPoint, w: Sequence):
         if len(v) != pp.ambient.dim:
             raise InputError("vector length does not match the form")
         return sum(v[i] * m[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
-    m = _norm_matrix_float(pp)
+    m = _norm_matrix_float(pp.point.coords)
     v = np.array([float(x) for x in w], dtype=float)
     if v.shape != (pp.ambient.dim,):
         raise InputError("vector length does not match the form")
@@ -171,15 +172,110 @@ class SystoleResult:
 MAX_ENUMERATION = 4 * 10**7
 
 
-def _box_radii(minv_diag, budget) -> list[int]:
-    # |x_i| <= sqrt(budget * (M^{-1})_ii) on the ellipsoid q <= budget
-    radii = []
-    for entry in minv_diag:
-        bound = budget * entry
-        if bound < 0:
-            raise DomainError("norm form is not positive definite")
-        radii.append(math.isqrt(int(bound)))
-    return radii
+def _box_radii(m, lattice_bound):
+    """Seed value, clipped box radii and the radius a certificate needs.
+
+    The seed, the smallest diagonal entry of ``m``, is the norm of a basis
+    vector; every w with w^t m w <= seed has |w_i| <= sqrt(seed (m^-1)_ii),
+    rounded down exactly for Fractions and up with slack for floats.
+    ``lattice_bound`` clips the radii; boxes above MAX_ENUMERATION points
+    are refused.
+    """
+    d = len(m)
+    exact = isinstance(m[0][0], Fraction)
+    seed = min(m[i][i] for i in range(d))
+    try:
+        minv = _mat_inverse(m) if exact else np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError("norm matrix is numerically singular") from exc
+    bounds = [seed * minv[i][i] for i in range(d)]
+    if seed <= 0 or min(bounds) < 0:
+        error = DomainError if exact else NumericalDomainError
+        raise error("norm matrix is not positive definite")
+    if exact:
+        radii = [math.isqrt(int(b)) for b in bounds]
+    else:
+        radii = [math.floor(math.sqrt(b + 1e-9) + 1e-9) + 1 for b in bounds]
+    needed = max(radii)
+    if lattice_bound is not None:
+        radii = [min(r, lattice_bound) for r in radii]
+    count = math.prod(2 * r + 1 for r in radii)
+    if count > MAX_ENUMERATION:
+        raise ResourceError(
+            f"enumeration box of {count} points exceeds the supported size"
+        )
+    return seed, radii, needed
+
+
+def _shortest(m, seed, radii):
+    """Minimum of w^t m w over nonzero integer w in the box, and its minimizers.
+
+    Fincke-Pohst enumeration (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.7.3) completes squares from the last coordinate in,
+    visiting only box vectors inside the ellipsoid w^t m w <= bound; the
+    bound starts at ``seed`` and falls to the best value found.  The
+    squares come from pivot-scaled (Bareiss) Schur complements: with p_k
+    the k-th leading principal minor and V the scaled form of the fixed
+    tail, |p_k w_k + s_k| <= sqrt((bound p_k - V) p_{k-1}), so an integer
+    ``m`` and ``seed`` keep every range an isqrt and every comparison
+    exact.  Floats run the same steps, values within 1e-9 (relative above
+    1) of the minimum counting as ties.  Returns the minimum and one
+    vector of each sign pair of minimizers.
+    """
+    d = len(m)
+    exact = isinstance(seed, int)
+    root = math.isqrt if exact else math.sqrt
+    div = operator.floordiv if exact else operator.truediv
+
+    def tie(v):  # exact values tie only when equal
+        return v if exact else v + 1e-9 * max(1.0, v)
+
+    # row k of b ends as row k of the k-th scaled Schur complement;
+    # p[k + 1] = b[k][k] is the k-th leading principal minor, p[0] = 1
+    b = [list(row) for row in m]
+    p = [1]
+    for k in range(d):
+        if b[k][k] <= 0:  # only rounding makes a pivot of a norm matrix non-positive
+            raise NumericalDomainError(f"norm matrix has non-positive pivot {b[k][k]}")
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                b[i][j] = div(b[k][k] * b[i][j] - b[i][k] * b[k][j], p[k])
+        p.append(b[k][k])
+    x = [0] * d
+    found = []
+    bound = tie(seed)
+
+    def visit(k, tail, free):
+        # tail = V_{k+1}; free once a later coordinate is nonzero, else
+        # w_k >= 0 keeps one vector of each sign pair
+        nonlocal bound
+        s = sum(b[k][j] * x[j] for j in range(k + 1, d))
+        room = (bound * p[k + 1] - tail) * p[k]
+        if room < 0:
+            return
+        r = root(room)
+        lo = max(-radii[k] if free else 0, int(-((r + s) // p[k + 1])))
+        hi = min(radii[k], int((r - s) // p[k + 1]))
+        for xk in range(lo, hi + 1):
+            x[k] = xk
+            t = p[k + 1] * xk + s
+            v = div(tail * p[k] + t * t, p[k + 1])
+            if k:
+                visit(k - 1, v, free or xk != 0)
+            elif (free or xk) and v <= bound:
+                found.append((v, tuple(x)))
+                bound = min(bound, tie(v))
+
+    visit(d - 1, 0, False)
+    if not found:
+        raise NumericalDomainError("rounding lost every vector of the seed ellipsoid")
+    best = min(v for v, _ in found)
+    return best, [w for v, w in found if v <= tie(best)]
+
+
+def _check_positive_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{what} must be an integer of at least 1, got {value!r}")
 
 
 def conf_systole(
@@ -187,110 +283,41 @@ def conf_systole(
 ) -> SystoleResult:
     """Certified minimum of the period norm over nonzero lattice vectors.
 
-    The enumeration box comes from the inverse norm matrix: any vector
-    outside it has norm above the seed value (the best standard basis
-    vector), so searching the box alone is a proof of minimality.  When
-    ``lattice_bound`` caps the box below that radius the search still
-    runs and the result is flagged uncertified, carrying the radius a
-    certificate would need.  ``lattice_scale``, an int of at least 1,
-    evaluates the systole of the scaled sublattice (scale * Z^d).
+    Any vector outside the box of ``_box_radii`` has norm above the seed
+    value (the best standard basis vector), so Fincke-Pohst enumeration
+    of the box (``_shortest``) proves minimality.  On a rational period
+    point the norm matrix is cleared to an integer matrix and the search
+    runs in exact integer arithmetic; only hyperboloid points use floats.
+    When ``lattice_bound`` (an int of at least 1) caps the box below the
+    needed radius the search still runs and the result is flagged
+    uncertified, carrying the radius a certificate would need.
+    ``lattice_scale``, an int of at least 1, evaluates the systole of
+    the scaled sublattice (scale * Z^d).
     """
-    if (
-        isinstance(lattice_scale, bool)
-        or not isinstance(lattice_scale, int)
-        or lattice_scale < 1
-    ):
-        raise InputError(
-            f"lattice scale must be an integer of at least 1, got {lattice_scale!r}"
-        )
-    d = pp.ambient.dim
+    _check_positive_int(lattice_scale, "lattice scale")
+    if lattice_bound is not None:
+        _check_positive_int(lattice_bound, "lattice bound")
     if pp.is_exact:
         m = _norm_matrix_exact(pp)
-        minv = _mat_inverse(tuple(tuple(row) for row in m))
-        seed = min(m[i][i] for i in range(d))  # q(e_i) = M_ii
-        if seed <= 0:
-            raise DomainError("norm form is not positive definite")
-        radii = _box_radii([minv[i][i] for i in range(d)], seed)
-    else:
-        m = _norm_matrix_float(pp)
-        minv = np.linalg.inv(m)
-        seed = float(min(m[i][i] for i in range(d)))
-        if seed <= 0:
-            raise DomainError("norm form is not positive definite")
-        # small inflation absorbs float rounding in the box bound
-        radii = [
-            int(math.floor(math.sqrt(seed * minv[i][i] * 1.0 + 1e-9) + 1e-9)) + 1
-            for i in range(d)
-        ]
-
-    needed = max(radii)
-    certified = True
-    if lattice_bound is not None and needed > lattice_bound:
-        radii = [min(r, lattice_bound) for r in radii]
-        certified = False
-
-    count = 1
-    for r in radii:
-        count *= 2 * r + 1
-    if count > MAX_ENUMERATION:
-        raise ResourceError(
-            f"enumeration box of {count} points exceeds the supported size"
+        seed, radii, needed = _box_radii(m, lattice_bound)
+        den = math.lcm(*(x.denominator for row in m for x in row))
+        best, reps = _shortest(
+            [[int(x * den) for x in row] for row in m], int(seed * den), radii
         )
-
-    best = None
-    best_vecs: list[tuple[int, ...]] = []
-    if pp.is_exact:
-        # float prefilter over the box, exact re-check of the shortlist;
-        # the generous relative margin keeps the certificate honest
-        mf = np.array([[float(x) for x in row] for row in m])
-        grids = np.meshgrid(*[np.arange(-r, r + 1) for r in radii], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-        norms = np.einsum("ij,jk,ik->i", pts, mf, pts)
-        norms[~np.any(pts != 0, axis=1)] = np.inf
-        float_min = float(np.min(norms))
-        shortlist = pts[norms <= float_min * (1.0 + 1e-6) + 1e-9]
-        for h in shortlist:
-            w = tuple(int(x) for x in h)
-            if w < tuple(-x for x in w):
-                continue  # sign representatives; both recorded below
-            val = sum(
-                w[i] * m[i][j] * w[j] for i in range(d) for j in range(d)
-            )
-            if best is None or val < best:
-                best, best_vecs = val, [w]
-            elif val == best:
-                best_vecs.append(w)
+        best = Fraction(best, den)
     else:
-        grids = np.meshgrid(*[np.arange(-r, r + 1) for r in radii], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-        norms = np.einsum("ij,jk,ik->i", pts, m, pts)
-        nonzero = np.any(pts != 0, axis=1)
-        norms[~nonzero] = np.inf
-        best = float(np.min(norms))
-        tol = 1e-9 * max(1.0, best)
-        hits = pts[norms <= best + tol]
-        seen = set()
-        for h in hits:
-            w = tuple(int(x) for x in h)
-            key = max(w, tuple(-x for x in w))
-            if key not in seen:
-                seen.add(key)
-                best_vecs.append(key)
+        m = _norm_matrix_float(pp.point.coords).tolist()
+        seed, radii, needed = _box_radii(m, lattice_bound)
+        best, reps = _shortest(m, seed, radii)
 
-    minimizers = []
-    for w in best_vecs:
-        minimizers.append(tuple(lattice_scale * x for x in w))
-        minimizers.append(tuple(-lattice_scale * x for x in w))
-    minimizers.sort()
-
-    scale_sq = lattice_scale * lattice_scale
-    value_sq = best * scale_sq
     return SystoleResult(
         value=math.sqrt(float(best)) * lattice_scale,
-        value_sq=value_sq,
-        minimizers=tuple(minimizers),
+        value_sq=best * (lattice_scale * lattice_scale),
+        minimizers=tuple(sorted(
+            tuple(s * lattice_scale * x for x in w) for w in reps for s in (1, -1)
+        )),
         bound_used=max(radii),
-        certified=certified,
+        certified=max(radii) == needed,
         needed_radius=needed,
     )
 
@@ -324,31 +351,6 @@ class CsResult:
         )
 
 
-def _conf_at_unit_vector(form: GramForm, u: np.ndarray, gram: np.ndarray) -> float:
-    """Float conformal systole when the positive line is spanned by u."""
-    gu = gram @ u
-    m = 2.0 * np.outer(gu, gu) - gram
-    minv = np.linalg.inv(m)
-    seed = float(np.min(np.diag(m)))
-    if seed <= 0:
-        raise DomainError("positive line is not positive for this form")
-    d = form.dim
-    radii = [
-        int(math.floor(math.sqrt(max(seed * minv[i][i], 0.0)) + 1e-9)) + 1
-        for i in range(d)
-    ]
-    count = 1
-    for r in radii:
-        count *= 2 * r + 1
-    if count > MAX_ENUMERATION:
-        raise ResourceError("supremum search hit an enumeration box too large")
-    grids = np.meshgrid(*[np.arange(-r, r + 1) for r in radii], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-    norms = np.einsum("ij,jk,ik->i", pts, m, pts)
-    norms[~np.any(pts != 0, axis=1)] = np.inf
-    return math.sqrt(float(np.min(norms)))
-
-
 class _DiskObjective:
     """conf as a function of Poincare-disk coordinates, via the embedding."""
 
@@ -358,7 +360,6 @@ class _DiskObjective:
             raise PreconditionError(
                 f"supremum search needs signature (1, n), got {tuple(sig)}"
             )
-        self.form = form
         self.n = form.dim - 1
         emb = standard_embedding(form)
         cols = np.array(
@@ -373,10 +374,11 @@ class _DiskObjective:
         r2 = sum(x * x for x in disk)
         if r2 >= 0.999999:
             return -math.inf
-        hp = disk_to_hpoint(disk)
-        u = self.back @ np.array(hp.coords)
+        u = self.back @ np.array(disk_to_hpoint(disk).coords)
         self.evaluations += 1
-        return _conf_at_unit_vector(self.form, u, self.gram)
+        m = _norm_matrix_float(u, self.gram).tolist()
+        seed, radii, _ = _box_radii(m, None)
+        return math.sqrt(_shortest(m, seed, radii)[0])
 
 
 def _grid_points(n: int, radius: float, step: float):
@@ -519,8 +521,6 @@ def disk_of_period_point(pp: PeriodPoint) -> tuple[float, ...]:
         raise PreconditionError("disk coordinates need a (1, n) ambient form")
     if pp.is_exact:
         gen = pp.subspace.basis[0]
-        from .grassmannian import line_to_hpoint
-
         emb = standard_embedding(pp.ambient)
         return to_poincare_disk(line_to_hpoint(emb.to_minkowski(gen)))
     return to_poincare_disk(pp.point)

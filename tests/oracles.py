@@ -127,6 +127,69 @@ def brute_force_systole(form_gram, h_generator, radius=25):
     return best, frozenset(mins)
 
 
+def float_brute_force_systole(disk, radius, tie=1e-9):
+    """Float systole at a hyperboloid point by literal plus/minus splitting.
+
+    The point over the disk coordinates ``disk`` is
+    u = (1 + r^2, 2 d) / (1 - r^2) in the standard form diag(1, -1, ...).
+    Every integer vector of the cube of ``radius`` is split against u and
+    Q(w+, w+) - Q(w-, w-) = 2 Q(w, u)^2 - Q(w, w) is minimized.  Returns
+    (minimum, frozenset of vectors within ``tie`` (relative above 1) of
+    it).
+    """
+    import numpy as np
+
+    d = np.array([float(x) for x in disk])
+    r2 = float(d @ d)
+    u = np.concatenate(([1.0 + r2], 2.0 * d)) / (1.0 - r2)
+    sign = np.array([1.0] + [-1.0] * len(d))
+    axes = [np.arange(-radius, radius + 1)] * (len(d) + 1)
+    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    w = pts.astype(float)
+    val = 2.0 * (w @ (sign * u)) ** 2 - (w * w) @ sign
+    val[~np.any(pts != 0, axis=1)] = np.inf
+    best = float(val.min())
+    hits = pts[val <= best + tie * max(1.0, best)]
+    return best, frozenset(tuple(int(x) for x in h) for h in hits)
+
+
+def lagrange_gauss_minimum(m):
+    """Minimum and minimal vectors of a positive definite rank-2 form.
+
+    ``m`` is a symmetric 2x2 rational matrix.  Lagrange-Gauss reduction
+    swaps and size-reduces a basis until |2 b(b1, b2)| <= q(b1) <= q(b2);
+    then every vector a b1 + c b2 with |a| or |c| at least 2 is longer
+    than b1, so the minimal vectors are among +-b1, +-b2, +-(b1 +- b2).
+    Returns (minimum as a Fraction, frozenset of minimal vectors).
+    """
+    m = [[Fraction(x) for x in row] for row in m]
+
+    def b(u, v):
+        return sum(u[i] * m[i][j] * v[j] for i in range(2) for j in range(2))
+
+    def comb(u, v, c):
+        return (u[0] + c * v[0], u[1] + c * v[1])
+
+    b1, b2 = (1, 0), (0, 1)
+    while True:
+        if b(b2, b2) < b(b1, b1):
+            b1, b2 = b2, b1
+        c = b(b1, b2) / b(b1, b1)
+        k = c.numerator // c.denominator  # floor, then the nearer integer
+        if c - k > Fraction(1, 2):
+            k += 1
+        if k == 0:
+            break
+        b2 = comb(b2, b1, -k)
+    cands = [b1, b2, comb(b1, b2, 1), comb(b1, b2, -1)]
+    best = min(b(v, v) for v in cands)
+    mins = set()
+    for v in cands:
+        if b(v, v) == best:
+            mins |= {v, (-v[0], -v[1])}
+    return best, frozenset(mins)
+
+
 def cs_scan_1d(norm_sq_of, t_lo=-2.0, t_hi=2.0, steps=4001, refine_iters=80):
     """Maximize min_{(a,b) != 0} norm_sq(a, b, t) over a 1-parameter family.
 

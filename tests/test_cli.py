@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from periodmap import cli
 from periodmap.cli import main
 
 
@@ -57,6 +58,51 @@ def test_faces_symmetric_table(capsys):
     assert "12 faces" in lines[0]
     assert len(lines) == 13
     assert sum("Geodesic" in l for l in lines) == 12
+
+
+FIG6_I_CHAINS = [
+    [[1]], [[2]], [[3]], [[1, 2]], [[1, 3]], [[2, 3]],
+    [[1], [1, 2]], [[1], [1, 3]], [[2], [1, 2]],
+    [[2], [2, 3]], [[3], [1, 3]], [[3], [2, 3]],
+]
+
+
+def test_faces_sweep_row_order(capsys):
+    # shortest chains first, then by subset sizes, then lexicographic
+    code, out, _ = run(capsys, "faces", "--preset", "fig6-i", "--json")
+    assert code == 0
+    assert [row["chain"] for row in json.loads(out)["faces"]] == FIG6_I_CHAINS
+    code, out, _ = run(capsys, "faces", "--preset", "fig6-i")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [r.split("  ")[0] for r in rows] == [
+        " < ".join("{" + ",".join(map(str, s)) + "}" for s in ch)
+        for ch in FIG6_I_CHAINS
+    ]
+    assert rows[5] == (
+        "{2,3}              i+ 1   Point                pieces (1, 1, 0) (0, 1, 0)"
+    )
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        first = run(capsys, "limit", "--json")
+        second = run(capsys, "limit", "--json")
+        bad = [run(capsys, "faces", "--nope") for _ in range(2)]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert first == second and first[0] == 0
+    assert bad[0] == bad[1] and bad[0][0] == 2
 
 
 def test_faces_json_chain(capsys):
@@ -179,6 +225,17 @@ def test_systole_scale_must_be_integer(capsys, tmp_path):
     assert code == 0
     assert "Fraction" not in out
     assert "(-2, 0)" in out and "(2, 0)" in out
+
+
+def test_systole_bound_must_be_positive(capsys, tmp_path):
+    # a zero cap used to print the zero vector as the systole
+    form = write_form(tmp_path, [[1, 0], [0, -1]])
+    code, out, err = run(
+        capsys, "systole", "--config", form, "--period", "5,4", "--bound", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bound" in err, err
 
 
 def test_systole_sup(capsys, tmp_path):

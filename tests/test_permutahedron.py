@@ -75,6 +75,21 @@ def test_enumerate_faces_deterministic_and_bounded():
         enumerate_faces(2, 0)
 
 
+def test_enumerate_faces_matches_brute_force():
+    # strictly increasing chains have strictly increasing subset sizes
+    for n in range(1, 5):
+        ground = range(1, n + 2)
+        by_size = {k: list(itertools.combinations(ground, k)) for k in range(1, n + 1)}
+        for codim in range(1, n + 1):
+            want = sorted(
+                ch
+                for sizes in itertools.combinations(range(1, n + 1), codim)
+                for ch in itertools.product(*(by_size[k] for k in sizes))
+                if all(set(a) < set(b) for a, b in zip(ch, ch[1:]))
+            )
+            assert [ns.chain for ns in enumerate_faces(n, codim)] == want
+
+
 def test_face_leq_examples():
     a = NestedSequence(3, ((3, 4), (1, 3, 4)))
     b = NestedSequence(3, ((1, 3, 4),))

@@ -5,11 +5,17 @@ from fractions import Fraction
 import pytest
 
 from periodmap.bilinear import GramForm, Subspace, hyperbolic_plane_form, minkowski_form
-from periodmap.errors import DomainError, InputError, PreconditionError
+from periodmap.errors import (
+    DomainError,
+    InputError,
+    NumericalDomainError,
+    PreconditionError,
+)
 from periodmap.grassmannian import HPoint, disk_to_hpoint, hyperbolic_distance
 from periodmap.systole import (
     CsSearchConfig,
     PeriodPoint,
+    _shortest,
     conf_systole,
     cs_invariance_check,
     cs_supremum,
@@ -21,7 +27,12 @@ from periodmap.systole import (
     rational_disk_period_point,
 )
 
-from oracles import brute_force_systole, cs_scan_1d
+from oracles import (
+    brute_force_systole,
+    cs_scan_1d,
+    float_brute_force_systole,
+    lagrange_gauss_minimum,
+)
 
 F = Fraction
 DIAG = minkowski_form(1)
@@ -180,6 +191,95 @@ def test_conf_matches_brute_force_on_random_rational_points():
         assert set(res.minimizers) == set(want_mins), disk
         checked += 1
     assert checked == 50
+
+
+def _disk_radius_bound(rho):
+    # at hyperbolic distance t the norm form has smallest eigenvalue
+    # e^{-2t} and diagonal at most cosh 2t, so a shortest vector is no
+    # longer than e^{2t} = ((1 + rho) / (1 - rho))^2
+    return int(((1 + rho) / (1 - rho)) ** 2) + 1
+
+
+def test_enumerator_matches_brute_force_with_and_without_cap():
+    # a capped box is the uncapped one cut by the cube of the cap, and
+    # every vector outside the uncapped box has norm above the seed, so
+    # the cube of the cap is a valid oracle box for the capped search
+    rng = random.Random(31337)
+    for n in (1, 2, 3):
+        form = minkowski_form(n)
+        for _ in range(100):
+            while True:
+                den = rng.randint(2, 30)
+                disk = tuple(F(rng.randint(-den, den), den) for _ in range(n))
+                if sum(x * x for x in disk) < F(1, 5):
+                    break
+            pp = rational_disk_period_point(form, disk)
+            rho = math.sqrt(float(sum(x * x for x in disk)))
+            for bound in (None, 1, 2):
+                res = conf_systole(pp, lattice_bound=bound)
+                radius = _disk_radius_bound(rho) if bound is None else bound
+                want_sq, want_mins = brute_force_systole(
+                    form.gram, pp.subspace.basis[0], radius=radius
+                )
+                assert res.value_sq == want_sq, (disk, bound)
+                assert frozenset(res.minimizers) == want_mins, (disk, bound)
+                capped = bound is not None and res.needed_radius > bound
+                assert res.certified == (not capped)
+                assert res.bound_used == (bound if capped else res.needed_radius)
+
+
+def test_float_enumerator_matches_float_brute_force():
+    rng = random.Random(2718)
+    for n in (1, 2, 3):
+        for _ in range(30):
+            rho = rng.uniform(0.0, 0.5)
+            direction = [rng.gauss(0.0, 1.0) for _ in range(n)]
+            norm = math.sqrt(sum(x * x for x in direction))
+            disk = [rho * x / norm for x in direction]
+            res = conf_systole(period_point_from_hpoint(disk_to_hpoint(disk)))
+            want, mins = float_brute_force_systole(disk, _disk_radius_bound(rho))
+            assert abs(res.value_sq - want) <= 1e-9 * max(1.0, want), disk
+            assert frozenset(res.minimizers) == mins, disk
+
+
+def test_stretched_point_matches_lagrange_gauss_reduction():
+    # at 19/20 the box is 760 steps wide but the shortest vectors are tiny
+    for r in (F(19, 20), F(-19, 20)):
+        pp = rational_disk_period_point(DIAG, (r,))
+        res = conf_systole(pp)
+        h = pp.subspace.basis[0]
+        gh = (h[0], -h[1])
+        qh = h[0] * h[0] - h[1] * h[1]
+        m = [
+            [2 * gh[i] * gh[j] / qh - DIAG.gram[i][j] for j in range(2)]
+            for i in range(2)
+        ]
+        want, mins = lagrange_gauss_minimum(m)
+        assert res.needed_radius == 760
+        assert res.certified
+        assert res.value_sq == want
+        assert frozenset(res.minimizers) == mins
+
+
+def test_float_path_near_the_boundary_raises_typed_error():
+    # rounding makes the norm matrix there numerically indefinite (and,
+    # closer still, singular); that used to surface as a bare ValueError
+    for rho in (0.9999, 0.99999):
+        pp = period_point_from_hpoint(disk_to_hpoint([rho]))
+        with pytest.raises(NumericalDomainError, match="norm matrix"):
+            conf_systole(pp)
+
+
+def test_enumerator_rejects_non_positive_pivot():
+    with pytest.raises(NumericalDomainError, match="pivot"):
+        _shortest([[1.0, 2.0], [2.0, 1.0]], 1.0, [1, 1])
+
+
+def test_conf_systole_rejects_bad_lattice_bound():
+    # a zero cap used to return the zero vector as the "systole"
+    for bad in (0, -1, 1.5, True):
+        with pytest.raises(InputError):
+            conf_systole(x_axis_point(), lattice_bound=bad)
 
 
 def test_conf_log_lipschitz_along_distance():
