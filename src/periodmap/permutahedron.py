@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +26,8 @@ from .bilinear import _solve
 from .errors import DomainError, InputError, ResourceError
 
 DAMPING_SLACK = Fraction(1, 4)  # slack scale below which coordinates are pulled in
+MAX_GRID_POINTS = 4 * 10**7  # largest sample box or grid a coverage check builds
+SLAB_ROWS = 2**15  # rows per sample slab and per call of the checked map
 
 
 def subset_level(k: int) -> int:
@@ -362,7 +365,9 @@ def collapse_to_simplex(point: Sequence, realization: PermRealization) -> tuple:
     return tuple(p + spare * w / wsum for p, w in zip(pulled, weights))
 
 
-def _collapse_batch_arrays(n: int, subsets: list[tuple[int, ...]], m: int):
+def _subset_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Membership masks (one row per proper subset) and subset levels."""
+    subsets = proper_subsets(n)
     masks = np.zeros((len(subsets), n + 1), dtype=bool)
     levels = np.empty(len(subsets))
     for r, s in enumerate(subsets):
@@ -375,18 +380,19 @@ def _collapse_batch_arrays(n: int, subsets: list[tuple[int, ...]], m: int):
 def collapse_batch(realization: PermRealization) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized float version of collapse_to_simplex for sampling."""
     n = realization.n
-    subsets = proper_subsets(n)
-    masks, levels = _collapse_batch_arrays(n, subsets, realization.total)
+    masks, levels = _subset_arrays(n)
+    # for each coordinate, the subsets that contain it
+    members = [np.flatnonzero(masks[:, i]) for i in range(n + 1)]
     eps = float(DAMPING_SLACK)
     m = float(realization.total)
 
     def apply(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         slacks = pts @ masks.T - levels  # (k, n_subsets)
-        g = np.full(pts.shape, np.inf)
-        for r in range(masks.shape[0]):
-            cols = masks[r]
-            g[:, cols] = np.minimum(g[:, cols], slacks[:, r : r + 1])
+        g = np.stack(
+            [reduce(np.minimum, [slacks[:, r] for r in rows]) for rows in members],
+            axis=1,
+        )
         w = np.clip(g / eps, 0.0, 1.0)
         pulled = 1.0 + (pts - 1.0) * w
         spare = m - pulled.sum(axis=1)
@@ -523,7 +529,14 @@ class CoverageReport:
 
 def _sample_polytope(realization: PermRealization, step: float) -> np.ndarray:
     """Grid sample of the permutahedron in its hyperplane, plus dense
-    samples of every facet so images track the simplex boundary."""
+    samples of every facet so images track the simplex boundary.
+
+    The grid is a box one step wider than the permutahedron on every
+    side; its size is worked out from the axis lengths before anything is
+    allocated, and a box above MAX_GRID_POINTS is refused.  The box is
+    then made slab by slab along its first axis, in meshgrid order, and
+    each slab is filtered by the subset inequalities as it is made.
+    """
     n = realization.n
     basis = _hyperplane_basis(n)
     center = np.full(n + 1, realization.total / (n + 1))
@@ -531,28 +544,47 @@ def _sample_polytope(realization: PermRealization, step: float) -> np.ndarray:
     plane = (verts - center) @ basis.T
     lo = plane.min(axis=0) - step
     hi = plane.max(axis=0) + step
+    # np.arange(start, stop, step) holds ceil((stop - start) / step) values
+    lengths = [math.ceil((hi[i] + step - lo[i]) / step) for i in range(n)]
+    size = math.prod(lengths)
+    if size > MAX_GRID_POINTS:
+        raise ResourceError(
+            f"sample step {step} needs a box of {size} points (limit {MAX_GRID_POINTS})"
+        )
     axes = [np.arange(lo[i], hi[i] + step, step) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = center + coords @ basis
-    subsets = proper_subsets(n)
-    masks, levels = _collapse_batch_arrays(n, subsets, realization.total)
-    interior = pts[(pts @ masks.T - levels >= -1e-12).all(axis=1)]
+    masks, levels = _subset_arrays(n)
+    lines_per_slab = max(1, SLAB_ROWS // math.prod(lengths[1:]))
+    parts = []
+    for start in range(0, len(axes[0]), lines_per_slab):
+        first = axes[0][start : start + lines_per_slab]
+        mesh = np.meshgrid(first, *axes[1:], indexing="ij")
+        pts = center + np.stack([m.ravel() for m in mesh], axis=1) @ basis
+        parts.append(pts[(pts @ masks.T - levels >= -1e-12).all(axis=1)])
 
-    boundary = []
     if n == 2:
         t = np.linspace(0.0, 1.0, 2001)[:, None]
         for ns in enumerate_faces(2, 1):
             fv = realization.vertices_of_face(ns)
             a, b = (np.array(v, dtype=float) for v in fv)
-            boundary.append(a + t * (b - a))
+            parts.append(a + t * (b - a))
     else:
         rng = np.random.default_rng(1729)
         for ns in enumerate_faces(n, 1):
             fv = np.array(realization.vertices_of_face(ns), dtype=float)
             bary = rng.dirichlet(np.ones(len(fv)), size=4000)
-            boundary.append(bary @ fv)
-    return np.concatenate([interior] + boundary, axis=0)
+            parts.append(bary @ fv)
+    return np.concatenate(parts, axis=0)
+
+
+def _map_rows(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """f applied to pts in row blocks of at most SLAB_ROWS rows.
+
+    The blocks are of near-equal size, so none is a lone row when pts
+    has two or more: numpy multiplies a single row by a matrix through
+    another routine than a block, and its last bits can differ.
+    """
+    blocks = np.array_split(pts, max(1, -(-len(pts) // SLAB_ROWS)))
+    return np.concatenate([np.asarray(f(b), dtype=float) for b in blocks])
 
 
 def _simplex_grid(n: int, step: float) -> np.ndarray:
@@ -561,7 +593,7 @@ def _simplex_grid(n: int, step: float) -> np.ndarray:
     k = int(round(k_total))
     if abs(k - k_total) > 1e-9:
         raise InputError(f"grid step {step} must divide {m - (n + 1)} evenly")
-    if (k + 1) ** n > 4 * 10**7:
+    if (k + 1) ** n > MAX_GRID_POINTS:
         raise ResourceError("grid too fine for this dimension")
     axes = np.meshgrid(*[np.arange(k + 1)] * n, indexing="ij")
     ks = np.stack([a.ravel() for a in axes], axis=1)
@@ -580,22 +612,32 @@ def check_face_mapping_surjectivity(
     face_samples: int = 40,
     seed: int = 0,
 ) -> CoverageReport:
-    """Desk-scale surjectivity proxy for a map of the permutahedron onto
-    the simplex.
+    """Sampled surjectivity check (a proxy, not a certificate) for a map
+    of the permutahedron onto the simplex.
 
     First verifies the face condition on sampled points of every proper
     face (images must pin the coordinates of the chain's largest subset),
     then checks that every simplex grid node at spacing grid_step has an
-    image point within grid_step.  f must accept an (k, n+1) array of
-    points and return the mapped array.
+    image point within grid_step.  f must accept a (k, n+1) array of
+    points and return the mapped array; it is applied to row blocks of
+    the samples, so it must act row by row.
+
+    grid_step and sample_step (default grid_step / 10) must be positive
+    and finite; a sample box or grid above MAX_GRID_POINTS points raises
+    ResourceError before it is built.
     """
     from scipy.spatial import cKDTree
 
     if n > 3:
         raise ResourceError("coverage check capped at n = 3")
-    realization = realize(n)
     if sample_step is None:
         sample_step = grid_step / 10.0
+    for name, step in (("grid_step", grid_step), ("sample_step", sample_step)):
+        if not (math.isfinite(step) and step > 0):
+            raise InputError(f"{name} must be positive and finite, got {step}")
+    realization = realize(n)
+    grid = _simplex_grid(n, grid_step)
+    samples = _sample_polytope(realization, sample_step)
 
     rng = np.random.default_rng(seed)
     violations = []
@@ -613,10 +655,10 @@ def check_face_mapping_surjectivity(
                 FaceViolation(ns, tuple(pts[idx]), tuple(images[idx]))
             )
 
-    samples = _sample_polytope(realization, sample_step)
-    images = np.asarray(f(samples), dtype=float)
-    grid = _simplex_grid(n, grid_step)
-    tree = cKDTree(images)
+    images = _map_rows(f, samples)
+    # sliding-midpoint splits build faster than median splits and the
+    # nearest-neighbour distances are exact either way
+    tree = cKDTree(images, balanced_tree=False, compact_nodes=False, copy_data=False)
     dist, _ = tree.query(grid, k=1)
     covered = dist <= grid_step
     witness = None

@@ -3,10 +3,12 @@
 Everything here recomputes results through a different algorithm than
 the library (characteristic polynomial signs instead of congruence
 diagonalization, direct pairing tables instead of subspace machinery),
-so agreement is meaningful evidence.  The exception is the rational
-reference kernel at the end: the library's elimination steps carried
-out in plain Fraction arithmetic, against which the library's integer
-kernel must give identical outputs.
+so agreement is meaningful evidence.  The exceptions are the two
+references at the end: the library's elimination steps carried out in
+plain Fraction arithmetic, against which the library's integer kernel
+must give identical outputs, and the coverage check computed in one
+piece, against which the library's streamed check must report
+identical numbers.
 """
 
 from fractions import Fraction
@@ -366,3 +368,82 @@ def sym_diagonalize_reference(gram):
                 col_add(j, p, -m[p][j] / pivot)
     t = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
     return t, [m[i][i] for i in range(k)]
+
+
+# ---------------------------------------------------------------------------
+# whole-box coverage reference: the sampled surjectivity check as one
+# piece (the whole bounding box of samples and its slack matrix, one call
+# of the map, a median-split KD-tree), against which the library's
+# streamed check must report identical numbers
+# ---------------------------------------------------------------------------
+
+
+def coverage_reference(f, vertices, facets, grid_step, sample_step):
+    """Coverage numbers of the map ``f`` from the permutahedron with
+    ``vertices`` onto the enclosing simplex.
+
+    ``facets`` lists the vertices of each facet in the library's facet
+    order.  Returns samples_used, grid_points, covered,
+    uncovered_witness and max_gap.
+    """
+    import itertools
+
+    import numpy as np
+    from scipy.spatial import cKDTree
+
+    n = len(vertices[0]) - 1
+    total = sum(vertices[0])
+    # the grid lives in an orthonormal basis of {v : sum v = 0}
+    basis = np.linalg.svd(np.ones((1, n + 1)))[2][1:]
+    center = np.full(n + 1, total / (n + 1))
+    plane = (np.array(vertices, dtype=float) - center) @ basis.T
+    lo = plane.min(axis=0) - sample_step
+    hi = plane.max(axis=0) + sample_step
+    axes = [np.arange(lo[i], hi[i] + sample_step, sample_step) for i in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = center + np.stack([m.ravel() for m in mesh], axis=1) @ basis
+    # the permutahedron: every k coordinates sum to at least 1 + ... + k
+    subsets = [
+        s for k in range(1, n + 1) for s in itertools.combinations(range(n + 1), k)
+    ]
+    masks = np.zeros((len(subsets), n + 1), dtype=bool)
+    levels = np.empty(len(subsets))
+    for r, s in enumerate(subsets):
+        masks[r, list(s)] = True
+        levels[r] = len(s) * (len(s) + 1) // 2
+    interior = pts[(pts @ masks.T - levels >= -1e-12).all(axis=1)]
+
+    boundary = []
+    if n == 2:
+        t = np.linspace(0.0, 1.0, 2001)[:, None]
+        for a, b in facets:
+            a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+            boundary.append(a + t * (b - a))
+    else:
+        rng = np.random.default_rng(1729)
+        for fv in facets:
+            fv = np.array(fv, dtype=float)
+            boundary.append(rng.dirichlet(np.ones(len(fv)), size=4000) @ fv)
+    samples = np.concatenate([interior] + boundary, axis=0)
+
+    # simplex nodes 1 + step * (k_0, ..., k_n) with sum k = k_total
+    k = int(round((total - (n + 1)) / grid_step))
+    ks = np.stack(
+        [a.ravel() for a in np.meshgrid(*[np.arange(k + 1)] * n, indexing="ij")],
+        axis=1,
+    )
+    ks = ks[ks.sum(axis=1) <= k]
+    grid = 1.0 + grid_step * np.concatenate(
+        [ks, (k - ks.sum(axis=1))[:, None]], axis=1
+    ).astype(float)
+
+    dist, _ = cKDTree(np.asarray(f(samples), dtype=float)).query(grid, k=1)
+    covered = dist <= grid_step
+    witness = None if covered.all() else tuple(grid[int(np.argmin(covered))])
+    return {
+        "samples_used": len(samples),
+        "grid_points": len(grid),
+        "covered": int(covered.sum()),
+        "uncovered_witness": witness,
+        "max_gap": float(dist.max()),
+    }

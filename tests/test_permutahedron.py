@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 
 from periodmap.errors import DomainError, InputError, ResourceError
 from periodmap.permutahedron import (
+    MAX_GRID_POINTS,
+    SLAB_ROWS,
     CoverageReport,
     NestedSequence,
     SimplexFace,
@@ -28,7 +32,10 @@ from periodmap.permutahedron import (
     shrink_map,
     subset_level,
     twist_perturbation,
+    _map_rows,
 )
+
+from oracles import coverage_reference
 
 
 def test_nested_sequence_validation():
@@ -350,6 +357,112 @@ def test_coverage_grid_step_must_divide():
         check_face_mapping_surjectivity(
             collapse_batch(realize(2)), 2, grid_step=0.07
         )
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        {"grid_step": 0},
+        {"grid_step": -0.05},
+        {"grid_step": math.nan},
+        {"grid_step": math.inf},
+        {"grid_step": 0.05, "sample_step": -0.01},
+        {"grid_step": 0.05, "sample_step": 0.0},
+        {"grid_step": 0.05, "sample_step": math.nan},
+        {"grid_step": 0.05, "sample_step": math.inf},
+    ],
+)
+def test_coverage_steps_must_be_positive_and_finite(steps):
+    with pytest.raises(InputError):
+        check_face_mapping_surjectivity(collapse_batch(realize(2)), 2, **steps)
+
+
+@pytest.mark.parametrize(
+    "n, steps",
+    [
+        (2, {"grid_step": 0.05, "sample_step": 1e-5}),  # a 556 GiB box
+        (3, {"grid_step": 0.1}),  # 6.5e7 box points
+    ],
+)
+def test_coverage_refuses_huge_sample_box_before_mapping(n, steps):
+    calls = []
+
+    def f(pts):
+        calls.append(len(pts))
+        return collapse_batch(realize(n))(pts)
+
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=str(MAX_GRID_POINTS)):
+        check_face_mapping_surjectivity(f, n, **steps)
+    assert time.perf_counter() - start < 5.0
+    assert calls == []
+
+
+def _shipped_maps():
+    """The criterion-06 maps at n = 2, with each perturbation also alone."""
+    fb = collapse_batch(realize(2))
+    psis = {
+        "radial+0.3": radial_perturbation(2, 0.3),
+        "radial-0.3": radial_perturbation(2, -0.3),
+        "radial+0.45": radial_perturbation(2, 0.45),
+        "twist+0.7": twist_perturbation(2, 0.7),
+        "twist-0.5": twist_perturbation(2, -0.5),
+        "shrink0.9": shrink_map(2, 0.9),
+    }
+    maps = {"collapse": fb}
+    for name, psi in psis.items():
+        maps[name] = psi
+        maps[name + "*collapse"] = lambda pts, _psi=psi: _psi(fb(pts))
+    return maps
+
+
+def test_maps_act_row_by_row():
+    # the coverage check maps its samples in row blocks, so every shipped
+    # map must give the same bits on a block as on the whole array
+    rng = np.random.default_rng(7)
+    cases = [(n, f"collapse{n}", collapse_batch(realize(n))) for n in (1, 2, 3)]
+    cases += [(2, name, f) for name, f in _shipped_maps().items()]
+    cases.append((3, "radial3", radial_perturbation(3, 0.3)))
+    cases.append((3, "shrink3", shrink_map(3, 0.8)))
+    for n, name, f in cases:
+        verts = np.array(realize(n).vertices, dtype=float)
+        pts = rng.dirichlet(np.ones(len(verts)), size=3000) @ verts
+        pts = np.concatenate([pts, verts])
+        whole = f(pts)
+        cuts = [0, 2, 5, 12, 77, 1000, 2048, len(pts)]
+        blocks = np.concatenate([f(pts[a:b]) for a, b in zip(cuts, cuts[1:])])
+        assert np.array_equal(whole, blocks), name
+        assert np.array_equal(whole, _map_rows(f, pts)), name
+
+
+def test_map_rows_never_passes_a_lone_row():
+    # a single row goes through another BLAS routine than a block, and its
+    # last bits can differ, so blocks hold 2..SLAB_ROWS rows
+    for rows in (2, 3, SLAB_ROWS, SLAB_ROWS + 1, 3 * SLAB_ROWS + 1):
+        sizes = []
+
+        def f(pts):
+            sizes.append(len(pts))
+            return pts
+
+        out = _map_rows(f, np.arange(3.0 * rows).reshape(rows, 3))
+        assert out.shape == (rows, 3)
+        assert sum(sizes) == rows
+        assert 2 <= min(sizes) and max(sizes) <= SLAB_ROWS
+
+
+@pytest.mark.parametrize(
+    "n, grid_step, name",
+    [(2, 0.05, name) for name in _shipped_maps() if "*" in name or name == "collapse"]
+    + [(3, 0.5, "collapse")],
+)
+def test_coverage_matches_whole_box_reference(n, grid_step, name):
+    f = collapse_batch(realize(n)) if n == 3 else _shipped_maps()[name]
+    r = realize(n)
+    facets = [r.vertices_of_face(ns) for ns in enumerate_faces(n, 1)]
+    ref = coverage_reference(f, r.vertices, facets, grid_step, grid_step / 10)
+    rep = check_face_mapping_surjectivity(f, n, grid_step)
+    assert {key: getattr(rep, key) for key in ref} == ref
 
 
 def test_perturbations_fix_boundary():
