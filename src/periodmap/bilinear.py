@@ -14,18 +14,19 @@ Sylvester's law makes signatures basis independent.
 A form is a symmetric gram matrix on coordinate space and a subspace is
 a rational span inside it.  Entries may be ints, Fractions, "p/q"
 strings, or floats with an integral value; any other float is rejected
-rather than rounded.
+rather than rounded.  A gram matrix, and a subspace basis read from
+JSON, must be a list of lists of numbers, booleans excluded.
 """
 
 from __future__ import annotations
 
-import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError, InputError, PreconditionError
 
@@ -56,6 +57,32 @@ def _frac(x) -> Fraction:
 
 def as_vector(entries: Iterable) -> Vector:
     return tuple(_frac(e) for e in entries)
+
+
+def _is_list(x) -> bool:
+    # lists and tuples first: they skip the slower abstract-class check
+    return isinstance(x, (list, tuple)) or (
+        isinstance(x, Iterable) and not isinstance(x, (str, bytes))
+    )
+
+
+def as_matrix(rows: Iterable[Iterable], what: str) -> Matrix:
+    """Rows of rationals, checked at the boundary: the rows and each row
+    must be lists (not numbers or strings) and no entry a boolean, or
+    InputError names ``what``."""
+    if not _is_list(rows):
+        raise InputError(f"{what} must be a list of rows, got {type(rows).__name__}")
+    out = []
+    for row in rows:
+        if not _is_list(row):
+            raise InputError(
+                f"each row of {what} must be a list, got {type(row).__name__}"
+            )
+        row = tuple(row)
+        if bool in map(type, row):
+            raise InputError(f"{what} holds a boolean, not a number")
+        out.append(as_vector(row))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +418,7 @@ class GramForm:
     gram: Matrix
 
     def __init__(self, gram: Sequence[Sequence]) -> None:
-        rows = tuple(as_vector(r) for r in gram)
+        rows = as_matrix(gram, "the gram matrix")
         if not rows:
             raise InputError("gram matrix must have dimension at least 1")
         n = len(rows)
@@ -465,7 +492,7 @@ class GramForm:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "gram": [[_frac_str(x) for x in row] for row in self.gram],
+            "gram": [[str(x) for x in row] for row in self.gram],
         }
 
     @staticmethod
@@ -478,10 +505,6 @@ class GramForm:
                 f"declared dim {data['dim']} does not match gram size {form.dim}"
             )
         return form
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 class Subspace:
@@ -608,7 +631,7 @@ class Subspace:
         return f"Subspace[dim {self.dim}: {rows}]"
 
     def to_json(self, include_ambient: bool = True) -> dict:
-        data = {"basis": [[_frac_str(x) for x in v] for v in self.basis]}
+        data = {"basis": [[str(x) for x in v] for v in self.basis]}
         if include_ambient:
             data["ambient"] = self.ambient.to_json()
         return data
@@ -621,7 +644,7 @@ class Subspace:
             if "ambient" not in data:
                 raise InputError("subspace JSON needs an 'ambient' form")
             ambient = GramForm.from_json(data["ambient"])
-        return Subspace(ambient, data["basis"])
+        return Subspace(ambient, as_matrix(data["basis"], "the subspace basis"))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -819,8 +842,3 @@ def minkowski_form(n: int) -> GramForm:
 
 def hyperbolic_plane_form() -> GramForm:
     return GramForm([[0, 1], [1, 0]])
-
-
-def load_form(path: str) -> GramForm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return GramForm.from_json(json.load(fh))

@@ -22,11 +22,7 @@ from .bilinear import (
     hyperbolic_plane_form,
     subspace_signature,
 )
-from .decomposition import (
-    connected_sum_split,
-    limit_period_subspace,
-    product_split,
-)
+from .decomposition import canonical_limit, connected_sum_split, product_split
 from .errors import (
     DomainError,
     InconsistentDataError,
@@ -38,6 +34,7 @@ from .errors import (
 )
 from .face_constraints import (
     SurfaceConfig,
+    _num_str,
     constraint_for_face,
     iplus,
     preset,
@@ -52,7 +49,7 @@ from .permutahedron import (
     export_json,
     export_off,
 )
-from .render import render_config, render_lattice_lines
+from .render import _subset_label, render_config, render_lattice_lines
 from .systole import (
     CsSearchConfig,
     conf_systole,
@@ -84,35 +81,16 @@ def _int(text: str, what: str) -> int:
         raise InputError(f"{what} must be an integer, got {text!r}") from exc
 
 
-def _fr_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _num(x):
-    """JSON-safe number: integral rationals as int, others as 'p/q'."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    return x
-
-
 def _load_json_file(path: str) -> dict:
+    """The JSON document in path, its decimal numbers read exactly, so
+    0.1 is 1/10 in every input file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=Fraction)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_form(path: str) -> GramForm:
-    data = _load_json_file(path)
-    if not isinstance(data, dict) or "gram" not in data:
-        raise InputError(f'{path} must hold an object with a "gram" matrix')
-    try:
-        return GramForm([[_frac(str(x)) for x in row] for row in data["gram"]])
-    except TypeError as exc:
-        raise InputError(f"bad gram matrix in {path}: {exc}") from exc
 
 
 def _load_config(args) -> SurfaceConfig:
@@ -133,10 +111,6 @@ def _parse_subset(text: str) -> tuple[int, ...]:
     if not out:
         raise InputError("subset cannot be empty")
     return out
-
-
-def _subset_text(subset) -> str:
-    return "{" + ",".join(str(i) for i in subset) + "}"
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -162,14 +136,14 @@ def _cmd_classify(args) -> int:
         "kind": cs.kind.value,
         "signature": list(sig),
         "determined": cs.determined,
-        "witness": [[_fr_str(x) for x in v] for v in cs.vectors],
+        "witness": [[str(x) for x in v] for v in cs.vectors],
     }
     lines = [
-        f"subset {_subset_text(subset)}: kind {cs.kind.value}, "
+        f"subset {_subset_label(subset)}: kind {cs.kind.value}, "
         f"span signature {tuple(sig)}, determined {cs.determined}"
     ]
     for v in cs.vectors:
-        lines.append("  witness (" + ", ".join(_fr_str(x) for x in v) + ")")
+        lines.append("  witness (" + ", ".join(str(x) for x in v) + ")")
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -224,14 +198,14 @@ def _cmd_simplex(args) -> int:
         disk = to_poincare_disk(hp)
         payload["vertices"].append(
             {
-                "line": [_fr_str(x) for x in gen],
+                "line": [str(x) for x in gen],
                 "hyperboloid": list(hp.coords),
                 "disk": list(disk),
             }
         )
         text.append(
             "  line ("
-            + ", ".join(_fr_str(x) for x in gen)
+            + ", ".join(str(x) for x in gen)
             + ")  disk ("
             + ", ".join(f"{x:.6f}" for x in disk)
             + ")"
@@ -241,17 +215,10 @@ def _cmd_simplex(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    if args.split == "connected-sum":
-        data = connected_sum_split()
-        h1p = data.ambient.subspace([(1, 0)])
-        h2p = data.ambient.zero_subspace()
-    else:
-        data = product_split()
-        h1p = data.ambient.zero_subspace()
-        h2p = h1p
-    out = limit_period_subspace(data, h1p, h2p)
+    data = connected_sum_split() if args.split == "connected-sum" else product_split()
+    out = canonical_limit(data)
     sig = subspace_signature(out)
-    gens = [[_fr_str(x) for x in v] for v in out.canonical]
+    gens = [[str(x) for x in v] for v in out.canonical]
     payload = {"split": args.split, "generators": gens, "signature": list(sig)}
     text = (
         f"{args.split} limit axis: span{{"
@@ -263,7 +230,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_systole(args) -> int:
-    form = _load_form(args.config)
+    form = GramForm.from_json(_load_json_file(args.config))
     if args.sup:
         search = CsSearchConfig(grid=args.grid, refine_tol=args.refine)
         res = cs_supremum(form, search=search)
@@ -291,10 +258,10 @@ def _cmd_systole(args) -> int:
     )
     payload = {
         "value": res.value,
-        "value_sq": _fr_str(res.value_sq)
+        "value_sq": str(res.value_sq)
         if isinstance(res.value_sq, Fraction)
         else res.value_sq,
-        "minimizers": [[_num(x) for x in m] for m in res.minimizers],
+        "minimizers": [[_num_str(x) for x in m] for m in res.minimizers],
         "bound_used": res.bound_used,
         "certified": res.certified,
         "needed_radius": res.needed_radius,
@@ -330,16 +297,16 @@ def _cmd_permutahedron(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.lattice:
-        form = _load_form(args.config) if args.config else None
-        if form is None:
-            if args.preset == "diag":
-                form = GramForm([[1, 0], [0, -1]])
-            elif args.preset == "hyperbolic":
-                form = hyperbolic_plane_form()
-            else:
-                raise InputError(
-                    "lattice render needs --config, or --preset diag|hyperbolic"
-                )
+        if args.config:
+            form = GramForm.from_json(_load_json_file(args.config))
+        elif args.preset == "diag":
+            form = GramForm([[1, 0], [0, -1]])
+        elif args.preset == "hyperbolic":
+            form = hyperbolic_plane_form()
+        else:
+            raise InputError(
+                "lattice render needs --config, or --preset diag|hyperbolic"
+            )
         render_lattice_lines(form, args.out)
     else:
         cfg = _load_config(args)

@@ -305,8 +305,10 @@ def limit_period_subspace(
     return out
 
 
-# the decomposition module's name for the shared routine
-default_positive_part = positive_part
+def canonical_limit(data: DecompositionData) -> Subspace:
+    """The limit subspace of ``limit_period_subspace`` with the canonical
+    maximal positive parts of H1 and H2 (``positive_part``)."""
+    return limit_period_subspace(data, positive_part(data.H1), positive_part(data.H2))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .bilinear import (
     GramForm,
     Signature,
     Subspace,
+    as_matrix,
     is_negative_definite,
     minkowski_form,
     nullspace,
@@ -53,7 +54,7 @@ class SurfaceConfig:
     vectors: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        vecs = tuple(tuple(Fraction(x) for x in v) for v in self.vectors)
+        vecs = as_matrix(self.vectors, "the configuration vectors")
         if not vecs:
             raise InputError("configuration needs at least one vector")
         for v in vecs:
@@ -89,9 +90,7 @@ class SurfaceConfig:
     def from_json(data: dict) -> "SurfaceConfig":
         if not isinstance(data, dict) or "gram" not in data or "vectors" not in data:
             raise InputError("config JSON needs 'gram' and 'vectors'")
-        return SurfaceConfig(GramForm(data["gram"]), tuple(
-            tuple(v) for v in data["vectors"]
-        ))
+        return SurfaceConfig(GramForm(data["gram"]), data["vectors"])
 
 
 def _num_str(x: Fraction):

@@ -8,7 +8,10 @@ increasing chains of nonempty proper subsets of {1, ..., n+1}.
 
 Exact rational arithmetic is used for the combinatorics, the collapse
 map on rational inputs, and the nearest-point projection; the sampled
-coverage checks run on floats.
+coverage checks run on floats.  The permutahedron is the set of points
+majorized by (n+1, ..., 1), so membership is decided by sorting the
+coordinates, and the nearest point by a sort followed by an isotonic
+regression (pool-adjacent-violators), with no enumeration of faces.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bilinear import _solve
 from .errors import DomainError, InputError, ResourceError
 
 DAMPING_SLACK = Fraction(1, 4)  # slack scale below which coordinates are pulled in
@@ -176,12 +178,21 @@ class PermRealization:
         return sum(Fraction(point[i - 1]) for i in subset) - subset_level(len(subset))
 
     def contains(self, point: Sequence, tol: Fraction = Fraction(0)) -> bool:
+        """Whether the point sums to total and each k of its coordinates
+        sum to at least subset_level(k), up to tol.
+
+        The least sum of k coordinates is the sum of the k smallest, so
+        one sort decides all the subset inequalities (majorization).
+        """
         if len(point) != self.n + 1:
             raise InputError("point has wrong length")
-        pt = [Fraction(x) for x in point]
+        pt = sorted(Fraction(x) for x in point)
         if abs(sum(pt) - self.total) > tol:
             return False
-        return all(self.slack(pt, s) >= -tol for s in proper_subsets(self.n))
+        return all(
+            low - subset_level(k) >= -tol
+            for k, low in enumerate(itertools.accumulate(pt[:-1]), start=1)
+        )
 
     def vertices_of_face(self, ns: NestedSequence) -> list[tuple[int, ...]]:
         """Vertices whose value blocks refine the chain: positions in I_1
@@ -254,37 +265,16 @@ def realize_simplex(n: int) -> SimplexRealization:
 # ---------------------------------------------------------------------------
 
 
-def _project_affine(
-    x: list[Fraction], constraints: list[tuple[tuple[int, ...], int]], n1: int
-) -> list[Fraction] | None:
-    """Euclidean projection of x onto {z : sum_{i in S} z_i = level}."""
-    rows = []
-    rhs = []
-    for subset, level in constraints:
-        rows.append(tuple(Fraction(int(i + 1 in subset)) for i in range(n1)))
-        rhs.append(Fraction(level))
-    # z = x + A^T mu with (A A^T) mu = b - A x
-    gram = tuple(
-        tuple(sum(r1[k] * r2[k] for k in range(n1)) for r2 in rows) for r1 in rows
-    )
-    resid = tuple(
-        b - sum(r[k] * x[k] for k in range(n1)) for r, b in zip(rows, rhs)
-    )
-    mu = _solve(gram, resid)
-    if mu is None:
-        return None
-    return [
-        x[k] + sum(m * r[k] for m, r in zip(mu, rows)) for k in range(n1)
-    ]
-
-
 def closest_point_map(point: Sequence, realization: PermRealization) -> tuple:
     """Exact euclidean nearest point of the permutahedron.
 
-    Enumerates every face (all chains, plus the whole polytope), solves
-    the equality-constrained projection rationally, keeps the feasible
-    candidates, and returns the closest.  The input must lie in the
-    enclosing simplex.
+    The permutahedron is the set of points majorized by (n+1, ..., 1),
+    so its nearest point is found by one sort and one isotonic
+    regression: with x sorted in descending order by sigma, fit a
+    non-increasing v to x_sigma - (n+1, ..., 1) by pool-adjacent-violators,
+    and return z with z_sigma = x_sigma - v.  Blocks are pooled by their
+    exact Fraction means, so the output is exact.  The input must lie in
+    the enclosing simplex.
     """
     n = realization.n
     if n > 4:
@@ -293,37 +283,24 @@ def closest_point_map(point: Sequence, realization: PermRealization) -> tuple:
     if len(point) != n1:
         raise InputError("point has wrong length")
     x = [Fraction(p) for p in point]
-    m = realization.total
     tol = Fraction(1, 10**9)
-    if abs(sum(x) - m) > tol or any(xi < 1 - tol for xi in x):
+    if abs(sum(x) - realization.total) > tol or any(xi < 1 - tol for xi in x):
         raise DomainError("point must lie in the enclosing simplex")
 
-    subsets = proper_subsets(n)
-    if all(realization.slack(x, s) >= 0 for s in subsets) and sum(x) == m:
-        return tuple(x)
-
-    best = None
-    best_d = None
-    total_constraint = (tuple(range(1, n1 + 1)), m)
-    for face in [None] + all_faces(n):
-        constraints = [total_constraint]
-        if face is not None:
-            for sub in face.chain:
-                constraints.append((sub, subset_level(len(sub))))
-        z = _project_affine(x, constraints, n1)
-        if z is None:
-            continue
-        if any(
-            sum(z[i - 1] for i in s) < subset_level(len(s)) for s in subsets
-        ):
-            continue
-        d = sum((a - b) ** 2 for a, b in zip(z, x))
-        if best_d is None or d < best_d:
-            best, best_d = z, d
-    # the projection onto a nonempty closed convex set always exists, and
-    # it lies on some face, so the sweep cannot come up empty
-    assert best is not None
-    return tuple(best)
+    order = sorted(range(n1), key=lambda i: x[i], reverse=True)
+    # blocks of (sum, count) whose means strictly decrease
+    blocks: list[tuple[Fraction, int]] = []
+    for rank, i in enumerate(order):
+        total, count = x[i] - (n1 - rank), 1
+        while blocks and blocks[-1][0] * count <= total * blocks[-1][1]:
+            prev_total, prev_count = blocks.pop()
+            total, count = total + prev_total, count + prev_count
+        blocks.append((total, count))
+    fit = [s / c for s, c in blocks for _ in range(c)]
+    z = [Fraction(0)] * n1
+    for rank, i in enumerate(order):
+        z[i] = x[i] - fit[rank]
+    return tuple(z)
 
 
 # ---------------------------------------------------------------------------

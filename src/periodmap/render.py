@@ -30,8 +30,8 @@ from .bilinear import (
 )
 from .decomposition import (
     DecompositionData,
+    canonical_limit,
     connected_sum_split,
-    limit_period_subspace,
     product_split,
 )
 from .errors import DomainError, ResourceError
@@ -304,29 +304,27 @@ def _lattice_screen(v: Sequence[float]) -> tuple[float, float]:
 
 
 def _limit_axis(form: GramForm) -> Subspace:
+    """Limit of the form's canonical split: the worked connected-sum or
+    product split when the form is theirs, else the split along the first
+    positive and the first negative direction of a diagonalization."""
     if form.gram == connected_sum_split().ambient.gram:
         data = connected_sum_split()
-        h1p = data.ambient.subspace([(1, 0)])
-        return limit_period_subspace(data, h1p, data.ambient.zero_subspace())
-    if form.gram == hyperbolic_plane_form().gram:
+    elif form.gram == hyperbolic_plane_form().gram:
         data = product_split()
-        zero = data.ambient.zero_subspace()
-        return limit_period_subspace(data, zero, zero)
-    t, diag = sym_diagonalize(form.gram)
-    cols = list(zip(*t))
-    pos = [cols[i] for i, d in enumerate(diag) if d > 0]
-    neg = [cols[i] for i, d in enumerate(diag) if d < 0]
-    data = DecompositionData(
-        ambient=form,
-        H1=Subspace(form, [pos[0]]),
-        H2=Subspace(form, [neg[0]]),
-        D=form.zero_subspace(),
-        bhat1=1,
-        bhat2=1,
-    )
-    return limit_period_subspace(
-        data, Subspace(form, [pos[0]]), form.zero_subspace()
-    )
+    else:
+        t, diag = sym_diagonalize(form.gram)
+        cols = list(zip(*t))
+        pos = [cols[i] for i, d in enumerate(diag) if d > 0]
+        neg = [cols[i] for i, d in enumerate(diag) if d < 0]
+        data = DecompositionData(
+            ambient=form,
+            H1=Subspace(form, [pos[0]]),
+            H2=Subspace(form, [neg[0]]),
+            D=form.zero_subspace(),
+            bhat1=1,
+            bhat2=1,
+        )
+    return canonical_limit(data)
 
 
 def render_lattice_lines(form: GramForm, out: str | None = None) -> Scene:

@@ -3,14 +3,17 @@
 Everything here recomputes results through a different algorithm than
 the library (characteristic polynomial signs instead of congruence
 diagonalization, direct pairing tables instead of subspace machinery),
-so agreement is meaningful evidence.  The exceptions are the two
+so agreement is meaningful evidence.  The exceptions are the
 references at the end: the library's elimination steps carried out in
 plain Fraction arithmetic, against which the library's integer kernel
-must give identical outputs, and the coverage check computed in one
-piece, against which the library's streamed check must report
-identical numbers.
+must give identical outputs, the permutahedron's subset inequalities
+and face-by-face projection, against which the library's sort-based
+membership test and projection must give identical outputs, and the
+coverage check computed in one piece, against which the library's
+streamed check must report identical numbers.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -371,6 +374,67 @@ def sym_diagonalize_reference(gram):
 
 
 # ---------------------------------------------------------------------------
+# permutahedron references: the subset inequalities one by one, and the
+# nearest point by solving the projection onto every face, kept against
+# the library's sort-based membership test and isotonic projection
+# ---------------------------------------------------------------------------
+
+
+def _proper_subsets(n1):
+    return [
+        frozenset(s) for k in range(1, n1) for s in itertools.combinations(range(n1), k)
+    ]
+
+
+def permutahedron_contains_reference(point, tol=Fraction(0)):
+    """Whether ``point`` lies in the permutahedron of (1, ..., len(point)):
+    its sum is 1 + ... + len(point), and the coordinates of every proper
+    subset of size k sum to at least 1 + ... + k, each up to ``tol``."""
+    n1 = len(point)
+    pt = [Fraction(x) for x in point]
+    if abs(sum(pt) - n1 * (n1 + 1) // 2) > tol:
+        return False
+    return all(
+        sum(pt[i] for i in s) - len(s) * (len(s) + 1) // 2 >= -tol
+        for s in _proper_subsets(n1)
+    )
+
+
+def projection_reference(point):
+    """Euclidean nearest point of the permutahedron by a face sweep.
+
+    A point already inside is returned as is.  Otherwise, for the whole
+    polytope and for every face (every strictly increasing chain of
+    proper subsets, each subset's coordinates summing to its least
+    value), the projection onto the face's affine hull is solved from
+    the normal equations; the closest candidate that satisfies every
+    subset inequality is the nearest point.
+    """
+    n1 = len(point)
+    x = [Fraction(p) for p in point]
+    if permutahedron_contains_reference(x):
+        return tuple(x)
+    subsets = _proper_subsets(n1)
+    chains = [()]
+    frontier = [()]
+    while frontier:
+        frontier = [c + (s,) for c in frontier for s in subsets if not c or c[-1] < s]
+        chains.extend(frontier)
+    best, best_d = None, None
+    for chain in chains:
+        tight = [frozenset(range(n1))] + list(chain)
+        # z = x + A^T mu with (A A^T) mu = b - A x, A the subset indicators
+        gram = [[len(s & t) for t in tight] for s in tight]
+        resid = [len(s) * (len(s) + 1) // 2 - sum(x[i] for i in s) for s in tight]
+        mu = solve_reference(gram, resid)
+        z = [x[k] + sum(m for m, s in zip(mu, tight) if k in s) for k in range(n1)]
+        d = sum((a - b) ** 2 for a, b in zip(z, x))
+        if (best_d is None or d < best_d) and permutahedron_contains_reference(z):
+            best, best_d = z, d
+    return tuple(best)
+
+
+# ---------------------------------------------------------------------------
 # whole-box coverage reference: the sampled surjectivity check as one
 # piece (the whole bounding box of samples and its slack matrix, one call
 # of the map, a median-split KD-tree), against which the library's
@@ -386,8 +450,6 @@ def coverage_reference(f, vertices, facets, grid_step, sample_step):
     order.  Returns samples_used, grid_points, covered,
     uncovered_witness and max_gap.
     """
-    import itertools
-
     import numpy as np
     from scipy.spatial import cKDTree
 

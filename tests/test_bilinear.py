@@ -77,6 +77,25 @@ def test_floats_must_be_integral():
     assert GramForm([["1/10", 0], [0, -1]]).gram[0][0] == Fraction(1, 10)
 
 
+@pytest.mark.parametrize("gram", [5, "12", [1, 2], [[1, 0], 3], [[1, 0], "01"]])
+def test_gram_rows_must_be_lists(gram):
+    with pytest.raises(InputError, match="gram matrix"):
+        GramForm(gram)
+
+
+@pytest.mark.parametrize("basis", [3, [1, 0], ["10"]])
+def test_subspace_json_basis_must_be_lists(basis):
+    with pytest.raises(InputError, match="subspace basis"):
+        Subspace.from_json({"basis": basis}, minkowski_form(1))
+
+
+def test_booleans_are_not_numbers():
+    with pytest.raises(InputError, match="boolean"):
+        GramForm([[True, 0], [0, -1]])
+    with pytest.raises(InputError, match="boolean"):
+        Subspace.from_json({"basis": [[False, True]]}, minkowski_form(1))
+
+
 def test_signature_examples():
     assert signature(hyperbolic_plane_form()) == Signature(1, 1, 0)
     q = minkowski_form(2)

@@ -269,6 +269,56 @@ def test_systole_bad_form_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["classify", "--subset", "1"], {"gram": [1, 2], "vectors": [[1, 0]]}),
+        (
+            ["classify", "--subset", "1"],
+            {"gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]], "vectors": 3},
+        ),
+        (["systole", "--period", "1,0"], {"gram": 5}),
+    ],
+)
+def test_malformed_files_exit_2(capsys, tmp_path, argv, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+def test_form_file_decimals_are_exact(capsys, tmp_path):
+    # 0.1 in a form file is exactly 1/10, as the string "1/10" is
+    texts = {}
+    grams = {"dec": "[[1, 0.1], [0.1, -2]]", "frac": '[[1, "1/10"], ["1/10", -2]]'}
+    for name, gram in grams.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text('{"gram": %s}' % gram)
+        code, out, _ = run(
+            capsys, "systole", "--config", str(path), "--period", "1,0", "--json"
+        )
+        assert code == 0
+        texts[name] = out
+    assert texts["dec"] == texts["frac"]
+
+
+def test_config_file_decimals_are_exact(capsys, tmp_path):
+    # 0.1 in a configuration file is exactly 1/10, as in a form file
+    outs = {}
+    for name, entry in (("dec", "0.1"), ("frac", '"1/10"')):
+        path = tmp_path / f"{name}.json"
+        path.write_text(
+            '{"gram": [[1, 0, 0], [0, -1, %s], [0, %s, -1]],'
+            ' "vectors": [[0, 1, 0], [0, 0, 1], [2, 1, 3]]}' % (entry, entry)
+        )
+        code, out, err = run(capsys, "faces", "--config", str(path), "--json")
+        assert code == 0, err
+        outs[name] = out
+    assert outs["dec"] == outs["frac"]
+
+
 def test_permutahedron_counts(capsys):
     code, out, _ = run(capsys, "permutahedron", "counts", "--n", "2", "--json")
     assert code == 0

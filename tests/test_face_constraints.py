@@ -77,6 +77,15 @@ def test_config_json_round_trip_with_fractional_gram():
         SurfaceConfig.from_json({"gram": [[1]]})
 
 
+@pytest.mark.parametrize(
+    "vectors", [3, [1, 2, 3], [[0, 1, 0], "001"], [["a", 0, 0]], [[True, 0, 0]]]
+)
+def test_config_json_rejects_malformed_vectors(vectors):
+    gram = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    with pytest.raises(InputError):
+        SurfaceConfig.from_json({"gram": gram, "vectors": vectors})
+
+
 def test_preset_dispatcher():
     assert preset("fig6-iii").vectors == preset_fig6("iii").vectors
     assert preset("degenerate").vectors == preset_degenerate().vectors

@@ -35,7 +35,11 @@ from periodmap.permutahedron import (
     _map_rows,
 )
 
-from oracles import coverage_reference
+from oracles import (
+    coverage_reference,
+    permutahedron_contains_reference,
+    projection_reference,
+)
 
 
 def test_nested_sequence_validation():
@@ -229,6 +233,92 @@ def test_closest_point_is_projection():
         for v in r.vertices:
             dv = sum((Fraction(a) - b) ** 2 for a, b in zip(v, x))
             assert dz <= dv
+
+
+def _projection_cases(n: int, count: int, rng: random.Random) -> list[tuple]:
+    """Rational points of the enclosing simplex, five kinds in turn:
+    inside the permutahedron, on a random face of it, anywhere in the
+    simplex, with repeated coordinates, and with the sum off by less
+    than the projection's tolerance."""
+    n1 = n + 1
+    total = n1 * (n1 + 1) // 2
+    verts = list(itertools.permutations(range(1, n1 + 1)))
+    corners = [tuple(total - n if i == j else 1 for j in range(n1)) for i in range(n1)]
+
+    def combo(points):
+        w = [Fraction(rng.randint(0, 12)) for _ in points]
+        if not any(w):
+            w[0] = Fraction(1)
+        return tuple(
+            sum(Fraction(p[i]) * wi for p, wi in zip(points, w)) / sum(w)
+            for i in range(n1)
+        )
+
+    out = []
+    for k in range(count):
+        kind = k % 5
+        if kind == 0:
+            x = combo(rng.sample(verts, min(len(verts), rng.randint(1, 4))))
+        elif kind == 1:
+            # vertices of one face: the positions of each block of an
+            # ordered set partition carry the next smallest values
+            cuts = sorted(rng.sample(range(1, n1), rng.randint(1, n)))
+            perm = rng.sample(range(n1), n1)
+            blocks = [perm[a:b] for a, b in zip([0] + cuts, cuts + [n1])]
+            face = []
+            for _ in range(rng.randint(1, 3)):
+                v = [0] * n1
+                lo = 1
+                for block in blocks:
+                    values = rng.sample(range(lo, lo + len(block)), len(block))
+                    for i, val in zip(block, values):
+                        v[i] = val
+                    lo += len(block)
+                face.append(v)
+            x = combo(face)
+        elif kind == 2:
+            x = combo(corners)
+        elif kind == 3:
+            values = [Fraction(rng.randint(0, 9)) for _ in range(rng.randint(1, n1))]
+            w = [rng.choice(values) for _ in range(n1)]
+            if not any(w):
+                w = [Fraction(1)] * n1
+            x = tuple(1 + (total - n1) * wi / sum(w) for wi in w)
+        else:
+            x = list(combo(corners))
+            top = max(range(n1), key=lambda i: x[i])
+            x[top] += Fraction(rng.choice([-1, 1]), 10**10)
+            x = tuple(x)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("n, count", [(1, 300), (2, 300), (3, 300), (4, 100)])
+def test_projection_and_membership_match_face_sweep(n, count):
+    # 1,000 points in all; the face sweep solves 541 systems per point
+    # outside P_4, which bounds the n = 4 share
+    r = realize(n)
+    tol = Fraction(1, 10**9)
+    cases = _projection_cases(n, count, random.Random(7000 + n))
+    kinds = {False: 0, True: 0}
+    for x in cases:
+        inside = permutahedron_contains_reference(x)
+        kinds[inside] += 1
+        assert r.contains(x) == inside, x
+        assert r.contains(x, tol) == permutahedron_contains_reference(x, tol), x
+        z = closest_point_map(x, r)
+        assert z == projection_reference(x), x
+        assert all(type(c) is Fraction for c in z)
+        assert r.contains(z)
+    assert min(kinds.values()) >= count // 5
+
+
+def test_projection_capped_at_n4():
+    r = realize(5)
+    with pytest.raises(ResourceError):
+        closest_point_map((Fraction(7, 2),) * 6, r)
+    with pytest.raises(InputError):
+        closest_point_map((2, 2), realize(2))
 
 
 def test_projection_face_inclusion_property():
