@@ -306,6 +306,22 @@ def _int_det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1] if k else 1
 
 
+def _int_adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Adjugate of a square integer matrix, so that m adj(m) = det(m) I.
+
+    Entry (i, j) is the cofactor of entry (j, i): a signed Bareiss
+    determinant of the minor without row j and column i.
+    """
+    k = len(m)
+    if k == 1:
+        return [[1]]
+
+    def minor(row: int, col: int) -> list[list[int]]:
+        return [r[:col] + r[col + 1:] for i, r in enumerate(map(list, m)) if i != row]
+
+    return [[(-1) ** (i + j) * _int_det(minor(j, i)) for j in range(k)] for i in range(k)]
+
+
 # ---------------------------------------------------------------------------
 # rational matrix routines (rows are tuples of Fractions)
 # ---------------------------------------------------------------------------
@@ -462,9 +478,6 @@ class GramForm:
         y, dw = _clear(ww)
         return Fraction(_dot(x, self._image(y)), self._den * dv * dw)
 
-    def norm_sq(self, v: Sequence) -> Fraction:
-        return self.evaluate(v, v)
-
     def subspace(self, vectors: Sequence[Sequence]) -> "Subspace":
         return Subspace(self, vectors)
 
@@ -484,6 +497,11 @@ class GramForm:
     @cached_property
     def _embedding(self) -> "StandardEmbedding":
         return _embed(self)
+
+    @cached_property
+    def _adjugate(self) -> tuple[list[list[int]], int]:
+        """(adj, det) of ``_igram``: adj _igram = det I."""
+        return _int_adjugate(self._igram), _int_det(self._igram)
 
     def radical(self) -> "Subspace":
         """Vectors pairing to zero with the whole space."""

@@ -139,17 +139,6 @@ class ConstraintSet:
     span: Subspace
     determined: bool = True
 
-    def describe(self) -> str:
-        tags = {
-            ConstraintKind.GEODESIC: "wall of",
-            ConstraintKind.IDEAL_POINT: "ideal point at",
-            ConstraintKind.POINT: "point on",
-            ConstraintKind.PRODUCT_GRASSMANNIAN: "product factor",
-        }
-        vecs = "; ".join("(" + ", ".join(str(x) for x in v) + ")" for v in self.vectors)
-        extra = "" if self.determined else " (witness only)"
-        return f"{self.kind.value}: {tags[self.kind]} {vecs}{extra}"
-
 
 def _positive_witness(sub: Subspace) -> tuple[Fraction, ...]:
     """First positive vector from the exact diagonalization of the span."""

@@ -7,10 +7,12 @@ a positive definite quadratic form on the lattice.  The conformal
 systole is its minimum over nonzero integer vectors; the supremum of
 that minimum over all period points is a lattice invariant.
 
-Shortest vectors come from one Fincke-Pohst enumerator inside a box
-that provably holds them.  On rational subspaces the enumeration runs
-on an integer matrix, so the certificate is exact; floats appear only
-for hyperboloid points and in the supremum search over the disk.
+Shortest vectors come from one Fincke-Pohst enumerator.  On a rational
+subspace the norm form is an integer matrix from start to finish: it is
+reduced by integral LLL, and the enumeration of the reduced form's
+whole seed ellipsoid is an exact certificate.  Floats appear only for
+hyperboloid points and in the supremum search over the disk, where the
+enumeration runs inside a box that provably holds the shortest vectors.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ import numpy as np
 from .bilinear import (
     GramForm,
     Subspace,
+    _clear,
+    _dot,
+    _int_adjugate,
     _int_det,
-    _mat_inverse,
     as_vector,
     minkowski_form,
     signature,
@@ -95,26 +99,29 @@ def period_point_from_hpoint(point: HPoint) -> PeriodPoint:
 # ---------------------------------------------------------------------------
 
 
-def _norm_matrix_exact(pp: PeriodPoint) -> list[list[Fraction]]:
-    """M with w^t M w = Q(w+, w+) - Q(w-, w-), exactly.
+def _norm_matrix_int(pp: PeriodPoint) -> tuple[list[list[int]], int]:
+    """(N, scale): the integer matrix N = scale M, with w^t M w = Q(w+, w+) - Q(w-, w-).
 
-    With P the orthogonal projection onto H the matrix is G(2P - I):
+    With P the orthogonal projection onto H the matrix M is G(2P - I):
     symmetric because GP is, positive definite because the form is
-    positive on H and negative on the complement.
+    positive on H and negative on the complement.  With G the form's
+    integer gram (``den`` times its gram), X the cleared basis of H,
+    Y = X G, R = Y X^t, r = det R and A = adj R, that is
+    r den M = 2 Y^t A Y - r G; for a line (b+ = 1) A = 1 and r = Q(h, h).
     """
     form = pp.ambient
-    sub = pp.subspace
-    rinv = _mat_inverse(sub.restricted_gram())
-    # columns of Y are G b_i, so M = 2 Y R^{-1} Y^t - G
-    y = [form.apply(b) for b in sub.basis]
-    k = len(y)
-    z = [[sum(y[j][a] * rinv[j][i] for j in range(k)) for i in range(k)]
-         for a in range(form.dim)]
-    return [
-        [2 * sum(z[a][i] * y[i][c] for i in range(k)) - form.gram[a][c]
-         for c in range(form.dim)]
-        for a in range(form.dim)
-    ]
+    x, _ = pp.subspace._int_basis()
+    y = [form._image(v) for v in x]
+    rmat = [[_dot(yi, xj) for xj in x] for yi in y]
+    r = _int_det(rmat)
+    cols = list(zip(*y))  # column a of Y
+    ay = list(zip(*[[_dot(row, col) for col in cols] for row in _int_adjugate(rmat)]))
+    dim = form.dim
+    n = [[0] * dim for _ in range(dim)]
+    for a in range(dim):
+        for c in range(a, dim):
+            n[a][c] = n[c][a] = 2 * _dot(cols[a], ay[c]) - r * form._igram[a][c]
+    return n, r * form._den
 
 
 def _norm_matrix_float(u: Sequence[float], gram=None) -> np.ndarray:
@@ -128,11 +135,12 @@ def _norm_matrix_float(u: Sequence[float], gram=None) -> np.ndarray:
 def period_norm_sq(pp: PeriodPoint, w: Sequence):
     """Exact Fraction on the rational path, float otherwise."""
     if pp.is_exact:
-        m = _norm_matrix_exact(pp)
         v = as_vector(w)
         if len(v) != pp.ambient.dim:
             raise InputError("vector length does not match the form")
-        return sum(v[i] * m[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
+        n, scale = _norm_matrix_int(pp)
+        x, d = _clear(v)
+        return Fraction(_dot(x, [_dot(row, x) for row in n]), scale * d * d)
     m = _norm_matrix_float(pp.point.coords)
     v = np.array([float(x) for x in w], dtype=float)
     if v.shape != (pp.ambient.dim,):
@@ -172,31 +180,9 @@ class SystoleResult:
 MAX_ENUMERATION = 4 * 10**7
 
 
-def _box_radii(m, lattice_bound):
-    """Seed value, clipped box radii and the radius a certificate needs.
-
-    The seed, the smallest diagonal entry of ``m``, is the norm of a basis
-    vector; every w with w^t m w <= seed has |w_i| <= sqrt(seed (m^-1)_ii),
-    rounded down exactly for Fractions and up with slack for floats.
-    ``lattice_bound`` clips the radii; boxes above MAX_ENUMERATION points
-    are refused.
-    """
-    d = len(m)
-    exact = isinstance(m[0][0], Fraction)
-    seed = min(m[i][i] for i in range(d))
-    try:
-        minv = _mat_inverse(m) if exact else np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError("norm matrix is numerically singular") from exc
-    bounds = [seed * minv[i][i] for i in range(d)]
-    if seed <= 0 or min(bounds) < 0:
-        error = DomainError if exact else NumericalDomainError
-        raise error("norm matrix is not positive definite")
-    if exact:
-        radii = [math.isqrt(int(b)) for b in bounds]
-    else:
-        radii = [math.floor(math.sqrt(b + 1e-9) + 1e-9) + 1 for b in bounds]
-    needed = max(radii)
+def _clip(radii: list, lattice_bound: int | None) -> list:
+    """Box radii cut to ``lattice_bound``; boxes above MAX_ENUMERATION
+    points are refused."""
     if lattice_bound is not None:
         radii = [min(r, lattice_bound) for r in radii]
     count = math.prod(2 * r + 1 for r in radii)
@@ -204,23 +190,140 @@ def _box_radii(m, lattice_bound):
         raise ResourceError(
             f"enumeration box of {count} points exceeds the supported size"
         )
-    return seed, radii, needed
+    return radii
 
 
-def _shortest(m, seed, radii):
-    """Minimum of w^t m w over nonzero integer w in the box, and its minimizers.
+def _box_radii(m, lattice_bound):
+    """Seed value, clipped box radii and the radius a certificate needs,
+    for a float norm matrix.
+
+    The seed, the smallest diagonal entry of ``m``, is the norm of a basis
+    vector; every w with w^t m w <= seed has |w_i| <= sqrt(seed (m^-1)_ii),
+    rounded up with slack.
+    """
+    d = len(m)
+    seed = min(m[i][i] for i in range(d))
+    try:
+        minv = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError("norm matrix is numerically singular") from exc
+    bounds = [seed * minv[i][i] for i in range(d)]
+    if seed <= 0 or min(bounds) < 0:
+        raise NumericalDomainError("norm matrix is not positive definite")
+    radii = [math.floor(math.sqrt(b + 1e-9) + 1e-9) + 1 for b in bounds]
+    return seed, _clip(radii, lattice_bound), max(radii)
+
+
+def _exact_radii(form: GramForm, n: list[list[int]], scale: int) -> list[int]:
+    """Radii of the box holding every w with w^t M w <= seed, M = n / scale.
+
+    The seed is the smallest diagonal entry of M, the norm of a basis
+    vector.  The bound on |w_i| is sqrt(seed (M^-1)_ii), rounded down
+    exactly.
+    Because (2P - I)^2 = I, M^-1 = G^-1 M G^-1; with C = adj(den G) and
+    c = det(den G) that is den^2 C n C / (c^2 scale), an integer ratio
+    with no inverse to compute.
+    """
+    adj, det = form._adjugate
+    if det == 0:
+        raise PreconditionError("the form is degenerate, so its norm matrix is singular")
+    seed = min(n[i][i] for i in range(len(n)))
+    num = seed * form._den ** 2
+    denom = (scale * det) ** 2
+    return [
+        math.isqrt(num * _dot(c, [_dot(row, c) for row in n]) // denom) for c in adj
+    ]
+
+
+def _lll(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """LLL reduction (delta = 3/4) of a positive definite integer Gram matrix.
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): with d_i the Gram determinant of the first i
+    basis vectors and lam[k][j] = d_{j+1} mu_kj, every quantity stays an
+    integer and every division is exact.  Returns (u, g): the rows of u
+    are the reduced basis in the input's coordinates, so the matrix U with
+    columns u is unimodular, and g = U^t gram U.
+    """
+    n = len(gram)
+    g = [list(row) for row in gram]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    dd = [1] + [0] * n  # dd[i] = d_i, so dd[0] = 1
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k: int, l: int) -> None:
+        # size reduction: b_k -= q b_l with q the integer nearest mu_kl
+        if 2 * abs(lam[k][l]) <= dd[l + 1]:
+            return
+        q = (2 * lam[k][l] + dd[l + 1]) // (2 * dd[l + 1])
+        u[k] = [a - q * b for a, b in zip(u[k], u[l])]
+        gkl = g[k][l]
+        for i in range(n):
+            if i != k:
+                g[k][i] -= q * g[l][i]
+                g[i][k] = g[k][i]
+        g[k][k] += q * q * g[l][l] - 2 * q * gkl
+        lam[k][l] -= q * dd[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int, kmax: int) -> None:
+        u[k - 1], u[k] = u[k], u[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]
+        b = (dd[k - 1] * dd[k + 1] + lk * lk) // dd[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (dd[k + 1] * lam[i][k - 1] - lk * t) // dd[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // dd[k + 1]
+        dd[k] = b
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:  # incremental Gram-Schmidt of the new vector k
+            kmax = k
+            for j in range(k + 1):
+                v = g[k][j]
+                for i in range(j):
+                    v = (dd[i + 1] * v - lam[k][i] * lam[j][i]) // dd[i]
+                if j < k:
+                    lam[k][j] = v
+                elif v <= 0:
+                    raise DomainError("Gram matrix is not positive definite")
+                else:
+                    dd[k + 1] = v
+        if k:
+            reduce(k, k - 1)
+            if 4 * dd[k + 1] * dd[k - 1] < 3 * dd[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+                swap(k, kmax)  # the Lovasz condition fails
+                k = max(1, k - 1)
+                continue
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+        k += 1
+    return u, g
+
+
+def _shortest(m, seed, radii=None):
+    """Minimum of w^t m w over nonzero integer w, and its minimizers.
 
     Fincke-Pohst enumeration (Cohen, A Course in Computational Algebraic
     Number Theory, 2.7.3) completes squares from the last coordinate in,
-    visiting only box vectors inside the ellipsoid w^t m w <= bound; the
-    bound starts at ``seed`` and falls to the best value found.  The
-    squares come from pivot-scaled (Bareiss) Schur complements: with p_k
-    the k-th leading principal minor and V the scaled form of the fixed
-    tail, |p_k w_k + s_k| <= sqrt((bound p_k - V) p_{k-1}), so an integer
-    ``m`` and ``seed`` keep every range an isqrt and every comparison
-    exact.  Floats run the same steps, values within 1e-9 (relative above
-    1) of the minimum counting as ties.  Returns the minimum and one
-    vector of each sign pair of minimizers.
+    visiting only vectors inside the ellipsoid w^t m w <= bound, and only
+    those in the box of ``radii`` when that is given; the bound starts at
+    ``seed``, the norm of some lattice vector, and falls to the best value
+    found, so without a box the search is complete.  The squares come
+    from pivot-scaled (Bareiss) Schur complements: with p_k the k-th
+    leading principal minor and V the scaled form of the fixed tail,
+    |p_k w_k + s_k| <= sqrt((bound p_k - V) p_{k-1}), so an integer ``m``
+    and ``seed`` keep every range an isqrt and every comparison exact.
+    Floats run the same steps, values within 1e-9 (relative above 1) of
+    the minimum counting as ties.  Returns the minimum and one vector of
+    each sign pair of minimizers.
     """
     d = len(m)
     exact = isinstance(seed, int)
@@ -241,6 +344,7 @@ def _shortest(m, seed, radii):
             for j in range(k + 1, d):
                 b[i][j] = div(b[k][k] * b[i][j] - b[i][k] * b[k][j], p[k])
         p.append(b[k][k])
+    cap = [math.inf] * d if radii is None else radii
     x = [0] * d
     found = []
     bound = tie(seed)
@@ -254,8 +358,8 @@ def _shortest(m, seed, radii):
         if room < 0:
             return
         r = root(room)
-        lo = max(-radii[k] if free else 0, int(-((r + s) // p[k + 1])))
-        hi = min(radii[k], int((r - s) // p[k + 1]))
+        lo = max(-cap[k] if free else 0, int(-((r + s) // p[k + 1])))
+        hi = min(cap[k], int((r - s) // p[k + 1]))
         for xk in range(lo, hi + 1):
             x[k] = xk
             t = p[k + 1] * xk + s
@@ -283,14 +387,22 @@ def conf_systole(
 ) -> SystoleResult:
     """Certified minimum of the period norm over nonzero lattice vectors.
 
-    Any vector outside the box of ``_box_radii`` has norm above the seed
-    value (the best standard basis vector), so Fincke-Pohst enumeration
-    of the box (``_shortest``) proves minimality.  On a rational period
-    point the norm matrix is cleared to an integer matrix and the search
-    runs in exact integer arithmetic; only hyperboloid points use floats.
-    When ``lattice_bound`` (an int of at least 1) caps the box below the
-    needed radius the search still runs and the result is flagged
-    uncertified, carrying the radius a certificate would need.
+    On a rational period point the norm matrix is an integer matrix N
+    (``_norm_matrix_int``) and the search is exact integer arithmetic
+    from start to finish.  N is reduced by integral LLL (``_lll``) and
+    ``_shortest`` enumerates the whole ellipsoid of the reduced form
+    under its smallest diagonal entry; the minimizers map back through
+    the unimodular transform.  The certificate is that complete
+    enumeration, which does not depend on how well LLL reduced.  The
+    result still reports ``needed_radius``, the radius of the coordinate
+    box that provably holds every shortest vector (any vector outside
+    it is longer than the best standard basis vector); ``bound_used``
+    equals it.  Hyperboloid points use floats and enumerate that box.
+
+    When ``lattice_bound`` (an int of at least 1) is below the needed
+    radius, the box cut to that radius is searched instead, without
+    reduction and refused above MAX_ENUMERATION points, and the result
+    is flagged uncertified with ``bound_used`` the cap.
     ``lattice_scale``, an int of at least 1, evaluates the systole of
     the scaled sublattice (scale * Z^d).
     """
@@ -298,13 +410,17 @@ def conf_systole(
     if lattice_bound is not None:
         _check_positive_int(lattice_bound, "lattice bound")
     if pp.is_exact:
-        m = _norm_matrix_exact(pp)
-        seed, radii, needed = _box_radii(m, lattice_bound)
-        den = math.lcm(*(x.denominator for row in m for x in row))
-        best, reps = _shortest(
-            [[int(x * den) for x in row] for row in m], int(seed * den), radii
-        )
-        best = Fraction(best, den)
+        n, scale = _norm_matrix_int(pp)
+        radii = _exact_radii(pp.ambient, n, scale)
+        needed = max(radii)
+        if lattice_bound is not None and lattice_bound < needed:
+            radii = _clip(radii, lattice_bound)
+            best, reps = _shortest(n, min(n[i][i] for i in range(len(n))), radii)
+        else:
+            u, g = _lll(n)
+            best, coords = _shortest(g, min(g[i][i] for i in range(len(g))))
+            reps = [[_dot(col, c) for col in zip(*u)] for c in coords]
+        best = Fraction(best, scale)
     else:
         m = _norm_matrix_float(pp.point.coords).tolist()
         seed, radii, needed = _box_radii(m, lattice_bound)

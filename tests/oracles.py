@@ -3,8 +3,12 @@
 Everything here recomputes results through a different algorithm than
 the library (characteristic polynomial signs instead of congruence
 diagonalization, direct pairing tables instead of subspace machinery),
-so agreement is meaningful evidence.  The exceptions are the
-references at the end: the library's elimination steps carried out in
+so agreement is meaningful evidence.  Two systole references are plain
+Fraction computations: the certifying box radius from the norm matrix
+and its inverse (the library's former route), and Gram-Schmidt for the
+LLL conditions; the library's integer radii and integral LLL are
+checked against them.  The other exceptions are the references at the
+end: the library's elimination steps carried out in
 plain Fraction arithmetic, against which the library's integer kernel
 must give identical outputs, the permutahedron's subset inequalities
 and face-by-face projection, against which the library's sort-based
@@ -76,38 +80,41 @@ def pairing_table(form_gram, vectors, indices):
     return [[pair(u, v) for v in sel] for u in sel]
 
 
-def brute_force_systole(form_gram, h_generator, radius=25):
+def brute_force_systole(form_gram, h, radius=25):
     """Shortest nonzero lattice vector by literal plus/minus splitting.
 
-    Splits every integer vector in the box against the positive line
-    spanned by ``h_generator`` (rational), evaluates
-    Q(w+, w+) - Q(w-, w-) directly, and minimizes.  A float prescan
+    ``h`` is a rational generator of the positive line H, or a list of
+    rational basis vectors of a positive definite subspace H.  Every
+    integer vector w in the box is split as w = w+ + w-, with w+ in H
+    and w- orthogonal to H: the coordinates c of w+ in the basis solve
+    the normal equations R c = (Q(b_i, w))_i, R the gram matrix of the
+    basis.  Q(w+, w+) - Q(w-, w-) is then minimized.  A float prescan
     narrows the box, then every candidate within a generous margin is
-    re-evaluated in Fractions.  Returns (value_sq, frozenset of
+    split again in Fractions.  Returns (value_sq, frozenset of
     minimizers).
     """
     import numpy as np
 
     g = [[Fraction(x) for x in row] for row in form_gram]
     d = len(g)
-    h = [Fraction(x) for x in h_generator]
+    basis = [h] if not isinstance(h[0], (list, tuple)) else h
+    basis = [[Fraction(x) for x in b] for b in basis]
 
     def pair(u, v):
         return sum(g[i][j] * u[i] * v[j] for i in range(d) for j in range(d))
 
-    hh = pair(h, h)
-    assert hh > 0
+    rgram = [[pair(a, b) for b in basis] for a in basis]
+    assert signature_oracle(rgram) == (len(basis), 0, 0)
 
     gf = np.array([[float(x) for x in row] for row in g])
-    hf = np.array([float(x) for x in h])
-    ghf = gf @ hf
-    hhf = float(hh)
+    bf = np.array([[float(x) for x in b] for b in basis])
+    rf = np.array([[float(x) for x in row] for row in rgram])
 
     axes = [np.arange(-radius, radius + 1)] * d
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([a.ravel() for a in grids], axis=1).astype(float)
-    coeff = (pts @ ghf) / hhf
-    wplus = coeff[:, None] * hf[None, :]
+    coeff = np.linalg.solve(rf, (pts @ gf @ bf.T).T).T
+    wplus = coeff @ bf
     wminus = pts - wplus
     val = np.einsum("ij,jk,ik->i", wplus, gf, wplus) - np.einsum(
         "ij,jk,ik->i", wminus, gf, wminus
@@ -120,8 +127,8 @@ def brute_force_systole(form_gram, h_generator, radius=25):
     mins = set()
     for row in shortlist:
         w = [Fraction(int(x)) for x in row]
-        c = pair(w, h) / hh
-        wp = [c * x for x in h]
+        c = solve_reference(rgram, [pair(b, w) for b in basis])
+        wp = [sum(ci * b[i] for ci, b in zip(c, basis)) for i in range(d)]
         wm = [a - b for a, b in zip(w, wp)]
         exact = pair(wp, wp) - pair(wm, wm)
         if best is None or exact < best:
@@ -130,6 +137,35 @@ def brute_force_systole(form_gram, h_generator, radius=25):
         elif exact == best:
             mins.add(tuple(int(x) for x in w))
     return best, frozenset(mins)
+
+
+def box_radius_reference(form_gram, basis):
+    """Radius of the coordinate box that holds every shortest vector.
+
+    The norm matrix M = G (2P - I), P the projection onto the span of
+    ``basis``, is built in Fractions and inverted by the reference
+    elimination; every w with w^t M w at most the smallest diagonal
+    entry s of M has |w_i| <= sqrt(s (M^-1)_ii), and the radius is the
+    largest of these, rounded down.
+    """
+    import math
+
+    g = [[Fraction(x) for x in row] for row in form_gram]
+    d = len(g)
+    b = [[Fraction(x) for x in v] for v in basis]
+    gb = [[sum(g[i][j] * v[j] for j in range(d)) for i in range(d)] for v in b]
+    rinv = inverse_reference([[sum(x * y for x, y in zip(u, v)) for v in b] for u in gb])
+    m = [
+        [
+            2 * sum(gb[s][i] * rinv[s][t] * gb[t][j] for s in range(len(b)) for t in range(len(b)))
+            - g[i][j]
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+    minv = inverse_reference(m)
+    seed = min(m[i][i] for i in range(d))
+    return max(math.isqrt(math.floor(seed * minv[i][i])) for i in range(d))
 
 
 def float_brute_force_systole(disk, radius, tie=1e-9):
@@ -193,6 +229,25 @@ def lagrange_gauss_minimum(m):
         if b(v, v) == best:
             mins |= {v, (-v[0], -v[1])}
     return best, frozenset(mins)
+
+
+def gram_schmidt_reference(gram):
+    """Gram-Schmidt coefficients of the basis with Gram matrix ``gram``.
+
+    Plain Fraction recursion on the pairings: returns (mu, b) with
+    b_i = |b_i*|^2 and mu[i][j] = (b_i . b_j*) / b_j for j < i, from which
+    the LLL size-reduction (|mu[i][j]| <= 1/2) and Lovasz
+    (b_i >= (3/4 - mu[i][i-1]^2) b_{i-1}) conditions can be read.
+    """
+    k = len(gram)
+    g = [[Fraction(x) for x in row] for row in gram]
+    mu = [[Fraction(0)] * k for _ in range(k)]
+    b = []
+    for i in range(k):
+        for j in range(i):
+            mu[i][j] = (g[i][j] - sum(mu[j][t] * mu[i][t] * b[t] for t in range(j))) / b[j]
+        b.append(g[i][i] - sum(mu[i][t] ** 2 * b[t] for t in range(i)))
+    return mu, b
 
 
 def cs_scan_1d(norm_sq_of, t_lo=-2.0, t_hi=2.0, steps=4001, refine_iters=80):

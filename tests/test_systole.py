@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from periodmap.bilinear import GramForm, Subspace, hyperbolic_plane_form, minkowski_form
@@ -10,11 +11,13 @@ from periodmap.errors import (
     InputError,
     NumericalDomainError,
     PreconditionError,
+    ResourceError,
 )
 from periodmap.grassmannian import HPoint, disk_to_hpoint, hyperbolic_distance
 from periodmap.systole import (
     CsSearchConfig,
     PeriodPoint,
+    _lll,
     _shortest,
     conf_systole,
     cs_invariance_check,
@@ -28,9 +31,12 @@ from periodmap.systole import (
 )
 
 from oracles import (
+    box_radius_reference,
     brute_force_systole,
+    charpoly_coeffs,
     cs_scan_1d,
     float_brute_force_systole,
+    gram_schmidt_reference,
     lagrange_gauss_minimum,
 )
 
@@ -242,23 +248,163 @@ def test_float_enumerator_matches_float_brute_force():
             assert frozenset(res.minimizers) == mins, disk
 
 
+def _stretched(k, sign):
+    return rational_disk_period_point(DIAG, (F(sign * (k - 1), k),))
+
+
+def _stretched_oracle(pp):
+    h = pp.subspace.basis[0]
+    gh = (h[0], -h[1])
+    qh = h[0] * h[0] - h[1] * h[1]
+    m = [
+        [2 * gh[i] * gh[j] / qh - DIAG.gram[i][j] for j in range(2)]
+        for i in range(2)
+    ]
+    return lagrange_gauss_minimum(m)
+
+
 def test_stretched_point_matches_lagrange_gauss_reduction():
-    # at 19/20 the box is 760 steps wide but the shortest vectors are tiny
-    for r in (F(19, 20), F(-19, 20)):
-        pp = rational_disk_period_point(DIAG, (r,))
-        res = conf_systole(pp)
-        h = pp.subspace.basis[0]
-        gh = (h[0], -h[1])
-        qh = h[0] * h[0] - h[1] * h[1]
-        m = [
-            [2 * gh[i] * gh[j] / qh - DIAG.gram[i][j] for j in range(2)]
-            for i in range(2)
+    # the stretched family (k - 1)/k: the box the shortest vectors
+    # provably lie in grows like k^2 per axis (760 steps at 19/20), but
+    # the shortest vectors are tiny; every point is answered and certified
+    for k in list(range(2, 101)) + [1000]:
+        for sign in (1, -1):
+            pp = _stretched(k, sign)
+            res = conf_systole(pp)
+            want, mins = _stretched_oracle(pp)
+            if k == 20:
+                assert res.needed_radius == 760
+            assert res.needed_radius == box_radius_reference(DIAG.gram, [pp.subspace.basis[0]])
+            assert res.certified, k
+            assert res.bound_used == res.needed_radius
+            assert res.value_sq == want, (k, sign)
+            assert frozenset(res.minimizers) == mins, (k, sign)
+
+
+def test_capped_search_is_the_capped_box():
+    # below the needed radius the search is the box cut to the cap, as
+    # before: uncertified, and the cube of the cap is its oracle box
+    for k in (10, 20, 50, 100):
+        for sign in (1, -1):
+            pp = _stretched(k, sign)
+            needed = conf_systole(pp).needed_radius
+            for bound in (1, 2, 5, 9):
+                res = conf_systole(pp, lattice_bound=bound)
+                want_sq, want_mins = brute_force_systole(
+                    DIAG.gram, pp.subspace.basis[0], radius=bound
+                )
+                assert not res.certified
+                assert (res.bound_used, res.needed_radius) == (bound, needed)
+                assert res.value_sq == want_sq, (k, sign, bound)
+                assert frozenset(res.minimizers) == want_mins, (k, sign, bound)
+    # the capped box keeps its size guard; the uncapped search has none
+    pp = _stretched(1000, 1)
+    assert conf_systole(pp).certified
+    with pytest.raises(ResourceError):
+        conf_systole(pp, lattice_bound=10**4)
+
+
+D2 = GramForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+HH = GramForm([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+RATIONAL = GramForm(
+    [[F(1, 2), 0, 0, 0], [0, F(3, 2), F(1, 3), 0], [0, F(1, 3), -1, 0], [0, 0, 0, -2]]
+)
+
+
+def _eigen_radius(form, basis):
+    # every w with w^t M w <= the smallest diagonal entry of M has
+    # |w_i| <= |w| <= sqrt(that entry / the smallest eigenvalue of M)
+    g = np.array([[float(x) for x in row] for row in form.gram])
+    b = np.array([[float(x) for x in v] for v in basis])
+    proj = b.T @ np.linalg.solve(b @ g @ b.T, b @ g)
+    m = g @ (2.0 * proj - np.eye(len(g)))
+    lam = np.linalg.eigvalsh((m + m.T) / 2.0)[0]
+    return int(math.sqrt(min(np.diag(m)) / lam) * (1.0 + 1e-9)) + 1
+
+
+def test_conf_matches_brute_force_on_positive_planes():
+    # b+ = 2: the norm matrix carries adj R / det R for a 2x2 R, and a
+    # rational gram its denominator; planes whose oracle box would pass
+    # radius 8 are skipped to bound its size
+    rng = random.Random(4422)
+    forms = (
+        (D2, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+        (HH, [(1, 1, 0, 0), (0, 0, 1, 1)]),
+        (RATIONAL, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+    )
+    for form, base in forms:
+        checked = capped_runs = 0
+        while checked < 50:
+            basis = [
+                [x + F(rng.randint(-6, 6), rng.randint(4, 12)) for x in v] for v in base
+            ]
+            sub = Subspace(form, basis)
+            rg = sub.restricted_gram()
+            if not (rg[0][0] > 0 and rg[0][0] * rg[1][1] > rg[0][1] ** 2):
+                continue
+            radius = _eigen_radius(form, basis)
+            if radius > 8:
+                continue
+            pp = period_point(sub)
+            needed = box_radius_reference(form.gram, basis)
+            for bound in (None, 1, 2):
+                res = conf_systole(pp, lattice_bound=bound)
+                assert res.needed_radius == needed
+                box = radius if bound is None else bound
+                want_sq, want_mins = brute_force_systole(form.gram, basis, radius=box)
+                assert res.value_sq == want_sq, (basis, bound)
+                assert frozenset(res.minimizers) == want_mins, (basis, bound)
+                capped = bound is not None and res.needed_radius > bound
+                capped_runs += capped
+                assert res.certified == (not capped)
+                assert res.bound_used == (bound if capped else res.needed_radius)
+                assert period_norm_sq(pp, res.minimizers[0]) == res.value_sq
+            checked += 1
+        assert capped_runs >= 10
+
+
+def _random_pd_gram(rng, rank):
+    # B^t B for a nonsingular integer B, skewed by random column operations
+    while True:
+        b = [[rng.randint(-6, 6) for _ in range(rank)] for _ in range(rank)]
+        if charpoly_coeffs(b)[-1] != 0:
+            break
+    for _ in range(3 * rank):
+        i, j = rng.sample(range(rank), 2)
+        q = rng.randint(-5, 5)
+        for row in b:
+            row[j] += q * row[i]
+    return [
+        [sum(b[t][i] * b[t][j] for t in range(rank)) for j in range(rank)]
+        for i in range(rank)
+    ]
+
+
+def test_lll_reduces_random_grams():
+    rng = random.Random(6767)
+    for trial in range(300):
+        rank = 2 + trial % 5
+        gram = _random_pd_gram(rng, rank)
+        u, g = _lll(gram)
+        # columns of U are the rows of u; det U = (-1)^rank c_rank
+        assert charpoly_coeffs(u)[-1] in (1, -1)
+        conj = [
+            [
+                sum(u[a][i] * gram[i][j] * u[b][j] for i in range(rank) for j in range(rank))
+                for b in range(rank)
+            ]
+            for a in range(rank)
         ]
-        want, mins = lagrange_gauss_minimum(m)
-        assert res.needed_radius == 760
-        assert res.certified
-        assert res.value_sq == want
-        assert frozenset(res.minimizers) == mins
+        assert conj == g
+        mu, bstar = gram_schmidt_reference(g)
+        for i in range(rank):
+            assert all(abs(mu[i][j]) <= F(1, 2) for j in range(i)), gram
+            if i:
+                assert bstar[i] >= (F(3, 4) - mu[i][i - 1] ** 2) * bstar[i - 1], gram
+    assert _lll([[5]]) == ([[1]], [[5]])
+    for indefinite in ([[1, 2], [2, 1]], [[0]], [[2, 1, 0], [1, 1, 0], [0, 0, -1]]):
+        with pytest.raises(DomainError):
+            _lll(indefinite)
 
 
 def test_float_path_near_the_boundary_raises_typed_error():
@@ -273,6 +419,15 @@ def test_float_path_near_the_boundary_raises_typed_error():
 def test_enumerator_rejects_non_positive_pivot():
     with pytest.raises(NumericalDomainError, match="pivot"):
         _shortest([[1.0, 2.0], [2.0, 1.0]], 1.0, [1, 1])
+
+
+def test_conf_systole_on_degenerate_form_raises_precondition():
+    # the norm matrix of a degenerate form is singular: no certifying box
+    form = GramForm([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
+    pp = period_point(Subspace(form, [(1, 0, 0)]))
+    assert period_norm_sq(pp, (1, 1, 1)) == F(2)
+    with pytest.raises(PreconditionError):
+        conf_systole(pp)
 
 
 def test_conf_systole_rejects_bad_lattice_bound():
