@@ -327,21 +327,6 @@ def _int_adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Pivots are chosen left to right, ties among rows broken by the first
-    row with a nonzero entry, which makes the output canonical for a
-    given row span.
-    """
-    red, pivots = _int_rref(_int_rows(rows))
-    return _echelon_rows(red), pivots
-
-
-def _rank(rows: Sequence[Vector]) -> int:
-    return _rank_int(_int_rows(rows))
-
-
 def _kernel(rows: Sequence[Vector], ncols: int) -> list[Vector]:
     """Basis of {x : rows @ x = 0}, from the free columns of the RREF."""
     return list(_unit_kernel(_int_kernel(*_int_rref(_int_rows(rows)), ncols)))

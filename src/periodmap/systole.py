@@ -171,10 +171,14 @@ class SystoleResult:
 
     def __str__(self):
         mins = ", ".join(str(m) for m in self.minimizers)
-        tag = "certified" if self.certified else (
-            f"UNCERTIFIED (needs radius {self.needed_radius})"
-        )
-        return f"conf = {self.value:.12g} at {mins} [{tag}, box {self.bound_used}]"
+        if self.certified:
+            tag = f"certified, needed radius {self.needed_radius}"
+        else:
+            tag = (
+                f"UNCERTIFIED (needs radius {self.needed_radius}),"
+                f" box {self.bound_used}"
+            )
+        return f"conf = {self.value:.12g} at {mins} [{tag}]"
 
 
 MAX_ENUMERATION = 4 * 10**7

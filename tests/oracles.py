@@ -8,13 +8,14 @@ Fraction computations: the certifying box radius from the norm matrix
 and its inverse (the library's former route), and Gram-Schmidt for the
 LLL conditions; the library's integer radii and integral LLL are
 checked against them.  The other exceptions are the references at the
-end: the library's elimination steps carried out in
-plain Fraction arithmetic, against which the library's integer kernel
-must give identical outputs, the permutahedron's subset inequalities
-and face-by-face projection, against which the library's sort-based
-membership test and projection must give identical outputs, and the
-coverage check computed in one piece, against which the library's
-streamed check must report identical numbers.
+end: the library's elimination steps carried out in plain Fraction
+arithmetic, against which the library's integer kernel must give
+identical outputs, the permutahedron's subset inequalities,
+face-by-face projection and all-subsets collapse, against which the
+library's sorted-prefix membership test, projection and collapse must
+give identical outputs, and the coverage check computed in one piece,
+against which the library's streamed check must report identical
+numbers.
 """
 
 import itertools
@@ -429,9 +430,10 @@ def sym_diagonalize_reference(gram):
 
 
 # ---------------------------------------------------------------------------
-# permutahedron references: the subset inequalities one by one, and the
-# nearest point by solving the projection onto every face, kept against
-# the library's sort-based membership test and isotonic projection
+# permutahedron references: the subset inequalities one by one, the
+# nearest point by solving the projection onto every face, and the
+# collapse from every subset slack, kept against the library's
+# sorted-prefix membership test, isotonic projection and collapse
 # ---------------------------------------------------------------------------
 
 
@@ -453,6 +455,30 @@ def permutahedron_contains_reference(point, tol=Fraction(0)):
         sum(pt[i] for i in s) - len(s) * (len(s) + 1) // 2 >= -tol
         for s in _proper_subsets(n1)
     )
+
+
+def collapse_reference(point, damping):
+    """The slack-damped collapse of a point of the permutahedron onto the
+    enclosing simplex, from every proper subset's slack.
+
+    Coordinate i gets the weight min(1, max(0, g_i / damping)), with g_i
+    the least slack (coordinate sum minus 1 + ... + k) of a proper
+    k-subset holding i; it is pulled to 1 + (y_i - 1) w_i, and the mass
+    this loses goes back in proportion to the weights.
+    """
+    n1 = len(point)
+    y = [Fraction(x) for x in point]
+    slacks = {
+        s: sum(y[i] for i in s) - len(s) * (len(s) + 1) // 2
+        for s in _proper_subsets(n1)
+    }
+    weights = []
+    for i in range(n1):
+        g = min(v for s, v in slacks.items() if i in s)
+        weights.append(min(Fraction(1), max(Fraction(0), g / damping)))
+    pulled = [1 + (yi - 1) * w for yi, w in zip(y, weights)]
+    spare = n1 * (n1 + 1) // 2 - sum(pulled)
+    return tuple(p + spare * w / sum(weights) for p, w in zip(pulled, weights))
 
 
 def projection_reference(point):

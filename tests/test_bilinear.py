@@ -18,6 +18,8 @@ from periodmap.bilinear import (
     subspace_intersect,
     subspace_sum,
     sym_diagonalize,
+    _int_rows,
+    _rank_int,
 )
 from periodmap.errors import (
     DimensionMismatchError,
@@ -108,9 +110,7 @@ def test_signature_examples():
 def _random_invertible(rng, n):
     while True:
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        from periodmap.bilinear import _rank
-
-        if _rank([tuple(r) for r in rows]) == n:
+        if _rank_int(_int_rows(rows)) == n:
             return rows
 
 

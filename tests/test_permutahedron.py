@@ -9,6 +9,7 @@ import pytest
 
 from periodmap.errors import DomainError, InputError, ResourceError
 from periodmap.permutahedron import (
+    DAMPING_SLACK,
     MAX_GRID_POINTS,
     SLAB_ROWS,
     CoverageReport,
@@ -28,7 +29,6 @@ from periodmap.permutahedron import (
     proper_subsets,
     radial_perturbation,
     realize,
-    realize_simplex,
     shrink_map,
     subset_level,
     twist_perturbation,
@@ -36,6 +36,7 @@ from periodmap.permutahedron import (
 )
 
 from oracles import (
+    collapse_reference,
     coverage_reference,
     permutahedron_contains_reference,
     projection_reference,
@@ -183,15 +184,6 @@ def test_edge_count_n3():
         assert len(fv) == 2
         edges.add(frozenset(fv))
     assert len(edges) == 36
-
-
-def test_simplex_realization():
-    s = realize_simplex(2)
-    assert s.total == 6
-    assert set(s.vertices) == {(4, 1, 1), (1, 4, 1), (1, 1, 4)}
-    assert s.contains((2, 2, 2))
-    assert not s.contains((0.5, 2.5, 3))
-    assert not s.contains((2, 2, 3))
 
 
 def test_closest_point_interior_fixed():
@@ -380,16 +372,77 @@ def test_collapse_rejects_outside():
         collapse_to_simplex((4, 1, 1), r)
 
 
-def test_collapse_batch_matches_scalar():
-    r = realize(2)
+def _collapse_cases(n: int, count: int, rng: random.Random) -> list[tuple]:
+    """Rational points of the permutahedron: every vertex, then four
+    kinds in turn: the relative interior of a random face of each
+    codimension, the projection of a point of the enclosing simplex, a
+    point with some coordinates averaged into a tie, and such a tie on a
+    face."""
+    r = realize(n)
+    faces = [enumerate_faces(n, c) for c in range(1, n + 1)]
+    simplex_points = _projection_cases(n, count, rng)
+
+    def combo(points):
+        w = [Fraction(rng.randint(1, 12)) for _ in points]
+        return [
+            sum(Fraction(p[i]) * wi for p, wi in zip(points, w)) / sum(w)
+            for i in range(n + 1)
+        ]
+
+    def tie(x):
+        # the mean over the permutations of a coordinate set stays inside
+        block = rng.sample(range(n + 1), rng.randint(2, n + 1))
+        mean = sum(x[i] for i in block) / len(block)
+        return [mean if i in block else x[i] for i in range(n + 1)]
+
+    out = [tuple(map(Fraction, v)) for v in r.vertices]
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            ns = rng.choice(faces[k // 4 % n])
+            x = combo(r.vertices_of_face(ns))
+        elif kind == 1:
+            x = closest_point_map(simplex_points[k], r)
+        elif kind == 2:
+            x = tie(combo(rng.sample(r.vertices, min(len(r.vertices), 4))))
+        else:
+            x = tie(combo(r.vertices_of_face(rng.choice(rng.choice(faces)))))
+        out.append(tuple(x))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_collapse_matches_all_subsets_reference(n):
+    # 1,352 points in all; for each n at least 100 lie on the boundary
+    # and at least 100 have tied coordinates
+    r = realize(n)
+    cases = _collapse_cases(n, 300, random.Random(8100 + n))
+    subsets = [
+        s for k in range(1, n + 1) for s in itertools.combinations(range(n + 1), k)
+    ]
+    boundary = ties = 0
+    for y in cases:
+        assert r.contains(y), y
+        z = collapse_to_simplex(y, r)
+        assert z == collapse_reference(y, DAMPING_SLACK), y
+        assert all(type(c) is Fraction for c in z)
+        boundary += any(sum(y[i] for i in s) == subset_level(len(s)) for s in subsets)
+        ties += len(set(y)) <= n
+    assert boundary >= 100 and ties >= 100
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_collapse_batch_matches_scalar(n):
+    r = realize(n)
     rng = np.random.default_rng(3)
     verts = np.array(r.vertices, dtype=float)
-    bary = rng.dirichlet(np.ones(6), size=200)
-    pts = bary @ verts
+    bary = rng.dirichlet(np.ones(len(verts)), size=200)
+    extra = _collapse_cases(n, 100, random.Random(8200 + n))
+    pts = np.concatenate([bary @ verts, np.array(extra, dtype=float)])
     batch = collapse_batch(r)(pts)
     for row_in, row_out in zip(pts, batch):
         exact = collapse_to_simplex(tuple(row_in), r)
-        assert np.allclose(row_out, [float(c) for c in exact], atol=1e-9)
+        assert np.allclose(row_out, [float(c) for c in exact], rtol=0, atol=1e-12)
 
 
 def test_identity_boundary_samples_are_fixed():

@@ -554,5 +554,8 @@ def test_result_strings_mention_certification():
     assert "certified" in str(res)
     capped = conf_systole(rational_disk_period_point(DIAG, (F(4, 5),)), lattice_bound=1)
     assert "UNCERTIFIED" in str(capped)
+    # a certified exact result enumerates no box, so none is printed
+    far = conf_systole(rational_disk_period_point(DIAG, (F(99, 100),)))
+    assert str(far).endswith(f"[certified, needed radius {far.needed_radius}]")
     sup = cs_supremum(DIAG, CsSearchConfig(grid=0.1, refine_tol=1e-5))
     assert "CS" in str(sup)
