@@ -353,17 +353,6 @@ def _mat_vec(rows: Sequence[Vector], v: Sequence[Fraction]) -> Vector:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
 
 
-def _transpose(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    return tuple(tuple(col) for col in zip(*rows))
-
-
-def _mat_mul(a: Sequence[Vector], b: Sequence[Vector]) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def _identity(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -702,19 +691,20 @@ def is_negative_definite(sub: Subspace) -> bool:
     return sig.b_plus == 0 and sig.b_null == 0
 
 
-def _positive_columns(sub: Subspace) -> list[tuple[list[int], int, int]]:
-    """(w, p, q) for each positive column of the exact diagonalization.
+def _diagonal_columns(sub: Subspace) -> list[tuple[int, list[int], int, int]]:
+    """(e, w, p, q) for every column of the exact diagonalization.
 
     The column of ``sym_diagonalize(sub.restricted_gram())`` mapped
-    through the basis of ``sub`` is the vector w * p / q.
+    through the basis of ``sub`` is the vector w * p / q, and the integer
+    e has the sign of its diagonal entry.
     """
     m, _ = sub._int_gram()
     cols, num, den = _congruence(m)
     x, d = sub._int_basis()
+    xt = list(zip(*x))
     return [
-        ([_dot(c, col) for col in zip(*x)], den[j], num[j] * d)
+        (m[j][j], [_dot(c, col) for col in xt], den[j], num[j] * d)
         for j, c in enumerate(cols)
-        if m[j][j] > 0
     ]
 
 
@@ -725,18 +715,17 @@ def positive_vectors(sub: Subspace) -> list[Vector]:
     with a positive diagonal entry, mapped through the basis of ``sub``,
     and span a maximal positive subspace of it.
     """
-    if sub.is_zero():
-        return []
     return [
-        tuple(Fraction(e * p, q) for e in w) for w, p, q in _positive_columns(sub)
+        tuple(Fraction(x * p, q) for x in w)
+        for e, w, p, q in _diagonal_columns(sub)
+        if e > 0
     ]
 
 
 def positive_part(sub: Subspace) -> Subspace:
     """Maximal positive subspace of a subspace, from exact diagonalization."""
-    if sub.is_zero():
-        return sub
-    return Subspace._echelon(sub.ambient, [w for w, _, _ in _positive_columns(sub)])
+    positive = [w for e, w, _, _ in _diagonal_columns(sub) if e > 0]
+    return Subspace._echelon(sub.ambient, positive)
 
 
 def orth_complement(sub: Subspace) -> Subspace:
@@ -750,8 +739,11 @@ def orth_complement(sub: Subspace) -> Subspace:
 
 
 def nullspace(sub: Subspace) -> Subspace:
-    """Radical of the restricted form: sub intersect sub-perp."""
-    return subspace_intersect(sub, orth_complement(sub))
+    """Radical of the restricted form (sub intersect sub-perp), with its
+    canonical basis: the span of the diagonalization columns whose
+    diagonal entry is zero, as T^t G T = D with T invertible."""
+    null = [w for e, w, _, _ in _diagonal_columns(sub) if e == 0]
+    return Subspace._echelon(sub.ambient, null)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -19,12 +19,7 @@ from .bilinear import (
     GramForm,
     Signature,
     Subspace,
-    _identity,
-    _mat_inverse,
-    _mat_mul,
-    _mat_vec,
     _solve,
-    _transpose,
     positive_part,
     signature,
     subspace_intersect,
@@ -343,19 +338,6 @@ def product_split() -> DecompositionData:
     )
 
 
-def _random_unimodular(rng: random.Random, n: int, steps: int = 12) -> tuple:
-    m = [list(row) for row in _identity(n)]
-    for _ in range(steps):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        c = Fraction(rng.choice([-2, -1, 1, 2]))
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return tuple(tuple(row) for row in m)
-
-
 def random_decomposition(
     rng: random.Random, max_dim: int = 8
 ) -> DecompositionData:
@@ -364,7 +346,7 @@ def random_decomposition(
     The pairing is built block diagonal from a nondegenerate block for
     each piece plus hyperbolic planes for D and its dual, so every
     identity holds by construction; a random unimodular change of basis
-    hides the blocks.
+    (12 elementary row steps) hides the blocks.
     """
     while True:
         n1 = rng.randint(0, 3)
@@ -373,32 +355,41 @@ def random_decomposition(
         n = n1 + n2 + 2 * k
         if 1 <= n <= max_dim:
             break
-    diag_entries = [
-        Fraction(rng.choice([1, 1, 2, -1, -1, -2, -3])) for _ in range(n1 + n2)
-    ]
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i, d in enumerate(diag_entries):
-        gram[i][i] = d
+    g0 = [[0] * n for _ in range(n)]
+    for i in range(n1 + n2):
+        g0[i][i] = rng.choice([1, 1, 2, -1, -1, -2, -3])
     for b in range(k):
         i = n1 + n2 + 2 * b
-        gram[i][i + 1] = Fraction(1)
-        gram[i + 1][i] = Fraction(1)
+        g0[i][i + 1] = g0[i + 1][i] = 1
 
-    u = _random_unimodular(rng, n)
-    # new pairing in the disguised coordinates x: x -> u x are old coords
-    new_gram = _mat_mul(_mat_mul(_transpose(u), gram), u)
-    q = GramForm(new_gram)
-
-    u_inv_rows = _mat_inverse(u)
-    def pull(idx: int) -> Vector:
-        e = [Fraction(0)] * n
-        e[idx] = Fraction(1)
-        return _mat_vec(u_inv_rows, e)
-
-    h1 = Subspace.spanned_by(q, [pull(i) for i in range(n1)])
-    h2 = Subspace.spanned_by(q, [pull(n1 + i) for i in range(n2)])
-    d = Subspace.spanned_by(q, [pull(n1 + n2 + 2 * b) for b in range(k)])
-    return DecompositionData(
-        ambient=q, H1=h1, H2=h2, D=d, bhat1=n1, bhat2=n2
+    # u carries the disguised coordinates to the block ones; inv is its
+    # exact inverse, updated by the inverse of each elementary step
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(12):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    # the pairing in disguised coordinates, u^t g0 u, by integer sums
+    g0u = [[sum(x * y for x, y in zip(row, col)) for col in zip(*u)] for row in g0]
+    q = GramForm(
+        [[sum(x * y for x, y in zip(a, b)) for b in zip(*g0u)] for a in zip(*u)]
     )
 
+    def pulled(indices) -> Subspace:
+        # the block basis vector e_i in disguised coordinates: column i of inv
+        return Subspace.spanned_by(q, [[row[i] for row in inv] for i in indices])
+
+    return DecompositionData(
+        ambient=q,
+        H1=pulled(range(n1)),
+        H2=pulled(range(n1, n1 + n2)),
+        D=pulled(range(n1 + n2, n, 2)),
+        bhat1=n1,
+        bhat2=n2,
+    )

@@ -43,8 +43,6 @@ from .errors import (
 from .grassmannian import ConstraintKind, ConstraintSet, HPoint, classify_span
 from .permutahedron import NestedSequence
 
-ALL = object()  # sentinel: the improper full index set
-
 
 @dataclass(frozen=True)
 class SurfaceConfig:
@@ -73,8 +71,6 @@ class SurfaceConfig:
 
     def span_of(self, indices) -> Subspace:
         """V_I: span of the vectors with the given 1-based indices."""
-        if indices is ALL:
-            return self.form.full_subspace()
         idx = sorted(set(indices))
         if not idx or idx[0] < 1 or idx[-1] > len(self.vectors):
             raise InputError(f"indices {indices} out of range")
@@ -107,9 +103,9 @@ class FaceConstraint:
     """Exact pieces of the period constraint over one face.
 
     pieces[i] is V_{I_{i+1}} cut with the orthogonal complement of
-    V_{I_i} (the final piece uses the full ambient space); nulls[i] is
-    the radical of V_{I_{i+1}}.  positive_parts are canonical maximal
-    positive subspaces of the pieces, from exact diagonalization.
+    V_{I_i} (the final piece is the complement of the largest span);
+    nulls[i] is the radical of V_{I_{i+1}}.  positive_parts are canonical
+    maximal positive subspaces of the pieces, from exact diagonalization.
     """
 
     sequence: NestedSequence
@@ -131,15 +127,32 @@ def _chain_pieces(
 ) -> tuple[list[Subspace], list[Subspace]]:
     """Chain spans V_{I_i} and the pieces they cut out.
 
-    Piece i is V_{I_i} cut with the orthogonal complement of V_{I_{i-1}};
-    the final piece takes the full ambient space for V_{I_{l+1}}.
+    The one place a chain is checked against its configuration.  Piece
+    i is V_{I_i} cut with the orthogonal complement of V_{I_{i-1}}
+    (piece 1 is V_{I_1}); the final piece is the complement of V_{I_l},
+    its cut with the full space, kept with its canonical basis.
     """
+    if ns.n != cfg.n:
+        raise InputError(
+            f"chain is for a {ns.n}-permutahedron, config has {cfg.n + 1} vectors"
+        )
     spans = [cfg.span_of(sub) for sub in ns.chain]
-    ext = spans + [cfg.form.full_subspace()]
-    pieces = [ext[0]]
-    for prev, cur in zip(ext, ext[1:]):
+    pieces = [spans[0]]
+    for prev, cur in zip(spans, spans[1:]):
         pieces.append(subspace_intersect(cur, orth_complement(prev)))
+    pieces.append(Subspace._echelon(cfg.form, orth_complement(spans[-1])._rows))
     return spans, pieces
+
+
+def _first_indefinite(spans: list[Subspace]) -> int | None:
+    """Index of the first span that is not negative definite, or None."""
+    return next((i for i, s in enumerate(spans) if not is_negative_definite(s)), None)
+
+
+def _summary(spans: list[Subspace], pieces: list[Subspace]) -> ConstraintSet:
+    """The b+ = 1 constraint type of a cut chain (see ``bplus1_summary``)."""
+    i = _first_indefinite(spans)
+    return classify_span(spans[-1] if i is None else pieces[i])
 
 
 def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstraint:
@@ -150,31 +163,22 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
     violation raises InconsistentDataError (it would falsify the
     dimension identity the construction rests on).
     """
-    if ns.n != cfg.n:
-        raise InputError(
-            f"chain is for a {ns.n}-permutahedron, config has {cfg.n + 1} vectors"
-        )
-    if signature(cfg.form).b_null != 0:
-        raise PreconditionError("face constraints need a nondegenerate ambient form")
     spans, pieces = _chain_pieces(cfg, ns)
+    amb = signature(cfg.form)
+    if amb.b_null != 0:
+        raise PreconditionError("face constraints need a nondegenerate ambient form")
     nulls = tuple(nullspace(s) for s in spans)
     pos_parts = tuple(positive_part(p) for p in pieces)
 
     total = cfg.form.zero_subspace()
-    for part in pos_parts:
+    for part in pos_parts + nulls:
         total = subspace_sum(total, part)
-    for nu in nulls:
-        total = subspace_sum(total, nu)
     sig = subspace_signature(total)
-    bp = signature(cfg.form).b_plus
-    if sig.b_minus != 0 or total.dim != bp:
+    if sig.b_minus != 0 or total.dim != amb.b_plus:
         raise InconsistentDataError(
             f"constraint sum has signature {tuple(sig)} in dimension {total.dim},"
-            f" expected semi-positive of dimension {bp}"
+            f" expected semi-positive of dimension {amb.b_plus}"
         )
-    summary = None
-    if bp == 1 and signature(cfg.form).b_null == 0:
-        summary = bplus1_summary(cfg, ns)
     return FaceConstraint(
         sequence=ns,
         pieces=tuple(pieces),
@@ -182,7 +186,7 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
         nulls=nulls,
         positive_parts=pos_parts,
         semi_positive_sum=total,
-        summary=summary,
+        summary=_summary(spans, pieces) if amb.b_plus == 1 else None,
     )
 
 
@@ -194,12 +198,9 @@ def check_dimension_identity(cfg: SurfaceConfig, ns: NestedSequence) -> bool:
     of the ambient form.  Also verifies the nesting property
     N_1 cap N_2 = N_1 cap (N_2 + ... + N_l).
     """
-    if ns.n != cfg.n:
-        raise InputError("chain does not match the configuration")
     spans, pieces = _chain_pieces(cfg, ns)
-    nulls = [cfg.form.zero_subspace()] + [
-        nullspace(s) for s in spans + [cfg.form.full_subspace()]
-    ]
+    nulls = [cfg.form.zero_subspace()]
+    nulls += [nullspace(s) for s in spans] + [cfg.form.radical()]
 
     rhs = 0
     for i, piece in enumerate(pieces, start=1):
@@ -236,35 +237,22 @@ def _require_lorentzian(cfg: SurfaceConfig) -> None:
 def iplus(cfg: SurfaceConfig, ns: NestedSequence) -> int | None:
     """First chain index whose span is not negative definite, or None."""
     _require_lorentzian(cfg)
-    if ns.n != cfg.n:
-        raise InputError("chain does not match the configuration")
-    for j, sub in enumerate(ns.chain, start=1):
-        if not is_negative_definite(cfg.span_of(sub)):
-            return j
-    return None
+    i = _first_indefinite(_chain_pieces(cfg, ns)[0])
+    return None if i is None else i + 1
 
 
 def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
     """Type of the period constraint over a face when b+ = 1.
 
     All chain spans negative definite: the period point is pinned to the
-    wall of the largest span (a geodesic subspace).  A degenerate first
-    failure pins it to the ideal point of the 1-dimensional radical.
-    Otherwise it is pinned inside the first failing piece, which
-    contains the positive direction.
+    wall of the largest span (a geodesic subspace).  Otherwise piece i+
+    of the chain pins it: inside the piece, which contains the positive
+    direction, or, when V_{I_i+} is degenerate, to the ideal point of
+    their common 1-dimensional radical (the span before is negative
+    definite).  ``constraint_for_face`` reads the same cut.
     """
     _require_lorentzian(cfg)
-    ip = iplus(cfg, ns)
-    if ip is None:
-        return classify_span(cfg.span_of(ns.chain[-1]))
-    v_ip = cfg.span_of(ns.chain[ip - 1])
-    if subspace_signature(v_ip).b_null > 0:
-        return classify_span(v_ip)
-    if ip == 1:
-        return classify_span(v_ip)
-    prev = cfg.span_of(ns.chain[ip - 2])
-    piece = subspace_intersect(v_ip, orth_complement(prev))
-    return classify_span(piece)
+    return _summary(*_chain_pieces(cfg, ns))
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +306,9 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
             gen = [-x for x in gen]
         lines.append(tuple(gen))
 
-    seen = set()
-    for gen in lines:
-        key = _primitive_key(gen)
-        if key in seen:
-            raise DomainError(
-                "walls meet in a common point; the simplex is degenerate"
-            )
-        seen.add(key)
     if Subspace.spanned_by(cfg.form, lines).dim != k:
         raise DomainError("vertex lines are dependent; the simplex is degenerate")
     return lines
-
-
-def _primitive_key(vec: Sequence[Fraction]) -> tuple:
-    # scale so the leading entry is 1: proportional vectors collide
-    first = next((x for x in vec if x != 0), None)
-    if first is None:
-        return tuple(vec)
-    return tuple(x / first for x in vec)
 
 
 def simplex_from_walls(cfg: SurfaceConfig) -> list[HPoint]:
@@ -355,8 +327,6 @@ def product_codim(cfg: SurfaceConfig, ns: NestedSequence) -> int:
     positive subspaces of a (p, m) form has dimension p*m; the result is
     the ambient dimension minus the sum over the pieces.
     """
-    if ns.n != cfg.n:
-        raise InputError("chain does not match the configuration")
     spans, pieces = _chain_pieces(cfg, ns)
     for idx, s in enumerate(spans, start=1):
         if subspace_signature(s).b_null != 0:

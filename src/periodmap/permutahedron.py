@@ -185,13 +185,17 @@ class PermRealization:
         """
         if len(point) != self.n + 1:
             raise InputError("point has wrong length")
-        pt = sorted(Fraction(x) for x in point)
-        if abs(sum(pt) - self.total) > tol:
-            return False
-        return all(
-            low - subset_level(k) >= -tol
-            for k, low in enumerate(itertools.accumulate(pt[:-1]), start=1)
-        )
+        return self._least_sums([Fraction(x) for x in point], tol) is not None
+
+    def _least_sums(self, y: list[Fraction], tol: Fraction) -> list[Fraction] | None:
+        """[c_0, ..., c_{n+1}], c_k the sum of the k smallest coordinates
+        of y, when y lies in the polytope up to tol; otherwise None."""
+        low = [0, *itertools.accumulate(sorted(y))]
+        if abs(low[-1] - self.total) > tol or any(
+            low[k] - subset_level(k) < -tol for k in range(1, self.n + 1)
+        ):
+            return None
+        return low
 
     def vertices_of_face(self, ns: NestedSequence) -> list[tuple[int, ...]]:
         """Vertices whose value blocks refine the chain: positions in I_1
@@ -295,9 +299,9 @@ def collapse_to_simplex(point: Sequence, realization: PermRealization) -> tuple:
     if len(point) != n1:
         raise InputError("point has wrong length")
     y = [Fraction(p) for p in point]
-    if not realization.contains(y, tol=Fraction(1, 10**9)):
+    low = realization._least_sums(y, Fraction(1, 10**9))  # low[k] = c_k
+    if low is None:
         raise DomainError("collapse input must lie in the permutahedron")
-    low = [0, *itertools.accumulate(sorted(y)[:-1])]  # low[k] = c_k
     weights = []
     for yi in y:
         g = min(max(low[k], yi + low[k - 1]) - subset_level(k) for k in range(1, n1))

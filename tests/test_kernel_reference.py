@@ -2,7 +2,9 @@
 
 Random rational matrices of dimension 1-8 with denominators up to 7,
 some rank-deficient and some with zero rows; every routine must return
-exactly what plain Fraction elimination returns.
+exactly what plain Fraction elimination returns.  The radical of a
+restricted form is checked the same way, on singular and nonsingular
+grams and on spans with and without a radical.
 """
 
 import random
@@ -10,6 +12,7 @@ from fractions import Fraction
 
 from periodmap.bilinear import (
     GramForm,
+    Subspace,
     _echelon_rows,
     _int_det,
     _int_rows,
@@ -17,6 +20,7 @@ from periodmap.bilinear import (
     _kernel,
     _mat_inverse,
     _solve,
+    nullspace,
     signature,
     sym_diagonalize,
 )
@@ -26,6 +30,7 @@ from oracles import (
     charpoly_coeffs,
     inverse_reference,
     kernel_reference,
+    pairing_table,
     rref_reference,
     signature_oracle,
     solve_reference,
@@ -117,3 +122,68 @@ def test_congruence_and_signature_match_reference():
         gram = _symmetric(rng, k)
         assert sym_diagonalize(gram) == sym_diagonalize_reference(gram)
         assert tuple(signature(GramForm(gram))) == signature_oracle(gram)
+
+
+def _radical_subspace_basis(rng, gram):
+    """Independent vectors in the coordinate space of ``gram``, or None
+    when the draw came out dependent.
+
+    Half the time the span is forced to have a radical: a vector of the
+    ambient radical (a repeated row and column a, b give e_a - e_b), or
+    an isotropic coordinate vector e_i (every diagonal entry is zero)
+    with vectors orthogonal to it.  The rest are random spans, the full
+    space among them.
+    """
+    k = len(gram)
+    m = rng.randint(1, k)
+    vectors = []
+    iso = None
+    if rng.random() < 0.5:
+        repeats = [
+            (a, b) for a in range(k) for b in range(a + 1, k) if gram[a] == gram[b]
+        ]
+        zero_diag = [i for i in range(k) if gram[i][i] == 0]
+        if repeats and rng.random() < 0.5:
+            a, b = rng.choice(repeats)
+            vectors.append(tuple(Fraction(int(j == a) - int(j == b)) for j in range(k)))
+        elif zero_diag:
+            iso = rng.choice(zero_diag)
+            vectors.append(tuple(Fraction(int(j == iso)) for j in range(k)))
+    # a coordinate c that can be solved for so that w pairs to zero with e_iso
+    c = None if iso is None else next((c for c in range(k) if gram[iso][c]), None)
+    while len(vectors) < m:
+        w = [_entry(rng) for _ in range(k)]
+        if c is not None:
+            rest = sum(gram[iso][j] * w[j] for j in range(k) if j != c)
+            w[c] = -rest / gram[iso][c]
+        vectors.append(tuple(w))
+    if len(rref_reference(vectors)[0]) != len(vectors):
+        return None
+    return vectors
+
+
+def test_nullspace_matches_reference():
+    rng = random.Random(20235)
+    seen_radical = 0
+    done = 0
+    while done < CASES:
+        k = rng.randint(1, 6)
+        gram = _symmetric(rng, k)
+        basis = _radical_subspace_basis(rng, gram)
+        if basis is None:
+            continue
+        done += 1
+        form = GramForm(gram)
+        sub = Subspace(form, basis)
+        coeffs = kernel_reference(
+            pairing_table(gram, basis, range(1, len(basis) + 1)), len(basis)
+        )
+        mapped = [
+            tuple(sum(c * b[j] for c, b in zip(cv, basis)) for j in range(k))
+            for cv in coeffs
+        ]
+        rad = nullspace(sub)
+        assert list(rad.canonical) == rref_reference(mapped)[0], (gram, basis)
+        assert rad.basis == rad.canonical
+        seen_radical += bool(mapped)
+    assert seen_radical > CASES // 4
