@@ -24,7 +24,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -163,7 +163,10 @@ def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def _lead(row: list[int]) -> int:
-    return next(x for x in row if x)
+    """First nonzero entry of a nonzero row."""
+    for x in row:
+        if x:
+            return x
 
 
 def _echelon_rows(red: list[list[int]]) -> list[Vector]:
@@ -278,15 +281,6 @@ def _congruence(m: list[list[int]]) -> tuple[list[list[int]], list[int], list[in
     return cols, num, den
 
 
-def _inertia(m: list[list[int]]) -> "Signature":
-    """Signature of an integer symmetric matrix, diagonalized in place."""
-    _congruence(m)
-    diag = [m[i][i] for i in range(len(m))]
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
-    return Signature(plus, minus, len(diag) - plus - minus)
-
-
 def _int_det(m: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by Bareiss elimination."""
     a = [list(row) for row in m]
@@ -353,12 +347,6 @@ def _mat_vec(rows: Sequence[Vector], v: Sequence[Fraction]) -> Vector:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def _mat_inverse(rows: Sequence[Sequence]) -> Matrix:
     n = len(rows)
     aug = [list(x) + [d if j == i else 0 for j in range(n)]
@@ -400,9 +388,10 @@ class GramForm:
     """A symmetric bilinear form given by its gram matrix on coordinates.
 
     The gram matrix is checked once here and also kept as an integer
-    matrix ``_igram`` equal to ``_den`` times it.  The signature and the
-    standard embedding are computed on first use and cached on the
-    instance; equality and hashing see only ``gram``.
+    matrix ``_igram`` equal to ``_den`` times it.  The diagonalization of
+    the whole space, and the signature and standard embedding read from
+    it, are computed on first use and cached on the instance; equality
+    and hashing see only ``gram``.
     """
 
     gram: Matrix
@@ -459,14 +448,25 @@ class GramForm:
         return Subspace(self, [])
 
     def full_subspace(self) -> "Subspace":
-        return Subspace(self, _identity(self.dim))
+        n = self.dim
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        return Subspace._echelon(self, identity)
 
     def signature(self) -> Signature:
         return signature(self)
 
     @cached_property
+    def _columns(self) -> list[tuple[int, list[int], int, int]]:
+        """The split of the whole space (see ``Subspace._split``), in the
+        identity basis, which every full subspace in its canonical basis
+        reads too."""
+        m = [list(r) for r in self._igram]
+        cols, num, den = _congruence(m)
+        return [(m[j][j], c, den[j], num[j]) for j, c in enumerate(cols)]
+
+    @cached_property
     def _sig(self) -> Signature:
-        return _inertia([list(r) for r in self._igram])
+        return _signature_of(self._columns)
 
     @cached_property
     def _embedding(self) -> "StandardEmbedding":
@@ -510,10 +510,14 @@ class Subspace:
     (``_rows``, never modified in place), which the subspace operations
     work on directly.  The Fraction rows of ``canonical``, and of
     ``basis`` for a span whose basis is the canonical one, are made on
-    first access.
+    first access.  So is the congruence diagonalization of the
+    restricted form (``_split``), which every signature, positive part
+    and radical of this instance reads.  It depends on the basis, so it
+    is kept per instance, not shared between equal subspaces; only the
+    whole space in its canonical basis, the identity, reads its form's.
     """
 
-    __slots__ = ("ambient", "_rows", "_basis", "_canonical")
+    __slots__ = ("ambient", "_rows", "_basis", "_canonical", "_columns")
 
     def __init__(self, ambient: GramForm, vectors: Sequence[Sequence]) -> None:
         rows = tuple(as_vector(v) for v in vectors)
@@ -529,6 +533,7 @@ class Subspace:
         self._rows = red
         self._basis = rows
         self._canonical = None
+        self._columns = None
 
     @classmethod
     def _echelon(
@@ -544,6 +549,7 @@ class Subspace:
         sub._rows = _int_rref(rows)[0]
         sub._basis = basis
         sub._canonical = None
+        sub._columns = None
         return sub
 
     @staticmethod
@@ -589,12 +595,14 @@ class Subspace:
     def _int_basis(self) -> tuple[list[list[int]], int]:
         """(x, d) with basis == x / d for one common integer d."""
         if self._basis is None:
-            d = lcm(*[_lead(r) for r in self._rows])
-            return [[e * (d // _lead(r)) for e in r] for r in self._rows], d
+            leads = [_lead(r) for r in self._rows]
+            d = lcm(*leads)
+            return [[e * (d // p) for e in r] for r, p in zip(self._rows, leads)], d
         return _clear_all(self._basis)
 
-    def _int_gram(self) -> tuple[list[list[int]], int]:
-        """(M, s): integer matrix M equal to s times the restricted gram."""
+    def _int_gram(self) -> tuple[list[list[int]], list[list[int]], int]:
+        """(M, x, d): the basis is x / d, and the integer matrix M is
+        ``ambient._den * d * d`` times the restricted gram."""
         x, d = self._int_basis()
         images = [self.ambient._image(v) for v in x]
         k = len(x)
@@ -602,10 +610,32 @@ class Subspace:
         for i in range(k):
             for j in range(i, k):
                 m[i][j] = m[j][i] = _dot(x[i], images[j])
-        return m, self.ambient._den * d * d
+        return m, x, d
+
+    def _split(self) -> list[tuple[int, list[int], int, int]]:
+        """(e, w, p, q) for every column of the exact diagonalization.
+
+        The column of ``sym_diagonalize(self.restricted_gram())`` mapped
+        through the basis is the vector w * p / q, and the integer e has
+        the sign of its diagonal entry.  Computed once per instance.
+        """
+        if self._columns is None:
+            if self._basis is None and self.dim == self.ambient.dim:
+                # the whole space in its canonical basis, the identity
+                self._columns = self.ambient._columns
+            else:
+                m, x, d = self._int_gram()
+                cols, num, den = _congruence(m)
+                xt = list(zip(*x))
+                self._columns = [
+                    (m[j][j], [_dot(c, col) for col in xt], den[j], num[j] * d)
+                    for j, c in enumerate(cols)
+                ]
+        return self._columns
 
     def restricted_gram(self) -> Matrix:
-        m, s = self._int_gram()
+        m, _, d = self._int_gram()
+        s = self.ambient._den * d * d
         return tuple(tuple(Fraction(e, s) for e in row) for row in m)
 
     def __eq__(self, other) -> bool:
@@ -677,9 +707,14 @@ def signature(form: GramForm, sub: Subspace | None = None) -> Signature:
         return form._sig
     if sub.ambient != form:
         raise DimensionMismatchError("subspace does not live over this form")
-    if sub.is_zero():
-        return Signature(0, 0, 0)
-    return _inertia(sub._int_gram()[0])
+    return _signature_of(sub._split())
+
+
+def _signature_of(columns: list[tuple[int, list[int], int, int]]) -> Signature:
+    """Counts of the positive, negative and zero diagonal entries of a split."""
+    plus = sum(1 for e, _, _, _ in columns if e > 0)
+    minus = sum(1 for e, _, _, _ in columns if e < 0)
+    return Signature(plus, minus, len(columns) - plus - minus)
 
 
 def subspace_signature(sub: Subspace) -> Signature:
@@ -691,23 +726,6 @@ def is_negative_definite(sub: Subspace) -> bool:
     return sig.b_plus == 0 and sig.b_null == 0
 
 
-def _diagonal_columns(sub: Subspace) -> list[tuple[int, list[int], int, int]]:
-    """(e, w, p, q) for every column of the exact diagonalization.
-
-    The column of ``sym_diagonalize(sub.restricted_gram())`` mapped
-    through the basis of ``sub`` is the vector w * p / q, and the integer
-    e has the sign of its diagonal entry.
-    """
-    m, _ = sub._int_gram()
-    cols, num, den = _congruence(m)
-    x, d = sub._int_basis()
-    xt = list(zip(*x))
-    return [
-        (m[j][j], [_dot(c, col) for col in xt], den[j], num[j] * d)
-        for j, c in enumerate(cols)
-    ]
-
-
 def positive_vectors(sub: Subspace) -> list[Vector]:
     """Basis vectors with positive diagonal entry in the exact diagonalization.
 
@@ -716,16 +734,13 @@ def positive_vectors(sub: Subspace) -> list[Vector]:
     and span a maximal positive subspace of it.
     """
     return [
-        tuple(Fraction(x * p, q) for x in w)
-        for e, w, p, q in _diagonal_columns(sub)
-        if e > 0
+        tuple(Fraction(x * p, q) for x in w) for e, w, p, q in sub._split() if e > 0
     ]
 
 
 def positive_part(sub: Subspace) -> Subspace:
     """Maximal positive subspace of a subspace, from exact diagonalization."""
-    positive = [w for e, w, _, _ in _diagonal_columns(sub) if e > 0]
-    return Subspace._echelon(sub.ambient, positive)
+    return Subspace._echelon(sub.ambient, [w for e, w, _, _ in sub._split() if e > 0])
 
 
 def orth_complement(sub: Subspace) -> Subspace:
@@ -742,8 +757,7 @@ def nullspace(sub: Subspace) -> Subspace:
     """Radical of the restricted form (sub intersect sub-perp), with its
     canonical basis: the span of the diagonalization columns whose
     diagonal entry is zero, as T^t G T = D with T invertible."""
-    null = [w for e, w, _, _ in _diagonal_columns(sub) if e == 0]
-    return Subspace._echelon(sub.ambient, null)
+    return Subspace._echelon(sub.ambient, [w for e, w, _, _ in sub._split() if e == 0])
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -791,10 +805,8 @@ class StandardEmbedding:
 
     def to_minkowski(self, v: Sequence) -> tuple[float, ...]:
         """Float coordinates of a form-space vector in R^{1,n}."""
-        import math
-
         y = _mat_vec(self._inverse, as_vector(v))
-        return tuple(float(yi) * math.sqrt(float(s)) for yi, s in zip(y, self.scales))
+        return tuple(float(yi) * sqrt(float(s)) for yi, s in zip(y, self.scales))
 
 
 def standard_embedding(form: GramForm) -> StandardEmbedding:
@@ -815,12 +827,9 @@ def _embed(form: GramForm) -> StandardEmbedding:
         raise PreconditionError(
             f"standard embedding needs signature (1, {n}), got {tuple(sig)}"
         )
-    m = [list(r) for r in form._igram]
-    cols, _, _ = _congruence(m)
-    order = [i for i in range(form.dim) if m[i][i] > 0] + [
-        i for i in range(form.dim) if m[i][i] < 0
-    ]
-    new_cols = [primitive_vector(cols[i]) for i in order]
+    split = form._columns
+    new_cols = [primitive_vector(w) for e, w, _, _ in split if e > 0]
+    new_cols += [primitive_vector(w) for e, w, _, _ in split if e < 0]
     scales = tuple(abs(form.evaluate(c, c)) for c in new_cols)
     matrix = tuple(tuple(c[i] for c in new_cols) for i in range(form.dim))
     return StandardEmbedding(matrix=matrix, scales=scales)

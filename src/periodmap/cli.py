@@ -36,7 +36,6 @@ from .face_constraints import (
     SurfaceConfig,
     _num_str,
     constraint_for_face,
-    iplus,
     preset,
     simplex_from_walls,
     simplex_vertex_lines,
@@ -167,7 +166,7 @@ def _cmd_faces(args) -> int:
     payload = []
     for ns in chains:
         fc = constraint_for_face(cfg, ns)
-        ip = iplus(cfg, ns)
+        ip = fc.iplus
         kind = fc.summary.kind.value if fc.summary is not None else "Unconstrained"
         sigs = " ".join(str(tuple(s)) for s in fc.piece_signatures)
         rows.append(

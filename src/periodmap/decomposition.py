@@ -20,6 +20,7 @@ from .bilinear import (
     Signature,
     Subspace,
     _solve,
+    nullspace,
     positive_part,
     signature,
     subspace_intersect,
@@ -113,13 +114,6 @@ class ValidationReport:
         return "\n".join(str(i) for i in self.issues)
 
 
-def _radical_witness(sub: Subspace) -> Vector | None:
-    from .bilinear import nullspace
-
-    rad = nullspace(sub)
-    return rad.canonical[0] if not rad.is_zero() else None
-
-
 def validate(data: DecompositionData) -> ValidationReport:
     """Check every structural condition, collecting witnesses for failures.
 
@@ -129,11 +123,10 @@ def validate(data: DecompositionData) -> ValidationReport:
     issues = []
     q = data.ambient
     for name, sub in (("H1", data.H1), ("H2", data.H2)):
-        w = _radical_witness(sub)
-        if w is not None:
-            issues.append(
-                ValidationIssue(f"pairing degenerate on {name}", (w, w))
-            )
+        rad = nullspace(sub)
+        if not rad.is_zero():
+            w = rad.canonical[0]
+            issues.append(ValidationIssue(f"pairing degenerate on {name}", (w, w)))
     done = False
     for h1 in data.H1.basis:
         for h2 in data.H2.basis:

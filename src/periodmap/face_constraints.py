@@ -40,7 +40,7 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .grassmannian import ConstraintKind, ConstraintSet, HPoint, classify_span
+from .grassmannian import ConstraintSet, HPoint, classify_span, line_to_hpoint
 from .permutahedron import NestedSequence
 
 
@@ -106,6 +106,9 @@ class FaceConstraint:
     V_{I_i} (the final piece is the complement of the largest span);
     nulls[i] is the radical of V_{I_{i+1}}.  positive_parts are canonical
     maximal positive subspaces of the pieces, from exact diagonalization.
+    iplus is the first chain position whose span is not negative
+    definite, None when every span is; summary is the b+ = 1 constraint
+    type, None for any other ambient signature.
     """
 
     sequence: NestedSequence
@@ -114,6 +117,7 @@ class FaceConstraint:
     nulls: tuple[Subspace, ...]
     positive_parts: tuple[Subspace, ...]
     semi_positive_sum: Subspace
+    iplus: int | None
     summary: ConstraintSet | None
 
     def table_row(self) -> str:
@@ -149,9 +153,11 @@ def _first_indefinite(spans: list[Subspace]) -> int | None:
     return next((i for i, s in enumerate(spans) if not is_negative_definite(s)), None)
 
 
-def _summary(spans: list[Subspace], pieces: list[Subspace]) -> ConstraintSet:
-    """The b+ = 1 constraint type of a cut chain (see ``bplus1_summary``)."""
-    i = _first_indefinite(spans)
+def _summary(
+    spans: list[Subspace], pieces: list[Subspace], i: int | None
+) -> ConstraintSet:
+    """The b+ = 1 constraint type of a cut chain (see ``bplus1_summary``),
+    with i = ``_first_indefinite(spans)``."""
     return classify_span(spans[-1] if i is None else pieces[i])
 
 
@@ -167,6 +173,7 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
     amb = signature(cfg.form)
     if amb.b_null != 0:
         raise PreconditionError("face constraints need a nondegenerate ambient form")
+    first = _first_indefinite(spans)
     nulls = tuple(nullspace(s) for s in spans)
     pos_parts = tuple(positive_part(p) for p in pieces)
 
@@ -186,7 +193,8 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
         nulls=nulls,
         positive_parts=pos_parts,
         semi_positive_sum=total,
-        summary=_summary(spans, pieces) if amb.b_plus == 1 else None,
+        iplus=None if first is None else first + 1,
+        summary=_summary(spans, pieces, first) if amb.b_plus == 1 else None,
     )
 
 
@@ -252,7 +260,8 @@ def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
     definite).  ``constraint_for_face`` reads the same cut.
     """
     _require_lorentzian(cfg)
-    return _summary(*_chain_pieces(cfg, ns))
+    spans, pieces = _chain_pieces(cfg, ns)
+    return _summary(spans, pieces, _first_indefinite(spans))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +322,6 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
 
 def simplex_from_walls(cfg: SurfaceConfig) -> list[HPoint]:
     """Hyperboloid vertices of the simplex bounded by the walls."""
-    from .grassmannian import line_to_hpoint
-
     lines = simplex_vertex_lines(cfg)
     emb = standard_embedding(cfg.form)
     return [line_to_hpoint(emb.to_minkowski(gen)) for gen in lines]

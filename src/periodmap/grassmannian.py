@@ -30,6 +30,7 @@ from .bilinear import (
 )
 from .errors import (
     DomainError,
+    InputError,
     NumericalDomainError,
     PreconditionError,
     ResolutionError,
@@ -140,14 +141,6 @@ class ConstraintSet:
     determined: bool = True
 
 
-def _positive_witness(sub: Subspace) -> tuple[Fraction, ...]:
-    """First positive vector from the exact diagonalization of the span."""
-    vectors = positive_vectors(sub)
-    if not vectors:
-        raise PreconditionError("subspace has no positive vector")
-    return vectors[0]
-
-
 def classify_span(sub: Subspace) -> ConstraintSet:
     """Type of the constraint a subspace puts on the positive line.
 
@@ -180,7 +173,7 @@ def classify_span(sub: Subspace) -> ConstraintSet:
         return ConstraintSet(
             ConstraintKind.PRODUCT_GRASSMANNIAN, sub.canonical, sub, determined=False
         )
-    witness = _positive_witness(sub)
+    witness = positive_vectors(sub)[0]
     return ConstraintSet(
         ConstraintKind.POINT, (witness,), sub, determined=(sub.dim == 1)
     )
@@ -189,13 +182,6 @@ def classify_span(sub: Subspace) -> ConstraintSet:
 # ---------------------------------------------------------------------------
 # geodesic walls in the hyperbolic plane
 # ---------------------------------------------------------------------------
-
-
-def wall_subspace(sub: Subspace) -> Subspace:
-    """The orthogonal complement carrying a geodesic constraint."""
-    from .bilinear import orth_complement
-
-    return orth_complement(sub)
 
 
 def geodesic_endpoints(
@@ -274,11 +260,12 @@ def rational_orthogonal_approximation(
 
     ``target_basis`` spans a positive-definite subspace of ``form`` (in
     form coordinates, float or rational entries).  Entries are rounded
-    by continued fractions under ``max_denominator``, re-orthogonalized
-    exactly, and the result is accepted only if the largest principal
-    angle to the target stays below ``eps``.  Returns the vectors and
-    the least common multiple N of their denominators (so N times each
-    vector is integral).
+    by continued fractions under ``max_denominator`` and re-orthogonalized
+    exactly by the diagonalization of their span, which on a positive
+    definite span is Gram-Schmidt in the form's pairing.  The result is
+    accepted only if the largest principal angle to the target stays
+    below ``eps``.  Returns the vectors and the least common multiple N
+    of their denominators (so N times each vector is integral).
 
     Raises ResolutionError (with the achieved distance) when the
     denominator budget cannot reach ``eps``, and DomainError when the
@@ -298,23 +285,12 @@ def rational_orthogonal_approximation(
         approx = [
             [Fraction(x).limit_denominator(bound) for x in row] for row in rows
         ]
-        # exact Gram-Schmidt in the form's pairing
-        ortho: list[list[Fraction]] = []
-        for v in approx:
-            cur = list(v)
-            for u in ortho:
-                uu = form.evaluate(u, u)
-                if uu == 0:
-                    return None
-                c = form.evaluate(cur, u) / uu
-                cur = [x - c * y for x, y in zip(cur, u)]
-            if all(x == 0 for x in cur):
-                return None
-            ortho.append(cur)
-        for u in ortho:
-            if form.evaluate(u, u) <= 0:
-                return None
-        return ortho
+        try:
+            sub = Subspace(form, approx)
+        except InputError:  # rounding made the rows dependent
+            return None
+        ortho = positive_vectors(sub)
+        return ortho if len(ortho) == sub.dim else None
 
     best = None
     best_dist = math.inf
@@ -338,4 +314,4 @@ def rational_orthogonal_approximation(
         bound *= 32
 
     lcm = math.lcm(*[x.denominator for u in best for x in u])
-    return [tuple(x for x in u) for u in best], lcm
+    return best, lcm

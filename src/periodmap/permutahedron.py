@@ -247,10 +247,7 @@ def closest_point_map(point: Sequence, realization: PermRealization) -> tuple:
     exact Fraction means, so the output is exact.  The input must lie in
     the enclosing simplex.
     """
-    n = realization.n
-    if n > 4:
-        raise ResourceError("projection capped at n = 4")
-    n1 = n + 1
+    n1 = realization.n + 1
     if len(point) != n1:
         raise InputError("point has wrong length")
     x = [Fraction(p) for p in point]
@@ -362,12 +359,20 @@ def collapse_batch(realization: PermRealization) -> Callable[[np.ndarray], np.nd
 # ---------------------------------------------------------------------------
 
 
+def _exit_time(dirs: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Per row, the t > 0 at which center + t * dirs leaves the simplex:
+    the least (1 - c_i) / v_i over the coordinates with v_i < 0, inf
+    when there is none.  Taken column by column with np.minimum."""
+    t = np.full(len(dirs), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, v in zip(center, dirs.T):
+            t = np.minimum(t, np.where(v < 0, (1.0 - c) / v, np.inf))
+    return t
+
+
 def _radial_parameter(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
     """lambda in [0,1]: 0 at the simplex center, 1 on the boundary."""
-    v = pts - center
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(v < 0, (1.0 - center) / v, np.inf)
-    t_star = ratios.min(axis=1)
+    t_star = _exit_time(pts - center, center)
     lam = np.where(np.isfinite(t_star), 1.0 / t_star, 0.0)
     return np.clip(lam, 0.0, 1.0)
 
@@ -400,11 +405,6 @@ def twist_perturbation(n: int, angle: float) -> Callable[[np.ndarray], np.ndarra
     center = np.full(3, m / 3.0)
     basis = _hyperplane_basis(n)  # (2, 3)
 
-    def boundary_scale(dirs: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(dirs < 0, (1.0 - center) / dirs, np.inf)
-        return ratios.min(axis=1)
-
     def apply(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         v = pts - center
@@ -421,7 +421,7 @@ def twist_perturbation(n: int, angle: float) -> Callable[[np.ndarray], np.ndarra
         nz = np.linalg.norm(new_dir, axis=1) > 1e-14
         unit = new_dir[nz] / np.linalg.norm(new_dir[nz], axis=1, keepdims=True)
         # keep the radial parameter, swap in the rotated direction
-        out[nz] = center + (lam[nz] * boundary_scale(unit))[:, None] * unit
+        out[nz] = center + (lam[nz] * _exit_time(unit, center))[:, None] * unit
         return out
 
     return apply

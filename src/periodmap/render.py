@@ -24,16 +24,11 @@ from .bilinear import (
     Subspace,
     hyperbolic_plane_form,
     orth_complement,
+    positive_part,
     signature,
     standard_embedding,
-    sym_diagonalize,
 )
-from .decomposition import (
-    DecompositionData,
-    canonical_limit,
-    connected_sum_split,
-    product_split,
-)
+from .decomposition import DecompositionData, canonical_limit, product_split
 from .errors import DomainError, ResourceError
 from .face_constraints import SurfaceConfig, is_bounded_config
 from .grassmannian import (
@@ -304,22 +299,17 @@ def _lattice_screen(v: Sequence[float]) -> tuple[float, float]:
 
 
 def _limit_axis(form: GramForm) -> Subspace:
-    """Limit of the form's canonical split: the worked connected-sum or
-    product split when the form is theirs, else the split along the first
-    positive and the first negative direction of a diagonalization."""
-    if form.gram == connected_sum_split().ambient.gram:
-        data = connected_sum_split()
-    elif form.gram == hyperbolic_plane_form().gram:
+    """Limit of the form's canonical split: the product split's null line
+    for the hyperbolic plane, else the split into H1, the canonical
+    positive part of the whole space, and H2, its orthogonal complement."""
+    if form.gram == hyperbolic_plane_form().gram:
         data = product_split()
     else:
-        t, diag = sym_diagonalize(form.gram)
-        cols = list(zip(*t))
-        pos = [cols[i] for i, d in enumerate(diag) if d > 0]
-        neg = [cols[i] for i, d in enumerate(diag) if d < 0]
+        h1 = positive_part(form.full_subspace())
         data = DecompositionData(
             ambient=form,
-            H1=Subspace(form, [pos[0]]),
-            H2=Subspace(form, [neg[0]]),
+            H1=h1,
+            H2=orth_complement(h1),
             D=form.zero_subspace(),
             bhat1=1,
             bhat2=1,

@@ -154,6 +154,25 @@ def test_faces_config_file(capsys, tmp_path):
     assert "12 faces" in out
 
 
+def test_faces_answers_signature_2_2(capsys, tmp_path):
+    # no b+ = 1 summary exists here, so every face is Unconstrained
+    cfg = {
+        "gram": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+        "vectors": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "faces", "--config", str(path), "--chain", "1;1,2")
+    assert code == 0
+    assert "Unconstrained" in out
+    code, out, _ = run(capsys, "faces", "--config", str(path), "--json")
+    assert code == 0
+    rows = json.loads(out)["faces"]
+    assert len(rows) == 12
+    assert {row["kind"] for row in rows} == {"Unconstrained"}
+    assert [row["iplus"] for row in rows][:3] == [1, None, 1]
+
+
 def test_simplex_symmetric_vertices(capsys):
     code, out, _ = run(capsys, "simplex", "--preset", "symmetric", "--a", "3", "--json")
     assert code == 0

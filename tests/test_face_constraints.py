@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from periodmap import bilinear
 from periodmap.bilinear import GramForm, minkowski_form, signature
 from periodmap.errors import InputError, PreconditionError
 from periodmap.face_constraints import (
@@ -239,6 +240,34 @@ def test_iplus_one_for_leading_null_vector():
     assert iplus(cfg, ns2((1,))) == 1
     out = bplus1_summary(cfg, ns2((1,), (1, 2)))
     assert out.kind is ConstraintKind.IDEAL_POINT
+
+
+def test_face_constraint_diagonalizes_each_span_and_piece_once(monkeypatch):
+    # l spans and l + 1 pieces share one subspace (piece 1 is span 1);
+    # with the semi-positive sum and the fresh ambient form that is at
+    # most 2l + 2 congruence diagonalizations per face
+    calls = []
+    congruence = bilinear._congruence
+
+    def counting(m):
+        calls.append(1)
+        return congruence(m)
+
+    def fresh_faces():
+        # a new form for every face, so its own diagonalization counts
+        for name in ("fig6-i", "fig6-ii", "fig6-iii", "fig6-iv", "degenerate"):
+            for ns in all_faces(2):
+                yield preset(name), ns
+        rng = random.Random(7)
+        for n in (3, 4):
+            for _ in range(10):
+                yield random_config(rng, n), random_chain(rng, n)
+
+    monkeypatch.setattr(bilinear, "_congruence", counting)
+    for cfg, ns in fresh_faces():
+        calls.clear()
+        constraint_for_face(cfg, ns)
+        assert len(calls) <= 2 * len(ns.chain) + 2, (cfg.vectors, ns.chain, len(calls))
 
 
 def test_summary_point_for_indefinite_pair():

@@ -26,7 +26,7 @@ import os
 import random
 from fractions import Fraction
 
-from periodmap.bilinear import GramForm
+from periodmap.bilinear import GramForm, signature
 from periodmap.face_constraints import (
     SurfaceConfig,
     bplus1_summary,
@@ -146,6 +146,17 @@ def test_face_outputs_match_golden():
     assert len(all_cases) == len(golden) == 190
     for (label, cfg, ns), want in zip(all_cases, golden):
         assert face_record(label, cfg, ns) == want, (label, want["chain"])
+
+
+def test_face_iplus_matches_iplus_where_bplus_is_1():
+    lorentzian = [
+        (cfg, ns)
+        for _, cfg, ns in cases()
+        if signature(cfg.form) == (1, cfg.form.dim - 1, 0)
+    ]
+    assert len(lorentzian) == 166
+    for cfg, ns in lorentzian:
+        assert constraint_for_face(cfg, ns).iplus == iplus(cfg, ns), ns.chain
 
 
 if __name__ == "__main__":

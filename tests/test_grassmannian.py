@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from periodmap.bilinear import GramForm, Subspace, minkowski_form
+from periodmap.bilinear import GramForm, Subspace, minkowski_form, orth_complement
 from periodmap.errors import (
     DomainError,
     NumericalDomainError,
@@ -22,8 +22,9 @@ from periodmap.grassmannian import (
     mink_dot,
     rational_orthogonal_approximation,
     to_poincare_disk,
-    wall_subspace,
 )
+
+from oracles import orthogonalize_reference
 
 M2 = minkowski_form(2)
 
@@ -179,7 +180,7 @@ def test_point_witness_is_positive_and_in_span():
 
 def test_wall_subspace_of_negative_line():
     sub = Subspace(M2, [(0, 0, 1)])
-    wall = wall_subspace(sub)
+    wall = orth_complement(sub)
     assert wall.dim == 2
     assert wall.contains((1, 0, 0))
     assert wall.contains((0, 1, 0))
@@ -248,6 +249,47 @@ def test_rational_approximation_two_dim_pairwise_orthogonal():
     assert pos.evaluate(vecs[0], vecs[1]) == 0
     for v in vecs:
         assert pos.evaluate(v, v) > 0
+
+
+def test_rational_approximation_is_gram_schmidt_of_rounded_target():
+    # with max_denominator <= 32 the search makes one attempt, and eps = 2
+    # (above any principal angle) accepts it: the answer must be exactly
+    # Gram-Schmidt of the rounded rows, or a refusal when that fails
+    rng = random.Random(20261018)
+    cases = [
+        # positive definite as floats; rounded to integers the second row
+        # is null, and the first alone would be a positive answer
+        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.9]], 1),
+        # rounded to integers the rows are dependent
+        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1.0, 0.0, 0.0], [1.2, 0.1, 0.0]], 1),
+    ]
+    for _ in range(120):
+        d = rng.randint(2, 4)
+        gram = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3) + 4 * (i == j) * (i < 2)
+        k = rng.randint(1, 2)
+        target = [[rng.uniform(-2, 2) for _ in range(d)] for _ in range(k)]
+        cases.append((gram, target, rng.choice((3, 7, 32))))
+    answered = refused = 0
+    for gram, target, bound in cases:
+        rounded = [[Fraction(x).limit_denominator(bound) for x in v] for v in target]
+        want = orthogonalize_reference(gram, rounded)
+        try:
+            vecs, lcm = rational_orthogonal_approximation(
+                GramForm(gram), target, eps=2.0, max_denominator=bound
+            )
+        except DomainError:
+            continue  # the float target is not positive definite
+        except ResolutionError:
+            assert want is None, (gram, target, bound)
+            refused += 1
+            continue
+        assert vecs == want, (gram, target, bound)
+        assert lcm == math.lcm(*[x.denominator for v in vecs for x in v])
+        answered += 1
+    assert answered >= 20 and refused >= 3, (answered, refused)
 
 
 def test_rational_approximation_resolution_failure():

@@ -305,10 +305,24 @@ def test_projection_and_membership_match_face_sweep(n, count):
     assert min(kinds.values()) >= count // 5
 
 
-def test_projection_capped_at_n4():
+def test_projection_n5_meets_variational_inequality():
+    # the projection has no size cap beyond realize's n <= 6; z is the
+    # nearest point of P to x exactly when z lies in P and
+    # (x - z).(v - z) <= 0 for every vertex v
     r = realize(5)
-    with pytest.raises(ResourceError):
-        closest_point_map((Fraction(7, 2),) * 6, r)
+    rng = random.Random(55)
+    points = [(Fraction(7, 2),) * 6]
+    for _ in range(8):
+        weights = [Fraction(rng.randint(0, 20)) for _ in range(6)]
+        weights[rng.randrange(6)] += 1
+        points.append(tuple(1 + (r.total - 6) * w / sum(weights) for w in weights))
+    for x in points:
+        z = closest_point_map(x, r)
+        assert r.contains(z)
+        d = [a - b for a, b in zip(x, z)]
+        for v in r.vertices:
+            assert sum(di * (vi - zi) for di, vi, zi in zip(d, v, z)) <= 0
+    assert closest_point_map(points[0], r) == points[0]
     with pytest.raises(InputError):
         closest_point_map((2, 2), realize(2))
 
