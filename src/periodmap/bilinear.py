@@ -213,14 +213,16 @@ def _rank_int(rows: list[list[int]]) -> int:
 def _congruence(m: list[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
     """Symmetric Gauss elimination of an integer symmetric matrix, in place.
 
-    Takes exactly the steps of the rational algorithm documented in
-    ``sym_diagonalize`` (same swaps, same surgeries, same pivots), with
-    every basis update b_dst += f * b_src replaced by an integer
-    combination x_dst <- a * x_dst + b * x_src followed by division by
-    the gcd of x_dst.  Returns (cols, num, den): the rational
-    algorithm's column j is cols[j] * den[j] / num[j], and on return m
-    is diagonal with m[j][j] = L * (num[j] / den[j])**2 * diag_j when
-    the input was L times the rational gram matrix.
+    Takes exactly the steps of the rational symmetric Gauss algorithm:
+    use a nonzero diagonal pivot (swapping it into place), create one by
+    the surgery b_i <- b_i + b_j when only an off-diagonal entry is
+    nonzero, and clear the pivot row and column.  Every basis update
+    b_dst += f * b_src is replaced by an integer combination
+    x_dst <- a * x_dst + b * x_src followed by division by the gcd of
+    x_dst.  Returns (cols, num, den): the rational algorithm's column j
+    is cols[j] * den[j] / num[j], and on return m is diagonal with
+    m[j][j] = L * (num[j] / den[j])**2 * diag_j when the input was L
+    times the rational gram matrix, so cols^t (input) cols = m.
     """
     k = len(m)
     cols = [[int(i == j) for i in range(k)] for j in range(k)]
@@ -458,8 +460,7 @@ class GramForm:
     @cached_property
     def _columns(self) -> list[tuple[int, list[int], int, int]]:
         """The split of the whole space (see ``Subspace._split``), in the
-        identity basis, which every full subspace in its canonical basis
-        reads too."""
+        identity basis: the signature and the standard embedding read it."""
         m = [list(r) for r in self._igram]
         cols, num, den = _congruence(m)
         return [(m[j][j], c, den[j], num[j]) for j, c in enumerate(cols)]
@@ -513,8 +514,7 @@ class Subspace:
     first access.  So is the congruence diagonalization of the
     restricted form (``_split``), which every signature, positive part
     and radical of this instance reads.  It depends on the basis, so it
-    is kept per instance, not shared between equal subspaces; only the
-    whole space in its canonical basis, the identity, reads its form's.
+    is kept per instance, not shared between equal subspaces.
     """
 
     __slots__ = ("ambient", "_rows", "_basis", "_canonical", "_columns")
@@ -615,22 +615,19 @@ class Subspace:
     def _split(self) -> list[tuple[int, list[int], int, int]]:
         """(e, w, p, q) for every column of the exact diagonalization.
 
-        The column of ``sym_diagonalize(self.restricted_gram())`` mapped
-        through the basis is the vector w * p / q, and the integer e has
-        the sign of its diagonal entry.  Computed once per instance.
+        Column j of the rational congruence diagonalization of
+        ``self.restricted_gram()`` (see ``_congruence``), mapped through
+        the basis, is the vector w * p / q, and the integer e has the
+        sign of its diagonal entry.  Computed once per instance.
         """
         if self._columns is None:
-            if self._basis is None and self.dim == self.ambient.dim:
-                # the whole space in its canonical basis, the identity
-                self._columns = self.ambient._columns
-            else:
-                m, x, d = self._int_gram()
-                cols, num, den = _congruence(m)
-                xt = list(zip(*x))
-                self._columns = [
-                    (m[j][j], [_dot(c, col) for col in xt], den[j], num[j] * d)
-                    for j, c in enumerate(cols)
-                ]
+            m, x, d = self._int_gram()
+            cols, num, den = _congruence(m)
+            xt = list(zip(*x))
+            self._columns = [
+                (m[j][j], [_dot(c, col) for col in xt], den[j], num[j] * d)
+                for j, c in enumerate(cols)
+            ]
         return self._columns
 
     def restricted_gram(self) -> Matrix:
@@ -679,28 +676,6 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def sym_diagonalize(gram: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[Fraction]]:
-    """Congruence diagonalization of a symmetric rational matrix.
-
-    Returns (T, diag) where the columns of T are a basis with
-    T^t * gram * T = diag(diag).  Pure symmetric Gauss: use a nonzero
-    diagonal pivot, create one by a row/column surgery when only an
-    off-diagonal entry is nonzero, and clear the pivot row and column.
-    The elimination runs on an integer multiple of ``gram``; T and diag
-    are those of the same steps in rational arithmetic.
-    """
-    rows = [as_vector(r) for r in gram]
-    k = len(rows)
-    m, scale = _clear_all(rows)
-    cols, num, den = _congruence(m)
-    t = tuple(
-        tuple(Fraction(cols[j][i] * den[j], num[j]) for j in range(k))
-        for i in range(k)
-    )
-    diag = [Fraction(m[j][j] * den[j] ** 2, scale * num[j] ** 2) for j in range(k)]
-    return t, diag
-
-
 def signature(form: GramForm, sub: Subspace | None = None) -> Signature:
     """Inertia of the form, or of its restriction to a subspace."""
     if sub is None:
@@ -729,9 +704,10 @@ def is_negative_definite(sub: Subspace) -> bool:
 def positive_vectors(sub: Subspace) -> list[Vector]:
     """Basis vectors with positive diagonal entry in the exact diagonalization.
 
-    They are the columns of ``sym_diagonalize(sub.restricted_gram())``
-    with a positive diagonal entry, mapped through the basis of ``sub``,
-    and span a maximal positive subspace of it.
+    They are the columns of the congruence diagonalization of
+    ``sub.restricted_gram()`` with a positive diagonal entry, mapped
+    through the basis of ``sub``, and span a maximal positive subspace
+    of it.
     """
     return [
         tuple(Fraction(x * p, q) for x in w) for e, w, p, q in sub._split() if e > 0

@@ -17,7 +17,8 @@ from periodmap.bilinear import (
     standard_embedding,
     subspace_intersect,
     subspace_sum,
-    sym_diagonalize,
+    _congruence,
+    _int_det,
     _int_rows,
     _rank_int,
 )
@@ -156,8 +157,8 @@ def test_sym_diagonalize_is_congruence():
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4))
-        t, diag = sym_diagonalize([tuple(r) for r in m])
-        cols = list(zip(*t))
+        d = [list(map(int, r)) for r in m]
+        cols, _, _ = _congruence(d)
         for i in range(n):
             for j in range(n):
                 val = sum(
@@ -165,7 +166,8 @@ def test_sym_diagonalize_is_congruence():
                     for a in range(n)
                     for b in range(n)
                 )
-                assert val == (diag[i] if i == j else 0)
+                assert val == (d[i][i] if i == j else 0)
+        assert _int_det([[c[i] for c in cols] for i in range(n)]) != 0
 
 
 def test_subspace_canonical_equality():

@@ -173,6 +173,23 @@ def test_faces_answers_signature_2_2(capsys, tmp_path):
     assert [row["iplus"] for row in rows][:3] == [1, None, 1]
 
 
+def test_faces_answers_negative_definite(capsys, tmp_path):
+    # b+ = 0: no span has a positive direction and no b+ = 1 summary exists
+    cfg = {
+        "gram": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "vectors": [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "faces", "--config", str(path), "--json")
+    assert code == 0
+    rows = json.loads(out)["faces"]
+    assert len(rows) == 12
+    assert {row["kind"] for row in rows} == {"Unconstrained"}
+    assert {row["iplus"] for row in rows} == {None}
+    assert {row["determined"] for row in rows} == {None}
+
+
 def test_simplex_symmetric_vertices(capsys):
     code, out, _ = run(capsys, "simplex", "--preset", "symmetric", "--a", "3", "--json")
     assert code == 0

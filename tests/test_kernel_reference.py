@@ -13,6 +13,8 @@ from fractions import Fraction
 from periodmap.bilinear import (
     GramForm,
     Subspace,
+    _clear_all,
+    _congruence,
     _echelon_rows,
     _int_det,
     _int_rows,
@@ -22,7 +24,6 @@ from periodmap.bilinear import (
     _solve,
     nullspace,
     signature,
-    sym_diagonalize,
 )
 from periodmap.errors import PreconditionError
 
@@ -115,12 +116,26 @@ def test_integer_determinant_matches_charpoly():
         assert _int_det(rows) == (-1) ** n * charpoly_coeffs(rows)[-1]
 
 
+def _congruence_fractions(gram):
+    """(T, diag) of the rational algorithm, read off the integer
+    ``_congruence`` run on a multiple of ``gram`` (see its docstring)."""
+    k = len(gram)
+    m, scale = _clear_all(gram)
+    cols, num, den = _congruence(m)
+    t = tuple(
+        tuple(Fraction(cols[j][i] * den[j], num[j]) for j in range(k))
+        for i in range(k)
+    )
+    diag = [Fraction(m[j][j] * den[j] ** 2, scale * num[j] ** 2) for j in range(k)]
+    return t, diag
+
+
 def test_congruence_and_signature_match_reference():
     rng = random.Random(20233)
     for _ in range(CASES):
         k = rng.randint(1, 8)
         gram = _symmetric(rng, k)
-        assert sym_diagonalize(gram) == sym_diagonalize_reference(gram)
+        assert _congruence_fractions(gram) == sym_diagonalize_reference(gram)
         assert tuple(signature(GramForm(gram))) == signature_oracle(gram)
 
 
