@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, sqrt
 from operator import mul
 from typing import NamedTuple
@@ -811,8 +811,12 @@ def _embed(form: GramForm) -> StandardEmbedding:
     return StandardEmbedding(matrix=matrix, scales=scales)
 
 
+@cache
 def minkowski_form(n: int) -> GramForm:
-    """The standard diag(1, -1, ..., -1) form on R^{1,n}."""
+    """The standard diag(1, -1, ..., -1) form on R^{1,n}.
+
+    One shared form per n, so its cached split is computed once.
+    """
     if n < 1:
         raise InputError("minkowski form needs n >= 1")
     return GramForm(

@@ -11,8 +11,9 @@ Shortest vectors come from one Fincke-Pohst enumerator.  On a rational
 subspace the norm form is an integer matrix from start to finish: it is
 reduced by integral LLL, and the enumeration of the reduced form's
 whole seed ellipsoid is an exact certificate.  Floats appear only for
-hyperboloid points and in the supremum search over the disk, where the
-enumeration runs inside a box that provably holds the shortest vectors.
+hyperboloid points, where the enumeration runs inside a box that
+provably holds the shortest vectors, and in the supremum search over a
+disk patch, which enumerates the whole seed ellipsoid with no box.
 """
 
 from __future__ import annotations
@@ -65,21 +66,18 @@ class PeriodPoint:
     def __post_init__(self):
         if (self.subspace is None) == (self.point is None):
             raise InputError("set exactly one of subspace and point")
-        bp = signature(self.ambient).b_plus
         if self.subspace is not None:
             if self.subspace.ambient != self.ambient:
                 raise InputError("subspace ambient does not match")
+            bp = signature(self.ambient).b_plus
             sig = subspace_signature(self.subspace)
             if tuple(sig) != (self.subspace.dim, 0, 0) or self.subspace.dim != bp:
                 raise PreconditionError(
                     f"period subspace must be maximal positive definite,"
                     f" got signature {tuple(sig)} with b+ = {bp}"
                 )
-        else:
-            if self.ambient.gram != minkowski_form(self.point.n).gram:
-                raise PreconditionError(
-                    "the hyperboloid path needs the standard diagonal form"
-                )
+        elif self.ambient != minkowski_form(self.point.n):
+            raise PreconditionError("the hyperboloid path needs the standard diagonal form")
 
     @property
     def is_exact(self) -> bool:
@@ -184,40 +182,6 @@ class SystoleResult:
 MAX_ENUMERATION = 4 * 10**7
 
 
-def _clip(radii: list, lattice_bound: int | None) -> list:
-    """Box radii cut to ``lattice_bound``; boxes above MAX_ENUMERATION
-    points are refused."""
-    if lattice_bound is not None:
-        radii = [min(r, lattice_bound) for r in radii]
-    count = math.prod(2 * r + 1 for r in radii)
-    if count > MAX_ENUMERATION:
-        raise ResourceError(
-            f"enumeration box of {count} points exceeds the supported size"
-        )
-    return radii
-
-
-def _box_radii(m, lattice_bound):
-    """Seed value, clipped box radii and the radius a certificate needs,
-    for a float norm matrix.
-
-    The seed, the smallest diagonal entry of ``m``, is the norm of a basis
-    vector; every w with w^t m w <= seed has |w_i| <= sqrt(seed (m^-1)_ii),
-    rounded up with slack.
-    """
-    d = len(m)
-    seed = min(m[i][i] for i in range(d))
-    try:
-        minv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError("norm matrix is numerically singular") from exc
-    bounds = [seed * minv[i][i] for i in range(d)]
-    if seed <= 0 or min(bounds) < 0:
-        raise NumericalDomainError("norm matrix is not positive definite")
-    radii = [math.floor(math.sqrt(b + 1e-9) + 1e-9) + 1 for b in bounds]
-    return seed, _clip(radii, lattice_bound), max(radii)
-
-
 def _exact_radii(form: GramForm, n: list[list[int]], scale: int) -> list[int]:
     """Radii of the box holding every w with w^t M w <= seed, M = n / scale.
 
@@ -318,7 +282,8 @@ def _shortest(m, seed, radii=None):
     Fincke-Pohst enumeration (Cohen, A Course in Computational Algebraic
     Number Theory, 2.7.3) completes squares from the last coordinate in,
     visiting only vectors inside the ellipsoid w^t m w <= bound, and only
-    those in the box of ``radii`` when that is given; the bound starts at
+    those in the box of ``radii`` when that is given (a box of more than
+    MAX_ENUMERATION points is refused); the bound starts at
     ``seed``, the norm of some lattice vector, and falls to the best value
     found, so without a box the search is complete.  The squares come
     from pivot-scaled (Bareiss) Schur complements: with p_k the k-th
@@ -348,7 +313,15 @@ def _shortest(m, seed, radii=None):
             for j in range(k + 1, d):
                 b[i][j] = div(b[k][k] * b[i][j] - b[i][k] * b[k][j], p[k])
         p.append(b[k][k])
-    cap = [math.inf] * d if radii is None else radii
+    if radii is None:
+        cap = [math.inf] * d
+    else:
+        count = math.prod(2 * r + 1 for r in radii)
+        if count > MAX_ENUMERATION:
+            raise ResourceError(
+                f"enumeration box of {count} points exceeds the supported size"
+            )
+        cap = radii
     x = [0] * d
     found = []
     bound = tie(seed)
@@ -401,12 +374,13 @@ def conf_systole(
     result still reports ``needed_radius``, the radius of the coordinate
     box that provably holds every shortest vector (any vector outside
     it is longer than the best standard basis vector); ``bound_used``
-    equals it.  Hyperboloid points use floats and enumerate that box.
+    equals it.  Hyperboloid points use floats and enumerate that box,
+    refused above MAX_ENUMERATION points.
 
     When ``lattice_bound`` (an int of at least 1) is below the needed
     radius, the box cut to that radius is searched instead, without
-    reduction and refused above MAX_ENUMERATION points, and the result
-    is flagged uncertified with ``bound_used`` the cap.
+    reduction and with the same size guard, and the result is flagged
+    uncertified with ``bound_used`` the cap.
     ``lattice_scale``, an int of at least 1, evaluates the systole of
     the scaled sublattice (scale * Z^d).
     """
@@ -418,7 +392,7 @@ def conf_systole(
         radii = _exact_radii(pp.ambient, n, scale)
         needed = max(radii)
         if lattice_bound is not None and lattice_bound < needed:
-            radii = _clip(radii, lattice_bound)
+            radii = [min(r, lattice_bound) for r in radii]
             best, reps = _shortest(n, min(n[i][i] for i in range(len(n))), radii)
         else:
             u, g = _lll(n)
@@ -427,7 +401,15 @@ def conf_systole(
         best = Fraction(best, scale)
     else:
         m = _norm_matrix_float(pp.point.coords).tolist()
-        seed, radii, needed = _box_radii(m, lattice_bound)
+        d = len(m)
+        seed = min(m[i][i] for i in range(d))
+        # the bound of _exact_radii, sqrt(seed (M^-1)_ii) with M^-1 = G M G:
+        # for G = diag(1, -1, ..., -1) that is sqrt(seed M_ii), rounded up
+        # with slack
+        radii = [math.floor(math.sqrt(seed * m[i][i] + 1e-9) + 1e-9) + 1 for i in range(d)]
+        needed = max(radii)
+        if lattice_bound is not None:
+            radii = [min(r, lattice_bound) for r in radii]
         best, reps = _shortest(m, seed, radii)
 
     return SystoleResult(
@@ -447,12 +429,14 @@ def conf_systole(
 # ---------------------------------------------------------------------------
 
 
+PATCH_RADIUS = 0.9  # the searched disk patch; the objective is -inf outside it
+MAX_REFINE_ROUNDS = 60
+
+
 @dataclass(frozen=True)
 class CsSearchConfig:
     grid: float = 0.05
-    patch_radius: float = 0.9
     refine_tol: float = 1e-6
-    max_refine_rounds: int = 60
 
 
 @dataclass(frozen=True)
@@ -472,7 +456,12 @@ class CsResult:
 
 
 class _DiskObjective:
-    """conf as a function of Poincare-disk coordinates, via the embedding."""
+    """conf as a function of Poincare-disk coordinates, via the embedding.
+
+    Inside the patch of radius PATCH_RADIUS the value is the minimum over
+    the whole seed ellipsoid, with no box; outside it is -inf and nothing
+    is enumerated, which bounds the work of one evaluation.
+    """
 
     def __init__(self, form: GramForm):
         sig = signature(form)
@@ -491,14 +480,12 @@ class _DiskObjective:
         self.evaluations = 0
 
     def __call__(self, disk: Sequence[float]) -> float:
-        r2 = sum(x * x for x in disk)
-        if r2 >= 0.999999:
+        if sum(x * x for x in disk) > PATCH_RADIUS * PATCH_RADIUS:
             return -math.inf
         u = self.back @ np.array(disk_to_hpoint(disk).coords)
         self.evaluations += 1
         m = _norm_matrix_float(u, self.gram).tolist()
-        seed, radii, _ = _box_radii(m, None)
-        return math.sqrt(_shortest(m, seed, radii)[0])
+        return math.sqrt(_shortest(m, min(m[i][i] for i in range(len(m))))[0])
 
 
 def _grid_points(n: int, radius: float, step: float):
@@ -532,23 +519,26 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 def cs_supremum(form: GramForm, search: CsSearchConfig | None = None) -> CsResult:
     """Best-found supremum of the conformal systole over period points.
 
-    Coarse deterministic grid over a Poincare-disk patch, then
-    coordinate-wise golden-section refinement around the best grid
-    point.  The result is the best value found at the stated
-    resolution; no global optimality is claimed beyond it.
+    Coarse deterministic grid over the Poincare-disk patch of radius
+    PATCH_RADIUS, then coordinate-wise golden-section refinement around
+    the best grid point, for at most MAX_REFINE_ROUNDS rounds.  Each
+    evaluation enumerates the whole seed ellipsoid of the norm form, so
+    no box size guard refuses a point of the patch.  The
+    result is the best value found at the stated resolution; no global
+    optimality is claimed beyond it.
     """
     cfg = search or CsSearchConfig()
     obj = _DiskObjective(form)
     best_pt = (0.0,) * obj.n
     best_val = obj(best_pt)
-    for pt in _grid_points(obj.n, cfg.patch_radius, cfg.grid):
+    for pt in _grid_points(obj.n, PATCH_RADIUS, cfg.grid):
         val = obj(pt)
         if val > best_val + 1e-15:
             best_val, best_pt = val, pt
 
     span = cfg.grid
     pt = list(best_pt)
-    for _ in range(cfg.max_refine_rounds):
+    for _ in range(MAX_REFINE_ROUNDS):
         moved = 0.0
         for axis in range(obj.n):
             lo, hi = pt[axis] - span, pt[axis] + span
@@ -630,7 +620,7 @@ def rational_disk_period_point(
     if r2 >= 1:
         raise DomainError("disk point must have norm < 1")
     gen = [1 + r2] + [2 * x for x in dd]
-    if form.gram != minkowski_form(len(dd)).gram:
+    if form != minkowski_form(len(dd)):
         raise PreconditionError("rational disk path needs the standard diagonal form")
     return period_point(Subspace(form, [gen]))
 

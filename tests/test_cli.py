@@ -284,6 +284,15 @@ def test_systole_sup(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert abs(data["cs"] - (4.0 / 3.0) ** 0.25) < 1e-4
+    # a rank-3 search used to exit 1 on the enumeration box's size guard
+    form = write_form(
+        tmp_path, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], "rank3.json"
+    )
+    code, out, _ = run(
+        capsys, "systole", "--config", form, "--sup", "--grid", "0.1", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["cs"] >= 1.0
 
 
 def test_systole_requires_mode(capsys, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from periodmap import bilinear
 from periodmap.bilinear import GramForm, Subspace, hyperbolic_plane_form, minkowski_form
 from periodmap.errors import (
     DomainError,
@@ -15,8 +16,10 @@ from periodmap.errors import (
 )
 from periodmap.grassmannian import HPoint, disk_to_hpoint, hyperbolic_distance
 from periodmap.systole import (
+    PATCH_RADIUS,
     CsSearchConfig,
     PeriodPoint,
+    _DiskObjective,
     _lll,
     _shortest,
     conf_systole,
@@ -77,6 +80,21 @@ def test_period_point_must_be_maximal_positive():
 def test_float_path_needs_diagonal_form():
     with pytest.raises(PreconditionError):
         PeriodPoint(ambient=HYP, point=HPoint((1.0, 0.0)))
+
+
+def test_float_period_points_share_one_form_split(monkeypatch):
+    # each float point used to build its own standard form and diagonalize
+    # it; the shared form is split at most once
+    calls = []
+    congruence = bilinear._congruence
+    monkeypatch.setattr(
+        bilinear, "_congruence", lambda m: calls.append(1) or congruence(m)
+    )
+    rng = random.Random(11)
+    for _ in range(100):
+        disk = [rng.uniform(-0.6, 0.6) for _ in range(2)]
+        period_point_from_hpoint(disk_to_hpoint(disk))
+    assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +504,59 @@ def test_cs_supremum_never_below_sampled_conf():
     for frac in (F(0), F(1, 10), F(-3, 20), F(1, 4)):
         sampled = conf_systole(rational_disk_period_point(DIAG, (frac,)))
         assert res.value >= sampled.value - 1e-9
+
+
+def test_cs_supremum_searches_rank_3():
+    # grid points near the patch's rim and diagonal once needed enumeration
+    # boxes above the size guard (grid 0.2 misses them, grid 0.1 does not)
+    res = cs_supremum(minkowski_form(3), CsSearchConfig(grid=0.1))
+    centre = conf_systole(period_point_from_hpoint(disk_to_hpoint((0.0,) * 3)))
+    assert centre.value == 1.0
+    assert res.value >= centre.value
+    at = conf_systole(period_point_from_hpoint(disk_to_hpoint(res.disk_point)))
+    assert abs(res.value - at.value) < 1e-12
+
+
+def test_disk_objective_is_the_float_systole():
+    # the objective enumerates no box, so it answers points whose box the
+    # size guard refuses (n = 3 from about rho = 0.87); there the float
+    # systole is searched in a capped box that still holds every shortest
+    # vector: det M = 1 bounds the minimum by Hermite's constant,
+    # gamma_d <= sqrt(2) for d <= 4, and w^t M w <= sqrt(2) gives
+    # |w_i| <= sqrt(sqrt(2) M_ii) <= 16.1 at rho <= 0.9
+    rng = random.Random(8128)
+    refused = 0
+    for n in (1, 2, 3):
+        obj = _DiskObjective(minkowski_form(n))
+        points = [
+            (rng.uniform(0.0, 0.9), [rng.gauss(0.0, 1.0) for _ in range(n)])
+            for _ in range(20)
+        ]
+        # near the rim and the diagonal, where the box is largest
+        points += [
+            (rng.uniform(0.87, 0.9), [rng.uniform(0.8, 1.2) for _ in range(n)])
+            for _ in range(8)
+        ]
+        for rho, direction in points:
+            norm = math.sqrt(sum(x * x for x in direction))
+            disk = [rho * x / norm for x in direction]
+            pp = period_point_from_hpoint(disk_to_hpoint(disk))
+            try:
+                want = conf_systole(pp)
+            except ResourceError:
+                refused += 1
+                want = conf_systole(pp, lattice_bound=17)
+            assert obj(disk) == want.value, disk
+        assert obj.evaluations == len(points)
+    assert refused >= 4
+
+
+def test_disk_objective_is_minus_inf_outside_the_patch():
+    obj = _DiskObjective(minkowski_form(2))
+    assert obj((PATCH_RADIUS, 0.0)) > 0.0
+    assert obj((0.0, PATCH_RADIUS + 1e-9)) == -math.inf
+    assert obj((0.7, -0.7)) == -math.inf
+    assert obj.evaluations == 1
 
 
 def test_cs_invariance_under_unimodular_congruence():
