@@ -282,10 +282,11 @@ def _shortest(m, seed, radii=None):
     Fincke-Pohst enumeration (Cohen, A Course in Computational Algebraic
     Number Theory, 2.7.3) completes squares from the last coordinate in,
     visiting only vectors inside the ellipsoid w^t m w <= bound, and only
-    those in the box of ``radii`` when that is given (a box of more than
-    MAX_ENUMERATION points is refused); the bound starts at
+    those in the box of ``radii`` when that is given; the bound starts at
     ``seed``, the norm of some lattice vector, and falls to the best value
-    found, so without a box the search is complete.  The squares come
+    found, so without a box the search is complete.  A box of more than
+    MAX_ENUMERATION points is refused up front, and any search once the
+    coordinate ranges it has entered hold more nodes.  The squares come
     from pivot-scaled (Bareiss) Schur complements: with p_k the k-th
     leading principal minor and V the scaled form of the fixed tail,
     |p_k w_k + s_k| <= sqrt((bound p_k - V) p_{k-1}), so an integer ``m``
@@ -313,23 +314,19 @@ def _shortest(m, seed, radii=None):
             for j in range(k + 1, d):
                 b[i][j] = div(b[k][k] * b[i][j] - b[i][k] * b[k][j], p[k])
         p.append(b[k][k])
-    if radii is None:
-        cap = [math.inf] * d
-    else:
-        count = math.prod(2 * r + 1 for r in radii)
-        if count > MAX_ENUMERATION:
-            raise ResourceError(
-                f"enumeration box of {count} points exceeds the supported size"
-            )
-        cap = radii
+    cap = [math.inf] * d if radii is None else radii
+    count = 0 if radii is None else math.prod(2 * r + 1 for r in radii)
+    if count > MAX_ENUMERATION:
+        raise ResourceError(f"enumeration box of {count} points exceeds the supported size")
     x = [0] * d
     found = []
     bound = tie(seed)
+    nodes = 0
 
     def visit(k, tail, free):
         # tail = V_{k+1}; free once a later coordinate is nonzero, else
         # w_k >= 0 keeps one vector of each sign pair
-        nonlocal bound
+        nonlocal bound, nodes
         s = sum(b[k][j] * x[j] for j in range(k + 1, d))
         room = (bound * p[k + 1] - tail) * p[k]
         if room < 0:
@@ -337,6 +334,9 @@ def _shortest(m, seed, radii=None):
         r = root(room)
         lo = max(-cap[k] if free else 0, int(-((r + s) // p[k + 1])))
         hi = min(cap[k], int((r - s) // p[k + 1]))
+        nodes += max(0, hi - lo + 1)
+        if nodes > MAX_ENUMERATION:
+            raise ResourceError(f"enumeration passed {MAX_ENUMERATION} nodes")
         for xk in range(lo, hi + 1):
             x[k] = xk
             t = p[k + 1] * xk + s
@@ -401,15 +401,14 @@ def conf_systole(
         best = Fraction(best, scale)
     else:
         m = _norm_matrix_float(pp.point.coords).tolist()
-        d = len(m)
-        seed = min(m[i][i] for i in range(d))
-        # the bound of _exact_radii, sqrt(seed (M^-1)_ii) with M^-1 = G M G:
-        # for G = diag(1, -1, ..., -1) that is sqrt(seed M_ii), rounded up
-        # with slack
-        radii = [math.floor(math.sqrt(seed * m[i][i] + 1e-9) + 1e-9) + 1 for i in range(d)]
+        seed = min(m[i][i] for i in range(len(m)))
+        # the bound of _exact_radii, sqrt(seed (M^-1)_ii), with M^-1 = G M G
+        # for G = diag(1, -1, ..., -1), rounded up with slack
+        radii = [
+            math.floor(math.sqrt(seed * m[i][i] + 1e-9) + 1e-9) + 1 for i in range(len(m))
+        ]
         needed = max(radii)
-        if lattice_bound is not None:
-            radii = [min(r, lattice_bound) for r in radii]
+        radii = [min(r, lattice_bound or r) for r in radii]
         best, reps = _shortest(m, seed, radii)
 
     return SystoleResult(
@@ -459,8 +458,10 @@ class _DiskObjective:
     """conf as a function of Poincare-disk coordinates, via the embedding.
 
     Inside the patch of radius PATCH_RADIUS the value is the minimum over
-    the whole seed ellipsoid, with no box; outside it is -inf and nothing
-    is enumerated, which bounds the work of one evaluation.
+    the whole seed ellipsoid, with no box; outside it is -inf.  Every norm
+    form of the patch is within a factor ((1 + r) / (1 - r))^2 of the one
+    at its centre, r = PATCH_RADIUS, so enumerating in a lattice basis
+    LLL-reduced for that one bounds the work by the rank alone.
     """
 
     def __init__(self, form: GramForm):
@@ -471,12 +472,15 @@ class _DiskObjective:
             )
         self.n = form.dim - 1
         emb = standard_embedding(form)
-        cols = np.array(
-            [[float(x) for x in row] for row in emb.matrix], dtype=float
-        )  # rows of emb.matrix are rows; columns are basis vectors
-        scales = np.array([math.sqrt(float(s)) for s in emb.scales])
-        self.back = cols / scales[np.newaxis, :]  # maps R^{1,n} coords to form space
-        self.gram = np.array([[float(x) for x in r] for r in form.gram])
+        # the rows of u span the lattice, reduced for the norm form at the
+        # patch centre (the first embedding column); back maps R^{1,n}
+        # coordinates to coordinates in that basis, U^-1 emb.matrix
+        centre = period_point(Subspace(form, [[row[0] for row in emb.matrix]]))
+        u, _ = _lll(_norm_matrix_int(centre)[0])
+        inv = [[_int_det(u) * a for a in row] for row in zip(*_int_adjugate(u))]
+        cols = [[_dot(row, col) for col in zip(*emb.matrix)] for row in inv]
+        self.back = np.array(cols, dtype=float) / np.sqrt(np.array(emb.scales, dtype=float))
+        self.gram = np.array([[form.evaluate(a, b) for b in u] for a in u], dtype=float)
         self.evaluations = 0
 
     def __call__(self, disk: Sequence[float]) -> float:
@@ -521,11 +525,9 @@ def cs_supremum(form: GramForm, search: CsSearchConfig | None = None) -> CsResul
 
     Coarse deterministic grid over the Poincare-disk patch of radius
     PATCH_RADIUS, then coordinate-wise golden-section refinement around
-    the best grid point, for at most MAX_REFINE_ROUNDS rounds.  Each
-    evaluation enumerates the whole seed ellipsoid of the norm form, so
-    no box size guard refuses a point of the patch.  The
-    result is the best value found at the stated resolution; no global
-    optimality is claimed beyond it.
+    the best grid point, for at most MAX_REFINE_ROUNDS rounds and inside
+    the same patch.  The result is the best value found at the stated
+    resolution; no global optimality is claimed beyond it.
     """
     cfg = search or CsSearchConfig()
     obj = _DiskObjective(form)

@@ -255,13 +255,17 @@ def test_face_constraint_diagonalizes_each_span_and_piece_once(monkeypatch):
 
     def fresh_faces():
         # a new form for every face, so its own diagonalization counts
+        # (the presets build theirs from the shared minkowski_form)
+        def fresh(cfg):
+            return SurfaceConfig(GramForm(cfg.form.gram), cfg.vectors)
+
         for name in ("fig6-i", "fig6-ii", "fig6-iii", "fig6-iv", "degenerate"):
             for ns in all_faces(2):
-                yield preset(name), ns
+                yield fresh(preset(name)), ns
         rng = random.Random(7)
         for n in (3, 4):
             for _ in range(10):
-                yield random_config(rng, n), random_chain(rng, n)
+                yield fresh(random_config(rng, n)), random_chain(rng, n)
 
     monkeypatch.setattr(bilinear, "_congruence", counting)
     for cfg, ns in fresh_faces():

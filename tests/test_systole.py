@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from periodmap import bilinear
+from periodmap import bilinear, systole
 from periodmap.bilinear import GramForm, Subspace, hyperbolic_plane_form, minkowski_form
 from periodmap.errors import (
     DomainError,
@@ -549,6 +549,25 @@ def test_disk_objective_is_the_float_systole():
             assert obj(disk) == want.value, disk
         assert obj.evaluations == len(points)
     assert refused >= 4
+
+
+def test_cs_supremum_reduces_a_skewed_basis(monkeypatch):
+    # the images of minkowski_form(2) under a unimodular matrix with entries
+    # k and k^2 once needed an enumeration box of about k^6 points; in the
+    # basis reduced at the patch centre no evaluation enters 100 nodes
+    want = cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2)).value
+    monkeypatch.setattr(systole, "MAX_ENUMERATION", 100)
+    for k in (30, 10**4, 10**9):
+        u = np.array([[1 + k * k, k, 0], [k, 1, k], [0, 0, 1]], dtype=object)
+        gram = u.T @ np.diag([1, -1, -1]).astype(object) @ u
+        res = cs_supremum(GramForm(gram.tolist()), CsSearchConfig(grid=0.2))
+        assert abs(res.value - want) < 1e-3, k
+
+
+def test_enumeration_refuses_past_the_node_limit():
+    # no box: the first coordinate range alone holds 10^8 + 1 nodes
+    with pytest.raises(ResourceError, match="nodes"):
+        _shortest([[1, 0], [0, 1]], 10**16)
 
 
 def test_disk_objective_is_minus_inf_outside_the_patch():
