@@ -29,7 +29,6 @@ from .errors import (
     InputError,
     NumericalDomainError,
     PreconditionError,
-    ResolutionError,
     ResourceError,
 )
 from .face_constraints import (
@@ -62,7 +61,6 @@ _USER_ERRORS = (
     PreconditionError,
     InconsistentDataError,
     ResourceError,
-    ResolutionError,
 )
 
 

@@ -31,16 +31,5 @@ class InconsistentDataError(ValueError):
     """Structured data whose pieces contradict each other."""
 
 
-class ResolutionError(RuntimeError):
-    """A requested tolerance could not be met.
-
-    Carries the tolerance actually achieved in ``achieved`` when known.
-    """
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class ResourceError(RuntimeError):
     """The request exceeds the documented size guard of an operation."""

@@ -35,7 +35,6 @@ from .bilinear import (
     subspace_sum,
 )
 from .errors import (
-    DomainError,
     InconsistentDataError,
     InputError,
     PreconditionError,
@@ -287,7 +286,9 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
     v_i.  Each size-n subset must span a negative definite subspace;
     the generators are scaled to primitive integer vectors with the
     pairing against the omitted vector made positive, a determinate
-    normalization.
+    normalization.  The configuration's vectors are independent and as
+    many as the ambient dimension, so each complement is a line and the
+    lines are the dual-basis directions, which are independent.
     """
     _require_lorentzian(cfg)
     k = len(cfg.vectors)
@@ -303,10 +304,7 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
             raise PreconditionError(
                 f"vectors {indices} do not span a negative definite subspace"
             )
-        perp = orth_complement(span)
-        if perp.dim != 1:
-            raise InconsistentDataError("wall intersection is not a line")
-        gen = list(primitive_vector(perp.canonical[0]))
+        gen = list(primitive_vector(orth_complement(span).canonical[0]))
         if cfg.form.evaluate(gen, gen) <= 0:
             raise InconsistentDataError("wall vertex line is not positive")
         # orient toward the omitted wall vector
@@ -314,9 +312,6 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
         if pair < 0:
             gen = [-x for x in gen]
         lines.append(tuple(gen))
-
-    if Subspace.spanned_by(cfg.form, lines).dim != k:
-        raise DomainError("vertex lines are dependent; the simplex is degenerate")
     return lines
 
 

@@ -19,10 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .bilinear import (
-    GramForm,
     Signature,
     Subspace,
-    as_vector,
     positive_vectors,
     signature,
     subspace_signature,
@@ -30,10 +28,8 @@ from .bilinear import (
 )
 from .errors import (
     DomainError,
-    InputError,
     NumericalDomainError,
     PreconditionError,
-    ResolutionError,
 )
 
 DISTANCE_CLAMP = 1e-9
@@ -229,89 +225,3 @@ def geodesic_endpoints(
     out.sort(key=lambda p: math.atan2(p[1], p[0]))
     return out[0], out[1]
 
-
-# ---------------------------------------------------------------------------
-# rational approximation of positive subspaces
-# ---------------------------------------------------------------------------
-
-
-def _principal_angle_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest principal angle between the column spans (euclidean)."""
-    qa, _ = np.linalg.qr(a)
-    qb, _ = np.linalg.qr(b)
-    cos_sv = np.clip(np.linalg.svd(qa.T @ qb, compute_uv=False), -1.0, 1.0)
-    theta = float(np.max(np.arccos(cos_sv))) if cos_sv.size else 0.0
-    if theta < 0.5:
-        # arccos loses half the significant digits near angle zero
-        sin_sv = np.clip(
-            np.linalg.svd(qb - qa @ (qa.T @ qb), compute_uv=False), 0.0, 1.0
-        )
-        theta = float(np.max(np.arcsin(sin_sv))) if sin_sv.size else 0.0
-    return theta
-
-
-def rational_orthogonal_approximation(
-    form: GramForm,
-    target_basis: Sequence[Sequence[float]],
-    eps: float,
-    max_denominator: int = 10**6,
-) -> tuple[list[tuple[Fraction, ...]], int]:
-    """Pairwise orthogonal rational vectors spanning a nearby positive span.
-
-    ``target_basis`` spans a positive-definite subspace of ``form`` (in
-    form coordinates, float or rational entries).  Entries are rounded
-    by continued fractions under ``max_denominator`` and re-orthogonalized
-    exactly by the diagonalization of their span, which on a positive
-    definite span is Gram-Schmidt in the form's pairing.  The result is
-    accepted only if the largest principal angle to the target stays
-    below ``eps``.  Returns the vectors and the least common multiple N
-    of their denominators (so N times each vector is integral).
-
-    Raises ResolutionError (with the achieved distance) when the
-    denominator budget cannot reach ``eps``, and DomainError when the
-    target is not positive definite.
-    """
-    rows = [[float(x) for x in v] for v in target_basis]
-    if not rows:
-        raise DomainError("target subspace must have positive dimension")
-    a = np.array(rows, dtype=float).T  # columns span the target
-    g = np.array([[float(x) for x in r] for r in form.gram])
-    restricted = a.T @ g @ a
-    eig = np.linalg.eigvalsh((restricted + restricted.T) / 2.0)
-    if np.min(eig) <= 1e-9 * max(1.0, float(np.max(np.abs(eig)))):
-        raise DomainError("target subspace is not positive definite")
-
-    def attempt(bound: int):
-        approx = [
-            [Fraction(x).limit_denominator(bound) for x in row] for row in rows
-        ]
-        try:
-            sub = Subspace(form, approx)
-        except InputError:  # rounding made the rows dependent
-            return None
-        ortho = positive_vectors(sub)
-        return ortho if len(ortho) == sub.dim else None
-
-    best = None
-    best_dist = math.inf
-    bound = 32
-    while True:
-        bound = min(bound, max_denominator)
-        ortho = attempt(bound)
-        if ortho is not None:
-            b = np.array([[float(x) for x in u] for u in ortho], dtype=float).T
-            dist = _principal_angle_distance(a, b)
-            if dist < best_dist:
-                best, best_dist = ortho, dist
-            if dist <= eps:
-                break
-        if bound == max_denominator:
-            raise ResolutionError(
-                f"cannot reach distance {eps} with denominators <= {max_denominator}"
-                f" (achieved {best_dist})",
-                achieved=best_dist,
-            )
-        bound *= 32
-
-    lcm = math.lcm(*[x.denominator for u in best for x in u])
-    return best, lcm

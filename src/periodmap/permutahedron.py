@@ -106,31 +106,6 @@ class NestedSequence:
         return NestedSequence(n, chain)
 
 
-@dataclass(frozen=True)
-class SimplexFace:
-    """Face of the simplex where the coordinates in `pinned` sit at the
-    lower bound; codimension equals len(pinned)."""
-
-    n: int
-    pinned: tuple[int, ...]
-
-    def __post_init__(self):
-        s = set(self.pinned)
-        ground = set(range(1, self.n + 2))
-        if len(s) != len(self.pinned) or not s or not s < ground:
-            raise InputError("pinned set must be a nonempty proper subset")
-        object.__setattr__(self, "pinned", tuple(sorted(s)))
-
-    def contains_face(self, other: "SimplexFace") -> bool:
-        # smaller faces pin more coordinates
-        if self.n != other.n:
-            raise InputError("simplex dimension mismatch")
-        return set(self.pinned) <= set(other.pinned)
-
-    def __str__(self):
-        return "{" + ",".join(map(str, self.pinned)) + "}"
-
-
 def enumerate_faces(n: int, codim: int) -> list[NestedSequence]:
     """All chains of the given length, each once, in lexicographic order."""
     if not 1 <= codim <= n:
@@ -151,18 +126,6 @@ def all_faces(n: int) -> list[NestedSequence]:
     for codim in range(1, n + 1):
         out.extend(enumerate_faces(n, codim))
     return out
-
-
-def face_leq(a: NestedSequence, b: NestedSequence) -> bool:
-    """a is a (not necessarily proper) subface of b: b.chain inside a.chain."""
-    if a.n != b.n:
-        raise InputError("chains live in different permutahedra")
-    return set(b.chain) <= set(a.chain)
-
-
-def forgetful(ns: NestedSequence) -> SimplexFace:
-    """Target simplex face: the largest subset of the chain, pinned low."""
-    return SimplexFace(ns.n, ns.chain[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -631,48 +594,6 @@ def check_face_mapping_surjectivity(
         face_violations=tuple(violations),
         samples_used=len(samples),
     )
-
-
-# ---------------------------------------------------------------------------
-# boundary samples where collapse-after-projection restores the input
-# ---------------------------------------------------------------------------
-
-
-def identity_boundary_samples(n: int, count: int, seed: int = 0) -> list[tuple]:
-    """Rational points on the simplex boundary fixed by projection
-    followed by collapse.
-
-    These live in the middle of each facet: the pinned coordinate is at
-    the bound and all other slacks clear the damping threshold, so the
-    projection returns the point itself and the collapse moves nothing.
-    Boundary regions cut off by the truncation (near simplex corners and
-    all faces of codimension 2 and higher) are genuinely not fixed; see
-    the module tests for the corner behavior.
-    """
-    if n not in (2, 3):
-        raise InputError("identity sampling implemented for n in {2, 3}")
-    import random as _random
-
-    rng = _random.Random(seed)
-    m = plane_total(n)
-    out = []
-    for k in range(count):
-        facet = k % (n + 1)  # pinned coordinate index, 0-based
-        if n == 2:
-            # free coordinates in [2.3, 2.7], summing to m - 1 = 5
-            a = Fraction(rng.randint(2300, 2700), 1000)
-            free = [a, Fraction(5) - a]
-        else:
-            # free coordinates near 3, inside [2.4, 3.6], summing to 9
-            a = Fraction(rng.randint(2700, 3300), 1000)
-            b = Fraction(rng.randint(2700, 3300), 1000)
-            free = [a, b, Fraction(9) - a - b]
-        point = []
-        it = iter(free)
-        for i in range(n + 1):
-            point.append(Fraction(1) if i == facet else next(it))
-        out.append(tuple(point))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ a positive definite quadratic form on the lattice.  The conformal
 systole is its minimum over nonzero integer vectors; the supremum of
 that minimum over all period points is a lattice invariant.
 
-Shortest vectors come from one Fincke-Pohst enumerator.  On a rational
-subspace the norm form is an integer matrix from start to finish: it is
-reduced by integral LLL, and the enumeration of the reduced form's
-whole seed ellipsoid is an exact certificate.  Floats appear only for
-hyperboloid points, where the enumeration runs inside a box that
-provably holds the shortest vectors, and in the supremum search over a
-disk patch, which enumerates the whole seed ellipsoid with no box.
+Shortest vectors come from one Fincke-Pohst enumerator, which searches
+the whole seed ellipsoid (the lattice vectors no longer than the
+shortest basis vector) unless a caller's lattice bound caps it to a
+coordinate box.  On a rational subspace the norm form is an integer
+matrix from start to finish: it is reduced by integral LLL, and the
+enumeration of the reduced form's ellipsoid is an exact certificate.
+Floats appear only for hyperboloid points and in the supremum search
+over a disk patch.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     PreconditionError,
     ResourceError,
 )
-from .grassmannian import HPoint, disk_to_hpoint, line_to_hpoint, to_poincare_disk
+from .grassmannian import HPoint, disk_to_hpoint
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,6 @@ def period_norm_sq(pp: PeriodPoint, w: Sequence):
     if v.shape != (pp.ambient.dim,):
         raise InputError("vector length does not match the form")
     return float(v @ m @ v)
-
-
-def period_norm(pp: PeriodPoint, w: Sequence) -> float:
-    val = period_norm_sq(pp, w)
-    if val < 0:
-        raise DomainError(f"norm matrix is not positive on {w}: {val}")
-    return math.sqrt(float(val))
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +358,22 @@ def conf_systole(
 ) -> SystoleResult:
     """Certified minimum of the period norm over nonzero lattice vectors.
 
+    The result reports ``needed_radius``, the radius of the coordinate
+    box that provably holds every shortest vector (any vector outside it
+    is longer than the best standard basis vector).  When
+    ``lattice_bound`` (an int of at least 1) is below it, the box cut to
+    that radius is searched, refused above MAX_ENUMERATION points, and
+    the result is flagged uncertified with ``bound_used`` the cap.  Every
+    other search enumerates the whole seed ellipsoid with no box,
+    certified, with ``bound_used`` equal to the needed radius.
+
     On a rational period point the norm matrix is an integer matrix N
     (``_norm_matrix_int``) and the search is exact integer arithmetic
-    from start to finish.  N is reduced by integral LLL (``_lll``) and
-    ``_shortest`` enumerates the whole ellipsoid of the reduced form
-    under its smallest diagonal entry; the minimizers map back through
-    the unimodular transform.  The certificate is that complete
-    enumeration, which does not depend on how well LLL reduced.  The
-    result still reports ``needed_radius``, the radius of the coordinate
-    box that provably holds every shortest vector (any vector outside
-    it is longer than the best standard basis vector); ``bound_used``
-    equals it.  Hyperboloid points use floats and enumerate that box,
-    refused above MAX_ENUMERATION points.
-
-    When ``lattice_bound`` (an int of at least 1) is below the needed
-    radius, the box cut to that radius is searched instead, without
-    reduction and with the same size guard, and the result is flagged
-    uncertified with ``bound_used`` the cap.
+    from start to finish; the uncapped search runs on N reduced by
+    integral LLL (``_lll``) and maps the minimizers back through the
+    unimodular transform.  The certificate is the complete enumeration,
+    which does not depend on how well LLL reduced.  Hyperboloid points
+    run the same searches in floats, without reduction.
     ``lattice_scale``, an int of at least 1, evaluates the systole of
     the scaled sublattice (scale * Z^d).
     """
@@ -388,28 +381,29 @@ def conf_systole(
     if lattice_bound is not None:
         _check_positive_int(lattice_bound, "lattice bound")
     if pp.is_exact:
-        n, scale = _norm_matrix_int(pp)
-        radii = _exact_radii(pp.ambient, n, scale)
-        needed = max(radii)
-        if lattice_bound is not None and lattice_bound < needed:
-            radii = [min(r, lattice_bound) for r in radii]
-            best, reps = _shortest(n, min(n[i][i] for i in range(len(n))), radii)
-        else:
-            u, g = _lll(n)
-            best, coords = _shortest(g, min(g[i][i] for i in range(len(g))))
-            reps = [[_dot(col, c) for col in zip(*u)] for c in coords]
-        best = Fraction(best, scale)
+        m, scale = _norm_matrix_int(pp)
+        radii = _exact_radii(pp.ambient, m, scale)
+        seed = min(m[i][i] for i in range(len(m)))
     else:
         m = _norm_matrix_float(pp.point.coords).tolist()
-        seed = min(m[i][i] for i in range(len(m)))
         # the bound of _exact_radii, sqrt(seed (M^-1)_ii), with M^-1 = G M G
         # for G = diag(1, -1, ..., -1), rounded up with slack
+        seed = min(m[i][i] for i in range(len(m)))
         radii = [
             math.floor(math.sqrt(seed * m[i][i] + 1e-9) + 1e-9) + 1 for i in range(len(m))
         ]
-        needed = max(radii)
-        radii = [min(r, lattice_bound or r) for r in radii]
+    needed = max(radii)
+    if lattice_bound is not None and lattice_bound < needed:
+        radii = [min(r, lattice_bound) for r in radii]
         best, reps = _shortest(m, seed, radii)
+    elif pp.is_exact:
+        u, g = _lll(m)
+        best, coords = _shortest(g, min(g[i][i] for i in range(len(g))))
+        reps = [[_dot(col, c) for col in zip(*u)] for c in coords]
+    else:
+        best, reps = _shortest(m, seed)
+    if pp.is_exact:
+        best = Fraction(best, scale)
 
     return SystoleResult(
         value=math.sqrt(float(best)) * lattice_scale,
@@ -626,13 +620,3 @@ def rational_disk_period_point(
         raise PreconditionError("rational disk path needs the standard diagonal form")
     return period_point(Subspace(form, [gen]))
 
-
-def disk_of_period_point(pp: PeriodPoint) -> tuple[float, ...]:
-    """Disk coordinates of a (1, n) period point, for reporting."""
-    if signature(pp.ambient).b_plus != 1:
-        raise PreconditionError("disk coordinates need a (1, n) ambient form")
-    if pp.is_exact:
-        gen = pp.subspace.basis[0]
-        emb = standard_embedding(pp.ambient)
-        return to_poincare_disk(line_to_hpoint(emb.to_minkowski(gen)))
-    return to_poincare_disk(pp.point)

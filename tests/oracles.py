@@ -7,9 +7,7 @@ so agreement is meaningful evidence.  Two systole references are plain
 Fraction computations: the certifying box radius from the norm matrix
 and its inverse (the library's former route), and Gram-Schmidt for the
 LLL conditions; the library's integer radii and integral LLL are
-checked against them.  Gram-Schmidt of vectors in a form's pairing
-checks the rational orthogonal approximation, which orthogonalizes by
-congruence diagonalization.  The other exceptions are the references
+checked against them.  The other exceptions are the references
 at the end: the library's elimination steps carried out in plain Fraction
 arithmetic, against which the library's integer kernel must give
 identical outputs, the permutahedron's subset inequalities,
@@ -251,32 +249,6 @@ def gram_schmidt_reference(gram):
             mu[i][j] = (g[i][j] - sum(mu[j][t] * mu[i][t] * b[t] for t in range(j))) / b[j]
         b.append(g[i][i] - sum(mu[i][t] ** 2 * b[t] for t in range(i)))
     return mu, b
-
-
-def orthogonalize_reference(gram, vectors):
-    """Gram-Schmidt of ``vectors`` in the pairing of ``gram``, in Fractions.
-
-    Each vector loses its components along the results before it:
-    v - sum (v . u / u . u) u.  Returns the list of results, or None when
-    one of them is not positive (a dependent vector leaves zero), which
-    happens exactly when the vectors do not span a positive definite
-    subspace.
-    """
-    g = [[Fraction(x) for x in row] for row in gram]
-
-    def pair(u, v):
-        return sum(u[i] * g[i][j] * v[j] for i in range(len(g)) for j in range(len(g)))
-
-    out = []
-    for v in vectors:
-        cur = [Fraction(x) for x in v]
-        for u in out:
-            c = pair(cur, u) / pair(u, u)
-            cur = [a - c * b for a, b in zip(cur, u)]
-        if pair(cur, cur) <= 0:
-            return None
-        out.append(tuple(cur))
-    return out
 
 
 def cs_scan_1d(norm_sq_of, t_lo=-2.0, t_hi=2.0, steps=4001, refine_iters=80):

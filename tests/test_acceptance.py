@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_systole, chain_kind_oracle, cs_scan_1d
+from samples import identity_boundary_samples
 from periodmap.bilinear import (
     GramForm,
     Signature,
@@ -55,7 +56,6 @@ from periodmap.permutahedron import (
     collapse_batch,
     collapse_to_simplex,
     enumerate_faces,
-    identity_boundary_samples,
     radial_perturbation,
     realize,
     shrink_map,

@@ -9,7 +9,6 @@ from periodmap.errors import (
     DomainError,
     NumericalDomainError,
     PreconditionError,
-    ResolutionError,
 )
 from periodmap.grassmannian import (
     ConstraintKind,
@@ -20,11 +19,8 @@ from periodmap.grassmannian import (
     hyperbolic_distance,
     line_to_hpoint,
     mink_dot,
-    rational_orthogonal_approximation,
     to_poincare_disk,
 )
-
-from oracles import orthogonalize_reference
 
 M2 = minkowski_form(2)
 
@@ -210,98 +206,3 @@ def test_geodesic_endpoints_rejects_positive_normal():
     with pytest.raises(DomainError):
         geodesic_endpoints((2, 1, 0))
 
-
-def test_rational_approximation_exact_target():
-    vecs, n = rational_orthogonal_approximation(
-        M2, [(Fraction(2), Fraction(1), Fraction(0))], eps=1e-12
-    )
-    assert vecs == [(Fraction(2), Fraction(1), Fraction(0))]
-    assert n == 1
-
-
-def test_rational_approximation_irrational_target():
-    t = 0.83
-    target = [(math.cosh(t), math.sinh(t), 0.0)]
-    vecs, n = rational_orthogonal_approximation(M2, target, eps=1e-7)
-    (v,) = vecs
-    assert all(x.denominator <= 10**6 for x in v)
-    assert M2.evaluate(v, v) > 0
-    assert n >= 1
-    # direction within eps of the target ray
-    vf = [float(x) for x in v]
-    cos = abs(
-        sum(a * b for a, b in zip(vf, target[0]))
-    ) / (
-        math.sqrt(sum(a * a for a in vf)) * math.sqrt(sum(b * b for b in target[0]))
-    )
-    assert math.acos(min(1.0, cos)) <= 1e-7
-
-
-def test_rational_approximation_two_dim_pairwise_orthogonal():
-    pos = GramForm([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    th = 0.41
-    target = [
-        (math.cos(th), math.sin(th), 0.0),
-        (-math.sin(th), math.cos(th), 0.1),
-    ]
-    vecs, _ = rational_orthogonal_approximation(pos, target, eps=1e-6)
-    assert len(vecs) == 2
-    assert pos.evaluate(vecs[0], vecs[1]) == 0
-    for v in vecs:
-        assert pos.evaluate(v, v) > 0
-
-
-def test_rational_approximation_is_gram_schmidt_of_rounded_target():
-    # with max_denominator <= 32 the search makes one attempt, and eps = 2
-    # (above any principal angle) accepts it: the answer must be exactly
-    # Gram-Schmidt of the rounded rows, or a refusal when that fails
-    rng = random.Random(20261018)
-    cases = [
-        # positive definite as floats; rounded to integers the second row
-        # is null, and the first alone would be a positive answer
-        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.9]], 1),
-        # rounded to integers the rows are dependent
-        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1.0, 0.0, 0.0], [1.2, 0.1, 0.0]], 1),
-    ]
-    for _ in range(120):
-        d = rng.randint(2, 4)
-        gram = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                gram[i][j] = gram[j][i] = rng.randint(-3, 3) + 4 * (i == j) * (i < 2)
-        k = rng.randint(1, 2)
-        target = [[rng.uniform(-2, 2) for _ in range(d)] for _ in range(k)]
-        cases.append((gram, target, rng.choice((3, 7, 32))))
-    answered = refused = 0
-    for gram, target, bound in cases:
-        rounded = [[Fraction(x).limit_denominator(bound) for x in v] for v in target]
-        want = orthogonalize_reference(gram, rounded)
-        try:
-            vecs, lcm = rational_orthogonal_approximation(
-                GramForm(gram), target, eps=2.0, max_denominator=bound
-            )
-        except DomainError:
-            continue  # the float target is not positive definite
-        except ResolutionError:
-            assert want is None, (gram, target, bound)
-            refused += 1
-            continue
-        assert vecs == want, (gram, target, bound)
-        assert lcm == math.lcm(*[x.denominator for v in vecs for x in v])
-        answered += 1
-    assert answered >= 20 and refused >= 3, (answered, refused)
-
-
-def test_rational_approximation_resolution_failure():
-    target = [(math.sqrt(2), 0.5, 0.0)]
-    with pytest.raises(ResolutionError) as exc:
-        rational_orthogonal_approximation(M2, target, eps=1e-14, max_denominator=1000)
-    assert exc.value.achieved is not None
-    assert exc.value.achieved > 1e-14
-
-
-def test_rational_approximation_rejects_bad_target():
-    with pytest.raises(DomainError):
-        rational_orthogonal_approximation(M2, [(0.0, 1.0, 0.0)], eps=1e-6)
-    with pytest.raises(DomainError):
-        rational_orthogonal_approximation(M2, [], eps=1e-6)

@@ -14,7 +14,6 @@ from periodmap.permutahedron import (
     SLAB_ROWS,
     CoverageReport,
     NestedSequence,
-    SimplexFace,
     all_faces,
     check_face_mapping_surjectivity,
     closest_point_map,
@@ -23,9 +22,6 @@ from periodmap.permutahedron import (
     enumerate_faces,
     export_json,
     export_off,
-    face_leq,
-    forgetful,
-    identity_boundary_samples,
     proper_subsets,
     radial_perturbation,
     realize,
@@ -41,6 +37,7 @@ from oracles import (
     permutahedron_contains_reference,
     projection_reference,
 )
+from samples import identity_boundary_samples
 
 
 def test_nested_sequence_validation():
@@ -100,47 +97,6 @@ def test_enumerate_faces_matches_brute_force():
                 if all(set(a) < set(b) for a, b in zip(ch, ch[1:]))
             )
             assert [ns.chain for ns in enumerate_faces(n, codim)] == want
-
-
-def test_face_leq_examples():
-    a = NestedSequence(3, ((3, 4), (1, 3, 4)))
-    b = NestedSequence(3, ((1, 3, 4),))
-    assert face_leq(a, b)
-    assert not face_leq(b, a)
-    assert face_leq(a, a)
-    c1 = NestedSequence(2, ((1,),))
-    c2 = NestedSequence(2, ((2,),))
-    assert not face_leq(c1, c2) and not face_leq(c2, c1)
-    with pytest.raises(InputError):
-        face_leq(c1, b)
-
-
-def test_face_leq_is_partial_order():
-    faces = all_faces(2)
-    for a in faces:
-        assert face_leq(a, a)
-    for a in faces:
-        for b in faces:
-            if face_leq(a, b) and face_leq(b, a):
-                assert a == b
-            for c in faces:
-                if face_leq(a, b) and face_leq(b, c):
-                    assert face_leq(a, c)
-
-
-def test_forgetful():
-    ns = NestedSequence(3, ((3, 4), (1, 3, 4)))
-    assert forgetful(ns) == SimplexFace(3, (1, 3, 4))
-    assert forgetful(NestedSequence(2, ((1,),))) == SimplexFace(2, (1,))
-    assert forgetful(NestedSequence(2, ((2,), (2, 3)))) == SimplexFace(2, (2, 3))
-
-
-def test_forgetful_is_order_preserving():
-    faces = all_faces(3)
-    for a in faces:
-        for b in faces:
-            if face_leq(a, b):
-                assert forgetful(b).contains_face(forgetful(a))
 
 
 def test_realize_small():
