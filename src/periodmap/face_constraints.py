@@ -15,12 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import reduce
+from typing import NamedTuple, Sequence
 
 from .bilinear import (
     GramForm,
     Signature,
     Subspace,
+    _frac,
     as_matrix,
     is_negative_definite,
     minkowski_form,
@@ -45,7 +47,10 @@ from .permutahedron import NestedSequence
 
 @dataclass(frozen=True)
 class SurfaceConfig:
-    """Integer vector configuration inside an exact bilinear form."""
+    """Integer vector configuration inside an exact bilinear form.
+
+    It keeps the cut of the last chain it was asked about (``_cut``) in
+    one slot that equality, hashing and repr do not see."""
 
     form: GramForm
     vectors: tuple[tuple[Fraction, ...], ...]
@@ -62,6 +67,7 @@ class SurfaceConfig:
         # independence check via Subspace's constructor
         Subspace(self.form, vecs)
         object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "_last_cut", None)
 
     @property
     def n(self) -> int:
@@ -125,39 +131,42 @@ class FaceConstraint:
         return f"{self.sequence}  pieces {sigs}  type {kind}"
 
 
-def _chain_pieces(
-    cfg: SurfaceConfig, ns: NestedSequence
-) -> tuple[list[Subspace], list[Subspace]]:
-    """Chain spans V_{I_i} and the pieces they cut out.
+class _Cut(NamedTuple):
+    """One face's chain, cut once (see ``_cut``)."""
+
+    spans: tuple[Subspace, ...]
+    pieces: tuple[Subspace, ...]
+    nulls: tuple[Subspace, ...]
+    first: int | None
+
+
+def _cut(cfg: SurfaceConfig, ns: NestedSequence) -> _Cut:
+    """Chain spans V_{I_i}, the pieces they cut out, the spans' radicals
+    and the index of the first span that is not negative definite.
 
     The one place a chain is checked against its configuration.  Piece
     i is V_{I_i} cut with the orthogonal complement of V_{I_{i-1}}
     (piece 1 is V_{I_1}); the final piece is the complement of V_{I_l},
-    its cut with the full space, kept with its canonical basis.
+    its cut with the full space, kept with its canonical basis.  The
+    config keeps the last cut, a (chain, cut) pair written and read
+    whole, so every reader of a face shares its diagonalizations.
     """
+    last = cfg._last_cut
+    if last is not None and last[0] == ns:
+        return last[1]
     if ns.n != cfg.n:
         raise InputError(
             f"chain is for a {ns.n}-permutahedron, config has {cfg.n + 1} vectors"
         )
-    spans = [cfg.span_of(sub) for sub in ns.chain]
+    spans = tuple(cfg.span_of(sub) for sub in ns.chain)
     pieces = [spans[0]]
     for prev, cur in zip(spans, spans[1:]):
         pieces.append(subspace_intersect(cur, orth_complement(prev)))
     pieces.append(Subspace._echelon(cfg.form, orth_complement(spans[-1])._rows))
-    return spans, pieces
-
-
-def _first_indefinite(spans: list[Subspace]) -> int | None:
-    """Index of the first span that is not negative definite, or None."""
-    return next((i for i, s in enumerate(spans) if not is_negative_definite(s)), None)
-
-
-def _summary(
-    spans: list[Subspace], pieces: list[Subspace], i: int | None
-) -> ConstraintSet:
-    """The b+ = 1 constraint type of a cut chain (see ``bplus1_summary``),
-    with i = ``_first_indefinite(spans)``."""
-    return classify_span(spans[-1] if i is None else pieces[i])
+    first = next((i for i, s in enumerate(spans) if not is_negative_definite(s)), None)
+    cut = _Cut(spans, tuple(pieces), tuple(nullspace(s) for s in spans), first)
+    object.__setattr__(cfg, "_last_cut", (ns, cut))
+    return cut
 
 
 def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstraint:
@@ -168,17 +177,13 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
     violation raises InconsistentDataError (it would falsify the
     dimension identity the construction rests on).
     """
-    spans, pieces = _chain_pieces(cfg, ns)
+    cut = _cut(cfg, ns)
     amb = signature(cfg.form)
     if amb.b_null != 0:
         raise PreconditionError("face constraints need a nondegenerate ambient form")
-    first = _first_indefinite(spans)
-    nulls = tuple(nullspace(s) for s in spans)
-    pos_parts = tuple(positive_part(p) for p in pieces)
+    pos_parts = tuple(positive_part(p) for p in cut.pieces)
 
-    total = cfg.form.zero_subspace()
-    for part in pos_parts + nulls:
-        total = subspace_sum(total, part)
+    total = reduce(subspace_sum, pos_parts + cut.nulls, cfg.form.zero_subspace())
     sig = subspace_signature(total)
     if sig.b_minus != 0 or total.dim != amb.b_plus:
         raise InconsistentDataError(
@@ -187,13 +192,13 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
         )
     return FaceConstraint(
         sequence=ns,
-        pieces=tuple(pieces),
-        piece_signatures=tuple(subspace_signature(p) for p in pieces),
-        nulls=nulls,
+        pieces=cut.pieces,
+        piece_signatures=tuple(subspace_signature(p) for p in cut.pieces),
+        nulls=cut.nulls,
         positive_parts=pos_parts,
         semi_positive_sum=total,
-        iplus=None if first is None else first + 1,
-        summary=_summary(spans, pieces, first) if amb.b_plus == 1 else None,
+        iplus=None if cut.first is None else cut.first + 1,
+        summary=bplus1_summary(cfg, ns) if amb.b_plus == 1 else None,
     )
 
 
@@ -205,26 +210,18 @@ def check_dimension_identity(cfg: SurfaceConfig, ns: NestedSequence) -> bool:
     of the ambient form.  Also verifies the nesting property
     N_1 cap N_2 = N_1 cap (N_2 + ... + N_l).
     """
-    spans, pieces = _chain_pieces(cfg, ns)
-    nulls = [cfg.form.zero_subspace()]
-    nulls += [nullspace(s) for s in spans] + [cfg.form.radical()]
+    cut = _cut(cfg, ns)
+    nulls = [cfg.form.zero_subspace(), *cut.nulls, cfg.form.radical()]
 
-    rhs = 0
-    for i, piece in enumerate(pieces, start=1):
-        rhs += subspace_signature(piece).b_plus
-        overlap = subspace_intersect(nulls[i - 1], nulls[i])
-        rhs += nulls[i - 1].dim - overlap.dim
+    rhs = sum(subspace_signature(p).b_plus for p in cut.pieces)
+    rhs += sum(a.dim - subspace_intersect(a, b).dim for a, b in zip(nulls, nulls[1:]))
     identity = rhs == signature(cfg.form).b_plus
 
-    nesting = True
-    chain_nulls = nulls[1 : len(spans) + 1]  # N_1 .. N_l
-    if len(chain_nulls) >= 2:
-        tail = cfg.form.zero_subspace()
-        for nu in chain_nulls[1:]:
-            tail = subspace_sum(tail, nu)
-        nesting = subspace_intersect(chain_nulls[0], chain_nulls[1]) == (
-            subspace_intersect(chain_nulls[0], tail)
-        )
+    first, *rest = cut.nulls  # N_1 .. N_l
+    tail = reduce(subspace_sum, rest, cfg.form.zero_subspace())
+    nesting = not rest or (
+        subspace_intersect(first, rest[0]) == subspace_intersect(first, tail)
+    )
     return identity and nesting
 
 
@@ -244,8 +241,8 @@ def _require_lorentzian(cfg: SurfaceConfig) -> None:
 def iplus(cfg: SurfaceConfig, ns: NestedSequence) -> int | None:
     """First chain index whose span is not negative definite, or None."""
     _require_lorentzian(cfg)
-    i = _first_indefinite(_chain_pieces(cfg, ns)[0])
-    return None if i is None else i + 1
+    first = _cut(cfg, ns).first
+    return None if first is None else first + 1
 
 
 def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
@@ -256,11 +253,12 @@ def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
     of the chain pins it: inside the piece, which contains the positive
     direction, or, when V_{I_i+} is degenerate, to the ideal point of
     their common 1-dimensional radical (the span before is negative
-    definite).  ``constraint_for_face`` reads the same cut.
+    definite).  It reads the face's cut that the config keeps, as
+    ``constraint_for_face`` does.
     """
     _require_lorentzian(cfg)
-    spans, pieces = _chain_pieces(cfg, ns)
-    return _summary(spans, pieces, _first_indefinite(spans))
+    spans, pieces, _, first = _cut(cfg, ns)
+    return classify_span(spans[-1] if first is None else pieces[first])
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +327,7 @@ def product_codim(cfg: SurfaceConfig, ns: NestedSequence) -> int:
     positive subspaces of a (p, m) form has dimension p*m; the result is
     the ambient dimension minus the sum over the pieces.
     """
-    spans, pieces = _chain_pieces(cfg, ns)
+    spans, pieces, _, _ = _cut(cfg, ns)
     for idx, s in enumerate(spans, start=1):
         if subspace_signature(s).b_null != 0:
             raise PreconditionError(
@@ -338,10 +336,7 @@ def product_codim(cfg: SurfaceConfig, ns: NestedSequence) -> int:
     amb = signature(cfg.form)
     if amb.b_null != 0:
         raise PreconditionError("ambient form must be nondegenerate")
-    total = 0
-    for piece in pieces:
-        sig = subspace_signature(piece)
-        total += sig.b_plus * sig.b_minus
+    total = sum(s.b_plus * s.b_minus for s in map(subspace_signature, pieces))
     codim = amb.b_plus * amb.b_minus - total
     if amb.b_plus > 1 and amb.b_minus > 1 and 0 < codim < 2:
         raise InconsistentDataError(
@@ -386,7 +381,7 @@ def symmetric_config(a: Fraction) -> SurfaceConfig:
     form has signature (1, 2) for every nonzero rational a, and the
     walls bound a compact triangle exactly when a > 2.
     """
-    a = Fraction(a)
+    a = _frac(a)
     if a == 0:
         raise PreconditionError("the symmetric family needs a nonzero parameter")
     diag = 1 - a * a

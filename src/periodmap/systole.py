@@ -35,6 +35,7 @@ from .bilinear import (
     _dot,
     _int_adjugate,
     _int_det,
+    as_matrix,
     as_vector,
     minkowski_form,
     signature,
@@ -576,7 +577,7 @@ def cs_invariance_check(
     refinement tolerance.
     """
     cfg = search or CsSearchConfig()
-    rows = [[Fraction(x) for x in row] for row in u_matrix]
+    rows = as_matrix(u_matrix, "the congruence matrix")
     d = form_a.dim
     if len(rows) != d or any(len(r) != d for r in rows):
         raise InputError("congruence matrix has the wrong shape")
@@ -611,7 +612,7 @@ def rational_disk_period_point(
     The positive line through the hyperboloid point over a rational disk
     point has a rational generator: (1 + r^2, 2 d_1, ..., 2 d_n).
     """
-    dd = [Fraction(x) for x in disk]
+    dd = as_vector(disk)
     r2 = sum(x * x for x in dd)
     if r2 >= 1:
         raise DomainError("disk point must have norm < 1")

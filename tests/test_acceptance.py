@@ -18,7 +18,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from oracles import brute_force_systole, chain_kind_oracle, cs_scan_1d
 from samples import identity_boundary_samples
@@ -42,7 +41,6 @@ from periodmap.decomposition import (
 from periodmap.face_constraints import (
     bplus1_summary,
     check_dimension_identity,
-    constraint_for_face,
     is_bounded_config,
     preset,
     random_config,
@@ -66,7 +64,6 @@ from periodmap.systole import (
     conf_systole,
     cs_invariance_check,
     cs_supremum,
-    period_point,
     period_point_from_hpoint,
     rational_disk_period_point,
 )

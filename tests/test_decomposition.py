@@ -7,7 +7,6 @@ import pytest
 from periodmap.bilinear import (
     GramForm,
     Signature,
-    Subspace,
     positive_part,
     signature,
     subspace_signature,

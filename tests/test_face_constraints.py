@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from periodmap import bilinear
-from periodmap.bilinear import GramForm, minkowski_form, signature
+from periodmap.bilinear import GramForm, minkowski_form, orth_complement, signature
 from periodmap.errors import InputError, PreconditionError
 from periodmap.face_constraints import (
     SurfaceConfig,
@@ -26,6 +26,7 @@ from periodmap.grassmannian import ConstraintKind, hyperbolic_distance
 from periodmap.permutahedron import NestedSequence, all_faces
 
 from oracles import chain_kind_oracle, signature_oracle
+from test_face_golden import face_record
 
 F = Fraction
 
@@ -108,6 +109,14 @@ def test_symmetric_family_signature():
         assert tuple(sig) == (1, 2, 0)
     with pytest.raises(PreconditionError):
         symmetric_config(0)
+
+
+@pytest.mark.parametrize("a", [0.1, "x", [3]], ids=["float", "str", "list"])
+def test_symmetric_family_rejects_inexact_parameter(a):
+    # read like a gram entry: a float that is not an integer is not
+    # rounded to its binary expansion, and a bad literal is an input error
+    with pytest.raises(InputError):
+        symmetric_config(a)
 
 
 def test_symmetric_boundedness_threshold_exact():
@@ -242,10 +251,17 @@ def test_iplus_one_for_leading_null_vector():
     assert out.kind is ConstraintKind.IDEAL_POINT
 
 
+def _fresh(cfg):
+    """An equal config on a new form, with nothing computed yet."""
+    return SurfaceConfig(GramForm(cfg.form.gram), cfg.vectors)
+
+
 def test_face_constraint_diagonalizes_each_span_and_piece_once(monkeypatch):
     # l spans and l + 1 pieces share one subspace (piece 1 is span 1);
     # with the semi-positive sum and the fresh ambient form that is at
-    # most 2l + 2 congruence diagonalizations per face
+    # most 2l + 2 congruence diagonalizations per face, for all four
+    # readers together: the config keeps the face's cut, so the three
+    # after constraint_for_face diagonalize nothing new
     calls = []
     congruence = bilinear._congruence
 
@@ -256,22 +272,68 @@ def test_face_constraint_diagonalizes_each_span_and_piece_once(monkeypatch):
     def fresh_faces():
         # a new form for every face, so its own diagonalization counts
         # (the presets build theirs from the shared minkowski_form)
-        def fresh(cfg):
-            return SurfaceConfig(GramForm(cfg.form.gram), cfg.vectors)
-
         for name in ("fig6-i", "fig6-ii", "fig6-iii", "fig6-iv", "degenerate"):
             for ns in all_faces(2):
-                yield fresh(preset(name)), ns
+                yield _fresh(preset(name)), ns
         rng = random.Random(7)
         for n in (3, 4):
             for _ in range(10):
-                yield fresh(random_config(rng, n)), random_chain(rng, n)
+                yield _fresh(random_config(rng, n)), random_chain(rng, n)
 
     monkeypatch.setattr(bilinear, "_congruence", counting)
     for cfg, ns in fresh_faces():
         calls.clear()
         constraint_for_face(cfg, ns)
+        check_dimension_identity(cfg, ns)
+        iplus(cfg, ns)
+        bplus1_summary(cfg, ns)
         assert len(calls) <= 2 * len(ns.chain) + 2, (cfg.vectors, ns.chain, len(calls))
+
+
+def _answer(reader, cfg, ns):
+    try:
+        return reader(cfg, ns)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_kept_cut_is_never_stale():
+    # one config asked about two chains in turn, a twin config equal to
+    # it but a distinct object, and an unequal config asked about the same
+    # chains answer every reader as a config built fresh for each call
+    # does; the kept cut changes no equality or hash
+    readers = (
+        constraint_for_face,
+        check_dimension_identity,
+        iplus,
+        bplus1_summary,
+        product_codim,
+        lambda cfg, ns: face_record("", cfg, ns),  # every basis too
+    )
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        cfg = random_config(rng, n)
+        twin = SurfaceConfig(cfg.form, cfg.vectors)
+        other = random_config(rng, n)
+        key = (hash(cfg), repr(cfg))
+        faces = all_faces(n)
+        for _ in range(4):
+            a, b = rng.sample(faces, 2)
+            for ns in (a, b, a, b):
+                for reader in readers:
+                    got = [_answer(reader, c, ns) for c in (cfg, twin, other)]
+                    want = [_answer(reader, _fresh(c), ns) for c in (cfg, cfg, other)]
+                    assert got == want, (reader, ns.chain)
+                for c in (cfg, twin, other):
+                    # read apart from any cut: the last piece is V_{I_l}-perp
+                    perp = orth_complement(c.span_of(ns.chain[-1]))
+                    assert constraint_for_face(c, ns).pieces[-1] == perp
+            # a chain for another n is refused on every call, cut or not
+            for _ in range(2):
+                with pytest.raises(InputError):
+                    check_dimension_identity(cfg, NestedSequence(n + 1, ((1,),)))
+        assert cfg == twin and (hash(cfg), repr(cfg)) == key
+        assert hash(twin) == hash(cfg)
 
 
 def test_summary_point_for_indefinite_pair():

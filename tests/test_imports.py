@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
-``__init__.py`` is skipped: its imports are the package's exports.
+The library's ``__init__.py`` is skipped: its imports are the package's
+exports.
 """
 
 import ast
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "periodmap"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "periodmap"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -12,7 +12,6 @@ from periodmap.permutahedron import (
     DAMPING_SLACK,
     MAX_GRID_POINTS,
     SLAB_ROWS,
-    CoverageReport,
     NestedSequence,
     all_faces,
     check_face_mapping_surjectivity,

@@ -603,6 +603,12 @@ def test_cs_invariance_rejects_wrong_congruence():
         cs_invariance_check(DIAG, DIAG, [[1, 0]])
 
 
+@pytest.mark.parametrize("entry", ["x", True, 1.5])
+def test_cs_invariance_rejects_malformed_entries(entry):
+    with pytest.raises(InputError):
+        cs_invariance_check(DIAG, DIAG, [[entry, 0], [0, 1]])
+
+
 # ---------------------------------------------------------------------------
 # reporting helpers
 # ---------------------------------------------------------------------------
@@ -616,6 +622,13 @@ def test_rational_disk_period_point_validation():
         rational_disk_period_point(DIAG, (F(3, 2),))
     with pytest.raises(PreconditionError):
         rational_disk_period_point(HYP, (F(1, 3),))
+
+
+@pytest.mark.parametrize("entry", [0.1, "x"])
+def test_rational_disk_period_point_rejects_inexact_entries(entry):
+    # a float that is not an integer is not read as its binary expansion
+    with pytest.raises(InputError):
+        rational_disk_period_point(DIAG, [entry])
 
 
 def test_result_strings_mention_certification():
