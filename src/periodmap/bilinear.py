@@ -38,6 +38,8 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
+        if isinstance(x, bool):
+            raise InputError("a boolean is not a number")
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -56,6 +58,8 @@ def _frac(x) -> Fraction:
 
 
 def as_vector(entries: Iterable) -> Vector:
+    if isinstance(entries, (str, bytes)):
+        raise InputError(f"a vector must be a list of numbers, got {entries!r}")
     return tuple(_frac(e) for e in entries)
 
 
@@ -68,8 +72,7 @@ def _is_list(x) -> bool:
 
 def as_matrix(rows: Iterable[Iterable], what: str) -> Matrix:
     """Rows of rationals, checked at the boundary: the rows and each row
-    must be lists (not numbers or strings) and no entry a boolean, or
-    InputError names ``what``."""
+    must be lists (not numbers or strings), or InputError names ``what``."""
     if not _is_list(rows):
         raise InputError(f"{what} must be a list of rows, got {type(rows).__name__}")
     out = []
@@ -78,9 +81,6 @@ def as_matrix(rows: Iterable[Iterable], what: str) -> Matrix:
             raise InputError(
                 f"each row of {what} must be a list, got {type(row).__name__}"
             )
-        row = tuple(row)
-        if bool in map(type, row):
-            raise InputError(f"{what} holds a boolean, not a number")
         out.append(as_vector(row))
     return tuple(out)
 

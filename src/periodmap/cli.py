@@ -249,9 +249,7 @@ def _cmd_systole(args) -> int:
     gen = tuple(_frac(p) for p in args.period.split(","))
     pp = period_point(form.subspace([gen]))
     res = conf_systole(
-        pp,
-        lattice_bound=args.bound,
-        lattice_scale=1 if args.scale is None else _int(args.scale, "--scale"),
+        pp, lattice_scale=1 if args.scale is None else _int(args.scale, "--scale")
     )
     payload = {
         "value": res.value,
@@ -259,7 +257,6 @@ def _cmd_systole(args) -> int:
         if isinstance(res.value_sq, Fraction)
         else res.value_sq,
         "minimizers": [[_num_str(x) for x in m] for m in res.minimizers],
-        "bound_used": res.bound_used,
         "certified": res.certified,
         "needed_radius": res.needed_radius,
     }
@@ -362,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sup", action="store_true", help="search the CS supremum")
     p.add_argument("--grid", type=float, default=0.05)
     p.add_argument("--refine", type=float, default=1e-6)
-    p.add_argument("--bound", type=int, default=None, help="cap enumeration radius")
     p.add_argument("--scale", help="lattice scale factor, an integer >= 1")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_systole)

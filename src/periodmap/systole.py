@@ -9,12 +9,12 @@ that minimum over all period points is a lattice invariant.
 
 Shortest vectors come from one Fincke-Pohst enumerator, which searches
 the whole seed ellipsoid (the lattice vectors no longer than the
-shortest basis vector) unless a caller's lattice bound caps it to a
-coordinate box.  On a rational subspace the norm form is an integer
+shortest basis vector) and shrinks each coordinate range as the best
+norm found falls.  On a rational subspace the norm form is an integer
 matrix from start to finish: it is reduced by integral LLL, and the
 enumeration of the reduced form's ellipsoid is an exact certificate.
-Floats appear only for hyperboloid points and in the supremum search
-over a disk patch.
+Floats appear only for hyperboloid points, whose results are not
+certified, and in the supremum search over a disk patch.
 """
 
 from __future__ import annotations
@@ -158,20 +158,16 @@ class SystoleResult:
     value: float
     value_sq: object  # Fraction on the exact path, float otherwise
     minimizers: tuple[tuple[int, ...], ...]
-    bound_used: int
-    certified: bool
+    certified: bool  # exact integer arithmetic and a complete enumeration
     needed_radius: int
 
     def __str__(self):
         mins = ", ".join(str(m) for m in self.minimizers)
-        if self.certified:
-            tag = f"certified, needed radius {self.needed_radius}"
-        else:
-            tag = (
-                f"UNCERTIFIED (needs radius {self.needed_radius}),"
-                f" box {self.bound_used}"
-            )
-        return f"conf = {self.value:.12g} at {mins} [{tag}]"
+        tag = "certified" if self.certified else "float, not certified"
+        return (
+            f"conf = {self.value:.12g} at {mins}"
+            f" [{tag}, needed radius {self.needed_radius}]"
+        )
 
 
 MAX_ENUMERATION = 4 * 10**7
@@ -271,24 +267,26 @@ def _lll(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     return u, g
 
 
-def _shortest(m, seed, radii=None):
+def _shortest(m, seed):
     """Minimum of w^t m w over nonzero integer w, and its minimizers.
 
     Fincke-Pohst enumeration (Cohen, A Course in Computational Algebraic
     Number Theory, 2.7.3) completes squares from the last coordinate in,
-    visiting only vectors inside the ellipsoid w^t m w <= bound, and only
-    those in the box of ``radii`` when that is given; the bound starts at
-    ``seed``, the norm of some lattice vector, and falls to the best value
-    found, so without a box the search is complete.  A box of more than
-    MAX_ENUMERATION points is refused up front, and any search once the
-    coordinate ranges it has entered hold more nodes.  The squares come
-    from pivot-scaled (Bareiss) Schur complements: with p_k the k-th
-    leading principal minor and V the scaled form of the fixed tail,
-    |p_k w_k + s_k| <= sqrt((bound p_k - V) p_{k-1}), so an integer ``m``
-    and ``seed`` keep every range an isqrt and every comparison exact.
-    Floats run the same steps, values within 1e-9 (relative above 1) of
-    the minimum counting as ties.  Returns the minimum and one vector of
-    each sign pair of minimizers.
+    visiting only vectors inside the ellipsoid w^t m w <= bound; the bound
+    starts at ``seed``, the norm of some lattice vector, and falls to the
+    best value found, so the search is complete.  Each time it falls, the
+    upper end of every open coordinate range is recomputed from it
+    (Schnorr and Euchner, Math. Programming 66, 1994), so a skewed form
+    stops walking a range that only the seed's ellipsoid held.  A search
+    whose entered coordinate ranges hold more than MAX_ENUMERATION nodes
+    is refused; a range that shrinks gives back the nodes it will no
+    longer visit.  The squares come from pivot-scaled (Bareiss) Schur
+    complements: with p_k the k-th leading principal minor and V the
+    scaled form of the fixed tail, |p_k w_k + s_k| <= sqrt((bound p_k -
+    V) p_{k-1}), so an integer ``m`` and ``seed`` keep every range an
+    isqrt and every comparison exact.  Floats run the same steps, values
+    within 1e-9 (relative above 1) of the minimum counting as ties.
+    Returns the minimum and one vector of each sign pair of minimizers.
     """
     d = len(m)
     exact = isinstance(seed, int)
@@ -309,10 +307,6 @@ def _shortest(m, seed, radii=None):
             for j in range(k + 1, d):
                 b[i][j] = div(b[k][k] * b[i][j] - b[i][k] * b[k][j], p[k])
         p.append(b[k][k])
-    cap = [math.inf] * d if radii is None else radii
-    count = 0 if radii is None else math.prod(2 * r + 1 for r in radii)
-    if count > MAX_ENUMERATION:
-        raise ResourceError(f"enumeration box of {count} points exceeds the supported size")
     x = [0] * d
     found = []
     bound = tie(seed)
@@ -327,12 +321,16 @@ def _shortest(m, seed, radii=None):
         if room < 0:
             return
         r = root(room)
-        lo = max(-cap[k] if free else 0, int(-((r + s) // p[k + 1])))
-        hi = min(cap[k], int((r - s) // p[k + 1]))
+        lo = int(-((r + s) // p[k + 1]))
+        if not free:
+            lo = max(0, lo)
+        hi = int((r - s) // p[k + 1])
         nodes += max(0, hi - lo + 1)
         if nodes > MAX_ENUMERATION:
             raise ResourceError(f"enumeration passed {MAX_ENUMERATION} nodes")
-        for xk in range(lo, hi + 1):
+        at = bound
+        xk = lo
+        while xk <= hi:
             x[k] = xk
             t = p[k + 1] * xk + s
             v = div(tail * p[k] + t * t, p[k + 1])
@@ -341,6 +339,14 @@ def _shortest(m, seed, radii=None):
             elif (free or xk) and v <= bound:
                 found.append((v, tuple(x)))
                 bound = min(bound, tie(v))
+            xk += 1
+            if bound < at:  # the bound fell: cut the range's upper end to it
+                at = bound
+                room = (bound * p[k + 1] - tail) * p[k]
+                new = int((root(room) - s) // p[k + 1]) if room >= 0 else xk - 1
+                new = max(new, xk - 1)
+                nodes -= hi - new  # only nodes it will no longer visit
+                hi = new
 
     visit(d - 1, 0, False)
     if not found:
@@ -354,57 +360,43 @@ def _check_positive_int(value, what: str) -> None:
         raise InputError(f"{what} must be an integer of at least 1, got {value!r}")
 
 
-def conf_systole(
-    pp: PeriodPoint, lattice_bound: int | None = None, lattice_scale: int = 1
-) -> SystoleResult:
-    """Certified minimum of the period norm over nonzero lattice vectors.
+def conf_systole(pp: PeriodPoint, lattice_scale: int = 1) -> SystoleResult:
+    """Minimum of the period norm over nonzero lattice vectors.
 
     The result reports ``needed_radius``, the radius of the coordinate
     box that provably holds every shortest vector (any vector outside it
-    is longer than the best standard basis vector).  When
-    ``lattice_bound`` (an int of at least 1) is below it, the box cut to
-    that radius is searched, refused above MAX_ENUMERATION points, and
-    the result is flagged uncertified with ``bound_used`` the cap.  Every
-    other search enumerates the whole seed ellipsoid with no box,
-    certified, with ``bound_used`` equal to the needed radius.
+    is longer than the best standard basis vector); no search enumerates
+    that box.
 
     On a rational period point the norm matrix is an integer matrix N
     (``_norm_matrix_int``) and the search is exact integer arithmetic
-    from start to finish; the uncapped search runs on N reduced by
-    integral LLL (``_lll``) and maps the minimizers back through the
-    unimodular transform.  The certificate is the complete enumeration,
-    which does not depend on how well LLL reduced.  Hyperboloid points
-    run the same searches in floats, without reduction.
-    ``lattice_scale``, an int of at least 1, evaluates the systole of
-    the scaled sublattice (scale * Z^d).
+    from start to finish: it enumerates the whole seed ellipsoid of N
+    reduced by integral LLL (``_lll``) and maps the minimizers back
+    through the unimodular transform.  That complete exact enumeration
+    is the certificate, and it does not depend on how well LLL reduced;
+    ``certified`` is true exactly on this path.  A hyperboloid point runs
+    the same search in floats in the form's own basis, without
+    reduction, and is not certified.  ``lattice_scale``, an int of at
+    least 1, evaluates the systole of the scaled sublattice
+    (scale * Z^d).
     """
     _check_positive_int(lattice_scale, "lattice scale")
-    if lattice_bound is not None:
-        _check_positive_int(lattice_bound, "lattice bound")
     if pp.is_exact:
         m, scale = _norm_matrix_int(pp)
-        radii = _exact_radii(pp.ambient, m, scale)
-        seed = min(m[i][i] for i in range(len(m)))
+        needed = max(_exact_radii(pp.ambient, m, scale))
+        u, g = _lll(m)
+        best, coords = _shortest(g, min(g[i][i] for i in range(len(g))))
+        reps = [[_dot(col, c) for col in zip(*u)] for c in coords]
+        best = Fraction(best, scale)
     else:
         m = _norm_matrix_float(pp.point.coords).tolist()
         # the bound of _exact_radii, sqrt(seed (M^-1)_ii), with M^-1 = G M G
         # for G = diag(1, -1, ..., -1), rounded up with slack
         seed = min(m[i][i] for i in range(len(m)))
-        radii = [
+        needed = max(
             math.floor(math.sqrt(seed * m[i][i] + 1e-9) + 1e-9) + 1 for i in range(len(m))
-        ]
-    needed = max(radii)
-    if lattice_bound is not None and lattice_bound < needed:
-        radii = [min(r, lattice_bound) for r in radii]
-        best, reps = _shortest(m, seed, radii)
-    elif pp.is_exact:
-        u, g = _lll(m)
-        best, coords = _shortest(g, min(g[i][i] for i in range(len(g))))
-        reps = [[_dot(col, c) for col in zip(*u)] for c in coords]
-    else:
+        )
         best, reps = _shortest(m, seed)
-    if pp.is_exact:
-        best = Fraction(best, scale)
 
     return SystoleResult(
         value=math.sqrt(float(best)) * lattice_scale,
@@ -412,8 +404,7 @@ def conf_systole(
         minimizers=tuple(sorted(
             tuple(s * lattice_scale * x for x in w) for w in reps for s in (1, -1)
         )),
-        bound_used=max(radii),
-        certified=max(radii) == needed,
+        certified=pp.is_exact,
         needed_radius=needed,
     )
 

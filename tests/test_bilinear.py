@@ -97,6 +97,25 @@ def test_booleans_are_not_numbers():
         GramForm([[True, 0], [0, -1]])
     with pytest.raises(InputError, match="boolean"):
         Subspace.from_json({"basis": [[False, True]]}, minkowski_form(1))
+    # a vector read a boolean as 0 or 1
+    with pytest.raises(InputError, match="boolean"):
+        minkowski_form(2).evaluate([True, 0, 0], [1, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda form: form.evaluate("100", "100"),
+        lambda form: form.apply("123"),
+        lambda form: form.apply(b"123"),
+        lambda form: Subspace(form, ["100"]),
+    ],
+    ids=["evaluate", "apply", "apply-bytes", "subspace"],
+)
+def test_strings_are_not_vectors(use):
+    # a string used to be read as one rational per character
+    with pytest.raises(InputError, match="list of numbers"):
+        use(minkowski_form(2))
 
 
 def test_signature_examples():

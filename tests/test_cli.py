@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +232,7 @@ def test_systole_period_exact(capsys, tmp_path):
     )
     assert code == 0
     data = json.loads(out)
+    assert set(data) == {"value", "value_sq", "minimizers", "certified", "needed_radius"}
     assert data["value_sq"] == "1"
     assert data["certified"] is True
     assert [1, 0] in data["minimizers"]
@@ -263,15 +266,15 @@ def test_systole_scale_must_be_integer(capsys, tmp_path):
     assert "(-2, 0)" in out and "(2, 0)" in out
 
 
-def test_systole_bound_must_be_positive(capsys, tmp_path):
-    # a zero cap used to print the zero vector as the systole
+def test_systole_bound_flag_is_refused(capsys, tmp_path):
+    # every search covers the whole seed ellipsoid; there is no box to cap
     form = write_form(tmp_path, [[1, 0], [0, -1]])
     code, out, err = run(
-        capsys, "systole", "--config", form, "--period", "5,4", "--bound", "0"
+        capsys, "systole", "--config", form, "--period", "5,4", "--bound", "2"
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "bound" in err, err
+    assert "unrecognized arguments: --bound 2" in err, err
 
 
 def test_systole_sup(capsys, tmp_path):
@@ -433,3 +436,22 @@ def test_rational_parameter_roundtrip(capsys):
     assert code == 0
     kinds = {row["kind"] for row in json.loads(out)["faces"]}
     assert kinds == {"Geodesic"}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_parse():
+    # every command README shows must still parse, so a removed or renamed
+    # flag cannot stay in the docs; nothing is run
+    lines = [
+        line for line in README.read_text().splitlines() if line.startswith("periodmap ")
+    ]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert callable(args.func), line
