@@ -64,20 +64,6 @@ _USER_ERRORS = (
 )
 
 
-def _frac(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {text!r}") from exc
-
-
-def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InputError(f"{what} must be an integer, got {text!r}") from exc
-
-
 def _load_json_file(path: str) -> dict:
     """The JSON document in path, its decimal numbers read exactly, so
     0.1 is 1/10 in every input file."""
@@ -92,8 +78,7 @@ def _load_json_file(path: str) -> dict:
 
 def _load_config(args) -> SurfaceConfig:
     if getattr(args, "preset", None):
-        a = _frac(args.a) if getattr(args, "a", None) else None
-        return preset(args.preset, a=a)
+        return preset(args.preset, a=args.a)
     if getattr(args, "config", None):
         data = _load_json_file(args.config)
         return SurfaceConfig.from_json(data)
@@ -246,16 +231,10 @@ def _cmd_systole(args) -> int:
         return 0
     if not args.period:
         raise InputError("systole needs --period or --sup")
-    gen = tuple(_frac(p) for p in args.period.split(","))
-    pp = period_point(form.subspace([gen]))
-    res = conf_systole(
-        pp, lattice_scale=1 if args.scale is None else _int(args.scale, "--scale")
-    )
+    res = conf_systole(period_point(form.subspace([args.period.split(",")])))
     payload = {
         "value": res.value,
-        "value_sq": str(res.value_sq)
-        if isinstance(res.value_sq, Fraction)
-        else res.value_sq,
+        "value_sq": str(res.value_sq),
         "minimizers": [[_num_str(x) for x in m] for m in res.minimizers],
         "certified": res.certified,
         "needed_radius": res.needed_radius,
@@ -359,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sup", action="store_true", help="search the CS supremum")
     p.add_argument("--grid", type=float, default=0.05)
     p.add_argument("--refine", type=float, default=1e-6)
-    p.add_argument("--scale", help="lattice scale factor, an integer >= 1")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_systole)
 

@@ -10,6 +10,7 @@ family of metrics limits to.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,8 +56,10 @@ class DecompositionData:
             sub = getattr(self, name)
             if sub.ambient != self.ambient:
                 raise InputError(f"{name} does not live in the ambient form")
-        if self.bhat1 < 0 or self.bhat2 < 0:
-            raise InputError("relative Betti numbers must be non-negative")
+        for name in ("bhat1", "bhat2"):
+            b = getattr(self, name)
+            if isinstance(b, bool) or not isinstance(b, int) or b < 0:
+                raise InputError(f"{name} must be a non-negative integer, got {b!r}")
 
     @cached_property
     def report(self) -> "ValidationReport":
@@ -85,8 +88,8 @@ class DecompositionData:
             H1=Subspace.from_json(data["H1"], ambient),
             H2=Subspace.from_json(data["H2"], ambient),
             D=Subspace.from_json(data["D"], ambient),
-            bhat1=int(data["bhat1"]),
-            bhat2=int(data["bhat2"]),
+            bhat1=data["bhat1"],
+            bhat2=data["bhat2"],
         )
 
 
@@ -114,6 +117,11 @@ class ValidationReport:
         return "\n".join(str(i) for i in self.issues)
 
 
+def _first_pairing(q: GramForm, pairs) -> tuple[Vector, Vector] | None:
+    """The first pair (a, b) with Q(a, b) != 0, or None."""
+    return next(((a, b) for a, b in pairs if q.evaluate(a, b) != 0), None)
+
+
 def validate(data: DecompositionData) -> ValidationReport:
     """Check every structural condition, collecting witnesses for failures.
 
@@ -127,33 +135,15 @@ def validate(data: DecompositionData) -> ValidationReport:
         if not rad.is_zero():
             w = rad.canonical[0]
             issues.append(ValidationIssue(f"pairing degenerate on {name}", (w, w)))
-    done = False
-    for h1 in data.H1.basis:
-        for h2 in data.H2.basis:
-            if q.evaluate(h1, h2) != 0:
-                issues.append(ValidationIssue("H1 not orthogonal to H2", (h1, h2)))
-                done = True
-                break
-        if done:
-            break
-    done = False
-    for i, d1 in enumerate(data.D.basis):
-        for d2 in data.D.basis[i:]:
-            if q.evaluate(d1, d2) != 0:
-                issues.append(ValidationIssue("pairing not trivial on D", (d1, d2)))
-                done = True
-                break
-        if done:
-            break
-    done = False
-    for d in data.D.basis:
-        for h in data.H1.basis + data.H2.basis:
-            if q.evaluate(d, h) != 0:
-                issues.append(ValidationIssue("D not orthogonal to H1 + H2", (d, h)))
-                done = True
-                break
-        if done:
-            break
+    d = data.D.basis
+    for condition, pairs in (
+        ("H1 not orthogonal to H2", itertools.product(data.H1.basis, data.H2.basis)),
+        ("pairing not trivial on D", ((a, b) for i, a in enumerate(d) for b in d[i:])),
+        ("D not orthogonal to H1 + H2", itertools.product(d, data.H1.basis + data.H2.basis)),
+    ):
+        hit = _first_pairing(q, pairs)
+        if hit is not None:
+            issues.append(ValidationIssue(condition, hit))
     h1h2 = subspace_sum(data.H1, data.H2)
     overlap = subspace_intersect(data.H1, data.H2)
     if overlap.is_zero():

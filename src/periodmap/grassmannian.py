@@ -50,6 +50,8 @@ class HPoint:
         x = self.coords
         if len(x) < 2:
             raise DomainError("hyperboloid points need at least 2 coordinates")
+        if not all(map(math.isfinite, x)):
+            raise DomainError(f"hyperboloid coordinates must be finite: {x}")
         if abs(mink_dot(x, x) - 1.0) > 1e-7 or x[0] <= 0:
             raise DomainError(
                 f"not on the upper hyperboloid sheet: {x} (norm {mink_dot(x, x):.3e})"
@@ -81,6 +83,8 @@ def to_poincare_disk(p: HPoint) -> tuple[float, ...]:
 def disk_to_hpoint(d: Sequence[float]) -> HPoint:
     """Inverse of the disk projection."""
     dd = [float(x) for x in d]
+    if not all(map(math.isfinite, dd)):
+        raise DomainError(f"disk coordinates must be finite: {dd}")
     r2 = sum(x * x for x in dd)
     if r2 >= 1.0:
         raise DomainError(f"disk point must have norm < 1, got |d|^2 = {r2}")

@@ -31,6 +31,8 @@ from .errors import DomainError, InputError, ResourceError
 
 DAMPING_SLACK = Fraction(1, 4)  # slack scale below which coordinates are pulled in
 MAX_GRID_POINTS = 4 * 10**7  # largest sample box or grid a coverage check builds
+FACE_SAMPLES = 40  # random points per face in the coverage check's face condition
+FACE_TOL = 1e-7  # how far an image coordinate the face pins may stray from 1
 SLAB_ROWS = 2**15  # rows per sample slab and per call of the checked map
 
 
@@ -527,48 +529,42 @@ def check_face_mapping_surjectivity(
     f: Callable[[np.ndarray], np.ndarray],
     n: int,
     grid_step: float,
-    sample_step: float | None = None,
-    face_tol: float = 1e-7,
-    face_samples: int = 40,
     seed: int = 0,
 ) -> CoverageReport:
     """Sampled surjectivity check (a proxy, not a certificate) for a map
     of the permutahedron onto the simplex.
 
-    First verifies the face condition on sampled points of every proper
-    face (images must pin the coordinates of the chain's largest subset),
-    then checks that every simplex grid node at spacing grid_step has an
-    image point within grid_step.  f must accept a (k, n+1) array of
-    points and return the mapped array; it is applied to row blocks of
-    the samples, so it must act row by row.
+    First verifies the face condition on FACE_SAMPLES random points and
+    the vertices of every proper face (images must pin the coordinates of
+    the chain's largest subset to 1 within FACE_TOL), then checks that
+    every simplex grid node at spacing grid_step has an image point
+    within grid_step, sampling the permutahedron at grid_step / 10.  f
+    must accept a (k, n+1) array of points and return the mapped array;
+    it is applied to row blocks of the samples, so it must act row by row.
 
-    grid_step and sample_step (default grid_step / 10) must be positive
-    and finite; a sample box or grid above MAX_GRID_POINTS points raises
-    ResourceError before it is built.
+    grid_step must be positive and finite; a sample box or grid above
+    MAX_GRID_POINTS points raises ResourceError before it is built.
     """
     from scipy.spatial import cKDTree
 
     if n > 3:
         raise ResourceError("coverage check capped at n = 3")
-    if sample_step is None:
-        sample_step = grid_step / 10.0
-    for name, step in (("grid_step", grid_step), ("sample_step", sample_step)):
-        if not (math.isfinite(step) and step > 0):
-            raise InputError(f"{name} must be positive and finite, got {step}")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise InputError(f"grid_step must be positive and finite, got {grid_step}")
     realization = realize(n)
     grid = _simplex_grid(n, grid_step)
-    samples = _sample_polytope(realization, sample_step)
+    samples = _sample_polytope(realization, grid_step / 10.0)
 
     rng = np.random.default_rng(seed)
     violations = []
     for ns in all_faces(n):
         fv = np.array(realization.vertices_of_face(ns), dtype=float)
-        bary = rng.dirichlet(np.ones(len(fv)), size=face_samples)
+        bary = rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES)
         pts = bary @ fv
         pts = np.concatenate([pts, fv], axis=0)
         images = np.asarray(f(pts), dtype=float)
         pinned = [i - 1 for i in ns.chain[-1]]
-        bad = np.abs(images[:, pinned] - 1.0).max(axis=1) > face_tol
+        bad = np.abs(images[:, pinned] - 1.0).max(axis=1) > FACE_TOL
         if bad.any():
             idx = int(np.argmax(bad))
             violations.append(

@@ -7,14 +7,14 @@ a positive definite quadratic form on the lattice.  The conformal
 systole is its minimum over nonzero integer vectors; the supremum of
 that minimum over all period points is a lattice invariant.
 
-Shortest vectors come from one Fincke-Pohst enumerator, which searches
-the whole seed ellipsoid (the lattice vectors no longer than the
-shortest basis vector) and shrinks each coordinate range as the best
-norm found falls.  On a rational subspace the norm form is an integer
-matrix from start to finish: it is reduced by integral LLL, and the
-enumeration of the reduced form's ellipsoid is an exact certificate.
-Floats appear only for hyperboloid points, whose results are not
-certified, and in the supremum search over a disk patch.
+Every period point is a rational subspace: a hyperboloid point's float
+coordinates are dyadic rationals, so the line through them is one.  Its
+norm form is an integer matrix from start to finish: it is reduced by
+integral LLL, and one Fincke-Pohst enumerator searches the whole seed
+ellipsoid of the reduced form (the lattice vectors no longer than the
+shortest basis vector), shrinking each coordinate range as the best
+norm found falls.  That exact enumeration is the certificate.  Floats
+appear only in the supremum search over a disk patch.
 """
 
 from __future__ import annotations
@@ -54,44 +54,36 @@ from .grassmannian import HPoint, disk_to_hpoint
 
 @dataclass(frozen=True)
 class PeriodPoint:
-    """Maximal positive subspace of the ambient form.
+    """Maximal positive-definite subspace of the ambient form, rational."""
 
-    Exactly one of ``subspace`` (rational, exact arithmetic throughout)
-    and ``point`` (hyperboloid float path, ambient must be the standard
-    diagonal form) is set.
-    """
-
-    ambient: GramForm
-    subspace: Subspace | None = None
-    point: HPoint | None = None
+    subspace: Subspace
 
     def __post_init__(self):
-        if (self.subspace is None) == (self.point is None):
-            raise InputError("set exactly one of subspace and point")
-        if self.subspace is not None:
-            if self.subspace.ambient != self.ambient:
-                raise InputError("subspace ambient does not match")
-            bp = signature(self.ambient).b_plus
-            sig = subspace_signature(self.subspace)
-            if tuple(sig) != (self.subspace.dim, 0, 0) or self.subspace.dim != bp:
-                raise PreconditionError(
-                    f"period subspace must be maximal positive definite,"
-                    f" got signature {tuple(sig)} with b+ = {bp}"
-                )
-        elif self.ambient != minkowski_form(self.point.n):
-            raise PreconditionError("the hyperboloid path needs the standard diagonal form")
+        bp = signature(self.ambient).b_plus
+        sig = subspace_signature(self.subspace)
+        if tuple(sig) != (self.subspace.dim, 0, 0) or self.subspace.dim != bp:
+            raise PreconditionError(
+                f"period subspace must be maximal positive definite,"
+                f" got signature {tuple(sig)} with b+ = {bp}"
+            )
 
     @property
-    def is_exact(self) -> bool:
-        return self.subspace is not None
+    def ambient(self) -> GramForm:
+        return self.subspace.ambient
 
 
 def period_point(subspace: Subspace) -> PeriodPoint:
-    return PeriodPoint(ambient=subspace.ambient, subspace=subspace)
+    return PeriodPoint(subspace)
 
 
 def period_point_from_hpoint(point: HPoint) -> PeriodPoint:
-    return PeriodPoint(ambient=minkowski_form(point.n), point=point)
+    """The line through a hyperboloid point, on the standard form.
+
+    Every float is a dyadic rational, so the line is rational and read
+    exactly (``Fraction(float)`` is exact).
+    """
+    line = [Fraction(x) for x in point.coords]
+    return period_point(Subspace(minkowski_form(point.n), [line]))
 
 
 # ---------------------------------------------------------------------------
@@ -124,28 +116,19 @@ def _norm_matrix_int(pp: PeriodPoint) -> tuple[list[list[int]], int]:
     return n, r * form._den
 
 
-def _norm_matrix_float(u: Sequence[float], gram=None) -> np.ndarray:
-    """2 (Gu)(Gu)^t - G for the unit vector u; G defaults to diag(1, -1, ..., -1)."""
-    if gram is None:
-        gram = np.diag([1.0] + [-1.0] * (len(u) - 1))
+def _norm_matrix_float(u: Sequence[float], gram: np.ndarray) -> np.ndarray:
+    """2 (Gu)(Gu)^t - G for the unit vector u."""
     gu = gram @ np.asarray(u, dtype=float)
     return 2.0 * np.outer(gu, gu) - gram
 
 
-def period_norm_sq(pp: PeriodPoint, w: Sequence):
-    """Exact Fraction on the rational path, float otherwise."""
-    if pp.is_exact:
-        v = as_vector(w)
-        if len(v) != pp.ambient.dim:
-            raise InputError("vector length does not match the form")
-        n, scale = _norm_matrix_int(pp)
-        x, d = _clear(v)
-        return Fraction(_dot(x, [_dot(row, x) for row in n]), scale * d * d)
-    m = _norm_matrix_float(pp.point.coords)
-    v = np.array([float(x) for x in w], dtype=float)
-    if v.shape != (pp.ambient.dim,):
+def period_norm_sq(pp: PeriodPoint, w: Sequence) -> Fraction:
+    v = as_vector(w)
+    if len(v) != pp.ambient.dim:
         raise InputError("vector length does not match the form")
-    return float(v @ m @ v)
+    n, scale = _norm_matrix_int(pp)
+    x, d = _clear(v)
+    return Fraction(_dot(x, [_dot(row, x) for row in n]), scale * d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +139,14 @@ def period_norm_sq(pp: PeriodPoint, w: Sequence):
 @dataclass(frozen=True)
 class SystoleResult:
     value: float
-    value_sq: object  # Fraction on the exact path, float otherwise
+    value_sq: Fraction
     minimizers: tuple[tuple[int, ...], ...]
     certified: bool  # exact integer arithmetic and a complete enumeration
     needed_radius: int
 
     def __str__(self):
         mins = ", ".join(str(m) for m in self.minimizers)
-        tag = "certified" if self.certified else "float, not certified"
+        tag = "certified" if self.certified else "not certified"
         return (
             f"conf = {self.value:.12g} at {mins}"
             f" [{tag}, needed radius {self.needed_radius}]"
@@ -355,12 +338,7 @@ def _shortest(m, seed):
     return best, [w for v, w in found if v <= tie(best)]
 
 
-def _check_positive_int(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InputError(f"{what} must be an integer of at least 1, got {value!r}")
-
-
-def conf_systole(pp: PeriodPoint, lattice_scale: int = 1) -> SystoleResult:
+def conf_systole(pp: PeriodPoint) -> SystoleResult:
     """Minimum of the period norm over nonzero lattice vectors.
 
     The result reports ``needed_radius``, the radius of the coordinate
@@ -368,43 +346,25 @@ def conf_systole(pp: PeriodPoint, lattice_scale: int = 1) -> SystoleResult:
     is longer than the best standard basis vector); no search enumerates
     that box.
 
-    On a rational period point the norm matrix is an integer matrix N
-    (``_norm_matrix_int``) and the search is exact integer arithmetic
-    from start to finish: it enumerates the whole seed ellipsoid of N
-    reduced by integral LLL (``_lll``) and maps the minimizers back
-    through the unimodular transform.  That complete exact enumeration
-    is the certificate, and it does not depend on how well LLL reduced;
-    ``certified`` is true exactly on this path.  A hyperboloid point runs
-    the same search in floats in the form's own basis, without
-    reduction, and is not certified.  ``lattice_scale``, an int of at
-    least 1, evaluates the systole of the scaled sublattice
-    (scale * Z^d).
+    The norm matrix is an integer matrix N (``_norm_matrix_int``) and
+    the search is exact integer arithmetic from start to finish: it
+    enumerates the whole seed ellipsoid of N reduced by integral LLL
+    (``_lll``) and maps the minimizers back through the unimodular
+    transform.  That complete exact enumeration is the certificate, and
+    it does not depend on how well LLL reduced, so every result is
+    certified.
     """
-    _check_positive_int(lattice_scale, "lattice scale")
-    if pp.is_exact:
-        m, scale = _norm_matrix_int(pp)
-        needed = max(_exact_radii(pp.ambient, m, scale))
-        u, g = _lll(m)
-        best, coords = _shortest(g, min(g[i][i] for i in range(len(g))))
-        reps = [[_dot(col, c) for col in zip(*u)] for c in coords]
-        best = Fraction(best, scale)
-    else:
-        m = _norm_matrix_float(pp.point.coords).tolist()
-        # the bound of _exact_radii, sqrt(seed (M^-1)_ii), with M^-1 = G M G
-        # for G = diag(1, -1, ..., -1), rounded up with slack
-        seed = min(m[i][i] for i in range(len(m)))
-        needed = max(
-            math.floor(math.sqrt(seed * m[i][i] + 1e-9) + 1e-9) + 1 for i in range(len(m))
-        )
-        best, reps = _shortest(m, seed)
-
+    m, scale = _norm_matrix_int(pp)
+    needed = max(_exact_radii(pp.ambient, m, scale))
+    u, g = _lll(m)
+    best, coords = _shortest(g, min(g[i][i] for i in range(len(g))))
+    reps = [[_dot(col, c) for col in zip(*u)] for c in coords]
+    best = Fraction(best, scale)
     return SystoleResult(
-        value=math.sqrt(float(best)) * lattice_scale,
-        value_sq=best * (lattice_scale * lattice_scale),
-        minimizers=tuple(sorted(
-            tuple(s * lattice_scale * x for x in w) for w in reps for s in (1, -1)
-        )),
-        certified=pp.is_exact,
+        value=math.sqrt(best),
+        value_sq=best,
+        minimizers=tuple(sorted(tuple(s * x for x in w) for w in reps for s in (1, -1))),
+        certified=True,
         needed_radius=needed,
     )
 

@@ -256,9 +256,9 @@ def test_criterion_09_systole():
             disk = [rng.uniform(-0.55, 0.55) for _ in range(n)]
             if sum(x * x for x in disk) >= 0.49:
                 disk = [0.6 * x for x in disk]
-            pp = period_point_from_hpoint(disk_to_hpoint(disk))
-            res = conf_systole(pp)
-            assert abs(res.value_sq - _float_brute_min(form, pp, 25)) < 1e-10
+            hp = disk_to_hpoint(disk)
+            res = conf_systole(period_point_from_hpoint(hp))
+            assert abs(res.value_sq - _float_brute_min(form, hp, 25)) < 1e-10
 
     # CS search agrees with the 1-parameter scan oracle on both forms
     res = cs_supremum(minkowski_form(1))
@@ -356,9 +356,9 @@ def _random_rational_disk(rng, n):
             return coords
 
 
-def _float_brute_min(form, pp, radius):
+def _float_brute_min(form, hp, radius):
     g = np.array([[float(x) for x in row] for row in form.gram])
-    u = np.array(pp.point.coords)
+    u = np.array(hp.coords)
     dim = form.dim
     grids = np.meshgrid(*[np.arange(-radius, radius + 1)] * dim, indexing="ij")
     w = np.stack([a.ravel() for a in grids], axis=1).astype(float)

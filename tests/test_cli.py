@@ -1,5 +1,6 @@
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -239,31 +240,31 @@ def test_systole_period_exact(capsys, tmp_path):
 
 
 def test_systole_scale_flag(capsys, tmp_path):
+    # the systole of s Z^d is s times the systole; the flag is gone, and so
+    # is its integer check
     form = write_form(tmp_path, [[1, 0], [0, -1]])
-    code, out, _ = run(
-        capsys,
-        "systole", "--config", form, "--period", "1,0", "--scale", "2", "--json",
-    )
-    assert code == 0
-    assert json.loads(out)["value_sq"] == "4"
-
-
-def test_systole_scale_must_be_integer(capsys, tmp_path):
-    form = write_form(tmp_path, [[1, 0], [0, -1]])
-    for bad in ("3/2", "1.5", "0", "-2", "x"):
+    for scale in ("2", "3/2"):
         code, out, err = run(
-            capsys,
-            "systole", "--config", form, "--period", "5,4", "--scale", bad,
+            capsys, "systole", "--config", form, "--period", "1,0", "--scale", scale
         )
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: --scale {scale}" in err, err
+
+
+def test_period_literals_are_read_by_the_library(capsys, tmp_path):
+    form = write_form(tmp_path, [[1, 0], [0, -1]])
+    for bad in ("1,x", "1/0,1", "1,"):
+        code, out, err = run(capsys, "systole", "--config", form, "--period", bad)
         assert code == 2, bad
         assert out == ""
-        assert err.startswith("error:") and "scale" in err, err
-    code, out, _ = run(
-        capsys, "systole", "--config", form, "--period", "1,0", "--scale", "2",
-    )
+        assert err.startswith("error: not a rational literal"), err
+    code, out, _ = run(capsys, "systole", "--config", form, "--period", " 5, 4 ")
     assert code == 0
-    assert "Fraction" not in out
-    assert "(-2, 0)" in out and "(2, 0)" in out
+    assert "Fraction" not in out and "certified" in out
+    code, _, err = run(capsys, "faces", "--preset", "symmetric", "--a", "x")
+    assert code == 2
+    assert err.startswith("error: not a rational literal"), err
 
 
 def test_systole_bound_flag_is_refused(capsys, tmp_path):
@@ -455,3 +456,23 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
         assert callable(args.func), line
+
+
+def test_readme_library_sketch_runs(capsys, monkeypatch, tmp_path):
+    # the sketch runs as written, in a scratch directory for its SVG, and
+    # prints what its comments say
+    text = README.read_text()
+    block = text.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    comments = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if "print(" in line
+    ]
+    assert comments == ["ConstraintKind.GEODESIC", "exact Fraction, True"]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    kind, systole = capsys.readouterr().out.splitlines()
+    assert kind == comments[0]
+    value_sq, certified = systole.split()
+    assert str(Fraction(value_sq)) == value_sq and "." not in value_sq
+    assert certified == "True"
+    assert (tmp_path / "walls.svg").read_text().startswith("<svg")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -314,6 +315,18 @@ def test_json_round_trip():
 def test_json_rejects_missing_keys():
     with pytest.raises(InputError):
         DecompositionData.from_json({"ambient": {"gram": [["1"]]}})
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 1.5, 1.0, True, "x", "1", None, -1])
+def test_betti_numbers_must_be_non_negative_ints(bad):
+    # from_json used int(): 3/2 and 1.5 became 1, true became 1, and "x"
+    # or null escaped as a bare ValueError or TypeError
+    blob = connected_sum_split().to_json()
+    for key in ("bhat1", "bhat2"):
+        with pytest.raises(InputError, match=key):
+            DecompositionData.from_json({**blob, key: bad})
+    with pytest.raises(InputError, match="bhat2"):
+        dataclasses.replace(connected_sum_split(), bhat2=bad)
 
 
 def test_data_rejects_foreign_subspace():

@@ -76,6 +76,20 @@ def test_disk_to_hpoint_rejects_outside():
         disk_to_hpoint((0.8, 0.7))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_refused(bad):
+    # every comparison with NaN is false, so a NaN point used to pass the
+    # hyperboloid check and reach the systole as a bare ValueError
+    with pytest.raises(DomainError, match="finite"):
+        disk_to_hpoint((bad,))
+    with pytest.raises(DomainError, match="finite"):
+        disk_to_hpoint((0.0, bad))
+    with pytest.raises(DomainError, match="finite"):
+        HPoint((bad, 0.0))
+    with pytest.raises(DomainError, match="finite"):
+        HPoint((1.0, 0.0, bad))
+
+
 def test_distance_along_geodesic():
     p = HPoint((1.0, 0.0, 0.0))
     for t in (0.0, 0.5, 2.0):

@@ -478,10 +478,6 @@ def test_coverage_grid_step_must_divide():
         {"grid_step": -0.05},
         {"grid_step": math.nan},
         {"grid_step": math.inf},
-        {"grid_step": 0.05, "sample_step": -0.01},
-        {"grid_step": 0.05, "sample_step": 0.0},
-        {"grid_step": 0.05, "sample_step": math.nan},
-        {"grid_step": 0.05, "sample_step": math.inf},
     ],
 )
 def test_coverage_steps_must_be_positive_and_finite(steps):
@@ -492,7 +488,7 @@ def test_coverage_steps_must_be_positive_and_finite(steps):
 @pytest.mark.parametrize(
     "n, steps",
     [
-        (2, {"grid_step": 0.05, "sample_step": 1e-5}),  # a 556 GiB box
+        (2, {"grid_step": 0.004}),  # 4.7e7 box points at sample step 0.0004
         (3, {"grid_step": 0.1}),  # 6.5e7 box points
     ],
 )
