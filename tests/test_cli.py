@@ -243,13 +243,25 @@ def test_systole_scale_flag(capsys, tmp_path):
     # the systole of s Z^d is s times the systole; the flag is gone, and so
     # is its integer check
     form = write_form(tmp_path, [[1, 0], [0, -1]])
-    for scale in ("2", "3/2"):
+    code, out, err = run(
+        capsys, "systole", "--config", form, "--period", "1,0", "--scale", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --scale 2" in err, err
+
+
+def test_systole_scale_must_be_integer(capsys, tmp_path):
+    # the values the integer check refused are still refused, with exit 2
+    # and nothing printed: the flag itself is unknown
+    form = write_form(tmp_path, [[1, 0], [0, -1]])
+    for bad in ("3/2", "1.5", "0", "-2", "x"):
         code, out, err = run(
-            capsys, "systole", "--config", form, "--period", "1,0", "--scale", scale
+            capsys, "systole", "--config", form, "--period", "5,4", "--scale", bad
         )
-        assert code == 2
+        assert code == 2, bad
         assert out == ""
-        assert f"unrecognized arguments: --scale {scale}" in err, err
+        assert f"unrecognized arguments: --scale {bad}" in err, err
 
 
 def test_period_literals_are_read_by_the_library(capsys, tmp_path):

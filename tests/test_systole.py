@@ -351,6 +351,15 @@ def test_lll_reduces_random_grams():
             _lll(indefinite)
 
 
+def test_float_path_near_the_boundary_raises_typed_error():
+    # closer to the rim than the search reaches, rounding moves the float
+    # coordinates off the hyperboloid; that surfaces as a DomainError, not
+    # as a wrong systole
+    for rho in (1 - 1e-9, 1 - 1e-12, 0.9999999999999999):
+        with pytest.raises(DomainError, match="hyperboloid sheet"):
+            conf_systole(period_point_from_hpoint(disk_to_hpoint([rho])))
+
+
 def test_float_search_answers_near_the_rim():
     # a hyperboloid point is the rational line through its float
     # coordinates, so the search is exact there too.  A float search in the
