@@ -503,10 +503,18 @@ def _map_rows(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndar
 
     The blocks are of near-equal size, so none is a lone row when pts
     has two or more: numpy multiplies a single row by a matrix through
-    another routine than a block, and its last bits can differ.
+    another routine than a block, and its last bits can differ.  Each
+    block's image is written into one array allocated on the first.
     """
-    blocks = np.array_split(pts, max(1, -(-len(pts) // SLAB_ROWS)))
-    return np.concatenate([np.asarray(f(b), dtype=float) for b in blocks])
+    out = None
+    start = 0
+    for block in np.array_split(pts, max(1, -(-len(pts) // SLAB_ROWS))):
+        image = np.asarray(f(block), dtype=float)
+        if out is None:
+            out = np.empty((len(pts),) + image.shape[1:])
+        out[start : start + len(block)] = image
+        start += len(block)
+    return out
 
 
 def _simplex_grid(n: int, step: float) -> np.ndarray:
@@ -572,6 +580,8 @@ def check_face_mapping_surjectivity(
             )
 
     images = _map_rows(f, samples)
+    samples_used = len(samples)
+    del samples  # the tree and its query need only the images
     # sliding-midpoint splits build faster than median splits and the
     # nearest-neighbour distances are exact either way
     tree = cKDTree(images, balanced_tree=False, compact_nodes=False, copy_data=False)
@@ -588,7 +598,7 @@ def check_face_mapping_surjectivity(
         uncovered_witness=witness,
         max_gap=float(dist.max()),
         face_violations=tuple(violations),
-        samples_used=len(samples),
+        samples_used=samples_used,
     )
 
 

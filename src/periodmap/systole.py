@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,7 +50,7 @@ from .errors import (
     PreconditionError,
     ResourceError,
 )
-from .grassmannian import HPoint, disk_to_hpoint
+from .grassmannian import HPoint
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,6 @@ def _norm_matrix_int(pp: PeriodPoint) -> tuple[list[list[int]], int]:
         for c in range(a, dim):
             n[a][c] = n[c][a] = 2 * _dot(cols[a], ay[c]) - r * form._igram[a][c]
     return n, r * form._den
-
-
-def _norm_matrix_float(u: Sequence[float], gram: np.ndarray) -> np.ndarray:
-    """2 (Gu)(Gu)^t - G for the unit vector u."""
-    gu = gram @ np.asarray(u, dtype=float)
-    return 2.0 * np.outer(gu, gu) - gram
 
 
 def period_norm_sq(pp: PeriodPoint, w: Sequence) -> Fraction:
@@ -274,60 +269,67 @@ def _shortest(m, seed):
     d = len(m)
     exact = isinstance(seed, int)
     root = math.isqrt if exact else math.sqrt
-    div = operator.floordiv if exact else operator.truediv
-
-    def tie(v):  # exact values tie only when equal
-        return v if exact else v + 1e-9 * max(1.0, v)
 
     # row k of b ends as row k of the k-th scaled Schur complement;
     # p[k + 1] = b[k][k] is the k-th leading principal minor, p[0] = 1
     b = [list(row) for row in m]
     p = [1]
     for k in range(d):
-        if b[k][k] <= 0:  # only rounding makes a pivot of a norm matrix non-positive
-            raise NumericalDomainError(f"norm matrix has non-positive pivot {b[k][k]}")
+        bk, pk, pivot = b[k], p[k], b[k][k]
+        if pivot <= 0:  # only rounding makes a pivot of a norm matrix non-positive
+            raise NumericalDomainError(f"norm matrix has non-positive pivot {pivot}")
         for i in range(k + 1, d):
+            bi = b[i]
+            bik = bi[k]
             for j in range(k + 1, d):
-                b[i][j] = div(b[k][k] * b[i][j] - b[i][k] * b[k][j], p[k])
-        p.append(b[k][k])
+                t = pivot * bi[j] - bik * bk[j]
+                bi[j] = t // pk if exact else t / pk
+        p.append(pivot)
     x = [0] * d
     found = []
-    bound = tie(seed)
+    # exact values tie only when equal
+    bound = seed if exact else seed + 1e-9 * max(1.0, seed)
     nodes = 0
 
     def visit(k, tail, free):
         # tail = V_{k+1}; free once a later coordinate is nonzero, else
         # w_k >= 0 keeps one vector of each sign pair
         nonlocal bound, nodes
-        s = sum(b[k][j] * x[j] for j in range(k + 1, d))
-        room = (bound * p[k + 1] - tail) * p[k]
+        bk, pk, pk1 = b[k], p[k], p[k + 1]
+        s = 0
+        for j in range(k + 1, d):
+            s += bk[j] * x[j]
+        room = (bound * pk1 - tail) * pk
         if room < 0:
             return
         r = root(room)
-        lo = int(-((r + s) // p[k + 1]))
-        if not free:
-            lo = max(0, lo)
-        hi = int((r - s) // p[k + 1])
-        nodes += max(0, hi - lo + 1)
+        lo = int(-((r + s) // pk1))
+        if lo < 0 and not free:
+            lo = 0
+        hi = int((r - s) // pk1)
+        if hi >= lo:
+            nodes += hi - lo + 1
         if nodes > MAX_ENUMERATION:
             raise ResourceError(f"enumeration passed {MAX_ENUMERATION} nodes")
         at = bound
+        tp = tail * pk
         xk = lo
         while xk <= hi:
             x[k] = xk
-            t = p[k + 1] * xk + s
-            v = div(tail * p[k] + t * t, p[k + 1])
+            t = pk1 * xk + s
+            v = (tp + t * t) // pk1 if exact else (tp + t * t) / pk1
             if k:
                 visit(k - 1, v, free or xk != 0)
             elif (free or xk) and v <= bound:
                 found.append((v, tuple(x)))
-                bound = min(bound, tie(v))
+                bound = min(bound, v if exact else v + 1e-9 * max(1.0, v))
             xk += 1
             if bound < at:  # the bound fell: cut the range's upper end to it
                 at = bound
-                room = (bound * p[k + 1] - tail) * p[k]
-                new = int((root(room) - s) // p[k + 1]) if room >= 0 else xk - 1
-                new = max(new, xk - 1)
+                room = (bound * pk1 - tail) * pk
+                new = int((root(room) - s) // pk1) if room >= 0 else xk - 1
+                if new < xk - 1:
+                    new = xk - 1
                 nodes -= hi - new  # only nodes it will no longer visit
                 hi = new
 
@@ -335,7 +337,8 @@ def _shortest(m, seed):
     if not found:
         raise NumericalDomainError("rounding lost every vector of the seed ellipsoid")
     best = min(v for v, _ in found)
-    return best, [w for v, w in found if v <= tie(best)]
+    top = best if exact else best + 1e-9 * max(1.0, best)
+    return best, [w for v, w in found if v <= top]
 
 
 def conf_systole(pp: PeriodPoint) -> SystoleResult:
@@ -383,6 +386,17 @@ class CsSearchConfig:
     grid: float = 0.05
     refine_tol: float = 1e-6
 
+    def __post_init__(self):
+        for name in ("grid", "refine_tol"):
+            value = getattr(self, name)
+            if not (
+                isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and value > 0
+            ):
+                raise InputError(f"{name} must be positive and finite, got {value!r}")
+
 
 @dataclass(frozen=True)
 class CsResult:
@@ -408,6 +422,13 @@ class _DiskObjective:
     form of the patch is within a factor ((1 + r) / (1 - r))^2 of the one
     at its centre, r = PATCH_RADIUS, so enumerating in a lattice basis
     LLL-reduced for that one bounds the work by the rank alone.
+
+    The form is checked and reduced once, here; a call then works in
+    plain floats.  It maps the disk point to the hyperboloid point h by
+    the formula of ``disk_to_hpoint``, takes u = back h and the norm
+    matrix 2 (Gu)(Gu)^t - G, and enumerates.  A point inside the patch
+    is finite, so only one outside it is checked: a non-finite point
+    raises DomainError.
     """
 
     def __init__(self, form: GramForm):
@@ -425,16 +446,26 @@ class _DiskObjective:
         u, _ = _lll(_norm_matrix_int(centre)[0])
         inv = [[_int_det(u) * a for a in row] for row in zip(*_int_adjugate(u))]
         cols = [[_dot(row, col) for col in zip(*emb.matrix)] for row in inv]
-        self.back = np.array(cols, dtype=float) / np.sqrt(np.array(emb.scales, dtype=float))
-        self.gram = np.array([[form.evaluate(a, b) for b in u] for a in u], dtype=float)
+        scales = [math.sqrt(float(s)) for s in emb.scales]
+        self.back = [[float(a) / c for a, c in zip(row, scales)] for row in cols]
+        self.gram = [[float(form.evaluate(a, b)) for b in u] for a in u]
         self.evaluations = 0
 
     def __call__(self, disk: Sequence[float]) -> float:
-        if sum(x * x for x in disk) > PATCH_RADIUS * PATCH_RADIUS:
-            return -math.inf
-        u = self.back @ np.array(disk_to_hpoint(disk).coords)
+        r2 = sum(x * x for x in disk)
+        if not r2 <= PATCH_RADIUS * PATCH_RADIUS:
+            if all(map(math.isfinite, disk)):
+                return -math.inf
+            raise DomainError(f"disk coordinates must be finite: {tuple(disk)}")
         self.evaluations += 1
-        m = _norm_matrix_float(u, self.gram).tolist()
+        denom = 1.0 - r2
+        h = [(1.0 + r2) / denom] + [2.0 * x / denom for x in disk]
+        u = [sum(map(operator.mul, row, h)) for row in self.back]
+        gu = [sum(map(operator.mul, row, u)) for row in self.gram]
+        m = [
+            [2.0 * gi * gj - g for gj, g in zip(gu, row)]
+            for gi, row in zip(gu, self.gram)
+        ]
         return math.sqrt(_shortest(m, min(m[i][i] for i in range(len(m))))[0])
 
 
@@ -449,11 +480,18 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section search for a maximum of f on [lo, hi].
+
+    It stops when the bracket is no wider than tol, or when rounding
+    stops it from shrinking, so any tolerance ends the search.
+    """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
+    width = math.inf
+    while tol < abs(b - a) < width:
+        width = abs(b - a)
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)

@@ -19,6 +19,7 @@ numbers.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -149,8 +150,6 @@ def box_radius_reference(form_gram, basis):
     entry s of M has |w_i| <= sqrt(s (M^-1)_ii), and the radius is the
     largest of these, rounded down.
     """
-    import math
-
     g = [[Fraction(x) for x in row] for row in form_gram]
     d = len(g)
     b = [[Fraction(x) for x in v] for v in basis]
@@ -193,6 +192,38 @@ def float_brute_force_systole(disk, radius, tie=1e-9):
     best = float(val.min())
     hits = pts[val <= best + tie * max(1.0, best)]
     return best, frozenset(tuple(int(x) for x in h) for h in hits)
+
+
+def shortest_box_reference(m, tie=0):
+    """Minimum of w^t m w over nonzero integer w and every minimizer, by a box search.
+
+    ``m`` is a symmetric positive definite matrix of ints or floats, each
+    entry read exactly as a Fraction.  Every w with w^t m w <= seed, the
+    smallest diagonal entry, satisfies |w_i| <= sqrt(seed (m^-1)_ii)
+    (Cauchy-Schwarz), so the box one wider than that holds every vector
+    that can tie the minimum.  Values within ``tie`` (relative above 1)
+    of the exact minimum count as ties.  Returns (minimum as a Fraction,
+    frozenset of minimizers with both signs).
+    """
+    q = [[Fraction(x) for x in row] for row in m]
+    d = len(q)
+    den = 1
+    for row in q:
+        for x in row:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    ints = [[int(x * den) for x in row] for row in q]
+    inv = inverse_reference(q)
+    seed = min(q[i][i] for i in range(d))
+    radii = [math.isqrt(math.floor(seed * inv[i][i])) + 1 for i in range(d)]
+    values = {}
+    for w in itertools.product(*[range(-r, r + 1) for r in radii]):
+        if any(w):
+            values[w] = Fraction(
+                sum(w[i] * ints[i][j] * w[j] for i in range(d) for j in range(d)), den
+            )
+    best = min(values.values())
+    top = best + Fraction(tie) * max(1, best)
+    return best, frozenset(w for w, v in values.items() if v <= top)
 
 
 def lagrange_gauss_minimum(m):
@@ -258,8 +289,6 @@ def cs_scan_1d(norm_sq_of, t_lo=-2.0, t_hi=2.0, steps=4001, refine_iters=80):
     (a, b) at parameter t.  Scans a uniform grid, then refines by
     ternary search.  Returns (t_best, sqrt of best min).
     """
-    import math
-
     cands = [
         (a, b)
         for a in range(-6, 7)

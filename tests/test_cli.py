@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -309,6 +310,46 @@ def test_systole_sup(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["cs"] >= 1.0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--refine", "0"),
+        ("--refine", "-0.5"),
+        ("--refine", "nan"),
+        ("--refine", "inf"),
+        ("--grid", "0"),
+        ("--grid", "-0.1"),
+        ("--grid", "nan"),
+        ("--grid", "inf"),
+    ],
+)
+def test_systole_sup_steps_must_be_positive_and_finite(capsys, tmp_path, flag, value):
+    # --refine 0 once never returned, --grid 0 raised ZeroDivisionError,
+    # nan and inf grids a bare ValueError, --refine nan printed NaN into
+    # the JSON and a negative grid searched only the centre
+    form = write_form(tmp_path, [[1, 0], [0, -1]])
+    code, out, err = run(capsys, "systole", "--config", form, "--sup", flag, value, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be positive and finite" in err, err
+
+
+def test_systole_sup_tiny_refine_returns(capsys, tmp_path):
+    form = write_form(tmp_path, [[1, 0], [0, -1]])
+    code, out, _ = run(capsys, "systole", "--config", form, "--sup", "--json")
+    assert code == 0
+    want = json.loads(out)["cs"]
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "systole", "--config", form, "--sup", "--refine", "1e-20", "--json"
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["cs"] - want) < 1e-6
+    assert data["refine_tol"] == 1e-20
 
 
 def test_systole_requires_mode(capsys, tmp_path):

@@ -39,6 +39,7 @@ from oracles import (
     float_brute_force_systole,
     gram_schmidt_reference,
     lagrange_gauss_minimum,
+    shortest_box_reference,
 )
 
 F = Fraction
@@ -384,6 +385,59 @@ def test_float_search_answers_near_the_rim():
         assert res.certified
 
 
+def _box_sized_form(rng, d):
+    # a random positive definite integer form whose oracle box stays small
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        if abs(np.linalg.det(np.array(a, dtype=float))) < 0.5:
+            continue
+        m = [[sum(a[k][i] * a[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+        inv = np.linalg.inv(np.array(m, dtype=float))
+        seed = min(m[i][i] for i in range(d))
+        if math.prod(2 * math.sqrt(seed * inv[i][i]) + 3 for i in range(d)) <= 3000:
+            return m
+
+
+def _both_signs(mins):
+    return frozenset(w for v in mins for w in (v, tuple(-x for x in v)))
+
+
+def test_enumerator_matches_box_oracle():
+    # int forms exactly; the same forms scaled by a power of two, where
+    # float arithmetic is exact; and near ties, the forms' exact ties split
+    # by symmetric noise far inside the 1e-9 tie window
+    rng = random.Random(1515)
+    ties = 0
+    for it in range(240):
+        d = 2 + it % 3
+        m = _box_sized_form(rng, d)
+        best, mins = _shortest(m, min(m[i][i] for i in range(d)))
+        want, want_mins = shortest_box_reference(m)
+        assert best == want, m
+        assert _both_signs(mins) == want_mins and 2 * len(mins) == len(want_mins), m
+        ties += len(want_mins) > 2
+
+        c = 2.0 ** rng.randint(-20, 20)
+        f = [[c * x for x in row] for row in m]
+        best, mins = _shortest(f, min(f[i][i] for i in range(d)))
+        want, want_mins = shortest_box_reference(f, tie=1e-9)
+        assert best == float(want), f
+        assert _both_signs(mins) == want_mins and 2 * len(mins) == len(want_mins), f
+
+        f = [[float(x) for x in row] for row in m]
+        eps = 10 ** rng.uniform(-14, -11)
+        for i in range(d):
+            for j in range(i, d):
+                f[i][j] += rng.uniform(-eps, eps) * max(1.0, abs(f[i][j]))
+                f[j][i] = f[i][j]
+        best, mins = _shortest(f, min(f[i][i] for i in range(d)))
+        want, want_mins = shortest_box_reference(f, tie=1e-9)
+        # the enumerator completes squares, the oracle sums w^t m w exactly
+        assert abs(best - want) <= 1e-13 * want, f
+        assert _both_signs(mins) == want_mins and 2 * len(mins) == len(want_mins), f
+    assert ties >= 40
+
+
 def test_enumerator_rejects_non_positive_pivot():
     with pytest.raises(NumericalDomainError, match="pivot"):
         _shortest([[1.0, 2.0], [2.0, 1.0]], 1.0)
@@ -510,6 +564,42 @@ def test_disk_objective_is_minus_inf_outside_the_patch():
     assert obj((0.0, PATCH_RADIUS + 1e-9)) == -math.inf
     assert obj((0.7, -0.7)) == -math.inf
     assert obj.evaluations == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_disk_objective_refuses_non_finite_points(bad):
+    obj = _DiskObjective(minkowski_form(2))
+    for point in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(DomainError, match="finite"):
+            obj(point)
+    # a finite point far outside the patch is only outside it
+    assert obj((1e200, 0.0)) == -math.inf
+    assert obj.evaluations == 0
+
+
+def test_cs_search_path_is_pinned():
+    # the grid, the golden-section rounds and so the evaluation count are
+    # fixed by the search, not by how an evaluation is computed
+    assert cs_supremum(minkowski_form(1)).evaluations == 349
+    assert cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2)).evaluations == 815
+
+
+@pytest.mark.parametrize("field", ["grid", "refine_tol"])
+@pytest.mark.parametrize("bad", [0, 0.0, -0.1, -1e-20, math.nan, math.inf, -math.inf, True, "0.1", None])
+def test_cs_search_steps_must_be_positive_and_finite(field, bad):
+    with pytest.raises(InputError, match=field):
+        CsSearchConfig(**{field: bad})
+
+
+def test_tiny_refine_tolerance_returns():
+    # the golden-section bracket stops shrinking at the float spacing, so
+    # a tolerance far below it ends the search instead of looping forever
+    want = cs_supremum(DIAG)
+    start = time.perf_counter()
+    res = cs_supremum(DIAG, CsSearchConfig(refine_tol=1e-20))
+    assert time.perf_counter() - start < 5.0
+    assert abs(res.value - want.value) < 1e-6
+    assert res.refine_tol == 1e-20
 
 
 def test_cs_invariance_under_unimodular_congruence():
