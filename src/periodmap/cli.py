@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -214,6 +215,10 @@ def _cmd_limit(args) -> int:
 def _cmd_systole(args) -> int:
     form = GramForm.from_json(_load_json_file(args.config))
     if args.sup:
+        # refused here too, so the message names the flag that was typed
+        for flag, value in (("--grid", args.grid), ("--refine", args.refine)):
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{flag} must be positive and finite, got {value}")
         search = CsSearchConfig(grid=args.grid, refine_tol=args.refine)
         res = cs_supremum(form, search=search)
         payload = {

@@ -21,19 +21,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError, ResourceError
+from .errors import DomainError, InputError, NumericalDomainError, ResourceError
 
 DAMPING_SLACK = Fraction(1, 4)  # slack scale below which coordinates are pulled in
 MAX_GRID_POINTS = 4 * 10**7  # largest sample box or grid a coverage check builds
 FACE_SAMPLES = 40  # random points per face in the coverage check's face condition
 FACE_TOL = 1e-7  # how far an image coordinate the face pins may stray from 1
 SLAB_ROWS = 2**15  # rows per sample slab and per call of the checked map
+KD_LEAF_SIZE = 256  # points per leaf of the coverage check's KD-trees
 
 
 def subset_level(k: int) -> int:
@@ -447,42 +450,60 @@ class CoverageReport:
         return "\n".join(lines)
 
 
-def _sample_polytope(realization: PermRealization, step: float) -> np.ndarray:
-    """Grid sample of the permutahedron in its hyperplane, plus dense
-    samples of every facet so images track the simplex boundary.
+class _SampleBox:
+    """Grid sample of the permutahedron in its hyperplane, made slab by slab.
 
     The grid is a box one step wider than the permutahedron on every
     side; its size is worked out from the axis lengths before anything is
     allocated, and a box above MAX_GRID_POINTS is refused.  The box is
-    then made slab by slab along its first axis, in meshgrid order, and
-    each slab is filtered as it is made: the sum of its k smallest
-    coordinates must reach subset_level(k), for k = 1..n.
+    cut into slabs along its first axis, each of at most SLAB_ROWS points
+    when one line of the box fits, and ``slab(i)`` makes slab i in
+    meshgrid order, filtered: the sum of its k smallest coordinates must
+    reach subset_level(k), for k = 1..n.  Every slab is made the same way
+    whichever part of the check asks for it, so the samples do not depend
+    on how the slabs are shared out.
     """
-    n = realization.n
-    basis = _hyperplane_basis(n)
-    center = np.full(n + 1, realization.total / (n + 1))
-    verts = np.array(realization.vertices, dtype=float)
-    plane = (verts - center) @ basis.T
-    lo = plane.min(axis=0) - step
-    hi = plane.max(axis=0) + step
-    # np.arange(start, stop, step) holds ceil((stop - start) / step) values
-    lengths = [math.ceil((hi[i] + step - lo[i]) / step) for i in range(n)]
-    size = math.prod(lengths)
-    if size > MAX_GRID_POINTS:
-        raise ResourceError(
-            f"sample step {step} needs a box of {size} points (limit {MAX_GRID_POINTS})"
-        )
-    axes = [np.arange(lo[i], hi[i] + step, step) for i in range(n)]
-    lines_per_slab = max(1, SLAB_ROWS // math.prod(lengths[1:]))
-    parts = []
-    for start in range(0, len(axes[0]), lines_per_slab):
-        first = axes[0][start : start + lines_per_slab]
-        mesh = np.meshgrid(first, *axes[1:], indexing="ij")
-        pts = center + np.stack([m.ravel() for m in mesh], axis=1) @ basis
+
+    def __init__(self, realization: PermRealization, step: float) -> None:
+        n = realization.n
+        self.basis = _hyperplane_basis(n)
+        self.center = np.full(n + 1, realization.total / (n + 1))
+        verts = np.array(realization.vertices, dtype=float)
+        plane = (verts - self.center) @ self.basis.T
+        lo = plane.min(axis=0) - step
+        hi = plane.max(axis=0) + step
+        # np.arange(start, stop, step) holds ceil((stop - start) / step) values
+        lengths = [math.ceil((hi[i] + step - lo[i]) / step) for i in range(n)]
+        size = math.prod(lengths)
+        if size > MAX_GRID_POINTS:
+            raise ResourceError(
+                f"sample step {step} needs a box of {size} points (limit {MAX_GRID_POINTS})"
+            )
+        self.axes = [np.arange(lo[i], hi[i] + step, step) for i in range(n)]
+        self.line_points = math.prod(len(a) for a in self.axes[1:])
+        self.lines_per_slab = max(1, SLAB_ROWS // self.line_points)
+        self.slabs = -(-len(self.axes[0]) // self.lines_per_slab)
+
+    def box_points(self, slabs: range) -> int:
+        """Points of the box in a run of slabs, before the filter."""
+        step = self.lines_per_slab
+        lines = range(len(self.axes[0]))[slabs.start * step : slabs.stop * step]
+        return len(lines) * self.line_points
+
+    def slab(self, i: int) -> np.ndarray:
+        start = i * self.lines_per_slab
+        first = self.axes[0][start : start + self.lines_per_slab]
+        mesh = np.meshgrid(first, *self.axes[1:], indexing="ij")
+        pts = self.center + np.stack([m.ravel() for m in mesh], axis=1) @ self.basis
         low = itertools.accumulate(_sorted_columns(pts)[:-1])
         keep = [c - subset_level(k) >= -1e-12 for k, c in enumerate(low, start=1)]
-        parts.append(pts[np.logical_and.reduce(keep)])
+        return pts[np.logical_and.reduce(keep)]
 
+
+def _facet_samples(realization: PermRealization) -> np.ndarray:
+    """Dense samples of every facet, so images track the simplex boundary."""
+    n = realization.n
+    parts = []
     if n == 2:
         t = np.linspace(0.0, 1.0, 2001)[:, None]
         for ns in enumerate_faces(2, 1):
@@ -498,21 +519,48 @@ def _sample_polytope(realization: PermRealization, step: float) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _map_rows(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
-    """f applied to pts in row blocks of at most SLAB_ROWS rows.
+def _image(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """f(pts) as a float array, checked to hold one finite row per point.
+
+    A wrong shape raises InputError naming it; a NaN or infinite
+    coordinate raises NumericalDomainError naming the first bad row.
+    Either would otherwise be broadcast, or compare false against every
+    tolerance, and read as a plausible report.
+    """
+    image = np.asarray(f(pts), dtype=float)
+    if image.shape != pts.shape:
+        raise InputError(
+            f"map returned an array of shape {image.shape} for a block of shape {pts.shape}"
+        )
+    finite = np.isfinite(image)
+    if not finite.all():  # one flat pass: a per-row all() costs 20 times more
+        i = int(np.argmin(finite.all(axis=1)))
+        raise NumericalDomainError(
+            f"map sent {tuple(pts[i].tolist())} to the non-finite {tuple(image[i].tolist())}"
+        )
+    return image
+
+
+def _map_rows(
+    f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """f applied to pts in row blocks of at most SLAB_ROWS rows, written
+    into out (an array of pts' shape) or into a new array.
 
     The blocks are of near-equal size, so none is a lone row when pts
-    has two or more: numpy multiplies a single row by a matrix through
-    another routine than a block, and its last bits can differ.  Each
-    block's image is written into one array allocated on the first.
+    has two or more, and a single row is mapped as a block of two copies
+    of itself: numpy multiplies a single row by a matrix through another
+    routine than a block, and its last bits can differ.  Each block's
+    image is checked by _image.
     """
-    out = None
+    if out is None:
+        out = np.empty(pts.shape)
+    if len(pts) == 1:
+        out[:] = _image(f, np.repeat(pts, 2, axis=0))[:1]
+        return out
     start = 0
     for block in np.array_split(pts, max(1, -(-len(pts) // SLAB_ROWS))):
-        image = np.asarray(f(block), dtype=float)
-        if out is None:
-            out = np.empty((len(pts),) + image.shape[1:])
-        out[start : start + len(block)] = image
+        out[start : start + len(block)] = _image(f, block)
         start += len(block)
     return out
 
@@ -533,6 +581,65 @@ def _simplex_grid(n: int, step: float) -> np.ndarray:
     return 1.0 + step * grid
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _coverage_part(
+    f: Callable[[np.ndarray], np.ndarray],
+    box: _SampleBox,
+    slabs: range,
+    extra: np.ndarray | None,
+    grid: np.ndarray,
+    stop: threading.Event,
+) -> tuple[int, np.ndarray | None]:
+    """One part of the coverage check: make the given slabs of the box,
+    map each through f as it is made, add the image of the extra samples,
+    index all the images, kept in one array, in one tree and query it at
+    the grid nodes.
+
+    Returns the number of samples and each grid node's distance to the
+    nearest of their images; a part with no samples builds no tree and
+    returns None.  A part quits early, returning nothing useful, once
+    stop is set.
+    """
+    from scipy.spatial import cKDTree
+
+    rows = box.box_points(slabs) + (0 if extra is None else len(extra))
+    # room for every box point of the slabs; the pages past the samples
+    # kept are never written, so they take no memory
+    images = np.empty((rows, box.center.size))
+    count = 0
+    for i in slabs:
+        if stop.is_set():
+            return 0, None
+        pts = box.slab(i)
+        if len(pts):
+            _map_rows(f, pts, images[count : count + len(pts)])
+            count += len(pts)
+    if extra is not None:
+        _map_rows(f, extra, images[count : count + len(extra)])
+        count += len(extra)
+    if not count:
+        return 0, None
+    images = images[:count]
+    # sliding-midpoint splits build faster than median splits and the
+    # nearest-neighbour distances are exact either way
+    tree = cKDTree(
+        images,
+        leafsize=KD_LEAF_SIZE,
+        balanced_tree=False,
+        compact_nodes=False,
+        copy_data=False,
+    )
+    return len(images), tree.query(grid, k=1)[0]
+
+
 def check_face_mapping_surjectivity(
     f: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -547,21 +654,34 @@ def check_face_mapping_surjectivity(
     the chain's largest subset to 1 within FACE_TOL), then checks that
     every simplex grid node at spacing grid_step has an image point
     within grid_step, sampling the permutahedron at grid_step / 10.  f
-    must accept a (k, n+1) array of points and return the mapped array;
-    it is applied to row blocks of the samples, so it must act row by row.
+    must accept a (k, n+1) array of points, k >= 2, and return their
+    (k, n+1) images; a wrong shape raises InputError and a non-finite
+    image NumericalDomainError.
+
+    The sampling runs in parts, one per CPU the process may use (its
+    affinity mask, else os.cpu_count()) but no more than the box has
+    slabs, each in its own thread; with one part it runs in the calling
+    thread.  Each part makes
+    a contiguous run of the sample box's slabs, maps them and indexes
+    its images in its own KD-tree; a grid node's distance is the least
+    of the parts' nearest distances, which is its distance to the
+    nearest image of all the samples, so the report does not depend on
+    the number of parts.  f is therefore called from several threads at
+    once, on disjoint row blocks: it must be thread-safe and act row by
+    row, giving each row the same image whatever block holds it.  Every
+    map this module ships does.  An error raised by f reaches the caller
+    unchanged, after every part has stopped.
 
     grid_step must be positive and finite; a sample box or grid above
-    MAX_GRID_POINTS points raises ResourceError before it is built.
+    MAX_GRID_POINTS points raises ResourceError before f is called.
     """
-    from scipy.spatial import cKDTree
-
     if n > 3:
         raise ResourceError("coverage check capped at n = 3")
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise InputError(f"grid_step must be positive and finite, got {grid_step}")
     realization = realize(n)
     grid = _simplex_grid(n, grid_step)
-    samples = _sample_polytope(realization, grid_step / 10.0)
+    box = _SampleBox(realization, grid_step / 10.0)
 
     rng = np.random.default_rng(seed)
     violations = []
@@ -570,7 +690,7 @@ def check_face_mapping_surjectivity(
         bary = rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES)
         pts = bary @ fv
         pts = np.concatenate([pts, fv], axis=0)
-        images = np.asarray(f(pts), dtype=float)
+        images = _image(f, pts)
         pinned = [i - 1 for i in ns.chain[-1]]
         bad = np.abs(images[:, pinned] - 1.0).max(axis=1) > FACE_TOL
         if bad.any():
@@ -579,13 +699,34 @@ def check_face_mapping_surjectivity(
                 FaceViolation(ns, tuple(pts[idx]), tuple(images[idx]))
             )
 
-    images = _map_rows(f, samples)
-    samples_used = len(samples)
-    del samples  # the tree and its query need only the images
-    # sliding-midpoint splits build faster than median splits and the
-    # nearest-neighbour distances are exact either way
-    tree = cKDTree(images, balanced_tree=False, compact_nodes=False, copy_data=False)
-    dist, _ = tree.query(grid, k=1)
+    parts = min(_cpu_count(), box.slabs)
+    cuts = [box.slabs * i // parts for i in range(parts + 1)]
+    facets = _facet_samples(realization)
+    stop = threading.Event()
+
+    def run(i: int) -> tuple[int, np.ndarray | None]:
+        try:
+            return _coverage_part(
+                f, box, range(cuts[i], cuts[i + 1]), facets if i == 0 else None, grid, stop
+            )
+        except BaseException:
+            stop.set()  # the other parts quit at their next slab
+            raise
+
+    if parts == 1:
+        results = [run(0)]
+    else:
+        # imported here: concurrent.futures loads logging, which the
+        # exact commands never need
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            futures = [pool.submit(run, i) for i in range(parts)]
+            # the first error in part order is raised once the pool has
+            # joined every thread; a later part's error is dropped
+            results = [fut.result() for fut in futures]
+    samples_used = sum(count for count, _ in results)
+    dist = np.minimum.reduce([d for _, d in results if d is not None])
     covered = dist <= grid_step
     witness = None
     if not covered.all():

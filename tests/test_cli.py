@@ -334,6 +334,7 @@ def test_systole_sup_steps_must_be_positive_and_finite(capsys, tmp_path, flag, v
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "must be positive and finite" in err, err
+    assert err.startswith(f"error: {flag} "), err
 
 
 def test_systole_sup_tiny_refine_returns(capsys, tmp_path):

@@ -1,13 +1,16 @@
 import itertools
 import math
+import os
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from periodmap.errors import DomainError, InputError, ResourceError
+from periodmap.errors import DomainError, InputError, NumericalDomainError, ResourceError
 from periodmap.permutahedron import (
     DAMPING_SLACK,
     MAX_GRID_POINTS,
@@ -27,7 +30,11 @@ from periodmap.permutahedron import (
     shrink_map,
     subset_level,
     twist_perturbation,
+    _SampleBox,
+    _coverage_part,
+    _cpu_count,
     _map_rows,
+    _simplex_grid,
 )
 
 from oracles import (
@@ -571,6 +578,163 @@ def test_coverage_matches_whole_box_reference(n, grid_step, name):
     ref = coverage_reference(f, r.vertices, facets, grid_step, grid_step / 10)
     rep = check_face_mapping_surjectivity(f, n, grid_step)
     assert {key: getattr(rep, key) for key in ref} == ref
+
+
+def _near(pts, point, radius):
+    return np.linalg.norm(pts - np.array(point, dtype=float), axis=1) < radius
+
+
+def _nan_near_corner(pts):
+    # the face condition once let NaN through, as it fails "> FACE_TOL"
+    out = collapse_batch(realize(2))(pts)
+    out[_near(out, (4, 1, 1), 0.3)] = np.nan
+    return out
+
+
+def _inf_near_centre(pts):
+    # only the sample blocks reach the centre, where a bare ValueError
+    # from the KD-tree once stopped it
+    out = collapse_batch(realize(2))(pts)
+    out[_near(out, (2, 2, 2), 0.05)] = np.inf
+    return out
+
+
+@pytest.mark.parametrize(
+    "f, error, match",
+    [
+        (_nan_near_corner, NumericalDomainError, r"to the non-finite \(nan"),
+        (_inf_near_centre, NumericalDomainError, r"to the non-finite \(inf"),
+        # once broadcast over every row and read as FAIL, 3/496 covered
+        (lambda pts: pts[:1], InputError, r"shape \(1, 3\) for a block of shape"),
+        # once an attempt to allocate 15.3 GiB
+        (lambda pts: pts.T, InputError, r"shape \(3, \d+\) for a block"),
+        # once a bare IndexError
+        (lambda pts: pts[:, :2], InputError, r"shape \(\d+, 2\) for a block"),
+    ],
+    ids=["nan-near-corner", "inf-near-centre", "one-row", "transposed", "dropped-column"],
+)
+def test_coverage_refuses_bad_map_output(f, error, match):
+    with pytest.raises(error, match=match):
+        check_face_mapping_surjectivity(f, 2, grid_step=0.1)
+
+
+def _with_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("n, grid_step", [(2, 0.05), (3, 0.5)])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_coverage_report_does_not_depend_on_cpu_count(monkeypatch, n, grid_step, cpus):
+    f = collapse_batch(realize(n))
+    default = check_face_mapping_surjectivity(f, n, grid_step)
+    _with_cpus(monkeypatch, cpus)
+    assert _cpu_count() == cpus
+    assert check_face_mapping_surjectivity(f, n, grid_step) == default
+
+
+def test_coverage_parts_under_fast_thread_switching(monkeypatch):
+    # more parts than cores, switching threads every 10 microseconds
+    f = collapse_batch(realize(2))
+    default = check_face_mapping_surjectivity(f, 2, 0.05)
+    _with_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = time.perf_counter()
+        report = check_face_mapping_surjectivity(f, 2, 0.05)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report == default
+    assert time.perf_counter() - start < 30.0
+
+
+def test_cpu_count_falls_back_to_the_machine_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _cpu_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _cpu_count() == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_coverage_worker_error_reaches_caller_and_no_thread_is_left(monkeypatch, cpus):
+    _with_cpus(monkeypatch, cpus)
+    fb = collapse_batch(realize(2))
+    before = threading.active_count()
+    check_face_mapping_surjectivity(fb, 2, 0.05)
+    assert threading.active_count() == before
+
+    error = DomainError("refused by the map")
+    calls = []
+
+    def f(pts):
+        calls.append(threading.current_thread())
+        if len(pts) > 100:  # a sample block; the face condition maps 46 rows
+            raise error
+        return fb(pts)
+
+    with pytest.raises(DomainError) as raised:
+        check_face_mapping_surjectivity(f, 2, 0.05)
+    assert raised.value is error
+    assert threading.active_count() == before
+    assert (threading.main_thread() in calls[-1:]) == (cpus == 1)
+    count = len(calls)
+    time.sleep(0.05)
+    assert len(calls) == count  # every part had stopped
+
+
+@pytest.mark.parametrize("n, grid_step", [(2, 0.05), (3, 0.5)])
+def test_coverage_parts_never_pass_a_lone_row(monkeypatch, n, grid_step):
+    _with_cpus(monkeypatch, 3)
+    fb = collapse_batch(realize(n))
+    sizes = []
+
+    def f(pts):
+        sizes.append(len(pts))
+        return fb(pts)
+
+    check_face_mapping_surjectivity(f, n, grid_step)
+    assert min(sizes) >= 2 and max(sizes) <= SLAB_ROWS
+
+
+def test_map_rows_maps_a_lone_row_as_two():
+    blocks = []
+
+    def f(pts):
+        blocks.append(pts.copy())
+        return pts + 1.0
+
+    out = _map_rows(f, np.array([[1.0, 2.0, 3.0]]))
+    assert out.tolist() == [[2.0, 3.0, 4.0]]
+    assert [b.tolist() for b in blocks] == [[[1.0, 2.0, 3.0]] * 2]
+
+
+def test_empty_part_builds_no_tree(monkeypatch):
+    import scipy.spatial
+
+    trees = []
+    real = scipy.spatial.cKDTree
+
+    def counting_tree(*args, **kwargs):
+        trees.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
+    r = realize(3)
+    box = _SampleBox(r, 0.025)
+    grid = _simplex_grid(3, 0.25)
+    assert len(box.slab(0)) == 0  # the box's first line lies outside P
+    calls = []
+    f = collapse_batch(r)
+    result = _coverage_part(
+        lambda pts: calls.append(len(pts)) or f(pts), box, range(1), None, grid, threading.Event()
+    )
+    assert result == (0, None)
+    assert calls == [] and trees == []
+
+    count, dist = _coverage_part(f, box, range(1, 3), None, grid, threading.Event())
+    assert trees == [count] and count == len(box.slab(1)) + len(box.slab(2)) > 0
+    assert dist.shape == (len(grid),)
 
 
 def test_perturbations_fix_boundary():
