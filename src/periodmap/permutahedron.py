@@ -7,22 +7,23 @@ permutahedron is its truncation.  Faces are labelled by strictly
 increasing chains of nonempty proper subsets of {1, ..., n+1}.
 
 Exact rational arithmetic is used for the combinatorics, the collapse
-map on rational inputs, and the nearest-point projection; the sampled
-coverage checks run on floats.  The permutahedron is the set of points
-majorized by (n+1, ..., 1): the least sum of k coordinates is the sum of
-the k smallest, so one sort and its prefix sums state every subset
-inequality.  Membership, the collapse map and the sample filter read
-them that way, and the nearest point is a sort followed by an isotonic
-regression (pool-adjacent-violators); nothing enumerates coordinate
-subsets or faces outside the face lattice itself.
+map on rational inputs, and the nearest-point projection; the coverage
+certificate maps the vertices of an integer-built mesh and runs on
+floats.  The permutahedron is the set of points majorized by
+(n+1, ..., 1): the least sum of k coordinates is the sum of the k
+smallest, so one sort and its prefix sums state every subset
+inequality.  Membership and the collapse map read them that way, and
+the nearest point is a sort followed by an isotonic regression
+(pool-adjacent-violators); nothing enumerates coordinate subsets or
+faces outside the face lattice itself.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import os
-import threading
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -32,11 +33,16 @@ import numpy as np
 from .errors import DomainError, InputError, NumericalDomainError, ResourceError
 
 DAMPING_SLACK = Fraction(1, 4)  # slack scale below which coordinates are pulled in
-MAX_GRID_POINTS = 4 * 10**7  # largest sample box or grid a coverage check builds
+MAX_GRID_POINTS = 4 * 10**7  # largest grid a coverage check builds
+MAX_MESH_SIMPLICES = 2**21  # largest mesh of P a coverage check builds
 FACE_SAMPLES = 40  # random points per face in the coverage check's face condition
 FACE_TOL = 1e-7  # how far an image coordinate the face pins may stray from 1
-SLAB_ROWS = 2**15  # rows per sample slab and per call of the checked map
-KD_LEAF_SIZE = 256  # points per leaf of the coverage check's KD-trees
+SLAB_ROWS = 2**15  # rows per call of the checked map, simplices per block of mesh work
+DEGENERATE = 1e-6  # |det| / product of edge lengths at or below which an image simplex is flat
+CLEAR = 1e-6  # least barycentric distance of the degree's reference point from any image face
+LOCATE_TOL = 1e-9  # barycentric slack with which a grid node lies in an image simplex
+REFERENCE_SEED = 1729  # seed of the degree's candidate reference points
+REFERENCE_TRIES = 8  # candidate reference points tried before the degree is given up
 
 
 def subset_level(k: int) -> int:
@@ -416,7 +422,7 @@ def _hyperplane_basis(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampled surjectivity check
+# piecewise-linear surjectivity certificate
 # ---------------------------------------------------------------------------
 
 
@@ -429,6 +435,27 @@ class FaceViolation:
 
 @dataclass(frozen=True)
 class CoverageReport:
+    """What check_face_mapping_surjectivity found for a map f.
+
+    ok: the face condition holds and every grid node is covered.
+    grid_points: the nodes of the simplex grid at spacing grid_step.
+    covered: the nodes shown to lie in the PL image, the image of the
+        piecewise-linear interpolant of f on the mesh, up to max_gap.
+    uncovered_witness: the first uncovered node in grid order, or None.
+    max_gap: an upper bound on the largest distance from a grid node to
+        the PL image (for an uncovered node, its distance to the nearest
+        image of a boundary vertex of the mesh).
+    face_violations: for each face, in all_faces order, the first
+        checked point whose image leaves the face's target by more than
+        FACE_TOL.
+    samples_used: the mesh vertices mapped through f.
+    mesh_step: the longest edge of the mesh of P.
+    image_edge: the longest image of a mesh edge.  The PL image stands
+        for the image of f only as closely as f varies along an edge.
+    degree: the degree of the PL map over its reference point, or None
+        when no reference point clear of every image face was found.
+    """
+
     ok: bool
     grid_points: int
     covered: int
@@ -436,11 +463,16 @@ class CoverageReport:
     max_gap: float
     face_violations: tuple[FaceViolation, ...]
     samples_used: int
+    mesh_step: float
+    image_edge: float
+    degree: int | None
 
     def __str__(self):
         lines = [
+            f"mesh step {self.mesh_step:.3g}, largest image edge {self.image_edge:.3g},"
+            f" degree {self.degree}",
             f"grid nodes {self.grid_points}, covered {self.covered},"
-            f" max gap {self.max_gap:.3g}"
+            f" max gap {self.max_gap:.3g}",
         ]
         if self.uncovered_witness is not None:
             lines.append(f"uncovered witness: {self.uncovered_witness}")
@@ -450,73 +482,133 @@ class CoverageReport:
         return "\n".join(lines)
 
 
-class _SampleBox:
-    """Grid sample of the permutahedron in its hyperplane, made slab by slab.
+@functools.cache
+def _flags(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal flags F_0 < F_1 < ... < F_{n-1} < P of faces of P_n,
+    F_j of dimension j.
 
-    The grid is a box one step wider than the permutahedron on every
-    side; its size is worked out from the axis lengths before anything is
-    allocated, and a box above MAX_GRID_POINTS is refused.  The box is
-    cut into slabs along its first axis, each of at most SLAB_ROWS points
-    when one line of the box fits, and ``slab(i)`` makes slab i in
-    meshgrid order, filtered: the sum of its k smallest coordinates must
-    reach subset_level(k), for k = 1..n.  Every slab is made the same way
-    whichever part of the check asks for it, so the samples do not depend
-    on how the slabs are shared out.
+    Returns twice the barycentre of each face of each flag, an integer
+    array (flags, n+1, n+1) whose row j is F_j and row n the centre of
+    P, and the index of each F_j in all_faces(n), (flags, n).  A flag is
+    a vertex, written as a maximal chain, and an order in which to drop
+    the chain's subsets: F_j keeps all but the first j of them.  A face
+    is a product of smaller permutahedra, so its barycentre is
+    half-integral.
     """
-
-    def __init__(self, realization: PermRealization, step: float) -> None:
-        n = realization.n
-        self.basis = _hyperplane_basis(n)
-        self.center = np.full(n + 1, realization.total / (n + 1))
-        verts = np.array(realization.vertices, dtype=float)
-        plane = (verts - self.center) @ self.basis.T
-        lo = plane.min(axis=0) - step
-        hi = plane.max(axis=0) + step
-        # np.arange(start, stop, step) holds ceil((stop - start) / step) values
-        lengths = [math.ceil((hi[i] + step - lo[i]) / step) for i in range(n)]
-        size = math.prod(lengths)
-        if size > MAX_GRID_POINTS:
-            raise ResourceError(
-                f"sample step {step} needs a box of {size} points (limit {MAX_GRID_POINTS})"
-            )
-        self.axes = [np.arange(lo[i], hi[i] + step, step) for i in range(n)]
-        self.line_points = math.prod(len(a) for a in self.axes[1:])
-        self.lines_per_slab = max(1, SLAB_ROWS // self.line_points)
-        self.slabs = -(-len(self.axes[0]) // self.lines_per_slab)
-
-    def box_points(self, slabs: range) -> int:
-        """Points of the box in a run of slabs, before the filter."""
-        step = self.lines_per_slab
-        lines = range(len(self.axes[0]))[slabs.start * step : slabs.stop * step]
-        return len(lines) * self.line_points
-
-    def slab(self, i: int) -> np.ndarray:
-        start = i * self.lines_per_slab
-        first = self.axes[0][start : start + self.lines_per_slab]
-        mesh = np.meshgrid(first, *self.axes[1:], indexing="ij")
-        pts = self.center + np.stack([m.ravel() for m in mesh], axis=1) @ self.basis
-        low = itertools.accumulate(_sorted_columns(pts)[:-1])
-        keep = [c - subset_level(k) >= -1e-12 for k, c in enumerate(low, start=1)]
-        return pts[np.logical_and.reduce(keep)]
+    realization = realize(n)
+    faces = all_faces(n)
+    index = {ns.chain: i for i, ns in enumerate(faces)}
+    twice = {}
+    for ns in faces:
+        fv = realization.vertices_of_face(ns)
+        twice[ns.chain] = [2 * sum(col) // len(fv) for col in zip(*fv)]
+    bary, ids = [], []
+    for top in enumerate_faces(n, n):
+        for order in itertools.permutations(range(n)):
+            chains = [
+                tuple(s for i, s in enumerate(top.chain) if i not in order[:j])
+                for j in range(n)
+            ]
+            bary.append([twice[c] for c in chains] + [[n + 2] * (n + 1)])
+            ids.append([index[c] for c in chains])
+    return np.array(bary, dtype=np.int64), np.array(ids, dtype=np.int64)
 
 
-def _facet_samples(realization: PermRealization) -> np.ndarray:
-    """Dense samples of every facet, so images track the simplex boundary."""
-    n = realization.n
-    parts = []
-    if n == 2:
-        t = np.linspace(0.0, 1.0, 2001)[:, None]
-        for ns in enumerate_faces(2, 1):
-            fv = realization.vertices_of_face(ns)
-            a, b = (np.array(v, dtype=float) for v in fv)
-            parts.append(a + t * (b - a))
-    else:
-        rng = np.random.default_rng(1729)
-        for ns in enumerate_faces(n, 1):
-            fv = np.array(realization.vertices_of_face(ns), dtype=float)
-            bary = rng.dirichlet(np.ones(len(fv)), size=4000)
-            parts.append(bary @ fv)
-    return np.concatenate(parts, axis=0)
+@functools.lru_cache(maxsize=8)
+def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Freudenthal's subdivision of the orthoscheme k >= x_1 >= ... >=
+    x_n >= 0 into k**n simplices (Edelsbrunner-Grayson's edgewise
+    subdivision).
+
+    Returns the weights of its lattice points on the corners, integers
+    summing to k (weight j is x_j - x_{j+1}, with x_0 = k and
+    x_{n+1} = 0; corner j has its first j coordinates k), the pieces as
+    rows of point indices, each piece's orientation, and the edges of
+    the pieces as pairs of point indices, each once.  The pieces are
+    the cube simplices a, a + e_p(1), a + e_p(1) + e_p(2), ... (a in
+    {0..k-1}^n, p a permutation) whose points all lie in the
+    orthoscheme; their edges from a have the orientation of p.
+    """
+    pts = np.indices((k + 1,) * n).reshape(n, -1).T
+    pts = pts[(pts[:, :-1] >= pts[:, 1:]).all(axis=1)]
+    lookup = np.zeros((k + 1,) * n, dtype=np.int64)
+    lookup[tuple(pts.T)] = np.arange(len(pts))
+    corners = np.indices((k,) * n).reshape(n, -1).T
+    pieces, signs = [], []
+    for perm in itertools.permutations(range(n)):
+        walk = [corners]
+        for axis in perm:
+            walk.append(walk[-1].copy())
+            walk[-1][:, axis] += 1
+        walk = np.stack(walk, axis=1)  # (cubes, n+1, n)
+        walk = walk[(walk[:, :, :-1] >= walk[:, :, 1:]).all(axis=(1, 2))]
+        pieces.append(lookup[tuple(np.moveaxis(walk, 2, 0))])
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        signs.append(np.full(len(walk), (-1) ** inversions))
+    pieces = np.concatenate(pieces)
+    pairs = [pieces[:, [a, b]] for a, b in itertools.combinations(range(n + 1), 2)]
+    pairs = np.sort(np.concatenate(pairs), axis=1) @ [len(pts), 1]  # one key per edge
+    edges = np.stack(np.divmod(np.unique(pairs), len(pts)), axis=1)
+    ends = np.concatenate([np.full((len(pts), 1), k), pts, np.zeros((len(pts), 1), int)], axis=1)
+    return -np.diff(ends, axis=1), pieces, np.concatenate(signs), edges
+
+
+@dataclass(frozen=True)
+class _Mesh:
+    """A triangulation of P_n: the barycentric subdivision over its
+    maximal flags, each flag simplex refined by _orthoscheme.  Every
+    simplex on the boundary of P lies in one facet."""
+
+    points: np.ndarray  # (vertices, n+1)
+    simplices: np.ndarray  # (simplices, n+1) vertex indices
+    orientation: np.ndarray  # (simplices,) +1 or -1 in the chart of the first n coordinates
+    face: np.ndarray  # (vertices,) index in all_faces(n) of the least face holding it, -1 inside
+    edges: np.ndarray  # (edges, 2) vertex indices, each edge once per flag holding it
+    step: float  # the longest edge
+
+
+def _mesh(n: int, step: float) -> _Mesh:
+    """The mesh of P_n whose edges are at most step long.
+
+    An edge of a piece of flag simplex is a sum of the flag's axes
+    b_j - b_{j-1} over a set of j, divided by k; k is the least that
+    brings the longest such sum under step.  A mesh above
+    MAX_MESH_SIMPLICES simplices raises ResourceError before anything is
+    built.  One reference subdivision serves every flag: its points are
+    the weights times the barycentres, in integers (2k times the point),
+    and points shared by flags are merged on those integers.
+    """
+    bary, ids = _flags(n)
+    axes = np.diff(bary, axis=1) / 2.0  # (flags, n, n+1)
+    sums = np.array(list(itertools.product((0, 1), repeat=n))[1:]) @ axes
+    k = max(1, math.ceil(np.linalg.norm(sums, axis=-1).max() / step))
+    size = len(bary) * k**n
+    if size > MAX_MESH_SIMPLICES:
+        raise ResourceError(
+            f"mesh step {step} needs {size} simplices (limit {MAX_MESH_SIMPLICES})"
+        )
+    weights, pieces, signs, edges = _orthoscheme(n, k)
+    lattice = weights @ bary  # (flags, points, n+1), each point times 2k
+    radix = 2 * k * (n + 1) + 1  # coordinates lie in [2k, 2k(n+1)]
+    keys = (lattice[:, :, :n] * radix ** np.arange(n)).sum(axis=2).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # the least face holding a point: the last corner it weighs
+    last = n - np.argmax(weights[:, ::-1] > 0, axis=1)
+    faces = np.concatenate([ids, np.full((len(ids), 1), -1)], axis=1)[:, last]
+    flag_signs = np.sign(np.linalg.det(axes[:, :, :n])).astype(np.int64)
+    inverse = inverse.reshape(len(bary), -1)
+    # every edge is one of a few weight differences, each entry -1, 0 or
+    # 1, mapped by its flag
+    moves = weights[edges[:, 0]] - weights[edges[:, 1]]
+    _, kinds = np.unique((moves + 1) @ 3 ** np.arange(n + 1), return_index=True)
+    return _Mesh(
+        points=lattice.reshape(-1, n + 1)[first] / (2.0 * k),
+        simplices=inverse[:, pieces].reshape(-1, n + 1),
+        orientation=np.outer(flag_signs, signs).ravel(),
+        face=faces.ravel()[first],
+        edges=inverse[:, edges].reshape(-1, 2),
+        step=float(np.linalg.norm(moves[kinds] @ bary, axis=-1).max()) / (2 * k),
+    )
 
 
 def _image(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
@@ -541,11 +633,8 @@ def _image(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray
     return image
 
 
-def _map_rows(
-    f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """f applied to pts in row blocks of at most SLAB_ROWS rows, written
-    into out (an array of pts' shape) or into a new array.
+def _map_rows(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """f applied to pts in row blocks of at most SLAB_ROWS rows.
 
     The blocks are of near-equal size, so none is a lone row when pts
     has two or more, and a single row is mapped as a block of two copies
@@ -553,19 +642,16 @@ def _map_rows(
     routine than a block, and its last bits can differ.  Each block's
     image is checked by _image.
     """
-    if out is None:
-        out = np.empty(pts.shape)
     if len(pts) == 1:
-        out[:] = _image(f, np.repeat(pts, 2, axis=0))[:1]
-        return out
-    start = 0
-    for block in np.array_split(pts, max(1, -(-len(pts) // SLAB_ROWS))):
-        out[start : start + len(block)] = _image(f, block)
-        start += len(block)
-    return out
+        return _image(f, np.repeat(pts, 2, axis=0))[:1]
+    blocks = np.array_split(pts, max(1, -(-len(pts) // SLAB_ROWS)))
+    return np.concatenate([_image(f, block) for block in blocks])
 
 
-def _simplex_grid(n: int, step: float) -> np.ndarray:
+def _simplex_lattice(n: int, step: float) -> tuple[int, np.ndarray]:
+    """The simplex grid at spacing step as k and the integer points
+    (k_0, ..., k_{n-1}) with sum at most k, in meshgrid order: node i is
+    1 + step * (k_0, ..., k_{n-1}, k - sum)."""
     m = plane_total(n)
     k_total = (m - (n + 1)) / step
     k = int(round(k_total))
@@ -573,71 +659,120 @@ def _simplex_grid(n: int, step: float) -> np.ndarray:
         raise InputError(f"grid step {step} must divide {m - (n + 1)} evenly")
     if (k + 1) ** n > MAX_GRID_POINTS:
         raise ResourceError("grid too fine for this dimension")
-    axes = np.meshgrid(*[np.arange(k + 1)] * n, indexing="ij")
-    ks = np.stack([a.ravel() for a in axes], axis=1)
-    ks = ks[ks.sum(axis=1) <= k]
-    last = k - ks.sum(axis=1)
-    grid = np.concatenate([ks, last[:, None]], axis=1).astype(float)
-    return 1.0 + step * grid
+    ks = np.indices((k + 1,) * n).reshape(n, -1).T
+    return k, ks[ks.sum(axis=1) <= k]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    reports one, else the machine's CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _blocks(rows: np.ndarray):
+    """Slices of at most SLAB_ROWS rows, so that the per-simplex and
+    per-edge arrays of a large mesh are made a block at a time."""
+    for start in range(0, len(rows), SLAB_ROWS):
+        yield slice(start, start + SLAB_ROWS)
 
 
-def _coverage_part(
-    f: Callable[[np.ndarray], np.ndarray],
-    box: _SampleBox,
-    slabs: range,
-    extra: np.ndarray | None,
-    grid: np.ndarray,
-    stop: threading.Event,
-) -> tuple[int, np.ndarray | None]:
-    """One part of the coverage check: make the given slabs of the box,
-    map each through f as it is made, add the image of the extra samples,
-    index all the images, kept in one array, in one tree and query it at
-    the grid nodes.
+def _longest_edge(points: np.ndarray, edges: np.ndarray) -> float:
+    longest = 0.0
+    for rows in _blocks(edges):
+        d = points[edges[rows, 0]] - points[edges[rows, 1]]
+        longest = max(longest, float(np.einsum("ij,ij->i", d, d).max()))
+    return math.sqrt(longest)
 
-    Returns the number of samples and each grid node's distance to the
-    nearest of their images; a part with no samples builds no tree and
-    returns None.  A part quits early, returning nothing useful, once
-    stop is set.
+
+def _edges(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For simplices given by their corners (n+1, s, n), the edges from
+    corner 0 as rows (s, n, n), their determinants, and whether each is
+    flat: |det| at most DEGENERATE times the product of the edge lengths."""
+    edges = np.moveaxis(corners[1:] - corners[0], 0, 1)
+    det = np.linalg.det(edges)
+    flat = np.abs(det) <= DEGENERATE * np.linalg.norm(edges, axis=2).prod(axis=1)
+    return edges, det, flat
+
+
+def _barycentric(edges: np.ndarray, origin: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (s, n+1) of the points q (s, n) in the
+    simplices with the given corner 0 (s, n) and edges (s, n, n)."""
+    lam = np.linalg.solve(np.swapaxes(edges, 1, 2), (q - origin)[:, :, None])[:, :, 0]
+    return np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], axis=1)
+
+
+def _degree(chart: np.ndarray, mesh: _Mesh) -> int | None:
+    """The degree of the PL map with vertex images chart (the first n
+    coordinates of each image) over a reference point near the centre of
+    the simplex, or None when none of REFERENCE_TRIES seeded points is
+    clear of every image simplex's faces and of every flat image.
+
+    Clear means: each image simplex whose bounding box holds the point
+    is not flat, and the point's least barycentric coordinate in it is
+    not within CLEAR of 0.  The degree is then the oriented count of the
+    image simplices that hold the point.
     """
-    from scipy.spatial import cKDTree
+    n = chart.shape[1]
+    rng = np.random.default_rng(REFERENCE_SEED)
+    # within 0.1 of the centre in each chart coordinate, so every
+    # coordinate, the implied last one too, exceeds 1 by at least 0.4
+    for point in (n + 2) / 2 + 0.1 * rng.uniform(-1, 1, (REFERENCE_TRIES, n)):
+        degree = 0
+        for rows in _blocks(mesh.simplices):
+            corners = chart[mesh.simplices[rows].T]  # (n+1, simplices, n)
+            near = ((corners.min(axis=0) <= point) & (corners.max(axis=0) >= point)).all(axis=1)
+            corners = corners[:, near]
+            edges, det, flat = _edges(corners)
+            if flat.any():
+                break
+            least = _barycentric(edges, corners[0], np.broadcast_to(point, corners[0].shape))
+            least = least.min(axis=1)
+            if (np.abs(least) <= CLEAR).any():
+                break
+            inside = least > 0
+            degree += int((mesh.orientation[rows][near][inside] * np.sign(det[inside])).sum())
+        else:
+            return degree
+    return None
 
-    rows = box.box_points(slabs) + (0 if extra is None else len(extra))
-    # room for every box point of the slabs; the pages past the samples
-    # kept are never written, so they take no memory
-    images = np.empty((rows, box.center.size))
-    count = 0
-    for i in slabs:
-        if stop.is_set():
-            return 0, None
-        pts = box.slab(i)
-        if len(pts):
-            _map_rows(f, pts, images[count : count + len(pts)])
-            count += len(pts)
-    if extra is not None:
-        _map_rows(f, extra, images[count : count + len(extra)])
-        count += len(extra)
-    if not count:
-        return 0, None
-    images = images[:count]
-    # sliding-midpoint splits build faster than median splits and the
-    # nearest-neighbour distances are exact either way
-    tree = cKDTree(
-        images,
-        leafsize=KD_LEAF_SIZE,
-        balanced_tree=False,
-        compact_nodes=False,
-        copy_data=False,
-    )
-    return len(images), tree.query(grid, k=1)[0]
+
+def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: float) -> np.ndarray:
+    """Which nodes of the simplex grid lie in an image simplex that is not
+    flat, up to LOCATE_TOL in barycentric coordinates.
+
+    A bucket join on the node lattice: each image simplex is tested
+    against the nodes in its bounding box only.
+    """
+    n = chart.shape[1]
+    index = np.full((k + 1,) * n, -1)
+    index[tuple(lattice.T)] = np.arange(len(lattice))
+    covered = np.zeros(len(lattice), dtype=bool)
+    for rows in _blocks(mesh.simplices):
+        corners = chart[mesh.simplices[rows].T]
+        edges, _, flat = _edges(corners)
+        corners, edges = corners[:, ~flat], edges[~flat]
+        scaled = (corners - 1.0) / step  # lattice coordinates
+        lo = np.clip(np.ceil(scaled.min(axis=0) - 1e-9), 0, k).astype(np.int64)
+        hi = np.clip(np.floor(scaled.max(axis=0) + 1e-9), -1, k).astype(np.int64)
+        sizes = np.maximum(hi - lo + 1, 0)
+        counts = sizes.prod(axis=1)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        nodes = lo[owner]
+        for d in reversed(range(n)):
+            nodes[:, d] += rank % sizes[owner, d]
+            rank //= sizes[owner, d]
+        keep = nodes.sum(axis=1) <= k
+        owner, nodes = owner[keep], nodes[keep]
+        lam = _barycentric(edges[owner], corners[0, owner], 1.0 + step * nodes)
+        inside = lam.min(axis=1) >= -LOCATE_TOL
+        covered[index[tuple(nodes[inside].T)]] = True
+    return covered
+
+
+def _check_arguments(n, grid_step, seed) -> None:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InputError(f"n must be an int, got {n!r}")
+    if isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real):
+        raise InputError(f"grid_step must be a real number, got {grid_step!r}")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise InputError(f"grid_step must be positive and finite, got {grid_step}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"seed must be a non-negative int, got {seed!r}")
 
 
 def check_face_mapping_surjectivity(
@@ -646,101 +781,141 @@ def check_face_mapping_surjectivity(
     grid_step: float,
     seed: int = 0,
 ) -> CoverageReport:
-    """Sampled surjectivity check (a proxy, not a certificate) for a map
-    of the permutahedron onto the simplex.
+    """Piecewise-linear surjectivity certificate for a map f of the
+    permutahedron P_n onto the simplex, n <= 3.
 
-    First verifies the face condition on FACE_SAMPLES random points and
-    the vertices of every proper face (images must pin the coordinates of
-    the chain's largest subset to 1 within FACE_TOL), then checks that
-    every simplex grid node at spacing grid_step has an image point
-    within grid_step, sampling the permutahedron at grid_step / 10.  f
-    must accept a (k, n+1) array of points, k >= 2, and return their
-    (k, n+1) images; a wrong shape raises InputError and a non-finite
-    image NumericalDomainError.
+    f must accept a (k, n+1) array of points, k >= 2, and return their
+    (k, n+1) images, acting row by row; a wrong shape raises InputError,
+    and a non-finite image or one off the simplex's plane
+    NumericalDomainError.  An error raised by f reaches the caller
+    unchanged.
 
-    The sampling runs in parts, one per CPU the process may use (its
-    affinity mask, else os.cpu_count()) but no more than the box has
-    slabs, each in its own thread; with one part it runs in the calling
-    thread.  Each part makes
-    a contiguous run of the sample box's slabs, maps them and indexes
-    its images in its own KD-tree; a grid node's distance is the least
-    of the parts' nearest distances, which is its distance to the
-    nearest image of all the samples, so the report does not depend on
-    the number of parts.  f is therefore called from several threads at
-    once, on disjoint row blocks: it must be thread-safe and act row by
-    row, giving each row the same image whatever block holds it.  Every
-    map this module ships does.  An error raised by f reaches the caller
-    unchanged, after every part has stopped.
+    P is triangulated with edges at most grid_step (_mesh) and only the
+    mesh vertices are mapped; what is certified is the PL interpolant of
+    f on that mesh, whose image is reported as close to f's as the
+    largest image edge says.  The face condition is checked at every
+    boundary vertex of the mesh, against its least face, and at
+    FACE_SAMPLES points drawn from each face with the given seed plus
+    the face's vertices: the coordinates of the chain's largest subset
+    must map to 1 within FACE_TOL.  The degree is counted over a
+    reference point near the centre (_degree).
 
-    grid_step must be positive and finite; a sample box or grid above
-    MAX_GRID_POINTS points raises ResourceError before f is called.
+    If the face condition holds and the degree is 1, the image of the
+    boundary stays within FACE_TOL of the simplex's boundary, so the
+    degree is 1 on the whole inner simplex (every coordinate above 1 +
+    FACE_TOL, widened by the images' float drift off the plane), which
+    therefore lies in the PL image.  Every grid node is then covered:
+    those inside with a gap of 0, those on the boundary within the band.
+    Otherwise the nodes are located in the image simplices that are not
+    flat (_locate): a located node is covered, within 2 n LOCATE_TOL
+    image edges, and an uncovered node's gap is bounded by its distance
+    to the nearest image of a boundary vertex of the mesh.
+
+    n must be an int, grid_step a positive finite real number, and seed
+    a non-negative int, or InputError is raised.  A mesh above
+    MAX_MESH_SIMPLICES simplices or a grid above MAX_GRID_POINTS nodes
+    raises ResourceError before f is called.
     """
+    _check_arguments(n, grid_step, seed)
     if n > 3:
         raise ResourceError("coverage check capped at n = 3")
-    if not (math.isfinite(grid_step) and grid_step > 0):
-        raise InputError(f"grid_step must be positive and finite, got {grid_step}")
+    grid_step = float(grid_step)
     realization = realize(n)
-    grid = _simplex_grid(n, grid_step)
-    box = _SampleBox(realization, grid_step / 10.0)
+    k, lattice = _simplex_lattice(n, grid_step)
+    mesh = _mesh(n, grid_step)
 
+    faces = all_faces(n)
     rng = np.random.default_rng(seed)
-    violations = []
-    for ns in all_faces(n):
+    samples, owners = [], []
+    for i, ns in enumerate(faces):
         fv = np.array(realization.vertices_of_face(ns), dtype=float)
         bary = rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES)
-        pts = bary @ fv
-        pts = np.concatenate([pts, fv], axis=0)
-        images = _image(f, pts)
-        pinned = [i - 1 for i in ns.chain[-1]]
-        bad = np.abs(images[:, pinned] - 1.0).max(axis=1) > FACE_TOL
-        if bad.any():
-            idx = int(np.argmax(bad))
-            violations.append(
-                FaceViolation(ns, tuple(pts[idx]), tuple(images[idx]))
-            )
+        samples += [bary @ fv, fv]
+        owners.append(np.full(FACE_SAMPLES + len(fv), i))
+    boundary = np.flatnonzero(mesh.face >= 0)
+    owners.append(mesh.face[boundary])
+    points = np.concatenate([mesh.points, *samples])
+    images = _map_rows(f, points)
+    drift = np.abs(images.sum(axis=1) - realization.total)
+    if drift.max() > FACE_TOL:
+        i = int(np.argmax(drift))
+        raise NumericalDomainError(
+            f"map sent {tuple(points[i].tolist())} to {tuple(images[i].tolist())},"
+            f" off the simplex's plane by a coordinate sum of {drift[i]:.3g}"
+        )
+    # the seeded samples and face vertices first, then the mesh's boundary
+    checked = np.concatenate([np.arange(len(mesh.points), len(points)), boundary])
+    violations = _face_violations(
+        faces, points[checked], images[checked], np.concatenate(owners)
+    )
 
-    parts = min(_cpu_count(), box.slabs)
-    cuts = [box.slabs * i // parts for i in range(parts + 1)]
-    facets = _facet_samples(realization)
-    stop = threading.Event()
-
-    def run(i: int) -> tuple[int, np.ndarray | None]:
-        try:
-            return _coverage_part(
-                f, box, range(cuts[i], cuts[i + 1]), facets if i == 0 else None, grid, stop
-            )
-        except BaseException:
-            stop.set()  # the other parts quit at their next slab
-            raise
-
-    if parts == 1:
-        results = [run(0)]
+    mapped = images[: len(mesh.points)]
+    shift = (mapped.sum(axis=1) - realization.total) / (n + 1)
+    chart = (mapped - shift[:, None])[:, :n]  # the images moved onto the plane
+    shift = float(np.abs(shift).max())
+    image_edge = _longest_edge(mapped, mesh.edges)
+    degree = _degree(chart, mesh)
+    if degree == 1 and not violations:
+        # the inner simplex lies in the PL image, and every node lies
+        # within the boundary band of it
+        covered = np.ones(len(lattice), dtype=bool)
+        max_gap = (FACE_TOL + shift) * math.sqrt(n * (n + 1)) + shift * math.sqrt(n + 1)
     else:
-        # imported here: concurrent.futures loads logging, which the
-        # exact commands never need
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            futures = [pool.submit(run, i) for i in range(parts)]
-            # the first error in part order is raised once the pool has
-            # joined every thread; a later part's error is dropped
-            results = [fut.result() for fut in futures]
-    samples_used = sum(count for count, _ in results)
-    dist = np.minimum.reduce([d for _, d in results if d is not None])
-    covered = dist <= grid_step
+        covered = _locate(chart, mesh, k, lattice, grid_step)
+        # barycentric coordinates no lower than -LOCATE_TOL put a node
+        # within 2 n LOCATE_TOL edge lengths of its simplex
+        max_gap = shift * math.sqrt(n + 1) + 2 * n * LOCATE_TOL * image_edge
     witness = None
     if not covered.all():
-        witness = tuple(grid[int(np.argmin(covered))])
-    ok = covered.all() and not violations
+        grid = 1.0 + grid_step * np.concatenate(
+            [lattice, k - lattice.sum(axis=1, keepdims=True)], axis=1
+        )
+        witness = tuple(grid[int(np.argmin(covered))].tolist())
+        gaps = _nearest_distance(grid[~covered], np.unique(mapped[boundary], axis=0))
+        max_gap = max(max_gap, float(gaps.max()))
     return CoverageReport(
-        ok=bool(ok),
-        grid_points=len(grid),
+        ok=bool(covered.all()) and not violations,
+        grid_points=len(lattice),
         covered=int(covered.sum()),
         uncovered_witness=witness,
-        max_gap=float(dist.max()),
-        face_violations=tuple(violations),
-        samples_used=samples_used,
+        max_gap=max_gap,
+        face_violations=violations,
+        samples_used=len(mesh.points),
+        mesh_step=mesh.step,
+        image_edge=image_edge,
+        degree=degree,
     )
+
+
+def _face_violations(
+    faces: list[NestedSequence], points: np.ndarray, images: np.ndarray, owners: np.ndarray
+) -> tuple[FaceViolation, ...]:
+    """For each face, in the order of faces, the first of the points it
+    owns whose image leaves the face's target: a coordinate of the
+    chain's largest subset more than FACE_TOL from 1."""
+    pins = np.zeros((len(faces), points.shape[1]), dtype=bool)
+    for i, ns in enumerate(faces):
+        pins[i, [j - 1 for j in ns.chain[-1]]] = True
+    bad = ((np.abs(images - 1.0) > FACE_TOL) & pins[owners]).any(axis=1)
+    rows = np.flatnonzero(bad)
+    bad_faces, first = np.unique(owners[rows], return_index=True)
+    return tuple(
+        FaceViolation(faces[i], tuple(points[r].tolist()), tuple(images[r].tolist()))
+        for i, r in zip(bad_faces, rows[first])
+    )
+
+
+def _nearest_distance(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each node's distance to the nearest target, a block of nodes at a
+    time, from |a - b|^2 = |a|^2 - 2 a.b + |b|^2."""
+    out = np.empty(len(nodes))
+    square = np.einsum("ij,ij->i", targets, targets)
+    rows = max(1, 2**20 // len(targets))
+    for start in range(0, len(nodes), rows):
+        block = nodes[start : start + rows]
+        d2 = square - 2.0 * block @ targets.T
+        out[start : start + rows] = d2.min(axis=1) + np.einsum("ij,ij->i", block, block)
+    return np.sqrt(np.maximum(out, 0.0))
 
 
 # ---------------------------------------------------------------------------

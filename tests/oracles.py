@@ -10,12 +10,11 @@ LLL conditions; the library's integer radii and integral LLL are
 checked against them.  The other exceptions are the references
 at the end: the library's elimination steps carried out in plain Fraction
 arithmetic, against which the library's integer kernel must give
-identical outputs, the permutahedron's subset inequalities,
+identical outputs, and the permutahedron's subset inequalities,
 face-by-face projection and all-subsets collapse, against which the
 library's sorted-prefix membership test, projection and collapse must
-give identical outputs, and the coverage check computed in one piece,
-against which the library's streamed check must report identical
-numbers.
+give identical outputs.  The coverage reference at the end uses no
+library code: the shrink of an onto map covers the shrunk simplex.
 """
 
 import itertools
@@ -545,77 +544,45 @@ def projection_reference(point):
 
 
 # ---------------------------------------------------------------------------
-# whole-box coverage reference: the sampled surjectivity check as one
-# piece (the whole bounding box of samples and its slack matrix, one call
-# of the map, a median-split KD-tree), against which the library's
-# streamed check must report identical numbers
+# shrunk-simplex coverage: which grid nodes the shrink of an onto map covers
 # ---------------------------------------------------------------------------
 
 
-def coverage_reference(f, vertices, facets, grid_step, sample_step):
-    """Coverage numbers of the map ``f`` from the permutahedron with
-    ``vertices`` onto the enclosing simplex.
+def shrink_coverage_reference(n, grid_step, factor):
+    """The grid nodes of the simplex {x_i >= 1, sum x = (n+1)(n+2)/2} at
+    spacing ``grid_step`` that the shrink by ``factor`` toward the centre
+    c of any onto map covers: node v is covered exactly when
+    c + (v - c) / factor lies in the simplex.
 
-    ``facets`` lists the vertices of each facet in the library's facet
-    order.  Returns samples_used, grid_points, covered,
-    uncovered_witness and max_gap.
+    The shrink is affine, so the piecewise-linear image of
+    shrink o collapse is the shrunk image of collapse, the shrunk
+    simplex.  Computed in Fractions, with the nodes in meshgrid order of
+    their first n lattice coordinates.  Returns the counts of nodes
+    inside, outside and near (within 1e-9, in the least coordinate of
+    the pulled-back point, of the boundary) and the first outside node
+    as floats computed like the grid's, 1.0 + grid_step * k.
     """
-    import numpy as np
-    from scipy.spatial import cKDTree
-
-    n = len(vertices[0]) - 1
-    total = sum(vertices[0])
-    # the grid lives in an orthonormal basis of {v : sum v = 0}
-    basis = np.linalg.svd(np.ones((1, n + 1)))[2][1:]
-    center = np.full(n + 1, total / (n + 1))
-    plane = (np.array(vertices, dtype=float) - center) @ basis.T
-    lo = plane.min(axis=0) - sample_step
-    hi = plane.max(axis=0) + sample_step
-    axes = [np.arange(lo[i], hi[i] + sample_step, sample_step) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = center + np.stack([m.ravel() for m in mesh], axis=1) @ basis
-    # the permutahedron: every k coordinates sum to at least 1 + ... + k
-    subsets = [
-        s for k in range(1, n + 1) for s in itertools.combinations(range(n + 1), k)
-    ]
-    masks = np.zeros((len(subsets), n + 1), dtype=bool)
-    levels = np.empty(len(subsets))
-    for r, s in enumerate(subsets):
-        masks[r, list(s)] = True
-        levels[r] = len(s) * (len(s) + 1) // 2
-    interior = pts[(pts @ masks.T - levels >= -1e-12).all(axis=1)]
-
-    boundary = []
-    if n == 2:
-        t = np.linspace(0.0, 1.0, 2001)[:, None]
-        for a, b in facets:
-            a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-            boundary.append(a + t * (b - a))
-    else:
-        rng = np.random.default_rng(1729)
-        for fv in facets:
-            fv = np.array(fv, dtype=float)
-            boundary.append(rng.dirichlet(np.ones(len(fv)), size=4000) @ fv)
-    samples = np.concatenate([interior] + boundary, axis=0)
-
-    # simplex nodes 1 + step * (k_0, ..., k_n) with sum k = k_total
-    k = int(round((total - (n + 1)) / grid_step))
-    ks = np.stack(
-        [a.ravel() for a in np.meshgrid(*[np.arange(k + 1)] * n, indexing="ij")],
-        axis=1,
-    )
-    ks = ks[ks.sum(axis=1) <= k]
-    grid = 1.0 + grid_step * np.concatenate(
-        [ks, (k - ks.sum(axis=1))[:, None]], axis=1
-    ).astype(float)
-
-    dist, _ = cKDTree(np.asarray(f(samples), dtype=float)).query(grid, k=1)
-    covered = dist <= grid_step
-    witness = None if covered.all() else tuple(grid[int(np.argmin(covered))])
-    return {
-        "samples_used": len(samples),
-        "grid_points": len(grid),
-        "covered": int(covered.sum()),
-        "uncovered_witness": witness,
-        "max_gap": float(dist.max()),
-    }
+    step = Fraction(grid_step).limit_denominator(10**6)
+    total = (n + 1) * (n + 2) // 2
+    k_total = (total - (n + 1)) / step
+    assert k_total.denominator == 1
+    k_total = int(k_total)
+    centre = Fraction(total, n + 1)
+    shrink = Fraction(factor).limit_denominator(10**6)
+    counts = {"inside": 0, "outside": 0, "near": 0}
+    first_outside = None
+    for ks in itertools.product(range(k_total + 1), repeat=n):
+        if sum(ks) > k_total:
+            continue
+        ks = ks + (k_total - sum(ks),)
+        pulled = [centre + (1 + step * k - centre) / shrink for k in ks]
+        least = min(pulled) - 1
+        if abs(least) <= Fraction(1, 10**9):
+            counts["near"] += 1
+        elif least > 0:
+            counts["inside"] += 1
+        else:
+            counts["outside"] += 1
+            if first_outside is None:
+                first_outside = tuple(1.0 + grid_step * float(k) for k in ks)
+    return {**counts, "grid_points": sum(counts.values()), "first_outside": first_outside}

@@ -169,7 +169,7 @@ def test_criterion_05_permutahedron_combinatorics():
             assert max(abs(float(a - b)) for a, b in zip(p, q)) <= 1e-9
 
 
-@criterion(6, "coverage certificates at grid 0.01", 60.0)
+@criterion(6, "coverage certificates at grid 0.01", 5.0)
 def test_criterion_06_coverage():
     fb = collapse_batch(realize(2))
     maps = [fb]

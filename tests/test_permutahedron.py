@@ -1,19 +1,21 @@
+import dataclasses
 import itertools
 import math
 import os
 import random
+import subprocess
 import sys
-import threading
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from periodmap import permutahedron
 from periodmap.errors import DomainError, InputError, NumericalDomainError, ResourceError
 from periodmap.permutahedron import (
     DAMPING_SLACK,
-    MAX_GRID_POINTS,
+    MAX_MESH_SIMPLICES,
     SLAB_ROWS,
     NestedSequence,
     all_faces,
@@ -30,18 +32,15 @@ from periodmap.permutahedron import (
     shrink_map,
     subset_level,
     twist_perturbation,
-    _SampleBox,
-    _coverage_part,
-    _cpu_count,
     _map_rows,
-    _simplex_grid,
+    _mesh,
 )
 
 from oracles import (
     collapse_reference,
-    coverage_reference,
     permutahedron_contains_reference,
     projection_reference,
+    shrink_coverage_reference,
 )
 from samples import identity_boundary_samples
 
@@ -493,13 +492,36 @@ def test_coverage_steps_must_be_positive_and_finite(steps):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        {"n": True},  # once an n = 1 report
+        {"n": 2.0},
+        {"n": "2"},
+        {"grid_step": True},  # once run as 1.0
+        {"grid_step": "0.1"},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"seed": "x"},
+        {"seed": True},
+    ],
+    ids=lambda args: ",".join(f"{key}={value!r}" for key, value in args.items()),
+)
+def test_coverage_refuses_bad_arguments(args):
+    # the identity takes points of any length, so only the check refuses
+    with pytest.raises(InputError):
+        check_face_mapping_surjectivity(
+            lambda pts: pts, **{"n": 2, "grid_step": 0.1, "seed": 0, **args}
+        )
+
+
+@pytest.mark.parametrize(
     "n, steps",
     [
-        (2, {"grid_step": 0.004}),  # 4.7e7 box points at sample step 0.0004
-        (3, {"grid_step": 0.1}),  # 6.5e7 box points
+        (2, {"grid_step": 0.003}),  # 12 flags of 472**2 pieces
+        (3, {"grid_step": 0.05}),  # 144 flags of 45**3 pieces
     ],
 )
-def test_coverage_refuses_huge_sample_box_before_mapping(n, steps):
+def test_coverage_refuses_huge_mesh_before_mapping(n, steps):
     calls = []
 
     def f(pts):
@@ -507,10 +529,48 @@ def test_coverage_refuses_huge_sample_box_before_mapping(n, steps):
         return collapse_batch(realize(n))(pts)
 
     start = time.perf_counter()
-    with pytest.raises(ResourceError, match=str(MAX_GRID_POINTS)):
+    with pytest.raises(ResourceError, match=str(MAX_MESH_SIMPLICES)):
         check_face_mapping_surjectivity(f, n, **steps)
     assert time.perf_counter() - start < 5.0
     assert calls == []
+
+
+@pytest.mark.parametrize("n, step", [(1, 0.1), (2, 0.3), (2, 0.05), (3, 0.5), (3, 0.25)])
+def test_mesh_tiles_the_permutahedron(n, step):
+    # in the chart of the first n coordinates P_n has volume (n+1)**(n-1);
+    # the oriented and the unsigned volumes of the simplices both add up
+    # to it only if every simplex is oriented as the mesh says
+    mesh = _mesh(n, step)
+    corners = mesh.points[:, :n][mesh.simplices]
+    det = np.linalg.det(corners[:, 1:] - corners[:, :1])
+    volume = (n + 1) ** (n - 1) * math.factorial(n)
+    assert math.isclose((mesh.orientation * det).sum(), volume, rel_tol=1e-9)
+    assert math.isclose(np.abs(det).sum(), volume, rel_tol=1e-9)
+    assert (mesh.orientation * det > 0).all()
+    assert mesh.step <= step
+    lengths = np.linalg.norm(mesh.points[mesh.edges[:, 0]] - mesh.points[mesh.edges[:, 1]], axis=1)
+    assert math.isclose(lengths.max(), mesh.step, rel_tol=1e-12)
+    assert len(np.unique(mesh.points.round(9), axis=0)) == len(mesh.points)
+
+
+@pytest.mark.parametrize("n, step", [(2, 0.3), (3, 0.5)])
+def test_mesh_vertices_lie_in_their_least_faces(n, step):
+    # a vertex's least face is the one whose chain is exactly the set of
+    # subsets tight at it; an interior vertex has no tight subset
+    mesh = _mesh(n, step)
+    faces = all_faces(n)
+    subsets = [
+        tuple(i + 1 for i in s)
+        for size in range(1, n + 1)
+        for s in itertools.combinations(range(n + 1), size)
+    ]
+    for point, face in zip(mesh.points, mesh.face):
+        tight = {
+            s for s in subsets
+            if abs(sum(point[i - 1] for i in s) - len(s) * (len(s) + 1) / 2) < 1e-9
+        }
+        assert tight == (set() if face < 0 else set(faces[face].chain))
+    assert (mesh.face < 0).any() and (mesh.face >= 0).any()
 
 
 def _shipped_maps():
@@ -532,7 +592,7 @@ def _shipped_maps():
 
 
 def test_maps_act_row_by_row():
-    # the coverage check maps its samples in row blocks, so every shipped
+    # the coverage check maps its points in row blocks, so every shipped
     # map must give the same bits on a block as on the whole array
     rng = np.random.default_rng(7)
     cases = [(n, f"collapse{n}", collapse_batch(realize(n))) for n in (1, 2, 3)]
@@ -566,18 +626,124 @@ def test_map_rows_never_passes_a_lone_row():
         assert 2 <= min(sizes) and max(sizes) <= SLAB_ROWS
 
 
+_ONTO = [
+    name for name in _shipped_maps()
+    if name == "collapse" or "*" in name and not name.startswith("shrink")
+]
+
+
 @pytest.mark.parametrize(
     "n, grid_step, name",
-    [(2, 0.05, name) for name in _shipped_maps() if "*" in name or name == "collapse"]
-    + [(3, 0.5, "collapse")],
+    [(2, g, name) for g in (0.1, 0.05, 0.025, 0.02) for name in _ONTO]
+    + [(3, g, "collapse") for g in (0.5, 0.375, 0.25)],
 )
-def test_coverage_matches_whole_box_reference(n, grid_step, name):
-    f = collapse_batch(realize(n)) if n == 3 else _shipped_maps()[name]
-    r = realize(n)
-    facets = [r.vertices_of_face(ns) for ns in enumerate_faces(n, 1)]
-    ref = coverage_reference(f, r.vertices, facets, grid_step, grid_step / 10)
+def test_coverage_certifies_shipped_onto_maps(n, grid_step, name):
+    # the benchmark's grids, n = 3 at 0.25 included: the face condition
+    # holds and the PL map has degree 1, so every node is covered
+    f = _shipped_maps()[name] if n == 2 else collapse_batch(realize(3))
     rep = check_face_mapping_surjectivity(f, n, grid_step)
-    assert {key: getattr(rep, key) for key in ref} == ref
+    assert rep.ok and rep.degree == 1
+    assert rep.covered == rep.grid_points and rep.uncovered_witness is None
+    assert rep.max_gap <= 1e-6 and not rep.face_violations
+    assert 0 < rep.mesh_step <= grid_step and rep.image_edge > 0
+
+
+@pytest.mark.parametrize("n, grid_step", [(2, 0.05), (2, 0.02), (3, 0.5)])
+def test_coverage_of_shrink_matches_oracle(n, grid_step):
+    # the PL image of shrink o collapse is the shrunk simplex; nodes on
+    # its boundary lie in closed image simplices and count as covered
+    fb = collapse_batch(realize(n))
+    bad = shrink_map(n, 0.9)
+    rep = check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), n, grid_step)
+    ref = shrink_coverage_reference(n, grid_step, 0.9)
+    assert rep.grid_points == ref["grid_points"]
+    assert rep.covered == ref["inside"] + ref["near"]
+    assert rep.uncovered_witness == ref["first_outside"]
+    assert not rep.ok and rep.degree == 1
+
+
+def _bump_on_facet(n, facet):
+    """The collapse, with the image of each point inside the given facet
+    moved off the facet's target, by 0.01 times the point's least slack
+    in any other subset inequality: the face condition breaks on that
+    facet and on no smaller face."""
+    fb = collapse_batch(realize(n))
+    pinned = [i - 1 for i in facet]
+    free = next(i for i in range(n + 1) if i not in pinned)
+    others = [
+        list(s)
+        for size in range(1, n + 1)
+        for s in itertools.combinations(range(n + 1), size)
+        if list(s) != pinned
+    ]
+
+    def slack(pts, s):
+        return pts[:, s].sum(axis=1) - len(s) * (len(s) + 1) / 2
+
+    def f(pts):
+        out = fb(pts)
+        on = np.abs(slack(pts, pinned)) < 1e-9
+        t = 0.01 * np.min([slack(pts[on], s) for s in others], axis=0)
+        out[on, pinned[0]] += t
+        out[on, free] -= t
+        return out
+
+    return f
+
+
+@pytest.mark.parametrize("n, facet", [(2, (1,)), (3, (1, 3))])
+def test_coverage_names_the_one_broken_facet(n, facet):
+    rep = check_face_mapping_surjectivity(_bump_on_facet(n, facet), n, 0.1 if n == 2 else 0.5)
+    assert not rep.ok
+    assert [v.chain for v in rep.face_violations] == [NestedSequence(n, (facet,))]
+    point = rep.face_violations[0].point
+    assert abs(sum(point[i - 1] for i in facet) - subset_level(len(facet))) < 1e-9
+
+
+def test_coverage_seed_moves_only_the_face_samples():
+    fb = collapse_batch(realize(2))
+    bad = shrink_map(2, 0.9)
+    reports = [
+        check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), 2, 0.05, seed=seed)
+        for seed in (0, 1)
+    ]
+    first, second = (dataclasses.replace(r, face_violations=()) for r in reports)
+    assert first == second
+    points = [[v.point for v in r.face_violations] for r in reports]
+    assert points[0] != points[1]
+
+
+def test_coverage_map_error_reaches_caller_unchanged():
+    error = DomainError("refused by the map")
+    fb = collapse_batch(realize(2))
+    calls = []
+
+    def f(pts):
+        calls.append(len(pts))
+        if len(calls) == 2:
+            raise error
+        return fb(pts)
+
+    with pytest.raises(DomainError) as raised:
+        check_face_mapping_surjectivity(f, 2, 0.01)
+    assert raised.value is error
+    assert len(calls) == 2
+
+
+def test_coverage_check_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(permutahedron.__file__))
+    code = (
+        "import sys\n"
+        "from periodmap.permutahedron import *\n"
+        "assert check_face_mapping_surjectivity(collapse_batch(realize(3)), 3, 0.5).ok\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _near(pts, point, radius):
@@ -592,10 +758,16 @@ def _nan_near_corner(pts):
 
 
 def _inf_near_centre(pts):
-    # only the sample blocks reach the centre, where a bare ValueError
-    # from the KD-tree once stopped it
+    # only the sample blocks reached the centre, where a bare ValueError
+    # from a KD-tree once stopped it
     out = collapse_batch(realize(2))(pts)
     out[_near(out, (2, 2, 2), 0.05)] = np.inf
+    return out
+
+
+def _off_plane(pts):
+    out = collapse_batch(realize(2))(pts)
+    out[_near(out, (2, 2, 2), 0.3), 0] += 1e-3
     return out
 
 
@@ -610,82 +782,20 @@ def _inf_near_centre(pts):
         (lambda pts: pts.T, InputError, r"shape \(3, \d+\) for a block"),
         # once a bare IndexError
         (lambda pts: pts[:, :2], InputError, r"shape \(\d+, 2\) for a block"),
+        (_off_plane, NumericalDomainError, r"off the simplex's plane by a coordinate sum of 0.001"),
     ],
-    ids=["nan-near-corner", "inf-near-centre", "one-row", "transposed", "dropped-column"],
+    ids=[
+        "nan-near-corner", "inf-near-centre", "one-row", "transposed", "dropped-column",
+        "off-plane",
+    ],
 )
 def test_coverage_refuses_bad_map_output(f, error, match):
     with pytest.raises(error, match=match):
         check_face_mapping_surjectivity(f, 2, grid_step=0.1)
 
 
-def _with_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 @pytest.mark.parametrize("n, grid_step", [(2, 0.05), (3, 0.5)])
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_coverage_report_does_not_depend_on_cpu_count(monkeypatch, n, grid_step, cpus):
-    f = collapse_batch(realize(n))
-    default = check_face_mapping_surjectivity(f, n, grid_step)
-    _with_cpus(monkeypatch, cpus)
-    assert _cpu_count() == cpus
-    assert check_face_mapping_surjectivity(f, n, grid_step) == default
-
-
-def test_coverage_parts_under_fast_thread_switching(monkeypatch):
-    # more parts than cores, switching threads every 10 microseconds
-    f = collapse_batch(realize(2))
-    default = check_face_mapping_surjectivity(f, 2, 0.05)
-    _with_cpus(monkeypatch, 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        start = time.perf_counter()
-        report = check_face_mapping_surjectivity(f, 2, 0.05)
-    finally:
-        sys.setswitchinterval(interval)
-    assert report == default
-    assert time.perf_counter() - start < 30.0
-
-
-def test_cpu_count_falls_back_to_the_machine_count(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert _cpu_count() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _cpu_count() == 1
-
-
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_coverage_worker_error_reaches_caller_and_no_thread_is_left(monkeypatch, cpus):
-    _with_cpus(monkeypatch, cpus)
-    fb = collapse_batch(realize(2))
-    before = threading.active_count()
-    check_face_mapping_surjectivity(fb, 2, 0.05)
-    assert threading.active_count() == before
-
-    error = DomainError("refused by the map")
-    calls = []
-
-    def f(pts):
-        calls.append(threading.current_thread())
-        if len(pts) > 100:  # a sample block; the face condition maps 46 rows
-            raise error
-        return fb(pts)
-
-    with pytest.raises(DomainError) as raised:
-        check_face_mapping_surjectivity(f, 2, 0.05)
-    assert raised.value is error
-    assert threading.active_count() == before
-    assert (threading.main_thread() in calls[-1:]) == (cpus == 1)
-    count = len(calls)
-    time.sleep(0.05)
-    assert len(calls) == count  # every part had stopped
-
-
-@pytest.mark.parametrize("n, grid_step", [(2, 0.05), (3, 0.5)])
-def test_coverage_parts_never_pass_a_lone_row(monkeypatch, n, grid_step):
-    _with_cpus(monkeypatch, 3)
+def test_coverage_parts_never_pass_a_lone_row(n, grid_step):
     fb = collapse_batch(realize(n))
     sizes = []
 
@@ -707,34 +817,6 @@ def test_map_rows_maps_a_lone_row_as_two():
     out = _map_rows(f, np.array([[1.0, 2.0, 3.0]]))
     assert out.tolist() == [[2.0, 3.0, 4.0]]
     assert [b.tolist() for b in blocks] == [[[1.0, 2.0, 3.0]] * 2]
-
-
-def test_empty_part_builds_no_tree(monkeypatch):
-    import scipy.spatial
-
-    trees = []
-    real = scipy.spatial.cKDTree
-
-    def counting_tree(*args, **kwargs):
-        trees.append(len(args[0]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
-    r = realize(3)
-    box = _SampleBox(r, 0.025)
-    grid = _simplex_grid(3, 0.25)
-    assert len(box.slab(0)) == 0  # the box's first line lies outside P
-    calls = []
-    f = collapse_batch(r)
-    result = _coverage_part(
-        lambda pts: calls.append(len(pts)) or f(pts), box, range(1), None, grid, threading.Event()
-    )
-    assert result == (0, None)
-    assert calls == [] and trees == []
-
-    count, dist = _coverage_part(f, box, range(1, 3), None, grid, threading.Event())
-    assert trees == [count] and count == len(box.slab(1)) + len(box.slab(2)) > 0
-    assert dist.shape == (len(grid),)
 
 
 def test_perturbations_fix_boundary():
