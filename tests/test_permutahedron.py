@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -521,7 +522,9 @@ def test_coverage_refuses_bad_arguments(args):
         (3, {"grid_step": 0.05}),  # 144 flags of 45**3 pieces
     ],
 )
-def test_coverage_refuses_huge_mesh_before_mapping(n, steps):
+def test_coverage_refuses_huge_sample_box_before_mapping(n, steps):
+    # the points the check maps are the vertices of its mesh, so a mesh
+    # above MAX_MESH_SIMPLICES is refused before the map sees one of them
     calls = []
 
     def f(pts):
@@ -713,13 +716,51 @@ def test_coverage_seed_moves_only_the_face_samples():
     assert points[0] != points[1]
 
 
-def test_coverage_map_error_reaches_caller_unchanged():
-    error = DomainError("refused by the map")
+def _with_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+@pytest.mark.parametrize("n, grid_step", [(2, 0.05), (3, 0.5)])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_coverage_report_does_not_depend_on_cpu_count(monkeypatch, n, grid_step, cpus):
+    f = collapse_batch(realize(n))
+    default = check_face_mapping_surjectivity(f, n, grid_step)
+    _with_cpus(monkeypatch, cpus)
+    assert len(os.sched_getaffinity(0)) == cpus and os.cpu_count() == cpus
+    assert check_face_mapping_surjectivity(f, n, grid_step) == default
+
+
+def test_coverage_parts_under_fast_thread_switching(monkeypatch):
+    # many reported CPUs, switching threads every 10 microseconds
+    f = collapse_batch(realize(2))
+    default = check_face_mapping_surjectivity(f, 2, 0.05)
+    _with_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = time.perf_counter()
+        report = check_face_mapping_surjectivity(f, 2, 0.05)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report == default
+    assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_coverage_worker_error_reaches_caller_and_no_thread_is_left(monkeypatch, cpus):
+    # the check maps its mesh on the calling thread, whatever the CPU count
+    _with_cpus(monkeypatch, cpus)
     fb = collapse_batch(realize(2))
+    before = threading.active_count()
+    check_face_mapping_surjectivity(fb, 2, 0.05)
+    assert threading.active_count() == before
+
+    error = DomainError("refused by the map")
     calls = []
 
     def f(pts):
-        calls.append(len(pts))
+        calls.append((len(pts), threading.current_thread()))
         if len(calls) == 2:
             raise error
         return fb(pts)
@@ -728,6 +769,10 @@ def test_coverage_map_error_reaches_caller_unchanged():
         check_face_mapping_surjectivity(f, 2, 0.01)
     assert raised.value is error
     assert len(calls) == 2
+    assert all(thread is threading.main_thread() for _, thread in calls)
+    assert threading.active_count() == before
+    time.sleep(0.05)
+    assert len(calls) == 2  # nothing went on mapping after the error
 
 
 def test_coverage_check_imports_no_scipy():
