@@ -43,10 +43,10 @@ from .face_constraints import (
 from .grassmannian import classify_span, to_poincare_disk
 from .permutahedron import (
     NestedSequence,
+    _check_n,
     all_faces,
     enumerate_faces,
     export_json,
-    export_off,
 )
 from .render import _subset_label, render_config, render_lattice_lines
 from .systole import (
@@ -250,6 +250,7 @@ def _cmd_systole(args) -> int:
 
 def _cmd_permutahedron(args) -> int:
     if args.action == "counts":
+        _check_n(args.n)
         counts = [len(enumerate_faces(args.n, c)) for c in range(1, args.n + 1)]
         payload = {"n": args.n, "face_counts": counts}
         text = f"P_{args.n} face counts by codimension: " + ", ".join(
@@ -258,6 +259,8 @@ def _cmd_permutahedron(args) -> int:
         _emit(args, payload, text)
         return 0
     if args.format == "off":
+        from .coverage import export_off  # the one command that loads numpy
+
         body = export_off(args.n)
     else:
         body = json.dumps(export_json(args.n), indent=2, sort_keys=True)

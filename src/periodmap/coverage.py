@@ -1,0 +1,736 @@
+"""Float half of the permutahedron: batched collapse, test maps, the
+piecewise-linear coverage certificate and the OFF export.
+
+This is the one module of the package that loads numpy; everything it
+builds on (faces, the realization, the exact collapse) is the exact
+``permutahedron`` module.  The certificate maps the vertices of an
+integer-built mesh of P_n and runs on floats: see
+check_face_mapping_surjectivity for what it proves.  Importing
+``periodmap`` or running a command other than ``permutahedron export
+--format off`` never loads this module.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import numbers
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .errors import InputError, NumericalDomainError, ResourceError
+from .permutahedron import (
+    DAMPING_SLACK,
+    NestedSequence,
+    PermRealization,
+    all_faces,
+    enumerate_faces,
+    plane_total,
+    realize,
+    subset_level,
+)
+
+MAX_GRID_POINTS = 4 * 10**7  # largest grid a coverage check builds
+MAX_MESH_SIMPLICES = 2**21  # largest mesh of P a coverage check builds
+FACE_SAMPLES = 40  # random points per face in the coverage check's face condition
+FACE_TOL = 1e-7  # how far an image coordinate the face pins may stray from 1
+SLAB_ROWS = 2**15  # rows per call of the checked map, simplices per block of mesh work
+DEGENERATE = 1e-6  # |det| / product of edge lengths at or below which an image simplex is flat
+CLEAR = 1e-6  # least barycentric distance of the degree's reference point from any image face
+LOCATE_TOL = 1e-9  # barycentric slack with which a grid node lies in an image simplex
+REFERENCE_SEED = 1729  # seed of the degree's candidate reference points
+REFERENCE_TRIES = 8  # candidate reference points tried before the degree is given up
+
+
+# ---------------------------------------------------------------------------
+# batched collapse
+# ---------------------------------------------------------------------------
+
+
+def _sorted_columns(pts: np.ndarray) -> list[np.ndarray]:
+    """The columns of pts sorted within each row, smallest first.
+
+    Odd-even transposition on whole columns: n + 1 rounds of
+    np.minimum and np.maximum.  A row-wise np.sort of so few columns
+    pays per-row overhead: on 32,768 rows at n = 2 (2-CPU host) its
+    prefix sums took about 1.9 ms against 0.2 ms for this network, which
+    made the collapse about 50% slower.
+    """
+    cols = [pts[:, j] for j in range(pts.shape[1])]
+    for rnd in range(len(cols)):
+        for j in range(rnd % 2, len(cols) - 1, 2):
+            cols[j], cols[j + 1] = (
+                np.minimum(cols[j], cols[j + 1]),
+                np.maximum(cols[j], cols[j + 1]),
+            )
+    return cols
+
+
+def collapse_batch(realization: PermRealization) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized float version of collapse_to_simplex for sampling: the
+    same least sums, read from the prefix sums of the sorted columns."""
+    n1 = realization.n + 1
+    eps = float(DAMPING_SLACK)
+    m = float(realization.total)
+
+    def apply(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        low = [0.0, *itertools.accumulate(_sorted_columns(pts)[:-1])]  # low[k] = c_k
+        g = pts - 1.0  # k = 1: the least single coordinate holding y_i is y_i
+        for k in range(2, n1):
+            least = np.maximum(low[k][:, None], pts + low[k - 1][:, None])
+            g = np.minimum(g, least - subset_level(k))
+        w = np.clip(g / eps, 0.0, 1.0)
+        pulled = 1.0 + (pts - 1.0) * w
+        spare = m - pulled.sum(axis=1)
+        wsum = w.sum(axis=1)
+        return pulled + (spare / wsum)[:, None] * w
+
+    return apply
+
+
+# ---------------------------------------------------------------------------
+# boundary-fixing perturbations and a deliberately broken map
+# ---------------------------------------------------------------------------
+
+
+def _exit_time(dirs: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Per row, the t > 0 at which center + t * dirs leaves the simplex:
+    the least (1 - c_i) / v_i over the coordinates with v_i < 0, inf
+    when there is none.  Taken column by column with np.minimum."""
+    t = np.full(len(dirs), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, v in zip(center, dirs.T):
+            t = np.minimum(t, np.where(v < 0, (1.0 - c) / v, np.inf))
+    return t
+
+
+def _radial_parameter(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """lambda in [0,1]: 0 at the simplex center, 1 on the boundary."""
+    t_star = _exit_time(pts - center, center)
+    lam = np.where(np.isfinite(t_star), 1.0 / t_star, 0.0)
+    return np.clip(lam, 0.0, 1.0)
+
+
+def radial_perturbation(
+    n: int, coefficient: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Simplex self-map fixing the boundary: radial reparametrization
+    lambda -> lambda + c*lambda*(1 - lambda), a bijection for |c| < 1."""
+    if not -1.0 < coefficient < 1.0:
+        raise InputError("radial coefficient must be in (-1, 1)")
+    m = plane_total(n)
+    center = np.full(n + 1, m / (n + 1))
+
+    def apply(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        lam = _radial_parameter(pts, center)
+        scale = 1.0 + coefficient * (1.0 - lam)
+        return center + scale[:, None] * (pts - center)
+
+    return apply
+
+
+def twist_perturbation(n: int, angle: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Boundary-fixing twist of the 2-simplex: rotate the direction from
+    the center by angle*(1 - lambda) at constant radial parameter."""
+    if n != 2:
+        raise InputError("twist perturbation is implemented for n = 2 only")
+    m = plane_total(n)
+    center = np.full(3, m / 3.0)
+    basis = _hyperplane_basis(n)  # (2, 3)
+
+    def apply(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        v = pts - center
+        lam = _radial_parameter(pts, center)
+        uv = v @ basis.T  # in-plane coordinates
+        theta = angle * (1.0 - lam)
+        cos, sin = np.cos(theta), np.sin(theta)
+        rotated = np.stack(
+            [cos * uv[:, 0] - sin * uv[:, 1], sin * uv[:, 0] + cos * uv[:, 1]],
+            axis=1,
+        )
+        new_dir = rotated @ basis
+        out = np.tile(center, (len(pts), 1))
+        nz = np.linalg.norm(new_dir, axis=1) > 1e-14
+        unit = new_dir[nz] / np.linalg.norm(new_dir[nz], axis=1, keepdims=True)
+        # keep the radial parameter, swap in the rotated direction
+        out[nz] = center + (lam[nz] * _exit_time(unit, center))[:, None] * unit
+        return out
+
+    return apply
+
+
+def shrink_map(n: int, factor: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Pull everything toward the simplex center: breaks the face
+    condition and leaves a neighborhood of the boundary uncovered."""
+    m = plane_total(n)
+    center = np.full(n + 1, m / (n + 1))
+
+    def apply(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        return center + factor * (pts - center)
+
+    return apply
+
+
+def _hyperplane_basis(n: int) -> np.ndarray:
+    """Orthonormal basis (rows) of {v : sum v = 0} in R^{n+1}."""
+    ones = np.ones((1, n + 1))
+    _, _, vt = np.linalg.svd(ones)
+    return vt[1:]
+
+
+# ---------------------------------------------------------------------------
+# piecewise-linear surjectivity certificate
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FaceViolation:
+    chain: NestedSequence
+    point: tuple[float, ...]
+    image: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class CoverageReport:
+    """What check_face_mapping_surjectivity found for a map f.
+
+    ok: the face condition holds and every grid node is covered.
+    grid_points: the nodes of the simplex grid at spacing grid_step.
+    covered: the nodes shown to lie in the PL image, the image of the
+        piecewise-linear interpolant of f on the mesh, up to max_gap.
+    uncovered_witness: the first uncovered node in grid order, or None.
+    max_gap: an upper bound on the largest distance from a grid node to
+        the PL image (for an uncovered node, its distance to the nearest
+        image of a boundary vertex of the mesh).
+    face_violations: for each face, in all_faces order, the first
+        checked point whose image leaves the face's target by more than
+        FACE_TOL.
+    samples_used: the mesh vertices mapped through f.
+    mesh_step: the longest edge of the mesh of P.
+    image_edge: the longest image of a mesh edge.  The PL image stands
+        for the image of f only as closely as f varies along an edge.
+    degree: the degree of the PL map over its reference point, or None
+        when no reference point clear of every image face was found.
+    """
+
+    ok: bool
+    grid_points: int
+    covered: int
+    uncovered_witness: tuple[float, ...] | None
+    max_gap: float
+    face_violations: tuple[FaceViolation, ...]
+    samples_used: int
+    mesh_step: float
+    image_edge: float
+    degree: int | None
+
+    def __str__(self):
+        lines = [
+            f"mesh step {self.mesh_step:.3g}, largest image edge {self.image_edge:.3g},"
+            f" degree {self.degree}",
+            f"grid nodes {self.grid_points}, covered {self.covered},"
+            f" max gap {self.max_gap:.3g}",
+        ]
+        if self.uncovered_witness is not None:
+            lines.append(f"uncovered witness: {self.uncovered_witness}")
+        for v in self.face_violations[:5]:
+            lines.append(f"face condition broken on {v.chain}: {v.point} -> {v.image}")
+        lines.append("PASS" if self.ok else "FAIL")
+        return "\n".join(lines)
+
+
+@functools.cache
+def _flags(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal flags F_0 < F_1 < ... < F_{n-1} < P of faces of P_n,
+    F_j of dimension j.
+
+    Returns twice the barycentre of each face of each flag, an integer
+    array (flags, n+1, n+1) whose row j is F_j and row n the centre of
+    P, and the index of each F_j in all_faces(n), (flags, n).  A flag is
+    a vertex, written as a maximal chain, and an order in which to drop
+    the chain's subsets: F_j keeps all but the first j of them.  A face
+    is a product of smaller permutahedra, so its barycentre is
+    half-integral.
+    """
+    realization = realize(n)
+    faces = all_faces(n)
+    index = {ns.chain: i for i, ns in enumerate(faces)}
+    twice = {}
+    for ns in faces:
+        fv = realization.vertices_of_face(ns)
+        twice[ns.chain] = [2 * sum(col) // len(fv) for col in zip(*fv)]
+    bary, ids = [], []
+    for top in enumerate_faces(n, n):
+        for order in itertools.permutations(range(n)):
+            chains = [
+                tuple(s for i, s in enumerate(top.chain) if i not in order[:j])
+                for j in range(n)
+            ]
+            bary.append([twice[c] for c in chains] + [[n + 2] * (n + 1)])
+            ids.append([index[c] for c in chains])
+    return np.array(bary, dtype=np.int64), np.array(ids, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=8)
+def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Freudenthal's subdivision of the orthoscheme k >= x_1 >= ... >=
+    x_n >= 0 into k**n simplices (Edelsbrunner-Grayson's edgewise
+    subdivision).
+
+    Returns the weights of its lattice points on the corners, integers
+    summing to k (weight j is x_j - x_{j+1}, with x_0 = k and
+    x_{n+1} = 0; corner j has its first j coordinates k), the pieces as
+    rows of point indices, each piece's orientation, and the edges of
+    the pieces as pairs of point indices, each once.  The pieces are
+    the cube simplices a, a + e_p(1), a + e_p(1) + e_p(2), ... (a in
+    {0..k-1}^n, p a permutation) whose points all lie in the
+    orthoscheme; their edges from a have the orientation of p.
+    """
+    pts = np.indices((k + 1,) * n).reshape(n, -1).T
+    pts = pts[(pts[:, :-1] >= pts[:, 1:]).all(axis=1)]
+    lookup = np.zeros((k + 1,) * n, dtype=np.int64)
+    lookup[tuple(pts.T)] = np.arange(len(pts))
+    corners = np.indices((k,) * n).reshape(n, -1).T
+    pieces, signs = [], []
+    for perm in itertools.permutations(range(n)):
+        walk = [corners]
+        for axis in perm:
+            walk.append(walk[-1].copy())
+            walk[-1][:, axis] += 1
+        walk = np.stack(walk, axis=1)  # (cubes, n+1, n)
+        walk = walk[(walk[:, :, :-1] >= walk[:, :, 1:]).all(axis=(1, 2))]
+        pieces.append(lookup[tuple(np.moveaxis(walk, 2, 0))])
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        signs.append(np.full(len(walk), (-1) ** inversions))
+    pieces = np.concatenate(pieces)
+    pairs = [pieces[:, [a, b]] for a, b in itertools.combinations(range(n + 1), 2)]
+    pairs = np.sort(np.concatenate(pairs), axis=1) @ [len(pts), 1]  # one key per edge
+    edges = np.stack(np.divmod(np.unique(pairs), len(pts)), axis=1)
+    ends = np.concatenate([np.full((len(pts), 1), k), pts, np.zeros((len(pts), 1), int)], axis=1)
+    return -np.diff(ends, axis=1), pieces, np.concatenate(signs), edges
+
+
+@dataclass(frozen=True)
+class _Mesh:
+    """A triangulation of P_n: the barycentric subdivision over its
+    maximal flags, each flag simplex refined by _orthoscheme.  Every
+    simplex on the boundary of P lies in one facet."""
+
+    points: np.ndarray  # (vertices, n+1)
+    simplices: np.ndarray  # (simplices, n+1) vertex indices
+    orientation: np.ndarray  # (simplices,) +1 or -1 in the chart of the first n coordinates
+    face: np.ndarray  # (vertices,) index in all_faces(n) of the least face holding it, -1 inside
+    edges: np.ndarray  # (edges, 2) vertex indices, each edge once per flag holding it
+    step: float  # the longest edge
+
+
+def _mesh(n: int, step: float) -> _Mesh:
+    """The mesh of P_n whose edges are at most step long.
+
+    An edge of a piece of flag simplex is a sum of the flag's axes
+    b_j - b_{j-1} over a set of j, divided by k; k is the least that
+    brings the longest such sum under step.  A mesh above
+    MAX_MESH_SIMPLICES simplices raises ResourceError before anything is
+    built.  One reference subdivision serves every flag: its points are
+    the weights times the barycentres, in integers (2k times the point),
+    and points shared by flags are merged on those integers.
+    """
+    bary, ids = _flags(n)
+    axes = np.diff(bary, axis=1) / 2.0  # (flags, n, n+1)
+    sums = np.array(list(itertools.product((0, 1), repeat=n))[1:]) @ axes
+    k = max(1, math.ceil(np.linalg.norm(sums, axis=-1).max() / step))
+    size = len(bary) * k**n
+    if size > MAX_MESH_SIMPLICES:
+        raise ResourceError(
+            f"mesh step {step} needs {size} simplices (limit {MAX_MESH_SIMPLICES})"
+        )
+    weights, pieces, signs, edges = _orthoscheme(n, k)
+    lattice = weights @ bary  # (flags, points, n+1), each point times 2k
+    radix = 2 * k * (n + 1) + 1  # coordinates lie in [2k, 2k(n+1)]
+    keys = (lattice[:, :, :n] * radix ** np.arange(n)).sum(axis=2).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # the least face holding a point: the last corner it weighs
+    last = n - np.argmax(weights[:, ::-1] > 0, axis=1)
+    faces = np.concatenate([ids, np.full((len(ids), 1), -1)], axis=1)[:, last]
+    flag_signs = np.sign(np.linalg.det(axes[:, :, :n])).astype(np.int64)
+    inverse = inverse.reshape(len(bary), -1)
+    # every edge is one of a few weight differences, each entry -1, 0 or
+    # 1, mapped by its flag
+    moves = weights[edges[:, 0]] - weights[edges[:, 1]]
+    _, kinds = np.unique((moves + 1) @ 3 ** np.arange(n + 1), return_index=True)
+    return _Mesh(
+        points=lattice.reshape(-1, n + 1)[first] / (2.0 * k),
+        simplices=inverse[:, pieces].reshape(-1, n + 1),
+        orientation=np.outer(flag_signs, signs).ravel(),
+        face=faces.ravel()[first],
+        edges=inverse[:, edges].reshape(-1, 2),
+        step=float(np.linalg.norm(moves[kinds] @ bary, axis=-1).max()) / (2 * k),
+    )
+
+
+def _image(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """f(pts) as a float array, checked to hold one finite row per point.
+
+    A wrong shape raises InputError naming it; a NaN or infinite
+    coordinate raises NumericalDomainError naming the first bad row.
+    Either would otherwise be broadcast, or compare false against every
+    tolerance, and read as a plausible report.
+    """
+    image = np.asarray(f(pts), dtype=float)
+    if image.shape != pts.shape:
+        raise InputError(
+            f"map returned an array of shape {image.shape} for a block of shape {pts.shape}"
+        )
+    finite = np.isfinite(image)
+    if not finite.all():  # one flat pass: a per-row all() costs 20 times more
+        i = int(np.argmin(finite.all(axis=1)))
+        raise NumericalDomainError(
+            f"map sent {tuple(pts[i].tolist())} to the non-finite {tuple(image[i].tolist())}"
+        )
+    return image
+
+
+def _map_rows(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """f applied to pts in row blocks of at most SLAB_ROWS rows.
+
+    The blocks are of near-equal size, so none is a lone row when pts
+    has two or more, and a single row is mapped as a block of two copies
+    of itself: numpy multiplies a single row by a matrix through another
+    routine than a block, and its last bits can differ.  Each block's
+    image is checked by _image.
+    """
+    if len(pts) == 1:
+        return _image(f, np.repeat(pts, 2, axis=0))[:1]
+    blocks = np.array_split(pts, max(1, -(-len(pts) // SLAB_ROWS)))
+    return np.concatenate([_image(f, block) for block in blocks])
+
+
+def _simplex_lattice(n: int, step: float) -> tuple[int, np.ndarray]:
+    """The simplex grid at spacing step as k and the integer points
+    (k_0, ..., k_{n-1}) with sum at most k, in meshgrid order: node i is
+    1 + step * (k_0, ..., k_{n-1}, k - sum)."""
+    m = plane_total(n)
+    k_total = (m - (n + 1)) / step
+    k = int(round(k_total))
+    if abs(k - k_total) > 1e-9:
+        raise InputError(f"grid step {step} must divide {m - (n + 1)} evenly")
+    if (k + 1) ** n > MAX_GRID_POINTS:
+        raise ResourceError("grid too fine for this dimension")
+    ks = np.indices((k + 1,) * n).reshape(n, -1).T
+    return k, ks[ks.sum(axis=1) <= k]
+
+
+def _blocks(rows: np.ndarray):
+    """Slices of at most SLAB_ROWS rows, so that the per-simplex and
+    per-edge arrays of a large mesh are made a block at a time."""
+    for start in range(0, len(rows), SLAB_ROWS):
+        yield slice(start, start + SLAB_ROWS)
+
+
+def _longest_edge(points: np.ndarray, edges: np.ndarray) -> float:
+    longest = 0.0
+    for rows in _blocks(edges):
+        d = points[edges[rows, 0]] - points[edges[rows, 1]]
+        longest = max(longest, float(np.einsum("ij,ij->i", d, d).max()))
+    return math.sqrt(longest)
+
+
+def _edges(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For simplices given by their corners (n+1, s, n), the edges from
+    corner 0 as rows (s, n, n), their determinants, and whether each is
+    flat: |det| at most DEGENERATE times the product of the edge lengths."""
+    edges = np.moveaxis(corners[1:] - corners[0], 0, 1)
+    det = np.linalg.det(edges)
+    flat = np.abs(det) <= DEGENERATE * np.linalg.norm(edges, axis=2).prod(axis=1)
+    return edges, det, flat
+
+
+def _barycentric(edges: np.ndarray, origin: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (s, n+1) of the points q (s, n) in the
+    simplices with the given corner 0 (s, n) and edges (s, n, n)."""
+    lam = np.linalg.solve(np.swapaxes(edges, 1, 2), (q - origin)[:, :, None])[:, :, 0]
+    return np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], axis=1)
+
+
+def _degree(chart: np.ndarray, mesh: _Mesh) -> int | None:
+    """The degree of the PL map with vertex images chart (the first n
+    coordinates of each image) over a reference point near the centre of
+    the simplex, or None when none of REFERENCE_TRIES seeded points is
+    clear of every image simplex's faces and of every flat image.
+
+    Clear means: each image simplex whose bounding box holds the point
+    is not flat, and the point's least barycentric coordinate in it is
+    not within CLEAR of 0.  The degree is then the oriented count of the
+    image simplices that hold the point.
+    """
+    n = chart.shape[1]
+    rng = np.random.default_rng(REFERENCE_SEED)
+    # within 0.1 of the centre in each chart coordinate, so every
+    # coordinate, the implied last one too, exceeds 1 by at least 0.4
+    for point in (n + 2) / 2 + 0.1 * rng.uniform(-1, 1, (REFERENCE_TRIES, n)):
+        degree = 0
+        for rows in _blocks(mesh.simplices):
+            corners = chart[mesh.simplices[rows].T]  # (n+1, simplices, n)
+            near = ((corners.min(axis=0) <= point) & (corners.max(axis=0) >= point)).all(axis=1)
+            corners = corners[:, near]
+            edges, det, flat = _edges(corners)
+            if flat.any():
+                break
+            least = _barycentric(edges, corners[0], np.broadcast_to(point, corners[0].shape))
+            least = least.min(axis=1)
+            if (np.abs(least) <= CLEAR).any():
+                break
+            inside = least > 0
+            degree += int((mesh.orientation[rows][near][inside] * np.sign(det[inside])).sum())
+        else:
+            return degree
+    return None
+
+
+def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: float) -> np.ndarray:
+    """Which nodes of the simplex grid lie in an image simplex that is not
+    flat, up to LOCATE_TOL in barycentric coordinates.
+
+    A bucket join on the node lattice: each image simplex is tested
+    against the nodes in its bounding box only.
+    """
+    n = chart.shape[1]
+    index = np.full((k + 1,) * n, -1)
+    index[tuple(lattice.T)] = np.arange(len(lattice))
+    covered = np.zeros(len(lattice), dtype=bool)
+    for rows in _blocks(mesh.simplices):
+        corners = chart[mesh.simplices[rows].T]
+        edges, _, flat = _edges(corners)
+        corners, edges = corners[:, ~flat], edges[~flat]
+        scaled = (corners - 1.0) / step  # lattice coordinates
+        lo = np.clip(np.ceil(scaled.min(axis=0) - 1e-9), 0, k).astype(np.int64)
+        hi = np.clip(np.floor(scaled.max(axis=0) + 1e-9), -1, k).astype(np.int64)
+        sizes = np.maximum(hi - lo + 1, 0)
+        counts = sizes.prod(axis=1)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        nodes = lo[owner]
+        for d in reversed(range(n)):
+            nodes[:, d] += rank % sizes[owner, d]
+            rank //= sizes[owner, d]
+        keep = nodes.sum(axis=1) <= k
+        owner, nodes = owner[keep], nodes[keep]
+        lam = _barycentric(edges[owner], corners[0, owner], 1.0 + step * nodes)
+        inside = lam.min(axis=1) >= -LOCATE_TOL
+        covered[index[tuple(nodes[inside].T)]] = True
+    return covered
+
+
+def _check_arguments(n, grid_step, seed) -> None:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InputError(f"n must be an int, got {n!r}")
+    if isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real):
+        raise InputError(f"grid_step must be a real number, got {grid_step!r}")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise InputError(f"grid_step must be positive and finite, got {grid_step}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"seed must be a non-negative int, got {seed!r}")
+
+
+def check_face_mapping_surjectivity(
+    f: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    grid_step: float,
+    seed: int = 0,
+) -> CoverageReport:
+    """Piecewise-linear surjectivity certificate for a map f of the
+    permutahedron P_n onto the simplex, n <= 3.
+
+    f must accept a (k, n+1) array of points, k >= 2, and return their
+    (k, n+1) images, acting row by row; a wrong shape raises InputError,
+    and a non-finite image or one off the simplex's plane
+    NumericalDomainError.  An error raised by f reaches the caller
+    unchanged.
+
+    P is triangulated with edges at most grid_step (_mesh) and only the
+    mesh vertices are mapped; what is certified is the PL interpolant of
+    f on that mesh, whose image is reported as close to f's as the
+    largest image edge says.  The face condition is checked at every
+    boundary vertex of the mesh, against its least face, and at
+    FACE_SAMPLES points drawn from each face with the given seed plus
+    the face's vertices: the coordinates of the chain's largest subset
+    must map to 1 within FACE_TOL.  The degree is counted over a
+    reference point near the centre (_degree).
+
+    If the face condition holds and the degree is 1, the image of the
+    boundary stays within FACE_TOL of the simplex's boundary, so the
+    degree is 1 on the whole inner simplex (every coordinate above 1 +
+    FACE_TOL, widened by the images' float drift off the plane), which
+    therefore lies in the PL image.  Every grid node is then covered:
+    those inside with a gap of 0, those on the boundary within the band.
+    Otherwise the nodes are located in the image simplices that are not
+    flat (_locate): a located node is covered, within 2 n LOCATE_TOL
+    image edges, and an uncovered node's gap is bounded by its distance
+    to the nearest image of a boundary vertex of the mesh.
+
+    n must be an int, grid_step a positive finite real number, and seed
+    a non-negative int, or InputError is raised.  A mesh above
+    MAX_MESH_SIMPLICES simplices or a grid above MAX_GRID_POINTS nodes
+    raises ResourceError before f is called.
+    """
+    _check_arguments(n, grid_step, seed)
+    if n > 3:
+        raise ResourceError("coverage check capped at n = 3")
+    grid_step = float(grid_step)
+    realization = realize(n)
+    k, lattice = _simplex_lattice(n, grid_step)
+    mesh = _mesh(n, grid_step)
+
+    faces = all_faces(n)
+    rng = np.random.default_rng(seed)
+    samples, owners = [], []
+    for i, ns in enumerate(faces):
+        fv = np.array(realization.vertices_of_face(ns), dtype=float)
+        bary = rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES)
+        samples += [bary @ fv, fv]
+        owners.append(np.full(FACE_SAMPLES + len(fv), i))
+    boundary = np.flatnonzero(mesh.face >= 0)
+    owners.append(mesh.face[boundary])
+    points = np.concatenate([mesh.points, *samples])
+    images = _map_rows(f, points)
+    drift = np.abs(images.sum(axis=1) - realization.total)
+    if drift.max() > FACE_TOL:
+        i = int(np.argmax(drift))
+        raise NumericalDomainError(
+            f"map sent {tuple(points[i].tolist())} to {tuple(images[i].tolist())},"
+            f" off the simplex's plane by a coordinate sum of {drift[i]:.3g}"
+        )
+    # the seeded samples and face vertices first, then the mesh's boundary
+    checked = np.concatenate([np.arange(len(mesh.points), len(points)), boundary])
+    violations = _face_violations(
+        faces, points[checked], images[checked], np.concatenate(owners)
+    )
+
+    mapped = images[: len(mesh.points)]
+    shift = (mapped.sum(axis=1) - realization.total) / (n + 1)
+    chart = (mapped - shift[:, None])[:, :n]  # the images moved onto the plane
+    shift = float(np.abs(shift).max())
+    image_edge = _longest_edge(mapped, mesh.edges)
+    degree = _degree(chart, mesh)
+    if degree == 1 and not violations:
+        # the inner simplex lies in the PL image, and every node lies
+        # within the boundary band of it
+        covered = np.ones(len(lattice), dtype=bool)
+        max_gap = (FACE_TOL + shift) * math.sqrt(n * (n + 1)) + shift * math.sqrt(n + 1)
+    else:
+        covered = _locate(chart, mesh, k, lattice, grid_step)
+        # barycentric coordinates no lower than -LOCATE_TOL put a node
+        # within 2 n LOCATE_TOL edge lengths of its simplex
+        max_gap = shift * math.sqrt(n + 1) + 2 * n * LOCATE_TOL * image_edge
+    witness = None
+    if not covered.all():
+        grid = 1.0 + grid_step * np.concatenate(
+            [lattice, k - lattice.sum(axis=1, keepdims=True)], axis=1
+        )
+        witness = tuple(grid[int(np.argmin(covered))].tolist())
+        gaps = _nearest_distance(grid[~covered], np.unique(mapped[boundary], axis=0))
+        max_gap = max(max_gap, float(gaps.max()))
+    return CoverageReport(
+        ok=bool(covered.all()) and not violations,
+        grid_points=len(lattice),
+        covered=int(covered.sum()),
+        uncovered_witness=witness,
+        max_gap=max_gap,
+        face_violations=violations,
+        samples_used=len(mesh.points),
+        mesh_step=mesh.step,
+        image_edge=image_edge,
+        degree=degree,
+    )
+
+
+def _face_violations(
+    faces: list[NestedSequence], points: np.ndarray, images: np.ndarray, owners: np.ndarray
+) -> tuple[FaceViolation, ...]:
+    """For each face, in the order of faces, the first of the points it
+    owns whose image leaves the face's target: a coordinate of the
+    chain's largest subset more than FACE_TOL from 1."""
+    pins = np.zeros((len(faces), points.shape[1]), dtype=bool)
+    for i, ns in enumerate(faces):
+        pins[i, [j - 1 for j in ns.chain[-1]]] = True
+    bad = ((np.abs(images - 1.0) > FACE_TOL) & pins[owners]).any(axis=1)
+    rows = np.flatnonzero(bad)
+    bad_faces, first = np.unique(owners[rows], return_index=True)
+    return tuple(
+        FaceViolation(faces[i], tuple(points[r].tolist()), tuple(images[r].tolist()))
+        for i, r in zip(bad_faces, rows[first])
+    )
+
+
+def _nearest_distance(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each node's distance to the nearest target, a block of nodes at a
+    time, from |a - b|^2 = |a|^2 - 2 a.b + |b|^2."""
+    out = np.empty(len(nodes))
+    square = np.einsum("ij,ij->i", targets, targets)
+    rows = max(1, 2**20 // len(targets))
+    for start in range(0, len(nodes), rows):
+        block = nodes[start : start + rows]
+        d2 = square - 2.0 * block @ targets.T
+        out[start : start + rows] = d2.min(axis=1) + np.einsum("ij,ij->i", block, block)
+    return np.sqrt(np.maximum(out, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# export
+# ---------------------------------------------------------------------------
+
+
+def export_off(n: int) -> str:
+    """OFF mesh of the realization, n <= 3 (planar polygon for n = 2)."""
+    if n not in (2, 3):
+        raise InputError("OFF export needs n = 2 or 3")
+    realization = realize(n)
+    verts = np.array(realization.vertices, dtype=float)
+    if n == 2:
+        coords = verts
+    else:
+        basis = _hyperplane_basis(3)
+        center = verts.mean(axis=0)
+        coords = (verts - center) @ basis.T
+    vert_index = {v: i for i, v in enumerate(realization.vertices)}
+
+    polygons = []
+    if n == 2:
+        # the whole hexagon is the unique polygon
+        c = coords.mean(axis=0)
+        u = coords - c
+        ref = u[0] / np.linalg.norm(u[0])
+        second = np.cross(np.ones(3) / math.sqrt(3.0), ref)
+        angles = np.arctan2(u @ second, u @ ref)
+        polygons = [[int(i) for i in np.argsort(angles)]]
+        edge_count = len(coords)
+    else:
+        centroid_all = coords.mean(axis=0)
+        for ns in enumerate_faces(n, 1):
+            fv = realization.vertices_of_face(ns)
+            idx = [vert_index[v] for v in fv]
+            pts = coords[idx]
+            c = pts.mean(axis=0)
+            normal = c - centroid_all
+            normal /= np.linalg.norm(normal)
+            u = pts - c
+            u -= np.outer(u @ normal, normal)
+            ref = u[0] / np.linalg.norm(u[0])
+            second = np.cross(normal, ref)
+            angles = np.arctan2(u @ second, u @ ref)
+            order = np.argsort(angles)
+            polygons.append([idx[i] for i in order])
+        edge_count = sum(len(p) for p in polygons) // 2
+    lines = ["OFF", f"{len(coords)} {len(polygons)} {edge_count}"]
+    for row in coords:
+        lines.append(" ".join(f"{x:.12g}" for x in row))
+    for poly in polygons:
+        lines.append(str(len(poly)) + " " + " ".join(str(i) for i in poly))
+    return "\n".join(lines) + "\n"

@@ -16,8 +16,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .bilinear import (
     Signature,
     Subspace,
@@ -187,45 +185,33 @@ def classify_span(sub: Subspace) -> ConstraintSet:
 def geodesic_endpoints(
     wall_normal: Sequence[float],
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Ideal endpoints of the wall of a negative vector in R^{1,2}.
+    """Ideal endpoints of the wall of a negative vector w in R^{1,2}.
 
-    The wall is the orthogonal plane, of signature (1, 1); its two null
-    directions project to the boundary circle.  Endpoints are returned
-    sorted by angle for determinism.
+    The wall meets the boundary circle where w0 = w1 cos t + w2 sin t,
+    that is at t = phi -/+ alpha with phi = atan2(w2, w1) and alpha =
+    acos(w0 / rho), rho = |(w1, w2)|.  The endpoints are returned in
+    that order, not sorted: with e_i = (1, x_i, y_i) for the first and
+    second endpoint, det(e_1, e_2, w) = 2 sin(alpha) (w0^2 - rho^2) / rho
+    is negative, so the normal lies on a fixed side of the wall.
+
+    A non-finite normal, one that is not negative, or one so near null
+    that w0 / rho rounds to +-1 (its two endpoints coincide) raises
+    DomainError.
     """
-    w = np.array([float(x) for x in wall_normal], dtype=float)
-    if w.shape != (3,):
+    w = [float(x) for x in wall_normal]
+    if len(w) != 3:
         raise DomainError("geodesic endpoints are defined for R^{1,2} walls")
-    g = np.diag([1.0, -1.0, -1.0])
-    if float(w @ g @ w) >= 0:
+    if not all(map(math.isfinite, w)):
+        raise DomainError(f"wall normal must be finite: {tuple(w)}")
+    if mink_dot(w, w) >= 0:
         raise DomainError("wall normal must be a negative vector")
-    # orthonormal-ish basis of the orthogonal plane via projection
-    basis = []
-    for e in np.eye(3):
-        r = e - (float(e @ g @ w) / float(w @ g @ w)) * w
-        for b in basis:
-            denom = float(b @ b)
-            r = r - (float(r @ b) / denom) * b
-        if float(r @ r) > 1e-12:
-            basis.append(r)
-        if len(basis) == 2:
-            break
-    b1, b2 = basis
-    gram = np.array(
-        [[b1 @ g @ b1, b1 @ g @ b2], [b2 @ g @ b1, b2 @ g @ b2]], dtype=float
+    rho = math.hypot(w[1], w[2])
+    cosine = w[0] / rho
+    if not abs(cosine) < 1.0:
+        raise DomainError(f"wall normal {tuple(w)} is too near a null vector")
+    phi = math.atan2(w[2], w[1])
+    alpha = math.acos(cosine)
+    return (
+        (math.cos(phi - alpha), math.sin(phi - alpha)),
+        (math.cos(phi + alpha), math.sin(phi + alpha)),
     )
-    vals, vecs = np.linalg.eigh(gram)
-    # signature (1,1): one negative, one positive eigenvalue
-    neg, pos = vals[0], vals[1]
-    if not (neg < 0 < pos):
-        raise NumericalDomainError(f"wall plane is not of signature (1,1): {vals}")
-    e_neg = vecs[:, 0]
-    e_pos = vecs[:, 1]
-    out = []
-    for s in (+1.0, -1.0):
-        coeff = math.sqrt(-neg) * e_pos + s * math.sqrt(pos) * e_neg
-        vec = coeff[0] * b1 + coeff[1] * b2
-        out.append(ideal_point_direction(vec))
-    out.sort(key=lambda p: math.atan2(p[1], p[0]))
-    return out[0], out[1]
-

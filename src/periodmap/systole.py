@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .bilinear import (
     GramForm,
     Subspace,
@@ -470,10 +468,14 @@ class _DiskObjective:
 
 
 def _grid_points(n: int, radius: float, step: float):
-    ticks = np.arange(-radius, radius + step / 2, step)
+    # the ticks of np.arange(-radius, radius + step / 2, step), bit for
+    # bit: numpy fills a float range as lo + i * ((lo + step) - lo)
+    lo = -radius
+    delta = (lo + step) - lo
+    ticks = [lo + i * delta for i in range(math.ceil((radius + step / 2 - lo) / step))]
     for pt in itertools.product(ticks, repeat=n):
         if sum(x * x for x in pt) <= radius * radius:
-            yield tuple(float(x) for x in pt)
+            yield pt
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -29,6 +29,13 @@ from periodmap.bilinear import (
     minkowski_form,
     subspace_signature,
 )
+from periodmap.coverage import (
+    check_face_mapping_surjectivity,
+    collapse_batch,
+    radial_perturbation,
+    shrink_map,
+    twist_perturbation,
+)
 from periodmap.decomposition import (
     DecompositionData,
     check_betti_identity,
@@ -49,15 +56,10 @@ from periodmap.face_constraints import (
 from periodmap.grassmannian import ConstraintKind, classify_span, disk_to_hpoint
 from periodmap.permutahedron import (
     NestedSequence,
-    check_face_mapping_surjectivity,
     closest_point_map,
-    collapse_batch,
     collapse_to_simplex,
     enumerate_faces,
-    radial_perturbation,
     realize,
-    shrink_map,
-    twist_perturbation,
 )
 from periodmap.render import render_config
 from periodmap.systole import (

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +11,8 @@ import pytest
 
 from periodmap import cli
 from periodmap.cli import main
+from periodmap.errors import InputError, ResourceError
+from periodmap.permutahedron import enumerate_faces
 
 
 def run(capsys, *argv):
@@ -430,6 +435,28 @@ def test_permutahedron_counts(capsys):
     assert json.loads(out)["face_counts"] == [14, 36, 24]
 
 
+@pytest.mark.parametrize(
+    "n, error, exit_code",
+    [
+        (0, InputError, 2),
+        (-2, InputError, 2),
+        (8, ResourceError, 1),
+        (9, ResourceError, 1),
+        (True, InputError, None),
+        (2.0, InputError, None),
+    ],
+)
+def test_face_enumeration_refuses_bad_n(capsys, n, error, exit_code):
+    # n = 8 takes over a minute and n = 9 has 102,247,562 faces: both are
+    # refused before a face is made; n <= 0 exits 2, with no empty counts
+    with pytest.raises(error):
+        enumerate_faces(n, 1)
+    if exit_code is not None:
+        code, out, err = run(capsys, "permutahedron", "counts", "--n", str(n))
+        assert (code, out) == (exit_code, "")
+        assert err.startswith("error:")
+
+
 def test_permutahedron_export_files(capsys, tmp_path):
     out_json = tmp_path / "p2.json"
     code, _, _ = run(
@@ -530,3 +557,44 @@ def test_readme_library_sketch_runs(capsys, monkeypatch, tmp_path):
     assert str(Fraction(value_sq)) == value_sq and "." not in value_sq
     assert certified == "True"
     assert (tmp_path / "walls.svg").read_text().startswith("<svg")
+
+
+# every command but the OFF export runs on the exact, numpy-free modules
+EXACT_COMMANDS = [
+    ["classify", "--preset", "fig6-i", "--subset", "2,3"],
+    ["faces", "--preset", "fig6-i"],
+    ["simplex", "--preset", "symmetric", "--a", "3"],
+    ["limit", "--split", "product"],
+    ["systole", "--config", "{form}", "--period", "1,0"],
+    ["systole", "--config", "{form}", "--sup", "--grid", "0.2"],
+    ["permutahedron", "counts", "--n", "3"],
+    ["permutahedron", "export", "--n", "3", "--format", "json", "-o", "{dir}/p3.json"],
+    ["render", "--preset", "fig6-iv", "-o", "{dir}/walls.svg"],
+    ["render", "--lattice", "--preset", "hyperbolic", "-o", "{dir}/lattice.svg"],
+]
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    form = write_form(tmp_path, [[1, 0], [0, -1]])
+    commands = [
+        [arg.format(form=form, dir=tmp_path) for arg in argv] for argv in EXACT_COMMANDS
+    ]
+    code = (
+        "import json, sys\n"
+        "import periodmap, periodmap.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert periodmap.cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "off = ['permutahedron', 'export', '--n', '3', '--format', 'off', '-o', sys.argv[2]]\n"
+        "assert periodmap.cli.main(off) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands), str(tmp_path / "p3.off")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "p3.off").read_text().startswith("OFF\n24 14 36\n")

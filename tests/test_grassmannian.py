@@ -220,3 +220,34 @@ def test_geodesic_endpoints_rejects_positive_normal():
     with pytest.raises(DomainError):
         geodesic_endpoints((2, 1, 0))
 
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        (math.nan, 0.0, 1.0),
+        (0.0, math.inf, 1.0),
+        (1.0, 2.0, -math.inf),
+        # negative in float, but w0 / |(w1, w2)| rounds to +1 or -1
+        (1.4081958849720744, -0.9257975117474855, 1.0610912390998468),
+        (-1.4081958849720744, -0.9257975117474855, 1.0610912390998468),
+    ],
+)
+def test_geodesic_endpoints_refuses_non_finite_and_near_null_normals(w):
+    with pytest.raises(DomainError):
+        geodesic_endpoints(w)
+
+
+def test_geodesic_endpoints_put_the_normal_on_one_side():
+    # det(e_1, e_2, w) = 2 sin(alpha) (w0^2 - rho^2) / rho < 0 for the
+    # lifts e_i = (1, x_i, y_i) of the endpoints, in the order returned
+    rng = random.Random(18)
+    seen = 0
+    while seen < 500:
+        w = [rng.uniform(-3, 3) for _ in range(3)]
+        if mink_dot(w, w) >= -1e-6:
+            continue
+        seen += 1
+        (x1, y1), (x2, y2) = geodesic_endpoints(w)
+        det = (x1 * y2 - y1 * x2) * w[0] - (y2 - y1) * w[1] + (x2 - x1) * w[2]
+        assert det < 0, w
+

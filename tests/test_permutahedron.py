@@ -12,29 +12,31 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from periodmap import permutahedron
-from periodmap.errors import DomainError, InputError, NumericalDomainError, ResourceError
-from periodmap.permutahedron import (
-    DAMPING_SLACK,
+from periodmap import coverage, permutahedron
+from periodmap.coverage import (
     MAX_MESH_SIMPLICES,
     SLAB_ROWS,
-    NestedSequence,
-    all_faces,
     check_face_mapping_surjectivity,
-    closest_point_map,
     collapse_batch,
-    collapse_to_simplex,
-    enumerate_faces,
-    export_json,
     export_off,
-    proper_subsets,
     radial_perturbation,
-    realize,
     shrink_map,
-    subset_level,
     twist_perturbation,
     _map_rows,
     _mesh,
+)
+from periodmap.errors import DomainError, InputError, NumericalDomainError, ResourceError
+from periodmap.permutahedron import (
+    DAMPING_SLACK,
+    NestedSequence,
+    all_faces,
+    closest_point_map,
+    collapse_to_simplex,
+    enumerate_faces,
+    export_json,
+    proper_subsets,
+    realize,
+    subset_level,
 )
 
 from oracles import (
@@ -775,11 +777,26 @@ def test_coverage_worker_error_reaches_caller_and_no_thread_is_left(monkeypatch,
     assert len(calls) == 2  # nothing went on mapping after the error
 
 
+def test_permutahedron_serves_five_coverage_names():
+    # the benchmark reads these as permutahedron attributes
+    names = (
+        "collapse_batch",
+        "radial_perturbation",
+        "twist_perturbation",
+        "shrink_map",
+        "check_face_mapping_surjectivity",
+    )
+    for name in names:
+        assert getattr(permutahedron, name) is getattr(coverage, name), name
+    for name in ("export_off", "FACE_TOL", "_mesh", "np"):
+        assert not hasattr(permutahedron, name), name
+
+
 def test_coverage_check_imports_no_scipy():
     src = os.path.dirname(os.path.dirname(permutahedron.__file__))
     code = (
         "import sys\n"
-        "from periodmap.permutahedron import *\n"
+        "from periodmap.coverage import *\n"
         "assert check_face_mapping_surjectivity(collapse_batch(realize(3)), 3, 0.5).ok\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -20,6 +21,7 @@ from periodmap.systole import (
     PATCH_RADIUS,
     CsSearchConfig,
     _DiskObjective,
+    _grid_points,
     _lll,
     _shortest,
     conf_systole,
@@ -575,6 +577,31 @@ def test_disk_objective_refuses_non_finite_points(bad):
     # a finite point far outside the patch is only outside it
     assert obj((1e200, 0.0)) == -math.inf
     assert obj.evaluations == 0
+
+
+def test_grid_ticks_are_numpy_arange_bit_for_bit():
+    # the CS search's grid is np.arange's, so its points, and with them
+    # every CS result, do not depend on numpy being loaded
+    rng = random.Random(1818)
+    radii = [PATCH_RADIUS, 0.5, 1.0] + [rng.uniform(0.01, 3.0) for _ in range(300)]
+    steps = [0.2, 0.1, 0.05, 0.15] + [10 ** rng.uniform(-2.5, 0.5) for _ in range(300)]
+    for radius, step in zip(radii, steps):
+        ticks = np.arange(-radius, radius + step / 2, step).tolist()
+        want = [(x,) for x in ticks if x * x <= radius * radius]
+        got = list(_grid_points(1, radius, step))
+        assert got == want, (radius, step)
+        # == takes -0.0 for 0.0; the signs must agree too
+        assert [math.copysign(1.0, x) for (x,) in got] == [
+            math.copysign(1.0, x) for (x,) in want
+        ]
+    for step in (0.2, 0.15, 0.1):
+        ticks = np.arange(-PATCH_RADIUS, PATCH_RADIUS + step / 2, step).tolist()
+        want = [
+            p
+            for p in itertools.product(ticks, repeat=2)
+            if p[0] * p[0] + p[1] * p[1] <= PATCH_RADIUS * PATCH_RADIUS
+        ]
+        assert list(_grid_points(2, PATCH_RADIUS, step)) == want
 
 
 def test_cs_search_path_is_pinned():
