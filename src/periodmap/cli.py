@@ -43,10 +43,9 @@ from .face_constraints import (
 from .grassmannian import classify_span, to_poincare_disk
 from .permutahedron import (
     NestedSequence,
-    _check_n,
     all_faces,
-    enumerate_faces,
     export_json,
+    face_counts,
 )
 from .render import _subset_label, render_config, render_lattice_lines
 from .systole import (
@@ -250,8 +249,7 @@ def _cmd_systole(args) -> int:
 
 def _cmd_permutahedron(args) -> int:
     if args.action == "counts":
-        _check_n(args.n)
-        counts = [len(enumerate_faces(args.n, c)) for c in range(1, args.n + 1)]
+        counts = face_counts(args.n)
         payload = {"n": args.n, "face_counts": counts}
         text = f"P_{args.n} face counts by codimension: " + ", ".join(
             f"codim {c}: {v}" for c, v in enumerate(counts, start=1)

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -247,6 +247,18 @@ class CoverageReport:
 
 
 @functools.cache
+def _faces(n: int) -> tuple[tuple[NestedSequence, ...], tuple[np.ndarray, ...]]:
+    """all_faces(n), and the vertices of each face as a read-only float
+    array (vertices, n+1)."""
+    realization = realize(n)
+    faces = tuple(all_faces(n))
+    vertices = tuple(np.array(realization.vertices_of_face(ns), dtype=float) for ns in faces)
+    for fv in vertices:
+        fv.flags.writeable = False
+    return faces, vertices
+
+
+@functools.cache
 def _flags(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The maximal flags F_0 < F_1 < ... < F_{n-1} < P of faces of P_n,
     F_j of dimension j.
@@ -259,13 +271,9 @@ def _flags(n: int) -> tuple[np.ndarray, np.ndarray]:
     is a product of smaller permutahedra, so its barycentre is
     half-integral.
     """
-    realization = realize(n)
-    faces = all_faces(n)
+    faces, vertices = _faces(n)
     index = {ns.chain: i for i, ns in enumerate(faces)}
-    twice = {}
-    for ns in faces:
-        fv = realization.vertices_of_face(ns)
-        twice[ns.chain] = [2 * sum(col) // len(fv) for col in zip(*fv)]
+    twice = {ns.chain: 2 * fv.sum(axis=0) / len(fv) for ns, fv in zip(faces, vertices)}
     bary, ids = [], []
     for top in enumerate_faces(n, n):
         for order in itertools.permutations(range(n)):
@@ -278,7 +286,6 @@ def _flags(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(bary, dtype=np.int64), np.array(ids, dtype=np.int64)
 
 
-@functools.lru_cache(maxsize=8)
 def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Freudenthal's subdivision of the orthoscheme k >= x_1 >= ... >=
     x_n >= 0 into k**n simplices (Edelsbrunner-Grayson's edgewise
@@ -321,14 +328,40 @@ def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 class _Mesh:
     """A triangulation of P_n: the barycentric subdivision over its
     maximal flags, each flag simplex refined by _orthoscheme.  Every
-    simplex on the boundary of P lies in one facet."""
+    simplex on the boundary of P lies in one facet.
+
+    The mesh is kept factored, as its flags times one reference
+    subdivision: simplex j of flag i has the vertices inverse[i,
+    pieces[j]] and the orientation flag_signs[i] * signs[j].  One mesh
+    serves every check at its n and k (_mesh), so its arrays are
+    read-only.  simplices, orientation and edges expand the factors for
+    reading; the check itself walks the flags a block at a time
+    (_flag_blocks).
+    """
 
     points: np.ndarray  # (vertices, n+1)
-    simplices: np.ndarray  # (simplices, n+1) vertex indices
-    orientation: np.ndarray  # (simplices,) +1 or -1 in the chart of the first n coordinates
     face: np.ndarray  # (vertices,) index in all_faces(n) of the least face holding it, -1 inside
-    edges: np.ndarray  # (edges, 2) vertex indices, each edge once per flag holding it
+    inverse: np.ndarray  # (flags, reference points) the mesh vertex of each reference point
+    pieces: np.ndarray  # (pieces, n+1) reference point indices
+    signs: np.ndarray  # (pieces,) +1 or -1, each piece's orientation in its flag
+    flag_signs: np.ndarray  # (flags,) +1 or -1 in the chart of the first n coordinates
+    reference_edges: np.ndarray  # (reference edges, 2) reference point indices, each edge once
     step: float  # the longest edge
+
+    @property
+    def simplices(self) -> np.ndarray:
+        """(simplices, n+1) vertex indices, flag by flag."""
+        return self.inverse[:, self.pieces].reshape(-1, self.pieces.shape[1])
+
+    @property
+    def orientation(self) -> np.ndarray:
+        """(simplices,) +1 or -1 in the chart of the first n coordinates."""
+        return np.outer(self.flag_signs, self.signs).ravel()
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(edges, 2) vertex indices, each edge once per flag holding it."""
+        return self.inverse[:, self.reference_edges].reshape(-1, 2)
 
 
 def _mesh(n: int, step: float) -> _Mesh:
@@ -338,11 +371,10 @@ def _mesh(n: int, step: float) -> _Mesh:
     b_j - b_{j-1} over a set of j, divided by k; k is the least that
     brings the longest such sum under step.  A mesh above
     MAX_MESH_SIMPLICES simplices raises ResourceError before anything is
-    built.  One reference subdivision serves every flag: its points are
-    the weights times the barycentres, in integers (2k times the point),
-    and points shared by flags are merged on those integers.
+    built.  The mesh depends on n and k only: every step that gives the
+    same k gets the same read-only mesh from _mesh_of.
     """
-    bary, ids = _flags(n)
+    bary, _ = _flags(n)
     axes = np.diff(bary, axis=1) / 2.0  # (flags, n, n+1)
     sums = np.array(list(itertools.product((0, 1), repeat=n))[1:]) @ axes
     k = max(1, math.ceil(np.linalg.norm(sums, axis=-1).max() / step))
@@ -351,6 +383,19 @@ def _mesh(n: int, step: float) -> _Mesh:
         raise ResourceError(
             f"mesh step {step} needs {size} simplices (limit {MAX_MESH_SIMPLICES})"
         )
+    return _mesh_of(n, k)
+
+
+@functools.lru_cache(maxsize=8)
+def _mesh_of(n: int, k: int) -> _Mesh:
+    """The mesh of P_n with each flag simplex cut into k**n pieces, built
+    once and kept among the last 8 built.
+
+    One reference subdivision serves every flag: its points are the
+    weights times the barycentres, in integers (2k times the point), and
+    points shared by flags are merged on those integers.
+    """
+    bary, ids = _flags(n)
     weights, pieces, signs, edges = _orthoscheme(n, k)
     lattice = weights @ bary  # (flags, points, n+1), each point times 2k
     radix = 2 * k * (n + 1) + 1  # coordinates lie in [2k, 2k(n+1)]
@@ -359,20 +404,26 @@ def _mesh(n: int, step: float) -> _Mesh:
     # the least face holding a point: the last corner it weighs
     last = n - np.argmax(weights[:, ::-1] > 0, axis=1)
     faces = np.concatenate([ids, np.full((len(ids), 1), -1)], axis=1)[:, last]
-    flag_signs = np.sign(np.linalg.det(axes[:, :, :n])).astype(np.int64)
-    inverse = inverse.reshape(len(bary), -1)
+    axes = np.diff(bary, axis=1)[:, :, :n]
     # every edge is one of a few weight differences, each entry -1, 0 or
     # 1, mapped by its flag
     moves = weights[edges[:, 0]] - weights[edges[:, 1]]
     _, kinds = np.unique((moves + 1) @ 3 ** np.arange(n + 1), return_index=True)
-    return _Mesh(
+    mesh = _Mesh(
         points=lattice.reshape(-1, n + 1)[first] / (2.0 * k),
-        simplices=inverse[:, pieces].reshape(-1, n + 1),
-        orientation=np.outer(flag_signs, signs).ravel(),
         face=faces.ravel()[first],
-        edges=inverse[:, edges].reshape(-1, 2),
+        inverse=inverse.reshape(len(bary), -1),
+        pieces=pieces,
+        signs=signs,
+        flag_signs=np.sign(np.linalg.det(axes)).astype(np.int64),
+        reference_edges=edges,
         step=float(np.linalg.norm(moves[kinds] @ bary, axis=-1).max()) / (2 * k),
     )
+    for field in fields(mesh):
+        value = getattr(mesh, field.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return mesh
 
 
 def _image(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
@@ -427,17 +478,35 @@ def _simplex_lattice(n: int, step: float) -> tuple[int, np.ndarray]:
     return k, ks[ks.sum(axis=1) <= k]
 
 
-def _blocks(rows: np.ndarray):
-    """Slices of at most SLAB_ROWS rows, so that the per-simplex and
-    per-edge arrays of a large mesh are made a block at a time."""
-    for start in range(0, len(rows), SLAB_ROWS):
-        yield slice(start, start + SLAB_ROWS)
+def _flag_blocks(mesh: _Mesh, reference: np.ndarray):
+    """Pairs of slices, of the flags and of the reference rows (pieces or
+    edges), that walk the whole mesh with at most SLAB_ROWS simplices or
+    edges at a time: whole flags while one holds fewer than SLAB_ROWS
+    rows, otherwise one flag in runs of SLAB_ROWS rows."""
+    per_block = SLAB_ROWS // len(reference)
+    if per_block:
+        for start in range(0, len(mesh.inverse), per_block):
+            yield slice(start, start + per_block), slice(None)
+        return
+    for flag in range(len(mesh.inverse)):
+        for start in range(0, len(reference), SLAB_ROWS):
+            yield slice(flag, flag + 1), slice(start, start + SLAB_ROWS)
 
 
-def _longest_edge(points: np.ndarray, edges: np.ndarray) -> float:
+def _gather(values: np.ndarray, mesh: _Mesh, flags: slice, reference: np.ndarray) -> np.ndarray:
+    """The values at the points of the given reference rows (pieces or
+    edges) in the given flags, (points per row, rows x flags, width):
+    row by row, and within a row flag by flag."""
+    # np.take, not fancy indexing: on these small rows it is several times faster
+    per_point = np.take(values, mesh.inverse[flags].T, axis=0)  # (reference points, flags, width)
+    return np.take(per_point, reference.T, axis=0).reshape(len(reference.T), -1, values.shape[1])
+
+
+def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
     longest = 0.0
-    for rows in _blocks(edges):
-        d = points[edges[rows, 0]] - points[edges[rows, 1]]
+    for flags, rows in _flag_blocks(mesh, mesh.reference_edges):
+        ends = _gather(points, mesh, flags, mesh.reference_edges[rows])
+        d = ends[0] - ends[1]
         longest = max(longest, float(np.einsum("ij,ij->i", d, d).max()))
     return math.sqrt(longest)
 
@@ -476,8 +545,8 @@ def _degree(chart: np.ndarray, mesh: _Mesh) -> int | None:
     # coordinate, the implied last one too, exceeds 1 by at least 0.4
     for point in (n + 2) / 2 + 0.1 * rng.uniform(-1, 1, (REFERENCE_TRIES, n)):
         degree = 0
-        for rows in _blocks(mesh.simplices):
-            corners = chart[mesh.simplices[rows].T]  # (n+1, simplices, n)
+        for flags, rows in _flag_blocks(mesh, mesh.pieces):
+            corners = _gather(chart, mesh, flags, mesh.pieces[rows])  # (n+1, simplices, n)
             near = ((corners.min(axis=0) <= point) & (corners.max(axis=0) >= point)).all(axis=1)
             corners = corners[:, near]
             edges, det, flat = _edges(corners)
@@ -488,7 +557,9 @@ def _degree(chart: np.ndarray, mesh: _Mesh) -> int | None:
             if (np.abs(least) <= CLEAR).any():
                 break
             inside = least > 0
-            degree += int((mesh.orientation[rows][near][inside] * np.sign(det[inside])).sum())
+            # in _gather's order: piece by piece, and flag by flag within a piece
+            orientation = np.outer(mesh.signs[rows], mesh.flag_signs[flags]).ravel()[near]
+            degree += int((orientation[inside] * np.sign(det[inside])).sum())
         else:
             return degree
     return None
@@ -505,8 +576,8 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
     index = np.full((k + 1,) * n, -1)
     index[tuple(lattice.T)] = np.arange(len(lattice))
     covered = np.zeros(len(lattice), dtype=bool)
-    for rows in _blocks(mesh.simplices):
-        corners = chart[mesh.simplices[rows].T]
+    for flags, rows in _flag_blocks(mesh, mesh.pieces):
+        corners = _gather(chart, mesh, flags, mesh.pieces[rows])
         edges, _, flat = _edges(corners)
         corners, edges = corners[:, ~flat], edges[~flat]
         scaled = (corners - 1.0) / step  # lattice coordinates
@@ -555,8 +626,12 @@ def check_face_mapping_surjectivity(
     unchanged.
 
     P is triangulated with edges at most grid_step (_mesh) and only the
-    mesh vertices are mapped; what is certified is the PL interpolant of
-    f on that mesh, whose image is reported as close to f's as the
+    mesh vertices are mapped.  The mesh depends only on n and on the
+    number of cuts of each flag simplex that grid_step asks for: it is
+    built once for that pair, kept read-only among the last 8 built, and
+    shared by every check that asks for it, so no report depends on the
+    checks before it.  What is certified is the PL interpolant of f on
+    that mesh, whose image is reported as close to f's as the
     largest image edge says.  The face condition is checked at every
     boundary vertex of the mesh, against its least face, and at
     FACE_SAMPLES points drawn from each face with the given seed plus
@@ -584,15 +659,14 @@ def check_face_mapping_surjectivity(
     if n > 3:
         raise ResourceError("coverage check capped at n = 3")
     grid_step = float(grid_step)
-    realization = realize(n)
+    total = plane_total(n)
     k, lattice = _simplex_lattice(n, grid_step)
     mesh = _mesh(n, grid_step)
 
-    faces = all_faces(n)
+    faces, vertices = _faces(n)
     rng = np.random.default_rng(seed)
     samples, owners = [], []
-    for i, ns in enumerate(faces):
-        fv = np.array(realization.vertices_of_face(ns), dtype=float)
+    for i, fv in enumerate(vertices):
         bary = rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES)
         samples += [bary @ fv, fv]
         owners.append(np.full(FACE_SAMPLES + len(fv), i))
@@ -600,7 +674,7 @@ def check_face_mapping_surjectivity(
     owners.append(mesh.face[boundary])
     points = np.concatenate([mesh.points, *samples])
     images = _map_rows(f, points)
-    drift = np.abs(images.sum(axis=1) - realization.total)
+    drift = np.abs(images.sum(axis=1) - total)
     if drift.max() > FACE_TOL:
         i = int(np.argmax(drift))
         raise NumericalDomainError(
@@ -614,10 +688,10 @@ def check_face_mapping_surjectivity(
     )
 
     mapped = images[: len(mesh.points)]
-    shift = (mapped.sum(axis=1) - realization.total) / (n + 1)
+    shift = (mapped.sum(axis=1) - total) / (n + 1)
     chart = (mapped - shift[:, None])[:, :n]  # the images moved onto the plane
     shift = float(np.abs(shift).max())
-    image_edge = _longest_edge(mapped, mesh.edges)
+    image_edge = _longest_edge(mapped, mesh)
     degree = _degree(chart, mesh)
     if degree == 1 and not violations:
         # the inner simplex lies in the PL image, and every node lies
@@ -652,7 +726,7 @@ def check_face_mapping_surjectivity(
 
 
 def _face_violations(
-    faces: list[NestedSequence], points: np.ndarray, images: np.ndarray, owners: np.ndarray
+    faces: tuple[NestedSequence, ...], points: np.ndarray, images: np.ndarray, owners: np.ndarray
 ) -> tuple[FaceViolation, ...]:
     """For each face, in the order of faces, the first of the points it
     owns whose image leaves the face's target: a coordinate of the

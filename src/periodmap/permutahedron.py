@@ -22,6 +22,7 @@ is ``coverage``, the one module that loads numpy.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,6 +141,22 @@ def all_faces(n: int) -> list[NestedSequence]:
     for codim in range(1, n + 1):
         out.extend(enumerate_faces(n, codim))
     return out
+
+
+def face_counts(n: int) -> list[int]:
+    """The number of faces of each codimension 1..n, in closed form.
+
+    A face of codimension c is a chain of c proper subsets, that is an
+    ordered partition of {1, ..., n+1} into c+1 blocks, so there are as
+    many as maps of n+1 points onto c+1 labels: by inclusion-exclusion
+    the sum over j of (-1)^j C(c+1, j) (c+1-j)^(n+1), or (c+1)! S(n+1,
+    c+1).  n is refused as in enumerate_faces.
+    """
+    _check_n(n)
+    return [
+        sum((-1) ** j * math.comb(c + 1, j) * (c + 1 - j) ** (n + 1) for j in range(c + 2))
+        for c in range(1, n + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,18 @@ def test_permutahedron_counts(capsys):
     assert json.loads(out)["face_counts"] == [14, 36, 24]
 
 
+def test_permutahedron_counts_n7_is_closed_form(capsys):
+    # enumerating the 545,834 faces of P_7 took seconds; the count is a sum
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "permutahedron", "counts", "--n", "7", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 7,
+        "face_counts": [254, 5796, 40824, 126000, 191520, 141120, 40320],
+    }
+
+
 @pytest.mark.parametrize(
     "n, error, exit_code",
     [

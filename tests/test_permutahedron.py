@@ -34,6 +34,7 @@ from periodmap.permutahedron import (
     collapse_to_simplex,
     enumerate_faces,
     export_json,
+    face_counts,
     proper_subsets,
     realize,
     subset_level,
@@ -79,6 +80,19 @@ def test_face_counts_n3():
     assert len(enumerate_faces(3, 1)) == 14
     assert len(enumerate_faces(3, 2)) == 36
     assert len(enumerate_faces(3, 3)) == 24
+
+
+def test_face_counts_closed_form_matches_enumeration():
+    # (c+1)! S(n+1, c+1) with the Stirling numbers of the second kind
+    # from their recurrence S(m, j) = j S(m-1, j) + S(m-1, j-1)
+    stirling = [[1]]
+    for m in range(1, 8):
+        row = stirling[-1] + [0]
+        stirling.append([0] + [j * row[j] + row[j - 1] for j in range(1, m + 1)])
+    for n in range(1, 7):
+        want = [math.factorial(c + 1) * stirling[n + 1][c + 1] for c in range(1, n + 1)]
+        assert face_counts(n) == want
+        assert [len(enumerate_faces(n, c)) for c in range(1, n + 1)] == want
 
 
 def test_enumerate_faces_deterministic_and_bounded():
@@ -576,6 +590,59 @@ def test_mesh_vertices_lie_in_their_least_faces(n, step):
         }
         assert tight == (set() if face < 0 else set(faces[face].chain))
     assert (mesh.face < 0).any() and (mesh.face >= 0).any()
+
+
+def test_mesh_is_built_once_per_n_and_k():
+    # any step between the mesh's longest edge and the step it was built
+    # for gives the same k, and so the same mesh object
+    for n, step in [(1, 0.1), (2, 0.3), (2, 0.05), (3, 0.5)]:
+        mesh = _mesh(n, step)
+        assert mesh.step < step
+        assert _mesh(n, (step + mesh.step) / 2) is mesh
+        assert _mesh(n, mesh.step * 0.99) is not mesh
+
+
+def test_cached_mesh_is_read_only():
+    mesh = _mesh(3, 0.5)
+    arrays = [v for v in vars(mesh).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 7
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # the expanded views are copies the caller may change
+    mesh.simplices[0] = 0
+    assert _mesh(3, 0.5).simplices[0].any()
+
+
+def test_interleaved_checks_share_meshes_without_crosstalk():
+    fb = collapse_batch(realize(2))
+    bad = shrink_map(2, 0.9)
+    f3 = collapse_batch(realize(3))
+    reports = []
+    for n, f in [(2, lambda pts: bad(fb(pts))), (3, f3), (2, lambda pts: bad(fb(pts)))]:
+        reports.append(check_face_mapping_surjectivity(f, n, 0.05 if n == 2 else 0.5, seed=4))
+    assert reports[0] == reports[2]
+    assert not reports[0].ok and reports[0].uncovered_witness is not None
+    assert reports[1].ok
+
+
+def test_map_error_mid_check_leaves_the_next_check_as_a_fresh_one():
+    fb = collapse_batch(realize(2))
+    calls = []
+
+    def f(pts):
+        calls.append(len(pts))
+        if len(calls) == 2:
+            pts[:] = 0.0  # scribbles on its input before it fails
+            raise DomainError("refused by the map")
+        return fb(pts)
+
+    with pytest.raises(DomainError):
+        check_face_mapping_surjectivity(f, 2, 0.01)
+    assert len(calls) == 2
+    after = check_face_mapping_surjectivity(fb, 2, 0.01)
+    coverage._mesh_of.cache_clear()
+    assert check_face_mapping_surjectivity(fb, 2, 0.01) == after
 
 
 def _shipped_maps():
