@@ -50,6 +50,7 @@ from .permutahedron import (
 from .render import _subset_label, render_config, render_lattice_lines
 from .systole import (
     CsSearchConfig,
+    check_cs_grid,
     conf_systole,
     cs_supremum,
     period_point,
@@ -218,6 +219,7 @@ def _cmd_systole(args) -> int:
         for flag, value in (("--grid", args.grid), ("--refine", args.refine)):
             if not (math.isfinite(value) and value > 0):
                 raise InputError(f"{flag} must be positive and finite, got {value}")
+        check_cs_grid(form.dim - 1, args.grid, "--grid")
         search = CsSearchConfig(grid=args.grid, refine_tol=args.refine)
         res = cs_supremum(form, search=search)
         payload = {
@@ -225,11 +227,16 @@ def _cmd_systole(args) -> int:
             "disk_point": list(res.disk_point),
             "grid": res.grid,
             "refine_tol": res.refine_tol,
+            "certified": res.certified,
+            "minimizers": [list(w) for w in res.minimizers],
+            "evaluations": res.evaluations,
+            "exact_evaluations": res.exact_evaluations,
+            "ascent_steps": res.ascent_steps,
         }
         text = (
             f"CS = {res.value:.9f} at disk point "
             + "(" + ", ".join(f"{x:.6f}" for x in res.disk_point) + ")"
-            + f" [grid {res.grid}, refined to {res.refine_tol}]"
+            + f" [{res.status}; grid {res.grid}, refined to {res.refine_tol}]"
         )
         _emit(args, payload, text)
         return 0
@@ -342,8 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON file with a gram matrix")
     p.add_argument("--period", help="rational generator, e.g. 1,1/2")
     p.add_argument("--sup", action="store_true", help="search the CS supremum")
-    p.add_argument("--grid", type=float, default=0.05)
-    p.add_argument("--refine", type=float, default=1e-6)
+    p.add_argument("--grid", type=float, default=0.05, help="step of the starting grid")
+    p.add_argument(
+        "--refine",
+        type=float,
+        default=1e-6,
+        help="radius of the certified neighbourhood and Newton's step tolerance",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_systole)
 

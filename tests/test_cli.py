@@ -306,6 +306,18 @@ def test_systole_sup(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert abs(data["cs"] - (4.0 / 3.0) ** 0.25) < 1e-4
+    assert data["certified"] is True
+    assert data["minimizers"] and all(len(w) == 2 for w in data["minimizers"])
+    assert data["evaluations"] > data["exact_evaluations"] > 0
+    assert data["ascent_steps"] >= 0
+    code, out, _ = run(capsys, "systole", "--config", form, "--sup", "--grid", "0.1")
+    assert code == 0
+    assert out.rstrip().endswith("[local maximum, certified; grid 0.1, refined to 1e-06]"), out
+    code, out, _ = run(
+        capsys, "systole", "--config", form, "--sup", "--grid", "0.1", "--refine", "1e-20"
+    )
+    assert code == 0
+    assert "[best found; grid 0.1, refined to 1e-20]" in out, out
     # a rank-3 search used to exit 1 on the enumeration box's size guard
     form = write_form(
         tmp_path, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], "rank3.json"
@@ -340,6 +352,21 @@ def test_systole_sup_steps_must_be_positive_and_finite(capsys, tmp_path, flag, v
     assert out == ""
     assert err.startswith("error:") and "must be positive and finite" in err, err
     assert err.startswith(f"error: {flag} "), err
+
+
+@pytest.mark.parametrize(
+    "gram, grid", [([[1, 0, 0], [0, -1, 0], [0, 0, -1]], "0.001"), ([[1, 0], [0, -1]], "1e-300")]
+)
+def test_systole_sup_refuses_a_huge_grid(capsys, tmp_path, gram, grid):
+    # a rank-3 search at grid 0.001 once walked 3.2 million grid points
+    form = write_form(tmp_path, gram)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "systole", "--config", form, "--sup", "--grid", grid, "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: --grid {float(grid)} walks "), err
+    assert "above the limit 100000" in err
 
 
 def test_systole_sup_tiny_refine_returns(capsys, tmp_path):

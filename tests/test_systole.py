@@ -516,6 +516,140 @@ def test_cs_supremum_searches_rank_3():
     assert abs(res.value - at.value) < 1e-12
 
 
+# Hermite's constant gamma_d^d for d = 2, 3, 4
+HERMITE_POWER = {2: 4.0 / 3.0, 3: 2.0, 4: 4.0}
+
+
+def assert_hermite_bound(form, res):
+    # the norm form at any period point has determinant |det G|, so
+    # CS^2 <= gamma_d |det G|^(1/d)
+    d = form.dim
+    det = abs(bilinear._int_det([[int(x) for x in row] for row in form.gram]))
+    bound = (HERMITE_POWER[d] * det) ** (1.0 / d)
+    assert res.value**2 <= bound * (1.0 + 1e-12), (form.gram, res)
+
+
+def test_cs_supremum_certifies_the_hexagonal_maximum():
+    # (4/3)^(1/4): the norm form is the hexagonal lattice A2, perfect and
+    # eutactic; the hyperbolic plane's maximum is its centre
+    res = cs_supremum(DIAG)
+    assert res.certified and "local maximum, certified" in str(res)
+    assert abs(res.value - (4.0 / 3.0) ** 0.25) < 1e-12
+    assert_hermite_bound(DIAG, res)
+    # the minimal vectors at q are minimal at the reported disk point
+    at = period_point_from_hpoint(disk_to_hpoint(res.disk_point))
+    assert res.minimizers
+    for w in res.minimizers:
+        assert abs(period_norm_sq(at, w) - res.value**2) < 1e-12
+    res = cs_supremum(HYP)
+    assert res.certified
+    assert abs(res.value - 1.0) < 1e-12
+    assert_hermite_bound(HYP, res)
+    assert res.minimizers == ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+def test_cs_supremum_rank_3_reaches_one_certified_value():
+    # golden-section search once answered 1.1784 at grid 0.2 and 1.2050 at
+    # grid 0.05 (CS^2); the maximum is (1 + sqrt 2) / 2
+    want = (1.0 + math.sqrt(2.0)) / 2.0
+    for grid in (0.05, 0.1, 0.2):
+        res = cs_supremum(minkowski_form(2), CsSearchConfig(grid=grid))
+        assert res.certified, grid
+        assert abs(res.value**2 - want) < 1e-12, (grid, res.value**2)
+        assert_hermite_bound(minkowski_form(2), res)
+
+
+def test_cs_supremum_rank_4_certifies_one_value_or_says_best_found():
+    # golden-section search stalled at the grid point (0.2, 0.2, 0.2) at
+    # grid 0.1 and answered below the grid 0.15 search
+    certified = set()
+    for grid in (0.05, 0.1, 0.15):
+        res = cs_supremum(minkowski_form(3), CsSearchConfig(grid=grid))
+        assert_hermite_bound(minkowski_form(3), res)
+        if res.certified:
+            certified.add(round(res.value**2, 10))
+        else:
+            assert "best found" in str(res)
+    assert certified == {round(4.0 / 3.0, 10)}
+
+
+def test_cs_supremum_obeys_the_hermite_bound():
+    grams = [
+        [[2, 0], [0, -1]],
+        [[1, 0], [0, -3]],
+        [[2, 1], [1, -1]],
+        [[1, 0], [0, -7]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, -2]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+        [[1, 0, 0], [0, -2, 1], [0, 1, -3]],
+    ]
+    for gram in grams:
+        form = GramForm(gram)
+        res = cs_supremum(form, CsSearchConfig(grid=0.1))
+        assert res.certified, gram
+        assert_hermite_bound(form, res)
+        if gram == [[1, 0], [0, -3]]:
+            # the bound is met where the norm form is a scaled A2
+            assert abs(res.value**2 - 2.0) < 1e-12
+
+
+def test_stopped_or_tampered_searches_are_not_certified(monkeypatch):
+    # a search stopped at its best grid point is no local maximum
+    with monkeypatch.context() as m:
+        m.setattr(systole, "MAX_ASCENT_STEPS", 0)
+        res = cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2))
+    assert not res.certified and "best found" in str(res)
+    assert res.ascent_steps == 0 and res.exact_evaluations >= 1
+    # the same check proves the maximum, and refuses a point 1e-4 beside it
+    obj = _DiskObjective(DIAG)
+    h = list(disk_to_hpoint(cs_supremum(DIAG).disk_point).coords)
+    assert systole._certify(obj, h, 1e-6)[0]
+    beside = systole._exp(h, systole._frame(h), [1e-4])
+    assert not systole._certify(obj, beside, 1e-6)[0]
+    # a neighbourhood whose chart is flat encloses nothing
+    with monkeypatch.context() as m:
+        m.setattr(systole, "_frame", lambda x: [list(x)])
+        assert not systole._certify(obj, h, 1e-6)[0]
+    # a cell budget too small to cover the boundary proves nothing
+    obj = _DiskObjective(minkowski_form(2))
+    res = cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2))
+    h = list(disk_to_hpoint(res.disk_point).coords)
+    assert systole._certify(obj, h, 1e-6)[0]
+    with monkeypatch.context() as m:
+        m.setattr(systole, "MAX_CERT_CELLS", 3)
+        assert not systole._certify(obj, h, 1e-6)[0]
+    # with one cell per face, a point whose maximum lies past a corner of
+    # its cube has every cell centre below it: only the cells' radii
+    # show that the boundary rises above it near that corner
+    rho = 1e-3 / (2.0 * math.sqrt(2.0))
+    past = systole._exp(h, systole._frame(h), [-math.sqrt(2.0) * rho, -math.sqrt(2.0) * rho])
+    with monkeypatch.context() as m:
+        m.setattr(systole, "CERT_SPLIT", 1)
+        assert not systole._certify(obj, past, 1e-3)[0]
+
+
+def test_tiny_refine_tolerance_is_best_found():
+    # a neighbourhood of radius 1e-20 is below the float search's accuracy
+    res = cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2, refine_tol=1e-20))
+    assert not res.certified
+    assert abs(res.value**2 - (1.0 + math.sqrt(2.0)) / 2.0) < 1e-12
+
+
+def test_cs_grid_guard_refuses_before_any_evaluation(monkeypatch):
+    def boom(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(_DiskObjective, "near_minimal", boom)
+    for n, step in ((2, 0.001), (3, 0.01), (4, 0.05), (1, 1e-300), (3, 5e-324)):
+        with pytest.raises(ResourceError, match=f"above the limit {systole.MAX_CS_GRID}"):
+            cs_supremum(minkowski_form(n), CsSearchConfig(grid=step))
+    with pytest.raises(ResourceError, match="walks 3243601 grid points"):
+        cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.001))
+    # the largest grid in use, rank 4 at grid 0.05, walks 37^3 = 50,653
+    systole.check_cs_grid(3, 0.05)
+    assert len(systole._grid_ticks(PATCH_RADIUS, 0.05)) ** 3 == 50653
+
+
 def test_disk_objective_is_the_float_systole():
     # neither enumerates a box, so both answer points whose box would pass
     # the size guard (n = 3 from about rho = 0.87, near the diagonal); the
@@ -605,10 +739,12 @@ def test_grid_ticks_are_numpy_arange_bit_for_bit():
 
 
 def test_cs_search_path_is_pinned():
-    # the grid, the golden-section rounds and so the evaluation count are
-    # fixed by the search, not by how an evaluation is computed
-    assert cs_supremum(minkowski_form(1)).evaluations == 349
-    assert cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2)).evaluations == 815
+    # the grid, the ascent and the certificate's cells, and so every count,
+    # are fixed by the search, not by how an evaluation is computed
+    res = cs_supremum(minkowski_form(1))
+    assert (res.evaluations, res.ascent_steps, res.exact_evaluations) == (40, 1, 3)
+    res = cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2))
+    assert (res.evaluations, res.ascent_steps, res.exact_evaluations) == (65, 3, 9)
 
 
 @pytest.mark.parametrize("field", ["grid", "refine_tol"])
