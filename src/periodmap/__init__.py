@@ -55,8 +55,6 @@ from .render import Scene, render_config, render_lattice_lines
 from .systole import (
     PeriodPoint,
     conf_systole,
-    cs_invariance_check,
-    cs_supremum,
     period_point,
     period_point_from_hpoint,
     rational_disk_period_point,
@@ -112,3 +110,12 @@ __all__ = [
     "symmetric_config",
     "to_poincare_disk",
 ]
+
+
+def __getattr__(name: str):
+    # the CS search is compiled on first use, not by every import
+    if name in ("cs_invariance_check", "cs_supremum"):
+        from . import supremum
+
+        return getattr(supremum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -48,13 +48,7 @@ from .permutahedron import (
     face_counts,
 )
 from .render import _subset_label, render_config, render_lattice_lines
-from .systole import (
-    CsSearchConfig,
-    check_cs_grid,
-    conf_systole,
-    cs_supremum,
-    period_point,
-)
+from .systole import conf_systole, period_point
 
 _USER_ERRORS = (
     DomainError,
@@ -215,6 +209,9 @@ def _cmd_limit(args) -> int:
 def _cmd_systole(args) -> int:
     form = GramForm.from_json(_load_json_file(args.config))
     if args.sup:
+        # the one command that loads the search
+        from .supremum import CsSearchConfig, check_cs_grid, cs_supremum
+
         # refused here too, so the message names the flag that was typed
         for flag, value in (("--grid", args.grid), ("--refine", args.refine)):
             if not (math.isfinite(value) and value > 0):
@@ -233,12 +230,7 @@ def _cmd_systole(args) -> int:
             "exact_evaluations": res.exact_evaluations,
             "ascent_steps": res.ascent_steps,
         }
-        text = (
-            f"CS = {res.value:.9f} at disk point "
-            + "(" + ", ".join(f"{x:.6f}" for x in res.disk_point) + ")"
-            + f" [{res.status}; grid {res.grid}, refined to {res.refine_tol}]"
-        )
-        _emit(args, payload, text)
+        _emit(args, payload, str(res))
         return 0
     if not args.period:
         raise InputError("systole needs --period or --sup")

@@ -62,10 +62,9 @@ from periodmap.permutahedron import (
     realize,
 )
 from periodmap.render import render_config
+from periodmap.supremum import cs_invariance_check, cs_supremum
 from periodmap.systole import (
     conf_systole,
-    cs_invariance_check,
-    cs_supremum,
     period_point_from_hpoint,
     rational_disk_period_point,
 )

@@ -598,18 +598,19 @@ def test_readme_library_sketch_runs(capsys, monkeypatch, tmp_path):
     assert (tmp_path / "walls.svg").read_text().startswith("<svg")
 
 
-# every command but the OFF export runs on the exact, numpy-free modules
+# every command but the OFF export runs on the exact, numpy-free modules;
+# the search, last, is the one that loads periodmap.supremum
 EXACT_COMMANDS = [
     ["classify", "--preset", "fig6-i", "--subset", "2,3"],
     ["faces", "--preset", "fig6-i"],
     ["simplex", "--preset", "symmetric", "--a", "3"],
     ["limit", "--split", "product"],
     ["systole", "--config", "{form}", "--period", "1,0"],
-    ["systole", "--config", "{form}", "--sup", "--grid", "0.2"],
     ["permutahedron", "counts", "--n", "3"],
     ["permutahedron", "export", "--n", "3", "--format", "json", "-o", "{dir}/p3.json"],
     ["render", "--preset", "fig6-iv", "-o", "{dir}/walls.svg"],
     ["render", "--lattice", "--preset", "hyperbolic", "-o", "{dir}/lattice.svg"],
+    ["systole", "--config", "{form}", "--sup", "--grid", "0.2"],
 ]
 
 
@@ -620,11 +621,17 @@ def test_exact_commands_never_load_numpy(tmp_path):
     ]
     code = (
         "import json, sys\n"
-        "import periodmap, periodmap.cli\n"
+        "import periodmap\n"
+        "assert 'periodmap.supremum' not in sys.modules, 'import periodmap'\n"
+        "import periodmap.systole\n"
+        "assert 'periodmap.supremum' not in sys.modules, 'import periodmap.systole'\n"
+        "import periodmap.cli\n"
+        "assert 'periodmap.supremum' not in sys.modules, 'import periodmap.cli'\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert periodmap.cli.main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
+        "    assert ('periodmap.supremum' in sys.modules) == ('--sup' in argv), argv\n"
         "off = ['permutahedron', 'export', '--n', '3', '--format', 'off', '-o', sys.argv[2]]\n"
         "assert periodmap.cli.main(off) == 0\n"
         "assert 'numpy' in sys.modules\n"
