@@ -7,9 +7,12 @@ Python integers.  Row reduction is fraction-free Gauss-Jordan
 elimination with each row kept primitive by its gcd; congruence
 (symmetric Gauss) diagonalization runs the same steps on an integer
 multiple of the gram matrix and tracks the scale of every basis column,
-so its output is exactly that of the rational algorithm.  No floating
-point enters signature, complement, or intersection results, and
-Sylvester's law makes signatures basis independent.
+so its output is exactly that of the rational algorithm.  Every
+determinant, adjugate and inverse comes from one fraction-free
+Gauss-Jordan pass (``_int_adjugate``) and every congruence product
+X G X^t from ``_gram_of``; the other modules call these two.  No
+floating point enters signature, complement, or intersection results,
+and Sylvester's law makes signatures basis independent.
 
 A form is a symmetric gram matrix on coordinate space and a subspace is
 a rational span inside it.  Entries may be ints, Fractions, "p/q"
@@ -283,39 +286,48 @@ def _congruence(m: list[list[int]]) -> tuple[list[list[int]], list[int], list[in
     return cols, num, den
 
 
-def _int_det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss elimination."""
-    a = [list(row) for row in m]
-    k = len(a)
-    sign, prev = 1, 1
-    for c in range(k):
-        pivot = next((r for r in range(c, k) if a[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        for r in range(c + 1, k):
-            for j in range(c + 1, k):
-                a[r][j] = (a[c][c] * a[r][j] - a[r][c] * a[c][j]) // prev
-        prev = a[c][c]
-    return sign * a[-1][-1] if k else 1
+def _int_adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]] | None, int]:
+    """(adj(m), det(m)) of a square integer matrix, or (None, 0) if singular.
 
-
-def _int_adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Adjugate of a square integer matrix, so that m adj(m) = det(m) I.
-
-    Entry (i, j) is the cofactor of entry (j, i): a signed Bareiss
-    determinant of the minor without row j and column i.
+    One fraction-free (Bareiss) Gauss-Jordan pass turns [m | I] into
+    [p I | E] with E m = p I: the step on column c replaces every other
+    row by (pivot * row - row[c] * pivot row) / previous pivot, exactly;
+    columns up to c are left stale, as nothing reads them again.  Up to
+    the sign of the row swaps, p is det(m) and E is adj(m).
     """
     k = len(m)
-    if k == 1:
-        return [[1]]
+    if k == 1:  # the norm matrix's R at every b+ = 1 point: no pass needed
+        return ([[1]], m[0][0]) if m[0][0] else (None, 0)
+    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for c in range(k):
+        for r in range(c, k):
+            if a[r][c]:
+                break
+        else:
+            return None, 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            sign = -sign
+        prow = a[c]
+        p = prow[c]
+        for i in range(k):
+            if i != c:
+                row = a[i]
+                f = row[c]
+                row[c + 1:] = [
+                    (p * x - f * y) // prev for x, y in zip(row[c + 1:], prow[c + 1:])
+                ]
+        prev = p
+    return [[sign * x for x in row[k:]] for row in a], sign * prev
 
-    def minor(row: int, col: int) -> list[list[int]]:
-        return [r[:col] + r[col + 1:] for i, r in enumerate(map(list, m)) if i != row]
 
-    return [[(-1) ** (i + j) * _int_det(minor(j, i)) for j in range(k)] for i in range(k)]
+def _gram_of(
+    x: Sequence[Sequence[int]], g: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """(X G X^t, X G) for integer rows x and a symmetric integer matrix g."""
+    images = [[_dot(row, v) for row in g] for v in x]
+    return [[_dot(y, v) for v in x] for y in images], images
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +362,13 @@ def _mat_vec(rows: Sequence[Vector], v: Sequence[Fraction]) -> Vector:
 
 
 def _mat_inverse(rows: Sequence[Sequence]) -> Matrix:
-    n = len(rows)
-    aug = [list(x) + [d if j == i else 0 for j in range(n)]
-           for i, (x, d) in enumerate(_clear(r) for r in rows)]
-    red, pivots = _int_rref(aug)
-    if pivots != list(range(n)):
+    """Inverse of a rational matrix: with row i of it x_i / d_i, the
+    inverse is adj(X) diag(d) / det(X)."""
+    x, ds = zip(*map(_clear, rows))
+    adj, det = _int_adjugate(x)
+    if det == 0:
         raise PreconditionError("matrix is not invertible")
-    return tuple(
-        tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red)
-    )
+    return tuple(tuple(Fraction(a * d, det) for a, d in zip(row, ds)) for row in adj)
 
 
 def primitive_vector(v: Sequence) -> Vector:
@@ -454,9 +464,6 @@ class GramForm:
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         return Subspace._echelon(self, identity)
 
-    def signature(self) -> Signature:
-        return signature(self)
-
     @cached_property
     def _columns(self) -> list[tuple[int, list[int], int, int]]:
         """The split of the whole space (see ``Subspace._split``), in the
@@ -474,9 +481,10 @@ class GramForm:
         return _embed(self)
 
     @cached_property
-    def _adjugate(self) -> tuple[list[list[int]], int]:
-        """(adj, det) of ``_igram``: adj _igram = det I."""
-        return _int_adjugate(self._igram), _int_det(self._igram)
+    def _adjugate(self) -> tuple[list[list[int]] | None, int]:
+        """(adj, det) of ``_igram``: adj _igram = det I, and adj is None
+        when det is 0."""
+        return _int_adjugate(self._igram)
 
     def radical(self) -> "Subspace":
         """Vectors pairing to zero with the whole space."""
@@ -520,20 +528,12 @@ class Subspace:
     __slots__ = ("ambient", "_rows", "_basis", "_canonical", "_columns")
 
     def __init__(self, ambient: GramForm, vectors: Sequence[Sequence]) -> None:
-        rows = tuple(as_vector(v) for v in vectors)
-        for r in rows:
-            if len(r) != ambient.dim:
-                raise DimensionMismatchError(
-                    f"vector length {len(r)} does not match ambient dim {ambient.dim}"
-                )
+        rows = _rows_in(ambient, vectors)
         red, _ = _int_rref(_int_rows(rows))
         if len(red) != len(rows):
             raise InputError("spanning vectors must be linearly independent")
-        self.ambient = ambient
-        self._rows = red
-        self._basis = rows
-        self._canonical = None
-        self._columns = None
+        self.ambient, self._rows, self._basis = ambient, red, rows
+        self._canonical = self._columns = None
 
     @classmethod
     def _echelon(
@@ -545,23 +545,14 @@ class Subspace:
         the canonical one.
         """
         sub = cls.__new__(cls)
-        sub.ambient = ambient
-        sub._rows = _int_rref(rows)[0]
-        sub._basis = basis
-        sub._canonical = None
-        sub._columns = None
+        sub.ambient, sub._rows, sub._basis = ambient, _int_rref(rows)[0], basis
+        sub._canonical = sub._columns = None
         return sub
 
     @staticmethod
     def spanned_by(ambient: GramForm, vectors: Sequence[Sequence]) -> "Subspace":
         """Span of an arbitrary (possibly dependent) list of vectors."""
-        rows = tuple(as_vector(v) for v in vectors)
-        for r in rows:
-            if len(r) != ambient.dim:
-                raise DimensionMismatchError(
-                    f"vector length {len(r)} does not match ambient dim {ambient.dim}"
-                )
-        return Subspace._echelon(ambient, _int_rows(rows))
+        return Subspace._echelon(ambient, _int_rows(_rows_in(ambient, vectors)))
 
     @property
     def canonical(self) -> Matrix:
@@ -604,13 +595,7 @@ class Subspace:
         """(M, x, d): the basis is x / d, and the integer matrix M is
         ``ambient._den * d * d`` times the restricted gram."""
         x, d = self._int_basis()
-        images = [self.ambient._image(v) for v in x]
-        k = len(x)
-        m = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                m[i][j] = m[j][i] = _dot(x[i], images[j])
-        return m, x, d
+        return _gram_of(x, self.ambient._igram)[0], x, d
 
     def _split(self) -> list[tuple[int, list[int], int, int]]:
         """(e, w, p, q) for every column of the exact diagonalization.
@@ -664,6 +649,17 @@ class Subspace:
                 raise InputError("subspace JSON needs an 'ambient' form")
             ambient = GramForm.from_json(data["ambient"])
         return Subspace(ambient, as_matrix(data["basis"], "the subspace basis"))
+
+
+def _rows_in(ambient: GramForm, vectors: Sequence[Sequence]) -> Matrix:
+    """The vectors as rows of rationals, each as long as the ambient's dim."""
+    rows = tuple(as_vector(v) for v in vectors)
+    for r in rows:
+        if len(r) != ambient.dim:
+            raise DimensionMismatchError(
+                f"vector length {len(r)} does not match ambient dim {ambient.dim}"
+            )
+    return rows
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -736,9 +732,13 @@ def nullspace(sub: Subspace) -> Subspace:
     return Subspace._echelon(sub.ambient, [w for e, w, _, _ in sub._split() if e == 0])
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_same_ambient(a, b)
-    return Subspace._echelon(a.ambient, a._rows + b._rows)
+def subspace_sum(first: Subspace, *rest: Subspace) -> Subspace:
+    """The span of one or more subspaces of one ambient, in one reduction."""
+    rows = list(first._rows)
+    for sub in rest:
+        _check_same_ambient(first, sub)
+        rows += sub._rows
+    return Subspace._echelon(first.ambient, rows)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -600,8 +600,8 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
 
 
 def _check_arguments(n, grid_step, seed) -> None:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise InputError(f"n must be an int, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise InputError(f"n must be a positive int, got {n!r}")
     if isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real):
         raise InputError(f"grid_step must be a real number, got {grid_step!r}")
     if not (math.isfinite(grid_step) and grid_step > 0):
@@ -650,8 +650,8 @@ def check_face_mapping_surjectivity(
     image edges, and an uncovered node's gap is bounded by its distance
     to the nearest image of a boundary vertex of the mesh.
 
-    n must be an int, grid_step a positive finite real number, and seed
-    a non-negative int, or InputError is raised.  A mesh above
+    n must be a positive int, grid_step a positive finite real number,
+    and seed a non-negative int, or InputError is raised.  A mesh above
     MAX_MESH_SIMPLICES simplices or a grid above MAX_GRID_POINTS nodes
     raises ResourceError before f is called.
     """

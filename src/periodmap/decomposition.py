@@ -20,6 +20,9 @@ from .bilinear import (
     GramForm,
     Signature,
     Subspace,
+    _gram_of,
+    _int_adjugate,
+    _int_rows,
     _solve,
     nullspace,
     positive_part,
@@ -226,10 +229,10 @@ def hyperbolic_complement(data: DecompositionData) -> HyperbolicComplement:
             w = tuple(x - half * d for x, d in zip(w, d_basis[j]))
         ws.append(w)
 
-    w_sub = Subspace.spanned_by(q, ws)
+    w_sub = Subspace._echelon(q, _int_rows(ws), tuple(ws))
     if w_sub.dim != len(d_basis):
         raise InconsistentDataError("dual vectors are dependent")
-    total = subspace_sum(subspace_sum(data.H1, data.H2), subspace_sum(data.D, w_sub))
+    total = subspace_sum(data.H1, data.H2, data.D, w_sub)
     if total.dim != n:
         raise InconsistentDataError(
             f"H1 + H2 + D + W spans only {total.dim} of {n} dimensions"
@@ -240,7 +243,7 @@ def hyperbolic_complement(data: DecompositionData) -> HyperbolicComplement:
     pairing = tuple(
         tuple(q.evaluate(a, b) for b in inter) for a in inter
     )
-    return HyperbolicComplement(W=Subspace(q, ws), pairing_matrix=pairing)
+    return HyperbolicComplement(W=w_sub, pairing_matrix=pairing)
 
 
 def _is_maximal_positive_in(
@@ -272,7 +275,7 @@ def limit_period_subspace(
         raise PreconditionError("signature additivity fails for this data")
     _is_maximal_positive_in(H1plus, data.H1, data.D, "H1plus")
     _is_maximal_positive_in(H2plus, data.H2, data.D, "H2plus")
-    out = subspace_sum(subspace_sum(H1plus, H2plus), data.D)
+    out = subspace_sum(H1plus, H2plus, data.D)
     k = data.D.dim
     bp = signature(data.ambient).b_plus
     sig = subspace_signature(out)
@@ -345,10 +348,8 @@ def random_decomposition(
         i = n1 + n2 + 2 * b
         g0[i][i + 1] = g0[i + 1][i] = 1
 
-    # u carries the disguised coordinates to the block ones; inv is its
-    # exact inverse, updated by the inverse of each elementary step
+    # u carries the disguised coordinates to the block ones
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    inv = [row[:] for row in u]
     for _ in range(12):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -356,13 +357,10 @@ def random_decomposition(
             continue
         c = rng.choice([-2, -1, 1, 2])
         u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-        for row in inv:
-            row[j] -= c * row[i]
-    # the pairing in disguised coordinates, u^t g0 u, by integer sums
-    g0u = [[sum(x * y for x, y in zip(row, col)) for col in zip(*u)] for row in g0]
-    q = GramForm(
-        [[sum(x * y for x, y in zip(a, b)) for b in zip(*g0u)] for a in zip(*u)]
-    )
+    # the pairing in disguised coordinates, u^t g0 u; det u = 1, so the
+    # adjugate of u is its exact inverse
+    q = GramForm(_gram_of(list(zip(*u)), g0)[0])
+    inv, _ = _int_adjugate(u)
 
     def pulled(indices) -> Subspace:
         # the block basis vector e_i in disguised coordinates: column i of inv

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import NamedTuple, Sequence
 
 from .bilinear import (
@@ -23,6 +22,7 @@ from .bilinear import (
     Signature,
     Subspace,
     _frac,
+    _int_rows,
     as_matrix,
     is_negative_definite,
     minkowski_form,
@@ -75,11 +75,14 @@ class SurfaceConfig:
         return len(self.vectors) - 1
 
     def span_of(self, indices) -> Subspace:
-        """V_I: span of the vectors with the given 1-based indices."""
+        """V_I: span of the vectors with the given 1-based indices, with
+        those vectors as its basis.  They are independent, as the whole
+        configuration is, so the span is not checked again."""
         idx = sorted(set(indices))
         if not idx or idx[0] < 1 or idx[-1] > len(self.vectors):
             raise InputError(f"indices {indices} out of range")
-        return Subspace(self.form, [self.vectors[i - 1] for i in idx])
+        basis = tuple(self.vectors[i - 1] for i in idx)
+        return Subspace._echelon(self.form, _int_rows(basis), basis)
 
     def to_json(self) -> dict:
         return {
@@ -183,7 +186,7 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
         raise PreconditionError("face constraints need a nondegenerate ambient form")
     pos_parts = tuple(positive_part(p) for p in cut.pieces)
 
-    total = reduce(subspace_sum, pos_parts + cut.nulls, cfg.form.zero_subspace())
+    total = subspace_sum(*pos_parts, *cut.nulls)
     sig = subspace_signature(total)
     if sig.b_minus != 0 or total.dim != amb.b_plus:
         raise InconsistentDataError(
@@ -218,9 +221,9 @@ def check_dimension_identity(cfg: SurfaceConfig, ns: NestedSequence) -> bool:
     identity = rhs == signature(cfg.form).b_plus
 
     first, *rest = cut.nulls  # N_1 .. N_l
-    tail = reduce(subspace_sum, rest, cfg.form.zero_subspace())
     nesting = not rest or (
-        subspace_intersect(first, rest[0]) == subspace_intersect(first, tail)
+        subspace_intersect(first, rest[0])
+        == subspace_intersect(first, subspace_sum(*rest))
     )
     return identity and nesting
 

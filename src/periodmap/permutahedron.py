@@ -106,13 +106,13 @@ class NestedSequence:
         return NestedSequence(n, chain)
 
 
-def _check_n(n) -> None:
+def _check_n(n, cap: int = MAX_FACE_N, what: str = "face enumeration") -> None:
     """Refuse an n that is not a positive int (InputError) or that is
-    above MAX_FACE_N (ResourceError), before any face is made."""
+    above the cap of ``what`` (ResourceError), before any work."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise InputError(f"n must be a positive int, got {n!r}")
-    if n > MAX_FACE_N:
-        raise ResourceError(f"face enumeration capped at n = {MAX_FACE_N}, got {n}")
+    if n > cap:
+        raise ResourceError(f"{what} capped at n = {cap}, got {n}")
 
 
 def enumerate_faces(n: int, codim: int) -> list[NestedSequence]:
@@ -217,10 +217,7 @@ class PermRealization:
 
 
 def realize(n: int) -> PermRealization:
-    if n < 1:
-        raise InputError("n must be positive")
-    if n > 6:
-        raise ResourceError(f"realization capped at n = 6, got {n}")
+    _check_n(n, 6, "realization")
     verts = tuple(sorted(itertools.permutations(range(1, n + 2))))
     return PermRealization(n=n, total=plane_total(n), vertices=verts)
 
@@ -313,8 +310,7 @@ def collapse_to_simplex(point: Sequence, realization: PermRealization) -> tuple:
 
 def export_json(n: int) -> dict:
     """Vertices and the full face lattice, exact integer data."""
-    if n > 4:
-        raise ResourceError("face-lattice export capped at n = 4")
+    _check_n(n, 4, "face-lattice export")
     realization = realize(n)
     vert_index = {v: i for i, v in enumerate(realization.vertices)}
     faces = []

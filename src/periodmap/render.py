@@ -8,7 +8,10 @@ as rim marks), and the lattice-with-lines picture of a (1, 1) form
 the shaded positive cone, and the dashed limiting axis).
 
 Identical input produces byte-identical output: fixed element order,
-fixed float formatting, palette read once from PERIODMAP_COLORS.
+fixed float formatting, and a palette read from PERIODMAP_COLORS each
+time a scene is built (``render_config``, ``render_lattice_lines``) and
+each time one is written (``Scene.to_svg``), so the variable must not
+change between the two.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ from .bilinear import (
     GramForm,
     Subspace,
     _dot,
+    _gram_of,
     _int_adjugate,
-    _int_det,
     as_matrix,
     signature,
     standard_embedding,
@@ -140,12 +140,12 @@ class _DiskObjective:
         # coordinates to coordinates in that basis, U^-1 emb.matrix
         centre = period_point(Subspace(form, [[row[0] for row in emb.matrix]]))
         u, _ = _lll(_norm_matrix_int(centre)[0])
-        inv = [[_int_det(u) * a for a in row] for row in zip(*_int_adjugate(u))]
-        cols = [[_dot(row, col) for col in zip(*emb.matrix)] for row in inv]
+        adj, det = _int_adjugate(u)
+        cols = [[det * _dot(row, col) for col in zip(*emb.matrix)] for row in zip(*adj)]
         scales = [math.sqrt(float(s)) for s in emb.scales]
         self.back = [[float(a) / c for a, c in zip(row, scales)] for row in cols]
         self.basis = u
-        self.igram = [[_dot(a, form._image(b)) for b in u] for a in u]
+        self.igram = _gram_of(u, form._igram)[0]
         self.den = form._den
         self.gram = [[x / self.den for x in row] for row in self.igram]
         self.pairing = [
@@ -511,7 +511,7 @@ def _certify(obj: _DiskObjective, h: list[float], tol: float):
     def result(ok):
         return ok, value, minimizers, evaluations
 
-    if _int_det([q] + ts) == 0:
+    if _int_adjugate([q] + ts)[1] == 0:
         return result(False)  # the chart is degenerate: K is no neighbourhood
     qq = pair(q, q)
     reach = (1 + Fraction(tol) ** 2 / 2) ** 2
@@ -617,21 +617,13 @@ def cs_invariance_check(
         raise InputError("congruence matrix has the wrong shape")
     if any(x.denominator != 1 for r in rows for x in r):
         raise InputError("congruence matrix must be integral")
-    det = _int_det([[int(x) for x in r] for r in rows])
+    # the columns of U, so that the congruence product is U^t G U
+    cols = [[int(x) for x in c] for c in zip(*rows)]
+    det = _int_adjugate(cols)[1]
     if det not in (1, -1):
         raise PreconditionError(f"matrix must be unimodular, determinant {det}")
-    conj = [
-        [
-            sum(
-                rows[i][a] * form_a.gram[i][j] * rows[j][b]
-                for i in range(d)
-                for j in range(d)
-            )
-            for b in range(d)
-        ]
-        for a in range(d)
-    ]
-    if tuple(tuple(r) for r in conj) != form_b.gram:
+    conj = _gram_of(cols, form_a._igram)[0]
+    if tuple(tuple(Fraction(x, form_a._den) for x in r) for r in conj) != form_b.gram:
         raise PreconditionError("congruence does not carry the first form to the second")
     res_a = cs_supremum(form_a, cfg)
     res_b = cs_supremum(form_b, cfg)

@@ -27,8 +27,8 @@ from .bilinear import (
     GramForm,
     Subspace,
     _dot,
+    _gram_of,
     _int_adjugate,
-    _int_det,
     as_vector,
     minkowski_form,
     signature,
@@ -116,11 +116,10 @@ def _norm_matrix(igram, den: int, x: list[list[int]]) -> tuple[list[list[int]], 
     r = det R and A = adj R, that is r den M = 2 Y^t A Y - r G; for a
     line h (b+ = 1) A = 1 and r = Q(h, h), so N = 2 (Gh)(Gh)^t - Q(h, h) G.
     """
-    y = [[_dot(row, v) for row in igram] for v in x]
-    rmat = [[_dot(yi, xj) for xj in x] for yi in y]
-    r = _int_det(rmat)
+    rmat, y = _gram_of(x, igram)
+    adj, r = _int_adjugate(rmat)
     cols = list(zip(*y))  # column a of Y
-    ay = list(zip(*[[_dot(row, col) for col in cols] for row in _int_adjugate(rmat)]))
+    ay = list(zip(*[[_dot(row, col) for col in cols] for row in adj]))
     dim = len(igram)
     n = [[0] * dim for _ in range(dim)]
     for a in range(dim):

@@ -1,11 +1,25 @@
-"""Seeded sample points shared by test modules.
+"""Seeded sample points and random chains shared by test modules.
 
 Like ``oracles.py`` this file imports nothing from the library, so a
-fault there cannot leak into the data the tests feed it.
+fault there cannot leak into the data the tests feed it: a chain comes
+back as plain tuples, for the caller to wrap in a NestedSequence.
 """
 
 import random
 from fractions import Fraction
+
+
+def random_chain(rng: random.Random, n: int) -> tuple[tuple[int, ...], ...]:
+    """A random chain of nonempty proper subsets of {1, ..., n+1}, each
+    sorted and each strictly inside the next, of random length 1..n."""
+    sizes = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    cur: list[int] = []
+    chain = []
+    for s in sizes:
+        rest = [x for x in range(1, n + 2) if x not in cur]
+        cur = cur + rng.sample(rest, s - len(cur))
+        chain.append(tuple(sorted(cur)))
+    return tuple(chain)
 
 
 def identity_boundary_samples(n: int, count: int, seed: int = 0) -> list[tuple]:

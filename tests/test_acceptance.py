@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from oracles import brute_force_systole, chain_kind_oracle, cs_scan_1d
-from samples import identity_boundary_samples
+from samples import identity_boundary_samples, random_chain
 from periodmap.bilinear import (
     GramForm,
     Signature,
@@ -123,7 +123,7 @@ def test_criterion_03_dimension_identity():
         for _ in range(50):
             cfg = random_config(rng, n)
             for _ in range(8):
-                ns = _random_chain(rng, n)
+                ns = NestedSequence(n, random_chain(rng, n))
                 assert check_dimension_identity(cfg, ns)
             checked += 1
     assert checked == 200
@@ -335,18 +335,6 @@ def _all_chains_p2():
             if len(a) < len(b) and set(a) < set(b):
                 chains.append((a, b))
     return [NestedSequence(2, ch) for ch in chains]
-
-
-def _random_chain(rng, n):
-    l = rng.randint(1, n)
-    sizes = sorted(rng.sample(range(1, n + 1), l))
-    cur: list = []
-    pool = list(range(1, n + 2))
-    chain = []
-    for s in sizes:
-        cur = cur + rng.sample([x for x in pool if x not in cur], s - len(cur))
-        chain.append(tuple(sorted(cur)))
-    return NestedSequence(n, tuple(chain))
 
 
 def _random_rational_disk(rng, n):

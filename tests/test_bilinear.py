@@ -18,7 +18,7 @@ from periodmap.bilinear import (
     subspace_intersect,
     subspace_sum,
     _congruence,
-    _int_det,
+    _int_adjugate,
     _int_rows,
     _rank_int,
 )
@@ -186,7 +186,7 @@ def test_sym_diagonalize_is_congruence():
                     for b in range(n)
                 )
                 assert val == (d[i][i] if i == j else 0)
-        assert _int_det([[c[i] for c in cols] for i in range(n)]) != 0
+        assert _int_adjugate([[c[i] for c in cols] for i in range(n)])[1] != 0
 
 
 def test_subspace_canonical_equality():
@@ -267,6 +267,24 @@ def test_subspace_ops_ambient_mismatch():
     b = GramForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).subspace([[1, 0, 0]])
     with pytest.raises(DimensionMismatchError):
         subspace_sum(a, b)
+
+
+def test_subspace_sum_of_several_is_the_nested_sum():
+    q = minkowski_form(3)
+    rng = random.Random(9)
+    for _ in range(50):
+        subs = [
+            Subspace.spanned_by(q, [[rng.randint(-2, 2) for _ in range(4)]])
+            for _ in range(rng.randint(1, 4))
+        ]
+        nested = subs[0]
+        for sub in subs[1:]:
+            nested = subspace_sum(nested, sub)
+        total = subspace_sum(*subs)
+        assert total == nested and total.basis == nested.basis
+    other = GramForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(DimensionMismatchError):
+        subspace_sum(subs[0], subs[0], other.subspace([[1, 0, 0, 0]]))
 
 
 def test_standard_embedding_identity_case():

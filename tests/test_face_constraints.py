@@ -26,6 +26,7 @@ from periodmap.grassmannian import ConstraintKind, hyperbolic_distance
 from periodmap.permutahedron import NestedSequence, all_faces
 
 from oracles import chain_kind_oracle, signature_oracle
+from samples import random_chain
 from test_face_golden import face_record
 
 F = Fraction
@@ -160,24 +161,12 @@ def test_identity_mismatched_chain():
         check_dimension_identity(preset_fig6("i"), NestedSequence(3, ((1,),)))
 
 
-def random_chain(rng, n):
-    l = rng.randint(1, n)
-    sizes = sorted(rng.sample(range(1, n + 1), l))
-    cur: list[int] = []
-    pool = list(range(1, n + 2))
-    chain = []
-    for s in sizes:
-        cur = cur + rng.sample([x for x in pool if x not in cur], s - len(cur))
-        chain.append(tuple(sorted(cur)))
-    return NestedSequence(n, tuple(chain))
-
-
 def test_identity_fuzz_with_constraint_maximality():
     rng = random.Random(20260819)
     for trial in range(200):
         n = rng.choice([2, 3, 4])
         cfg = random_config(rng, n)
-        ns = random_chain(rng, n)
+        ns = NestedSequence(n, random_chain(rng, n))
         assert check_dimension_identity(cfg, ns), (cfg.vectors, ns.chain)
         fc = constraint_for_face(cfg, ns)  # raises if maximality fails
         assert fc.semi_positive_sum.dim == 1
@@ -278,7 +267,8 @@ def test_face_constraint_diagonalizes_each_span_and_piece_once(monkeypatch):
         rng = random.Random(7)
         for n in (3, 4):
             for _ in range(10):
-                yield _fresh(random_config(rng, n)), random_chain(rng, n)
+                cfg = _fresh(random_config(rng, n))
+                yield cfg, NestedSequence(n, random_chain(rng, n))
 
     monkeypatch.setattr(bilinear, "_congruence", counting)
     for cfg, ns in fresh_faces():

@@ -39,6 +39,8 @@ from periodmap.face_constraints import (
 )
 from periodmap.permutahedron import NestedSequence, all_faces
 
+from samples import random_chain
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "face_constraints.json")
 PRESETS = ("fig6-i", "fig6-ii", "fig6-iii", "fig6-iv", "degenerate")
 SYMMETRIC = (Fraction(2), Fraction(5, 2), Fraction(3))
@@ -55,17 +57,6 @@ DEGENERATE_AMBIENT = SurfaceConfig(
 )
 
 
-def _random_chain(rng, n):
-    sizes = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
-    cur: list[int] = []
-    chain = []
-    for s in sizes:
-        rest = [x for x in range(1, n + 2) if x not in cur]
-        cur = cur + rng.sample(rest, s - len(cur))
-        chain.append(tuple(sorted(cur)))
-    return NestedSequence(n, tuple(chain))
-
-
 def cases():
     """(label, config, chain) for every recorded face, in table order."""
     out = []
@@ -79,11 +70,13 @@ def cases():
     for n in (3, 4):
         for i in range(20):
             cfg = random_config(rng, n)
-            out.append((f"random n{n} #{i}", cfg, _random_chain(rng, n)))
+            ns = NestedSequence(n, random_chain(rng, n))
+            out.append((f"random n{n} #{i}", cfg, ns))
     for i in range(30):
         n = (2, 3, 4)[i % 3]
         cfg = random_config(rng, n, entry_bound=1)
-        out.append((f"small n{n} #{i}", cfg, _random_chain(rng, n)))
+        ns = NestedSequence(n, random_chain(rng, n))
+        out.append((f"small n{n} #{i}", cfg, ns))
     out += [("signature (2, 3)", SIGNATURE_23, ns) for ns in all_faces(2)]
     out += [("degenerate ambient", DEGENERATE_AMBIENT, ns) for ns in all_faces(2)]
     return out

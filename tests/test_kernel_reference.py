@@ -4,7 +4,10 @@ Random rational matrices of dimension 1-8 with denominators up to 7,
 some rank-deficient and some with zero rows; every routine must return
 exactly what plain Fraction elimination returns.  The radical of a
 restricted form is checked the same way, on singular and nonsingular
-grams and on spans with and without a radical.
+grams and on spans with and without a radical.  The one elimination
+that gives determinants, adjugates and inverses is checked on integer
+matrices, unimodular and singular ones among them, and the congruence
+product X G X^t against a plain Fraction triple sum.
 """
 
 import random
@@ -16,7 +19,8 @@ from periodmap.bilinear import (
     _clear_all,
     _congruence,
     _echelon_rows,
-    _int_det,
+    _gram_of,
+    _int_adjugate,
     _int_rows,
     _int_rref,
     _kernel,
@@ -113,7 +117,69 @@ def test_integer_determinant_matches_charpoly():
         if rng.random() < 0.25 and n > 1:
             rows[0] = list(rows[-1])
         # det(xI - M) has constant term (-1)^n det M
-        assert _int_det(rows) == (-1) ** n * charpoly_coeffs(rows)[-1]
+        adj, det = _int_adjugate(rows)
+        assert det == (-1) ** n * charpoly_coeffs(rows)[-1]
+        assert (adj is None) == (det == 0)
+
+
+def _unimodular(rng, n):
+    """A random integer matrix of determinant +-1: elementary row steps
+    and a sign change applied to the identity."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.choice([-2, -1, 1, 2])
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    if rng.random() < 0.5:
+        r = rng.randrange(n)
+        u[r] = [-a for a in u[r]]
+    return u
+
+
+def test_integer_adjugate_matches_reference():
+    rng = random.Random(20236)
+    unimodular = 0
+    for case in range(CASES):
+        n = rng.randint(1, 8)
+        if case % 4 == 0:
+            rows = _unimodular(rng, n)
+        else:
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2 and n > 1:
+                rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+        adj, det = _int_adjugate(rows)
+        inverse = inverse_reference(rows)
+        if inverse is None:
+            assert (adj, det) == (None, 0), rows
+            continue
+        assert det == (-1) ** n * charpoly_coeffs(rows)[-1]
+        assert adj == [[det * x for x in row] for row in inverse], rows
+        unimodular += det in (1, -1)
+    assert unimodular >= CASES // 4
+
+
+def test_congruence_product_matches_triple_sum():
+    rng = random.Random(20237)
+    for _ in range(CASES):
+        n, k = rng.randint(1, 8), rng.randint(0, 8)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-9, 9)
+        x = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        gram, images = _gram_of(x, g)
+        f = [[Fraction(e) for e in row] for row in g]
+        assert gram == [
+            [
+                sum(x[a][i] * f[i][j] * x[b][j] for i in range(n) for j in range(n))
+                for b in range(k)
+            ]
+            for a in range(k)
+        ]
+        assert images == [
+            [sum(v[i] * f[i][j] for i in range(n)) for j in range(n)] for v in x
+        ]
 
 
 def _congruence_fractions(gram):

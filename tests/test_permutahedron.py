@@ -131,6 +131,11 @@ def test_realize_small():
     assert len(p3.vertices) == 24
     with pytest.raises(ResourceError):
         realize(7)
+    for bad in (True, 0, -1, 2.0, "2"):
+        with pytest.raises(InputError):
+            realize(bad)
+        with pytest.raises(InputError):
+            export_json(bad)
 
 
 def test_face_vertex_counts_and_dims():
@@ -514,6 +519,8 @@ def test_coverage_steps_must_be_positive_and_finite(steps):
         {"n": True},  # once an n = 1 report
         {"n": 2.0},
         {"n": "2"},
+        {"n": 0},
+        {"n": -1},
         {"grid_step": True},  # once run as 1.0
         {"grid_step": "0.1"},
         {"seed": 1.5},

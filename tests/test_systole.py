@@ -531,7 +531,7 @@ def assert_hermite_bound(form, res):
     # the norm form at any period point has determinant |det G|, so
     # CS^2 <= gamma_d |det G|^(1/d)
     d = form.dim
-    det = abs(bilinear._int_det([[int(x) for x in row] for row in form.gram]))
+    det = abs(bilinear._int_adjugate([[int(x) for x in row] for row in form.gram])[1])
     bound = (HERMITE_POWER[d] * det) ** (1.0 / d)
     assert res.value**2 <= bound * (1.0 + 1e-12), (form.gram, res)
 
