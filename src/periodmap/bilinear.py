@@ -26,12 +26,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm, sqrt
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DimensionMismatchError, InputError, PreconditionError
+from .errors import DimensionMismatchError, InputError, PreconditionError, check_int
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -811,14 +811,14 @@ def _embed(form: GramForm) -> StandardEmbedding:
     return StandardEmbedding(matrix=matrix, scales=scales)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def minkowski_form(n: int) -> GramForm:
-    """The standard diag(1, -1, ..., -1) form on R^{1,n}.
+    """The standard diag(1, -1, ..., -1) form on R^{1,n}, n a positive int.
 
-    One shared form per n, so its cached split is computed once.
+    One shared form per n, so its cached split is computed once.  The
+    cache tells 2 from 2.0 and True from 1, so each reaches the check.
     """
-    if n < 1:
-        raise InputError("minkowski form needs n >= 1")
+    check_int(n, "n")
     return GramForm(
         [[1 if i == j == 0 else (-1 if i == j else 0) for j in range(n + 1)] for i in range(n + 1)]
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -31,6 +30,7 @@ from .errors import (
     NumericalDomainError,
     PreconditionError,
     ResourceError,
+    check_real,
 )
 from .face_constraints import (
     SurfaceConfig,
@@ -82,12 +82,9 @@ def _load_config(args) -> SurfaceConfig:
 
 def _parse_subset(text: str) -> tuple[int, ...]:
     try:
-        out = tuple(sorted(int(p) for p in text.split(",") if p.strip()))
+        return tuple(sorted(int(p) for p in text.split(",") if p.strip()))
     except ValueError as exc:
         raise InputError(f"bad subset {text!r}; expected like 1,3") from exc
-    if not out:
-        raise InputError("subset cannot be empty")
-    return out
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -213,9 +210,8 @@ def _cmd_systole(args) -> int:
         from .supremum import CsSearchConfig, check_cs_grid, cs_supremum
 
         # refused here too, so the message names the flag that was typed
-        for flag, value in (("--grid", args.grid), ("--refine", args.refine)):
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"{flag} must be positive and finite, got {value}")
+        check_real(args.grid, "--grid")
+        check_real(args.refine, "--refine")
         check_cs_grid(form.dim - 1, args.grid, "--grid")
         search = CsSearchConfig(grid=args.grid, refine_tol=args.refine)
         res = cs_supremum(form, search=search)

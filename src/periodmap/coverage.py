@@ -15,17 +15,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericalDomainError, ResourceError
+from .errors import InputError, NumericalDomainError, ResourceError, check_int, check_real
 from .permutahedron import (
     DAMPING_SLACK,
     NestedSequence,
     PermRealization,
+    _check_n,
     all_faces,
     enumerate_faces,
     plane_total,
@@ -120,7 +120,8 @@ def radial_perturbation(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Simplex self-map fixing the boundary: radial reparametrization
     lambda -> lambda + c*lambda*(1 - lambda), a bijection for |c| < 1."""
-    if not -1.0 < coefficient < 1.0:
+    check_int(n, "n")
+    if not -1.0 < check_real(coefficient, "coefficient", positive=False) < 1.0:
         raise InputError("radial coefficient must be in (-1, 1)")
     m = plane_total(n)
     center = np.full(n + 1, m / (n + 1))
@@ -137,7 +138,8 @@ def radial_perturbation(
 def twist_perturbation(n: int, angle: float) -> Callable[[np.ndarray], np.ndarray]:
     """Boundary-fixing twist of the 2-simplex: rotate the direction from
     the center by angle*(1 - lambda) at constant radial parameter."""
-    if n != 2:
+    check_real(angle, "angle", positive=False)
+    if check_int(n, "n") != 2:
         raise InputError("twist perturbation is implemented for n = 2 only")
     m = plane_total(n)
     center = np.full(3, m / 3.0)
@@ -168,6 +170,8 @@ def twist_perturbation(n: int, angle: float) -> Callable[[np.ndarray], np.ndarra
 def shrink_map(n: int, factor: float) -> Callable[[np.ndarray], np.ndarray]:
     """Pull everything toward the simplex center: breaks the face
     condition and leaves a neighborhood of the boundary uncovered."""
+    check_int(n, "n")
+    check_real(factor, "factor", positive=False)
     m = plane_total(n)
     center = np.full(n + 1, m / (n + 1))
 
@@ -599,17 +603,6 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
     return covered
 
 
-def _check_arguments(n, grid_step, seed) -> None:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise InputError(f"n must be a positive int, got {n!r}")
-    if isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real):
-        raise InputError(f"grid_step must be a real number, got {grid_step!r}")
-    if not (math.isfinite(grid_step) and grid_step > 0):
-        raise InputError(f"grid_step must be positive and finite, got {grid_step}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InputError(f"seed must be a non-negative int, got {seed!r}")
-
-
 def check_face_mapping_surjectivity(
     f: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -651,14 +644,13 @@ def check_face_mapping_surjectivity(
     to the nearest image of a boundary vertex of the mesh.
 
     n must be a positive int, grid_step a positive finite real number,
-    and seed a non-negative int, or InputError is raised.  A mesh above
-    MAX_MESH_SIMPLICES simplices or a grid above MAX_GRID_POINTS nodes
-    raises ResourceError before f is called.
+    and seed a non-negative int, or InputError is raised.  An n above 3,
+    a mesh above MAX_MESH_SIMPLICES simplices or a grid above
+    MAX_GRID_POINTS nodes raises ResourceError before f is called.
     """
-    _check_arguments(n, grid_step, seed)
-    if n > 3:
-        raise ResourceError("coverage check capped at n = 3")
-    grid_step = float(grid_step)
+    _check_n(n, 3, "coverage check")
+    grid_step = float(check_real(grid_step, "grid_step"))
+    check_int(seed, "seed", low=0)
     total = plane_total(n)
     k, lattice = _simplex_lattice(n, grid_step)
     mesh = _mesh(n, grid_step)
@@ -761,45 +753,32 @@ def _nearest_distance(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _cyclic_order(pts: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """Indices that order the coplanar points pts by angle about their
+    centre, turning about the unit normal of their plane."""
+    u = pts - pts.mean(axis=0)
+    u -= np.outer(u @ normal, normal)
+    ref = u[0] / np.linalg.norm(u[0])
+    return np.argsort(np.arctan2(u @ np.cross(normal, ref), u @ ref))
+
+
 def export_off(n: int) -> str:
     """OFF mesh of the realization, n <= 3 (planar polygon for n = 2)."""
-    if n not in (2, 3):
-        raise InputError("OFF export needs n = 2 or 3")
-    realization = realize(n)
+    realization = realize(check_int(n, "n", 2, 3))
     verts = np.array(realization.vertices, dtype=float)
     if n == 2:
-        coords = verts
-    else:
-        basis = _hyperplane_basis(3)
-        center = verts.mean(axis=0)
-        coords = (verts - center) @ basis.T
-    vert_index = {v: i for i, v in enumerate(realization.vertices)}
-
-    polygons = []
-    if n == 2:
         # the whole hexagon is the unique polygon
-        c = coords.mean(axis=0)
-        u = coords - c
-        ref = u[0] / np.linalg.norm(u[0])
-        second = np.cross(np.ones(3) / math.sqrt(3.0), ref)
-        angles = np.arctan2(u @ second, u @ ref)
-        polygons = [[int(i) for i in np.argsort(angles)]]
+        coords = verts
+        polygons = [_cyclic_order(coords, np.ones(3) / math.sqrt(3.0)).tolist()]
         edge_count = len(coords)
     else:
-        centroid_all = coords.mean(axis=0)
+        coords = (verts - verts.mean(axis=0)) @ _hyperplane_basis(3).T
+        vert_index = {v: i for i, v in enumerate(realization.vertices)}
+        polygons = []
         for ns in enumerate_faces(n, 1):
-            fv = realization.vertices_of_face(ns)
-            idx = [vert_index[v] for v in fv]
-            pts = coords[idx]
-            c = pts.mean(axis=0)
-            normal = c - centroid_all
-            normal /= np.linalg.norm(normal)
-            u = pts - c
-            u -= np.outer(u @ normal, normal)
-            ref = u[0] / np.linalg.norm(u[0])
-            second = np.cross(normal, ref)
-            angles = np.arctan2(u @ second, u @ ref)
-            order = np.argsort(angles)
+            idx = [vert_index[v] for v in realization.vertices_of_face(ns)]
+            normal = coords[idx].mean(axis=0) - coords.mean(axis=0)
+            order = _cyclic_order(coords[idx], normal / np.linalg.norm(normal))
             polygons.append([idx[i] for i in order])
         edge_count = sum(len(p) for p in polygons) // 2
     lines = ["OFF", f"{len(coords)} {len(polygons)} {edge_count}"]

@@ -31,7 +31,7 @@ from .bilinear import (
     subspace_signature,
     subspace_sum,
 )
-from .errors import InconsistentDataError, InputError, PreconditionError
+from .errors import InconsistentDataError, InputError, PreconditionError, check_int
 
 Vector = tuple[Fraction, ...]
 
@@ -59,10 +59,8 @@ class DecompositionData:
             sub = getattr(self, name)
             if sub.ambient != self.ambient:
                 raise InputError(f"{name} does not live in the ambient form")
-        for name in ("bhat1", "bhat2"):
-            b = getattr(self, name)
-            if isinstance(b, bool) or not isinstance(b, int) or b < 0:
-                raise InputError(f"{name} must be a non-negative integer, got {b!r}")
+        for name in ("bhat1", "bhat2"):  # stored as ints, so to_json writes them
+            object.__setattr__(self, name, int(check_int(getattr(self, name), name, low=0)))
 
     @cached_property
     def report(self) -> "ValidationReport":

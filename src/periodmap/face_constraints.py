@@ -40,6 +40,7 @@ from .errors import (
     InconsistentDataError,
     InputError,
     PreconditionError,
+    check_int,
 )
 from .grassmannian import ConstraintSet, HPoint, classify_span, line_to_hpoint
 from .permutahedron import NestedSequence
@@ -59,12 +60,9 @@ class SurfaceConfig:
         vecs = as_matrix(self.vectors, "the configuration vectors")
         if not vecs:
             raise InputError("configuration needs at least one vector")
-        for v in vecs:
-            if len(v) != self.form.dim:
-                raise InputError("vector length does not match the form")
-            if any(x.denominator != 1 for x in v):
-                raise InputError("configuration vectors must be integral")
-        # independence check via Subspace's constructor
+        if any(x.denominator != 1 for v in vecs for x in v):
+            raise InputError("configuration vectors must be integral")
+        # length and independence checks via Subspace's constructor
         Subspace(self.form, vecs)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "_last_cut", None)
@@ -78,9 +76,12 @@ class SurfaceConfig:
         """V_I: span of the vectors with the given 1-based indices, with
         those vectors as its basis.  They are independent, as the whole
         configuration is, so the span is not checked again."""
-        idx = sorted(set(indices))
-        if not idx or idx[0] < 1 or idx[-1] > len(self.vectors):
-            raise InputError(f"indices {indices} out of range")
+        try:
+            idx = sorted({check_int(i, "index", 1, len(self.vectors)) for i in indices})
+        except TypeError:
+            raise InputError(f"indices must be a list of ints, got {indices!r}") from None
+        if not idx:
+            raise InputError("a subset of the vectors cannot be empty")
         basis = tuple(self.vectors[i - 1] for i in idx)
         return Subspace._echelon(self.form, _int_rows(basis), basis)
 

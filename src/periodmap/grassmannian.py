@@ -19,6 +19,7 @@ from typing import Sequence
 from .bilinear import (
     Signature,
     Subspace,
+    _is_list,
     positive_vectors,
     signature,
     subspace_signature,
@@ -26,8 +27,10 @@ from .bilinear import (
 )
 from .errors import (
     DomainError,
+    InputError,
     NumericalDomainError,
     PreconditionError,
+    check_real,
 )
 
 DISTANCE_CLAMP = 1e-9
@@ -38,6 +41,17 @@ def mink_dot(v: Sequence[float], w: Sequence[float]) -> float:
     return v[0] * w[0] - sum(a * b for a, b in zip(v[1:], w[1:]))
 
 
+def _floats(v, what: str) -> tuple[float, ...]:
+    """The coordinates of v as floats: v must be a list of real numbers
+    (InputError), each of them finite (DomainError)."""
+    if not _is_list(v):
+        raise InputError(f"{what} must be a list of real numbers, got {v!r}")
+    x = tuple(float(check_real(c, what, positive=None)) for c in v)
+    if not all(map(math.isfinite, x)):
+        raise DomainError(f"{what} must be finite: {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class HPoint:
     """A point on the upper hyperboloid sheet in R^{1,n}."""
@@ -45,11 +59,9 @@ class HPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        x = self.coords
+        x = _floats(self.coords, "hyperboloid coordinates")
         if len(x) < 2:
             raise DomainError("hyperboloid points need at least 2 coordinates")
-        if not all(map(math.isfinite, x)):
-            raise DomainError(f"hyperboloid coordinates must be finite: {x}")
         if abs(mink_dot(x, x) - 1.0) > 1e-7 or x[0] <= 0:
             raise DomainError(
                 f"not on the upper hyperboloid sheet: {x} (norm {mink_dot(x, x):.3e})"
@@ -62,7 +74,7 @@ class HPoint:
 
 def line_to_hpoint(v: Sequence[float]) -> HPoint:
     """Normalize a positive vector to its hyperboloid representative."""
-    vv = [float(x) for x in v]
+    vv = _floats(v, "vector")
     norm = mink_dot(vv, vv)
     if norm <= 0:
         raise DomainError(f"vector is not positive: norm {norm}")
@@ -80,9 +92,7 @@ def to_poincare_disk(p: HPoint) -> tuple[float, ...]:
 
 def disk_to_hpoint(d: Sequence[float]) -> HPoint:
     """Inverse of the disk projection."""
-    dd = [float(x) for x in d]
-    if not all(map(math.isfinite, dd)):
-        raise DomainError(f"disk coordinates must be finite: {dd}")
+    dd = _floats(d, "disk coordinates")
     r2 = sum(x * x for x in dd)
     if r2 >= 1.0:
         raise DomainError(f"disk point must have norm < 1, got |d|^2 = {r2}")
@@ -102,11 +112,9 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
 
 def ideal_point_direction(v: Sequence[float]) -> tuple[float, ...]:
     """Boundary-circle coordinates of a null direction."""
-    vv = [float(x) for x in v]
+    vv = _floats(v, "null direction")
     if abs(vv[0]) < 1e-12:
         raise DomainError("null direction has vanishing first coordinate")
-    if vv[0] < 0:
-        vv = [-x for x in vv]
     return tuple(x / vv[0] for x in vv[1:])
 
 
@@ -198,17 +206,15 @@ def geodesic_endpoints(
     that w0 / rho rounds to +-1 (its two endpoints coincide) raises
     DomainError.
     """
-    w = [float(x) for x in wall_normal]
+    w = _floats(wall_normal, "wall normal")
     if len(w) != 3:
         raise DomainError("geodesic endpoints are defined for R^{1,2} walls")
-    if not all(map(math.isfinite, w)):
-        raise DomainError(f"wall normal must be finite: {tuple(w)}")
     if mink_dot(w, w) >= 0:
         raise DomainError("wall normal must be a negative vector")
     rho = math.hypot(w[1], w[2])
     cosine = w[0] / rho
     if not abs(cosine) < 1.0:
-        raise DomainError(f"wall normal {tuple(w)} is too near a null vector")
+        raise DomainError(f"wall normal {w} is too near a null vector")
     phi = math.atan2(w[2], w[1])
     alpha = math.acos(cosine)
     return (

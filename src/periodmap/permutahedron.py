@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, InputError, ResourceError
+from .errors import DomainError, InputError, ResourceError, check_int, check_real
 
 DAMPING_SLACK = Fraction(1, 4)  # slack scale below which coordinates are pulled in
 MAX_FACE_N = 7  # largest n whose faces are enumerated: n = 8 has 7,087,260
@@ -61,19 +60,19 @@ class NestedSequence:
     chain: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("n must be positive")
-        l = len(self.chain)
-        if not 1 <= l <= self.n:
-            raise InputError(f"chain length must be in 1..{self.n}, got {l}")
-        ground = set(range(1, self.n + 2))
+        n = check_int(self.n, "n")
+        try:
+            chain = [tuple(raw) for raw in self.chain]
+        except TypeError:
+            raise InputError(f"a chain is a list of subsets, got {self.chain!r}") from None
+        check_int(len(chain), "chain length", 1, n)
         norm = []
         prev = None
-        for raw in self.chain:
-            s = set(raw)
+        for raw in chain:
+            s = {check_int(x, "subset element", 1, n + 1) for x in raw}
             if len(s) != len(raw):
                 raise InputError(f"repeated element in subset {raw}")
-            if not s or not s < ground:
+            if not 1 <= len(s) <= n:
                 raise InputError(f"subset {raw} must be nonempty and proper")
             if prev is not None and not prev < s:
                 raise InputError("chain subsets must strictly increase")
@@ -109,9 +108,7 @@ class NestedSequence:
 def _check_n(n, cap: int = MAX_FACE_N, what: str = "face enumeration") -> None:
     """Refuse an n that is not a positive int (InputError) or that is
     above the cap of ``what`` (ResourceError), before any work."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise InputError(f"n must be a positive int, got {n!r}")
-    if n > cap:
+    if check_int(n, "n") > cap:
         raise ResourceError(f"{what} capped at n = {cap}, got {n}")
 
 
@@ -122,8 +119,7 @@ def enumerate_faces(n: int, codim: int) -> list[NestedSequence]:
     (ResourceError).
     """
     _check_n(n)
-    if not 1 <= codim <= n:
-        raise InputError(f"codim must be in 1..{n}, got {codim}")
+    check_int(codim, "codim", 1, n)
     subsets = proper_subsets(n)
     sets = {s: frozenset(s) for s in subsets}
     # strict supersets of each subset; strictness makes each chain appear once
@@ -177,9 +173,16 @@ class PermRealization:
         The least sum of k coordinates is the sum of the k smallest, so
         one sort decides all the subset inequalities (majorization).
         """
-        if len(point) != self.n + 1:
-            raise InputError("point has wrong length")
-        return self._least_sums([Fraction(x) for x in point], tol) is not None
+        return self._least_sums(self._point(point), tol) is not None
+
+    def _point(self, point: Sequence) -> list[Fraction]:
+        """The coordinates of point as Fractions, floats read exactly; a
+        point that is not a list of n+1 finite real numbers is InputError."""
+        if not hasattr(point, "__len__") or len(point) != self.n + 1:
+            raise InputError(f"point must be a list of {self.n + 1} coordinates, got {point!r}")
+        reals = [check_real(x, "point coordinate", positive=False) for x in point]
+        # Fraction reads no numpy float but float64, and float() holds each exactly
+        return [Fraction(x) if hasattr(x, "numerator") else Fraction(float(x)) for x in reals]
 
     def _least_sums(self, y: list[Fraction], tol: Fraction) -> list[Fraction] | None:
         """[c_0, ..., c_{n+1}], c_k the sum of the k smallest coordinates
@@ -239,9 +242,7 @@ def closest_point_map(point: Sequence, realization: PermRealization) -> tuple:
     the enclosing simplex.
     """
     n1 = realization.n + 1
-    if len(point) != n1:
-        raise InputError("point has wrong length")
-    x = [Fraction(p) for p in point]
+    x = realization._point(point)
     tol = Fraction(1, 10**9)
     if abs(sum(x) - realization.total) > tol or any(xi < 1 - tol for xi in x):
         raise DomainError("point must lie in the enclosing simplex")
@@ -284,9 +285,7 @@ def collapse_to_simplex(point: Sequence, realization: PermRealization) -> tuple:
     subset_level(k) over k = 1..n: one sort and its prefix sums.
     """
     n1 = realization.n + 1
-    if len(point) != n1:
-        raise InputError("point has wrong length")
-    y = [Fraction(p) for p in point]
+    y = realization._point(point)
     low = realization._least_sums(y, Fraction(1, 10**9))  # low[k] = c_k
     if low is None:
         raise DomainError("collapse input must lie in the permutahedron")

@@ -8,10 +8,10 @@ as rim marks), and the lattice-with-lines picture of a (1, 1) form
 the shaded positive cone, and the dashed limiting axis).
 
 Identical input produces byte-identical output: fixed element order,
-fixed float formatting, and a palette read from PERIODMAP_COLORS each
-time a scene is built (``render_config``, ``render_lattice_lines``) and
-each time one is written (``Scene.to_svg``), so the variable must not
-change between the two.
+fixed float formatting, and a palette read from PERIODMAP_COLORS when a
+scene is built (``render_config``, ``render_lattice_lines``).  The scene
+keeps every colour it draws with, the background too, so writing it
+reads no environment.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ class SceneElement:
 class Scene:
     elements: tuple[SceneElement, ...]
     metadata: str
+    background: str = DEFAULT_PALETTE["background"]
 
     def arcs(self) -> list[SceneElement]:
         return [e for e in self.elements if e.kind == "arc"]
@@ -97,13 +98,12 @@ class Scene:
         return sum(1 for e in self.elements if e.kind == kind)
 
     def to_svg(self) -> str:
-        colors = palette()
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{SIZE}" height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
             f"<metadata>{self.metadata}</metadata>",
             f'<rect x="0" y="0" width="{SIZE}" height="{SIZE}" '
-            f'fill="{colors["background"]}"/>',
+            f'fill="{self.background}"/>',
         ]
         for el in self.elements:
             out.append(_element_svg(el))
@@ -271,7 +271,7 @@ def render_config(cfg: SurfaceConfig, out: str | None = None) -> Scene:
         "(" + ",".join(str(int(x)) for x in v) + ")" for v in cfg.vectors
     )
     meta = f"walls={vec_text} encloses={'true' if encloses else 'false'}"
-    scene = Scene(tuple(elements), meta)
+    scene = Scene(tuple(elements), meta, colors["background"])
     if out is not None:
         scene.write(out)
     return scene
@@ -427,7 +427,7 @@ def render_lattice_lines(form: GramForm, out: str | None = None) -> Scene:
         ",".join(str(x) for x in row) for row in form.gram
     )
     meta = f"lattice gram={gram_text}"
-    scene = Scene(tuple(elements), meta)
+    scene = Scene(tuple(elements), meta, colors["background"])
     if out is not None:
         scene.write(out)
     return scene

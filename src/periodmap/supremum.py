@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +31,7 @@ from .bilinear import (
     signature,
     standard_embedding,
 )
-from .errors import DomainError, InputError, PreconditionError, ResourceError
+from .errors import DomainError, InputError, PreconditionError, ResourceError, check_real
 from .grassmannian import HPoint, disk_to_hpoint, to_poincare_disk
 from .systole import (
     _lll,
@@ -62,15 +61,8 @@ class CsSearchConfig:
     refine_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("grid", "refine_tol"):
-            value = getattr(self, name)
-            if not (
-                isinstance(value, numbers.Real)
-                and not isinstance(value, bool)
-                and math.isfinite(value)
-                and value > 0
-            ):
-                raise InputError(f"{name} must be positive and finite, got {value!r}")
+        check_real(self.grid, "grid")
+        check_real(self.refine_tol, "refine_tol")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,251 @@
+"""One table of refusals: every public entry point refuses a bad count,
+real number or coordinate list with a typed error, before any work.
+
+Each row is a call and the bad argument it is given; the row names the
+error it expects.  Counts must be ints (numpy's too), never a bool, a
+float, a string or None.  Steps and coefficients must be finite real
+numbers, never a bool, a string or None.  Coordinates are lists of
+real numbers: the exact permutahedron maps refuse a non-finite one with
+InputError, the float hyperboloid functions with DomainError.  The last
+tests are valid edge inputs that must keep their answers.
+"""
+
+import dataclasses
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from periodmap.bilinear import minkowski_form
+from periodmap.coverage import (
+    check_face_mapping_surjectivity,
+    collapse_batch,
+    export_off,
+    radial_perturbation,
+    shrink_map,
+    twist_perturbation,
+)
+from periodmap.decomposition import connected_sum_split
+from periodmap.errors import DomainError, InputError, check_int, check_real
+from periodmap.face_constraints import preset
+from periodmap.grassmannian import (
+    HPoint,
+    disk_to_hpoint,
+    geodesic_endpoints,
+    ideal_point_direction,
+    line_to_hpoint,
+)
+from periodmap.permutahedron import (
+    NestedSequence,
+    all_faces,
+    closest_point_map,
+    collapse_to_simplex,
+    enumerate_faces,
+    export_json,
+    face_counts,
+    realize,
+)
+from periodmap.supremum import CsSearchConfig
+
+P2 = realize(2)
+
+
+def _onto(pts):
+    return collapse_batch(P2)(pts)
+
+
+# one call per int argument, the argument in the place of v
+INT_ARGUMENTS = {
+    "enumerate_faces.n": lambda v: enumerate_faces(v, 1),
+    "enumerate_faces.codim": lambda v: enumerate_faces(3, v),
+    "all_faces.n": lambda v: all_faces(v),
+    "face_counts.n": lambda v: face_counts(v),
+    "realize.n": lambda v: realize(v),
+    "export_json.n": lambda v: export_json(v),
+    "NestedSequence.n": lambda v: NestedSequence(v, ((1,),)),
+    "NestedSequence.element": lambda v: NestedSequence(2, ((v,),)),
+    "span_of.index": lambda v: preset("fig6-i").span_of([v]),
+    "minkowski_form.n": lambda v: minkowski_form(v),
+    "DecompositionData.bhat1": lambda v: dataclasses.replace(connected_sum_split(), bhat1=v),
+    "DecompositionData.bhat2": lambda v: dataclasses.replace(connected_sum_split(), bhat2=v),
+    "coverage.n": lambda v: check_face_mapping_surjectivity(_onto, v, 0.5),
+    "coverage.seed": lambda v: check_face_mapping_surjectivity(_onto, 2, 0.5, v),
+    "radial_perturbation.n": lambda v: radial_perturbation(v, 0.3),
+    "twist_perturbation.n": lambda v: twist_perturbation(v, 0.7),
+    "shrink_map.n": lambda v: shrink_map(v, 0.9),
+    "export_off.n": lambda v: export_off(v),
+}
+
+# one call per real argument; the float 2.0 is out of range only where listed
+REAL_ARGUMENTS = {
+    "coverage.grid_step": lambda v: check_face_mapping_surjectivity(_onto, 2, v),
+    "CsSearchConfig.grid": lambda v: CsSearchConfig(grid=v),
+    "CsSearchConfig.refine_tol": lambda v: CsSearchConfig(refine_tol=v),
+    "radial_perturbation.coefficient": lambda v: radial_perturbation(2, v),
+    "twist_perturbation.angle": lambda v: twist_perturbation(2, v),
+    "shrink_map.factor": lambda v: shrink_map(2, v),
+}
+REFUSES_TWO = {"coverage.grid_step", "radial_perturbation.coefficient"}
+
+# one call per coordinate list, v in one coordinate, and its non-finite error
+COORDINATES = {
+    "contains": (lambda v: P2.contains((v, 2, 2)), InputError),
+    "closest_point_map": (lambda v: closest_point_map((v, 2, 2), P2), InputError),
+    "collapse_to_simplex": (lambda v: collapse_to_simplex((v, 2, 2), P2), InputError),
+    "HPoint": (lambda v: HPoint((1.0, v)), DomainError),
+    "line_to_hpoint": (lambda v: line_to_hpoint((2.0, v)), DomainError),
+    "disk_to_hpoint": (lambda v: disk_to_hpoint((v,)), DomainError),
+    "ideal_point_direction": (lambda v: ideal_point_direction((1.0, v)), DomainError),
+    "geodesic_endpoints": (lambda v: geodesic_endpoints((0.0, 1.0, v)), DomainError),
+}
+
+ROWS = []
+for name, call in INT_ARGUMENTS.items():
+    for bad in (True, 2.0, "2", None, math.nan):
+        ROWS.append((f"{name}={bad!r}", call, bad, InputError))
+for name, call in REAL_ARGUMENTS.items():
+    for bad in (True, "2", None, math.nan, math.inf) + ((2.0,) if name in REFUSES_TWO else ()):
+        ROWS.append((f"{name}={bad!r}", call, bad, InputError))
+for name, (call, non_finite) in COORDINATES.items():
+    for bad in (True, "2", None):
+        ROWS.append((f"{name}.coordinate={bad!r}", call, bad, InputError))
+    for bad in (math.nan, -math.inf):
+        ROWS.append((f"{name}.coordinate={bad!r}", call, bad, non_finite))
+
+# the probes that first showed the hand-written checks disagreeing
+PROBES = [
+    ("NestedSequence(True, ((1,),))", lambda: NestedSequence(True, ((1,),))),
+    ("NestedSequence(2, ((True,),))", lambda: NestedSequence(2, ((True,),))),
+    ("NestedSequence(2.0, ((1,),))", lambda: NestedSequence(2.0, ((1,),))),
+    ('NestedSequence("2", ((1,),))', lambda: NestedSequence("2", ((1,),))),
+    ("NestedSequence(2, ((1.0,),))", lambda: NestedSequence(2, ((1.0,),))),
+    ("NestedSequence(2, 1)", lambda: NestedSequence(2, 1)),
+    ("NestedSequence(2, (1,))", lambda: NestedSequence(2, (1,))),
+    ("span_of([True])", lambda: preset("fig6-i").span_of([True])),
+    ("span_of([1.5])", lambda: preset("fig6-i").span_of([1.5])),
+    ('span_of(["1"])', lambda: preset("fig6-i").span_of(["1"])),
+    ("span_of([0])", lambda: preset("fig6-i").span_of([0])),
+    ("span_of([])", lambda: preset("fig6-i").span_of([])),
+    ("span_of(1)", lambda: preset("fig6-i").span_of(1)),
+    ("HPoint((True, False))", lambda: HPoint((True, False))),
+    ("HPoint(1.0)", lambda: HPoint(1.0)),
+    ('HPoint("ab")', lambda: HPoint("ab")),
+    ("minkowski_form(2.0)", lambda: minkowski_form(2.0)),
+    ("minkowski_form(True)", lambda: minkowski_form(True)),
+    ("minkowski_form(0)", lambda: minkowski_form(0)),
+    ("enumerate_faces(3, 1.0)", lambda: enumerate_faces(3, 1.0)),
+    ("enumerate_faces(3, 4)", lambda: enumerate_faces(3, 4)),
+    ('closest_point_map(["a", 1, 1])', lambda: closest_point_map(["a", 1, 1], P2)),
+    ("closest_point_map(5)", lambda: closest_point_map(5, P2)),
+    ("closest_point_map((2, 2))", lambda: closest_point_map((2, 2), P2)),
+    ("contains(None)", lambda: P2.contains(None)),
+    ('disk_to_hpoint(["a"])', lambda: disk_to_hpoint(["a"])),
+    ('disk_to_hpoint("a")', lambda: disk_to_hpoint("a")),
+    ("disk_to_hpoint(0.5)", lambda: disk_to_hpoint(0.5)),
+    ("line_to_hpoint(None)", lambda: line_to_hpoint(None)),
+    ('ideal_point_direction("ab")', lambda: ideal_point_direction("ab")),
+    ("geodesic_endpoints(3)", lambda: geodesic_endpoints(3)),
+    ('radial_perturbation(2, "a")', lambda: radial_perturbation(2, "a")),
+    ('twist_perturbation(2, "a")', lambda: twist_perturbation(2, "a")),
+    ('shrink_map(2, "a")', lambda: shrink_map(2, "a")),
+    ("twist_perturbation(2.0, 0.7)", lambda: twist_perturbation(2.0, 0.7)),
+    ("export_off(4)", lambda: export_off(4)),
+    ("coverage seed -1", lambda: check_face_mapping_surjectivity(_onto, 2, 0.5, -1)),
+    ("coverage grid_step 0", lambda: check_face_mapping_surjectivity(_onto, 2, 0)),
+]
+
+
+@pytest.mark.parametrize("call, bad, error", [r[1:] for r in ROWS], ids=[r[0] for r in ROWS])
+def test_bad_argument_is_refused(call, bad, error):
+    with pytest.raises(error):
+        call(bad)
+
+
+@pytest.mark.parametrize("call", [p[1] for p in PROBES], ids=[p[0] for p in PROBES])
+def test_probe_is_refused(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_refusals_name_the_argument():
+    with pytest.raises(InputError, match=r"^codim must be an int in 1\.\.3, got 1\.0$"):
+        enumerate_faces(3, 1.0)
+    with pytest.raises(InputError, match=r"^seed must be an int >= 0, got -1$"):
+        check_face_mapping_surjectivity(_onto, 2, 0.5, -1)
+    with pytest.raises(InputError, match=r"^grid must be positive and finite, got '0\.1'$"):
+        CsSearchConfig(grid="0.1")
+    with pytest.raises(InputError, match=r"^angle must be a finite real number, got nan$"):
+        twist_perturbation(2, math.nan)
+    with pytest.raises(InputError, match=r"^disk coordinates must be a real number, got 'a'$"):
+        disk_to_hpoint(["a"])
+
+
+def test_the_checks_return_what_they_accept():
+    for value in (1, 7, np.int64(3), np.uint8(2)):
+        assert check_int(value, "n") is value
+    assert check_int(0, "seed", low=0) == 0
+    for value in (0.5, 3, Fraction(1, 3), np.float64(0.25), np.float32(2.0)):
+        assert check_real(value, "step") is value
+    assert check_real(-1.5, "angle", positive=False) == -1.5
+    assert check_real(math.inf, "coordinate", positive=None) == math.inf
+    for bad in (True, False, np.bool_(True), 2.0, "2", None, Fraction(3, 1)):
+        with pytest.raises(InputError):
+            check_int(bad, "n")
+    for bad in (True, "2", None, 1j, math.nan, -0.5, 0):
+        with pytest.raises(InputError):
+            check_real(bad, "step")
+
+
+# ---------------------------------------------------------------------------
+# valid edge inputs keep their answers
+# ---------------------------------------------------------------------------
+
+
+def test_numpy_ints_are_counts():
+    two = np.int64(2)
+    assert enumerate_faces(two, 1) == enumerate_faces(2, 1)
+    assert all_faces(two) == all_faces(2)
+    assert face_counts(np.int64(3)) == face_counts(3)
+    assert realize(two) == P2
+    assert minkowski_form(two) == minkowski_form(2)
+    assert NestedSequence(two, ((np.int64(1),),)) == NestedSequence(2, ((1,),))
+    cfg = preset("fig6-i")
+    assert cfg.span_of([np.int64(1), 3]) == cfg.span_of([1, 3])
+    split = connected_sum_split()
+    wide = dataclasses.replace(split, bhat1=np.int64(split.bhat1))
+    assert wide == split and wide.report == split.report
+    assert json.dumps(wide.to_json()) == json.dumps(split.to_json())
+    assert repr(check_face_mapping_surjectivity(_onto, two, 0.5, np.int64(3))) == repr(
+        check_face_mapping_surjectivity(_onto, 2, 0.5, 3)
+    )
+
+
+def test_fraction_and_int_coordinates_are_read():
+    third = Fraction(1, 3)
+    assert P2.contains((2 + third, 2 - third, 2))
+    assert closest_point_map((Fraction(5, 2), Fraction(3, 2), 2), P2) == closest_point_map(
+        (2.5, 1.5, 2.0), P2
+    )
+    assert disk_to_hpoint((Fraction(1, 2),)) == disk_to_hpoint((0.5,))
+    assert HPoint((1, 0)) == HPoint((1.0, 0.0))
+    assert line_to_hpoint((Fraction(2), 1, 0)) == line_to_hpoint((2.0, 1.0, 0.0))
+    assert geodesic_endpoints((0, 1, np.float64(0))) == geodesic_endpoints((0.0, 1.0, 0.0))
+    assert CsSearchConfig(grid=Fraction(1, 5)).grid == Fraction(1, 5)
+    assert collapse_to_simplex((3.0, 1.0, 2.0), P2) == (4, 1, 1)
+    # Fraction reads no numpy float32 itself; the reader does
+    wide = (np.float32(2.75), np.float32(1.25), np.int64(2))
+    assert P2.contains(wide)
+    assert collapse_to_simplex(wide, P2) == collapse_to_simplex((2.75, 1.25, 2), P2)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(2.0, 2.0, 2.0), (3.0, 1.0, 2.0), (2.5, 1.5, 2.0), (2.1, 1.9, 2.0), (1.0, 2.0, 3.0)],
+)
+def test_collapse_reads_floats_exactly(point):
+    # each float is the dyadic rational it stores, so 2.1 + 1.9 sums to 4
+    exact = tuple(Fraction(x) for x in point)
+    assert collapse_to_simplex(point, P2) == collapse_to_simplex(exact, P2)
+    assert all(type(c) is Fraction for c in collapse_to_simplex(point, P2))

@@ -17,6 +17,7 @@ from periodmap.grassmannian import (
     disk_to_hpoint,
     geodesic_endpoints,
     hyperbolic_distance,
+    ideal_point_direction,
     line_to_hpoint,
     mink_dot,
     to_poincare_disk,
@@ -251,3 +252,18 @@ def test_geodesic_endpoints_put_the_normal_on_one_side():
         det = (x1 * y2 - y1 * x2) * w[0] - (y2 - y1) * w[1] + (x2 - x1) * w[2]
         assert det < 0, w
 
+
+
+def test_ideal_point_direction_ignores_the_direction_sign():
+    # x / w0 and -x / -w0 round alike, signed zeros included
+    rng = random.Random(2323)
+    cases = [(-2.0, 0.0, -2.0), (2.0, -0.0, 2.0), (3.0, 0.0, -3.0)]
+    for _ in range(500):
+        t, s = rng.uniform(-math.pi, math.pi), rng.uniform(0.01, 100.0)
+        cases.append((s, s * math.cos(t), s * math.sin(t)))
+    for v in cases:
+        want = ideal_point_direction(v)
+        got = ideal_point_direction(tuple(-x for x in v))
+        assert got == want, v
+        assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want], v
+    assert ideal_point_direction((-2.0, 0.0, -2.0)) == (0.0, 1.0)

@@ -1000,3 +1000,25 @@ def test_export_off_n3():
     sizes = sorted(int(line.split()[0]) for line in lines[2 + 24 :])
     assert sizes.count(4) == 6  # square facets
     assert sizes.count(6) == 8  # hexagonal facets
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_export_off_is_pinned(n):
+    path = os.path.join(os.path.dirname(__file__), "golden", f"p{n}.off")
+    with open(path, "rb") as fh:
+        assert export_off(n).encode() == fh.read()
+
+
+def test_coverage_walks_one_flag_in_slabs(monkeypatch):
+    # a flag holds more than SLAB_ROWS pieces only at n = 2, grid <= 0.007;
+    # a small SLAB_ROWS sends grid 0.05 down that branch of _flag_blocks,
+    # and every block size must give the same report
+    fb = collapse_batch(realize(2))
+    bad = shrink_map(2, 0.9)
+    maps = [fb, lambda pts: bad(fb(pts))]
+    want = [check_face_mapping_surjectivity(f, 2, 0.05) for f in maps]
+    monkeypatch.setattr(coverage, "SLAB_ROWS", 64)
+    assert len(_mesh(2, 0.05).pieces) > 64
+    got = [check_face_mapping_surjectivity(f, 2, 0.05) for f in maps]
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert want[0].ok and not want[1].ok

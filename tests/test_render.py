@@ -219,3 +219,15 @@ def test_scene_helpers():
     assert len(scene.arcs()) == scene.count("arc")
     svg = scene.to_svg()
     assert svg.count("<metadata>") == 1
+
+
+def test_writing_a_scene_reads_no_environment(monkeypatch):
+    # the colours are read once, when the scene is built
+    monkeypatch.setenv("PERIODMAP_COLORS", "background=#000000,size1=#004400")
+    scenes = [render_config(preset("fig6-i")), render_lattice_lines(hyperbolic_plane_form())]
+    svgs = [scene.to_svg() for scene in scenes]
+    assert all('fill="#000000"' in svg for svg in svgs)
+    monkeypatch.setenv("PERIODMAP_COLORS", "background=#123456,size1=#654321")
+    assert [scene.to_svg() for scene in scenes] == svgs
+    monkeypatch.delenv("PERIODMAP_COLORS")
+    assert [scene.to_svg() for scene in scenes] == svgs
