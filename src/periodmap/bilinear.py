@@ -335,11 +335,6 @@ def _gram_of(
 # ---------------------------------------------------------------------------
 
 
-def _kernel(rows: Sequence[Vector], ncols: int) -> list[Vector]:
-    """Basis of {x : rows @ x = 0}, from the free columns of the RREF."""
-    return list(_unit_kernel(_int_kernel(*_int_rref(_int_rows(rows)), ncols)))
-
-
 def _solve(rows: Sequence[Sequence], rhs: Sequence) -> Vector | None:
     """One solution of rows @ x = rhs, or None if inconsistent.
 
@@ -393,6 +388,10 @@ class Signature(NamedTuple):
     b_plus: int
     b_minus: int
     b_null: int
+
+    def is_lorentzian(self) -> bool:
+        """Whether this is (1, n, 0) for some n: the b+ = 1 case."""
+        return self.b_plus == 1 and self.b_null == 0
 
 
 @dataclass(frozen=True)
@@ -467,7 +466,8 @@ class GramForm:
     @cached_property
     def _columns(self) -> list[tuple[int, list[int], int, int]]:
         """The split of the whole space (see ``Subspace._split``), in the
-        identity basis: the signature and the standard embedding read it."""
+        identity basis: the signature, the standard embedding and the
+        radical read it."""
         m = [list(r) for r in self._igram]
         cols, num, den = _congruence(m)
         return [(m[j][j], c, den[j], num[j]) for j, c in enumerate(cols)]
@@ -487,8 +487,9 @@ class GramForm:
         return _int_adjugate(self._igram)
 
     def radical(self) -> "Subspace":
-        """Vectors pairing to zero with the whole space."""
-        return Subspace(self, _kernel(self._igram, self.dim))
+        """Vectors pairing to zero with the whole space, with the canonical
+        basis: the split's columns with zero diagonal entry span it."""
+        return Subspace._echelon(self, [c for e, c, _, _ in self._columns if e == 0])
 
     def to_json(self) -> dict:
         return {
@@ -672,13 +673,19 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def signature(form: GramForm, sub: Subspace | None = None) -> Signature:
-    """Inertia of the form, or of its restriction to a subspace."""
-    if sub is None:
-        return form._sig
-    if sub.ambient != form:
-        raise DimensionMismatchError("subspace does not live over this form")
-    return _signature_of(sub._split())
+def signature(form: GramForm) -> Signature:
+    """Inertia of the form."""
+    return form._sig
+
+
+def lorentzian_rank(form: GramForm, what: str) -> int:
+    """n for a form of signature (1, n), whose positive lines make up
+    hyperbolic n-space; any other form raises PreconditionError naming
+    what."""
+    sig, n = form._sig, form.dim - 1
+    if not sig.is_lorentzian():
+        raise PreconditionError(f"{what} needs signature (1, {n}), got {tuple(sig)}")
+    return n
 
 
 def _signature_of(columns: list[tuple[int, list[int], int, int]]) -> Signature:
@@ -689,7 +696,8 @@ def _signature_of(columns: list[tuple[int, list[int], int, int]]) -> Signature:
 
 
 def subspace_signature(sub: Subspace) -> Signature:
-    return signature(sub.ambient, sub)
+    """Inertia of the form restricted to a subspace."""
+    return _signature_of(sub._split())
 
 
 def is_negative_definite(sub: Subspace) -> bool:
@@ -797,12 +805,7 @@ def standard_embedding(form: GramForm) -> StandardEmbedding:
 
 
 def _embed(form: GramForm) -> StandardEmbedding:
-    sig = signature(form)
-    n = form.dim - 1
-    if sig != Signature(1, n, 0):
-        raise PreconditionError(
-            f"standard embedding needs signature (1, {n}), got {tuple(sig)}"
-        )
+    lorentzian_rank(form, "standard_embedding")
     split = form._columns
     new_cols = [primitive_vector(w) for e, w, _, _ in split if e > 0]
     new_cols += [primitive_vector(w) for e, w, _, _ in split if e < 0]

@@ -648,7 +648,7 @@ def check_face_mapping_surjectivity(
     a mesh above MAX_MESH_SIMPLICES simplices or a grid above
     MAX_GRID_POINTS nodes raises ResourceError before f is called.
     """
-    _check_n(n, 3, "coverage check")
+    n = _check_n(n, 3, "coverage check")
     grid_step = float(check_real(grid_step, "grid_step"))
     check_int(seed, "seed", low=0)
     total = plane_total(n)

@@ -25,6 +25,7 @@ from .bilinear import (
     _int_rows,
     as_matrix,
     is_negative_definite,
+    lorentzian_rank,
     minkowski_form,
     nullspace,
     orth_complement,
@@ -129,11 +130,6 @@ class FaceConstraint:
     iplus: int | None
     summary: ConstraintSet | None
 
-    def table_row(self) -> str:
-        sigs = ", ".join(str(tuple(s)) for s in self.piece_signatures)
-        kind = self.summary.kind.value if self.summary else "-"
-        return f"{self.sequence}  pieces {sigs}  type {kind}"
-
 
 class _Cut(NamedTuple):
     """One face's chain, cut once (see ``_cut``)."""
@@ -202,7 +198,7 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
         positive_parts=pos_parts,
         semi_positive_sum=total,
         iplus=None if cut.first is None else cut.first + 1,
-        summary=bplus1_summary(cfg, ns) if amb.b_plus == 1 else None,
+        summary=bplus1_summary(cfg, ns) if amb.is_lorentzian() else None,
     )
 
 
@@ -234,17 +230,9 @@ def check_dimension_identity(cfg: SurfaceConfig, ns: NestedSequence) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _require_lorentzian(cfg: SurfaceConfig) -> None:
-    sig = signature(cfg.form)
-    if sig.b_plus != 1 or sig.b_null != 0:
-        raise PreconditionError(
-            f"operation needs ambient signature (1, n), got {tuple(sig)}"
-        )
-
-
 def iplus(cfg: SurfaceConfig, ns: NestedSequence) -> int | None:
     """First chain index whose span is not negative definite, or None."""
-    _require_lorentzian(cfg)
+    lorentzian_rank(cfg.form, "iplus")
     first = _cut(cfg, ns).first
     return None if first is None else first + 1
 
@@ -260,7 +248,7 @@ def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
     definite).  It reads the face's cut that the config keeps, as
     ``constraint_for_face`` does.
     """
-    _require_lorentzian(cfg)
+    lorentzian_rank(cfg.form, "bplus1_summary")
     spans, pieces, _, first = _cut(cfg, ns)
     return classify_span(spans[-1] if first is None else pieces[first])
 
@@ -272,7 +260,7 @@ def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
 
 def is_bounded_config(cfg: SurfaceConfig) -> bool:
     """All size-n subsets span negative definite subspaces."""
-    _require_lorentzian(cfg)
+    lorentzian_rank(cfg.form, "is_bounded_config")
     k = len(cfg.vectors)
     for out in range(1, k + 1):
         indices = [i for i in range(1, k + 1) if i != out]
@@ -292,7 +280,7 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
     many as the ambient dimension, so each complement is a line and the
     lines are the dual-basis directions, which are independent.
     """
-    _require_lorentzian(cfg)
+    lorentzian_rank(cfg.form, "simplex_vertex_lines")
     k = len(cfg.vectors)
     if k != cfg.form.dim:
         raise PreconditionError(
@@ -319,6 +307,7 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
 
 def simplex_from_walls(cfg: SurfaceConfig) -> list[HPoint]:
     """Hyperboloid vertices of the simplex bounded by the walls."""
+    lorentzian_rank(cfg.form, "simplex_from_walls")
     lines = simplex_vertex_lines(cfg)
     emb = standard_embedding(cfg.form)
     return [line_to_hpoint(emb.to_minkowski(gen)) for gen in lines]

@@ -17,11 +17,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bilinear import (
-    Signature,
     Subspace,
     _is_list,
+    lorentzian_rank,
     positive_vectors,
-    signature,
     subspace_signature,
     nullspace as form_nullspace,
 )
@@ -29,7 +28,6 @@ from .errors import (
     DomainError,
     InputError,
     NumericalDomainError,
-    PreconditionError,
     check_real,
 )
 
@@ -160,13 +158,8 @@ def classify_span(sub: Subspace) -> ConstraintSet:
     description.
     """
     form = sub.ambient
-    amb_sig = signature(form)
-    n = form.dim - 1
-    if amb_sig != Signature(1, n, 0):
-        raise PreconditionError(
-            f"classification needs ambient signature (1, {n}), got {tuple(amb_sig)}"
-        )
-    if sub.is_zero() or sub.dim > form.dim:
+    lorentzian_rank(form, "classify_span")
+    if sub.is_zero():
         raise DomainError("span dimension must be between 1 and the ambient dimension")
     sig = subspace_signature(sub)
     if sig.b_plus == 0 and sig.b_null == 0:

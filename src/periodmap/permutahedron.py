@@ -80,6 +80,15 @@ class NestedSequence:
             norm.append(tuple(sorted(s)))
         object.__setattr__(self, "chain", tuple(norm))
 
+    @classmethod
+    def _generated(cls, n: int, chain: tuple[tuple[int, ...], ...]) -> "NestedSequence":
+        """A chain of sorted subsets built valid, for an int n: not checked
+        again."""
+        ns = cls.__new__(cls)
+        object.__setattr__(ns, "n", n)
+        object.__setattr__(ns, "chain", chain)
+        return ns
+
     @property
     def length(self) -> int:
         return len(self.chain)
@@ -105,11 +114,27 @@ class NestedSequence:
         return NestedSequence(n, chain)
 
 
-def _check_n(n, cap: int = MAX_FACE_N, what: str = "face enumeration") -> None:
-    """Refuse an n that is not a positive int (InputError) or that is
-    above the cap of ``what`` (ResourceError), before any work."""
+def _check_n(n, cap: int = MAX_FACE_N, what: str = "face enumeration") -> int:
+    """n as a Python int; an n that is not a positive int raises
+    InputError and one above the cap of ``what`` ResourceError, before
+    any work."""
     if check_int(n, "n") > cap:
         raise ResourceError(f"{what} capped at n = {cap}, got {n}")
+    return int(n)
+
+
+def _chains(n: int, codim: int) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """The chains of each length 1..codim, each list in lexicographic
+    order; the chains of one length extend those one shorter."""
+    subsets = proper_subsets(n)
+    sets = {s: frozenset(s) for s in subsets}
+    # strict supersets of each subset; strictness makes each chain appear once
+    above = {s: [t for t in subsets if sets[s] < sets[t]] for s in subsets}
+    levels = [[(s,) for s in subsets]]
+    for _ in range(codim - 1):
+        # extending a sorted list by sorted lists keeps the lexicographic order
+        levels.append([ch + (t,) for ch in levels[-1] for t in above[ch[-1]]])
+    return levels
 
 
 def enumerate_faces(n: int, codim: int) -> list[NestedSequence]:
@@ -118,25 +143,15 @@ def enumerate_faces(n: int, codim: int) -> list[NestedSequence]:
     n must be a positive int (InputError) and at most MAX_FACE_N
     (ResourceError).
     """
-    _check_n(n)
+    n = _check_n(n)
     check_int(codim, "codim", 1, n)
-    subsets = proper_subsets(n)
-    sets = {s: frozenset(s) for s in subsets}
-    # strict supersets of each subset; strictness makes each chain appear once
-    above = {s: [t for t in subsets if sets[s] < sets[t]] for s in subsets}
-    chains = [(s,) for s in subsets]
-    for _ in range(codim - 1):
-        chains = [ch + (t,) for ch in chains for t in above[ch[-1]]]
-    # extending a sorted list by sorted lists keeps the lexicographic order
-    return [NestedSequence(n, ch) for ch in chains]
+    return [NestedSequence._generated(n, ch) for ch in _chains(n, codim)[-1]]
 
 
 def all_faces(n: int) -> list[NestedSequence]:
-    _check_n(n)
-    out = []
-    for codim in range(1, n + 1):
-        out.extend(enumerate_faces(n, codim))
-    return out
+    """The faces of every codimension 1..n, in enumerate_faces' order."""
+    n = _check_n(n)
+    return [NestedSequence._generated(n, ch) for level in _chains(n, n) for ch in level]
 
 
 def face_counts(n: int) -> list[int]:
@@ -148,7 +163,7 @@ def face_counts(n: int) -> list[int]:
     the sum over j of (-1)^j C(c+1, j) (c+1-j)^(n+1), or (c+1)! S(n+1,
     c+1).  n is refused as in enumerate_faces.
     """
-    _check_n(n)
+    n = _check_n(n)
     return [
         sum((-1) ** j * math.comb(c + 1, j) * (c + 1 - j) ** (n + 1) for j in range(c + 2))
         for c in range(1, n + 1)
@@ -220,7 +235,7 @@ class PermRealization:
 
 
 def realize(n: int) -> PermRealization:
-    _check_n(n, 6, "realization")
+    n = _check_n(n, 6, "realization")
     verts = tuple(sorted(itertools.permutations(range(1, n + 2))))
     return PermRealization(n=n, total=plane_total(n), vertices=verts)
 
@@ -309,7 +324,7 @@ def collapse_to_simplex(point: Sequence, realization: PermRealization) -> tuple:
 
 def export_json(n: int) -> dict:
     """Vertices and the full face lattice, exact integer data."""
-    _check_n(n, 4, "face-lattice export")
+    n = _check_n(n, 4, "face-lattice export")
     realization = realize(n)
     vert_index = {v: i for i, v in enumerate(realization.vertices)}
     faces = []

@@ -28,7 +28,7 @@ from .bilinear import (
     _gram_of,
     _int_adjugate,
     as_matrix,
-    signature,
+    lorentzian_rank,
     standard_embedding,
 )
 from .errors import DomainError, InputError, PreconditionError, ResourceError, check_real
@@ -120,12 +120,7 @@ class _DiskObjective:
     """
 
     def __init__(self, form: GramForm):
-        sig = signature(form)
-        if sig.b_plus != 1 or sig.b_null != 0:
-            raise PreconditionError(
-                f"supremum search needs signature (1, n), got {tuple(sig)}"
-            )
-        self.n = form.dim - 1
+        self.n = lorentzian_rank(form, "cs_supremum")
         emb = standard_embedding(form)
         # the rows of u span the lattice, reduced for the norm form at the
         # patch centre (the first embedding column); back maps R^{1,n}

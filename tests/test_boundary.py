@@ -222,6 +222,14 @@ def test_numpy_ints_are_counts():
     )
 
 
+def test_numpy_int_n_reaches_json_as_int():
+    # json.dumps refuses a numpy int with a bare TypeError
+    for call in (export_json, face_counts):
+        assert json.dumps(call(np.int64(3))) == json.dumps(call(3))
+    assert all(type(c) is int for c in face_counts(np.int64(3)))
+    assert type(export_json(np.int64(2))["n"]) is int
+
+
 def test_fraction_and_int_coordinates_are_read():
     third = Fraction(1, 3)
     assert P2.contains((2 + third, 2 - third, 2))

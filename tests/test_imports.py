@@ -1,5 +1,6 @@
 """Every name a library or test module imports is used in that module,
-and only ``errors`` tests an argument's int or real type.
+only ``errors`` tests an argument's int or real type, and only
+``bilinear`` asks whether a form has signature (1, n).
 
 The library's ``__init__.py`` is skipped by the import check: its
 imports are the package's exports.
@@ -88,3 +89,55 @@ def test_only_errors_checks_number_types(path):
     # bilinear._frac reads exact numbers, so it tells a bool from an int itself
     exempt = "_frac" if path.name == "bilinear.py" else None
     assert hand_type_tests(path.read_text(), exempt) == []
+
+
+def _is_one(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 1
+
+
+def hand_lorentzian_tests(source: str) -> list[int]:
+    """Lines that ask by hand whether a form is (1, n): a b_plus tested
+    equal or unequal to 1, a triple (1, _, _) to anything, or a
+    Signature(1, ...) built.  An order test such as b_plus > 1 asks
+    something else."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and all(
+            isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+        ):
+            operands = [node.left, *node.comparators]
+            b_plus = any(isinstance(n, ast.Attribute) and n.attr == "b_plus" for n in operands)
+            if (b_plus and any(map(_is_one, operands))) or any(
+                isinstance(n, ast.Tuple) and len(n.elts) == 3 and _is_one(n.elts[0])
+                for n in operands
+            ):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Call) and node.args and _is_one(node.args[0]):
+            func = node.func
+            if getattr(func, "id", None) == "Signature" or getattr(func, "attr", None) == "Signature":
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_sees_hand_written_lorentzian_tests():
+    source = (
+        "if sig.b_plus != 1 or sig.b_null != 0: pass\n"
+        "ok = sig == Signature(1, n, 0)\n"
+        "ok = tuple(sig) == (1, 2, 0)\n"
+        "ok = 1 == form._sig.b_plus\n"
+        "ok = bilinear.Signature(1, 2, 0)\n"
+        "ok = sig.b_plus == 0 and sig == Signature(n, 0, 0) and sig.b_minus == 1\n"
+        "ok = sig.b_plus > 1 and (1, 2, 0) < sig\n"
+    )
+    assert hand_lorentzian_tests(source) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name not in ("bilinear.py", "render.py")),
+    ids=lambda p: p.name,
+)
+def test_only_bilinear_asks_for_signature_1_n(path):
+    # render's fixed-dimension checks, (1, 2) for the disk and (1, 1) for
+    # the lattice, are drawing conditions that raise DomainError
+    assert hand_lorentzian_tests(path.read_text()) == []

@@ -4,10 +4,11 @@ Random rational matrices of dimension 1-8 with denominators up to 7,
 some rank-deficient and some with zero rows; every routine must return
 exactly what plain Fraction elimination returns.  The radical of a
 restricted form is checked the same way, on singular and nonsingular
-grams and on spans with and without a radical.  The one elimination
-that gives determinants, adjugates and inverses is checked on integer
-matrices, unimodular and singular ones among them, and the congruence
-product X G X^t against a plain Fraction triple sum.
+grams and on spans with and without a radical, and so is the radical
+of a whole integer form.  The one elimination that gives determinants,
+adjugates and inverses is checked on integer matrices, unimodular and
+singular ones among them, and the congruence product X G X^t against a
+plain Fraction triple sum.
 """
 
 import random
@@ -21,11 +22,12 @@ from periodmap.bilinear import (
     _echelon_rows,
     _gram_of,
     _int_adjugate,
+    _int_kernel,
     _int_rows,
     _int_rref,
-    _kernel,
     _mat_inverse,
     _solve,
+    _unit_kernel,
     nullspace,
     signature,
 )
@@ -89,7 +91,7 @@ def test_row_reduction_matches_reference():
         rows = _matrix(rng, nrows, ncols)
         red, pivots = _int_rref(_int_rows(rows))
         assert (_echelon_rows(red), pivots) == rref_reference(rows)
-        assert _kernel(rows, ncols) == kernel_reference(rows, ncols)
+        assert list(_unit_kernel(_int_kernel(red, pivots, ncols))) == kernel_reference(rows, ncols)
         rhs = [_entry(rng) for _ in range(nrows)]
         assert _solve(rows, rhs) == solve_reference(rows, rhs)
 
@@ -268,3 +270,35 @@ def test_nullspace_matches_reference():
         assert rad.basis == rad.canonical
         seen_radical += bool(mapped)
     assert seen_radical > CASES // 4
+
+
+def _int_symmetric(rng, k):
+    """A symmetric integer matrix; half of them are X^t D X for an
+    integer X with fewer than k rows, so rank-deficient."""
+    if rng.random() < 0.5:
+        r = rng.randrange(k)
+        x = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+        d = [rng.choice((-2, -1, 1, 2)) for _ in range(r)]
+        return [
+            [sum(dt * xt[i] * xt[j] for dt, xt in zip(d, x)) for j in range(k)]
+            for i in range(k)
+        ]
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            m[i][j] = m[j][i] = rng.randint(-4, 4)
+    return m
+
+
+def test_radical_matches_reference():
+    rng = random.Random(20236)
+    degenerate = 0
+    for _ in range(CASES):
+        k = rng.randint(1, 7)
+        gram = _int_symmetric(rng, k)
+        form = GramForm(gram)
+        rad = form.radical()
+        assert rad == form.subspace(kernel_reference(gram, k)), gram
+        assert rad == nullspace(form.full_subspace()), gram
+        degenerate += not rad.is_zero()
+    assert degenerate > CASES // 3

@@ -121,6 +121,25 @@ def test_enumerate_faces_matches_brute_force():
             assert [ns.chain for ns in enumerate_faces(n, codim)] == want
 
 
+def test_generated_faces_equal_checked_chains():
+    for n in range(1, 5):
+        for face in all_faces(n):
+            checked = NestedSequence(n, face.chain)
+            assert face == checked and hash(face) == hash(checked)
+            assert type(face.n) is int
+
+
+def test_enumeration_checks_no_chain_again(monkeypatch):
+    calls = []
+    real = NestedSequence.__post_init__
+    monkeypatch.setattr(NestedSequence, "__post_init__", lambda ns: calls.append(ns) or real(ns))
+    faces = all_faces(3) + enumerate_faces(np.int64(3), 2)
+    assert len(faces) == sum(face_counts(3)) + face_counts(3)[1]
+    assert calls == []
+    NestedSequence(3, ((1,),))
+    assert len(calls) == 1
+
+
 def test_realize_small():
     seg = realize(1)
     assert seg.vertices == ((1, 2), (2, 1))
