@@ -20,6 +20,7 @@ from fractions import Fraction
 from .bilinear import (
     GramForm,
     hyperbolic_plane_form,
+    lorentzian_rank,
     subspace_signature,
 )
 from .decomposition import canonical_limit, connected_sum_split, product_split
@@ -212,7 +213,7 @@ def _cmd_systole(args) -> int:
         # refused here too, so the message names the flag that was typed
         check_real(args.grid, "--grid")
         check_real(args.refine, "--refine")
-        check_cs_grid(form.dim - 1, args.grid, "--grid")
+        check_cs_grid(lorentzian_rank(form, "cs_supremum"), args.grid, "--grid")
         search = CsSearchConfig(grid=args.grid, refine_tol=args.refine)
         res = cs_supremum(form, search=search)
         payload = {

@@ -84,7 +84,7 @@ class CsResult:
     refine_tol: float
     certified: bool
     minimizers: tuple[tuple[int, ...], ...]
-    evaluations: int = field(compare=False, default=0)  # float enumerations
+    evaluations: int = field(compare=False, default=0)  # grid and ascent points
     exact_evaluations: int = field(compare=False, default=0)
     ascent_steps: int = field(compare=False, default=0)  # geodesic and Newton steps
 
@@ -116,7 +116,8 @@ class _DiskObjective:
     is finite, so only one outside it is checked: a non-finite point
     raises DomainError.  ``pairing`` maps a lattice vector w to the
     covector of h -> <w, back h>, and ``igram`` is the reduced basis's
-    exact gram times ``den``, for the certificate.
+    exact gram times ``den``, for the certificate.  ``evaluations``
+    counts the points asked about, enumerated or not.
     """
 
     def __init__(self, form: GramForm):
@@ -140,15 +141,22 @@ class _DiskObjective:
             for row in self.gram
         ]
         self.evaluations = 0
+        self._lines = {}
 
-    def __call__(self, disk: Sequence[float]) -> float:
+    def hpoint(self, disk: Sequence[float]) -> list[float] | None:
+        """The hyperboloid point of a disk point, None outside the patch."""
         r2 = sum(x * x for x in disk)
         if not r2 <= PATCH_RADIUS * PATCH_RADIUS:
             if all(map(math.isfinite, disk)):
-                return -math.inf
+                return None
             raise DomainError(f"disk coordinates must be finite: {tuple(disk)}")
         denom = 1.0 - r2
-        h = [(1.0 + r2) / denom] + [2.0 * x / denom for x in disk]
+        return [(1.0 + r2) / denom] + [2.0 * x / denom for x in disk]
+
+    def __call__(self, disk: Sequence[float]) -> float:
+        h = self.hpoint(disk)
+        if h is None:
+            return -math.inf
         return math.sqrt(self.near_minimal(h, ACTIVE_SLACK)[0])
 
     def near_minimal(self, h: Sequence[float], slack: float):
@@ -161,6 +169,18 @@ class _DiskObjective:
             for gi, row in zip(gu, self.gram)
         ]
         return _shortest(m, min(m[i][i] for i in range(len(m))), slack)
+
+    def line(self, w: tuple[int, ...]) -> tuple[list[float], float]:
+        """(a, Q(w)) with a the covector of h -> <w, back h>, cached per w."""
+        if w not in self._lines:
+            a = [_dot(w, col) for col in zip(*self.pairing)]
+            self._lines[w] = (a, _dot(w, [_dot(row, w) for row in self.gram]))
+        return self._lines[w]
+
+    def norm(self, w: tuple[int, ...], h: Sequence[float]) -> float:
+        """N_w(h) = 2 <w, h>^2 - Q(w), w's norm at the hyperboloid point h."""
+        a, q = self.line(w)
+        return 2.0 * _dot(a, h) ** 2 - q
 
 
 def _tick_count(radius: float, step: float) -> float:
@@ -194,6 +214,37 @@ def _grid_points(n: int, radius: float, step: float):
     for pt in itertools.product(ticks, repeat=n):
         if sum(x * x for x in pt) <= radius * radius:
             yield pt
+
+
+def _grid_start(obj: _DiskObjective, step: float) -> tuple[tuple[float, ...], float]:
+    """The grid point of largest conf, first found, and conf there.
+
+    The patch centre starts as the best point, and a grid point replaces
+    it only by beating it.  The walk keeps every vector an enumeration
+    returns; a point where one of them has N_w(h) <= best^2 (1 -
+    ACTIVE_SLACK) has conf below best there, so it is counted as an
+    evaluation but not enumerated.  N_w(h) is off by about 1e-13
+    relative, far inside the margin, so the walk ends where one that
+    enumerates every point ends, bit for bit.  The vector that rules a
+    point out is tried first at the next point, its neighbour.
+    """
+    best_pt = (0.0,) * obj.n
+    best_sq, known = obj.near_minimal(obj.hpoint(best_pt), ACTIVE_SLACK)
+    best_val = math.sqrt(best_sq)
+    for pt in _grid_points(obj.n, PATCH_RADIUS, step):
+        h = obj.hpoint(pt)
+        floor = best_val * best_val * (1.0 - ACTIVE_SLACK)
+        ruled = next((i for i, w in enumerate(known) if obj.norm(w, h) <= floor), None)
+        if ruled is not None:
+            known.insert(0, known.pop(ruled))
+            obj.evaluations += 1
+            continue
+        val_sq, mins = obj.near_minimal(h, ACTIVE_SLACK)
+        known += [w for w in mins if w not in known]
+        val = math.sqrt(val_sq)
+        if val > best_val + 1e-15:
+            best_val, best_pt = val, pt
+    return best_pt, best_val
 
 
 # -- the float ascent ------------------------------------------------------
@@ -359,39 +410,27 @@ def _ascend(obj: _DiskObjective, h: list[float], tol: float) -> tuple[list[float
     norms of S are equal" lands on its vertex.  The ascent ends at
     eutaxy (d = 0), or when a step would leave the patch or gains nothing.
     """
-    lines_of = {}
-
-    def lines(w):
-        if w not in lines_of:
-            a = [_dot(w, col) for col in zip(*obj.pairing)]
-            lines_of[w] = (a, _dot(w, [_dot(row, w) for row in obj.gram]))
-        return lines_of[w]
-
-    def norm(w, x):
-        a, q = lines(w)
-        return 2.0 * _dot(a, x) ** 2 - q
-
     tmax = math.log1p(CANDIDATE_SLACK) / 4.0
     rim = (2.0 * PATCH_RADIUS / (1.0 - PATCH_RADIUS**2)) ** 2  # |h'|^2 at the rim
     best, cands = obj.near_minimal(h, CANDIDATE_SLACK)
-    active = sorted(w for w in cands if norm(w, h) <= best * (1.0 + ACTIVE_SLACK))
+    active = sorted(w for w in cands if obj.norm(w, h) <= best * (1.0 + ACTIVE_SLACK))
     steps, tried = 0, None
     while steps < MAX_ASCENT_STEPS:
         if len(active) > obj.n and active != tried:
             tried = active
-            h2, k = _newton(lines, h, active, tol)
+            h2, k = _newton(obj.line, h, active, tol)
             val, cands2 = obj.near_minimal(h2, CANDIDATE_SLACK)
             steps += k
             # the vertex counts if it is in the patch, no other vector is
             # shorter there and it is no lower than h, up to rounding
-            floor = min(best, min(norm(w, h2) for w in active)) * (1.0 - ACTIVE_SLACK)
+            floor = min(best, min(obj.norm(w, h2) for w in active)) * (1.0 - ACTIVE_SLACK)
             if _dot(h2[1:], h2[1:]) <= rim and val >= floor:
                 h, best, cands = h2, val, cands2
                 top = best * (1.0 + ACTIVE_SLACK)
-                active = sorted(set(active) | {w for w in cands if norm(w, h) <= top})
+                active = sorted(set(active) | {w for w in cands if obj.norm(w, h) <= top})
                 continue
         frame = _frame(h)
-        grads = [_slope(lines(w), h, frame)[1] for w in active]
+        grads = [_slope(obj.line(w), h, frame)[1] for w in active]
         d, weights = _min_norm(grads)
         size = math.sqrt(_dot(d, d))
         if size <= EUTAXY_TOL * max(math.sqrt(_dot(g, g)) for g in grads):
@@ -402,7 +441,7 @@ def _ascend(obj: _DiskObjective, h: list[float], tol: float) -> tuple[list[float
 
         def along(w):
             # N_w(t) = P cosh 2t + R sinh 2t + C on the geodesic
-            a, q = lines(w)
+            a, q = obj.line(w)
             p, b = _dot(a, h), _dot(a, v)
             return p * p + b * b, 2.0 * p * b, p * p - b * b - q
 
@@ -426,7 +465,7 @@ def _ascend(obj: _DiskObjective, h: list[float], tol: float) -> tuple[list[float
         steps += 1
         top = best * (1.0 + ACTIVE_SLACK)
         keep = {*support, hit}
-        active = sorted(w for w in cands if w in keep or norm(w, h) <= top)
+        active = sorted(w for w in cands if w in keep or obj.norm(w, h) <= top)
     return h, steps
 
 
@@ -462,6 +501,9 @@ def _certify(obj: _DiskObjective, h: list[float], tol: float):
     corner c of K has cosh d(q, c) <= 1 + tol^2 / 2 <= cosh tol, so the
     ball B(q, tol) holds K and the maximum is at most conf(q) e^{tol}.
     A failing cell is split in 2^(n-1) up to MAX_CERT_CELLS cells.
+    Both tests run on integers: with A = N / D they read 4 N D <p, v>^2
+    < (N + D)^2 Q(v) Q(p), and with tol = a / b the corner test reads
+    <q, c>^2 (2 b^2)^2 <= (2 b^2 + a^2)^2 Q(c) Q(q).
     """
     n = obj.n
     gram, den = obj.igram, obj.den
@@ -500,12 +542,12 @@ def _certify(obj: _DiskObjective, h: list[float], tol: float):
 
     if _int_adjugate([q] + ts)[1] == 0:
         return result(False)  # the chart is degenerate: K is no neighbourhood
-    qq = pair(q, q)
-    reach = (1 + Fraction(tol) ** 2 / 2) ** 2
+    a, b = Fraction(tol).as_integer_ratio()
+    near, far = (2 * b * b) ** 2, (2 * b * b + a * a) ** 2 * pair(q, q)
     for i in itertools.product((-CERT_SCALE, CERT_SCALE), repeat=n):
         c = point(i)
         qc, cc = pair(q, c), pair(c, c)
-        if not (qc > 0 and cc > 0 and qc * qc <= reach * cc * qq):
+        if not (qc > 0 and cc > 0 and qc * qc * near <= far * cc):
             return result(False)
     cuts = range(-CERT_SCALE, CERT_SCALE + 1, 2 * CERT_SCALE // CERT_SPLIT)
     first = list(zip(cuts, cuts[1:]))
@@ -531,14 +573,16 @@ def _certify(obj: _DiskObjective, h: list[float], tol: float):
         pp = pair(p, p)
         if pp <= 0:
             return result(False)
-        ratio = value / conf_sq(p)[0]
-        if ratio <= 1:
+        # A = N / D with D > 0: conf(p)^2 is positive at a positive line
+        there = conf_sq(p)[0]
+        an, ad = value.numerator * there.denominator, value.denominator * there.numerator
+        if an <= ad:
             return result(False)
-        bound = (ratio + 1) ** 2
+        lhs, rhs = 4 * an * ad, (an + ad) ** 2 * pp
         for corner in itertools.product(*box):
             v = at(corner)
             pv, vv = pair(p, v), pair(v, v)
-            if not (pv > 0 and vv > 0 and 4 * ratio * pv * pv < bound * vv * pp):
+            if not (pv > 0 and vv > 0 and lhs * pv * pv < rhs * vv):
                 if not box or box[0][1] - box[0][0] < 2:
                     return result(False)
                 halves = [((lo, (lo + hi) // 2), ((lo + hi) // 2, hi)) for lo, hi in box]
@@ -560,14 +604,9 @@ def cs_supremum(form: GramForm, search: CsSearchConfig | None = None) -> CsResul
     the result says which.  No global optimality is claimed.
     """
     cfg = search or CsSearchConfig()
-    check_cs_grid(form.dim - 1, cfg.grid)
+    check_cs_grid(lorentzian_rank(form, "cs_supremum"), cfg.grid)
     obj = _DiskObjective(form)
-    best_pt = (0.0,) * obj.n
-    best_val = obj(best_pt)
-    for pt in _grid_points(obj.n, PATCH_RADIUS, cfg.grid):
-        val = obj(pt)
-        if val > best_val + 1e-15:
-            best_val, best_pt = val, pt
+    best_pt = _grid_start(obj, cfg.grid)[0]
     h, steps = _ascend(obj, list(disk_to_hpoint(best_pt).coords), cfg.refine_tol)
     certified, value_sq, minimizers, exact = _certify(obj, h, cfg.refine_tol)
     return CsResult(

@@ -369,6 +369,15 @@ def test_systole_sup_refuses_a_huge_grid(capsys, tmp_path, gram, grid):
     assert "above the limit 100000" in err
 
 
+def test_systole_sup_judges_the_signature_before_the_grid(capsys, tmp_path):
+    # a (2, 1) form at --grid 0.001 was once refused for its grid size
+    form = write_form(tmp_path, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    code, out, err = run(capsys, "systole", "--config", form, "--sup", "--grid", "0.001")
+    assert code == 1
+    assert out == ""
+    assert err == "error: cs_supremum needs signature (1, 2), got (2, 1, 0)\n", err
+
+
 def test_systole_sup_tiny_refine_returns(capsys, tmp_path):
     form = write_form(tmp_path, [[1, 0], [0, -1]])
     code, out, _ = run(capsys, "systole", "--config", form, "--sup", "--json")

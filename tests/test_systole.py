@@ -478,6 +478,34 @@ def test_conf_log_lipschitz_along_distance():
 # ---------------------------------------------------------------------------
 
 
+CONGRUENCES = [
+    [[1, 1], [0, 1]],
+    [[1, 0], [1, 1]],
+    [[0, 1], [1, 0]],
+    [[1, -1], [0, 1]],
+    [[2, 1], [1, 1]],
+    [[1, 1], [1, 2]],
+    [[1, 2], [0, 1]],
+    [[1, 0], [-2, 1]],
+    [[2, -1], [-1, 1]],
+    [[1, -2], [-1, 3]],
+]
+
+
+def _congruent(form, u):
+    # U^t G U, the form in the basis of U's columns
+    d = len(u)
+    return GramForm(
+        [
+            [
+                sum(u[i][a] * form.gram[i][j] * u[j][b] for i in range(d) for j in range(d))
+                for b in range(d)
+            ]
+            for a in range(d)
+        ]
+    )
+
+
 def test_cs_supremum_diag_matches_scan_oracle():
     res = cs_supremum(DIAG)
 
@@ -580,17 +608,19 @@ def test_cs_supremum_rank_4_certifies_one_value_or_says_best_found():
     assert certified == {round(4.0 / 3.0, 10)}
 
 
+HERMITE_GRAMS = [
+    [[2, 0], [0, -1]],
+    [[1, 0], [0, -3]],
+    [[2, 1], [1, -1]],
+    [[1, 0], [0, -7]],
+    [[1, 0, 0], [0, -1, 0], [0, 0, -2]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+    [[1, 0, 0], [0, -2, 1], [0, 1, -3]],
+]
+
+
 def test_cs_supremum_obeys_the_hermite_bound():
-    grams = [
-        [[2, 0], [0, -1]],
-        [[1, 0], [0, -3]],
-        [[2, 1], [1, -1]],
-        [[1, 0], [0, -7]],
-        [[1, 0, 0], [0, -1, 0], [0, 0, -2]],
-        [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
-        [[1, 0, 0], [0, -2, 1], [0, 1, -3]],
-    ]
-    for gram in grams:
+    for gram in HERMITE_GRAMS:
         form = GramForm(gram)
         res = cs_supremum(form, CsSearchConfig(grid=0.1))
         assert res.certified, gram
@@ -655,6 +685,53 @@ def test_cs_grid_guard_refuses_before_any_evaluation(monkeypatch):
     # the largest grid in use, rank 4 at grid 0.05, walks 37^3 = 50,653
     supremum.check_cs_grid(3, 0.05)
     assert len(supremum._grid_ticks(PATCH_RADIUS, 0.05)) ** 3 == 50653
+
+
+def test_cs_search_judges_the_signature_before_the_grid():
+    # a (2, 1) form at grid 0.001 was once refused for its 3,243,601 grid
+    # points, not for its signature
+    with pytest.raises(
+        PreconditionError, match=r"^cs_supremum needs signature \(1, 2\), got \(2, 1, 0\)$"
+    ):
+        cs_supremum(GramForm([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), CsSearchConfig(grid=0.001))
+
+
+def test_cs_grid_screen_skips_only_points_below_the_best():
+    # the walk skips the enumeration at a point where a vector it already
+    # knows is shorter than the best value by the margin; it must end
+    # where a walk that enumerates every point ends, and every point it
+    # skipped must be below the best value at that moment
+    cases = [(_congruent(base, u), 0.05) for base in (DIAG, HYP) for u in CONGRUENCES]
+    cases += [(GramForm(gram), 0.1) for gram in HERMITE_GRAMS]
+    cases += [(minkowski_form(n), step) for n in (1, 2, 3) for step in (0.2, 0.15, 0.1)]
+    skipped = 0
+    for form, step in cases:
+        plain = _DiskObjective(form)
+        best_pt = (0.0,) * plain.n
+        best = plain(best_pt)
+        below = {}  # grid point -> (its value, the best before it)
+        for pt in _grid_points(plain.n, PATCH_RADIUS, step):
+            val = plain(pt)
+            below[pt] = (val, best)
+            if val > best + 1e-15:
+                best, best_pt = val, pt
+
+        obj = _DiskObjective(form)
+        enumerated = set()
+        near_minimal = obj.near_minimal
+
+        def spy(h, slack):
+            enumerated.add(tuple(h))
+            return near_minimal(h, slack)
+
+        obj.near_minimal = spy
+        assert supremum._grid_start(obj, step) == (best_pt, best), (form.gram, step)
+        assert obj.evaluations == plain.evaluations
+        for pt, (val, before) in below.items():
+            if tuple(obj.hpoint(pt)) not in enumerated:
+                skipped += 1
+                assert val < before, (form.gram, step, pt)
+    assert skipped > 0
 
 
 def test_disk_objective_is_the_float_systole():
@@ -754,6 +831,11 @@ def test_cs_search_path_is_pinned():
     assert (res.evaluations, res.ascent_steps, res.exact_evaluations) == (65, 3, 9)
 
 
+def test_cs_search_path_is_pinned_at_rank_4():
+    res = cs_supremum(minkowski_form(3), CsSearchConfig(grid=0.15))
+    assert (res.evaluations, res.ascent_steps, res.exact_evaluations) == (909, 3, 61)
+
+
 @pytest.mark.parametrize("field", ["grid", "refine_tol"])
 @pytest.mark.parametrize("bad", [0, 0.0, -0.1, -1e-20, math.nan, math.inf, -math.inf, True, "0.1", None])
 def test_cs_search_steps_must_be_positive_and_finite(field, bad):
@@ -774,29 +856,8 @@ def test_tiny_refine_tolerance_returns():
 
 
 def test_cs_invariance_under_unimodular_congruence():
-    mats = [
-        [[1, 1], [0, 1]],
-        [[1, 0], [1, 1]],
-        [[0, 1], [1, 0]],
-        [[1, -1], [0, 1]],
-        [[2, 1], [1, 1]],
-        [[1, 1], [1, 2]],
-        [[1, 2], [0, 1]],
-        [[1, 0], [-2, 1]],
-        [[2, -1], [-1, 1]],
-        [[1, -2], [-1, 3]],
-    ]
-    for u in mats:
-        d = len(u)
-        conj = [
-            [
-                sum(u[i][a] * DIAG.gram[i][j] * u[j][b] for i in range(d) for j in range(d))
-                for b in range(d)
-            ]
-            for a in range(d)
-        ]
-        form_b = GramForm(conj)
-        assert cs_invariance_check(DIAG, form_b, u), u
+    for u in CONGRUENCES:
+        assert cs_invariance_check(DIAG, _congruent(DIAG, u), u), u
 
 
 def test_cs_invariance_rejects_wrong_congruence():
