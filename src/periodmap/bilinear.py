@@ -204,6 +204,20 @@ def _int_kernel(
     return basis
 
 
+def _kernel_rows(
+    m: list[list[int]], x: Sequence[Sequence[int]] | None = None
+) -> list[list[int]]:
+    """The free-column kernel basis c of a nonempty integer matrix m (see
+    ``_int_kernel``), or, given integer rows x, the rows c X.  x may have
+    fewer rows than m has columns; c X then reads the leading entries of c."""
+    red, pivots = _int_rref(m)
+    kernel = [c for _, c in _int_kernel(red, pivots, len(m[0]))]
+    if x is None:
+        return kernel
+    xt = list(zip(*x))
+    return [[_dot(c, col) for col in xt] for c in kernel]
+
+
 def _unit_kernel(kernel: list[tuple[int, list[int]]]) -> tuple[Vector, ...]:
     """The vectors of ``_int_kernel`` scaled to 1 in their free column."""
     return tuple(tuple(Fraction(e, v[f]) for e in v) for f, v in kernel)
@@ -456,7 +470,7 @@ class GramForm:
         return Subspace(self, vectors)
 
     def zero_subspace(self) -> "Subspace":
-        return Subspace(self, [])
+        return Subspace._echelon(self, [])
 
     def full_subspace(self) -> "Subspace":
         n = self.dim
@@ -523,10 +537,12 @@ class Subspace:
     first access.  So is the congruence diagonalization of the
     restricted form (``_split``), which every signature, positive part
     and radical of this instance reads.  It depends on the basis, so it
-    is kept per instance, not shared between equal subspaces.
+    is kept per instance, not shared between equal subspaces.  A span
+    made by ``_framed`` holds its integer gram block (``_frame``) until
+    that first split reads it.
     """
 
-    __slots__ = ("ambient", "_rows", "_basis", "_canonical", "_columns")
+    __slots__ = ("ambient", "_rows", "_basis", "_canonical", "_columns", "_frame")
 
     def __init__(self, ambient: GramForm, vectors: Sequence[Sequence]) -> None:
         rows = _rows_in(ambient, vectors)
@@ -534,7 +550,7 @@ class Subspace:
         if len(red) != len(rows):
             raise InputError("spanning vectors must be linearly independent")
         self.ambient, self._rows, self._basis = ambient, red, rows
-        self._canonical = self._columns = None
+        self._canonical = self._columns = self._frame = None
 
     @classmethod
     def _echelon(
@@ -547,7 +563,19 @@ class Subspace:
         """
         sub = cls.__new__(cls)
         sub.ambient, sub._rows, sub._basis = ambient, _int_rref(rows)[0], basis
-        sub._canonical = sub._columns = None
+        sub._canonical = sub._columns = sub._frame = None
+        return sub
+
+    @classmethod
+    def _framed(
+        cls, ambient: GramForm, x: list[list[int]], m: list[list[int]], basis: Matrix
+    ) -> "Subspace":
+        """Span of independent integer rows x, equal to the rows of
+        ``basis``, whose gram block m (``ambient._den`` times X G X^t) the
+        caller already holds: its split diagonalizes m, which it overwrites,
+        instead of clearing and pairing the basis again."""
+        sub = cls._echelon(ambient, x, basis)
+        sub._frame = (m, x, 1)
         return sub
 
     @staticmethod
@@ -602,18 +630,12 @@ class Subspace:
         """(e, w, p, q) for every column of the exact diagonalization.
 
         Column j of the rational congruence diagonalization of
-        ``self.restricted_gram()`` (see ``_congruence``), mapped through
-        the basis, is the vector w * p / q, and the integer e has the
-        sign of its diagonal entry.  Computed once per instance.
+        ``self.restricted_gram()`` (see ``_split_of``), mapped through
+        the basis, is the vector w * p / q.  Computed once per instance.
         """
         if self._columns is None:
-            m, x, d = self._int_gram()
-            cols, num, den = _congruence(m)
-            xt = list(zip(*x))
-            self._columns = [
-                (m[j][j], [_dot(c, col) for col in xt], den[j], num[j] * d)
-                for j, c in enumerate(cols)
-            ]
+            self._columns = _split_of(*(self._frame or self._int_gram()))
+            self._frame = None
         return self._columns
 
     def restricted_gram(self) -> Matrix:
@@ -650,6 +672,22 @@ class Subspace:
                 raise InputError("subspace JSON needs an 'ambient' form")
             ambient = GramForm.from_json(data["ambient"])
         return Subspace(ambient, as_matrix(data["basis"], "the subspace basis"))
+
+
+def _split_of(
+    m: list[list[int]], x: list[list[int]], d: int
+) -> list[tuple[int, list[int], int, int]]:
+    """(e, w, p, q) for every column of the congruence diagonalization of
+    an integer symmetric m, some positive multiple of the gram matrix of
+    the rows x / d; m is overwritten.  Column j of the rational algorithm
+    (see ``_congruence``), mapped through those rows, is w * p / q, and
+    the integer e has the sign of its diagonal entry."""
+    cols, num, den = _congruence(m)
+    xt = list(zip(*x))
+    return [
+        (m[j][j], [_dot(c, col) for col in xt], den[j], num[j] * d)
+        for j, c in enumerate(cols)
+    ]
 
 
 def _rows_in(ambient: GramForm, vectors: Sequence[Sequence]) -> Matrix:
@@ -758,11 +796,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     xa, xb = a._rows, b._rows
     n = a.ambient.dim
     rows = [[v[c] for v in xa] + [-w[c] for w in xb] for c in range(n)]
-    red, pivots = _int_rref(rows)
-    vectors = []
-    for _, coeff in _int_kernel(red, pivots, a.dim + b.dim):
-        vectors.append([_dot(coeff, col) for col in zip(*xa)])
-    return Subspace._echelon(a.ambient, vectors)
+    return Subspace._echelon(a.ambient, _kernel_rows(rows, xa))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .bilinear import (
     GramForm,
     hyperbolic_plane_form,
     lorentzian_rank,
+    standard_embedding,
     subspace_signature,
 )
 from .decomposition import canonical_limit, connected_sum_split, product_split
@@ -38,10 +39,9 @@ from .face_constraints import (
     _num_str,
     constraint_for_face,
     preset,
-    simplex_from_walls,
     simplex_vertex_lines,
 )
-from .grassmannian import classify_span, to_poincare_disk
+from .grassmannian import classify_span, line_to_hpoint, to_poincare_disk
 from .permutahedron import (
     NestedSequence,
     all_faces,
@@ -166,7 +166,8 @@ def _cmd_faces(args) -> int:
 def _cmd_simplex(args) -> int:
     cfg = _load_config(args)
     lines = simplex_vertex_lines(cfg)
-    points = simplex_from_walls(cfg)
+    emb = standard_embedding(cfg.form)
+    points = [line_to_hpoint(emb.to_minkowski(gen)) for gen in lines]
     payload = {"vertices": []}
     text = ["wall simplex vertices"]
     for gen, hp in zip(lines, points):

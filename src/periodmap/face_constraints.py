@@ -15,22 +15,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .bilinear import (
     GramForm,
     Signature,
     Subspace,
+    _dot,
     _frac,
+    _gram_of,
     _int_rows,
+    _kernel_rows,
     as_matrix,
     is_negative_definite,
     lorentzian_rank,
     minkowski_form,
     nullspace,
-    orth_complement,
     positive_part,
-    primitive_vector,
     signature,
     standard_embedding,
     subspace_intersect,
@@ -52,7 +55,8 @@ class SurfaceConfig:
     """Integer vector configuration inside an exact bilinear form.
 
     It keeps the cut of the last chain it was asked about (``_cut``) in
-    one slot that equality, hashing and repr do not see."""
+    one slot, and its integer pairing matrix (``_pairing``) from first
+    use on; equality, hashing and repr see neither."""
 
     form: GramForm
     vectors: tuple[tuple[Fraction, ...], ...]
@@ -73,6 +77,25 @@ class SurfaceConfig:
         """Permutahedron dimension: one less than the number of vectors."""
         return len(self.vectors) - 1
 
+    @cached_property
+    def _pairing(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(X, P): the vectors as integer rows X and the pairing matrix
+        P = X G X^t, with G the form's integer gram (``form._den`` times
+        the gram matrix).  X is a basis of every span V_I, so P[I, I] is
+        the gram block of V_I."""
+        x = _int_rows(self.vectors)
+        return x, _gram_of(x, self.form._igram)[0]
+
+    def _span(self, idx: Sequence[int]) -> Subspace:
+        """V_I for sorted, distinct 0-based indices, read from ``_pairing``."""
+        x, p = self._pairing
+        return Subspace._framed(
+            self.form,
+            [x[i] for i in idx],
+            [[p[i][j] for j in idx] for i in idx],
+            tuple(self.vectors[i] for i in idx),
+        )
+
     def span_of(self, indices) -> Subspace:
         """V_I: span of the vectors with the given 1-based indices, with
         those vectors as its basis.  They are independent, as the whole
@@ -83,8 +106,7 @@ class SurfaceConfig:
             raise InputError(f"indices must be a list of ints, got {indices!r}") from None
         if not idx:
             raise InputError("a subset of the vectors cannot be empty")
-        basis = tuple(self.vectors[i - 1] for i in idx)
-        return Subspace._echelon(self.form, _int_rows(basis), basis)
+        return self._span([i - 1 for i in idx])
 
     def to_json(self) -> dict:
         return {
@@ -144,12 +166,16 @@ def _cut(cfg: SurfaceConfig, ns: NestedSequence) -> _Cut:
     """Chain spans V_{I_i}, the pieces they cut out, the spans' radicals
     and the index of the first span that is not negative definite.
 
-    The one place a chain is checked against its configuration.  Piece
-    i is V_{I_i} cut with the orthogonal complement of V_{I_{i-1}}
-    (piece 1 is V_{I_1}); the final piece is the complement of V_{I_l},
-    its cut with the full space, kept with its canonical basis.  The
-    config keeps the last cut, a (chain, cut) pair written and read
-    whole, so every reader of a face shares its diagonalizations.
+    The one place a chain is checked against its configuration; its
+    subsets were checked when the chain was built.  Everything is read
+    in the configuration's own coordinates, from its pairing matrix P
+    (see ``SurfaceConfig._pairing``).  Piece i is V_{I_i} cut with the
+    orthogonal complement of V_{I_{i-1}} (piece 1 is V_{I_1}): the rows
+    c X_{I_i} for c in the kernel of the block P[I_{i-1}, I_i].  The
+    final piece is the complement of V_{I_l}, the kernel of X_{I_l} G,
+    with its canonical basis.  The config keeps the last cut, a (chain,
+    cut) pair written and read whole, so every reader of a face shares
+    its diagonalizations.
     """
     last = cfg._last_cut
     if last is not None and last[0] == ns:
@@ -158,11 +184,15 @@ def _cut(cfg: SurfaceConfig, ns: NestedSequence) -> _Cut:
         raise InputError(
             f"chain is for a {ns.n}-permutahedron, config has {cfg.n + 1} vectors"
         )
-    spans = tuple(cfg.span_of(sub) for sub in ns.chain)
+    x, p = cfg._pairing
+    chain = [[i - 1 for i in sub] for sub in ns.chain]
+    spans = tuple(cfg._span(idx) for idx in chain)
     pieces = [spans[0]]
-    for prev, cur in zip(spans, spans[1:]):
-        pieces.append(subspace_intersect(cur, orth_complement(prev)))
-    pieces.append(Subspace._echelon(cfg.form, orth_complement(spans[-1])._rows))
+    for prev, cur in zip(chain, chain[1:]):
+        block = [[p[i][j] for j in cur] for i in prev]
+        pieces.append(Subspace._echelon(cfg.form, _kernel_rows(block, [x[j] for j in cur])))
+    perp = _kernel_rows([cfg.form._image(x[i]) for i in chain[-1]])
+    pieces.append(Subspace._echelon(cfg.form, perp))
     first = next((i for i, s in enumerate(spans) if not is_negative_definite(s)), None)
     cut = _Cut(spans, tuple(pieces), tuple(nullspace(s) for s in spans), first)
     object.__setattr__(cfg, "_last_cut", (ns, cut))
@@ -278,7 +308,9 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
     pairing against the omitted vector made positive, a determinate
     normalization.  The configuration's vectors are independent and as
     many as the ambient dimension, so each complement is a line and the
-    lines are the dual-basis directions, which are independent.
+    lines are the dual-basis directions, which are independent.  In the
+    vectors' coordinates line i is c X for c spanning the kernel of the
+    pairing matrix P with row i removed, so P c is zero but in entry i.
     """
     lorentzian_rank(cfg.form, "simplex_vertex_lines")
     k = len(cfg.vectors)
@@ -286,22 +318,22 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
         raise PreconditionError(
             "wall simplex needs as many vectors as the ambient dimension"
         )
+    x, p = cfg._pairing
     lines = []
-    for out in range(1, k + 1):
-        indices = [i for i in range(1, k + 1) if i != out]
-        span = cfg.span_of(indices)
-        if not is_negative_definite(span):
+    for out in range(k):
+        indices = [i for i in range(1, k + 1) if i != out + 1]
+        if not is_negative_definite(cfg.span_of(indices)):
             raise PreconditionError(
                 f"vectors {indices} do not span a negative definite subspace"
             )
-        gen = list(primitive_vector(orth_complement(span).canonical[0]))
-        if cfg.form.evaluate(gen, gen) <= 0:
+        (c,) = _kernel_rows(p[:out] + p[out + 1:])
+        pair = _dot(p[out], c)  # c X against the omitted wall vector
+        if c[out] * pair <= 0:  # c P c^t
             raise InconsistentDataError("wall vertex line is not positive")
-        # orient toward the omitted wall vector
-        pair = cfg.form.evaluate(gen, cfg.vectors[out - 1])
-        if pair < 0:
-            gen = [-x for x in gen]
-        lines.append(tuple(gen))
+        gen = [_dot(c, col) for col in zip(*x)]
+        # primitive, oriented toward the omitted wall vector
+        g = gcd(*gen) if pair > 0 else -gcd(*gen)
+        lines.append(tuple(Fraction(e // g) for e in gen))
     return lines
 
 

@@ -1,15 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from periodmap import bilinear
+from periodmap import bilinear, cli, face_constraints
 from periodmap.bilinear import (
     GramForm,
     minkowski_form,
     orth_complement,
     signature,
     standard_embedding,
+    subspace_intersect,
 )
 from periodmap.errors import InputError, PreconditionError
 from periodmap.face_constraints import (
@@ -32,9 +34,15 @@ from periodmap.grassmannian import ConstraintKind, classify_span, hyperbolic_dis
 from periodmap.permutahedron import NestedSequence, all_faces
 from periodmap.supremum import cs_supremum
 
-from oracles import chain_kind_oracle, signature_oracle
+from oracles import (
+    chain_kind_oracle,
+    kernel_reference,
+    pairing_table,
+    rref_reference,
+    signature_oracle,
+)
 from samples import random_chain
-from test_face_golden import face_record
+from test_face_golden import DEGENERATE_AMBIENT, SIGNATURE_23, face_record
 
 F = Fraction
 
@@ -358,6 +366,51 @@ def test_kept_cut_is_never_stale():
         assert hash(twin) == hash(cfg)
 
 
+def _pieces_reference(gram, vectors, chain):
+    """Canonical rows of every piece after the first, from raw pairings.
+
+    As I_{i-1} lies in I_i, the pairings of V_{I_{i-1}} with V_{I_i} are
+    rows of the pairing table of I_i; piece i is the rows c X_{I_i} for c
+    in their kernel.  The final piece is the kernel of the rows v G."""
+    out = []
+    for prev, cur in zip(chain, chain[1:]):
+        table = pairing_table(gram, vectors, cur)
+        block = [table[cur.index(i)] for i in prev]
+        rows = [
+            [sum(c * vectors[i - 1][a] for c, i in zip(cs, cur)) for a in range(len(gram))]
+            for cs in kernel_reference(block, len(cur))
+        ]
+        out.append(rref_reference(rows)[0])
+    images = [
+        [sum(vectors[i - 1][a] * gram[a][b] for a in range(len(gram))) for b in range(len(gram))]
+        for i in chain[-1]
+    ]
+    out.append(rref_reference(kernel_reference(images, len(gram)))[0])
+    return out
+
+
+def test_pieces_match_reference_from_raw_pairings():
+    # every piece after the first is a kernel of a block of the pairing
+    # matrix; recomputed here with Fraction elimination on pairing tables,
+    # and against the cut of a span with a complement in the ambient
+    rng = random.Random(20261019)
+    faces = [(cfg, ns) for cfg in (SIGNATURE_23, DEGENERATE_AMBIENT) for ns in all_faces(2)]
+    for n in (2, 3, 4):
+        for _ in range(6):
+            cfg = random_config(rng, n)
+            faces += [(cfg, NestedSequence(n, random_chain(rng, n))) for _ in range(5)]
+    middle = 0
+    for cfg, ns in faces:
+        pieces = face_constraints._cut(cfg, ns).pieces  # no face over the degenerate one
+        want = _pieces_reference(cfg.form.gram, cfg.vectors, ns.chain)
+        assert [p.canonical for p in pieces[1:]] == [tuple(w) for w in want], ns.chain
+        for (prev, cur), piece in zip(zip(ns.chain, ns.chain[1:]), pieces[1:]):
+            cut = subspace_intersect(cfg.span_of(cur), orth_complement(cfg.span_of(prev)))
+            assert piece == cut and piece.basis == cut.basis, (prev, cur)
+            middle += 1
+    assert middle >= 100
+
+
 def test_summary_point_for_indefinite_pair():
     out = bplus1_summary(preset_fig6("iv"), ns2((2,), (2, 3)))
     assert out.kind is ConstraintKind.POINT
@@ -411,6 +464,77 @@ def test_simplex_vertex_lines_symmetric():
                 basis_vec = [0, 0, 0]
                 basis_vec[j] = 1
                 assert form.evaluate(gen, basis_vec) == 0
+
+
+def test_simplex_vertex_lines_are_the_primitive_dual_lines():
+    # line i pairs to zero with every other vector, is positive, pairs
+    # positively with v_i and is primitive: that fixes it, and every
+    # bounded member of the family and random bounded configs are checked
+    rng = random.Random(3)
+    configs = [symmetric_config(F(a, 10)) for a in range(21, 61, 3)]
+    while len(configs) < 40:
+        cfg = random_config(rng, rng.choice([2, 3]), entry_bound=3)
+        if is_bounded_config(cfg):
+            configs.append(cfg)
+    for cfg in configs:
+        lines = simplex_vertex_lines(cfg)
+        gram = cfg.form.gram
+        table = pairing_table(gram, [*cfg.vectors, *lines], range(1, 2 * len(lines) + 1))
+        k = len(lines)
+        for i, gen in enumerate(lines):
+            pairs = table[k + i][:k]
+            assert [x for j, x in enumerate(pairs) if j != i] == [0] * (k - 1)
+            assert pairs[i] > 0 and table[k + i][k + i] > 0
+            assert all(x.denominator == 1 for x in gen)
+            assert math.gcd(*(int(x) for x in gen)) == 1
+
+
+def test_simplex_diagonalizes_each_span_once_and_takes_no_complement(monkeypatch):
+    # k spans, each diagonalized once from its block of the pairing
+    # matrix, and every vertex line a kernel of that matrix: no
+    # orthogonal complement is taken
+    calls = {"congruence": 0, "orth_complement": 0}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(bilinear, "_congruence", counting("congruence", bilinear._congruence))
+    for mod in (bilinear, face_constraints):
+        monkeypatch.setattr(
+            mod, "orth_complement", counting("orth_complement", orth_complement), raising=False
+        )
+    rng = random.Random(5)
+    configs = [symmetric_config(F(a, 10)) for a in (21, 30, 45, 60)]
+    while len(configs) < 12:
+        cfg = random_config(rng, rng.choice([2, 3]), entry_bound=3)
+        if is_bounded_config(cfg):
+            configs.append(_fresh(cfg))
+    for cfg in configs:
+        signature(cfg.form)  # the form's own split is not the simplex's
+        calls.update(congruence=0, orth_complement=0)
+        simplex_vertex_lines(cfg)
+        assert calls == {"congruence": len(cfg.vectors), "orth_complement": 0}
+
+
+def test_cli_simplex_computes_the_lines_once(monkeypatch, capsys):
+    calls = []
+    lines = face_constraints.simplex_vertex_lines
+
+    def counting(cfg):
+        calls.append(1)
+        return lines(cfg)
+
+    for mod in (face_constraints, cli):
+        monkeypatch.setattr(mod, "simplex_vertex_lines", counting)
+    for argv in (["--json"], []):
+        calls.clear()
+        assert cli.main(["simplex", "--preset", "symmetric", "--a", "3", *argv]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_simplex_is_equilateral_for_symmetric_family():
