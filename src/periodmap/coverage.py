@@ -251,15 +251,20 @@ class CoverageReport:
 
 
 @functools.cache
-def _faces(n: int) -> tuple[tuple[NestedSequence, ...], tuple[np.ndarray, ...]]:
-    """all_faces(n), and the vertices of each face as a read-only float
-    array (vertices, n+1)."""
+def _faces(n: int) -> tuple[tuple[NestedSequence, ...], tuple[np.ndarray, ...], np.ndarray]:
+    """all_faces(n), the vertices of each face as a read-only float
+    array (vertices, n+1), and the coordinates each face pins to 1, those
+    of its chain's largest subset, as a read-only bool array (faces,
+    n+1)."""
     realization = realize(n)
     faces = tuple(all_faces(n))
     vertices = tuple(np.array(realization.vertices_of_face(ns), dtype=float) for ns in faces)
-    for fv in vertices:
-        fv.flags.writeable = False
-    return faces, vertices
+    pins = np.zeros((len(faces), n + 1), dtype=bool)
+    for i, ns in enumerate(faces):
+        pins[i, [j - 1 for j in ns.chain[-1]]] = True
+    for array in (*vertices, pins):
+        array.flags.writeable = False
+    return faces, vertices, pins
 
 
 @functools.cache
@@ -275,7 +280,7 @@ def _flags(n: int) -> tuple[np.ndarray, np.ndarray]:
     is a product of smaller permutahedra, so its barycentre is
     half-integral.
     """
-    faces, vertices = _faces(n)
+    faces, vertices, _ = _faces(n)
     index = {ns.chain: i for i, ns in enumerate(faces)}
     twice = {ns.chain: 2 * fv.sum(axis=0) / len(fv) for ns, fv in zip(faces, vertices)}
     bary, ids = [], []
@@ -340,7 +345,10 @@ class _Mesh:
     serves every check at its n and k (_mesh), so its arrays are
     read-only.  simplices, orientation and edges expand the factors for
     reading; the check itself walks the flags a block at a time
-    (_flag_blocks).
+    (_flag_blocks), takes a per-vertex value to the block's reference
+    points once, and reduces it over each piece's corners or each
+    edge's two ends (_over_corners), gathering float corners only for
+    the simplices its decision picks (_corners).
     """
 
     points: np.ndarray  # (vertices, n+1)
@@ -497,20 +505,37 @@ def _flag_blocks(mesh: _Mesh, reference: np.ndarray):
             yield slice(flag, flag + 1), slice(start, start + SLAB_ROWS)
 
 
-def _gather(values: np.ndarray, mesh: _Mesh, flags: slice, reference: np.ndarray) -> np.ndarray:
-    """The values at the points of the given reference rows (pieces or
-    edges) in the given flags, (points per row, rows x flags, width):
-    row by row, and within a row flag by flag."""
+def _over_corners(
+    values: np.ndarray, inverse: np.ndarray, reference: np.ndarray, reduce: np.ufunc
+) -> np.ndarray:
+    """reduce (a binary ufunc), left to right, over the corners of each
+    of the given reference rows (pieces or edges) in the given flags
+    (their rows of _Mesh.inverse), of values given per mesh vertex:
+    (rows, flags, ...), row by row and flag by flag within a row."""
     # np.take, not fancy indexing: on these small rows it is several times faster
-    per_point = np.take(values, mesh.inverse[flags].T, axis=0)  # (reference points, flags, width)
-    return np.take(per_point, reference.T, axis=0).reshape(len(reference.T), -1, values.shape[1])
+    per_point = np.take(values, inverse.T, axis=0)  # (reference points, flags, ...)
+    out = np.take(per_point, reference[:, 0], axis=0)
+    for column in reference.T[1:]:
+        reduce(out, np.take(per_point, column, axis=0), out=out)
+    return out
+
+
+def _corners(
+    chart: np.ndarray, inverse: np.ndarray, pieces: np.ndarray, picked: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corners (n+1, s, n) of the picked simplices, given by their
+    places in _over_corners's order, and the piece and flag of each."""
+    piece, flag = np.divmod(picked, len(inverse))
+    vertices = inverse[flag, pieces[piece].T]  # (n+1, s)
+    return np.take(chart, vertices, axis=0), piece, flag
 
 
 def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
     longest = 0.0
     for flags, rows in _flag_blocks(mesh, mesh.reference_edges):
-        ends = _gather(points, mesh, flags, mesh.reference_edges[rows])
-        d = ends[0] - ends[1]
+        ends = mesh.reference_edges[rows]
+        d = _over_corners(points, mesh.inverse[flags], ends, np.subtract)
+        d = d.reshape(-1, points.shape[1])
         longest = max(longest, float(np.einsum("ij,ij->i", d, d).max()))
     return math.sqrt(longest)
 
@@ -542,17 +567,31 @@ def _degree(chart: np.ndarray, mesh: _Mesh) -> int | None:
     is not flat, and the point's least barycentric coordinate in it is
     not within CLEAR of 0.  The degree is then the oriented count of the
     image simplices that hold the point.
+
+    The boxes are read from one code per mesh vertex, 2n bits: bit d
+    says the vertex image is at most the point in coordinate d, bit
+    n + d at least.  A box holds the point exactly when its corners'
+    codes OR to all ones; only those simplices are gathered as floats.
     """
     n = chart.shape[1]
+    full = (1 << 2 * n) - 1
     rng = np.random.default_rng(REFERENCE_SEED)
     # within 0.1 of the centre in each chart coordinate, so every
     # coordinate, the implied last one too, exceeds 1 by at least 0.4
     for point in (n + 2) / 2 + 0.1 * rng.uniform(-1, 1, (REFERENCE_TRIES, n)):
+        # column by column: on the 30,673 vertices of n = 2, grid 0.02
+        # (2-CPU host), comparing whole rows and packing them with
+        # np.packbits took about 1.0 ms, these columns 0.15 ms
+        codes = np.zeros(len(chart), dtype=np.uint8)
+        for d, (column, x) in enumerate(zip(chart.T, point)):
+            codes |= (column <= x).view(np.uint8) << d
+            codes |= (column >= x).view(np.uint8) << (n + d)
         degree = 0
         for flags, rows in _flag_blocks(mesh, mesh.pieces):
-            corners = _gather(chart, mesh, flags, mesh.pieces[rows])  # (n+1, simplices, n)
-            near = ((corners.min(axis=0) <= point) & (corners.max(axis=0) >= point)).all(axis=1)
-            corners = corners[:, near]
+            inverse, pieces = mesh.inverse[flags], mesh.pieces[rows]
+            boxes = _over_corners(codes, inverse, pieces, np.bitwise_or)
+            picked = np.flatnonzero(boxes == full)
+            corners, piece, flag = _corners(chart, inverse, pieces, picked)
             edges, det, flat = _edges(corners)
             if flat.any():
                 break
@@ -561,8 +600,7 @@ def _degree(chart: np.ndarray, mesh: _Mesh) -> int | None:
             if (np.abs(least) <= CLEAR).any():
                 break
             inside = least > 0
-            # in _gather's order: piece by piece, and flag by flag within a piece
-            orientation = np.outer(mesh.signs[rows], mesh.flag_signs[flags]).ravel()[near]
+            orientation = mesh.signs[rows][piece] * mesh.flag_signs[flags][flag]
             degree += int((orientation[inside] * np.sign(det[inside])).sum())
         else:
             return degree
@@ -574,20 +612,31 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
     flat, up to LOCATE_TOL in barycentric coordinates.
 
     A bucket join on the node lattice: each image simplex is tested
-    against the nodes in its bounding box only.
+    against the nodes in its bounding box only.  The boxes come first,
+    in integers, from each vertex image's least and greatest node
+    coordinates; only a simplex whose box holds a node is gathered as
+    floats, tested for flatness and solved for.
     """
     n = chart.shape[1]
     index = np.full((k + 1,) * n, -1)
     index[tuple(lattice.T)] = np.arange(len(lattice))
     covered = np.zeros(len(lattice), dtype=bool)
+    # ceil, floor and clip are monotone, so a simplex's box is its
+    # corners' least low and greatest high
+    scaled = (chart - 1.0) / step  # lattice coordinates
+    low = np.clip(np.ceil(scaled - 1e-9), 0, k).astype(np.int64)
+    high = np.clip(np.floor(scaled + 1e-9), -1, k).astype(np.int64)
     for flags, rows in _flag_blocks(mesh, mesh.pieces):
-        corners = _gather(chart, mesh, flags, mesh.pieces[rows])
+        inverse, pieces = mesh.inverse[flags], mesh.pieces[rows]
+        lo = _over_corners(low, inverse, pieces, np.minimum).reshape(-1, n)
+        hi = _over_corners(high, inverse, pieces, np.maximum).reshape(-1, n)
+        # a box holds a node when it is not empty and its least node lies in the grid
+        picked = np.flatnonzero((hi >= lo).all(axis=1) & (lo.sum(axis=1) <= k))
+        corners, _, _ = _corners(chart, inverse, pieces, picked)
         edges, _, flat = _edges(corners)
-        corners, edges = corners[:, ~flat], edges[~flat]
-        scaled = (corners - 1.0) / step  # lattice coordinates
-        lo = np.clip(np.ceil(scaled.min(axis=0) - 1e-9), 0, k).astype(np.int64)
-        hi = np.clip(np.floor(scaled.max(axis=0) + 1e-9), -1, k).astype(np.int64)
-        sizes = np.maximum(hi - lo + 1, 0)
+        corners, edges, picked = corners[:, ~flat], edges[~flat], picked[~flat]
+        lo = lo[picked]
+        sizes = hi[picked] - lo + 1
         counts = sizes.prod(axis=1)
         owner = np.repeat(np.arange(len(counts)), counts)
         rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -655,7 +704,7 @@ def check_face_mapping_surjectivity(
     k, lattice = _simplex_lattice(n, grid_step)
     mesh = _mesh(n, grid_step)
 
-    faces, vertices = _faces(n)
+    faces, vertices, pins = _faces(n)
     rng = np.random.default_rng(seed)
     samples, owners = [], []
     for i, fv in enumerate(vertices):
@@ -666,7 +715,8 @@ def check_face_mapping_surjectivity(
     owners.append(mesh.face[boundary])
     points = np.concatenate([mesh.points, *samples])
     images = _map_rows(f, points)
-    drift = np.abs(images.sum(axis=1) - total)
+    excess = images.sum(axis=1) - total
+    drift = np.abs(excess)
     if drift.max() > FACE_TOL:
         i = int(np.argmax(drift))
         raise NumericalDomainError(
@@ -676,11 +726,11 @@ def check_face_mapping_surjectivity(
     # the seeded samples and face vertices first, then the mesh's boundary
     checked = np.concatenate([np.arange(len(mesh.points), len(points)), boundary])
     violations = _face_violations(
-        faces, points[checked], images[checked], np.concatenate(owners)
+        faces, pins, points[checked], images[checked], np.concatenate(owners)
     )
 
     mapped = images[: len(mesh.points)]
-    shift = (mapped.sum(axis=1) - total) / (n + 1)
+    shift = excess[: len(mesh.points)] / (n + 1)
     chart = (mapped - shift[:, None])[:, :n]  # the images moved onto the plane
     shift = float(np.abs(shift).max())
     image_edge = _longest_edge(mapped, mesh)
@@ -718,14 +768,15 @@ def check_face_mapping_surjectivity(
 
 
 def _face_violations(
-    faces: tuple[NestedSequence, ...], points: np.ndarray, images: np.ndarray, owners: np.ndarray
+    faces: tuple[NestedSequence, ...],
+    pins: np.ndarray,
+    points: np.ndarray,
+    images: np.ndarray,
+    owners: np.ndarray,
 ) -> tuple[FaceViolation, ...]:
     """For each face, in the order of faces, the first of the points it
-    owns whose image leaves the face's target: a coordinate of the
-    chain's largest subset more than FACE_TOL from 1."""
-    pins = np.zeros((len(faces), points.shape[1]), dtype=bool)
-    for i, ns in enumerate(faces):
-        pins[i, [j - 1 for j in ns.chain[-1]]] = True
+    owns whose image leaves the face's target: a coordinate the face pins
+    (_faces) more than FACE_TOL from 1."""
     bad = ((np.abs(images - 1.0) > FACE_TOL) & pins[owners]).any(axis=1)
     rows = np.flatnonzero(bad)
     bad_faces, first = np.unique(owners[rows], return_index=True)

@@ -13,8 +13,10 @@ arithmetic, against which the library's integer kernel must give
 identical outputs, and the permutahedron's subset inequalities,
 face-by-face projection and all-subsets collapse, against which the
 library's sorted-prefix membership test, projection and collapse must
-give identical outputs.  The coverage reference at the end uses no
-library code: the shrink of an onto map covers the shrunk simplex.
+give identical outputs.  The coverage references at the end use no
+library code: the shrink of an onto map covers the shrunk simplex, and
+the degree of a piecewise-linear map is counted over every simplex in
+homogeneous coordinates.
 """
 
 import itertools
@@ -586,3 +588,43 @@ def shrink_coverage_reference(n, grid_step, factor):
             if first_outside is None:
                 first_outside = tuple(1.0 + grid_step * float(k) for k in ks)
     return {**counts, "grid_points": sum(counts.values()), "first_outside": first_outside}
+
+
+# ---------------------------------------------------------------------------
+# degree of a piecewise-linear map over a point
+# ---------------------------------------------------------------------------
+
+
+def degree_reference(chart, simplices, orientation, point, clear=1e-6, degenerate=1e-6):
+    """The oriented count of the image simplices that hold ``point``, or
+    None when the point is not clear of them.
+
+    chart is the image of each vertex (vertices, n), simplices the
+    vertex indices of each simplex (simplices, n+1) and orientation the
+    sign of each simplex in the domain.  The point is clear when every
+    image simplex whose bounding box holds it is not flat (|det| of its
+    edges at most ``degenerate`` times the product of their lengths) and
+    its least barycentric coordinate there is farther than ``clear``
+    from 0.  Every simplex is gathered whole and solved in homogeneous
+    coordinates, [1 ... 1; corners] lam = [1; point], whose determinant
+    is that of the edges.  numpy only, imported on the first call so
+    that the exact oracles load no numpy.
+    """
+    import numpy as np
+
+    corners = np.asarray(chart, dtype=float)[np.asarray(simplices)]  # (simplices, n+1, n)
+    point = np.asarray(point, dtype=float)
+    boxed = ((corners.min(axis=1) <= point) & (corners.max(axis=1) >= point)).all(axis=1)
+    corners = corners[boxed]
+    ones = np.ones((len(corners), 1, corners.shape[1]))
+    homogeneous = np.concatenate([ones, np.swapaxes(corners, 1, 2)], axis=1)
+    det = np.linalg.det(homogeneous)
+    lengths = np.linalg.norm(corners[:, 1:] - corners[:, :1], axis=2).prod(axis=1)
+    if (np.abs(det) <= degenerate * lengths).any():
+        return None
+    rhs = np.broadcast_to(np.concatenate([[1.0], point]), (len(corners), len(point) + 1))
+    least = np.linalg.solve(homogeneous, rhs[:, :, None])[:, :, 0].min(axis=1)
+    if (np.abs(least) <= clear).any():
+        return None
+    signs = np.asarray(orientation)[boxed] * np.sign(det)
+    return int(signs[least > 0].sum())

@@ -22,6 +22,8 @@ from periodmap.coverage import (
     radial_perturbation,
     shrink_map,
     twist_perturbation,
+    _degree,
+    _longest_edge,
     _map_rows,
     _mesh,
 )
@@ -42,6 +44,7 @@ from periodmap.permutahedron import (
 
 from oracles import (
     collapse_reference,
+    degree_reference,
     permutahedron_contains_reference,
     projection_reference,
     shrink_coverage_reference,
@@ -758,6 +761,88 @@ def test_coverage_of_shrink_matches_oracle(n, grid_step):
     assert rep.covered == ref["inside"] + ref["near"]
     assert rep.uncovered_witness == ref["first_outside"]
     assert not rep.ok and rep.degree == 1
+
+
+@pytest.mark.parametrize("n, grid_step", [(2, 0.01), (3, 0.375)])
+def test_coverage_of_shrink_matches_oracle_on_finer_grids(n, grid_step):
+    # the nodes the located image simplices hold, on a grid where most
+    # image boxes hold a node and on an n = 3 grid with nodes off the mesh
+    fb = collapse_batch(realize(n))
+    bad = shrink_map(n, 0.9)
+    rep = check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), n, grid_step)
+    ref = shrink_coverage_reference(n, grid_step, 0.9)
+    assert rep.grid_points == ref["grid_points"]
+    assert rep.covered == ref["inside"] + ref["near"]
+    assert rep.uncovered_witness == ref["first_outside"]
+
+
+def _reference_degree(chart, mesh):
+    """degree_reference over _degree's candidate points, in its order:
+    the first clear point decides."""
+    n = chart.shape[1]
+    rng = np.random.default_rng(coverage.REFERENCE_SEED)
+    for point in (n + 2) / 2 + 0.1 * rng.uniform(-1, 1, (coverage.REFERENCE_TRIES, n)):
+        degree = degree_reference(
+            chart, mesh.simplices, mesh.orientation, point,
+            clear=coverage.CLEAR, degenerate=coverage.DEGENERATE,
+        )
+        if degree is not None:
+            return degree
+    return None
+
+
+@pytest.mark.parametrize(
+    "n, grid_step, name",
+    [(2, g, name) for g in (0.1, 0.05, 0.025, 0.02) for name in _shipped_maps()]
+    + [(3, g, "collapse") for g in (0.5, 0.375, 0.25)],
+)
+def test_degree_and_image_edge_match_the_expanded_mesh(n, grid_step, name):
+    # _degree reads bounding boxes from per-vertex codes and _longest_edge
+    # walks the factored mesh; the oracle and the einsum see every simplex
+    # and every edge of the expanded mesh at once
+    f = _shipped_maps()[name] if n == 2 else collapse_batch(realize(3))
+    mesh = _mesh(n, grid_step)
+    mapped = _map_rows(f, mesh.points)
+    degree = _degree(mapped[:, :n], mesh)
+    assert degree == _reference_degree(mapped[:, :n], mesh)
+    if name == "collapse" or "*" in name:
+        assert degree == 1
+    d = mapped[mesh.edges[:, 0]] - mapped[mesh.edges[:, 1]]
+    assert _longest_edge(mapped, mesh) == math.sqrt(np.einsum("ij,ij->i", d, d).max())
+
+
+def _swapped(pts):
+    out = collapse_batch(realize(2))(pts)
+    return out[:, [1, 0, 2]]
+
+
+def _constant(pts):
+    return np.full(pts.shape, 2.0)
+
+
+def _on_a_line(pts):
+    # every image simplex is flat; t is 0 at the centre of P and on no
+    # line of the mesh through it, so the two simplices that its level
+    # line crosses there have boxes that hold every candidate point
+    t = 30.0 * (pts[:, :1] - 0.7 * pts[:, 1:2] - 0.3 * pts[:, 2:])
+    return 2.0 + t * np.array([1.0, 1.0, -2.0])
+
+
+@pytest.mark.parametrize(
+    "f, want",
+    [(collapse_batch(realize(2)), 1), (_swapped, -1), (_constant, 0), (_on_a_line, None)],
+    ids=["collapse", "swapped", "constant", "on-a-line"],
+)
+@pytest.mark.parametrize("slab_rows", [SLAB_ROWS, 64])
+def test_degree_matches_oracle_on_reflected_and_flat_maps(monkeypatch, f, want, slab_rows):
+    # a swap of two image coordinates reverses the orientation; a constant
+    # image leaves every candidate point outside every box; an image on a
+    # line is flat wherever a box holds a candidate point.  64 rows a
+    # block walks one flag in slabs
+    monkeypatch.setattr(coverage, "SLAB_ROWS", slab_rows)
+    mesh = _mesh(2, 0.05)
+    chart = _map_rows(f, mesh.points)[:, :2]
+    assert _degree(chart, mesh) == _reference_degree(chart, mesh) == want
 
 
 def _bump_on_facet(n, facet):
