@@ -15,11 +15,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .bilinear import (
     GramForm,
     Signature,
     Subspace,
+    _clear_all,
     _gram_of,
     _int_adjugate,
     _int_rows,
@@ -57,6 +59,8 @@ class DecompositionData:
     def __post_init__(self):
         for name in ("H1", "H2", "D"):
             sub = getattr(self, name)
+            if not isinstance(sub, Subspace):
+                raise InputError(f"{name} must be a Subspace, got {type(sub).__name__}")
             if sub.ambient != self.ambient:
                 raise InputError(f"{name} does not live in the ambient form")
         for name in ("bhat1", "bhat2"):  # stored as ints, so to_json writes them
@@ -65,6 +69,13 @@ class DecompositionData:
     @cached_property
     def report(self) -> "ValidationReport":
         return validate(self)
+
+    @cached_property
+    def _pairing(self) -> tuple[list[list[int]], list[list[int]], int]:
+        """(P, Y, c): the bases of D, H1 and H2, stacked in that order, as
+        integer rows X = c V, P = X G X^t and Y = X G (``_gram_of``)."""
+        x, c = _clear_all(self.D.basis + self.H1.basis + self.H2.basis)
+        return (*_gram_of(x, self.ambient._igram), c)
 
     def to_json(self) -> dict:
         return {
@@ -118,11 +129,6 @@ class ValidationReport:
         return "\n".join(str(i) for i in self.issues)
 
 
-def _first_pairing(q: GramForm, pairs) -> tuple[Vector, Vector] | None:
-    """The first pair (a, b) with Q(a, b) != 0, or None."""
-    return next(((a, b) for a, b in pairs if q.evaluate(a, b) != 0), None)
-
-
 def validate(data: DecompositionData) -> ValidationReport:
     """Check every structural condition, collecting witnesses for failures.
 
@@ -130,21 +136,22 @@ def validate(data: DecompositionData) -> ValidationReport:
     pass surfaces everything wrong with the input.
     """
     issues = []
-    q = data.ambient
     for name, sub in (("H1", data.H1), ("H2", data.H2)):
         rad = nullspace(sub)
         if not rad.is_zero():
             w = rad.canonical[0]
             issues.append(ValidationIssue(f"pairing degenerate on {name}", (w, w)))
-    d = data.D.basis
+    vectors = data.D.basis + data.H1.basis + data.H2.basis
+    p = data._pairing[0]
+    d, h1 = range(data.D.dim), range(data.D.dim, data.D.dim + data.H1.dim)
     for condition, pairs in (
-        ("H1 not orthogonal to H2", itertools.product(data.H1.basis, data.H2.basis)),
-        ("pairing not trivial on D", ((a, b) for i, a in enumerate(d) for b in d[i:])),
-        ("D not orthogonal to H1 + H2", itertools.product(d, data.H1.basis + data.H2.basis)),
+        ("H1 not orthogonal to H2", itertools.product(h1, range(h1.stop, len(p)))),
+        ("pairing not trivial on D", ((i, j) for i in d for j in range(i, d.stop))),
+        ("D not orthogonal to H1 + H2", itertools.product(d, range(d.stop, len(p)))),
     ):
-        hit = _first_pairing(q, pairs)
+        hit = next(((i, j) for i, j in pairs if p[i][j]), None)
         if hit is not None:
-            issues.append(ValidationIssue(condition, hit))
+            issues.append(ValidationIssue(condition, (vectors[hit[0]], vectors[hit[1]])))
     h1h2 = subspace_sum(data.H1, data.H2)
     overlap = subspace_intersect(data.H1, data.H2)
     if overlap.is_zero():
@@ -196,37 +203,31 @@ class HyperbolicComplement:
 def hyperbolic_complement(data: DecompositionData) -> HyperbolicComplement:
     """Solve for a dual of D that is null, normalized, and clears H1 + H2.
 
-    Each dual vector w_j satisfies Q(d_i, w_j) = delta_ij and is
-    orthogonal to H1 + H2; cross terms Q(w_j, w_i) for i < j are removed
-    with d_i shifts and the self-pairing with the shift
-    w_j -> w_j - (1/2) Q(w_j, w_j) d_j, processed in index order.
+    Each raw dual u_j solves Q(d_i, u_j) = delta_ij and is orthogonal to
+    H1 + H2; as D is isotropic, w_j = u_j - sum_{i<j} Q(u_i, u_j) d_i -
+    (1/2) Q(u_j, u_j) d_j keeps both and clears every Q(w_i, w_j), as d_i
+    shifts in index order and then a d_j shift would.
     """
     _require_valid(data)
     if not (check_betti_identity(data) and check_bpm_identity(data)):
         raise PreconditionError("dimension identities fail; complement undefined")
     q = data.ambient
     n = q.dim
-    d_basis = list(data.D.basis)
-    side = list(data.H1.basis) + list(data.H2.basis)
-    rows = [q.apply(v) for v in d_basis + side]
-    ws: list[Vector] = []
+    d_basis = data.D.basis
+    _, rows, c = data._pairing  # rows c G v, so the right-hand side is c den delta
+    us = []
     for j in range(len(d_basis)):
-        rhs = [int(i == j) for i in range(len(rows))]
-        w = _solve(rows, rhs)
-        if w is None:
+        u = _solve(rows, [c * q._den * (i == j) for i in range(len(rows))])
+        if u is None:
             raise InconsistentDataError(
                 f"no dual vector for D basis vector {j}; data violates the split"
             )
-        for i, prev in enumerate(ws):
-            c = q.evaluate(w, prev)
-            if c != 0:
-                w = tuple(x - c * d for x, d in zip(w, d_basis[i]))
-        self_pair = q.evaluate(w, w)
-        if self_pair != 0:
-            half = self_pair / 2
-            w = tuple(x - half * d for x, d in zip(w, d_basis[j]))
-        ws.append(w)
-
+        us.append(u)
+    m, s = _scaled_gram(q, us)
+    ws = []
+    for j, u in enumerate(us):
+        coef = [Fraction(m[i][j], s) for i in range(j)] + [Fraction(m[j][j], 2 * s)]
+        ws.append(tuple(x - sum(map(mul, coef, col)) for x, col in zip(u, zip(*d_basis))))
     w_sub = Subspace._echelon(q, _int_rows(ws), tuple(ws))
     if w_sub.dim != len(d_basis):
         raise InconsistentDataError("dual vectors are dependent")
@@ -235,13 +236,14 @@ def hyperbolic_complement(data: DecompositionData) -> HyperbolicComplement:
         raise InconsistentDataError(
             f"H1 + H2 + D + W spans only {total.dim} of {n} dimensions"
         )
-    inter = []
-    for d, w in zip(d_basis, ws):
-        inter.extend([d, w])
-    pairing = tuple(
-        tuple(q.evaluate(a, b) for b in inter) for a in inter
-    )
-    return HyperbolicComplement(W=w_sub, pairing_matrix=pairing)
+    m, s = _scaled_gram(q, [v for pair in zip(d_basis, ws) for v in pair])
+    return HyperbolicComplement(w_sub, tuple(tuple(Fraction(e, s) for e in row) for row in m))
+
+
+def _scaled_gram(q: GramForm, vectors: list[Vector]) -> tuple[list[list[int]], int]:
+    """(M, s) with Q(v_i, v_j) == M[i][j] / s."""
+    x, c = _clear_all(vectors)
+    return _gram_of(x, q._igram)[0], q._den * c * c
 
 
 def _is_maximal_positive_in(
@@ -332,6 +334,7 @@ def random_decomposition(
     identity holds by construction; a random unimodular change of basis
     (12 elementary row steps) hides the blocks.
     """
+    check_int(max_dim, "max_dim")
     while True:
         n1 = rng.randint(0, 3)
         n2 = rng.randint(0, 3)

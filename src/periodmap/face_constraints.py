@@ -288,15 +288,21 @@ def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
 # ---------------------------------------------------------------------------
 
 
+def _first_unbounded(cfg: SurfaceConfig) -> list[int] | None:
+    """The 1-based indices of the first size-n subset, leaving out v_1,
+    then v_2, ..., whose span is not negative definite, or None."""
+    k = len(cfg.vectors)
+    for out in range(k):
+        idx = [i for i in range(k) if i != out]
+        if not is_negative_definite(cfg._span(idx)):
+            return [i + 1 for i in idx]
+    return None
+
+
 def is_bounded_config(cfg: SurfaceConfig) -> bool:
     """All size-n subsets span negative definite subspaces."""
     lorentzian_rank(cfg.form, "is_bounded_config")
-    k = len(cfg.vectors)
-    for out in range(1, k + 1):
-        indices = [i for i in range(1, k + 1) if i != out]
-        if not is_negative_definite(cfg.span_of(indices)):
-            return False
-    return True
+    return _first_unbounded(cfg) is None
 
 
 def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
@@ -318,14 +324,12 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
         raise PreconditionError(
             "wall simplex needs as many vectors as the ambient dimension"
         )
+    bad = _first_unbounded(cfg)
+    if bad is not None:
+        raise PreconditionError(f"vectors {bad} do not span a negative definite subspace")
     x, p = cfg._pairing
     lines = []
     for out in range(k):
-        indices = [i for i in range(1, k + 1) if i != out + 1]
-        if not is_negative_definite(cfg.span_of(indices)):
-            raise PreconditionError(
-                f"vectors {indices} do not span a negative definite subspace"
-            )
         (c,) = _kernel_rows(p[:out] + p[out + 1:])
         pair = _dot(p[out], c)  # c X against the omitted wall vector
         if c[out] * pair <= 0:  # c P c^t
@@ -437,6 +441,7 @@ def random_config(
     rng: random.Random, n: int, entry_bound: int = 4
 ) -> SurfaceConfig:
     """Independent integer configuration in the standard (1, n) form."""
+    check_int(entry_bound, "entry_bound")
     form = minkowski_form(n)
     while True:
         vecs = tuple(

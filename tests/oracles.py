@@ -13,10 +13,11 @@ arithmetic, against which the library's integer kernel must give
 identical outputs, and the permutahedron's subset inequalities,
 face-by-face projection and all-subsets collapse, against which the
 library's sorted-prefix membership test, projection and collapse must
-give identical outputs.  The coverage references at the end use no
-library code: the shrink of an onto map covers the shrunk simplex, and
-the degree of a piecewise-linear map is counted over every simplex in
-homogeneous coordinates.
+give identical outputs; and the hyperbolic complement's sequential
+correction loop, whose closed form the library computes.  The coverage
+references at the end use no library code: the shrink of an onto map
+covers the shrunk simplex, and the degree of a piecewise-linear map is
+counted over every simplex in homogeneous coordinates.
 """
 
 import itertools
@@ -408,6 +409,33 @@ def inverse_reference(rows):
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in red)
+
+
+def hyperbolic_complement_reference(form_gram, d_basis, side):
+    """(W basis, pairing table of d1, w1, d2, w2, ...) by the sequential
+    correction: w_j solves Q(d_i, w) = delta_ij and Q(h, w) = 0 for h in
+    side, each Q(w_j, w_i) for i < j is removed in index order by a d_i
+    shift, and then half of Q(w_j, w_j) along d_j."""
+    # the row G v of each constraint Q(v, w) = rhs
+    rows = [
+        tuple(sum(Fraction(g) * Fraction(x) for g, x in zip(grow, v)) for grow in form_gram)
+        for v in list(d_basis) + list(side)
+    ]
+
+    def pair(u, v):
+        return pairing_table(form_gram, [u, v], [1, 2])[0][1]
+
+    ws = []
+    for j in range(len(d_basis)):
+        w = solve_reference(rows, [Fraction(int(i == j)) for i in range(len(rows))])
+        for i, prev in enumerate(ws):
+            c = pair(w, prev)
+            w = tuple(x - c * d for x, d in zip(w, d_basis[i]))
+        half = pair(w, w) / 2
+        ws.append(tuple(x - half * d for x, d in zip(w, d_basis[j])))
+    inter = [v for pair_ in zip(d_basis, ws) for v in pair_]
+    table = pairing_table(form_gram, inter, range(1, len(inter) + 1))
+    return tuple(ws), tuple(map(tuple, table))
 
 
 def sym_diagonalize_reference(gram):

@@ -13,6 +13,7 @@ tests are valid edge inputs that must keep their answers.
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +28,9 @@ from periodmap.coverage import (
     shrink_map,
     twist_perturbation,
 )
-from periodmap.decomposition import connected_sum_split
+from periodmap.decomposition import connected_sum_split, random_decomposition
 from periodmap.errors import DomainError, InputError, check_int, check_real
-from periodmap.face_constraints import preset
+from periodmap.face_constraints import preset, random_config
 from periodmap.grassmannian import (
     HPoint,
     disk_to_hpoint,
@@ -70,6 +71,8 @@ INT_ARGUMENTS = {
     "minkowski_form.n": lambda v: minkowski_form(v),
     "DecompositionData.bhat1": lambda v: dataclasses.replace(connected_sum_split(), bhat1=v),
     "DecompositionData.bhat2": lambda v: dataclasses.replace(connected_sum_split(), bhat2=v),
+    "random_decomposition.max_dim": lambda v: random_decomposition(random.Random(0), v),
+    "random_config.entry_bound": lambda v: random_config(random.Random(0), 2, v),
     "coverage.n": lambda v: check_face_mapping_surjectivity(_onto, v, 0.5),
     "coverage.seed": lambda v: check_face_mapping_surjectivity(_onto, 2, 0.5, v),
     "radial_perturbation.n": lambda v: radial_perturbation(v, 0.3),
@@ -154,6 +157,11 @@ PROBES = [
     ("export_off(4)", lambda: export_off(4)),
     ("coverage seed -1", lambda: check_face_mapping_surjectivity(_onto, 2, 0.5, -1)),
     ("coverage grid_step 0", lambda: check_face_mapping_surjectivity(_onto, 2, 0)),
+    ("random_decomposition max_dim=0", lambda: random_decomposition(random.Random(0), max_dim=0)),
+    ("random_config entry_bound=0", lambda: random_config(random.Random(0), 2, entry_bound=0)),
+    ("split H1=[[1, 0]]", lambda: dataclasses.replace(connected_sum_split(), H1=[[1, 0]])),
+    ("split H2=[[0, 1]]", lambda: dataclasses.replace(connected_sum_split(), H2=[[0, 1]])),
+    ("split D=[]", lambda: dataclasses.replace(connected_sum_split(), D=[])),
 ]
 
 

@@ -26,6 +26,8 @@ from periodmap.decomposition import (
 )
 from periodmap.errors import InconsistentDataError, InputError, PreconditionError
 
+from oracles import hyperbolic_complement_reference
+
 
 def test_connected_sum_split_is_valid():
     data = connected_sum_split()
@@ -341,3 +343,81 @@ def test_data_rejects_foreign_subspace():
             bhat1=0,
             bhat2=0,
         )
+
+
+def _four_dim_split():
+    q = GramForm([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    return DecompositionData(
+        ambient=q,
+        H1=q.subspace([(1, 0, 0, 0), (0, 1, 0, 0)]),
+        H2=q.zero_subspace(),
+        D=q.subspace([(0, 0, 1, 0)]),
+        bhat1=2,
+        bhat2=0,
+    )
+
+
+def test_hyperbolic_complement_matches_the_sequential_reference():
+    # the closed form against the loop it replaced, run in Fractions only:
+    # each w_j corrected by d_i shifts in index order, then by half its
+    # self-pairing along d_j
+    rng = random.Random(28)
+    draws = [random_decomposition(rng, max_dim=8) for _ in range(200)]
+    assert sum(data.D.dim == 2 for data in draws) >= 40  # cross terms occur
+    for data in draws + [product_split(), _four_dim_split()]:
+        hc = hyperbolic_complement(data)
+        ws, table = hyperbolic_complement_reference(
+            data.ambient.gram, data.D.basis, data.H1.basis + data.H2.basis
+        )
+        assert hc.W.basis == ws
+        assert hc.pairing_matrix == table
+
+
+# one invalid split per orthogonality condition, the failing pair not the
+# first one walked; the witness is the pair of basis vectors as given
+WITNESSES = {
+    "H1-H2": (
+        [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        [(1, 0, 0), (0, 1, 0)], [(0, 1, 1)], [],
+        [("H1 not orthogonal to H2", ((0, 1, 0), (0, 1, 1)))],
+    ),
+    "D-D-diagonal": (
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [], [], [(1, 0, 0), (0, 0, 1)],
+        [("pairing not trivial on D", ((0, 0, 1), (0, 0, 1)))],
+    ),
+    "D-D-cross": (
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [], [], [(1, 0, 0), (0, 1, 0)],
+        [("pairing not trivial on D", ((1, 0, 0), (0, 1, 0)))],
+    ),
+    "D-H": (
+        [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]],
+        [(0, 0, 1, 0, 0)], [(0, 0, 0, 1, 0), (0, 1, 0, 0, 1)], [(1, 0, 0, 0, 0)],
+        [("D not orthogonal to H1 + H2", ((1, 0, 0, 0, 0), (0, 1, 0, 0, 1)))],
+    ),
+    "fractional": (
+        [[2, 1, 0], [1, -1, 0], [0, 0, 3]],
+        [("1/2", 1, 0)], [(1, "2/3", 0)], [(0, 0, "1/5")],
+        [
+            ("H1 not orthogonal to H2", ((Fraction(1, 2), 1, 0), (1, Fraction(2, 3), 0))),
+            ("pairing not trivial on D", ((0, 0, Fraction(1, 5)), (0, 0, Fraction(1, 5)))),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_validate_names_the_first_failing_pair(name):
+    gram, h1, h2, d, want = WITNESSES[name]
+    q = GramForm(gram)
+    data = DecompositionData(q, q.subspace(h1), q.subspace(h2), q.subspace(d), 0, 0)
+    assert [(i.condition, i.witness) for i in validate(data).issues] == want
+
+
+@pytest.mark.parametrize("field", ["H1", "H2", "D"])
+def test_data_rejects_a_list_for_a_subspace(field):
+    q = GramForm([[1, 0], [0, -1]])
+    parts = {"H1": q.zero_subspace(), "H2": q.zero_subspace(), "D": q.zero_subspace()}
+    with pytest.raises(InputError, match=f"^{field} must be a Subspace, got list$"):
+        DecompositionData(q, **{**parts, field: [[1, 0]]}, bhat1=0, bhat2=0)

@@ -1,6 +1,7 @@
 """Every name a library or test module imports is used in that module,
-only ``errors`` tests an argument's int or real type, and only
-``bilinear`` asks whether a form has signature (1, n).
+only ``errors`` tests an argument's int or real type, only ``bilinear``
+asks whether a form has signature (1, n), and only ``bilinear`` pairs
+vectors one pair at a time.
 
 The library's ``__init__.py`` is skipped by the import check: its
 imports are the package's exports.
@@ -141,3 +142,37 @@ def test_only_bilinear_asks_for_signature_1_n(path):
     # render's fixed-dimension checks, (1, 2) for the disk and (1, 1) for
     # the lattice, are drawing conditions that raise DomainError
     assert hand_lorentzian_tests(path.read_text()) == []
+
+
+def pairing_calls(source: str) -> list[int]:
+    """Lines that pair vectors one pair at a time: a call of a method
+    named evaluate or apply.  A consumer reads its pairings from one
+    X G X^t (``bilinear._gram_of``) instead."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("evaluate", "apply")
+    )
+
+
+def test_the_scan_sees_pairings_one_pair_at_a_time():
+    source = (
+        "c = q.evaluate(a, b)\n"
+        "rows = [q.apply(v) for v in vs]\n"
+        "c = evaluate(a, b)\n"
+        "f = q.evaluate\n"
+        "c = self.form.evaluate(w, w) + q.applied(v)\n"
+    )
+    assert pairing_calls(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name not in ("bilinear.py", "render.py")),
+    ids=lambda p: p.name,
+)
+def test_only_bilinear_pairs_one_pair_at_a_time(path):
+    # render colours its pencil with evaluate while drawing
+    assert pairing_calls(path.read_text()) == []
