@@ -344,42 +344,6 @@ def _gram_of(
     return [[_dot(y, v) for v in x] for y in images], images
 
 
-# ---------------------------------------------------------------------------
-# rational matrix routines (rows are tuples of Fractions)
-# ---------------------------------------------------------------------------
-
-
-def _solve(rows: Sequence[Sequence], rhs: Sequence) -> Vector | None:
-    """One solution of rows @ x = rhs, or None if inconsistent.
-
-    Free variables are set to zero, so the answer is canonical.
-    """
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    red, pivots = _int_rref(_int_rows([tuple(row) + (b,) for row, b in zip(rows, rhs)]))
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(red, pivots):
-        x[c] = Fraction(row[ncols], row[c])
-    return tuple(x)
-
-
-def _mat_vec(rows: Sequence[Vector], v: Sequence[Fraction]) -> Vector:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
-
-
-def _mat_inverse(rows: Sequence[Sequence]) -> Matrix:
-    """Inverse of a rational matrix: with row i of it x_i / d_i, the
-    inverse is adj(X) diag(d) / det(X)."""
-    x, ds = zip(*map(_clear, rows))
-    adj, det = _int_adjugate(x)
-    if det == 0:
-        raise PreconditionError("matrix is not invertible")
-    return tuple(tuple(Fraction(a * d, det) for a, d in zip(row, ds)) for row in adj)
-
-
 def primitive_vector(v: Sequence) -> Vector:
     """The primitive integer vector on the line of v, first nonzero entry positive."""
     x, _ = _clear(v)
@@ -516,7 +480,7 @@ class GramForm:
         if not isinstance(data, dict) or "gram" not in data:
             raise InputError("form JSON must be an object with a 'gram' key")
         form = GramForm(data["gram"])
-        if "dim" in data and data["dim"] != form.dim:
+        if "dim" in data and check_int(data["dim"], "dim") != form.dim:
             raise InputError(
                 f"declared dim {data['dim']} does not match gram size {form.dim}"
             )
@@ -818,12 +782,20 @@ class StandardEmbedding:
     scales: tuple[Fraction, ...]
 
     @cached_property
-    def _inverse(self) -> Matrix:
-        return _mat_inverse(self.matrix)
+    def _inverse(self) -> tuple[list[list[int]] | None, int, int]:
+        """(adj(x), det(x), c) for matrix == x / c, whose inverse is c adj(x) / det(x)."""
+        x, c = _clear_all(self.matrix)
+        return (*_int_adjugate(x), c)
 
     def to_minkowski(self, v: Sequence) -> tuple[float, ...]:
-        """Float coordinates of a form-space vector in R^{1,n}."""
-        y = _mat_vec(self._inverse, as_vector(v))
+        """Float coordinates of a form-space vector in R^{1,n}, each from one Fraction."""
+        x, d = _clear(as_vector(v))
+        adj, det, c = self._inverse
+        if not det:
+            raise PreconditionError("matrix is not invertible")
+        if len(x) != len(adj):
+            raise DimensionMismatchError(f"vector must have {len(adj)} entries, got {len(x)}")
+        y = [Fraction(c * _dot(row, x), det * d) for row in adj]
         return tuple(float(yi) * sqrt(float(s)) for yi, s in zip(y, self.scales))
 
 

@@ -25,7 +25,7 @@ from .bilinear import (
     _gram_of,
     _int_adjugate,
     _int_rows,
-    _solve,
+    _int_rref,
     nullspace,
     positive_part,
     signature,
@@ -214,15 +214,20 @@ def hyperbolic_complement(data: DecompositionData) -> HyperbolicComplement:
     q = data.ambient
     n = q.dim
     d_basis = data.D.basis
-    _, rows, c = data._pairing  # rows c G v, so the right-hand side is c den delta
-    us = []
-    for j in range(len(d_basis)):
-        u = _solve(rows, [c * q._den * (i == j) for i in range(len(rows))])
-        if u is None:
-            raise InconsistentDataError(
-                f"no dual vector for D basis vector {j}; data violates the split"
-            )
-        us.append(u)
+    # rows c G v: one reduction of [rows | c den I] gives every dual, free
+    # variables zero, unless a pivot at n + j finds no dual for d_j
+    _, rows, c = data._pairing
+    k = range(len(d_basis))
+    red, pivots = _int_rref([r + [c * q._den * (i == j) for j in k] for i, r in enumerate(rows)])
+    late = [p - n for p in pivots if p >= n]
+    if late:
+        raise InconsistentDataError(
+            f"no dual vector for D basis vector {late[0]}; data violates the split"
+        )
+    us = [[Fraction(0)] * n for _ in k]
+    for row, p in zip(red, pivots):
+        for j, u in enumerate(us, n):
+            u[p] = Fraction(row[j], row[p])
     m, s = _scaled_gram(q, us)
     ws = []
     for j, u in enumerate(us):

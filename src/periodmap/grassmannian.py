@@ -25,6 +25,7 @@ from .bilinear import (
     nullspace as form_nullspace,
 )
 from .errors import (
+    DimensionMismatchError,
     DomainError,
     InputError,
     NumericalDomainError,
@@ -35,7 +36,12 @@ DISTANCE_CLAMP = 1e-9
 
 
 def mink_dot(v: Sequence[float], w: Sequence[float]) -> float:
-    """x0*y0 - sum(xi*yi): the diagonal form of signature (1, n)."""
+    """x0*y0 - sum(xi*yi): the diagonal form of signature (1, n), on two
+    vectors of one R^{1,n} (DimensionMismatchError otherwise)."""
+    if len(v) != len(w):
+        raise DimensionMismatchError(
+            f"cannot pair vectors of R^{{1,{len(v) - 1}}} and R^{{1,{len(w) - 1}}}"
+        )
     return v[0] * w[0] - sum(a * b for a, b in zip(v[1:], w[1:]))
 
 

@@ -7,8 +7,8 @@ permutahedron is its truncation.  Faces are labelled by strictly
 increasing chains of nonempty proper subsets of {1, ..., n+1}.
 
 Everything here is exact: the combinatorics, the collapse map on
-rational inputs, the nearest-point projection and the JSON export, all
-in ints and Fractions.  The permutahedron is the set of points
+rational inputs, the nearest-point projection and the JSON export, on
+integers over one denominator.  The permutahedron is the set of points
 majorized by (n+1, ..., 1): the least sum of k coordinates is the sum
 of the k smallest, so one sort and its prefix sums state every subset
 inequality.  Membership and the collapse map read them that way, and
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .bilinear import _clear
 from .errors import DomainError, InputError, ResourceError, check_int, check_real
 
 DAMPING_SLACK = Fraction(1, 4)  # slack scale below which coordinates are pulled in
@@ -183,28 +184,28 @@ class PermRealization:
 
     def contains(self, point: Sequence, tol: Fraction = Fraction(0)) -> bool:
         """Whether the point sums to total and each k of its coordinates
-        sum to at least subset_level(k), up to tol.
+        sum to at least subset_level(k), up to a finite real tol.
 
         The least sum of k coordinates is the sum of the k smallest, so
         one sort decides all the subset inequalities (majorization).
         """
-        return self._least_sums(self._point(point), tol) is not None
+        tol = _exact(check_real(tol, "tol", positive=False))
+        return self._least_sums(*self._point(point), tol) is not None
 
-    def _point(self, point: Sequence) -> list[Fraction]:
-        """The coordinates of point as Fractions, floats read exactly; a
-        point that is not a list of n+1 finite real numbers is InputError."""
+    def _point(self, point: Sequence) -> tuple[list[int], int]:
+        """The coordinates of point as integers x over one d > 0, floats read
+        exactly; a point that is not n+1 finite real numbers is InputError."""
         if not hasattr(point, "__len__") or len(point) != self.n + 1:
             raise InputError(f"point must be a list of {self.n + 1} coordinates, got {point!r}")
-        reals = [check_real(x, "point coordinate", positive=False) for x in point]
-        # Fraction reads no numpy float but float64, and float() holds each exactly
-        return [Fraction(x) if hasattr(x, "numerator") else Fraction(float(x)) for x in reals]
+        return _clear([_exact(check_real(x, "point coordinate", positive=False)) for x in point])
 
-    def _least_sums(self, y: list[Fraction], tol: Fraction) -> list[Fraction] | None:
-        """[c_0, ..., c_{n+1}], c_k the sum of the k smallest coordinates
-        of y, when y lies in the polytope up to tol; otherwise None."""
-        low = [0, *itertools.accumulate(sorted(y))]
-        if abs(low[-1] - self.total) > tol or any(
-            low[k] - subset_level(k) < -tol for k in range(1, self.n + 1)
+    def _least_sums(self, x: list[int], d: int, tol: Fraction) -> list[int] | None:
+        """[d c_0, ..., d c_{n+1}], c_k the sum of the k smallest coordinates
+        of x / d, when x / d lies in the polytope up to tol; else None."""
+        low = [0, *itertools.accumulate(sorted(x))]
+        t, u = tol.numerator * d, tol.denominator
+        if abs(low[-1] - self.total * d) * u > t or any(
+            (low[k] - subset_level(k) * d) * u < -t for k in range(1, self.n + 1)
         ):
             return None
         return low
@@ -234,6 +235,11 @@ class PermRealization:
         return out
 
 
+def _exact(x) -> Fraction:
+    # Fraction reads no numpy float but float64, and float() holds each exactly
+    return Fraction(x) if hasattr(x, "numerator") else Fraction(float(x))
+
+
 def realize(n: int) -> PermRealization:
     n = _check_n(n, 6, "realization")
     verts = tuple(sorted(itertools.permutations(range(1, n + 2))))
@@ -253,28 +259,27 @@ def closest_point_map(point: Sequence, realization: PermRealization) -> tuple:
     regression: with x sorted in descending order by sigma, fit a
     non-increasing v to x_sigma - (n+1, ..., 1) by pool-adjacent-violators,
     and return z with z_sigma = x_sigma - v.  Blocks are pooled by their
-    exact Fraction means, so the output is exact.  The input must lie in
-    the enclosing simplex.
+    exact sums, integers over the point's one denominator d, so the output
+    is exact.  The input must lie in the enclosing simplex.
     """
     n1 = realization.n + 1
-    x = realization._point(point)
-    tol = Fraction(1, 10**9)
-    if abs(sum(x) - realization.total) > tol or any(xi < 1 - tol for xi in x):
+    x, d = realization._point(point)
+    # in the enclosing simplex up to 1e-9, the test scaled by d
+    if abs(sum(x) - realization.total * d) * 10**9 > d or (min(x) - d) * 10**9 < -d:
         raise DomainError("point must lie in the enclosing simplex")
 
-    order = sorted(range(n1), key=lambda i: x[i], reverse=True)
+    order = sorted(range(n1), key=x.__getitem__, reverse=True)
     # blocks of (sum, count) whose means strictly decrease
-    blocks: list[tuple[Fraction, int]] = []
+    blocks: list[tuple[int, int]] = []
     for rank, i in enumerate(order):
-        total, count = x[i] - (n1 - rank), 1
+        total, count = x[i] - (n1 - rank) * d, 1
         while blocks and blocks[-1][0] * count <= total * blocks[-1][1]:
             prev_total, prev_count = blocks.pop()
             total, count = total + prev_total, count + prev_count
         blocks.append((total, count))
-    fit = [s / c for s, c in blocks for _ in range(c)]
     z = [Fraction(0)] * n1
-    for rank, i in enumerate(order):
-        z[i] = x[i] - fit[rank]
+    for i, (s, c) in zip(order, (b for b in blocks for _ in range(b[1]))):
+        z[i] = Fraction(x[i] * c - s, c * d)
     return tuple(z)
 
 
@@ -300,21 +305,22 @@ def collapse_to_simplex(point: Sequence, realization: PermRealization) -> tuple:
     subset_level(k) over k = 1..n: one sort and its prefix sums.
     """
     n1 = realization.n + 1
-    y = realization._point(point)
-    low = realization._least_sums(y, Fraction(1, 10**9))  # low[k] = c_k
+    x, d = realization._point(point)
+    low = realization._least_sums(x, d, Fraction(1, 10**9))  # low[k] = c_k d
     if low is None:
         raise DomainError("collapse input must lie in the permutahedron")
+    full = DAMPING_SLACK.numerator * d  # y = x / d, and each weight is an integer over full
     weights = []
-    for yi in y:
-        g = min(max(low[k], yi + low[k - 1]) - subset_level(k) for k in range(1, n1))
-        weights.append(min(Fraction(1), max(Fraction(0), g / DAMPING_SLACK)))
-    pulled = [1 + (yi - 1) * w for yi, w in zip(y, weights)]
-    spare = realization.total - sum(pulled)
+    for xi in x:
+        g = min(max(low[k], xi + low[k - 1]) - subset_level(k) * d for k in range(1, n1))
+        weights.append(min(full, max(0, g * DAMPING_SLACK.denominator)))
+    pulled = [full * d + (xi - d) * w for xi, w in zip(x, weights)]
+    spare = realization.total * full * d - sum(pulled)
     wsum = sum(weights)
     # the tight subsets at any point form a chain of proper subsets, so
     # they never cover every coordinate and wsum stays positive
     assert wsum > 0
-    return tuple(p + spare * w / wsum for p, w in zip(pulled, weights))
+    return tuple(Fraction(p * wsum + spare * w, full * d * wsum) for p, w in zip(pulled, weights))
 
 
 # ---------------------------------------------------------------------------

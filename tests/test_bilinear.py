@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from periodmap.errors import (
     InputError,
     PreconditionError,
 )
+
+from oracles import inverse_reference
 
 
 def frac_mat(rows):
@@ -345,6 +348,40 @@ def test_standard_embedding_contract_randomized():
                 else:
                     assert val == -emb.scales[i] < 0
         built += 1
+
+
+def test_to_minkowski_matches_the_reference_inverse():
+    # the exact coordinates in the embedding's columns, from a plain
+    # Fraction inverse, then the same float steps: the same floats
+    rng = random.Random(29)
+    for case in range(60):
+        n = 1 + case % 5
+        diag = [Fraction(rng.randint(1, 9), rng.randint(1, 4))]
+        diag += [-Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+        a = _random_invertible(rng, n + 1)
+        q = GramForm(
+            [
+                [sum(a[k][i] * diag[k] * a[k][j] for k in range(n + 1)) for j in range(n + 1)]
+                for i in range(n + 1)
+            ]
+        )
+        emb = standard_embedding(q)
+        inverse = inverse_reference(emb.matrix)
+        for _ in range(4):
+            v = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n + 1)]
+            want = tuple(
+                float(sum(r * x for r, x in zip(row, v))) * math.sqrt(float(s))
+                for row, s in zip(inverse, emb.scales)
+            )
+            assert emb.to_minkowski(v) == want
+
+
+def test_to_minkowski_refuses_a_vector_of_another_length():
+    # both were once zipped and truncated, to (1.0, 0.0, 0.0) and (1.0, 0.0)
+    with pytest.raises(DimensionMismatchError, match="^vector must have 3 entries, got 2$"):
+        standard_embedding(minkowski_form(2)).to_minkowski((1, 0))
+    with pytest.raises(DimensionMismatchError, match="^vector must have 2 entries, got 3$"):
+        standard_embedding(minkowski_form(1)).to_minkowski((1, 0, 5))
 
 
 def test_standard_embedding_wrong_signature():

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from periodmap.bilinear import minkowski_form
+from periodmap.bilinear import GramForm, minkowski_form
 from periodmap.coverage import (
     check_face_mapping_surjectivity,
     collapse_batch,
@@ -29,12 +29,13 @@ from periodmap.coverage import (
     twist_perturbation,
 )
 from periodmap.decomposition import connected_sum_split, random_decomposition
-from periodmap.errors import DomainError, InputError, check_int, check_real
+from periodmap.errors import DimensionMismatchError, DomainError, InputError, check_int, check_real
 from periodmap.face_constraints import preset, random_config
 from periodmap.grassmannian import (
     HPoint,
     disk_to_hpoint,
     geodesic_endpoints,
+    hyperbolic_distance,
     ideal_point_direction,
     line_to_hpoint,
 )
@@ -89,6 +90,7 @@ REAL_ARGUMENTS = {
     "radial_perturbation.coefficient": lambda v: radial_perturbation(2, v),
     "twist_perturbation.angle": lambda v: twist_perturbation(2, v),
     "shrink_map.factor": lambda v: shrink_map(2, v),
+    "contains.tol": lambda v: P2.contains((100, -50, -44), v),
 }
 REFUSES_TWO = {"coverage.grid_step", "radial_perturbation.coefficient"}
 
@@ -162,6 +164,15 @@ PROBES = [
     ("split H1=[[1, 0]]", lambda: dataclasses.replace(connected_sum_split(), H1=[[1, 0]])),
     ("split H2=[[0, 1]]", lambda: dataclasses.replace(connected_sum_split(), H2=[[0, 1]])),
     ("split D=[]", lambda: dataclasses.replace(connected_sum_split(), D=[])),
+    ("contains tol=nan", lambda: P2.contains((100, -50, -44), math.nan)),
+    ("contains tol=inf", lambda: P2.contains((100, -50, -44), math.inf)),
+    ('contains tol="x"', lambda: P2.contains((2, 2, 2), "x")),
+    ('from_json "dim": True', lambda: GramForm.from_json({"gram": [[1]], "dim": True})),
+    ('from_json "dim": "1"', lambda: GramForm.from_json({"gram": [[1]], "dim": "1"})),
+    (
+        "hyperbolic_distance across dimensions",
+        lambda: hyperbolic_distance(disk_to_hpoint((0.3,)), disk_to_hpoint((0.3, 0.1))),
+    ),
 ]
 
 
@@ -188,6 +199,16 @@ def test_refusals_name_the_argument():
         twist_perturbation(2, math.nan)
     with pytest.raises(InputError, match=r"^disk coordinates must be a real number, got 'a'$"):
         disk_to_hpoint(["a"])
+
+
+def test_dim_tol_and_distance_refusals_name_what_they_refuse():
+    # "dim": "1" was refused as a size mismatch with gram size 1
+    with pytest.raises(InputError, match=r"^dim must be an int >= 1, got '1'$"):
+        GramForm.from_json({"gram": [[1]], "dim": "1"})
+    with pytest.raises(InputError, match=r"^tol must be a finite real number, got nan$"):
+        P2.contains((2, 2, 2), math.nan)
+    with pytest.raises(DimensionMismatchError, match=r"R\^\{1,1\} and R\^\{1,2\}$"):
+        hyperbolic_distance(disk_to_hpoint((0.3,)), disk_to_hpoint((0.3, 0.1)))
 
 
 def test_the_checks_return_what_they_accept():
@@ -254,6 +275,20 @@ def test_fraction_and_int_coordinates_are_read():
     wide = (np.float32(2.75), np.float32(1.25), np.int64(2))
     assert P2.contains(wide)
     assert collapse_to_simplex(wide, P2) == collapse_to_simplex((2.75, 1.25, 2), P2)
+
+
+def test_float_tol_is_read_exactly():
+    # 0.1 is the dyadic 3602879701896397 / 2**55.  Over the points'
+    # denominator 3 * 2**55 the scaled tolerance passes 2**53, where a
+    # float product would round.  The first point falls short of level 1
+    # by exactly that tolerance, the second by a hair more.
+    low, third = 1 - Fraction(0.1), Fraction(7, 3)
+    hair = Fraction(1, 3 * 10**20)
+    on_edge = (low, third, 6 - low - third)
+    past = (low - hair, third, 6 - low + hair - third)
+    assert P2.contains(on_edge, 0.1)
+    assert not P2.contains(past, 0.1)
+    assert not P2.contains(on_edge, 0.09999999999999999)
 
 
 @pytest.mark.parametrize(

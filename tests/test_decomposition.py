@@ -208,6 +208,30 @@ def test_hyperbolic_complement_inconsistent_data():
             hyperbolic_complement(data)
 
 
+def test_no_dual_names_the_first_d_vector_without_one():
+    # hyperbolic planes on (e1, e2) and (e3, e4) and a radical line e5:
+    # e1 has the dual e2, and e5 pairs to zero with everything
+    g = [[0] * 5 for _ in range(5)]
+    g[0][1] = g[1][0] = g[2][3] = g[3][2] = 1
+    q = GramForm(g)
+    e1, e5 = (1, 0, 0, 0, 0), (0, 0, 0, 0, 1)
+    for d_basis, index in (((e1, e5), 1), ((e5, e1), 0)):
+        data = DecompositionData(
+            ambient=q,
+            H1=q.zero_subspace(),
+            H2=q.zero_subspace(),
+            D=q.subspace(d_basis),
+            bhat1=1,
+            bhat2=0,
+        )
+        assert validate(data).ok and check_betti_identity(data) and check_bpm_identity(data)
+        with pytest.raises(
+            InconsistentDataError,
+            match=rf"^no dual vector for D basis vector {index}; data violates the split$",
+        ):
+            hyperbolic_complement(data)
+
+
 def test_limit_connected_sum():
     data = connected_sum_split()
     h1p = data.ambient.subspace([(1, 0)])
