@@ -410,16 +410,6 @@ class GramForm:
         """_igram @ x for an integer vector."""
         return [sum(map(mul, row, x)) for row in self._igram]
 
-    def apply(self, v: Sequence) -> Vector:
-        """The vector G v, so that apply(v) . w == evaluate(v, w)."""
-        vv = as_vector(v)
-        if len(vv) != self.dim:
-            raise DimensionMismatchError(
-                f"vector must have {self.dim} entries, got {len(vv)}"
-            )
-        x, d = _clear(vv)
-        return tuple(Fraction(e, self._den * d) for e in self._image(x))
-
     def evaluate(self, v: Sequence, w: Sequence) -> Fraction:
         vv, ww = as_vector(v), as_vector(w)
         if len(vv) != self.dim or len(ww) != self.dim:

@@ -15,16 +15,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from math import lcm
 
 from .bilinear import (
     GramForm,
     Signature,
     Subspace,
     _clear_all,
+    _dot,
     _gram_of,
     _int_adjugate,
-    _int_rows,
     _int_rref,
     nullspace,
     positive_part,
@@ -71,11 +71,11 @@ class DecompositionData:
         return validate(self)
 
     @cached_property
-    def _pairing(self) -> tuple[list[list[int]], list[list[int]], int]:
-        """(P, Y, c): the bases of D, H1 and H2, stacked in that order, as
+    def _pairing(self) -> tuple[list[list[int]], list[list[int]], list[list[int]], int]:
+        """(X, P, Y, c): the bases of D, H1 and H2, stacked in that order, as
         integer rows X = c V, P = X G X^t and Y = X G (``_gram_of``)."""
         x, c = _clear_all(self.D.basis + self.H1.basis + self.H2.basis)
-        return (*_gram_of(x, self.ambient._igram), c)
+        return (x, *_gram_of(x, self.ambient._igram), c)
 
     def to_json(self) -> dict:
         return {
@@ -142,7 +142,7 @@ def validate(data: DecompositionData) -> ValidationReport:
             w = rad.canonical[0]
             issues.append(ValidationIssue(f"pairing degenerate on {name}", (w, w)))
     vectors = data.D.basis + data.H1.basis + data.H2.basis
-    p = data._pairing[0]
+    p = data._pairing[1]
     d, h1 = range(data.D.dim), range(data.D.dim, data.D.dim + data.H1.dim)
     for condition, pairs in (
         ("H1 not orthogonal to H2", itertools.product(h1, range(h1.stop, len(p)))),
@@ -206,49 +206,46 @@ def hyperbolic_complement(data: DecompositionData) -> HyperbolicComplement:
     Each raw dual u_j solves Q(d_i, u_j) = delta_ij and is orthogonal to
     H1 + H2; as D is isotropic, w_j = u_j - sum_{i<j} Q(u_i, u_j) d_i -
     (1/2) Q(u_j, u_j) d_j keeps both and clears every Q(w_i, w_j), as d_i
-    shifts in index order and then a d_j shift would.
+    shifts in index order and then a d_j shift would; Q(d_i, w_j) =
+    delta_ij keeps the w_j independent.  In integers, with X_i = c d_i,
+    G = den Q, u_j = U_j / L over the lcm L of the pivots and M = U G U^t,
+    s w_j = 2 den L c U_j - sum_{i<j} 2 M_ij X_i - M_jj X_j, s = 2 den L^2 c.
     """
     _require_valid(data)
     if not (check_betti_identity(data) and check_bpm_identity(data)):
         raise PreconditionError("dimension identities fail; complement undefined")
-    q = data.ambient
-    n = q.dim
-    d_basis = data.D.basis
+    q, k = data.ambient, range(data.D.dim)
+    n, den = q.dim, q._den
     # rows c G v: one reduction of [rows | c den I] gives every dual, free
     # variables zero, unless a pivot at n + j finds no dual for d_j
-    _, rows, c = data._pairing
-    k = range(len(d_basis))
-    red, pivots = _int_rref([r + [c * q._den * (i == j) for j in k] for i, r in enumerate(rows)])
+    x, _, rows, c = data._pairing
+    red, pivots = _int_rref([r + [c * den * (i == j) for j in k] for i, r in enumerate(rows)])
     late = [p - n for p in pivots if p >= n]
     if late:
         raise InconsistentDataError(
             f"no dual vector for D basis vector {late[0]}; data violates the split"
         )
-    us = [[Fraction(0)] * n for _ in k]
+    lcd = lcm(*[row[p] for row, p in zip(red, pivots)])
+    us = [[0] * n for _ in k]
     for row, p in zip(red, pivots):
         for j, u in enumerate(us, n):
-            u[p] = Fraction(row[j], row[p])
-    m, s = _scaled_gram(q, us)
-    ws = []
+            u[p] = row[j] * (lcd // row[p])
+    m = _gram_of(us, q._igram)[0]
+    scale = 2 * den * lcd * c
+    sws = []  # s w_j; the rows of D come first in x
     for j, u in enumerate(us):
-        coef = [Fraction(m[i][j], s) for i in range(j)] + [Fraction(m[j][j], 2 * s)]
-        ws.append(tuple(x - sum(map(mul, coef, col)) for x, col in zip(u, zip(*d_basis))))
-    w_sub = Subspace._echelon(q, _int_rows(ws), tuple(ws))
-    if w_sub.dim != len(d_basis):
-        raise InconsistentDataError("dual vectors are dependent")
+        coef = [2 * m[i][j] for i in range(j)] + [m[j][j]]
+        sws.append([scale * e - _dot(coef, col) for e, col in zip(u, zip(*x[: j + 1]))])
+    s = scale * lcd
+    w_sub = Subspace._echelon(q, sws, tuple(tuple(Fraction(e, s) for e in v) for v in sws))
     total = subspace_sum(data.H1, data.H2, data.D, w_sub)
     if total.dim != n:
         raise InconsistentDataError(
             f"H1 + H2 + D + W spans only {total.dim} of {n} dimensions"
         )
-    m, s = _scaled_gram(q, [v for pair in zip(d_basis, ws) for v in pair])
-    return HyperbolicComplement(w_sub, tuple(tuple(Fraction(e, s) for e in row) for row in m))
-
-
-def _scaled_gram(q: GramForm, vectors: list[Vector]) -> tuple[list[list[int]], int]:
-    """(M, s) with Q(v_i, v_j) == M[i][j] / s."""
-    x, c = _clear_all(vectors)
-    return _gram_of(x, q._igram)[0], q._den * c * c
+    # the interleaved rows s d_i = s X_i / c and s w_i
+    m = _gram_of([r for d, w in zip(x, sws) for r in ([s // c * e for e in d], w)], q._igram)[0]
+    return HyperbolicComplement(w_sub, tuple(tuple(Fraction(e, den * s * s) for e in r) for r in m))
 
 
 def _is_maximal_positive_in(

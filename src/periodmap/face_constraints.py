@@ -26,6 +26,7 @@ from .bilinear import (
     _dot,
     _frac,
     _gram_of,
+    _int_adjugate,
     _int_rows,
     _kernel_rows,
     as_matrix,
@@ -313,14 +314,14 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
     the generators are scaled to primitive integer vectors with the
     pairing against the omitted vector made positive, a determinate
     normalization.  The configuration's vectors are independent and as
-    many as the ambient dimension, so each complement is a line and the
-    lines are the dual-basis directions, which are independent.  In the
-    vectors' coordinates line i is c X for c spanning the kernel of the
-    pairing matrix P with row i removed, so P c is zero but in entry i.
+    many as the ambient dimension, so the pairing matrix P is symmetric
+    and invertible and the lines are the dual-basis directions.  Row i
+    of adj(P) is a c with P c = det(P) e_i, so line i is c X, turned by
+    the sign of det(P).  In a (1, n) form the line orthogonal to a
+    negative definite hyperplane is positive, so a line needs no test.
     """
     lorentzian_rank(cfg.form, "simplex_vertex_lines")
-    k = len(cfg.vectors)
-    if k != cfg.form.dim:
+    if len(cfg.vectors) != cfg.form.dim:
         raise PreconditionError(
             "wall simplex needs as many vectors as the ambient dimension"
         )
@@ -328,15 +329,12 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
     if bad is not None:
         raise PreconditionError(f"vectors {bad} do not span a negative definite subspace")
     x, p = cfg._pairing
+    adj, det = _int_adjugate(p)
     lines = []
-    for out in range(k):
-        (c,) = _kernel_rows(p[:out] + p[out + 1:])
-        pair = _dot(p[out], c)  # c X against the omitted wall vector
-        if c[out] * pair <= 0:  # c P c^t
-            raise InconsistentDataError("wall vertex line is not positive")
+    for c in adj:
         gen = [_dot(c, col) for col in zip(*x)]
         # primitive, oriented toward the omitted wall vector
-        g = gcd(*gen) if pair > 0 else -gcd(*gen)
+        g = gcd(*gen) if det > 0 else -gcd(*gen)
         lines.append(tuple(Fraction(e // g) for e in gen))
     return lines
 

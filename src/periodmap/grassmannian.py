@@ -45,12 +45,14 @@ def mink_dot(v: Sequence[float], w: Sequence[float]) -> float:
     return v[0] * w[0] - sum(a * b for a, b in zip(v[1:], w[1:]))
 
 
-def _floats(v, what: str) -> tuple[float, ...]:
+def _floats(v, what: str, least: int = 0) -> tuple[float, ...]:
     """The coordinates of v as floats: v must be a list of real numbers
-    (InputError), each of them finite (DomainError)."""
+    (InputError), at least ``least`` of them, each finite (DomainError)."""
     if not _is_list(v):
         raise InputError(f"{what} must be a list of real numbers, got {v!r}")
     x = tuple(float(check_real(c, what, positive=None)) for c in v)
+    if len(x) < least:
+        raise DomainError(f"{what} must have at least {least} entries, got {len(x)}")
     if not all(map(math.isfinite, x)):
         raise DomainError(f"{what} must be finite: {x}")
     return x
@@ -63,9 +65,7 @@ class HPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        x = _floats(self.coords, "hyperboloid coordinates")
-        if len(x) < 2:
-            raise DomainError("hyperboloid points need at least 2 coordinates")
+        x = _floats(self.coords, "hyperboloid coordinates", 2)
         if abs(mink_dot(x, x) - 1.0) > 1e-7 or x[0] <= 0:
             raise DomainError(
                 f"not on the upper hyperboloid sheet: {x} (norm {mink_dot(x, x):.3e})"
@@ -78,7 +78,7 @@ class HPoint:
 
 def line_to_hpoint(v: Sequence[float]) -> HPoint:
     """Normalize a positive vector to its hyperboloid representative."""
-    vv = _floats(v, "vector")
+    vv = _floats(v, "vector", 2)
     norm = mink_dot(vv, vv)
     if norm <= 0:
         raise DomainError(f"vector is not positive: norm {norm}")
@@ -115,10 +115,14 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
 
 
 def ideal_point_direction(v: Sequence[float]) -> tuple[float, ...]:
-    """Boundary-circle coordinates of a null direction."""
-    vv = _floats(v, "null direction")
+    """Boundary-circle coordinates of a null direction: one whose
+    |<v, v>| is at most 1e-9 v_0^2, else DomainError."""
+    vv = _floats(v, "null direction", 2)
     if abs(vv[0]) < 1e-12:
         raise DomainError("null direction has vanishing first coordinate")
+    norm = mink_dot(vv, vv)
+    if abs(norm) > 1e-9 * vv[0] ** 2:
+        raise DomainError(f"not a null direction: {vv} (norm {norm:.3e})")
     return tuple(x / vv[0] for x in vv[1:])
 
 

@@ -35,6 +35,7 @@ from .bilinear import (
     subspace_signature,
 )
 from .errors import (
+    DimensionMismatchError,
     DomainError,
     NumericalDomainError,
     PreconditionError,
@@ -86,11 +87,15 @@ def rational_disk_period_point(
     point has a rational generator: (1 + r^2, 2 d_1, ..., 2 d_n).
     """
     dd = as_vector(disk)
+    if len(dd) != form.dim - 1:
+        raise DimensionMismatchError(
+            f"disk point must have {form.dim - 1} coordinates, got {len(dd)}"
+        )
     r2 = sum(x * x for x in dd)
     if r2 >= 1:
         raise DomainError("disk point must have norm < 1")
     gen = [1 + r2] + [2 * x for x in dd]
-    if form != minkowski_form(len(dd)):
+    if not dd or form != minkowski_form(len(dd)):
         raise PreconditionError("rational disk path needs the standard diagonal form")
     return period_point(Subspace(form, [gen]))
 

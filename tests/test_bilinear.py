@@ -56,7 +56,6 @@ def test_evaluate_bilinearity_randomized():
         right = a * q.evaluate(u, w) + q.evaluate(v, w)
         assert left == right
         assert q.evaluate(u, w) == q.evaluate(w, u)
-        assert sum(a * b for a, b in zip(q.apply(u), w)) == q.evaluate(u, w)
 
 
 def test_gram_validation():
@@ -110,11 +109,9 @@ def test_booleans_are_not_numbers():
     "use",
     [
         lambda form: form.evaluate("100", "100"),
-        lambda form: form.apply("123"),
-        lambda form: form.apply(b"123"),
         lambda form: Subspace(form, ["100"]),
     ],
-    ids=["evaluate", "apply", "apply-bytes", "subspace"],
+    ids=["evaluate", "subspace"],
 )
 def test_strings_are_not_vectors(use):
     # a string used to be read as one rational per character

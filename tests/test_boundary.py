@@ -50,6 +50,7 @@ from periodmap.permutahedron import (
     realize,
 )
 from periodmap.supremum import CsSearchConfig
+from periodmap.systole import rational_disk_period_point
 
 P2 = realize(2)
 
@@ -173,6 +174,15 @@ PROBES = [
         "hyperbolic_distance across dimensions",
         lambda: hyperbolic_distance(disk_to_hpoint((0.3,)), disk_to_hpoint((0.3, 0.1))),
     ),
+    (
+        "rational_disk_period_point one coordinate short",
+        lambda: rational_disk_period_point(minkowski_form(2), (Fraction(1, 4),)),
+    ),
+    (
+        "rational_disk_period_point one coordinate long",
+        lambda: rational_disk_period_point(minkowski_form(1), (Fraction(1, 4), 0)),
+    ),
+    ("rational_disk_period_point ()", lambda: rational_disk_period_point(minkowski_form(2), ())),
 ]
 
 
@@ -209,6 +219,16 @@ def test_dim_tol_and_distance_refusals_name_what_they_refuse():
         P2.contains((2, 2, 2), math.nan)
     with pytest.raises(DimensionMismatchError, match=r"R\^\{1,1\} and R\^\{1,2\}$"):
         hyperbolic_distance(disk_to_hpoint((0.3,)), disk_to_hpoint((0.3, 0.1)))
+
+
+def test_disk_point_length_is_checked_before_the_form():
+    # a short disk point was refused as "needs the standard diagonal form",
+    # an empty one as "n must be an int >= 1, got 0"
+    for disk, got in (((Fraction(1, 4),), 1), ((), 0)):
+        with pytest.raises(
+            DimensionMismatchError, match=rf"^disk point must have 2 coordinates, got {got}$"
+        ):
+            rational_disk_period_point(minkowski_form(2), disk)
 
 
 def test_the_checks_return_what_they_accept():

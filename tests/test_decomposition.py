@@ -232,6 +232,24 @@ def test_no_dual_names_the_first_d_vector_without_one():
             hyperbolic_complement(data)
 
 
+def test_complement_refuses_a_split_whose_pieces_miss_a_radical_line():
+    # D = 0 and the identities hold, but H1 + H2 misses the radical e3
+    q = GramForm([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    data = DecompositionData(
+        ambient=q,
+        H1=q.subspace([(1, 0, 0)]),
+        H2=q.subspace([(0, 1, 0)]),
+        D=q.zero_subspace(),
+        bhat1=2,
+        bhat2=1,
+    )
+    assert validate(data).ok and check_betti_identity(data) and check_bpm_identity(data)
+    with pytest.raises(
+        InconsistentDataError, match=r"^H1 \+ H2 \+ D \+ W spans only 2 of 3 dimensions$"
+    ):
+        hyperbolic_complement(data)
+
+
 def test_limit_connected_sum():
     data = connected_sum_split()
     h1p = data.ambient.subspace([(1, 0)])

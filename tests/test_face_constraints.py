@@ -491,9 +491,9 @@ def test_simplex_vertex_lines_are_the_primitive_dual_lines():
 
 def test_simplex_diagonalizes_each_span_once_and_takes_no_complement(monkeypatch):
     # k spans, each diagonalized once from its block of the pairing
-    # matrix, and every vertex line a kernel of that matrix: no
-    # orthogonal complement is taken
-    calls = {"congruence": 0, "orth_complement": 0}
+    # matrix, and every vertex line read from one adjugate of that
+    # matrix: no kernel is reduced and no orthogonal complement is taken
+    calls = {"congruence": 0, "orth_complement": 0, "adjugate": 0, "kernel": 0}
 
     def counting(name, f):
         def wrapped(*args):
@@ -503,10 +503,14 @@ def test_simplex_diagonalizes_each_span_once_and_takes_no_complement(monkeypatch
         return wrapped
 
     monkeypatch.setattr(bilinear, "_congruence", counting("congruence", bilinear._congruence))
-    for mod in (bilinear, face_constraints):
-        monkeypatch.setattr(
-            mod, "orth_complement", counting("orth_complement", orth_complement), raising=False
-        )
+    for name, f in (
+        ("orth_complement", orth_complement),
+        ("adjugate", bilinear._int_adjugate),
+        ("kernel", bilinear._kernel_rows),
+    ):
+        wrapped = counting(name, f)
+        for mod in (bilinear, face_constraints):
+            monkeypatch.setattr(mod, f.__name__, wrapped, raising=False)
     rng = random.Random(5)
     configs = [symmetric_config(F(a, 10)) for a in (21, 30, 45, 60)]
     while len(configs) < 12:
@@ -515,9 +519,11 @@ def test_simplex_diagonalizes_each_span_once_and_takes_no_complement(monkeypatch
             configs.append(_fresh(cfg))
     for cfg in configs:
         signature(cfg.form)  # the form's own split is not the simplex's
-        calls.update(congruence=0, orth_complement=0)
+        calls.update(congruence=0, orth_complement=0, adjugate=0, kernel=0)
         simplex_vertex_lines(cfg)
-        assert calls == {"congruence": len(cfg.vectors), "orth_complement": 0}
+        assert calls == {
+            "congruence": len(cfg.vectors), "orth_complement": 0, "adjugate": 1, "kernel": 0
+        }
 
 
 def test_cli_simplex_computes_the_lines_once(monkeypatch, capsys):
@@ -552,6 +558,39 @@ def test_simplex_needs_negative_definite_walls():
         simplex_from_walls(symmetric_config(F(3, 2)))
     with pytest.raises(PreconditionError):
         simplex_from_walls(preset_fig6("iv"))
+
+
+def _first_unbounded_oracle(cfg):
+    # leave out v_1, then v_2, ...: the first span whose pairing table is
+    # not negative definite by Descartes' rule, 1-based
+    k = len(cfg.vectors)
+    for out in range(1, k + 1):
+        idx = [i for i in range(1, k + 1) if i != out]
+        sig = signature_oracle(pairing_table(cfg.form.gram, cfg.vectors, idx))
+        if sig != (0, k - 1, 0):
+            return idx
+    return None
+
+
+def test_simplex_refusal_names_the_first_hyperplane_that_is_not_negative_definite():
+    rng = random.Random(30)
+    configs = [random_config(rng, n, entry_bound=3) for n in (2, 3) for _ in range(120)]
+    # the first hyperplane left, span(v_2, v_3), holds the null line of v_2
+    degenerate = SurfaceConfig(minkowski_form(2), ((0, 1, 0), (1, 1, 0), (0, 0, 1)))
+    assert _first_unbounded_oracle(degenerate) == [2, 3]
+    refused = 0
+    for cfg in [degenerate, *configs]:
+        bad = _first_unbounded_oracle(cfg)
+        if bad is None:
+            assert len(simplex_vertex_lines(cfg)) == len(cfg.vectors)
+            continue
+        refused += 1
+        with pytest.raises(
+            PreconditionError,
+            match=rf"^vectors \[{', '.join(map(str, bad))}\] do not span a negative definite",
+        ):
+            simplex_vertex_lines(cfg)
+    assert 0 < refused < len(configs)
 
 
 def test_walls_through_common_point_rejected_at_construction():

@@ -44,6 +44,34 @@ def test_line_to_hpoint_rejects_nonpositive():
         line_to_hpoint((1, 1, 0))  # null
 
 
+SHORT = r"^{} must have at least 2 entries, got {}$"
+
+
+@pytest.mark.parametrize(
+    "call, v, message",
+    [
+        (line_to_hpoint, (), SHORT.format("vector", 0)),
+        (ideal_point_direction, (), SHORT.format("null direction", 0)),
+        (ideal_point_direction, (1.0,), SHORT.format("null direction", 1)),
+        (ideal_point_direction, (1, 0, 0), r"^not a null direction: \(1\.0, 0\.0, 0\.0\)"),
+        (ideal_point_direction, (1, 5, 0), r"^not a null direction: \(1\.0, 5\.0, 0\.0\)"),
+        (ideal_point_direction, (2, 2, 1e-3), r"^not a null direction"),
+    ],
+    ids=["line-empty", "ideal-empty", "ideal-one", "timelike", "spacelike", "near-null"],
+)
+def test_short_vectors_and_non_null_directions_are_refused(call, v, message):
+    # these raised a bare IndexError, returned () or returned a point off
+    # the boundary circle: (1, 0, 0) gave (0, 0) and (1, 5, 0) gave (5, 0)
+    with pytest.raises(DomainError, match=message):
+        call(v)
+
+
+def test_null_directions_within_the_tolerance_are_read():
+    # |<v, v>| up to 1e-9 v0^2 is null: (2, 2, 6e-5) has <v, v> = -3.6e-9
+    assert ideal_point_direction((2.0, 2.0, 6e-5)) == (1.0, 3e-5)
+    assert ideal_point_direction((1.0, 0.6, 0.8)) == (0.6, 0.8)
+
+
 def test_hpoint_validation():
     with pytest.raises(DomainError):
         HPoint((2.0, 0.0, 0.0))

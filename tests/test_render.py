@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from periodmap.bilinear import GramForm, hyperbolic_plane_form, minkowski_form
 from periodmap.errors import DomainError
 from periodmap.face_constraints import (
     preset,
+    random_config,
     simplex_from_walls,
     symmetric_config,
 )
@@ -116,6 +118,20 @@ def test_threshold_walls_touch_at_ideal_points():
     for el in marks:
         x, y = to_disk(el.data[0], el.data[1])
         assert abs(math.hypot(x, y) - 1.0) < 1e-9
+
+
+def test_ideal_marks_of_random_configs_lie_on_the_boundary():
+    # the float image of an exact null line is null up to rounding, far
+    # inside the tolerance of ideal_point_direction, so no mark is refused
+    rng = random.Random(30)
+    marks = 0
+    for _ in range(300):
+        for el in render_config(random_config(rng, 2)).elements:
+            if el.kind == "ideal_mark":
+                marks += 1
+                x, y = to_disk(el.data[0], el.data[1])
+                assert abs(math.hypot(x, y) - 1.0) < 1e-9
+    assert marks >= 50
 
 
 def test_degenerate_preset_flagged_unenclosed():
