@@ -39,10 +39,7 @@ FACE_SAMPLES = 40  # random points per face in the coverage check's face conditi
 FACE_TOL = 1e-7  # how far an image coordinate the face pins may stray from 1
 SLAB_ROWS = 2**15  # rows per call of the checked map, simplices per block of mesh work
 DEGENERATE = 1e-6  # |det| / product of edge lengths at or below which an image simplex is flat
-CLEAR = 1e-6  # least barycentric distance of the degree's reference point from any image face
 LOCATE_TOL = 1e-9  # barycentric slack with which a grid node lies in an image simplex
-REFERENCE_SEED = 1729  # seed of the degree's candidate reference points
-REFERENCE_TRIES = 8  # candidate reference points tried before the degree is given up
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +202,18 @@ class FaceViolation:
 class CoverageReport:
     """What check_face_mapping_surjectivity found for a map f.
 
-    ok: the face condition holds and every grid node is covered.
+    ok: no face violation, and so every grid node is covered.
     grid_points: the nodes of the simplex grid at spacing grid_step.
     covered: the nodes shown to lie in the PL image, the image of the
-        piecewise-linear interpolant of f on the mesh, up to max_gap.
+        piecewise-linear interpolant of f on the mesh, up to max_gap:
+        every node when the face condition holds, otherwise the nodes
+        located in an image simplex.
     uncovered_witness: the first uncovered node in grid order, or None.
     max_gap: an upper bound on the largest distance from a grid node to
-        the PL image (for an uncovered node, its distance to the nearest
-        image of a boundary vertex of the mesh).
+        the PL image: the width of the boundary band when the face
+        condition holds, otherwise the located nodes' bound, raised to
+        each uncovered node's distance to the nearest image of a
+        boundary vertex of the mesh.
     face_violations: for each face, in all_faces order, the first
         checked point whose image leaves the face's target by more than
         FACE_TOL.
@@ -220,8 +221,6 @@ class CoverageReport:
     mesh_step: the longest edge of the mesh of P.
     image_edge: the longest image of a mesh edge.  The PL image stands
         for the image of f only as closely as f varies along an edge.
-    degree: the degree of the PL map over its reference point, or None
-        when no reference point clear of every image face was found.
     """
 
     ok: bool
@@ -233,12 +232,10 @@ class CoverageReport:
     samples_used: int
     mesh_step: float
     image_edge: float
-    degree: int | None
 
     def __str__(self):
         lines = [
-            f"mesh step {self.mesh_step:.3g}, largest image edge {self.image_edge:.3g},"
-            f" degree {self.degree}",
+            f"mesh step {self.mesh_step:.3g}, largest image edge {self.image_edge:.3g}",
             f"grid nodes {self.grid_points}, covered {self.covered},"
             f" max gap {self.max_gap:.3g}",
         ]
@@ -295,7 +292,7 @@ def _flags(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(bary, dtype=np.int64), np.array(ids, dtype=np.int64)
 
 
-def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Freudenthal's subdivision of the orthoscheme k >= x_1 >= ... >=
     x_n >= 0 into k**n simplices (Edelsbrunner-Grayson's edgewise
     subdivision).
@@ -303,18 +300,17 @@ def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     Returns the weights of its lattice points on the corners, integers
     summing to k (weight j is x_j - x_{j+1}, with x_0 = k and
     x_{n+1} = 0; corner j has its first j coordinates k), the pieces as
-    rows of point indices, each piece's orientation, and the edges of
-    the pieces as pairs of point indices, each once.  The pieces are
-    the cube simplices a, a + e_p(1), a + e_p(1) + e_p(2), ... (a in
-    {0..k-1}^n, p a permutation) whose points all lie in the
-    orthoscheme; their edges from a have the orientation of p.
+    rows of point indices, and the edges of the pieces as pairs of point
+    indices, each once.  The pieces are the cube simplices a, a +
+    e_p(1), a + e_p(1) + e_p(2), ... (a in {0..k-1}^n, p a permutation)
+    whose points all lie in the orthoscheme.
     """
     pts = np.indices((k + 1,) * n).reshape(n, -1).T
     pts = pts[(pts[:, :-1] >= pts[:, 1:]).all(axis=1)]
     lookup = np.zeros((k + 1,) * n, dtype=np.int64)
     lookup[tuple(pts.T)] = np.arange(len(pts))
     corners = np.indices((k,) * n).reshape(n, -1).T
-    pieces, signs = [], []
+    pieces = []
     for perm in itertools.permutations(range(n)):
         walk = [corners]
         for axis in perm:
@@ -323,14 +319,12 @@ def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         walk = np.stack(walk, axis=1)  # (cubes, n+1, n)
         walk = walk[(walk[:, :, :-1] >= walk[:, :, 1:]).all(axis=(1, 2))]
         pieces.append(lookup[tuple(np.moveaxis(walk, 2, 0))])
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        signs.append(np.full(len(walk), (-1) ** inversions))
     pieces = np.concatenate(pieces)
     pairs = [pieces[:, [a, b]] for a, b in itertools.combinations(range(n + 1), 2)]
     pairs = np.sort(np.concatenate(pairs), axis=1) @ [len(pts), 1]  # one key per edge
     edges = np.stack(np.divmod(np.unique(pairs), len(pts)), axis=1)
     ends = np.concatenate([np.full((len(pts), 1), k), pts, np.zeros((len(pts), 1), int)], axis=1)
-    return -np.diff(ends, axis=1), pieces, np.concatenate(signs), edges
+    return -np.diff(ends, axis=1), pieces, edges
 
 
 @dataclass(frozen=True)
@@ -341,22 +335,19 @@ class _Mesh:
 
     The mesh is kept factored, as its flags times one reference
     subdivision: simplex j of flag i has the vertices inverse[i,
-    pieces[j]] and the orientation flag_signs[i] * signs[j].  One mesh
-    serves every check at its n and k (_mesh), so its arrays are
-    read-only.  simplices, orientation and edges expand the factors for
-    reading; the check itself walks the flags a block at a time
+    pieces[j]].  One mesh serves every check at its n and k (_mesh), so
+    its arrays are read-only.  simplices and edges expand the factors
+    for reading; the check itself walks the flags a block at a time
     (_flag_blocks), takes a per-vertex value to the block's reference
     points once, and reduces it over each piece's corners or each
     edge's two ends (_over_corners), gathering float corners only for
-    the simplices its decision picks (_corners).
+    the simplices whose image boxes hold a grid node (_corners).
     """
 
     points: np.ndarray  # (vertices, n+1)
     face: np.ndarray  # (vertices,) index in all_faces(n) of the least face holding it, -1 inside
     inverse: np.ndarray  # (flags, reference points) the mesh vertex of each reference point
     pieces: np.ndarray  # (pieces, n+1) reference point indices
-    signs: np.ndarray  # (pieces,) +1 or -1, each piece's orientation in its flag
-    flag_signs: np.ndarray  # (flags,) +1 or -1 in the chart of the first n coordinates
     reference_edges: np.ndarray  # (reference edges, 2) reference point indices, each edge once
     step: float  # the longest edge
 
@@ -364,11 +355,6 @@ class _Mesh:
     def simplices(self) -> np.ndarray:
         """(simplices, n+1) vertex indices, flag by flag."""
         return self.inverse[:, self.pieces].reshape(-1, self.pieces.shape[1])
-
-    @property
-    def orientation(self) -> np.ndarray:
-        """(simplices,) +1 or -1 in the chart of the first n coordinates."""
-        return np.outer(self.flag_signs, self.signs).ravel()
 
     @property
     def edges(self) -> np.ndarray:
@@ -408,7 +394,7 @@ def _mesh_of(n: int, k: int) -> _Mesh:
     points shared by flags are merged on those integers.
     """
     bary, ids = _flags(n)
-    weights, pieces, signs, edges = _orthoscheme(n, k)
+    weights, pieces, edges = _orthoscheme(n, k)
     lattice = weights @ bary  # (flags, points, n+1), each point times 2k
     radix = 2 * k * (n + 1) + 1  # coordinates lie in [2k, 2k(n+1)]
     keys = (lattice[:, :, :n] * radix ** np.arange(n)).sum(axis=2).ravel()
@@ -416,7 +402,6 @@ def _mesh_of(n: int, k: int) -> _Mesh:
     # the least face holding a point: the last corner it weighs
     last = n - np.argmax(weights[:, ::-1] > 0, axis=1)
     faces = np.concatenate([ids, np.full((len(ids), 1), -1)], axis=1)[:, last]
-    axes = np.diff(bary, axis=1)[:, :, :n]
     # every edge is one of a few weight differences, each entry -1, 0 or
     # 1, mapped by its flag
     moves = weights[edges[:, 0]] - weights[edges[:, 1]]
@@ -426,8 +411,6 @@ def _mesh_of(n: int, k: int) -> _Mesh:
         face=faces.ravel()[first],
         inverse=inverse.reshape(len(bary), -1),
         pieces=pieces,
-        signs=signs,
-        flag_signs=np.sign(np.linalg.det(axes)).astype(np.int64),
         reference_edges=edges,
         step=float(np.linalg.norm(moves[kinds] @ bary, axis=-1).max()) / (2 * k),
     )
@@ -522,12 +505,12 @@ def _over_corners(
 
 def _corners(
     chart: np.ndarray, inverse: np.ndarray, pieces: np.ndarray, picked: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The corners (n+1, s, n) of the picked simplices, given by their
-    places in _over_corners's order, and the piece and flag of each."""
+    places in _over_corners's order."""
     piece, flag = np.divmod(picked, len(inverse))
     vertices = inverse[flag, pieces[piece].T]  # (n+1, s)
-    return np.take(chart, vertices, axis=0), piece, flag
+    return np.take(chart, vertices, axis=0)
 
 
 def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
@@ -540,14 +523,14 @@ def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
     return math.sqrt(longest)
 
 
-def _edges(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _edges(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For simplices given by their corners (n+1, s, n), the edges from
-    corner 0 as rows (s, n, n), their determinants, and whether each is
-    flat: |det| at most DEGENERATE times the product of the edge lengths."""
+    corner 0 as rows (s, n, n) and whether each simplex is flat: |det|
+    at most DEGENERATE times the product of the edge lengths."""
     edges = np.moveaxis(corners[1:] - corners[0], 0, 1)
     det = np.linalg.det(edges)
     flat = np.abs(det) <= DEGENERATE * np.linalg.norm(edges, axis=2).prod(axis=1)
-    return edges, det, flat
+    return edges, flat
 
 
 def _barycentric(edges: np.ndarray, origin: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -555,56 +538,6 @@ def _barycentric(edges: np.ndarray, origin: np.ndarray, q: np.ndarray) -> np.nda
     simplices with the given corner 0 (s, n) and edges (s, n, n)."""
     lam = np.linalg.solve(np.swapaxes(edges, 1, 2), (q - origin)[:, :, None])[:, :, 0]
     return np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], axis=1)
-
-
-def _degree(chart: np.ndarray, mesh: _Mesh) -> int | None:
-    """The degree of the PL map with vertex images chart (the first n
-    coordinates of each image) over a reference point near the centre of
-    the simplex, or None when none of REFERENCE_TRIES seeded points is
-    clear of every image simplex's faces and of every flat image.
-
-    Clear means: each image simplex whose bounding box holds the point
-    is not flat, and the point's least barycentric coordinate in it is
-    not within CLEAR of 0.  The degree is then the oriented count of the
-    image simplices that hold the point.
-
-    The boxes are read from one code per mesh vertex, 2n bits: bit d
-    says the vertex image is at most the point in coordinate d, bit
-    n + d at least.  A box holds the point exactly when its corners'
-    codes OR to all ones; only those simplices are gathered as floats.
-    """
-    n = chart.shape[1]
-    full = (1 << 2 * n) - 1
-    rng = np.random.default_rng(REFERENCE_SEED)
-    # within 0.1 of the centre in each chart coordinate, so every
-    # coordinate, the implied last one too, exceeds 1 by at least 0.4
-    for point in (n + 2) / 2 + 0.1 * rng.uniform(-1, 1, (REFERENCE_TRIES, n)):
-        # column by column: on the 30,673 vertices of n = 2, grid 0.02
-        # (2-CPU host), comparing whole rows and packing them with
-        # np.packbits took about 1.0 ms, these columns 0.15 ms
-        codes = np.zeros(len(chart), dtype=np.uint8)
-        for d, (column, x) in enumerate(zip(chart.T, point)):
-            codes |= (column <= x).view(np.uint8) << d
-            codes |= (column >= x).view(np.uint8) << (n + d)
-        degree = 0
-        for flags, rows in _flag_blocks(mesh, mesh.pieces):
-            inverse, pieces = mesh.inverse[flags], mesh.pieces[rows]
-            boxes = _over_corners(codes, inverse, pieces, np.bitwise_or)
-            picked = np.flatnonzero(boxes == full)
-            corners, piece, flag = _corners(chart, inverse, pieces, picked)
-            edges, det, flat = _edges(corners)
-            if flat.any():
-                break
-            least = _barycentric(edges, corners[0], np.broadcast_to(point, corners[0].shape))
-            least = least.min(axis=1)
-            if (np.abs(least) <= CLEAR).any():
-                break
-            inside = least > 0
-            orientation = mesh.signs[rows][piece] * mesh.flag_signs[flags][flag]
-            degree += int((orientation[inside] * np.sign(det[inside])).sum())
-        else:
-            return degree
-    return None
 
 
 def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: float) -> np.ndarray:
@@ -632,8 +565,8 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
         hi = _over_corners(high, inverse, pieces, np.maximum).reshape(-1, n)
         # a box holds a node when it is not empty and its least node lies in the grid
         picked = np.flatnonzero((hi >= lo).all(axis=1) & (lo.sum(axis=1) <= k))
-        corners, _, _ = _corners(chart, inverse, pieces, picked)
-        edges, _, flat = _edges(corners)
+        corners = _corners(chart, inverse, pieces, picked)
+        edges, flat = _edges(corners)
         corners, edges, picked = corners[:, ~flat], edges[~flat], picked[~flat]
         lo = lo[picked]
         sizes = hi[picked] - lo + 1
@@ -678,19 +611,31 @@ def check_face_mapping_surjectivity(
     boundary vertex of the mesh, against its least face, and at
     FACE_SAMPLES points drawn from each face with the given seed plus
     the face's vertices: the coordinates of the chain's largest subset
-    must map to 1 within FACE_TOL.  The degree is counted over a
-    reference point near the centre (_degree).
+    must map to 1 within FACE_TOL.
 
-    If the face condition holds and the degree is 1, the image of the
-    boundary stays within FACE_TOL of the simplex's boundary, so the
-    degree is 1 on the whole inner simplex (every coordinate above 1 +
-    FACE_TOL, widened by the images' float drift off the plane), which
-    therefore lies in the PL image.  Every grid node is then covered:
-    those inside with a gap of 0, those on the boundary within the band.
-    Otherwise the nodes are located in the image simplices that are not
-    flat (_locate): a located node is covered, within 2 n LOCATE_TOL
-    image edges, and an uncovered node's gap is bounded by its distance
-    to the nearest image of a boundary vertex of the mesh.
+    The face condition alone certifies; this is the polytopal Sperner
+    and KKM lemma (De Loera, Peterson and Su, J. Combin. Theory Ser. A
+    100, 2002).  Let f and g map P_n into the simplex's plane so that
+    each boundary point x goes where every coordinate that x's least
+    face pins is 1.  Then so does every (1 - t) f + t g, so no boundary
+    point meets the open simplex along the way, and f and g have the
+    same degree over each of its points: one integer d_n for every such
+    map.  d_n = 1 for n <= 3: test_collapse_has_degree_one in
+    tests/test_permutahedron.py counts the oriented preimages, under the
+    PL interpolant of collapse_batch, of points near the centre.  The PL
+    interpolant respects the faces when its vertices do: a boundary
+    simplex of the mesh lies in one face F of P, each of its vertices
+    has a least face inside F, pinning every coordinate F pins, and
+    linearity carries the condition over the simplex.
+
+    So with no face violation, every point of the simplex farther than
+    FACE_TOL from its boundary, widened by the images' float drift off
+    the plane, lies in the PL image, and every grid node is covered
+    within that band, whose width is max_gap.  Otherwise the nodes are
+    located in the image simplices that are not flat (_locate): a
+    located node is covered, within 2 n LOCATE_TOL image edges, and an
+    uncovered node's gap is bounded by its distance to the nearest image
+    of a boundary vertex of the mesh.
 
     n must be a positive int, grid_step a positive finite real number,
     and seed a non-negative int, or InputError is raised.  An n above 3,
@@ -730,17 +675,16 @@ def check_face_mapping_surjectivity(
     )
 
     mapped = images[: len(mesh.points)]
-    shift = excess[: len(mesh.points)] / (n + 1)
-    chart = (mapped - shift[:, None])[:, :n]  # the images moved onto the plane
-    shift = float(np.abs(shift).max())
+    shifts = excess[: len(mesh.points)] / (n + 1)
+    shift = float(np.abs(shifts).max())
     image_edge = _longest_edge(mapped, mesh)
-    degree = _degree(chart, mesh)
-    if degree == 1 and not violations:
+    if not violations:
         # the inner simplex lies in the PL image, and every node lies
         # within the boundary band of it
         covered = np.ones(len(lattice), dtype=bool)
         max_gap = (FACE_TOL + shift) * math.sqrt(n * (n + 1)) + shift * math.sqrt(n + 1)
     else:
+        chart = (mapped - shifts[:, None])[:, :n]  # the images moved onto the plane
         covered = _locate(chart, mesh, k, lattice, grid_step)
         # barycentric coordinates no lower than -LOCATE_TOL put a node
         # within 2 n LOCATE_TOL edge lengths of its simplex
@@ -754,7 +698,7 @@ def check_face_mapping_surjectivity(
         gaps = _nearest_distance(grid[~covered], np.unique(mapped[boundary], axis=0))
         max_gap = max(max_gap, float(gaps.max()))
     return CoverageReport(
-        ok=bool(covered.all()) and not violations,
+        ok=not violations,
         grid_points=len(lattice),
         covered=int(covered.sum()),
         uncovered_witness=witness,
@@ -763,7 +707,6 @@ def check_face_mapping_surjectivity(
         samples_used=len(mesh.points),
         mesh_step=mesh.step,
         image_edge=image_edge,
-        degree=degree,
     )
 
 

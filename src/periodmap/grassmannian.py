@@ -116,9 +116,11 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
 
 def ideal_point_direction(v: Sequence[float]) -> tuple[float, ...]:
     """Boundary-circle coordinates of a null direction: one whose
-    |<v, v>| is at most 1e-9 v_0^2, else DomainError."""
+    |<v, v>| is at most 1e-9 v_0^2, else DomainError.  The test scales
+    with v, so a direction is read at any scale; only v_0 = 0 is refused
+    as vanishing."""
     vv = _floats(v, "null direction", 2)
-    if abs(vv[0]) < 1e-12:
+    if vv[0] == 0:
         raise DomainError("null direction has vanishing first coordinate")
     norm = mink_dot(vv, vv)
     if abs(norm) > 1e-9 * vv[0] ** 2:

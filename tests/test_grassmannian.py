@@ -56,8 +56,13 @@ SHORT = r"^{} must have at least 2 entries, got {}$"
         (ideal_point_direction, (1, 0, 0), r"^not a null direction: \(1\.0, 0\.0, 0\.0\)"),
         (ideal_point_direction, (1, 5, 0), r"^not a null direction: \(1\.0, 5\.0, 0\.0\)"),
         (ideal_point_direction, (2, 2, 1e-3), r"^not a null direction"),
+        (ideal_point_direction, (0, 0, 0), r"^null direction has vanishing first coordinate$"),
+        (ideal_point_direction, (0, 1), r"^null direction has vanishing first coordinate$"),
     ],
-    ids=["line-empty", "ideal-empty", "ideal-one", "timelike", "spacelike", "near-null"],
+    ids=[
+        "line-empty", "ideal-empty", "ideal-one", "timelike", "spacelike", "near-null",
+        "ideal-zero", "ideal-zero-first",
+    ],
 )
 def test_short_vectors_and_non_null_directions_are_refused(call, v, message):
     # these raised a bare IndexError, returned () or returned a point off
@@ -70,6 +75,10 @@ def test_null_directions_within_the_tolerance_are_read():
     # |<v, v>| up to 1e-9 v0^2 is null: (2, 2, 6e-5) has <v, v> = -3.6e-9
     assert ideal_point_direction((2.0, 2.0, 6e-5)) == (1.0, 3e-5)
     assert ideal_point_direction((1.0, 0.6, 0.8)) == (0.6, 0.8)
+    # the test scales with v: an absolute bound on v0 once refused these
+    # as vanishing
+    assert ideal_point_direction((1e-13, 1e-13, 0.0)) == (1.0, 0.0)
+    assert ideal_point_direction((1e-200, 1e-200)) == (1.0,)
 
 
 def test_hpoint_validation():
