@@ -442,7 +442,7 @@ class GramForm:
 
     @cached_property
     def _sig(self) -> Signature:
-        return _signature_of(self._columns)
+        return _signature_of(self._columns, self.dim)
 
     @cached_property
     def _embedding(self) -> "StandardEmbedding":
@@ -581,7 +581,7 @@ class Subspace:
         return _gram_of(x, self.ambient._igram)[0], x, d
 
     def _split(self) -> list[tuple[int, list[int], int, int]]:
-        """(e, w, p, q) for every column of the exact diagonalization.
+        """(e, w, p, q) for every column of the exact diagonalization but the negative ones.
 
         Column j of the rational congruence diagonalization of
         ``self.restricted_gram()`` (see ``_split_of``), mapped through
@@ -633,14 +633,16 @@ def _split_of(
 ) -> list[tuple[int, list[int], int, int]]:
     """(e, w, p, q) for every column of the congruence diagonalization of
     an integer symmetric m, some positive multiple of the gram matrix of
-    the rows x / d; m is overwritten.  Column j of the rational algorithm
-    (see ``_congruence``), mapped through those rows, is w * p / q, and
-    the integer e has the sign of its diagonal entry."""
+    the rows x / d, but the negative ones, which readers only count; m is
+    overwritten.  Column j of the rational algorithm (see
+    ``_congruence``), mapped through those rows, is w * p / q, and the
+    integer e has the sign of its diagonal entry."""
     cols, num, den = _congruence(m)
     xt = list(zip(*x))
     return [
         (m[j][j], [_dot(c, col) for col in xt], den[j], num[j] * d)
         for j, c in enumerate(cols)
+        if m[j][j] >= 0
     ]
 
 
@@ -680,16 +682,16 @@ def lorentzian_rank(form: GramForm, what: str) -> int:
     return n
 
 
-def _signature_of(columns: list[tuple[int, list[int], int, int]]) -> Signature:
-    """Counts of the positive, negative and zero diagonal entries of a split."""
+def _signature_of(columns: list[tuple[int, list[int], int, int]], dim: int) -> Signature:
+    """Inertia of a split of a dim-dimensional space, negative columns left out."""
     plus = sum(1 for e, _, _, _ in columns if e > 0)
-    minus = sum(1 for e, _, _, _ in columns if e < 0)
-    return Signature(plus, minus, len(columns) - plus - minus)
+    null = sum(1 for e, _, _, _ in columns if e == 0)
+    return Signature(plus, dim - plus - null, null)
 
 
 def subspace_signature(sub: Subspace) -> Signature:
     """Inertia of the form restricted to a subspace."""
-    return _signature_of(sub._split())
+    return _signature_of(sub._split(), sub.dim)
 
 
 def is_negative_definite(sub: Subspace) -> bool:

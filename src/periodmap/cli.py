@@ -44,6 +44,7 @@ from .face_constraints import (
 from .grassmannian import classify_span, line_to_hpoint, to_poincare_disk
 from .permutahedron import (
     NestedSequence,
+    _check_n,
     all_faces,
     export_json,
     face_counts,
@@ -128,15 +129,11 @@ def _cmd_faces(args) -> int:
     k = len(cfg.vectors)
     if args.chain:
         chains = [NestedSequence.parse(cfg.n, args.chain)]
-    elif k <= 3:
+    else:
         # shortest chains first, then by subset sizes, then lexicographic
         chains = sorted(
-            all_faces(k - 1),
+            all_faces(_check_n(k - 1, 6, "face sweep")),
             key=lambda ns: (len(ns.chain), [(len(s), s) for s in ns.chain]),
-        )
-    else:
-        raise InputError(
-            f"{k} vectors give too many faces to sweep; pick one with --chain"
         )
     rows = []
     payload = []

@@ -571,17 +571,20 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
         lo = lo[picked]
         sizes = hi[picked] - lo + 1
         counts = sizes.prod(axis=1)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-        nodes = lo[owner]
-        for d in reversed(range(n)):
-            nodes[:, d] += rank % sizes[owner, d]
-            rank //= sizes[owner, d]
-        keep = nodes.sum(axis=1) <= k
-        owner, nodes = owner[keep], nodes[keep]
-        lam = _barycentric(edges[owner], corners[0, owner], 1.0 + step * nodes)
-        inside = lam.min(axis=1) >= -LOCATE_TOL
-        covered[index[tuple(nodes[inside].T)]] = True
+        starts, total = np.cumsum(counts) - counts, int(counts.sum())
+        for start in range(0, total, SLAB_ROWS):  # (simplex, box node) pairs, in runs
+            pair = np.arange(start, min(start + SLAB_ROWS, total))
+            owner = np.searchsorted(starts, pair, side="right") - 1
+            rank = pair - starts[owner]
+            nodes = lo[owner]
+            for d in reversed(range(n)):
+                nodes[:, d] += rank % sizes[owner, d]
+                rank //= sizes[owner, d]
+            keep = nodes.sum(axis=1) <= k
+            owner, nodes = owner[keep], nodes[keep]
+            lam = _barycentric(edges[owner], corners[0, owner], 1.0 + step * nodes)
+            inside = lam.min(axis=1) >= -LOCATE_TOL
+            covered[index[tuple(nodes[inside].T)]] = True
     return covered
 
 

@@ -55,9 +55,9 @@ from .permutahedron import NestedSequence
 class SurfaceConfig:
     """Integer vector configuration inside an exact bilinear form.
 
-    It keeps the cut of the last chain it was asked about (``_cut``) in
-    one slot, and its integer pairing matrix (``_pairing``) from first
-    use on; equality, hashing and repr see neither."""
+    From first use on it keeps its integer pairing matrix (``_pairing``)
+    and one table (``_table``) of the spans and pieces every face reads;
+    equality, hashing and repr see neither."""
 
     form: GramForm
     vectors: tuple[tuple[Fraction, ...], ...]
@@ -71,7 +71,6 @@ class SurfaceConfig:
         # length and independence checks via Subspace's constructor
         Subspace(self.form, vecs)
         object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "_last_cut", None)
 
     @property
     def n(self) -> int:
@@ -87,15 +86,35 @@ class SurfaceConfig:
         x = _int_rows(self.vectors)
         return x, _gram_of(x, self.form._igram)[0]
 
-    def _span(self, idx: Sequence[int]) -> Subspace:
-        """V_I for sorted, distinct 0-based indices, read from ``_pairing``."""
-        x, p = self._pairing
-        return Subspace._framed(
-            self.form,
-            [x[i] for i in idx],
-            [[p[i][j] for j in idx] for i in idx],
-            tuple(self.vectors[i] for i in idx),
-        )
+    @cached_property
+    def _table(self) -> dict:
+        return {}
+
+    def _span(self, idx: tuple[int, ...]) -> Subspace:
+        """V_I for sorted, distinct 0-based indices, with the vectors as
+        its basis, split from the block P[I, I] of ``_pairing``."""
+        if idx not in self._table:
+            x, p = self._pairing
+            self._table[idx] = Subspace._framed(
+                self.form,
+                [x[i] for i in idx],
+                [[p[i][j] for j in idx] for i in idx],
+                tuple(self.vectors[i] for i in idx),
+            )
+        return self._table[idx]
+
+    def _piece(self, prev: tuple[int, ...], cur: tuple[int, ...] | None) -> Subspace:
+        """V_cur cut with the orthogonal complement of V_prev, prev inside
+        cur: the rows c X_cur for c in the kernel of P[prev, cur], or for
+        cur None the kernel of X_prev G.  Its basis is the canonical one."""
+        if (prev, cur) not in self._table:
+            x, p = self._pairing
+            if cur is None:
+                rows = _kernel_rows([self.form._image(x[i]) for i in prev])
+            else:
+                rows = _kernel_rows([[p[i][j] for j in cur] for i in prev], [x[j] for j in cur])
+            self._table[prev, cur] = Subspace._echelon(self.form, rows)
+        return self._table[prev, cur]
 
     def span_of(self, indices) -> Subspace:
         """V_I: span of the vectors with the given 1-based indices, with
@@ -107,7 +126,7 @@ class SurfaceConfig:
             raise InputError(f"indices must be a list of ints, got {indices!r}") from None
         if not idx:
             raise InputError("a subset of the vectors cannot be empty")
-        return self._span([i - 1 for i in idx])
+        return self._span(tuple(i - 1 for i in idx))
 
     def to_json(self) -> dict:
         return {
@@ -162,42 +181,30 @@ class _Cut(NamedTuple):
     nulls: tuple[Subspace, ...]
     first: int | None
 
+    def summary(self) -> ConstraintSet:  # see bplus1_summary
+        return classify_span(self.spans[-1] if self.first is None else self.pieces[self.first])
+
 
 def _cut(cfg: SurfaceConfig, ns: NestedSequence) -> _Cut:
     """Chain spans V_{I_i}, the pieces they cut out, the spans' radicals
     and the index of the first span that is not negative definite.
 
     The one place a chain is checked against its configuration; its
-    subsets were checked when the chain was built.  Everything is read
-    in the configuration's own coordinates, from its pairing matrix P
-    (see ``SurfaceConfig._pairing``).  Piece i is V_{I_i} cut with the
-    orthogonal complement of V_{I_{i-1}} (piece 1 is V_{I_1}): the rows
-    c X_{I_i} for c in the kernel of the block P[I_{i-1}, I_i].  The
-    final piece is the complement of V_{I_l}, the kernel of X_{I_l} G,
-    with its canonical basis.  The config keeps the last cut, a (chain,
-    cut) pair written and read whole, so every reader of a face shares
-    its diagonalizations.
+    subsets were checked when the chain was built.  Piece 1 is V_{I_1},
+    piece i is V_{I_i} cut with the orthogonal complement of V_{I_{i-1}}
+    and the final piece is the complement of V_{I_l}.  Spans and pieces
+    come from the configuration's table, so every face shares their
+    diagonalizations; the radicals and the first index are read anew.
     """
-    last = cfg._last_cut
-    if last is not None and last[0] == ns:
-        return last[1]
     if ns.n != cfg.n:
         raise InputError(
             f"chain is for a {ns.n}-permutahedron, config has {cfg.n + 1} vectors"
         )
-    x, p = cfg._pairing
-    chain = [[i - 1 for i in sub] for sub in ns.chain]
-    spans = tuple(cfg._span(idx) for idx in chain)
-    pieces = [spans[0]]
-    for prev, cur in zip(chain, chain[1:]):
-        block = [[p[i][j] for j in cur] for i in prev]
-        pieces.append(Subspace._echelon(cfg.form, _kernel_rows(block, [x[j] for j in cur])))
-    perp = _kernel_rows([cfg.form._image(x[i]) for i in chain[-1]])
-    pieces.append(Subspace._echelon(cfg.form, perp))
+    chain = [tuple(i - 1 for i in sub) for sub in ns.chain]
+    spans = tuple(map(cfg._span, chain))
+    pieces = (spans[0], *map(cfg._piece, chain, chain[1:] + [None]))
     first = next((i for i, s in enumerate(spans) if not is_negative_definite(s)), None)
-    cut = _Cut(spans, tuple(pieces), tuple(nullspace(s) for s in spans), first)
-    object.__setattr__(cfg, "_last_cut", (ns, cut))
-    return cut
+    return _Cut(spans, pieces, tuple(nullspace(s) for s in spans), first)
 
 
 def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstraint:
@@ -229,7 +236,7 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
         positive_parts=pos_parts,
         semi_positive_sum=total,
         iplus=None if cut.first is None else cut.first + 1,
-        summary=bplus1_summary(cfg, ns) if amb.is_lorentzian() else None,
+        summary=cut.summary() if amb.is_lorentzian() else None,
     )
 
 
@@ -276,12 +283,11 @@ def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
     of the chain pins it: inside the piece, which contains the positive
     direction, or, when V_{I_i+} is degenerate, to the ideal point of
     their common 1-dimensional radical (the span before is negative
-    definite).  It reads the face's cut that the config keeps, as
-    ``constraint_for_face`` does.
+    definite).  ``constraint_for_face`` reads the same summary from its
+    own cut.
     """
     lorentzian_rank(cfg.form, "bplus1_summary")
-    spans, pieces, _, first = _cut(cfg, ns)
-    return classify_span(spans[-1] if first is None else pieces[first])
+    return _cut(cfg, ns).summary()
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +300,7 @@ def _first_unbounded(cfg: SurfaceConfig) -> list[int] | None:
     then v_2, ..., whose span is not negative definite, or None."""
     k = len(cfg.vectors)
     for out in range(k):
-        idx = [i for i in range(k) if i != out]
+        idx = tuple(i for i in range(k) if i != out)
         if not is_negative_definite(cfg._span(idx)):
             return [i + 1 for i in idx]
     return None

@@ -283,13 +283,13 @@ def render_config(cfg: SurfaceConfig, out: str | None = None) -> Scene:
 
 
 def _null_directions(form: GramForm) -> list[tuple[float, float]]:
-    g00, g01 = float(form.gram[0][0]), float(form.gram[0][1])
-    g11 = float(form.gram[1][1])
-    if abs(g00) > 1e-13:
+    (a, b), (_, c) = form.gram  # exact: a tiny nonzero g00 still has two roots
+    g00, g01, g11 = float(a), float(b), float(c)
+    if a:
         disc = math.sqrt(g01 * g01 - g00 * g11)
         return [((-g01 + disc) / g00, 1.0), ((-g01 - disc) / g00, 1.0)]
     dirs = [(1.0, 0.0)]
-    if abs(g01) > 1e-13:
+    if b:
         dirs.append((-g11 / (2 * g01), 1.0))
     else:
         dirs.append((0.0, 1.0))

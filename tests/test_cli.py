@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 from periodmap import cli
 from periodmap.cli import main
 from periodmap.errors import InputError, ResourceError
-from periodmap.permutahedron import enumerate_faces
+from periodmap.face_constraints import SurfaceConfig, constraint_for_face, random_config
+from periodmap.permutahedron import NestedSequence, enumerate_faces, face_counts
 
 
 def run(capsys, *argv):
@@ -197,6 +199,43 @@ def test_faces_answers_negative_definite(capsys, tmp_path):
     assert {row["kind"] for row in rows} == {"Unconstrained"}
     assert {row["iplus"] for row in rows} == {None}
     assert {row["determined"] for row in rows} == {None}
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_faces_sweeps_every_face_of_larger_configs(capsys, tmp_path, k):
+    # a sweep without --chain answers every face, shortest chains first,
+    # each row as constraint_for_face answers it on a fresh config
+    data = random_config(random.Random(k), k - 1).to_json()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "faces", "--config", str(path), "--json")
+    assert code == 0
+    rows = json.loads(out)["faces"]
+    assert len(rows) == sum(face_counts(k - 1))
+    for row in rows:
+        ns = NestedSequence(k - 1, tuple(map(tuple, row["chain"])))
+        fc = constraint_for_face(SurfaceConfig.from_json(data), ns)
+        assert row == {
+            "chain": [list(s) for s in ns.chain],
+            "iplus": fc.iplus,
+            "kind": fc.summary.kind.value,
+            "piece_signatures": [list(s) for s in fc.piece_signatures],
+            "determined": fc.summary.determined,
+        }
+    sizes = [(len(r["chain"]), [(len(s), s) for s in r["chain"]]) for r in rows]
+    assert sizes == sorted(sizes)
+
+
+def test_faces_sweep_is_capped(capsys, tmp_path):
+    # 8 vectors give 7,087,260 faces: the sweep is refused before any
+    # work, and one face of them is still answered with --chain
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(random_config(random.Random(8), 7).to_json()))
+    code, out, err = run(capsys, "faces", "--config", str(path))
+    assert code == 1 and not out
+    assert "face sweep capped at n = 6, got 7" in err
+    code, out, _ = run(capsys, "faces", "--config", str(path), "--chain", "1;1,2")
+    assert code == 0 and "(1 faces)" in out
 
 
 def test_simplex_symmetric_vertices(capsys):

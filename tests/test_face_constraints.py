@@ -289,8 +289,8 @@ def test_face_constraint_diagonalizes_each_span_and_piece_once(monkeypatch):
     # l spans and l + 1 pieces share one subspace (piece 1 is span 1);
     # with the semi-positive sum and the fresh ambient form that is at
     # most 2l + 2 congruence diagonalizations per face, for all four
-    # readers together: the config keeps the face's cut, so the three
-    # after constraint_for_face diagonalize nothing new
+    # readers together: the spans and pieces stay in the config's table,
+    # so the three after constraint_for_face diagonalize nothing new
     calls = []
     congruence = bilinear._congruence
 
@@ -320,6 +320,46 @@ def test_face_constraint_diagonalizes_each_span_and_piece_once(monkeypatch):
         assert len(calls) <= 2 * len(ns.chain) + 2, (cfg.vectors, ns.chain, len(calls))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sweep_diagonalizes_each_span_and_piece_once(monkeypatch, n):
+    # a full sweep with both readers on one fresh config splits, once
+    # each, every face's semi-positive sum, the form, the 2^(n+1) - 2
+    # subset spans and as many final pieces, and one piece per pair of
+    # nested proper subsets: the table shares them between faces
+    calls = []
+    congruence = bilinear._congruence
+
+    def counting(m):
+        calls.append(1)
+        return congruence(m)
+
+    monkeypatch.setattr(bilinear, "_congruence", counting)
+    cfg = _fresh(random_config(random.Random(n), n))
+    faces = all_faces(n)
+    for ns in faces:
+        constraint_for_face(cfg, ns)
+        check_dimension_identity(cfg, ns)
+    k = n + 1
+    pairs = 3**k - 3 * 2**k + 3
+    assert len(calls) == len(faces) + 1 + 2 * (2**k - 2) + pairs
+
+
+def test_span_of_reads_the_table():
+    # one instance per subset, whatever order the indices come in and
+    # whatever the faces read in between; the table changes no equality,
+    # hash or repr, and an equal config keeps its own
+    cfg = random_config(random.Random(3), 3)
+    twin = SurfaceConfig(cfg.form, cfg.vectors)
+    key = (hash(cfg), repr(cfg))
+    span = cfg.span_of([1, 3])
+    assert cfg.span_of([3, 1]) is span and cfg.span_of((1, 3, 3)) is span
+    for ns in all_faces(3):
+        constraint_for_face(cfg, ns)
+    assert cfg.span_of([1, 3]) is span
+    assert twin.span_of([1, 3]) is not span and twin.span_of([1, 3]) == span
+    assert cfg == twin and (hash(cfg), repr(cfg)) == key == (hash(twin), repr(twin))
+
+
 def _answer(reader, cfg, ns):
     try:
         return reader(cfg, ns)
@@ -331,7 +371,8 @@ def test_kept_cut_is_never_stale():
     # one config asked about two chains in turn, a twin config equal to
     # it but a distinct object, and an unequal config asked about the same
     # chains answer every reader as a config built fresh for each call
-    # does; the kept cut changes no equality or hash
+    # does; so does one config that walks every face forward and back.
+    # The config's table changes no equality or hash
     readers = (
         constraint_for_face,
         check_dimension_identity,
@@ -355,7 +396,7 @@ def test_kept_cut_is_never_stale():
                     want = [_answer(reader, _fresh(c), ns) for c in (cfg, cfg, other)]
                     assert got == want, (reader, ns.chain)
                 for c in (cfg, twin, other):
-                    # read apart from any cut: the last piece is V_{I_l}-perp
+                    # read apart from the table: the last piece is V_{I_l}-perp
                     perp = orth_complement(c.span_of(ns.chain[-1]))
                     assert constraint_for_face(c, ns).pieces[-1] == perp
             # a chain for another n is refused on every call, cut or not
@@ -364,6 +405,13 @@ def test_kept_cut_is_never_stale():
                     check_dimension_identity(cfg, NestedSequence(n + 1, ((1,),)))
         assert cfg == twin and (hash(cfg), repr(cfg)) == key
         assert hash(twin) == hash(cfg)
+    for n in (2, 3):
+        cfg = random_config(rng, n)
+        faces = all_faces(n)
+        for ns in faces + faces[::-1]:
+            for reader in readers:
+                got = _answer(reader, cfg, ns)
+                assert got == _answer(reader, _fresh(cfg), ns), (reader, ns.chain)
 
 
 def _pieces_reference(gram, vectors, chain):

@@ -803,6 +803,30 @@ def test_coverage_certifies_large_bumps_inside(no_locate, amplitude):
         assert rep.max_gap <= 1e-6
 
 
+def test_locate_solves_in_slabs(monkeypatch):
+    # the (simplex, node) pairs of a block are solved in runs of at most
+    # SLAB_ROWS, not all at once: 64 simplices of this shrink once gave
+    # 472 pairs in one solve.  Every run size gives the same report
+    fb, bad = collapse_batch(realize(2)), shrink_map(2, 0.9)
+
+    def f(pts):
+        return bad(fb(pts))
+
+    want = check_face_mapping_surjectivity(f, 2, 0.05)
+    sizes = []
+    barycentric = coverage._barycentric
+
+    def counting(edges, origin, q):
+        sizes.append(len(q))
+        return barycentric(edges, origin, q)
+
+    monkeypatch.setattr(coverage, "SLAB_ROWS", 64)
+    monkeypatch.setattr(coverage, "_barycentric", counting)
+    got = check_face_mapping_surjectivity(f, 2, 0.05)
+    assert repr(got) == repr(want) and not want.ok
+    assert sizes and max(sizes) <= 64
+
+
 @pytest.mark.parametrize("n, grid_step", [(2, 0.05), (2, 0.02), (3, 0.5)])
 def test_coverage_of_shrink_matches_oracle(n, grid_step):
     # the PL image of shrink o collapse is the shrunk simplex; nodes on

@@ -17,6 +17,7 @@ from periodmap.render import (
     DISK_RADIUS,
     Scene,
     SceneElement,
+    _null_directions,
     render_config,
     render_lattice_lines,
 )
@@ -206,6 +207,18 @@ def test_lattice_general_form_renders(tmp_path):
     assert out.exists()
     assert scene.count("polygon") == 2
     assert scene.count("dashed_line") == 1
+
+
+def test_null_directions_are_exactly_null():
+    # a tiny nonzero g00 is no zero: the form is (1, 1) and both of its
+    # null lines are exact roots, not the non-null (1, 0)
+    form = GramForm([["1/100000000000000", 1], [1, 0]])
+    dirs = _null_directions(form)
+    assert dirs == [(0.0, 1.0), (-2e14, 1.0)]
+    for d in dirs:
+        x, y = map(Fraction, d)
+        (a, b), (_, c) = form.gram
+        assert a * x * x + 2 * b * x * y + c * y * y == 0
 
 
 def test_lattice_rejects_bad_forms():
