@@ -14,6 +14,7 @@ import pytest
 
 from periodmap import coverage, permutahedron
 from periodmap.coverage import (
+    FACE_SAMPLES,
     MAX_MESH_SIMPLICES,
     SLAB_ROWS,
     check_face_mapping_surjectivity,
@@ -463,6 +464,67 @@ def test_collapse_batch_matches_scalar(n):
         assert np.allclose(row_out, [float(c) for c in exact], rtol=0, atol=1e-12)
 
 
+def _collapse_rowwise(realization, pts):
+    """collapse_batch written with a fresh array for every step and row
+    reductions (sort, cumsum, sum over axis 1), as first written."""
+    n1 = realization.n + 1
+    eps = float(DAMPING_SLACK)
+    ordered = np.sort(pts, axis=1)
+    low = np.concatenate([np.zeros((len(pts), 1)), np.cumsum(ordered[:, :-1], axis=1)], axis=1)
+    g = pts - 1.0
+    for k in range(2, n1):
+        least = np.maximum(low[:, k][:, None], pts + low[:, k - 1][:, None])
+        g = np.minimum(g, least - subset_level(k))
+    w = np.clip(g / eps, 0.0, 1.0)
+    pulled = 1.0 + (pts - 1.0) * w
+    spare = float(realization.total) - pulled.sum(axis=1)
+    return pulled + (spare / w.sum(axis=1))[:, None] * w
+
+
+@pytest.mark.parametrize("n, step", [(1, 0.05), (2, 0.05), (3, 0.25)])
+def test_collapse_batch_is_bit_equal_to_the_rowwise_formula(n, step):
+    # the in-place collapse with column sums gives the same bits, which
+    # the 1e-12 of test_collapse_batch_matches_scalar cannot see
+    r = realize(n)
+    verts = np.array(r.vertices, dtype=float)
+    inside = np.random.default_rng(n).dirichlet(np.ones(len(verts)), size=500) @ verts
+    for pts in (_mesh(n, step).points, inside):
+        assert np.array_equal(collapse_batch(r)(pts), _collapse_rowwise(r, pts))
+
+
+def _read_only_points(n):
+    """Points of P_n in a read-only array: a cached mesh's vertices for
+    n <= 3, seeded points of P_4 otherwise."""
+    if n <= 3:
+        return _mesh(n, 0.5).points
+    verts = np.array(realize(n).vertices, dtype=float)
+    pts = np.random.default_rng(4).dirichlet(np.ones(len(verts)), size=300) @ verts
+    pts.flags.writeable = False
+    return pts
+
+
+@pytest.mark.parametrize(
+    "n, name",
+    [(n, "collapse") for n in (1, 2, 3, 4)]
+    + [(2, "radial"), (3, "radial"), (2, "twist"), (2, "shrink"), (3, "shrink")],
+)
+def test_maps_only_read_their_input(n, name):
+    f = {
+        "collapse": lambda: collapse_batch(realize(n)),
+        "radial": lambda: radial_perturbation(n, 0.3),
+        "twist": lambda: twist_perturbation(n, 0.7),
+        "shrink": lambda: shrink_map(n, 0.9),
+    }[name]()
+    pts = _read_only_points(n)
+    assert not pts.flags.writeable
+    want = f(pts.copy())
+    for given in (pts, pts.copy()):
+        before = given.copy()
+        out = f(given)
+        assert np.array_equal(given, before)
+        assert np.array_equal(out, want) and not np.shares_memory(out, given)
+
+
 def test_identity_boundary_samples_are_fixed():
     r2, r3 = realize(2), realize(3)
     for n, r in ((2, r2), (3, r3)):
@@ -748,6 +810,61 @@ def no_locate(monkeypatch):
     monkeypatch.setattr(coverage, "_locate", refuse)
 
 
+@pytest.fixture
+def no_lattice(monkeypatch):
+    """Make building the node lattice raise: a check that certifies from
+    the face condition counts its nodes and never builds them."""
+
+    def refuse(*args):
+        raise AssertionError("a certifying check built the node lattice")
+
+    monkeypatch.setattr(coverage, "_simplex_lattice", refuse)
+
+
+def _grid_nodes(n, grid_step):
+    """The nodes of the simplex grid, counted one by one."""
+    k = round((n * (n + 1) / 2) / grid_step)
+    return k, sum(sum(ks) <= k for ks in itertools.product(range(k + 1), repeat=n))
+
+
+@pytest.mark.parametrize(
+    "n, grid_step",
+    [(2, g) for g in (0.1, 0.05, 0.025, 0.02)] + [(3, g) for g in (0.5, 0.375, 0.25)],
+)
+def test_certifying_check_builds_no_lattice(no_locate, no_lattice, n, grid_step):
+    # the benchmark's grids: every node is covered, and the report counts
+    # them in closed form
+    rep = check_face_mapping_surjectivity(collapse_batch(realize(n)), n, grid_step)
+    k, count = _grid_nodes(n, grid_step)
+    assert rep.ok and rep.grid_points == rep.covered == count == math.comb(k + n, n)
+
+
+@pytest.mark.parametrize(
+    "n, grid_step, witness",
+    [(2, 0.05, (1.0, 1.0, 4.0)), (3, 0.25, (1.0, 1.0, 1.0, 7.0))],
+)
+def test_failing_check_builds_the_lattice_once(monkeypatch, n, grid_step, witness):
+    # the benchmark's shrink at n = 2 and the shrink at n = 3 on its
+    # finest grid locate their nodes on the one lattice, and report the
+    # witness they always did
+    calls = []
+    build = coverage._simplex_lattice
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(coverage, "_simplex_lattice", counting)
+    fb, bad = collapse_batch(realize(n)), shrink_map(n, 0.9)
+    rep = check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), n, grid_step)
+    ref = shrink_coverage_reference(n, grid_step, 0.9)
+    k, count = _grid_nodes(n, grid_step)
+    assert calls == [(n, k)]
+    assert rep.grid_points == ref["grid_points"] == count == math.comb(k + n, n)
+    assert rep.covered == ref["inside"] + ref["near"] and not rep.ok
+    assert rep.uncovered_witness == ref["first_outside"] == witness
+
+
 @pytest.mark.parametrize(
     "n, grid_step, name",
     [(2, g, name) for g in (0.1, 0.05, 0.025, 0.02) for name in _ONTO]
@@ -932,6 +1049,31 @@ def test_coverage_names_the_one_broken_facet(n, facet):
     assert [v.chain for v in rep.face_violations] == [NestedSequence(n, (facet,))]
     point = rep.face_violations[0].point
     assert abs(sum(point[i - 1] for i in facet) - subset_level(len(facet))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
+def test_face_samples_are_per_face_dirichlet_draws(n, seed):
+    # the check maps its mesh vertices, then, face by face in all_faces
+    # order, FACE_SAMPLES Dirichlet(1, ..., 1) points of the face's
+    # vertices and the vertices themselves, all from default_rng(seed)
+    mapped = []
+    fb = collapse_batch(realize(n))
+
+    def f(pts):
+        mapped.append(pts.copy())
+        return fb(pts)
+
+    check_face_mapping_surjectivity(f, n, 0.5, seed=seed)
+    rng = np.random.default_rng(seed)
+    want = []
+    for ns in all_faces(n):
+        fv = np.array(realize(n).vertices_of_face(ns), dtype=float)
+        want += [rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES) @ fv, fv]
+    want = np.concatenate(want)
+    points = np.concatenate(mapped)
+    assert np.array_equal(points[: -len(want)], _mesh(n, 0.5).points)
+    assert np.array_equal(points[-len(want) :], want)
 
 
 def test_coverage_seed_moves_only_the_face_samples():
