@@ -184,8 +184,10 @@ def twist_perturbation(n: int, angle: float) -> Callable[[np.ndarray], np.ndarra
         )
         new_dir = rotated @ basis
         out = np.tile(center, (len(pts), 1))
-        nz = np.linalg.norm(new_dir, axis=1) > 1e-14
-        unit = new_dir[nz] / np.linalg.norm(new_dir[nz], axis=1, keepdims=True)
+        # the bits of np.linalg.norm(new_dir, axis=1), summed by columns
+        length = np.sqrt(_row_sums(new_dir * new_dir))
+        nz = length > 1e-14
+        unit = new_dir[nz] / length[nz, None]
         # keep the radial parameter, swap in the rotated direction
         out[nz] = center + (lam[nz] * _exit_time(unit, center))[:, None] * unit
         return out

@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .bilinear import (
     GramForm,
-    Subspace,
     _dot,
     _gram_of,
     _int_adjugate,
@@ -37,9 +36,7 @@ from .systole import (
     _lll,
     _minimum,
     _norm_matrix,
-    _norm_matrix_int,
     _shortest,
-    period_point,
 )
 
 
@@ -123,15 +120,16 @@ class _DiskObjective:
     def __init__(self, form: GramForm):
         self.n = lorentzian_rank(form, "cs_supremum")
         emb = standard_embedding(form)
-        # the rows of u span the lattice, reduced for the norm form at the
-        # patch centre (the first embedding column); back maps R^{1,n}
-        # coordinates to coordinates in that basis, U^-1 emb.matrix
-        centre = period_point(Subspace(form, [[row[0] for row in emb.matrix]]))
-        u, _ = _lll(_norm_matrix_int(centre)[0])
+        # the embedding's columns are primitive integer vectors; the rows of
+        # u span the lattice, reduced for the norm form at the patch centre
+        # (the first column); back maps R^{1,n} coordinates to coordinates
+        # in that basis, U^-1 emb.matrix
+        cols = [[int(x) for x in col] for col in zip(*emb.matrix)]
+        u, _ = _lll(_norm_matrix(form._igram, form._den, cols[:1])[0])
         adj, det = _int_adjugate(u)
-        cols = [[det * _dot(row, col) for col in zip(*emb.matrix)] for row in zip(*adj)]
+        back = [[det * _dot(row, col) for col in cols] for row in zip(*adj)]
         scales = [math.sqrt(float(s)) for s in emb.scales]
-        self.back = [[float(a) / c for a, c in zip(row, scales)] for row in cols]
+        self.back = [[a / c for a, c in zip(row, scales)] for row in back]
         self.basis = u
         self.igram = _gram_of(u, form._igram)[0]
         self.den = form._den
@@ -220,27 +218,33 @@ def _grid_start(obj: _DiskObjective, step: float) -> tuple[tuple[float, ...], fl
     """The grid point of largest conf, first found, and conf there.
 
     The patch centre starts as the best point, and a grid point replaces
-    it only by beating it.  The walk keeps every vector an enumeration
-    returns; a point where one of them has N_w(h) <= best^2 (1 -
-    ACTIVE_SLACK) has conf below best there, so it is counted as an
-    evaluation but not enumerated.  N_w(h) is off by about 1e-13
-    relative, far inside the margin, so the walk ends where one that
-    enumerates every point ends, bit for bit.  The vector that rules a
-    point out is tried first at the next point, its neighbour.
+    it only by beating it.  The walk keeps the line (a, Q(w)) of every
+    vector an enumeration returns; a point where one of them has N_w(h)
+    <= best^2 (1 - ACTIVE_SLACK) has conf below best there, so it is
+    counted as an evaluation but not enumerated.  N_w(h) is off by about
+    1e-13 relative, far inside the margin, so the walk ends where one
+    that enumerates every point ends, bit for bit.  The line that rules
+    a point out is tried first at the next point, its neighbour.
     """
     best_pt = (0.0,) * obj.n
-    best_sq, known = obj.near_minimal(obj.hpoint(best_pt), ACTIVE_SLACK)
+    best_sq, first = obj.near_minimal(obj.hpoint(best_pt), ACTIVE_SLACK)
+    seen, known = set(first), [obj.line(w) for w in first]
     best_val = math.sqrt(best_sq)
     for pt in _grid_points(obj.n, PATCH_RADIUS, step):
         h = obj.hpoint(pt)
         floor = best_val * best_val * (1.0 - ACTIVE_SLACK)
-        ruled = next((i for i, w in enumerate(known) if obj.norm(w, h) <= floor), None)
+        ruled = next(
+            (i for i, (a, q) in enumerate(known) if 2.0 * _dot(a, h) ** 2 - q <= floor), None
+        )
         if ruled is not None:
             known.insert(0, known.pop(ruled))
             obj.evaluations += 1
             continue
         val_sq, mins = obj.near_minimal(h, ACTIVE_SLACK)
-        known += [w for w in mins if w not in known]
+        for w in mins:
+            if w not in seen:
+                seen.add(w)
+                known.append(obj.line(w))
         val = math.sqrt(val_sq)
         if val > best_val + 1e-15:
             best_val, best_pt = val, pt
@@ -393,8 +397,11 @@ def _newton(lines, h: list[float], active, tol: float) -> tuple[list[float], int
     return h, steps
 
 
-def _ascend(obj: _DiskObjective, h: list[float], tol: float) -> tuple[list[float], int]:
-    """Active-set ascent of conf^2 from h; returns the point and its steps.
+def _ascend(obj: _DiskObjective, h: list[float], tol: float) -> tuple[list[float], int, list]:
+    """Active-set ascent of conf^2 from h.
+
+    Returns the point, its steps and the vectors within CANDIDATE_SLACK
+    of the minimum there.
 
     The active set S holds the vectors whose norms tie for the minimum.
     The least-norm point d of the convex hull of their gradients has
@@ -466,17 +473,28 @@ def _ascend(obj: _DiskObjective, h: list[float], tol: float) -> tuple[list[float
         top = best * (1.0 + ACTIVE_SLACK)
         keep = {*support, hit}
         active = sorted(w for w in cands if w in keep or obj.norm(w, h) <= top)
-    return h, steps
+    return h, steps, cands
 
 
 # -- the certificate ---------------------------------------------------------
 
 
-def _certify(obj: _DiskObjective, h: list[float], tol: float):
+def _least_norm(lines, p: list[int], pp: int) -> int:
+    """min of 2 <w, p>^2 - Q(w) Q(p) over lines (G w, Q(w)), pp = Q(p).
+
+    Divided by Q(p) den, the least norm N_p(w) of the lines' vectors at
+    the line p, on the integer gram G = den times the gram.
+    """
+    return min(2 * _dot(gw, p) ** 2 - qw * pp for gw, qw in lines)
+
+
+def _certify(obj: _DiskObjective, h: list[float], tol: float, cands: Sequence[tuple[int, ...]]):
     """Exact proof that conf has a local maximum near the float point h.
 
     Returns (certified, conf(q)^2, minimizers at q, exact evaluations)
     for the rational line q through the lattice coordinates of h.
+    ``cands`` are lattice vectors in the reduced basis: the ascent's
+    vectors within CANDIDATE_SLACK of the minimum at h.
 
     The argument is independent of the search.  log conf is 1-Lipschitz
     in hyperbolic distance: for unit timelike h and h' at distance d,
@@ -501,52 +519,66 @@ def _certify(obj: _DiskObjective, h: list[float], tol: float):
     corner c of K has cosh d(q, c) <= 1 + tol^2 / 2 <= cosh tol, so the
     ball B(q, tol) holds K and the maximum is at most conf(q) e^{tol}.
     A failing cell is split in 2^(n-1) up to MAX_CERT_CELLS cells.
-    Both tests run on integers: with A = N / D they read 4 N D <p, v>^2
-    < (N + D)^2 Q(v) Q(p), and with tol = a / b the corner test reads
-    <q, c>^2 (2 b^2)^2 <= (2 b^2 + a^2)^2 Q(c) Q(q).
+
+    conf(q)^2 is exact, from the one full enumeration (``_minimum``) at
+    q.  A cell reads the least candidate norm in its place.  That is
+    sound: the cell test only gets harder as A falls, so any upper bound
+    on conf(p)^2 will do, and every nonzero lattice vector w gives one,
+    conf(p)^2 <= N_p(w) = (2 <w, p>^2 - Q(w) Q(p)) / (Q(p) den) on the
+    integer gram (``_least_norm``); the candidates are ``cands`` and q's
+    minimizers.  It is also conf(p)^2 itself: p lies within d, about
+    CERT_RADIUS, of h, so a minimal vector w at p has N_h(w) <= e^{2d}
+    N_p(w) <= e^{4d} conf(h)^2, far below (1 + CANDIDATE_SLACK)
+    conf(h)^2, and w or -w is a candidate.  So the verdict, the cells
+    and the count are a full enumeration's, and each cell counts as one
+    exact evaluation.
+    Both tests run on integers, every pairing read from the chart's
+    integer gram: with A = N / D they read 4 N D <p, v>^2 < (N + D)^2
+    Q(v) Q(p), and with tol = a / b the corner test reads <q, c>^2
+    (2 b^2)^2 <= (2 b^2 + a^2)^2 Q(c) Q(q).
     """
     n = obj.n
     gram, den = obj.igram, obj.den
-    evaluations = 0
 
-    def pair(x, y):
-        return _dot(x, [_dot(row, y) for row in gram])
-
-    def conf_sq(x):
-        nonlocal evaluations
-        evaluations += 1
-        return _minimum(*_norm_matrix(gram, den, [x]))
-
-    # q and the t_j are dyadic, so one power of two clears them all; the
-    # chart point at s = rho i / CERT_SCALE, i integer, is then the integer
-    # vector CERT_SCALE den(rho) q + sum_j i_j num(rho) t_j, up to a
-    # positive factor
+    # q and the t_j are dyadic, so their largest denominator clears them
+    # all; the chart point at s = rho i / CERT_SCALE, i integer, is then
+    # the integer vector CERT_SCALE den(rho) q + sum_j i_j num(rho) t_j,
+    # up to a positive factor: coordinates (1, i) in the rows of ``chart``
     frame = _frame(h)
-    rows = [[Fraction(_dot(row, x)) for row in obj.back] for x in [h] + frame]
-    scale = math.lcm(*[x.denominator for r in rows for x in r])
+    rows = [[_dot(row, x).as_integer_ratio() for row in obj.back] for x in [h] + frame]
+    scale = max(d for r in rows for _, d in r)
     rho = Fraction(min(tol, CERT_RADIUS) / (2.0 * math.sqrt(n)))
-    q = [int(x * scale) for x in rows[0]]
-    origin = [CERT_SCALE * rho.denominator * x for x in q]
-    ts = [[rho.numerator * int(x * scale) for x in r] for r in rows[1:]]
+    q = [a * (scale // d) for a, d in rows[0]]
+    chart = [[CERT_SCALE * rho.denominator * x for x in q]]
+    chart += [[rho.numerator * a * (scale // d) for a, d in r] for r in rows[1:]]
+    # the chart's integer gram pairs chart coordinates: <x, y> = x M y
+    m = _gram_of(chart, gram)[0]
+    cols = list(zip(*chart))
 
-    def point(i):
-        return [c + sum(k * t[a] for k, t in zip(i, ts)) for a, c in enumerate(origin)]
+    def image(x):
+        return [_dot(row, x) for row in m]
 
-    value, mins = conf_sq(q)
+    value, mins = _minimum(*_norm_matrix(gram, den, [q]))
+    evaluations = 1
     minimizers = tuple(
         sorted(tuple(_dot(w, col) for col in zip(*obj.basis)) for w in mins)
     )
+    # (G w, Q(w)) of every candidate; q's minimizers keep the list nonempty
+    lines = []
+    for w in {*cands, *mins}:
+        gw = [_dot(row, w) for row in gram]
+        lines.append((gw, _dot(w, gw)))
 
     def result(ok):
         return ok, value, minimizers, evaluations
 
-    if _int_adjugate([q] + ts)[1] == 0:
+    if _int_adjugate(chart)[1] == 0:
         return result(False)  # the chart is degenerate: K is no neighbourhood
     a, b = Fraction(tol).as_integer_ratio()
-    near, far = (2 * b * b) ** 2, (2 * b * b + a * a) ** 2 * pair(q, q)
+    near, far = (2 * b * b) ** 2, (2 * b * b + a * a) ** 2 * m[0][0]
     for i in itertools.product((-CERT_SCALE, CERT_SCALE), repeat=n):
-        c = point(i)
-        qc, cc = pair(q, c), pair(c, c)
+        c = [1, *i]
+        qc, cc = _dot(m[0], c), _dot(c, image(c))
         if not (qc > 0 and cc > 0 and qc * qc * near <= far * cc):
             return result(False)
     cuts = range(-CERT_SCALE, CERT_SCALE + 1, 2 * CERT_SCALE // CERT_SPLIT)
@@ -565,23 +597,26 @@ def _certify(obj: _DiskObjective, h: list[float], tol: float):
             return result(False)
 
         def at(i):
-            i = list(i)
-            i.insert(axis, side)
-            return point(i)
+            i = [1, *i]
+            i.insert(axis + 1, side)
+            return i
 
-        p = at([(lo + hi) // 2 for lo, hi in box])
-        pp = pair(p, p)
+        x = at([(lo + hi) // 2 for lo, hi in box])
+        mx = image(x)
+        pp = _dot(x, mx)
         if pp <= 0:
             return result(False)
-        # A = N / D with D > 0: conf(p)^2 is positive at a positive line
-        there = conf_sq(p)[0]
-        an, ad = value.numerator * there.denominator, value.denominator * there.numerator
+        evaluations += 1
+        # A = N / D with D > 0: every candidate norm is positive at a
+        # positive line
+        least = _least_norm(lines, [_dot(x, col) for col in cols], pp)
+        an, ad = value.numerator * pp * den, value.denominator * least
         if an <= ad:
             return result(False)
         lhs, rhs = 4 * an * ad, (an + ad) ** 2 * pp
         for corner in itertools.product(*box):
             v = at(corner)
-            pv, vv = pair(p, v), pair(v, v)
+            pv, vv = _dot(mx, v), _dot(v, image(v))
             if not (pv > 0 and vv > 0 and lhs * pv * pv < rhs * vv):
                 if not box or box[0][1] - box[0][0] < 2:
                     return result(False)
@@ -607,8 +642,8 @@ def cs_supremum(form: GramForm, search: CsSearchConfig | None = None) -> CsResul
     check_cs_grid(lorentzian_rank(form, "cs_supremum"), cfg.grid)
     obj = _DiskObjective(form)
     best_pt = _grid_start(obj, cfg.grid)[0]
-    h, steps = _ascend(obj, list(disk_to_hpoint(best_pt).coords), cfg.refine_tol)
-    certified, value_sq, minimizers, exact = _certify(obj, h, cfg.refine_tol)
+    h, steps, cands = _ascend(obj, list(disk_to_hpoint(best_pt).coords), cfg.refine_tol)
+    certified, value_sq, minimizers, exact = _certify(obj, h, cfg.refine_tol, cands)
     return CsResult(
         value=math.sqrt(value_sq),
         disk_point=to_poincare_disk(HPoint(tuple(h))),

@@ -492,6 +492,41 @@ def test_collapse_batch_is_bit_equal_to_the_rowwise_formula(n, step):
         assert np.array_equal(collapse_batch(r)(pts), _collapse_rowwise(r, pts))
 
 
+def _twist_rowwise(angle, pts):
+    """twist_perturbation(2, angle) with np.linalg.norm's row norms and
+    the rows gathered twice, as first written."""
+    center = np.full(3, coverage.plane_total(2) / 3.0)
+    basis = coverage._hyperplane_basis(2)
+    v = pts - center
+    lam = coverage._radial_parameter(pts, center)
+    uv = v @ basis.T
+    theta = angle * (1.0 - lam)
+    cos, sin = np.cos(theta), np.sin(theta)
+    rotated = np.stack(
+        [cos * uv[:, 0] - sin * uv[:, 1], sin * uv[:, 0] + cos * uv[:, 1]], axis=1
+    )
+    new_dir = rotated @ basis
+    out = np.tile(center, (len(pts), 1))
+    nz = np.linalg.norm(new_dir, axis=1) > 1e-14
+    unit = new_dir[nz] / np.linalg.norm(new_dir[nz], axis=1, keepdims=True)
+    out[nz] = center + (lam[nz] * coverage._exit_time(unit, center))[:, None] * unit
+    return out
+
+
+@pytest.mark.parametrize("angle", [0.7, -0.5, 0.0, 2.0])
+def test_twist_is_bit_equal_to_the_rowwise_formula(angle):
+    # the row norms summed by columns give np.linalg.norm's bits; the
+    # images of a collapsed mesh hold the simplex centre, where the
+    # direction is zero and the point stays put
+    m = coverage.plane_total(2)
+    simplex = collapse_batch(realize(2))(_mesh(2, 0.05).points)
+    # the simplex is x >= 1 on the plane of sum m
+    inside = 1.0 + np.random.default_rng(7).dirichlet(np.ones(3), size=500) * (m - 3.0)
+    centre = np.full((1, 3), m / 3.0)
+    for pts in (simplex, inside, centre):
+        assert np.array_equal(twist_perturbation(2, angle)(pts), _twist_rowwise(angle, pts))
+
+
 def _read_only_points(n):
     """Points of P_n in a read-only array: a cached mesh's vertices for
     n <= 3, seeded points of P_4 otherwise."""

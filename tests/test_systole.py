@@ -28,6 +28,8 @@ from periodmap.supremum import (
 )
 from periodmap.systole import (
     _lll,
+    _minimum,
+    _norm_matrix,
     _norm_matrix_int,
     _shortest,
     conf_systole,
@@ -630,6 +632,11 @@ def test_cs_supremum_obeys_the_hermite_bound():
             assert abs(res.value**2 - 2.0) < 1e-12
 
 
+def _candidates(obj, h):
+    # the vectors the ascent hands the certificate at h
+    return obj.near_minimal(h, supremum.CANDIDATE_SLACK)[1]
+
+
 def test_stopped_or_tampered_searches_are_not_certified(monkeypatch):
     # a search stopped at its best grid point is no local maximum
     with monkeypatch.context() as m:
@@ -640,21 +647,21 @@ def test_stopped_or_tampered_searches_are_not_certified(monkeypatch):
     # the same check proves the maximum, and refuses a point 1e-4 beside it
     obj = _DiskObjective(DIAG)
     h = list(disk_to_hpoint(cs_supremum(DIAG).disk_point).coords)
-    assert supremum._certify(obj, h, 1e-6)[0]
+    assert supremum._certify(obj, h, 1e-6, _candidates(obj, h))[0]
     beside = supremum._exp(h, supremum._frame(h), [1e-4])
-    assert not supremum._certify(obj, beside, 1e-6)[0]
+    assert not supremum._certify(obj, beside, 1e-6, _candidates(obj, beside))[0]
     # a neighbourhood whose chart is flat encloses nothing
     with monkeypatch.context() as m:
         m.setattr(supremum, "_frame", lambda x: [list(x)])
-        assert not supremum._certify(obj, h, 1e-6)[0]
+        assert not supremum._certify(obj, h, 1e-6, _candidates(obj, h))[0]
     # a cell budget too small to cover the boundary proves nothing
     obj = _DiskObjective(minkowski_form(2))
     res = cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2))
     h = list(disk_to_hpoint(res.disk_point).coords)
-    assert supremum._certify(obj, h, 1e-6)[0]
+    assert supremum._certify(obj, h, 1e-6, _candidates(obj, h))[0]
     with monkeypatch.context() as m:
         m.setattr(supremum, "MAX_CERT_CELLS", 3)
-        assert not supremum._certify(obj, h, 1e-6)[0]
+        assert not supremum._certify(obj, h, 1e-6, _candidates(obj, h))[0]
     # with one cell per face, a point whose maximum lies past a corner of
     # its cube has every cell centre below it: only the cells' radii
     # show that the boundary rises above it near that corner
@@ -662,7 +669,54 @@ def test_stopped_or_tampered_searches_are_not_certified(monkeypatch):
     past = supremum._exp(h, supremum._frame(h), [-math.sqrt(2.0) * rho, -math.sqrt(2.0) * rho])
     with monkeypatch.context() as m:
         m.setattr(supremum, "CERT_SPLIT", 1)
-        assert not supremum._certify(obj, past, 1e-3)[0]
+        assert not supremum._certify(obj, past, 1e-3, _candidates(obj, past))[0]
+
+
+def test_cell_bound_is_the_enumerated_minimum(monkeypatch):
+    # a cell of the certificate reads the least norm of the ascent's
+    # candidates in place of an enumeration; at every cell of these
+    # searches that bound must be the enumerated minimum itself
+    certify, least_norm = supremum._certify, supremum._least_norm
+    objs, cells = [], []
+
+    def spy_certify(obj, *args):
+        objs.append(obj)
+        return certify(obj, *args)
+
+    def spy_least_norm(lines, p, pp):
+        least = least_norm(lines, p, pp)
+        obj = objs[-1]
+        cells.append(F(least, pp * obj.den) == _minimum(*_norm_matrix(obj.igram, obj.den, [p]))[0])
+        return least
+
+    monkeypatch.setattr(supremum, "_certify", spy_certify)
+    monkeypatch.setattr(supremum, "_least_norm", spy_least_norm)
+    searches = [(minkowski_form(1), 0.05), (minkowski_form(2), 0.2), (minkowski_form(3), 0.15)]
+    searches += [(GramForm(gram), 0.1) for gram in HERMITE_GRAMS]
+    spent = 0
+    for form, grid in searches:
+        res = cs_supremum(form, CsSearchConfig(grid=grid))
+        assert res.certified, (form.gram, grid)
+        spent += res.exact_evaluations - 1  # one enumeration at q, one bound a cell
+    assert len(cells) == spent > 70 and all(cells)
+
+
+def test_cell_bound_from_the_minimizers_alone_still_refuses(monkeypatch):
+    # with no candidates from the ascent a cell reads q's minimizers
+    # alone: still an upper bound on conf at its centre, so the points
+    # the certificate refuses with every candidate stay refused
+    obj = _DiskObjective(DIAG)
+    h = list(disk_to_hpoint(cs_supremum(DIAG).disk_point).coords)
+    beside = supremum._exp(h, supremum._frame(h), [1e-4])
+    assert not supremum._certify(obj, beside, 1e-6, [])[0]
+    obj = _DiskObjective(minkowski_form(2))
+    res = cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2))
+    h = list(disk_to_hpoint(res.disk_point).coords)
+    rho = 1e-3 / (2.0 * math.sqrt(2.0))
+    past = supremum._exp(h, supremum._frame(h), [-math.sqrt(2.0) * rho, -math.sqrt(2.0) * rho])
+    with monkeypatch.context() as m:
+        m.setattr(supremum, "CERT_SPLIT", 1)
+        assert not supremum._certify(obj, past, 1e-3, [])[0]
 
 
 def test_tiny_refine_tolerance_is_best_found():
