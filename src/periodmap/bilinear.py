@@ -288,8 +288,6 @@ def _congruence(m: list[list[int]]) -> tuple[list[list[int]], list[int], list[in
                 if i != p:
                     swap(p, i)
         pivot = m[p][p]
-        if pivot == 0:
-            continue
         for j in range(p + 1, k):
             f = m[p][j]
             if f:
@@ -342,17 +340,6 @@ def _gram_of(
     """(X G X^t, X G) for integer rows x and a symmetric integer matrix g."""
     images = [[_dot(row, v) for row in g] for v in x]
     return [[_dot(y, v) for v in x] for y in images], images
-
-
-def primitive_vector(v: Sequence) -> Vector:
-    """The primitive integer vector on the line of v, first nonzero entry positive."""
-    x, _ = _clear(v)
-    g = gcd(*x)
-    if g > 1:
-        x = [u // g for u in x]
-    if next((u for u in x if u), 0) < 0:
-        x = [-u for u in x]
-    return tuple(Fraction(u) for u in x)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +749,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 @dataclass(frozen=True)
 class StandardEmbedding:
-    """Rational congruence to a scaled Minkowski diagonal form.
+    """Integer congruence to a scaled Minkowski diagonal form.
 
     columns(matrix)^t * gram * columns(matrix) equals
     diag(scales[0], -scales[1], ..., -scales[n]) with positive rational
@@ -770,24 +757,23 @@ class StandardEmbedding:
     the exact diag(1, -1, ..., -1) change of basis.
     """
 
-    matrix: Matrix  # columns are the new basis vectors
+    matrix: tuple[tuple[int, ...], ...]  # columns: the split's primitive integer vectors
     scales: tuple[Fraction, ...]
 
     @cached_property
-    def _inverse(self) -> tuple[list[list[int]] | None, int, int]:
-        """(adj(x), det(x), c) for matrix == x / c, whose inverse is c adj(x) / det(x)."""
-        x, c = _clear_all(self.matrix)
-        return (*_int_adjugate(x), c)
+    def _inverse(self) -> tuple[list[list[int]] | None, int]:
+        """(adj(matrix), det(matrix)): the inverse is adj / det."""
+        return _int_adjugate(self.matrix)
 
     def to_minkowski(self, v: Sequence) -> tuple[float, ...]:
         """Float coordinates of a form-space vector in R^{1,n}, each from one Fraction."""
         x, d = _clear(as_vector(v))
-        adj, det, c = self._inverse
+        adj, det = self._inverse
         if not det:
             raise PreconditionError("matrix is not invertible")
         if len(x) != len(adj):
             raise DimensionMismatchError(f"vector must have {len(adj)} entries, got {len(x)}")
-        y = [Fraction(c * _dot(row, x), det * d) for row in adj]
+        y = [Fraction(_dot(row, x), det * d) for row in adj]
         return tuple(float(yi) * sqrt(float(s)) for yi, s in zip(y, self.scales))
 
 
@@ -795,8 +781,9 @@ def standard_embedding(form: GramForm) -> StandardEmbedding:
     """Diagonalize a signature (1, n) form into scaled Minkowski shape.
 
     Raises PreconditionError when the signature is not (1, n, 0).
-    Columns are normalized to primitive integer vectors, so the result
-    is deterministic and the scales are the resulting diagonal entries.
+    The columns are the integer columns of the form's split, positive
+    first, each primitive with its first nonzero entry positive, so the
+    result is deterministic; the scales are their norms up to sign.
     The result is cached on the form.
     """
     return form._embedding
@@ -804,12 +791,12 @@ def standard_embedding(form: GramForm) -> StandardEmbedding:
 
 def _embed(form: GramForm) -> StandardEmbedding:
     lorentzian_rank(form, "standard_embedding")
-    split = form._columns
-    new_cols = [primitive_vector(w) for e, w, _, _ in split if e > 0]
-    new_cols += [primitive_vector(w) for e, w, _, _ in split if e < 0]
-    scales = tuple(abs(form.evaluate(c, c)) for c in new_cols)
-    matrix = tuple(tuple(c[i] for c in new_cols) for i in range(form.dim))
-    return StandardEmbedding(matrix=matrix, scales=scales)
+    # the split's columns are primitive, as every congruence update divides
+    # by the gcd, and its diagonal is their X G X^t, so e is a norm times den
+    split = [s for s in form._columns if s[0] > 0] + [s for s in form._columns if s[0] < 0]
+    cols = [[-u for u in w] if next(u for u in w if u) < 0 else w for _, w, _, _ in split]
+    scales = tuple(Fraction(abs(e), form._den) for e, _, _, _ in split)
+    return StandardEmbedding(matrix=tuple(zip(*cols)), scales=scales)
 
 
 @lru_cache(maxsize=None, typed=True)

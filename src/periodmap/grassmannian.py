@@ -33,6 +33,10 @@ from .errors import (
 )
 
 DISTANCE_CLAMP = 1e-9
+HPOINT_FLOOR = 1e-7  # absolute: |<x, x> - 1| an HPoint may always have
+# relative: |<x, x> - 1| may also reach HPOINT_ROUNDING * 2^-52 * sum x_i^2,
+# the float rounding of <x, x>, which grows as x_0^2 towards the disk rim
+HPOINT_ROUNDING = 8
 
 
 def mink_dot(v: Sequence[float], w: Sequence[float]) -> float:
@@ -60,16 +64,17 @@ def _floats(v, what: str, least: int = 0) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class HPoint:
-    """A point on the upper hyperboloid sheet in R^{1,n}."""
+    """A point on the upper hyperboloid sheet in R^{1,n}: x_0 > 0, and
+    <x, x> > 0 equals 1 up to the wider of HPOINT_FLOOR and HPOINT_ROUNDING."""
 
     coords: tuple[float, ...]
 
     def __post_init__(self):
         x = _floats(self.coords, "hyperboloid coordinates", 2)
-        if abs(mink_dot(x, x) - 1.0) > 1e-7 or x[0] <= 0:
-            raise DomainError(
-                f"not on the upper hyperboloid sheet: {x} (norm {mink_dot(x, x):.3e})"
-            )
+        norm = mink_dot(x, x)
+        slack = max(HPOINT_FLOOR, HPOINT_ROUNDING * 2.0**-52 * sum(c * c for c in x))
+        if not (norm > 0 and abs(norm - 1.0) <= slack) or x[0] <= 0:
+            raise DomainError(f"not on the upper hyperboloid sheet: {x} (norm {norm:.3e})")
 
     @property
     def n(self) -> int:

@@ -283,17 +283,14 @@ def render_config(cfg: SurfaceConfig, out: str | None = None) -> Scene:
 
 
 def _null_directions(form: GramForm) -> list[tuple[float, float]]:
+    """The two null lines of a signature (1, 1) form."""
     (a, b), (_, c) = form.gram  # exact: a tiny nonzero g00 still has two roots
     g00, g01, g11 = float(a), float(b), float(c)
     if a:
         disc = math.sqrt(g01 * g01 - g00 * g11)
         return [((-g01 + disc) / g00, 1.0), ((-g01 - disc) / g00, 1.0)]
-    dirs = [(1.0, 0.0)]
-    if b:
-        dirs.append((-g11 / (2 * g01), 1.0))
-    else:
-        dirs.append((0.0, 1.0))
-    return dirs
+    # g00 = 0: det = -g01^2 < 0 for signature (1, 1), so g01 != 0
+    return [(1.0, 0.0), (-g11 / (2 * g01), 1.0)]
 
 
 def _lattice_screen(v: Sequence[float]) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from .bilinear import (
     standard_embedding,
 )
 from .errors import DomainError, InputError, PreconditionError, ResourceError, check_real
-from .grassmannian import HPoint, disk_to_hpoint, to_poincare_disk
+from .grassmannian import HPoint, to_poincare_disk
 from .systole import (
     _lll,
     _minimum,
@@ -124,7 +124,7 @@ class _DiskObjective:
         # u span the lattice, reduced for the norm form at the patch centre
         # (the first column); back maps R^{1,n} coordinates to coordinates
         # in that basis, U^-1 emb.matrix
-        cols = [[int(x) for x in col] for col in zip(*emb.matrix)]
+        cols = list(zip(*emb.matrix))
         u, _ = _lll(_norm_matrix(form._igram, form._den, cols[:1])[0])
         adj, det = _int_adjugate(u)
         back = [[det * _dot(row, col) for col in cols] for row in zip(*adj)]
@@ -642,7 +642,7 @@ def cs_supremum(form: GramForm, search: CsSearchConfig | None = None) -> CsResul
     check_cs_grid(lorentzian_rank(form, "cs_supremum"), cfg.grid)
     obj = _DiskObjective(form)
     best_pt = _grid_start(obj, cfg.grid)[0]
-    h, steps, cands = _ascend(obj, list(disk_to_hpoint(best_pt).coords), cfg.refine_tol)
+    h, steps, cands = _ascend(obj, obj.hpoint(best_pt), cfg.refine_tol)
     certified, value_sq, minimizers, exact = _certify(obj, h, cfg.refine_tol, cands)
     return CsResult(
         value=math.sqrt(value_sq),
@@ -684,7 +684,8 @@ def cs_invariance_check(
     if det not in (1, -1):
         raise PreconditionError(f"matrix must be unimodular, determinant {det}")
     conj = _gram_of(cols, form_a._igram)[0]
-    if tuple(tuple(Fraction(x, form_a._den) for x in r) for r in conj) != form_b.gram:
+    scaled = [[x * form_b._den for x in r] for r in conj]
+    if scaled != [[y * form_a._den for y in r] for r in form_b._igram]:
         raise PreconditionError("congruence does not carry the first form to the second")
     res_a = cs_supremum(form_a, cfg)
     res_b = cs_supremum(form_b, cfg)

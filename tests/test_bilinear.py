@@ -331,6 +331,9 @@ def test_standard_embedding_contract_randomized():
         q = GramForm(conj)
         emb = standard_embedding(q)
         cols = list(zip(*emb.matrix))
+        for c in cols:  # primitive integer columns, first nonzero entry positive
+            assert all(type(x) is int for x in c)
+            assert math.gcd(*c) == 1 and next(x for x in c if x) > 0
         for i in range(n + 1):
             for j in range(n + 1):
                 val = sum(

@@ -109,6 +109,37 @@ def test_disk_round_trip():
         assert q.coords == pytest.approx(p.coords)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_disk_to_hpoint_accepts_points_near_the_rim(n):
+    # the float <x, x> is off by a multiple of 2^-52 sum x_i^2, about 1e-6
+    # at rho = 0.99999, so an absolute 1e-7 refused about half of these
+    rng = random.Random(n)
+    for rho in (0.99999, 1 - 1e-6):
+        for _ in range(500):
+            d = [rng.gauss(0.0, 1.0) for _ in range(n)]
+            s = math.sqrt(sum(x * x for x in d))
+            p = disk_to_hpoint([rho * x / s for x in d])
+            assert sum(c * c for c in to_poincare_disk(p)) == pytest.approx(rho * rho)
+
+
+def test_hpoint_norm_tolerance_boundaries():
+    # x_0 = 2^25 + k 2^-27 and x_1 = 2^25 give <x, x> = k / 2 and
+    # sum x_i^2 = 2^51 + k / 2 exactly, so the relative slack is 4 + k 2^-50
+    def point(k):
+        return (2.0**25 + k * 2.0**-27, 2.0**25)
+
+    assert mink_dot(point(10), point(10)) == 5.0
+    HPoint(point(2))
+    HPoint(point(10))  # |5 - 1| = 4: just inside
+    for k in (11, 0, -2):  # just outside, null, negative
+        with pytest.raises(DomainError, match="hyperboloid sheet"):
+            HPoint(point(k))
+    # near x = (1, 0) the absolute floor 1e-7 is the wider bound
+    HPoint((math.sqrt(1 + 0.9e-7), 0.0))
+    with pytest.raises(DomainError, match="hyperboloid sheet"):
+        HPoint((math.sqrt(1 + 1.1e-7), 0.0))
+
+
 def test_disk_to_hpoint_rejects_outside():
     with pytest.raises(DomainError):
         disk_to_hpoint((0.8, 0.7))

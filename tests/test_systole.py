@@ -1,6 +1,9 @@
+import inspect
 import itertools
 import math
+import operator
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -719,6 +722,49 @@ def test_cell_bound_from_the_minimizers_alone_still_refuses(monkeypatch):
         assert not supremum._certify(obj, past, 1e-3, [])[0]
 
 
+def test_min_norm_drop_step_keeps_the_least_norm_point():
+    # Wolfe's drop step (the theta move) runs when the affine minimizer of
+    # the corral leaves its hull; the ascent's gradients reach it rarely,
+    # these seeded point sets often.  Each answer is checked by the
+    # optimality condition alone: x is a convex combination of the points
+    # and <x, p> >= |x|^2 for every point p, up to rounding
+    code = supremum._min_norm.__code__
+    lines, first = inspect.getsourcelines(supremum._min_norm)
+    drop = first + next(i for i, line in enumerate(lines) if "theta = min" in line)
+    drops = 0
+
+    def local(frame, event, arg):
+        nonlocal drops
+        if event == "line" and frame.f_lineno == drop:
+            drops += 1
+        return local
+
+    def spy(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    for dim in (2, 3):
+        rng = random.Random(dim)
+        before = drops
+        for _ in range(100):
+            pts = [
+                [rng.uniform(-1.0, 1.0) + (c == 0) for c in range(dim)]
+                for _ in range(rng.randint(3, 30))
+            ]
+            tracer = sys.gettrace()
+            sys.settrace(spy)
+            try:
+                x, weights = supremum._min_norm(pts)
+            finally:
+                sys.settrace(tracer)
+            eps = 1e-12 * max(sum(c * c for c in p) for p in pts)
+            assert all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) < 1e-12
+            for c in range(dim):
+                assert abs(x[c] - sum(w * p[c] for w, p in zip(weights, pts))) < 1e-12
+            xx = sum(c * c for c in x)
+            assert all(sum(map(operator.mul, x, p)) >= xx - eps for p in pts), pts
+        assert drops - before >= 30, dim
+
+
 def test_tiny_refine_tolerance_is_best_found():
     # a neighbourhood of radius 1e-20 is below the float search's accuracy
     res = cs_supremum(minkowski_form(2), CsSearchConfig(grid=0.2, refine_tol=1e-20))
@@ -912,6 +958,9 @@ def test_tiny_refine_tolerance_returns():
 def test_cs_invariance_under_unimodular_congruence():
     for u in CONGRUENCES:
         assert cs_invariance_check(DIAG, _congruent(DIAG, u), u), u
+    # rational grams: the congruence is compared over each form's denominator
+    form = GramForm([[F(1, 2), 0], [0, F(-1, 3)]])
+    assert cs_invariance_check(form, _congruent(form, CONGRUENCES[-1]), CONGRUENCES[-1])
 
 
 def test_cs_invariance_rejects_wrong_congruence():
@@ -919,6 +968,10 @@ def test_cs_invariance_rejects_wrong_congruence():
         cs_invariance_check(DIAG, HYP, [[1, 0], [0, 1]])
     with pytest.raises(PreconditionError):
         cs_invariance_check(DIAG, DIAG, [[2, 0], [0, 1]])
+    with pytest.raises(PreconditionError):  # a second form of another rank
+        cs_invariance_check(DIAG, minkowski_form(2), [[1, 0], [0, 1]])
+    with pytest.raises(PreconditionError):  # the right integers over the wrong denominator
+        cs_invariance_check(DIAG, GramForm([[F(1, 2), 0], [0, F(-1, 2)]]), [[1, 0], [0, 1]])
     with pytest.raises(InputError):
         cs_invariance_check(DIAG, DIAG, [[1, 0]])
 
