@@ -3,8 +3,12 @@ piecewise-linear coverage certificate and the OFF export.
 
 This is the one module of the package that loads numpy; everything it
 builds on (faces, the realization, the exact collapse) is the exact
-``permutahedron`` module.  The certificate maps the vertices of an
-integer-built mesh of P_n and runs on floats: see
+``permutahedron`` module.  The certificate runs on floats over an
+integer-built mesh of P_n.  A passing check maps only the mesh's
+vertices on the boundary of P, and face samples, and claims that every
+continuous map into the simplex's plane with those boundary values is
+onto the simplex but for a thin band along its boundary; only a failing
+check maps the interior too, to locate grid nodes: see
 check_face_mapping_surjectivity for what it proves.  Importing
 ``periodmap`` or running a command other than ``permutahedron export
 --format off`` never loads this module.
@@ -40,6 +44,16 @@ FACE_TOL = 1e-7  # how far an image coordinate the face pins may stray from 1
 SLAB_ROWS = 2**15  # rows per call of the checked map, simplices per block of mesh work
 DEGENERATE = 1e-6  # |det| / product of edge lengths at or below which an image simplex is flat
 LOCATE_TOL = 1e-9  # barycentric slack with which a grid node lies in an image simplex
+# absolute, in grid steps: how far the edge over the grid step may be
+# from an integer for the step to count as dividing the edge
+GRID_SLACK = 1e-9
+# absolute, in grid steps: how far an image simplex's node box reaches
+# past its corners, so that a node on a box face up to rounding is still
+# tested against the simplex and no node inside one is missed
+BOX_SLACK = 1e-9
+# absolute length in the plane: a rotated direction this short is the
+# centre itself, which the twist fixes, and is not normalized
+TWIST_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +200,7 @@ def twist_perturbation(n: int, angle: float) -> Callable[[np.ndarray], np.ndarra
         out = np.tile(center, (len(pts), 1))
         # the bits of np.linalg.norm(new_dir, axis=1), summed by columns
         length = np.sqrt(_row_sums(new_dir * new_dir))
-        nz = length > 1e-14
+        nz = length > TWIST_FLOOR
         unit = new_dir[nz] / length[nz, None]
         # keep the radial parameter, swap in the rotated direction
         out[nz] = center + (lam[nz] * _exit_time(unit, center))[:, None] * unit
@@ -233,25 +247,37 @@ class FaceViolation:
 class CoverageReport:
     """What check_face_mapping_surjectivity found for a map f.
 
+    A passing check maps only the boundary vertices of the mesh of P and
+    the face samples, a failing one also the interior vertices of the
+    whole mesh (check_face_mapping_surjectivity), and the fields read:
+
     ok: no face violation, and so every grid node is covered.
-    grid_points: the nodes of the simplex grid at spacing grid_step.
-    covered: the nodes shown to lie in the PL image, the image of the
-        piecewise-linear interpolant of f on the mesh, up to max_gap:
-        every node when the face condition holds, otherwise the nodes
-        located in an image simplex.
-    uncovered_witness: the first uncovered node in grid order, or None.
+    grid_points: the nodes of the simplex grid at spacing grid_step,
+        counted when passing, built when failing.
+    covered: the nodes shown to lie in the image.  Passing: every node,
+        in the image of every continuous map with f's boundary values
+        up to max_gap.  Failing: the nodes located in an image simplex
+        of the PL interpolant of f on the whole mesh.
+    uncovered_witness: passing, None; failing, the first uncovered node
+        in grid order, or None when every node was located.
     max_gap: an upper bound on the largest distance from a grid node to
-        the PL image: the width of the boundary band when the face
-        condition holds, otherwise the located nodes' bound, raised to
-        each uncovered node's distance to the nearest image of a
+        the image.  Passing: the width of the boundary band, widened by
+        the boundary images' float drift off the plane.  Failing: the
+        located nodes' bound, from the drift of every mesh image, raised
+        to each uncovered node's distance to the nearest image of a
         boundary vertex of the mesh.
     face_violations: for each face, in all_faces order, the first
-        checked point whose image leaves the face's target by more than
-        FACE_TOL.
-    samples_used: the mesh vertices mapped through f.
-    mesh_step: the longest edge of the mesh of P.
-    image_edge: the longest image of a mesh edge.  The PL image stands
-        for the image of f only as closely as f varies along an edge.
+        checked point, sample or boundary vertex, whose image leaves the
+        face's target by more than FACE_TOL; empty when passing.
+    samples_used: the mesh vertices mapped through f: the boundary
+        vertices when passing, every vertex of the whole mesh when
+        failing.  The face samples are not counted.
+    mesh_step: the longest edge of the boundary mesh when passing (0.0
+        at n = 1, whose boundary is two points), of the whole mesh when
+        failing.
+    image_edge: the longest image of an edge of that mesh, 0.0 at n = 1
+        when passing.  The PL interpolant stands for f only as closely
+        as f varies along an edge.
     """
 
     ok: bool
@@ -392,8 +418,11 @@ def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows of point indices, and the edges of the pieces as pairs of point
     indices, each once.  The pieces are the cube simplices a, a +
     e_p(1), a + e_p(1) + e_p(2), ... (a in {0..k-1}^n, p a permutation)
-    whose points all lie in the orthoscheme.
+    whose points all lie in the orthoscheme.  At n = 0 it is one point,
+    one piece and no edge.
     """
+    if n == 0:
+        return np.array([[k]]), np.zeros((1, 1), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
     pts = np.indices((k + 1,) * n).reshape(n, -1).T
     pts = pts[(pts[:, :-1] >= pts[:, 1:]).all(axis=1)]
     lookup = np.zeros((k + 1,) * n, dtype=np.int64)
@@ -418,9 +447,9 @@ def _orthoscheme(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Mesh:
-    """A triangulation of P_n: the barycentric subdivision over its
-    maximal flags, each flag simplex refined by _orthoscheme.  Every
-    simplex on the boundary of P lies in one facet.
+    """A triangulation of P_n, or of its boundary: the barycentric
+    subdivision over its maximal flags, each flag simplex refined by
+    _orthoscheme.  Every simplex on the boundary of P lies in one facet.
 
     The mesh is kept factored, as its flags times one reference
     subdivision: simplex j of flag i has the vertices inverse[i,
@@ -436,13 +465,13 @@ class _Mesh:
     points: np.ndarray  # (vertices, n+1)
     face: np.ndarray  # (vertices,) index in all_faces(n) of the least face holding it, -1 inside
     inverse: np.ndarray  # (flags, reference points) the mesh vertex of each reference point
-    pieces: np.ndarray  # (pieces, n+1) reference point indices
+    pieces: np.ndarray  # (pieces, dimension+1) reference point indices
     reference_edges: np.ndarray  # (reference edges, 2) reference point indices, each edge once
-    step: float  # the longest edge
+    step: float  # the longest edge, 0.0 when there is none
 
     @property
     def simplices(self) -> np.ndarray:
-        """(simplices, n+1) vertex indices, flag by flag."""
+        """(simplices, dimension+1) vertex indices, flag by flag."""
         return self.inverse[:, self.pieces].reshape(-1, self.pieces.shape[1])
 
     @property
@@ -451,57 +480,67 @@ class _Mesh:
         return self.inverse[:, self.reference_edges].reshape(-1, 2)
 
 
-def _mesh(n: int, step: float) -> _Mesh:
-    """The mesh of P_n whose edges are at most step long.
+def _mesh(n: int, step: float, boundary: bool = False) -> _Mesh:
+    """The mesh of P_n whose edges are at most step long, or with
+    boundary its part on the boundary of P (_mesh_of).
 
     An edge of a piece of flag simplex is a sum of the flag's axes
     b_j - b_{j-1} over a set of j, divided by k; k is the least that
-    brings the longest such sum under step.  A mesh above
-    MAX_MESH_SIMPLICES simplices raises ResourceError before anything is
-    built.  The mesh depends on n and k only: every step that gives the
-    same k gets the same read-only mesh from _mesh_of.
+    brings the longest such sum under step, and the boundary mesh is cut
+    at the same k.  A mesh above MAX_MESH_SIMPLICES simplices raises
+    ResourceError before anything is built.  The mesh depends on n, k
+    and boundary only: every step that gives the same k gets the same
+    read-only mesh from _mesh_of.
     """
     bary, _ = _flags(n)
     axes = np.diff(bary, axis=1) / 2.0  # (flags, n, n+1)
     sums = np.array(list(itertools.product((0, 1), repeat=n))[1:]) @ axes
     k = max(1, math.ceil(np.linalg.norm(sums, axis=-1).max() / step))
-    size = len(bary) * k**n
+    size = len(bary) * k ** (n - boundary)
     if size > MAX_MESH_SIMPLICES:
         raise ResourceError(
             f"mesh step {step} needs {size} simplices (limit {MAX_MESH_SIMPLICES})"
         )
-    return _mesh_of(n, k)
+    return _mesh_of(n, k, boundary)
 
 
 @functools.lru_cache(maxsize=8)
-def _mesh_of(n: int, k: int) -> _Mesh:
-    """The mesh of P_n with each flag simplex cut into k**n pieces, built
-    once and kept among the last 8 built.
+def _mesh_of(n: int, k: int, boundary: bool = False) -> _Mesh:
+    """The mesh of P_n with each flag simplex cut into k**n pieces, or
+    with boundary its part on the boundary of P, built once and kept
+    among the last 8 built.
 
     One reference subdivision serves every flag: its points are the
     weights times the barycentres, in integers (2k times the point), and
-    points shared by flags are merged on those integers.
+    points shared by flags are merged on those integers.  A flag
+    simplex meets the boundary of P in its facet opposite the centre of
+    P, so the boundary mesh is the same flags without the centre, cut by
+    _orthoscheme(n - 1, k): (n+1)! n! k**(n-1) simplices, and the whole
+    mesh's vertices on the boundary, in the same order, with the same
+    least faces.  At n = 1 the boundary is two points, with no edge.
     """
     bary, ids = _flags(n)
-    weights, pieces, edges = _orthoscheme(n, k)
+    if boundary:
+        bary = bary[:, :n]
+    weights, pieces, edges = _orthoscheme(bary.shape[1] - 1, k)
     lattice = weights @ bary  # (flags, points, n+1), each point times 2k
     radix = 2 * k * (n + 1) + 1  # coordinates lie in [2k, 2k(n+1)]
     keys = (lattice[:, :, :n] * radix ** np.arange(n)).sum(axis=2).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     # the least face holding a point: the last corner it weighs
-    last = n - np.argmax(weights[:, ::-1] > 0, axis=1)
+    last = weights.shape[1] - 1 - np.argmax(weights[:, ::-1] > 0, axis=1)
     faces = np.concatenate([ids, np.full((len(ids), 1), -1)], axis=1)[:, last]
     # every edge is one of a few weight differences, each entry -1, 0 or
     # 1, mapped by its flag
     moves = weights[edges[:, 0]] - weights[edges[:, 1]]
-    _, kinds = np.unique((moves + 1) @ 3 ** np.arange(n + 1), return_index=True)
+    _, kinds = np.unique((moves + 1) @ 3 ** np.arange(moves.shape[1]), return_index=True)
     mesh = _Mesh(
         points=lattice.reshape(-1, n + 1)[first] / (2.0 * k),
         face=faces.ravel()[first],
         inverse=inverse.reshape(len(bary), -1),
         pieces=pieces,
         reference_edges=edges,
-        step=float(np.linalg.norm(moves[kinds] @ bary, axis=-1).max()) / (2 * k),
+        step=float(np.linalg.norm(moves[kinds] @ bary, axis=-1).max(initial=0.0)) / (2 * k),
     )
     for field in fields(mesh):
         value = getattr(mesh, field.name)
@@ -555,7 +594,7 @@ def _grid_divisions(n: int, step: float) -> int:
     m = plane_total(n)
     k_total = (m - (n + 1)) / step
     k = int(round(k_total))
-    if abs(k - k_total) > 1e-9:
+    if abs(k - k_total) > GRID_SLACK:
         raise InputError(f"grid step {step} must divide {m - (n + 1)} evenly")
     if (k + 1) ** n > MAX_GRID_POINTS:
         raise ResourceError("grid too fine for this dimension")
@@ -576,7 +615,7 @@ def _flag_blocks(mesh: _Mesh, reference: np.ndarray):
     edges), that walk the whole mesh with at most SLAB_ROWS simplices or
     edges at a time: whole flags while one holds fewer than SLAB_ROWS
     rows, otherwise one flag in runs of SLAB_ROWS rows."""
-    per_block = SLAB_ROWS // len(reference)
+    per_block = SLAB_ROWS // max(1, len(reference))
     if per_block:
         for start in range(0, len(mesh.inverse), per_block):
             yield slice(start, start + per_block), slice(None)
@@ -612,12 +651,14 @@ def _corners(
 
 
 def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
+    """The longest of the mesh's edges with the given end points, 0.0
+    when it has none."""
     longest = 0.0
     for flags, rows in _flag_blocks(mesh, mesh.reference_edges):
         ends = mesh.reference_edges[rows]
         d = _over_corners(points, mesh.inverse[flags], ends, np.subtract)
         d = d.reshape(-1, points.shape[1])
-        longest = max(longest, float(np.einsum("ij,ij->i", d, d).max()))
+        longest = max(longest, float(np.einsum("ij,ij->i", d, d).max(initial=0.0)))
     return math.sqrt(longest)
 
 
@@ -656,8 +697,8 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
     # ceil, floor and clip are monotone, so a simplex's box is its
     # corners' least low and greatest high
     scaled = (chart - 1.0) / step  # lattice coordinates
-    low = np.clip(np.ceil(scaled - 1e-9), 0, k).astype(np.int64)
-    high = np.clip(np.floor(scaled + 1e-9), -1, k).astype(np.int64)
+    low = np.clip(np.ceil(scaled - BOX_SLACK), 0, k).astype(np.int64)
+    high = np.clip(np.floor(scaled + BOX_SLACK), -1, k).astype(np.int64)
     for flags, rows in _flag_blocks(mesh, mesh.pieces):
         inverse, pieces = mesh.inverse[flags], mesh.pieces[rows]
         lo = _over_corners(low, inverse, pieces, np.minimum).reshape(-1, n)
@@ -690,6 +731,24 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
     return covered
 
 
+def _on_plane(
+    f: Callable[[np.ndarray], np.ndarray], points: np.ndarray, total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """f(points), mapped by _map_rows, and each image's coordinate sum
+    less total.  The image farthest off the simplex's plane, when it is
+    off by more than FACE_TOL, raises NumericalDomainError naming it."""
+    images = _map_rows(f, points)
+    excess = _row_sums(images) - total
+    drift = np.abs(excess)
+    if drift.max() > FACE_TOL:
+        i = int(np.argmax(drift))
+        raise NumericalDomainError(
+            f"map sent {tuple(points[i].tolist())} to {tuple(images[i].tolist())},"
+            f" off the simplex's plane by a coordinate sum of {drift[i]:.3g}"
+        )
+    return images, excess
+
+
 def check_face_mapping_surjectivity(
     f: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -705,106 +764,133 @@ def check_face_mapping_surjectivity(
     NumericalDomainError.  An error raised by f reaches the caller
     unchanged.
 
-    P is triangulated with edges at most grid_step (_mesh) and only the
-    mesh vertices are mapped.  The mesh depends only on n and on the
-    number of cuts of each flag simplex that grid_step asks for: it is
-    built once for that pair, kept read-only among the last 8 built, and
-    shared by every check that asks for it, so no report depends on the
-    checks before it.  What is certified is the PL interpolant of f on
-    that mesh, whose image is reported as close to f's as the
-    largest image edge says.  The face condition is checked at every
-    boundary vertex of the mesh, against its least face, and at
-    FACE_SAMPLES points drawn from each face with the given seed plus
-    the face's vertices: the coordinates of the chain's largest subset
-    must map to 1 within FACE_TOL.  The samples are one Gamma(1) draw
-    of default_rng(seed), split per face into barycentric weights
-    (_face_samples): the same points as a Dirichlet(1, ..., 1) draw per
-    face from that generator.
+    What is mapped.  P is triangulated with edges at most grid_step
+    (_mesh), and a check first maps only the vertices of that mesh on
+    the boundary of P, taken from the boundary mesh (_mesh with
+    boundary: the same triangulation restricted to the boundary, the
+    same vertices in the same order), then FACE_SAMPLES points drawn
+    from each face with the given seed plus the face's vertices.  The
+    samples are one Gamma(1) draw of default_rng(seed), split per face
+    into barycentric weights (_face_samples): the same points as a
+    Dirichlet(1, ..., 1) draw per face from that generator.  Each mesh
+    depends only on n and on the number of cuts of each flag simplex
+    that grid_step asks for: it is built once for that pair, kept
+    read-only among the last 8 built, and shared by every check that
+    asks for it, so no report depends on the checks before it.  Every
+    image is checked to be finite, of the right shape and on the
+    simplex's plane within FACE_TOL; then the face condition is checked
+    at the samples and at every boundary vertex, against its least face:
+    the coordinates of the face's chain's largest subset must map to 1
+    within FACE_TOL.
 
-    The face condition alone certifies; this is the polytopal Sperner
-    and KKM lemma (De Loera, Peterson and Su, J. Combin. Theory Ser. A
-    100, 2002).  Let f and g map P_n into the simplex's plane so that
-    each boundary point x goes where every coordinate that x's least
-    face pins is 1.  Then so does every (1 - t) f + t g, so no boundary
-    point meets the open simplex along the way, and f and g have the
-    same degree over each of its points: one integer d_n for every such
-    map.  d_n = 1 for n <= 3: test_collapse_has_degree_one in
+    Why the face condition certifies: the polytopal Sperner and KKM
+    lemma (De Loera, Peterson and Su, J. Combin. Theory Ser. A 100,
+    2002).  Let g and h map P_n into the simplex's plane so that each
+    boundary point x goes where every coordinate that x's least face
+    pins is 1.  Then so does every (1 - t) g + t h, so no boundary point
+    meets the open simplex along the way, and g and h have the same
+    degree over each of its points: one integer d_n for every such map.
+    d_n = 1 for n <= 3: test_collapse_has_degree_one in
     tests/test_permutahedron.py counts the oriented preimages, under the
     PL interpolant of collapse_batch, of points near the centre.  The PL
-    interpolant respects the faces when its vertices do: a boundary
-    simplex of the mesh lies in one face F of P, each of its vertices
-    has a least face inside F, pinning every coordinate F pins, and
-    linearity carries the condition over the simplex.
+    interpolant of f on the boundary mesh respects the faces when its
+    vertices do: a boundary simplex lies in one face F of P, each of its
+    vertices has a least face inside F, pinning every coordinate F pins,
+    and linearity carries the condition over the simplex.
 
-    So with no face violation, every point of the simplex farther than
-    FACE_TOL from its boundary, widened by the images' float drift off
-    the plane, lies in the PL image, and every grid node is covered
-    within that band, whose width is max_gap.  The nodes are then only
-    counted, math.comb(k + n, n) for k steps along an edge.  Otherwise
-    the node lattice is built (_simplex_lattice) and its nodes are
-    located in the image simplices that are not flat (_locate): a
-    located node is covered, within 2 n LOCATE_TOL image edges, and an
-    uncovered node's gap is bounded by its distance to the nearest image
-    of a boundary vertex of the mesh.
+    What a passing check claims.  It reads f on the boundary of P only.
+    The degree over a point depends only on the boundary values, so with
+    no face violation every continuous map of P_n into the simplex's
+    plane whose boundary values are the PL interpolant of f's images of
+    the boundary vertices is onto every point of the simplex farther
+    than FACE_TOL from its boundary, widened by the boundary images'
+    float drift off the plane.  Every grid node lies within that band,
+    whose width is max_gap, so the nodes are only counted,
+    math.comb(k + n, n) for k steps along an edge.  f's values inside P
+    take no part; how far f on the boundary strays from the interpolant
+    is only hinted at by image_edge.  The whole mesh, the node lattice
+    and node location are never built or run.
+
+    What a failing check reports.  With a face violation the whole mesh
+    is built, its interior vertices are mapped and checked as above, and
+    the report is the PL interpolant's on the whole mesh: the node
+    lattice is built (_simplex_lattice) and its nodes are located in the
+    image simplices that are not flat (_locate); a located node is
+    covered, within 2 n LOCATE_TOL image edges, and an uncovered node's
+    gap is bounded by its distance to the nearest image of a boundary
+    vertex of the mesh.
 
     n must be a positive int, grid_step a positive finite real number,
     and seed a non-negative int, or InputError is raised.  An n above 3,
-    a mesh above MAX_MESH_SIMPLICES simplices or a grid above
-    MAX_GRID_POINTS nodes raises ResourceError before f is called.
+    a boundary mesh above MAX_MESH_SIMPLICES simplices or a grid above
+    MAX_GRID_POINTS nodes raises ResourceError before f is called.  The
+    whole mesh is budgeted only where a failing check builds it: above
+    MAX_MESH_SIMPLICES simplices, ResourceError names its size, the
+    limit and the first face whose condition is broken.
     """
     n = _check_n(n, 3, "coverage check")
     grid_step = float(check_real(grid_step, "grid_step"))
     check_int(seed, "seed", low=0)
     total = plane_total(n)
     k = _grid_divisions(n, grid_step)
-    mesh = _mesh(n, grid_step)
+    rim = _mesh(n, grid_step, boundary=True)
 
     faces, _, pins = _faces(n)
     samples, owners = _face_samples(n, seed)
-    boundary = np.flatnonzero(mesh.face >= 0)
-    points = np.concatenate([mesh.points, samples])
-    images = _map_rows(f, points)
-    excess = _row_sums(images) - total
-    drift = np.abs(excess)
-    if drift.max() > FACE_TOL:
-        i = int(np.argmax(drift))
-        raise NumericalDomainError(
-            f"map sent {tuple(points[i].tolist())} to {tuple(images[i].tolist())},"
-            f" off the simplex's plane by a coordinate sum of {drift[i]:.3g}"
-        )
-    # the seeded samples and face vertices first, then the mesh's boundary
-    checked = np.concatenate([np.arange(len(mesh.points), len(points)), boundary])
+    points = np.concatenate([rim.points, samples])
+    images, excess = _on_plane(f, points, total)
+    # the seeded samples and face vertices first, then the boundary vertices
+    checked = np.concatenate([np.arange(len(rim.points), len(points)), np.arange(len(rim.points))])
     violations = _face_violations(
-        faces, pins, points[checked], images[checked], np.concatenate([owners, mesh.face[boundary]])
+        faces, pins, points[checked], images[checked], np.concatenate([owners, rim.face])
     )
+    rim_images, rim_excess = images[: len(rim.points)], excess[: len(rim.points)]
+    if not violations:
+        # the inner simplex lies in the image of every map with these
+        # boundary values, and every node lies within the boundary band
+        shift = float(np.abs(rim_excess / (n + 1)).max())
+        return CoverageReport(
+            ok=True,
+            grid_points=math.comb(k + n, n),
+            covered=math.comb(k + n, n),
+            uncovered_witness=None,
+            max_gap=(FACE_TOL + shift) * math.sqrt(n * (n + 1)) + shift * math.sqrt(n + 1),
+            face_violations=(),
+            samples_used=len(rim.points),
+            mesh_step=rim.step,
+            image_edge=_longest_edge(rim_images, rim),
+        )
 
-    mapped = images[: len(mesh.points)]
-    shifts = excess[: len(mesh.points)] / (n + 1)
+    try:
+        mesh = _mesh(n, grid_step)
+    except ResourceError as error:
+        raise ResourceError(
+            f"{error}, to locate grid nodes: the face condition is broken on"
+            f" {violations[0].chain}"
+        ) from None
+    inside = mesh.face < 0
+    mapped, excess = np.empty_like(mesh.points), np.empty(len(mesh.points))
+    mapped[~inside], excess[~inside] = rim_images, rim_excess
+    mapped[inside], excess[inside] = _on_plane(f, mesh.points[inside], total)
+    shifts = excess / (n + 1)
     shift = float(np.abs(shifts).max())
     image_edge = _longest_edge(mapped, mesh)
-    if not violations:
-        # the inner simplex lies in the PL image, and every node lies
-        # within the boundary band of it
-        grid_points = covered = math.comb(k + n, n)
-        max_gap = (FACE_TOL + shift) * math.sqrt(n * (n + 1)) + shift * math.sqrt(n + 1)
-    else:
-        lattice = _simplex_lattice(n, k)
-        grid_points = len(lattice)
-        chart = (mapped - shifts[:, None])[:, :n]  # the images moved onto the plane
-        located = _locate(chart, mesh, k, lattice, grid_step)
-        covered = int(located.sum())
-        # barycentric coordinates no lower than -LOCATE_TOL put a node
-        # within 2 n LOCATE_TOL edge lengths of its simplex
-        max_gap = shift * math.sqrt(n + 1) + 2 * n * LOCATE_TOL * image_edge
+    lattice = _simplex_lattice(n, k)
+    chart = (mapped - shifts[:, None])[:, :n]  # the images moved onto the plane
+    located = _locate(chart, mesh, k, lattice, grid_step)
+    covered = int(located.sum())
+    # barycentric coordinates no lower than -LOCATE_TOL put a node
+    # within 2 n LOCATE_TOL edge lengths of its simplex
+    max_gap = shift * math.sqrt(n + 1) + 2 * n * LOCATE_TOL * image_edge
     witness = None
-    if covered < grid_points:
+    if covered < len(lattice):
         grid = 1.0 + grid_step * np.column_stack([lattice, k - _row_sums(lattice)])
         witness = tuple(grid[int(np.argmin(located))].tolist())
-        gaps = _nearest_distance(grid[~located], np.unique(mapped[boundary], axis=0))
+        gaps = _nearest_distance(grid[~located], np.unique(rim_images, axis=0))
         max_gap = max(max_gap, float(gaps.max()))
     return CoverageReport(
-        ok=not violations,
-        grid_points=grid_points,
+        ok=False,
+        grid_points=len(lattice),
         covered=covered,
         uncovered_witness=witness,
         max_gap=max_gap,

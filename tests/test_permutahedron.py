@@ -15,6 +15,7 @@ import pytest
 from periodmap import coverage, permutahedron
 from periodmap.coverage import (
     FACE_SAMPLES,
+    GRID_SLACK,
     MAX_MESH_SIMPLICES,
     SLAB_ROWS,
     check_face_mapping_surjectivity,
@@ -617,6 +618,23 @@ def test_coverage_grid_step_must_divide():
         )
 
 
+@pytest.mark.parametrize("scale", [0.9, -0.9, 1.1, -1.1])
+def test_grid_slack_boundaries(scale):
+    # at n = 2 the grid step must divide the simplex's edge of 3 up to
+    # GRID_SLACK grid steps: 60 + 0.9 GRID_SLACK steps divide it, 60 +
+    # 1.1 GRID_SLACK do not
+    off = scale * GRID_SLACK
+    step = 3 / (60 + off)
+    assert abs(3 / step - 60 - off) < 1e-3 * GRID_SLACK
+    f = collapse_batch(realize(2))
+    if abs(scale) < 1:
+        assert coverage._grid_divisions(2, step) == 60
+        assert check_face_mapping_surjectivity(f, 2, step).grid_points == math.comb(62, 2)
+    else:
+        with pytest.raises(InputError, match="must divide 3 evenly"):
+            check_face_mapping_surjectivity(f, 2, step)
+
+
 @pytest.mark.parametrize(
     "steps",
     [
@@ -664,19 +682,27 @@ def test_coverage_refuses_bad_arguments(args):
     ],
 )
 def test_coverage_refuses_huge_sample_box_before_mapping(n, steps):
-    # the points the check maps are the vertices of its mesh, so a mesh
-    # above MAX_MESH_SIMPLICES is refused before the map sees one of them
+    # a passing check maps only the boundary of P, whose mesh is far
+    # inside MAX_MESH_SIMPLICES, so the collapse certifies; the shrink
+    # breaks the face condition, and the whole mesh it would locate nodes
+    # in is refused before the map sees one interior vertex
+    fb, bad = collapse_batch(realize(n)), shrink_map(n, 0.9)
+    assert check_face_mapping_surjectivity(fb, n, **steps).ok
+    rim = _mesh(n, steps["grid_step"], boundary=True)
     calls = []
 
     def f(pts):
         calls.append(len(pts))
-        return collapse_batch(realize(n))(pts)
+        return bad(fb(pts))
 
+    size = {2: 12 * 472**2, 3: 144 * 45**3}[n]
     start = time.perf_counter()
-    with pytest.raises(ResourceError, match=str(MAX_MESH_SIMPLICES)):
+    with pytest.raises(
+        ResourceError, match=rf"needs {size} simplices \(limit {MAX_MESH_SIMPLICES}\).*broken on \{{1\}}$"
+    ):
         check_face_mapping_surjectivity(f, n, **steps)
     assert time.perf_counter() - start < 5.0
-    assert calls == []
+    assert sum(calls) == len(rim.points) + len(coverage._face_samples(n, 0)[0])
 
 
 @pytest.mark.parametrize("n, step", [(1, 0.1), (2, 0.3), (2, 0.05), (3, 0.5), (3, 0.25)])
@@ -744,6 +770,48 @@ def test_cached_mesh_is_read_only():
     assert _mesh(3, 0.5).simplices[0].any()
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 5), (2, 2), (2, 7), (3, 1), (3, 3)])
+def test_boundary_mesh_is_the_whole_mesh_on_the_boundary(n, k):
+    # the boundary mesh holds the whole mesh's boundary vertices in the
+    # same order with the same least faces, the boundary facets of its
+    # simplices and its edges between boundary vertices, once per flag
+    whole, rim = coverage._mesh_of(n, k), coverage._mesh_of(n, k, True)
+    on = np.flatnonzero(whole.face >= 0)
+    assert np.array_equal(rim.points, whole.points[on])
+    assert np.array_equal(rim.face, whole.face[on])
+    count = math.factorial(n + 1) * math.factorial(n) * k ** (n - 1)
+    assert len(rim.simplices) == count
+    # a simplex of the whole mesh has at most one facet on the boundary
+    tight = whole.face[whole.simplices] >= 0
+    assert tight.sum(axis=1).max() == n
+    facet = tight.sum(axis=1) == n
+    facets = np.sort(whole.simplices[facet][tight[facet]].reshape(-1, n), axis=1)
+    mine = np.sort(on[rim.simplices], axis=1)
+    assert len(facets) == count
+    assert np.array_equal(np.unique(facets, axis=0), np.unique(mine, axis=0))
+    assert len(np.unique(mine, axis=0)) == count
+    edges = np.sort(whole.edges, axis=1)
+    edges = edges[(whole.face[edges] >= 0).all(axis=1)]
+    mine = np.sort(on[rim.edges], axis=1)
+    assert np.array_equal(edges[np.lexsort(edges.T)], mine[np.lexsort(mine.T)])
+    if len(mine):
+        lengths = np.linalg.norm(rim.points[rim.edges[:, 0]] - rim.points[rim.edges[:, 1]], axis=1)
+        assert math.isclose(lengths.max(), rim.step, rel_tol=1e-12)
+    else:
+        assert n == 1 and rim.step == 0.0
+    for array in (rim.points, rim.face, rim.inverse, rim.pieces, rim.reference_edges):
+        assert not array.flags.writeable
+
+
+def test_boundary_of_p1_has_no_edge():
+    # P_1 is a segment, its boundary two points: the boundary mesh has no
+    # edge, so a passing check reports mesh step and image edge 0.0
+    rep = check_face_mapping_surjectivity(collapse_batch(realize(1)), 1, 0.1)
+    assert rep.ok and rep.samples_used == 2
+    assert rep.mesh_step == rep.image_edge == 0.0
+    assert rep.grid_points == rep.covered == 11
+
+
 def test_interleaved_checks_share_meshes_without_crosstalk():
     fb = collapse_batch(realize(2))
     bad = shrink_map(2, 0.9)
@@ -757,7 +825,9 @@ def test_interleaved_checks_share_meshes_without_crosstalk():
 
 
 def test_map_error_mid_check_leaves_the_next_check_as_a_fresh_one():
-    fb = collapse_batch(realize(2))
+    # the shrink fails the face condition, so its check maps the boundary
+    # first and then the interior of the whole mesh, where the error comes
+    fb, bad = collapse_batch(realize(2)), shrink_map(2, 0.9)
     calls = []
 
     def f(pts):
@@ -765,14 +835,15 @@ def test_map_error_mid_check_leaves_the_next_check_as_a_fresh_one():
         if len(calls) == 2:
             pts[:] = 0.0  # scribbles on its input before it fails
             raise DomainError("refused by the map")
-        return fb(pts)
+        return bad(fb(pts))
 
     with pytest.raises(DomainError):
         check_face_mapping_surjectivity(f, 2, 0.01)
     assert len(calls) == 2
-    after = check_face_mapping_surjectivity(fb, 2, 0.01)
+    after = check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), 2, 0.01)
     coverage._mesh_of.cache_clear()
-    assert check_face_mapping_surjectivity(fb, 2, 0.01) == after
+    assert check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), 2, 0.01) == after
+    assert not after.ok
 
 
 def _shipped_maps():
@@ -856,22 +927,64 @@ def no_lattice(monkeypatch):
     monkeypatch.setattr(coverage, "_simplex_lattice", refuse)
 
 
+def _tight(pts):
+    """Whether each row of pts, a point of P_n, lies on a subset
+    inequality's hyperplane: whether it is on the boundary of P."""
+    n = pts.shape[1] - 1
+    slack = [
+        np.abs(pts[:, list(s)].sum(axis=1) - subset_level(len(s)))
+        for size in range(1, n + 1)
+        for s in itertools.combinations(range(n + 1), size)
+    ]
+    return np.min(slack, axis=0) < 1e-9
+
+
+@pytest.fixture
+def no_whole_mesh(monkeypatch):
+    """Make building the whole mesh of P raise: a check that certifies
+    builds only the boundary mesh."""
+    build = coverage._mesh_of
+
+    def boundary_only(n, k, boundary=False):
+        if not boundary:
+            raise AssertionError("a certifying check built the whole mesh")
+        return build(n, k, boundary)
+
+    monkeypatch.setattr(coverage, "_mesh_of", boundary_only)
+
+
 def _grid_nodes(n, grid_step):
-    """The nodes of the simplex grid, counted one by one."""
+    """The nodes of the simplex grid, counted over the whole box."""
     k = round((n * (n + 1) / 2) / grid_step)
-    return k, sum(sum(ks) <= k for ks in itertools.product(range(k + 1), repeat=n))
+    return k, int((np.indices((k + 1,) * n).sum(axis=0) <= k).sum())
 
 
 @pytest.mark.parametrize(
     "n, grid_step",
-    [(2, g) for g in (0.1, 0.05, 0.025, 0.02)] + [(3, g) for g in (0.5, 0.375, 0.25)],
+    [(2, g) for g in (0.1, 0.05, 0.025, 0.02)] + [(3, g) for g in (0.5, 0.375, 0.25, 0.1, 0.05)],
 )
-def test_certifying_check_builds_no_lattice(no_locate, no_lattice, n, grid_step):
-    # the benchmark's grids: every node is covered, and the report counts
-    # them in closed form
-    rep = check_face_mapping_surjectivity(collapse_batch(realize(n)), n, grid_step)
+def test_certifying_check_builds_no_lattice(no_locate, no_lattice, no_whole_mesh, n, grid_step):
+    # the benchmark's grids, and n = 3 at 0.1 and 0.05, whose whole meshes
+    # hold 1,752,048 and 13,122,000 simplices (over MAX_MESH_SIMPLICES),
+    # their boundary meshes 41,616 and 291,600: every node is covered, the
+    # report counts them in closed form, and the map is given only rows on
+    # the boundary of P, the boundary vertices and then the face samples
+    fb = collapse_batch(realize(n))
+    rows = []
+
+    def f(pts):
+        rows.append(len(pts))
+        assert _tight(pts).all()
+        return fb(pts)
+
+    rep = check_face_mapping_surjectivity(f, n, grid_step)
     k, count = _grid_nodes(n, grid_step)
     assert rep.ok and rep.grid_points == rep.covered == count == math.comb(k + n, n)
+    assert rep.uncovered_witness is None and not rep.face_violations
+    rim = _mesh(n, grid_step, boundary=True)
+    assert rep.samples_used == len(rim.points)
+    assert sum(rows) == len(rim.points) + len(coverage._face_samples(n, 0)[0])
+    assert rep.mesh_step == rim.step <= grid_step
 
 
 @pytest.mark.parametrize(
@@ -1086,12 +1199,42 @@ def test_coverage_names_the_one_broken_facet(n, facet):
     assert abs(sum(point[i - 1] for i in facet) - subset_level(len(facet))) < 1e-9
 
 
+@pytest.mark.parametrize("n, grid_step", [(2, 0.1), (3, 0.5)])
+def test_coverage_checks_every_boundary_vertex(n, grid_step):
+    # the collapse with one boundary vertex of the mesh, inside a facet,
+    # sent 1e-3 off the facet's target: no face sample lands on it, so
+    # only the vertex's own check can name the facet
+    rim = _mesh(n, grid_step, boundary=True)
+    faces = all_faces(n)
+    fb = collapse_batch(realize(n))
+    for index in np.unique(rim.face):
+        facet = faces[index]
+        if len(facet.chain) != 1:
+            continue
+        vertex = rim.points[np.argmax(rim.face == index)]
+        pinned = facet.chain[0][0] - 1
+        free = next(i for i in range(n + 1) if i + 1 not in facet.chain[0])
+
+        def f(pts):
+            out = fb(pts)
+            hit = (pts == vertex).all(axis=1)
+            out[hit, pinned] += 1e-3
+            out[hit, free] -= 1e-3
+            return out
+
+        rep = check_face_mapping_surjectivity(f, n, grid_step)
+        assert not rep.ok, facet
+        assert [v.chain for v in rep.face_violations] == [facet]
+        assert rep.face_violations[0].point == tuple(vertex.tolist())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
 def test_face_samples_are_per_face_dirichlet_draws(n, seed):
-    # the check maps its mesh vertices, then, face by face in all_faces
-    # order, FACE_SAMPLES Dirichlet(1, ..., 1) points of the face's
-    # vertices and the vertices themselves, all from default_rng(seed)
+    # the check maps the boundary vertices of its mesh, then, face by face
+    # in all_faces order, FACE_SAMPLES Dirichlet(1, ..., 1) points of the
+    # face's vertices and the vertices themselves, all from
+    # default_rng(seed)
     mapped = []
     fb = collapse_batch(realize(n))
 
@@ -1107,7 +1250,7 @@ def test_face_samples_are_per_face_dirichlet_draws(n, seed):
         want += [rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES) @ fv, fv]
     want = np.concatenate(want)
     points = np.concatenate(mapped)
-    assert np.array_equal(points[: -len(want)], _mesh(n, 0.5).points)
+    assert np.array_equal(points[: -len(want)], _mesh(n, 0.5, boundary=True).points)
     assert np.array_equal(points[-len(want) :], want)
 
 
@@ -1157,9 +1300,11 @@ def test_coverage_parts_under_fast_thread_switching(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_coverage_worker_error_reaches_caller_and_no_thread_is_left(monkeypatch, cpus):
-    # the check maps its mesh on the calling thread, whatever the CPU count
+    # the check maps on the calling thread, whatever the CPU count; the
+    # shrink fails, so it maps the boundary and then the whole mesh's
+    # interior, where the error comes
     _with_cpus(monkeypatch, cpus)
-    fb = collapse_batch(realize(2))
+    fb, bad = collapse_batch(realize(2)), shrink_map(2, 0.9)
     before = threading.active_count()
     check_face_mapping_surjectivity(fb, 2, 0.05)
     assert threading.active_count() == before
@@ -1171,7 +1316,7 @@ def test_coverage_worker_error_reaches_caller_and_no_thread_is_left(monkeypatch,
         calls.append((len(pts), threading.current_thread()))
         if len(calls) == 2:
             raise error
-        return fb(pts)
+        return bad(fb(pts))
 
     with pytest.raises(DomainError) as raised:
         check_face_mapping_surjectivity(f, 2, 0.01)
@@ -1225,18 +1370,28 @@ def _nan_near_corner(pts):
     return out
 
 
-def _inf_near_centre(pts):
-    # only the sample blocks reached the centre, where a bare ValueError
-    # from a KD-tree once stopped it
+def _inf_near_centre(pts, centre=(1, 2.5, 2.5)):
+    # near the centre of the image of the facet {x_1 = 1}: a check reads
+    # the map on the boundary of P only.  At the simplex's centre only
+    # the sample blocks once reached it, where a bare ValueError from a
+    # KD-tree stopped it
     out = collapse_batch(realize(2))(pts)
-    out[_near(out, (2, 2, 2), 0.05)] = np.inf
+    out[_near(out, centre, 0.05)] = np.inf
     return out
 
 
-def _off_plane(pts):
+def _off_plane(pts, centre=(1, 2.5, 2.5)):
     out = collapse_batch(realize(2))(pts)
-    out[_near(out, (2, 2, 2), 0.3), 0] += 1e-3
+    out[_near(out, centre, 0.3), 0] += 1e-3
     return out
+
+
+@pytest.mark.parametrize("f", [_inf_near_centre, _off_plane])
+def test_coverage_never_reads_the_map_inside(no_whole_mesh, f):
+    # bad images only near the simplex's centre, the image of the inside
+    # of P, which a passing check never maps
+    rep = check_face_mapping_surjectivity(lambda pts: f(pts, (2, 2, 2)), 2, grid_step=0.1)
+    assert rep.ok
 
 
 @pytest.mark.parametrize(
