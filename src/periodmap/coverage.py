@@ -641,13 +641,15 @@ def _over_corners(
 
 
 def _corners(
-    chart: np.ndarray, inverse: np.ndarray, pieces: np.ndarray, picked: np.ndarray
+    columns: np.ndarray, inverse: np.ndarray, pieces: np.ndarray, picked: np.ndarray
 ) -> np.ndarray:
-    """The corners (n+1, s, n) of the picked simplices, given by their
-    places in _over_corners's order."""
+    """The corners of the picked simplices, given by their places in
+    _over_corners's order, in column form (n, n+1, s): coordinate i of
+    corner c of simplex t is [i, c, t], gathered from the chart's
+    columns (n, vertices)."""
     piece, flag = np.divmod(picked, len(inverse))
     vertices = inverse[flag, pieces[piece].T]  # (n+1, s)
-    return np.take(chart, vertices, axis=0)
+    return np.take(columns, vertices, axis=1)
 
 
 def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
@@ -662,22 +664,80 @@ def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
     return math.sqrt(longest)
 
 
-def _edges(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For simplices given by their corners (n+1, s, n), the edges from
-    corner 0 as rows (s, n, n) and whether each simplex is flat: |det|
-    at most DEGENERATE times the product of the edge lengths."""
-    spokes = corners[1:] - corners[0]  # (n, s, n): edge j of every simplex
-    lengths = functools.reduce(np.multiply, (np.sqrt(_row_sums(e * e)) for e in spokes))
-    edges = np.moveaxis(spokes, 0, 1)
-    flat = np.abs(np.linalg.det(edges)) <= DEGENERATE * lengths
-    return edges, flat
+def _minor(a: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
+    """The determinants of the square submatrices on the given rows and
+    columns of matrices given entry by entry, a[i, j] the (i, j) entries
+    of all of them: Laplace expansion down the first of the columns."""
+    if len(rows) == 1:
+        return a[rows[0], cols[0]]
+    out = a[rows[0], cols[0]] * _minor(a, rows[1:], cols[1:])
+    for place in range(1, len(rows)):
+        term = a[rows[place], cols[0]] * _minor(a, rows[:place] + rows[place + 1 :], cols[1:])
+        if place % 2:
+            out -= term
+        else:
+            out += term
+    return out
 
 
-def _barycentric(edges: np.ndarray, origin: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates (s, n+1) of the points q (s, n) in the
-    simplices with the given corner 0 (s, n) and edges (s, n, n)."""
-    lam = np.linalg.solve(np.swapaxes(edges, 1, 2), (q - origin)[:, :, None])[:, :, 0]
-    return np.column_stack([1.0 - _row_sums(lam), lam])
+def _inverses(corners: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """For simplices given by their corners in column form (n, n+1, s),
+    whether each is flat, and the affine maps from a grid node's lattice
+    coordinates x to its barycentric coordinates 1..n in each, as rows
+    (n (n+1), s): in row j (n+1) + i, i < n, the coefficient of x_i in
+    coordinate j+1, and in row j (n+1) + n its constant.  A flat
+    simplex's rows are finite and meaningless.
+
+    The edge matrix A has the edge from corner 0 to corner j+1 as column
+    j.  Its determinant and cofactors are taken in closed form, by
+    Laplace expansion on whole columns of entries (_minor), and A^-1 is
+    adj A / det A; the cofactor of a 1 x 1 matrix is 1.  A simplex is
+    flat when |det A| is at most DEGENERATE times the product of its
+    edge lengths.  The node at x is 1 + step x, so its coordinates 1..n
+    are (step adj A / det A) x + (adj A / det A) (1 - corner 0).
+    """
+    n = len(corners)
+    a = corners[:, 1:] - corners[:, :1]  # a[i, j]: coordinate i of edge j
+    lengths = functools.reduce(np.multiply, np.sqrt(functools.reduce(np.add, a * a)))
+    cofactors = np.ones((n, n, a.shape[2]))
+    if n > 1:
+        for i, j in itertools.product(range(n), repeat=2):
+            others = tuple(r for r in range(n) if r != i), tuple(c for c in range(n) if c != j)
+            cofactors[i, j] = _minor(a, *others)
+            if (i + j) % 2:
+                np.negative(cofactors[i, j], out=cofactors[i, j])
+    det = functools.reduce(np.add, a[:, 0] * cofactors[:, 0])  # down column 0
+    flat = np.abs(det) <= DEGENERATE * lengths
+    np.copyto(det, 1.0, where=flat)  # no division by a zero determinant
+    origin = 1.0 - corners[:, 0]
+    # row by row over the simplices: a temporary of the whole table
+    # costs more here than the arithmetic
+    out = np.empty((n, n + 1, a.shape[2]))
+    for j in range(n):
+        for i in range(n):
+            entry = np.divide(cofactors[i, j], det, out=cofactors[i, j])  # (j, i) of A^-1
+            np.multiply(entry, step, out=out[j, i])
+            if i:
+                out[j, n] += entry * origin[i]
+            else:
+                np.multiply(entry, origin[i], out=out[j, n])
+    return flat, out.reshape(n * (n + 1), -1)
+
+
+def _inside(coefficients: np.ndarray, owner: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Whether each node, given by its lattice coordinates in column form
+    (n, m), lies in the simplex owner names, up to LOCATE_TOL in every
+    barycentric coordinate: coordinates 1..n from the owner's rows of
+    _inverses's coefficients, gathered once, coordinate 0 as 1 less
+    their sum."""
+    n = len(nodes)
+    rows = np.take(coefficients, owner, axis=1).reshape(n, n + 1, -1)
+    lam = rows[:, n]  # (n, m): the constants, then each coordinate, in place
+    for i in range(n):
+        lam += np.multiply(rows[:, i], nodes[i], out=rows[:, i])
+    least = functools.reduce(np.minimum, lam)
+    np.minimum(least, 1.0 - functools.reduce(np.add, lam), out=least)
+    return least >= -LOCATE_TOL
 
 
 def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: float) -> np.ndarray:
@@ -688,17 +748,22 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
     against the nodes in its bounding box only.  The boxes come first,
     in integers, from each vertex image's least and greatest node
     coordinates; only a simplex whose box holds a node is gathered as
-    floats, tested for flatness and solved for.
+    floats and inverted, once, in closed form (_inverses), which gives
+    its barycentric coordinates as affine functions of a node's lattice
+    coordinates.  Its (simplex, box node) pairs are then tested in runs
+    of at most SLAB_ROWS, each pair a few multiply-adds per coordinate
+    (_inside), and a node inside is marked by its mixed-radix index in
+    the cube of (k+1)**n lattice points that holds the grid.
     """
     n = chart.shape[1]
-    index = np.full((k + 1,) * n, -1)
-    index[tuple(lattice.T)] = np.arange(len(lattice))
-    covered = np.zeros(len(lattice), dtype=bool)
+    radix = (k + 1) ** np.arange(n - 1, -1, -1)
+    hit = np.zeros((k + 1) ** n, dtype=bool)
     # ceil, floor and clip are monotone, so a simplex's box is its
     # corners' least low and greatest high
     scaled = (chart - 1.0) / step  # lattice coordinates
     low = np.clip(np.ceil(scaled - BOX_SLACK), 0, k).astype(np.int64)
     high = np.clip(np.floor(scaled + BOX_SLACK), -1, k).astype(np.int64)
+    columns = np.ascontiguousarray(chart.T)
     for flags, rows in _flag_blocks(mesh, mesh.pieces):
         inverse, pieces = mesh.inverse[flags], mesh.pieces[rows]
         lo = _over_corners(low, inverse, pieces, np.minimum).reshape(-1, n)
@@ -708,27 +773,30 @@ def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: f
         for low_d, high_d in zip(lo.T, hi.T):
             fits &= high_d >= low_d
         picked = np.flatnonzero(fits)
-        corners = _corners(chart, inverse, pieces, picked)
-        edges, flat = _edges(corners)
-        corners, edges, picked = corners[:, ~flat], edges[~flat], picked[~flat]
-        lo = lo[picked]
-        sizes = hi[picked] - lo + 1
-        counts = functools.reduce(np.multiply, sizes.T)
-        starts, total = np.cumsum(counts) - counts, int(counts.sum())
+        flat, coefficients = _inverses(_corners(columns, inverse, pieces, picked), step)
+        lo = np.take(lo.T, picked, axis=1)  # (n, boxed simplices), by column
+        sizes = np.take(hi.T, picked, axis=1) - lo + 1
+        # a flat simplex is tested against no node
+        counts = np.where(flat, 0, functools.reduce(np.multiply, sizes))
+        ends = np.cumsum(counts)
+        starts, total = ends - counts, int(ends[-1]) if len(ends) else 0
         for start in range(0, total, SLAB_ROWS):  # (simplex, box node) pairs, in runs
-            pair = np.arange(start, min(start + SLAB_ROWS, total))
-            owner = np.searchsorted(starts, pair, side="right") - 1
-            rank = pair - starts[owner]
-            nodes = lo[owner]
-            for d in reversed(range(n)):
-                nodes[:, d] += rank % sizes[owner, d]
-                rank //= sizes[owner, d]
-            keep = _row_sums(nodes) <= k
-            owner, nodes = owner[keep], nodes[keep]
-            lam = _barycentric(edges[owner], corners[0, owner], 1.0 + step * nodes)
-            inside = functools.reduce(np.minimum, lam.T) >= -LOCATE_TOL
-            covered[index[tuple(nodes[inside].T)]] = True
-    return covered
+            stop = min(start + SLAB_ROWS, total)
+            first, last = np.searchsorted(ends, (start, stop - 1), side="right")
+            held = np.minimum(ends[first : last + 1], stop)
+            held -= np.maximum(starts[first : last + 1], start)
+            owner = np.repeat(np.arange(first, last + 1), held)
+            rank = np.arange(start, stop) - np.take(starts, owner)
+            nodes = np.empty((n, stop - start), dtype=np.int64)
+            for d in range(n - 1, 0, -1):
+                rank, nodes[d] = np.divmod(rank, np.take(sizes[d], owner))
+                nodes[d] += np.take(lo[d], owner)
+            nodes[0] = rank + np.take(lo[0], owner)
+            # a box node past the grid's far face (sum above k) is marked
+            # and never read: dropping it first costs more than testing it
+            inside = _inside(coefficients, owner, nodes.astype(float))
+            hit[radix @ nodes[:, inside]] = True
+    return hit[lattice @ radix]
 
 
 def _on_plane(

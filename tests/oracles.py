@@ -619,6 +619,40 @@ def shrink_coverage_reference(n, grid_step, factor):
 
 
 # ---------------------------------------------------------------------------
+# grid nodes in the image simplices of a chart, by brute force
+# ---------------------------------------------------------------------------
+
+
+def located_reference(chart, simplices, nodes, degenerate, tol):
+    """Which of the points ``nodes`` (N, n) lie in an image simplex that
+    is not flat: every simplex against every node, no bounding boxes.
+
+    chart is the image of each vertex (vertices, n) and simplices the
+    vertex indices of each simplex (simplices, n+1).  A simplex is flat
+    when |det| of its edges is at most ``degenerate`` times the product
+    of their lengths; a node lies in one when its least barycentric
+    coordinate there is at least -``tol``.  Each simplex is inverted in
+    homogeneous coordinates, [1 ... 1; corners] lam = [1; node], whose
+    determinant is that of the edges.  numpy only, imported on the first
+    call so that the exact oracles load no numpy.
+    """
+    import numpy as np
+
+    corners = np.asarray(chart, dtype=float)[np.asarray(simplices)]  # (simplices, n+1, n)
+    ones = np.ones((len(corners), 1, corners.shape[2] + 1))
+    homogeneous = np.concatenate([ones, np.swapaxes(corners, 1, 2)], axis=1)
+    lengths = np.linalg.norm(corners[:, 1:] - corners[:, :1], axis=2).prod(axis=1)
+    solid = np.abs(np.linalg.det(homogeneous)) > degenerate * lengths
+    inverses = np.linalg.inv(homogeneous[solid])  # (solid, n+1, n+1)
+    points = np.column_stack([np.ones(len(nodes)), np.asarray(nodes, dtype=float)])
+    covered = np.zeros(len(points), dtype=bool)
+    for start in range(0, len(inverses), 256):
+        lam = inverses[start : start + 256] @ points.T  # (block, n+1, N)
+        covered |= (lam.min(axis=1) >= -tol).any(axis=0)
+    return covered
+
+
+# ---------------------------------------------------------------------------
 # degree of a piecewise-linear map over a point
 # ---------------------------------------------------------------------------
 

@@ -14,11 +14,14 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 
+import periodmap
 from oracles import brute_force_systole, chain_kind_oracle, cs_scan_1d
 from samples import identity_boundary_samples, random_chain
 from periodmap.bilinear import (
@@ -194,6 +197,30 @@ def test_criterion_06_coverage():
     )
     assert not rep.ok
     assert rep.uncovered_witness is not None
+
+
+def test_criterion_06_with_scipy_blocked():
+    # the library needs only numpy: criterion 06, in a fresh interpreter
+    # where importing scipy fails, passes within its budget as it does
+    # here, so an import of scipy anywhere on the coverage path fails
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(periodmap.__file__))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import test_acceptance\n"
+        "test_acceptance.test_criterion_06_coverage()\n"
+    )
+    path = os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "CRITERION  6 PASS" in done.stdout, done.stdout
 
 
 @criterion(7, "preset face kinds match oracle and golden table", 10.0)

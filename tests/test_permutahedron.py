@@ -46,6 +46,7 @@ from periodmap.permutahedron import (
 from oracles import (
     collapse_reference,
     degree_reference,
+    located_reference,
     permutahedron_contains_reference,
     projection_reference,
     shrink_coverage_reference,
@@ -1069,7 +1070,7 @@ def test_coverage_certifies_large_bumps_inside(no_locate, amplitude):
 
 
 def test_locate_solves_in_slabs(monkeypatch):
-    # the (simplex, node) pairs of a block are solved in runs of at most
+    # the (simplex, node) pairs of a block are tested in runs of at most
     # SLAB_ROWS, not all at once: 64 simplices of this shrink once gave
     # 472 pairs in one solve.  Every run size gives the same report
     fb, bad = collapse_batch(realize(2)), shrink_map(2, 0.9)
@@ -1079,20 +1080,89 @@ def test_locate_solves_in_slabs(monkeypatch):
 
     want = check_face_mapping_surjectivity(f, 2, 0.05)
     sizes = []
-    barycentric = coverage._barycentric
+    inside = coverage._inside
 
-    def counting(edges, origin, q):
-        sizes.append(len(q))
-        return barycentric(edges, origin, q)
+    def counting(coefficients, owner, nodes):
+        sizes.append(len(owner))
+        return inside(coefficients, owner, nodes)
 
     monkeypatch.setattr(coverage, "SLAB_ROWS", 64)
-    monkeypatch.setattr(coverage, "_barycentric", counting)
+    monkeypatch.setattr(coverage, "_inside", counting)
     got = check_face_mapping_surjectivity(f, 2, 0.05)
     assert repr(got) == repr(want) and not want.ok
     assert sizes and max(sizes) <= 64
 
 
-@pytest.mark.parametrize("n, grid_step", [(2, 0.05), (2, 0.02), (3, 0.5)])
+def _simplices_near_flat(rng, n, count):
+    """count random simplices (count, n+1, n), count near-flat ones and
+    count flat ones.  A near-flat one has its last corner moved to a
+    random point of the others' affine span, then off it by 10**-10 to
+    10**-2 times a random direction, so that |det| over the product of
+    the edge lengths spans DEGENERATE (at n = 1 the span is the one
+    corner and the edge is merely short).  A flat one repeats corner 0
+    as its last corner."""
+    solid = 1.0 + 3.0 * rng.random((count, n + 1, n))
+    thin = 1.0 + 3.0 * rng.random((count, n + 1, n))
+    weights = rng.dirichlet(np.ones(n), count)  # on the first n corners
+    off = rng.standard_normal((count, n)) * 10.0 ** rng.uniform(-10, -2, (count, 1))
+    thin[:, n] = np.einsum("sc,sci->si", weights, thin[:, :n]) + off
+    flat = 1.0 + 3.0 * rng.random((count, n + 1, n))
+    flat[:, n] = flat[:, 0]
+    return np.concatenate([solid, thin, flat])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_inverse_matches_numpy(n):
+    # _inverses takes det A and adj A by Laplace expansion; numpy's LU
+    # gives the same flat decisions away from the threshold, and the same
+    # barycentric coordinates 1..n at random lattice points
+    rng = np.random.default_rng(40 + n)
+    step = 0.05
+    corners = _simplices_near_flat(rng, n, 400)  # (s, corner, coordinate)
+    flat, coefficients = coverage._inverses(np.ascontiguousarray(corners.transpose(2, 1, 0)), step)
+    edges = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)  # column j is edge j
+    det = np.abs(np.linalg.det(edges))
+    lengths = np.linalg.norm(edges, axis=1).prod(axis=1)
+    bound = coverage.DEGENERATE * lengths
+    near = (det >= 0.99 * bound) & (det <= 1.01 * bound) & (bound > 0)
+    assert near.sum() < 20 and flat[800:].all() and not flat[:400].any()
+    assert (flat[~near] == (det <= bound)[~near]).all()
+
+    x = rng.uniform(-10.0, 70.0, (len(corners), n))  # lattice coordinates
+    solid = ~flat
+    want = np.linalg.solve(edges[solid], (1.0 + step * x - corners[:, 0])[solid][:, :, None])[..., 0]
+    rows = coefficients.reshape(n, n + 1, -1)[:, :, solid]
+    got = rows[:, n] + np.einsum("jis,si->js", rows[:, :n], x[solid])
+    # relative to the larger of the coordinates and 1; a near-flat
+    # simplex loses digits to its conditioning in either solution, about
+    # 1 / ratio of them, so its bound widens by 1e-3 / ratio
+    error = np.abs(got.T - want).max(axis=1) / np.maximum(np.abs(want).max(axis=1), 1.0)
+    ratio = det[solid] / lengths[solid]
+    assert (error <= 1e-12 * np.maximum(1.0, 1e-3 / ratio)).all()
+
+
+@pytest.mark.parametrize("n, grid_step", [(2, 0.1), (3, 0.5)])
+def test_locate_on_a_folded_chart_matches_brute_force(n, grid_step):
+    # random points of the simplex as the chart make the image simplices
+    # overlap and fold, so a node is often held by no neighbour of a
+    # simplex that wrongly refuses or takes it: 405 of 496 and 165 of
+    # 455 nodes are covered.  Dropping coordinate 0 from the inside test
+    # covers more, yet the shrinks' oracle and the golden reports miss it
+    k = coverage._grid_divisions(n, grid_step)
+    mesh = _mesh(n, grid_step)
+    total = (n + 1) * (n + 2) / 2
+    rng = np.random.default_rng(0)
+    chart = 1.0 + (total - (n + 1)) * rng.dirichlet(np.ones(n + 1), len(mesh.points))[:, :n]
+    lattice = coverage._simplex_lattice(n, k)
+    got = coverage._locate(chart, mesh, k, lattice, grid_step)
+    want = located_reference(
+        chart, mesh.simplices, 1.0 + grid_step * lattice, coverage.DEGENERATE, coverage.LOCATE_TOL
+    )
+    assert 0 < want.sum() < len(lattice)
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("n, grid_step", [(1, 0.1), (1, 0.02), (2, 0.05), (2, 0.02), (3, 0.5)])
 def test_coverage_of_shrink_matches_oracle(n, grid_step):
     # the PL image of shrink o collapse is the shrunk simplex; nodes on
     # its boundary lie in closed image simplices and count as covered
