@@ -92,23 +92,34 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, np.moveaxis(a, -1, 0))
 
 
+def _point_rows(pts: np.ndarray, n: int) -> np.ndarray:
+    """pts as a float array of points of R^{n+1}, one per row.  Any other
+    shape raises InputError naming it: a 1-D point or a row of another
+    width would be broadcast into a wrong answer or fail inside numpy."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n + 1:
+        raise InputError(f"expected a (k, {n + 1}) array of points, got shape {pts.shape}")
+    return pts
+
+
 def collapse_batch(realization: PermRealization) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized float version of collapse_to_simplex for sampling: the
     same least sums, read from the prefix sums of the sorted columns.
 
-    The map reads its input and never writes to it, so a read-only array
-    is accepted.  Past the prefix sums it works in two arrays of the
-    input's shape, each updated in place, and its row sums are column
-    adds (_row_sums): the same bits as a fresh array for every step and
-    row reductions, in about 40% of the time (0.81 against 1.93 ms on
-    the 20,539 mesh vertices at n = 3, grid 0.25, 2-CPU host).
+    The map takes a (k, n+1) array of points (_point_rows), reads it and
+    never writes to it, so a read-only array is accepted.  Past the
+    prefix sums it works in two arrays of the input's shape, each
+    updated in place, and its row sums are column adds (_row_sums): the
+    same bits as a fresh array for every step and row reductions, in
+    about 40% of the time (0.81 against 1.93 ms on the 20,539 mesh
+    vertices at n = 3, grid 0.25, 2-CPU host).
     """
     n1 = realization.n + 1
     eps = float(DAMPING_SLACK)
     m = float(realization.total)
 
     def apply(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+        pts = _point_rows(pts, realization.n)
         low = [0.0, *itertools.accumulate(_sorted_columns(pts)[:-1])]  # low[k] = c_k
         g = pts - 1.0  # k = 1: the least single coordinate holding y_i is y_i
         least = np.empty_like(g)
@@ -167,7 +178,7 @@ def radial_perturbation(
     center = np.full(n + 1, m / (n + 1))
 
     def apply(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+        pts = _point_rows(pts, n)
         lam = _radial_parameter(pts, center)
         scale = 1.0 + coefficient * (1.0 - lam)
         return center + scale[:, None] * (pts - center)
@@ -186,7 +197,7 @@ def twist_perturbation(n: int, angle: float) -> Callable[[np.ndarray], np.ndarra
     basis = _hyperplane_basis(n)  # (2, 3)
 
     def apply(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+        pts = _point_rows(pts, n)
         v = pts - center
         lam = _radial_parameter(pts, center)
         uv = v @ basis.T  # in-plane coordinates
@@ -218,7 +229,7 @@ def shrink_map(n: int, factor: float) -> Callable[[np.ndarray], np.ndarray]:
     center = np.full(n + 1, m / (n + 1))
 
     def apply(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+        pts = _point_rows(pts, n)
         return center + factor * (pts - center)
 
     return apply
@@ -480,23 +491,31 @@ class _Mesh:
         return self.inverse[:, self.reference_edges].reshape(-1, 2)
 
 
+@functools.cache
+def _reach(n: int) -> float:
+    """The longest sum, over the flags of P_n and the nonempty sets of j,
+    of a flag's axes b_j - b_{j-1}: k times the longest edge a piece of
+    a flag simplex cut k ways can have."""
+    bary, _ = _flags(n)
+    axes = np.diff(bary, axis=1) / 2.0  # (flags, n, n+1)
+    sums = np.array(list(itertools.product((0, 1), repeat=n))[1:]) @ axes
+    return float(np.linalg.norm(sums, axis=-1).max())
+
+
 def _mesh(n: int, step: float, boundary: bool = False) -> _Mesh:
     """The mesh of P_n whose edges are at most step long, or with
     boundary its part on the boundary of P (_mesh_of).
 
-    An edge of a piece of flag simplex is a sum of the flag's axes
-    b_j - b_{j-1} over a set of j, divided by k; k is the least that
-    brings the longest such sum under step, and the boundary mesh is cut
-    at the same k.  A mesh above MAX_MESH_SIMPLICES simplices raises
-    ResourceError before anything is built.  The mesh depends on n, k
-    and boundary only: every step that gives the same k gets the same
-    read-only mesh from _mesh_of.
+    An edge of a piece of flag simplex is a sum of the flag's axes over
+    a set of j, divided by k; k is the least that brings the longest
+    such sum, _reach(n), worked out once per n, under step, and the
+    boundary mesh is cut at the same k.  A mesh above MAX_MESH_SIMPLICES
+    simplices raises ResourceError before anything is built.  The mesh
+    depends on n, k and boundary only: every step that gives the same k
+    gets the same read-only mesh from _mesh_of.
     """
-    bary, _ = _flags(n)
-    axes = np.diff(bary, axis=1) / 2.0  # (flags, n, n+1)
-    sums = np.array(list(itertools.product((0, 1), repeat=n))[1:]) @ axes
-    k = max(1, math.ceil(np.linalg.norm(sums, axis=-1).max() / step))
-    size = len(bary) * k ** (n - boundary)
+    k = max(1, math.ceil(_reach(n) / step))
+    size = len(_flags(n)[0]) * k ** (n - boundary)
     if size > MAX_MESH_SIMPLICES:
         raise ResourceError(
             f"mesh step {step} needs {size} simplices (limit {MAX_MESH_SIMPLICES})"
@@ -574,15 +593,18 @@ def _image(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray
 def _map_rows(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
     """f applied to pts in row blocks of at most SLAB_ROWS rows.
 
-    The blocks are of near-equal size, so none is a lone row when pts
-    has two or more, and a single row is mapped as a block of two copies
-    of itself: numpy multiplies a single row by a matrix through another
-    routine than a block, and its last bits can differ.  Each block's
-    image is checked by _image.
+    pts of 2 to SLAB_ROWS rows is mapped as it is, in one call, and its
+    image returned as f gave it, converted to float.  More rows are cut
+    into blocks of near-equal size, so none is a lone row, and a single
+    row is mapped as a block of two copies of itself: numpy multiplies a
+    single row by a matrix through another routine than a block, and its
+    last bits can differ.  Each block's image is checked by _image.
     """
     if len(pts) == 1:
         return _image(f, np.repeat(pts, 2, axis=0))[:1]
-    blocks = np.array_split(pts, max(1, -(-len(pts) // SLAB_ROWS)))
+    if len(pts) <= SLAB_ROWS:
+        return _image(f, pts)
+    blocks = np.array_split(pts, -(-len(pts) // SLAB_ROWS))
     return np.concatenate([_image(f, block) for block in blocks])
 
 
@@ -907,10 +929,8 @@ def check_face_mapping_surjectivity(
     samples, owners = _face_samples(n, seed)
     points = np.concatenate([rim.points, samples])
     images, excess = _on_plane(f, points, total)
-    # the seeded samples and face vertices first, then the boundary vertices
-    checked = np.concatenate([np.arange(len(rim.points), len(points)), np.arange(len(rim.points))])
     violations = _face_violations(
-        faces, pins, points[checked], images[checked], np.concatenate([owners, rim.face])
+        faces, pins, points, images, np.concatenate([rim.face, owners]), len(rim.points)
     )
     rim_images, rim_excess = images[: len(rim.points)], excess[: len(rim.points)]
     if not violations:
@@ -954,7 +974,7 @@ def check_face_mapping_surjectivity(
     if covered < len(lattice):
         grid = 1.0 + grid_step * np.column_stack([lattice, k - _row_sums(lattice)])
         witness = tuple(grid[int(np.argmin(located))].tolist())
-        gaps = _nearest_distance(grid[~located], np.unique(rim_images, axis=0))
+        gaps = _nearest_distance(grid[~located], _distinct_rows(rim_images))
         max_gap = max(max_gap, float(gaps.max()))
     return CoverageReport(
         ok=False,
@@ -975,19 +995,44 @@ def _face_violations(
     points: np.ndarray,
     images: np.ndarray,
     owners: np.ndarray,
+    start: int,
 ) -> tuple[FaceViolation, ...]:
     """For each face, in the order of faces, the first of the points it
     owns whose image leaves the face's target: a coordinate the face pins
-    (_faces) more than FACE_TOL from 1."""
-    bad = np.zeros(len(images), dtype=bool)
-    for column, pinned in zip(images.T, pins.T):
-        bad |= (np.abs(column - 1.0) > FACE_TOL) & pinned[owners]
-    rows = np.flatnonzero(bad)
+    (_faces) more than FACE_TOL from 1.
+
+    The points are checked in order from row start to the end, then from
+    row 0 to start.  The condition is tested on the rows as given, over
+    the whole array, with the pins gathered once for every row (np.take,
+    several times faster here than fancy indexing); only the offending
+    rows are put in checked order, to pick each face's first.
+    """
+    off = np.abs(images - 1.0) > FACE_TOL
+    off &= np.take(pins, owners, axis=0)
+    rows = np.flatnonzero(functools.reduce(np.logical_or, off.T))
+    if not len(rows):
+        return ()
+    split = np.searchsorted(rows, start)
+    rows = np.concatenate([rows[split:], rows[:split]])
     bad_faces, first = np.unique(owners[rows], return_index=True)
     return tuple(
         FaceViolation(faces[i], tuple(points[r].tolist()), tuple(images[r].tolist()))
         for i, r in zip(bad_faces, rows[first])
     )
+
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a float array, sorted with column 0 first:
+    the array np.unique(a, axis=0) returns, from one np.lexsort and a
+    compare of each sorted row with the one before it, column by column.
+    np.unique sorts a structured view of the rows, several times
+    slower."""
+    rows = a[np.lexsort(a.T[::-1])]
+    fresh = np.zeros(len(rows), dtype=bool)
+    fresh[:1] = True
+    for column in rows.T:
+        fresh[1:] |= column[1:] != column[:-1]
+    return rows[fresh]
 
 
 def _nearest_distance(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:

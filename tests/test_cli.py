@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -269,6 +270,23 @@ def test_limit_splits(capsys):
     data = json.loads(out)
     assert data["generators"] == [["1", "0"]]
     assert data["signature"] == [0, 0, 1]
+
+
+def test_console_script_resolves_to_cli_entry():
+    # the periodmap console script names periodmap.cli:entry; the file is
+    # read with a line scan, since Python 3.10 has no tomllib
+    section, scripts = None, {}
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    for line in pyproject.read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, target = (part.strip().strip("\"'") for part in line.split("=", 1))
+            scripts[name] = target
+    assert scripts["periodmap"] == "periodmap.cli:entry"
+    module, attribute = scripts["periodmap"].split(":")
+    assert callable(getattr(importlib.import_module(module), attribute))
 
 
 def test_systole_period_exact(capsys, tmp_path):

@@ -15,6 +15,7 @@ import pytest
 from periodmap import coverage, permutahedron
 from periodmap.coverage import (
     FACE_SAMPLES,
+    FACE_TOL,
     GRID_SLACK,
     MAX_MESH_SIMPLICES,
     SLAB_ROWS,
@@ -1324,6 +1325,83 @@ def test_face_samples_are_per_face_dirichlet_draws(n, seed):
     assert np.array_equal(points[-len(want) :], want)
 
 
+def _shrunk_collapse(n, factor):
+    fb, shrink = collapse_batch(realize(n)), shrink_map(n, factor)
+    return lambda pts: shrink(fb(pts))
+
+
+@pytest.mark.parametrize(
+    "n, grid_step, make",
+    [
+        (1, 0.1, lambda: _shrunk_collapse(1, 0.9)),
+        (2, 0.1, lambda: _shrunk_collapse(2, 0.9)),
+        (2, 0.05, lambda: _shrunk_collapse(2, 1.05)),
+        (3, 0.5, lambda: _shrunk_collapse(3, 0.9)),
+        (2, 0.1, lambda: _bump_on_facet(2, (1,))),
+        (3, 0.5, lambda: _bump_on_facet(3, (1, 3))),
+        (3, 0.5, lambda: _bump_on_facet(3, (2,))),
+    ],
+    ids=["shrink1", "shrink2", "grow2", "shrink3", "bump2", "bump3-13", "bump3-2"],
+)
+def test_face_violations_follow_checked_order(n, grid_step, make):
+    # the oracle: every checked row in checked order, the seeded samples
+    # and face vertices face by face first, then the boundary vertices of
+    # the mesh, each against the coordinates its least face pins; for each
+    # face in all_faces order, the first row off its target. These maps
+    # break the condition at samples and at boundary vertices of the same
+    # face, so the order decides which row is named
+    f, seed = make(), 5
+    faces = all_faces(n)
+    rng = np.random.default_rng(seed)
+    points, owner = [], []
+    for index, ns in enumerate(faces):
+        fv = np.array(realize(n).vertices_of_face(ns), dtype=float)
+        points += [rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES) @ fv, fv]
+        owner += [index] * (FACE_SAMPLES + len(fv))
+    first_vertex = len(owner)
+    rim = _mesh(n, grid_step, boundary=True)
+    points = np.concatenate(points + [rim.points])
+    owner = np.array(owner + rim.face.tolist())
+    images = f(points)
+    want, both = [], 0
+    for index, ns in enumerate(faces):
+        pinned = [i - 1 for i in ns.chain[-1]]
+        rows = np.flatnonzero(owner == index)
+        bad = [r for r in rows if (np.abs(images[r, pinned] - 1.0) > FACE_TOL).any()]
+        if bad:
+            point, image = tuple(points[bad[0]].tolist()), tuple(images[bad[0]].tolist())
+            want.append(coverage.FaceViolation(ns, point, image))
+            both += bad[0] < first_vertex <= bad[-1]
+    rep = check_face_mapping_surjectivity(f, n, grid_step, seed=seed)
+    assert rep.face_violations == tuple(want)
+    assert n == 1 or both
+
+
+@pytest.mark.parametrize("n, grid_step", [(1, 0.1), (2, 0.1), (2, 0.02), (3, 0.5), (3, 0.25)])
+def test_distinct_rows_match_np_unique_on_boundary_images(n, grid_step):
+    # the collapse sends whole patches of the boundary to one point, so
+    # its images of the boundary mesh repeat many rows
+    images = collapse_batch(realize(n))(_mesh(n, grid_step, boundary=True).points)
+    want = np.unique(images, axis=0)
+    assert n == 1 or len(want) < len(images)
+    assert np.array_equal(coverage._distinct_rows(images), want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_distinct_rows_match_np_unique_on_random_rows(seed):
+    # rows drawn with repeats from a few values per column, so that sorted
+    # neighbours often agree in their leading columns and differ later,
+    # and from random floats
+    rng = np.random.default_rng(seed)
+    width = 2 + seed % 3
+    few = 1.0 + rng.integers(0, 3, size=(60, width)) / 2.0
+    spread = 1.0 + rng.random((20, width))
+    pool = np.concatenate([few, spread])
+    for rows in (0, 1, 2, 500):
+        a = pool[rng.integers(0, len(pool), size=rows)]
+        assert np.array_equal(coverage._distinct_rows(a), np.unique(a, axis=0)), rows
+
+
 def test_coverage_seed_moves_only_the_face_samples():
     fb = collapse_batch(realize(2))
     bad = shrink_map(2, 0.9)
@@ -1510,6 +1588,29 @@ def test_map_rows_maps_a_lone_row_as_two():
     out = _map_rows(f, np.array([[1.0, 2.0, 3.0]]))
     assert out.tolist() == [[2.0, 3.0, 4.0]]
     assert [b.tolist() for b in blocks] == [[[1.0, 2.0, 3.0]] * 2]
+
+
+@pytest.mark.parametrize(
+    "n, make",
+    [
+        *[(n, lambda n=n: collapse_batch(realize(n))) for n in (1, 2, 3)],
+        *[(n, lambda n=n: shrink_map(n, 0.9)) for n in (1, 2, 3)],
+        *[(n, lambda n=n: radial_perturbation(n, 0.3)) for n in (2, 3)],
+        (2, lambda: twist_perturbation(2, 0.7)),
+    ],
+    ids=[
+        "collapse1", "collapse2", "collapse3", "shrink1", "shrink2", "shrink3",
+        "radial2", "radial3", "twist2",
+    ],
+)
+def test_maps_refuse_points_of_another_shape(n, make):
+    # one 1-D point was once broadcast into a square array, and a row of
+    # the wrong width gave NaN rows or a bare IndexError or ValueError
+    f = make()
+    assert f(np.full((4, n + 1), float(n + 2) / 2)).shape == (4, n + 1)
+    for shape in ((4, n), (4, n + 2), (n + 1,), (2, 2, n + 1)):
+        with pytest.raises(InputError, match=rf"got shape \({shape[0]},"):
+            f(np.full(shape, 1.5))
 
 
 def test_perturbations_fix_boundary():
