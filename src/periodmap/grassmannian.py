@@ -37,6 +37,11 @@ HPOINT_FLOOR = 1e-7  # absolute: |<x, x> - 1| an HPoint may always have
 # relative: |<x, x> - 1| may also reach HPOINT_ROUNDING * 2^-52 * sum x_i^2,
 # the float rounding of <x, x>, which grows as x_0^2 towards the disk rim
 HPOINT_ROUNDING = 8
+# relative to v_0^2: a null direction may have |<v, v>| up to this times
+# v_0^2.  Its disk point d has |d|^2 = 1 - <v, v> / v_0^2, so the slack
+# keeps every ideal point, and every IdealPoint mark of a render, within
+# it of the boundary circle in |d|^2
+NULL_DIRECTION_SLACK = 1e-9
 
 
 def mink_dot(v: Sequence[float], w: Sequence[float]) -> float:
@@ -121,14 +126,14 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
 
 def ideal_point_direction(v: Sequence[float]) -> tuple[float, ...]:
     """Boundary-circle coordinates of a null direction: one whose
-    |<v, v>| is at most 1e-9 v_0^2, else DomainError.  The test scales
-    with v, so a direction is read at any scale; only v_0 = 0 is refused
-    as vanishing."""
+    |<v, v>| is at most NULL_DIRECTION_SLACK v_0^2, else DomainError.
+    The test scales with v, so a direction is read at any scale; only
+    v_0 = 0 is refused as vanishing."""
     vv = _floats(v, "null direction", 2)
     if vv[0] == 0:
         raise DomainError("null direction has vanishing first coordinate")
     norm = mink_dot(vv, vv)
-    if abs(norm) > 1e-9 * vv[0] ** 2:
+    if abs(norm) > NULL_DIRECTION_SLACK * vv[0] ** 2:
         raise DomainError(f"not a null direction: {vv} (norm {norm:.3e})")
     return tuple(x / vv[0] for x in vv[1:])
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .bilinear import (
     standard_embedding,
 )
 from .decomposition import DecompositionData, canonical_limit, product_split
-from .errors import DomainError, ResourceError
+from .errors import DomainError, InputError, ResourceError
 from .face_constraints import SurfaceConfig, is_bounded_config
 from .grassmannian import (
     ConstraintKind,
@@ -58,13 +59,16 @@ DEFAULT_PALETTE = {
     "muted": "#9e9e9e",
     "background": "#ffffff",
 }
+_HEX_COLOR = re.compile(r"#(?:[0-9a-fA-F]{3}){1,2}")
 
 
 def palette() -> dict[str, str]:
     """Fixed palette, overridable through PERIODMAP_COLORS.
 
     The variable holds entries like "size1=#004400,accent=#223344"
-    separated by commas or semicolons; unknown keys are ignored.
+    separated by commas or semicolons; unknown keys are ignored.  A known
+    key takes only "#" and 3 or 6 hex digits, since the value is written
+    into an SVG attribute as it is; anything else is an InputError.
     """
     colors = dict(DEFAULT_PALETTE)
     raw = os.environ.get("PERIODMAP_COLORS", "")
@@ -72,7 +76,11 @@ def palette() -> dict[str, str]:
         if "=" in chunk:
             key, _, val = chunk.partition("=")
             key, val = key.strip(), val.strip()
-            if key in colors and val:
+            if key in colors:
+                if not _HEX_COLOR.fullmatch(val):
+                    raise InputError(
+                        f"PERIODMAP_COLORS: {key} needs #rgb or #rrggbb, got {val!r}"
+                    )
                 colors[key] = val
     return colors
 

@@ -101,20 +101,21 @@ class _DiskObjective:
     """conf as a function of Poincare-disk coordinates, via the embedding.
 
     Inside the patch of radius PATCH_RADIUS the value is the minimum over
-    the whole seed ellipsoid, with no box; outside it is -inf.  Every norm
-    form of the patch is within a factor ((1 + r) / (1 - r))^2 of the one
-    at its centre, r = PATCH_RADIUS, so enumerating in a lattice basis
-    LLL-reduced for that one bounds the work by the rank alone.
+    the whole seed ellipsoid, with no box.  Every norm form of the patch
+    is within a factor ((1 + r) / (1 - r))^2 of the one at its centre,
+    r = PATCH_RADIUS, so enumerating in a lattice basis LLL-reduced for
+    that one bounds the work by the rank alone.
 
-    The form is checked and reduced once, here; a call then works in
-    plain floats.  It maps the disk point to the hyperboloid point h by
-    the formula of ``disk_to_hpoint``, takes u = back h and the norm
-    matrix 2 (Gu)(Gu)^t - G, and enumerates.  A point inside the patch
-    is finite, so only one outside it is checked: a non-finite point
-    raises DomainError.  ``pairing`` maps a lattice vector w to the
-    covector of h -> <w, back h>, and ``igram`` is the reduced basis's
-    exact gram times ``den``, for the certificate.  ``evaluations``
-    counts the points asked about, enumerated or not.
+    The form is checked and reduced once, here; the methods then work in
+    plain floats.  ``hpoint`` maps a disk point of the patch to the
+    hyperboloid point h by the formula of ``disk_to_hpoint``, and one
+    outside it to None.  A point inside the patch is finite, so only one
+    outside it is checked: a non-finite point raises DomainError.
+    ``near_minimal`` takes u = back h and the norm matrix
+    2 (Gu)(Gu)^t - G, and enumerates.  ``pairing`` maps a lattice vector
+    w to the covector of h -> <w, back h>, and ``igram`` is the reduced
+    basis's exact gram times ``den``, for the certificate.
+    ``evaluations`` counts the points asked about, enumerated or not.
     """
 
     def __init__(self, form: GramForm):
@@ -150,12 +151,6 @@ class _DiskObjective:
             raise DomainError(f"disk coordinates must be finite: {tuple(disk)}")
         denom = 1.0 - r2
         return [(1.0 + r2) / denom] + [2.0 * x / denom for x in disk]
-
-    def __call__(self, disk: Sequence[float]) -> float:
-        h = self.hpoint(disk)
-        if h is None:
-            return -math.inf
-        return math.sqrt(self.near_minimal(h, ACTIVE_SLACK)[0])
 
     def near_minimal(self, h: Sequence[float], slack: float):
         """conf^2 at the hyperboloid point h, and the vectors within slack of it."""

@@ -12,6 +12,7 @@ from periodmap.errors import (
 )
 from periodmap.grassmannian import (
     ConstraintKind,
+    NULL_DIRECTION_SLACK,
     HPoint,
     classify_span,
     disk_to_hpoint,
@@ -79,6 +80,22 @@ def test_null_directions_within_the_tolerance_are_read():
     # as vanishing
     assert ideal_point_direction((1e-13, 1e-13, 0.0)) == (1.0, 0.0)
     assert ideal_point_direction((1e-200, 1e-200)) == (1.0,)
+
+
+@pytest.mark.parametrize("v0", [1.0, 1e6])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_null_direction_slack_is_relative_to_v0_squared(v0, sign):
+    # <v, v> = sign * t * NULL_DIRECTION_SLACK * v0^2, up to rounding far
+    # below the 10% margin either side of the slack
+    for t, accepted in ((0.9, True), (1.1, False)):
+        v1 = v0 * math.sqrt(1.0 - sign * t * NULL_DIRECTION_SLACK)
+        norm = mink_dot((v0, v1), (v0, v1))
+        assert abs(abs(norm) / (t * NULL_DIRECTION_SLACK * v0 * v0) - 1.0) < 1e-3
+        if accepted:
+            assert ideal_point_direction((v0, v1)) == (v1 / v0,)
+        else:
+            with pytest.raises(DomainError, match="not a null direction"):
+                ideal_point_direction((v0, v1))
 
 
 def test_hpoint_validation():

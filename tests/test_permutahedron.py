@@ -146,6 +146,13 @@ def test_enumeration_checks_no_chain_again(monkeypatch):
     assert len(calls) == 1
 
 
+def test_all_faces_n7_checks_no_face_again():
+    # checking each of the 545,834 faces of P_7 again took several seconds
+    start = time.perf_counter()
+    assert len(all_faces(7)) == 545834
+    assert time.perf_counter() - start < 3.0
+
+
 def test_realize_small():
     seg = realize(1)
     assert seg.vertices == ((1, 2), (2, 1))
@@ -970,7 +977,9 @@ def test_certifying_check_builds_no_lattice(no_locate, no_lattice, no_whole_mesh
     # hold 1,752,048 and 13,122,000 simplices (over MAX_MESH_SIMPLICES),
     # their boundary meshes 41,616 and 291,600: every node is covered, the
     # report counts them in closed form, and the map is given only rows on
-    # the boundary of P, the boundary vertices and then the face samples
+    # the boundary of P, the boundary vertices and then the face samples.
+    # Each case takes under 1 s, the nine under 10 s
+    start = time.perf_counter()
     fb = collapse_batch(realize(n))
     rows = []
 
@@ -987,6 +996,7 @@ def test_certifying_check_builds_no_lattice(no_locate, no_lattice, no_whole_mesh
     assert rep.samples_used == len(rim.points)
     assert sum(rows) == len(rim.points) + len(coverage._face_samples(n, 0)[0])
     assert rep.mesh_step == rim.step <= grid_step
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from periodmap.bilinear import GramForm, hyperbolic_plane_form, minkowski_form
-from periodmap.errors import DomainError
+from periodmap.cli import main
+from periodmap.errors import DomainError, InputError
 from periodmap.face_constraints import (
     preset,
     random_config,
@@ -240,6 +241,32 @@ def test_palette_env_override(monkeypatch, tmp_path):
     monkeypatch.delenv("PERIODMAP_COLORS")
     render_config(symmetric_config(Fraction(3)), str(out))
     assert "#2e7d32" in out.read_text()
+
+
+INJECTION = 'size1=#000" onload="alert(1)'
+
+
+def test_palette_refuses_anything_but_a_hex_colour(monkeypatch, tmp_path, capsys):
+    # a value is written into an SVG attribute as it is: once any text
+    # passed, and this one wrote stroke="#000" onload="alert(1)"
+    monkeypatch.setenv("PERIODMAP_COLORS", INJECTION)
+    with pytest.raises(InputError, match="size1"):
+        render_config(preset("fig6-i"))
+    with pytest.raises(InputError, match="size1"):
+        render_lattice_lines(hyperbolic_plane_form())
+    out = tmp_path / "walls.svg"
+    assert main(["render", "--preset", "fig6-i", "-o", str(out)]) == 2
+    assert "size1" in capsys.readouterr().err
+    assert not out.exists()
+    for value in ("", "#00", "#0000", "000000", "#00000g", "#1234567", "red"):
+        monkeypatch.setenv("PERIODMAP_COLORS", f"accent={value}")
+        with pytest.raises(InputError, match="accent"):
+            render_config(preset("fig6-i"))
+    # unknown keys are still ignored, whatever their value
+    monkeypatch.setenv("PERIODMAP_COLORS", 'nope=" onload="x,size1=#abc; size2=#AABBCC')
+    svg = render_config(preset("fig6-i")).to_svg()
+    assert "onload" not in svg
+    assert 'stroke="#abc"' in svg and 'fill="#AABBCC"' in svg
 
 
 def test_scene_helpers():

@@ -640,6 +640,11 @@ def _candidates(obj, h):
     return obj.near_minimal(h, supremum.CANDIDATE_SLACK)[1]
 
 
+def _conf(obj, disk):
+    # conf at a disk point of the patch, by one enumeration
+    return math.sqrt(obj.near_minimal(obj.hpoint(disk), supremum.ACTIVE_SLACK)[0])
+
+
 def test_stopped_or_tampered_searches_are_not_certified(monkeypatch):
     # a search stopped at its best grid point is no local maximum
     with monkeypatch.context() as m:
@@ -808,10 +813,10 @@ def test_cs_grid_screen_skips_only_points_below_the_best():
     for form, step in cases:
         plain = _DiskObjective(form)
         best_pt = (0.0,) * plain.n
-        best = plain(best_pt)
+        best = _conf(plain, best_pt)
         below = {}  # grid point -> (its value, the best before it)
         for pt in _grid_points(plain.n, PATCH_RADIUS, step):
-            val = plain(pt)
+            val = _conf(plain, pt)
             below[pt] = (val, best)
             if val > best + 1e-15:
                 best, best_pt = val, pt
@@ -855,7 +860,7 @@ def test_disk_objective_is_the_float_systole():
             disk = [rho * x / norm for x in direction]
             want = conf_systole(period_point_from_hpoint(disk_to_hpoint(disk)))
             assert want.certified, disk
-            assert abs(obj(disk) - want.value) <= 1e-10 * want.value, disk
+            assert abs(_conf(obj, disk) - want.value) <= 1e-10 * want.value, disk
         assert obj.evaluations == len(points)
 
 
@@ -878,11 +883,11 @@ def test_enumeration_refuses_past_the_node_limit():
         _shortest([[1, 0], [0, 1]], 10**16)
 
 
-def test_disk_objective_is_minus_inf_outside_the_patch():
+def test_disk_objective_maps_no_point_outside_the_patch():
     obj = _DiskObjective(minkowski_form(2))
-    assert obj((PATCH_RADIUS, 0.0)) > 0.0
-    assert obj((0.0, PATCH_RADIUS + 1e-9)) == -math.inf
-    assert obj((0.7, -0.7)) == -math.inf
+    assert _conf(obj, (PATCH_RADIUS, 0.0)) > 0.0
+    assert obj.hpoint((0.0, PATCH_RADIUS + 1e-9)) is None
+    assert obj.hpoint((0.7, -0.7)) is None
     assert obj.evaluations == 1
 
 
@@ -891,9 +896,9 @@ def test_disk_objective_refuses_non_finite_points(bad):
     obj = _DiskObjective(minkowski_form(2))
     for point in ((bad, 0.0), (0.0, bad)):
         with pytest.raises(DomainError, match="finite"):
-            obj(point)
+            obj.hpoint(point)
     # a finite point far outside the patch is only outside it
-    assert obj((1e200, 0.0)) == -math.inf
+    assert obj.hpoint((1e200, 0.0)) is None
     assert obj.evaluations == 0
 
 
