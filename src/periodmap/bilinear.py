@@ -365,9 +365,10 @@ class GramForm:
 
     The gram matrix is checked once here and also kept as an integer
     matrix ``_igram`` equal to ``_den`` times it.  The diagonalization of
-    the whole space, and the signature and standard embedding read from
-    it, are computed on first use and cached on the instance; equality
-    and hashing see only ``gram``.
+    the whole space, and the signature, radical and standard embedding
+    read from it, are computed on first use and cached on the instance,
+    as is the one zero subspace every zero radical or positive part of
+    the form returns; equality and hashing see only ``gram``.
     """
 
     gram: Matrix
@@ -411,6 +412,10 @@ class GramForm:
         return Subspace(self, vectors)
 
     def zero_subspace(self) -> "Subspace":
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> "Subspace":
         return Subspace._echelon(self, [])
 
     def full_subspace(self) -> "Subspace":
@@ -444,7 +449,11 @@ class GramForm:
     def radical(self) -> "Subspace":
         """Vectors pairing to zero with the whole space, with the canonical
         basis: the split's columns with zero diagonal entry span it."""
-        return Subspace._echelon(self, [c for e, c, _, _ in self._columns if e == 0])
+        return self._radical
+
+    @cached_property
+    def _radical(self) -> "Subspace":
+        return _span_or_zero(self, [c for e, c, _, _ in self._columns if e == 0])
 
     def to_json(self) -> dict:
         return {
@@ -476,14 +485,18 @@ class Subspace:
     work on directly.  The Fraction rows of ``canonical``, and of
     ``basis`` for a span whose basis is the canonical one, are made on
     first access.  So is the congruence diagonalization of the
-    restricted form (``_split``), which every signature, positive part
-    and radical of this instance reads.  It depends on the basis, so it
-    is kept per instance, not shared between equal subspaces.  A span
-    made by ``_framed`` holds its integer gram block (``_frame``) until
-    that first split reads it.
+    restricted form (``_split``), and the signature, positive part and
+    radical read from it (``_sig``, ``_positive``, ``_radical``), which
+    every holder of the instance then shares.  They depend on the
+    basis, so they are kept per instance, not shared between equal
+    subspaces.  A span made by ``_framed`` holds its integer gram block
+    (``_frame``) until that first split reads it.
     """
 
-    __slots__ = ("ambient", "_rows", "_basis", "_canonical", "_columns", "_frame")
+    __slots__ = (
+        "ambient", "_rows", "_basis", "_canonical", "_columns", "_frame",
+        "_sig", "_positive", "_radical",
+    )
 
     def __init__(self, ambient: GramForm, vectors: Sequence[Sequence]) -> None:
         rows = _rows_in(ambient, vectors)
@@ -492,6 +505,7 @@ class Subspace:
             raise InputError("spanning vectors must be linearly independent")
         self.ambient, self._rows, self._basis = ambient, red, rows
         self._canonical = self._columns = self._frame = None
+        self._sig = self._positive = self._radical = None
 
     @classmethod
     def _echelon(
@@ -504,7 +518,7 @@ class Subspace:
         """
         sub = cls.__new__(cls)
         sub.ambient, sub._rows, sub._basis = ambient, _int_rref(rows)[0], basis
-        sub._canonical = sub._columns = sub._frame = None
+        sub._canonical = sub._columns = sub._frame = sub._sig = sub._positive = sub._radical = None
         return sub
 
     @classmethod
@@ -644,6 +658,12 @@ def _rows_in(ambient: GramForm, vectors: Sequence[Sequence]) -> Matrix:
     return rows
 
 
+def _span_or_zero(ambient: GramForm, rows: list[list[int]]) -> Subspace:
+    """Span of integer rows, the ambient's one zero subspace when there
+    are none."""
+    return Subspace._echelon(ambient, rows) if rows else ambient._zero
+
+
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
     if a.ambient != b.ambient:
         raise DimensionMismatchError("subspaces live over different ambient forms")
@@ -677,8 +697,10 @@ def _signature_of(columns: list[tuple[int, list[int], int, int]], dim: int) -> S
 
 
 def subspace_signature(sub: Subspace) -> Signature:
-    """Inertia of the form restricted to a subspace."""
-    return _signature_of(sub._split(), sub.dim)
+    """Inertia of the form restricted to a subspace, kept on it."""
+    if sub._sig is None:
+        sub._sig = _signature_of(sub._split(), sub.dim)
+    return sub._sig
 
 
 def is_negative_definite(sub: Subspace) -> bool:
@@ -700,8 +722,11 @@ def positive_vectors(sub: Subspace) -> list[Vector]:
 
 
 def positive_part(sub: Subspace) -> Subspace:
-    """Maximal positive subspace of a subspace, from exact diagonalization."""
-    return Subspace._echelon(sub.ambient, [w for e, w, _, _ in sub._split() if e > 0])
+    """Maximal positive subspace of a subspace, from exact diagonalization,
+    kept on it."""
+    if sub._positive is None:
+        sub._positive = _span_or_zero(sub.ambient, [w for e, w, _, _ in sub._split() if e > 0])
+    return sub._positive
 
 
 def orth_complement(sub: Subspace) -> Subspace:
@@ -717,8 +742,11 @@ def orth_complement(sub: Subspace) -> Subspace:
 def nullspace(sub: Subspace) -> Subspace:
     """Radical of the restricted form (sub intersect sub-perp), with its
     canonical basis: the span of the diagonalization columns whose
-    diagonal entry is zero, as T^t G T = D with T invertible."""
-    return Subspace._echelon(sub.ambient, [w for e, w, _, _ in sub._split() if e == 0])
+    diagonal entry is zero, as T^t G T = D with T invertible.  Kept on
+    the subspace."""
+    if sub._radical is None:
+        sub._radical = _span_or_zero(sub.ambient, [w for e, w, _, _ in sub._split() if e == 0])
+    return sub._radical
 
 
 def subspace_sum(first: Subspace, *rest: Subspace) -> Subspace:

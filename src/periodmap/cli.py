@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -124,7 +125,23 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _face_json(fc) -> dict:
+    return {
+        "chain": [list(s) for s in fc.sequence.chain],
+        "iplus": fc.iplus,
+        "kind": _face_kind(fc),
+        "piece_signatures": [list(s) for s in fc.piece_signatures],
+        "determined": None if fc.summary is None else fc.summary.determined,
+    }
+
+
+def _face_kind(fc) -> str:
+    return fc.summary.kind.value if fc.summary is not None else "Unconstrained"
+
+
 def _cmd_faces(args) -> int:
+    """One row per face, written as the face is answered: the bytes are
+    those of ``_emit`` on the whole table, without holding it."""
     cfg = _load_config(args)
     k = len(cfg.vectors)
     if args.chain:
@@ -135,28 +152,26 @@ def _cmd_faces(args) -> int:
             all_faces(_check_n(k - 1, 6, "face sweep")),
             key=lambda ns: (len(ns.chain), [(len(s), s) for s in ns.chain]),
         )
-    rows = []
-    payload = []
-    for ns in chains:
-        fc = constraint_for_face(cfg, ns)
-        ip = fc.iplus
-        kind = fc.summary.kind.value if fc.summary is not None else "Unconstrained"
-        sigs = " ".join(str(tuple(s)) for s in fc.piece_signatures)
-        rows.append(
-            f"{str(ns):<18} i+ {str(ip) if ip is not None else '-':<3} "
-            f"{kind:<20} pieces {sigs}"
-        )
-        payload.append(
-            {
-                "chain": [list(s) for s in ns.chain],
-                "iplus": ip,
-                "kind": kind,
-                "piece_signatures": [list(s) for s in fc.piece_signatures],
-                "determined": None if fc.summary is None else fc.summary.determined,
-            }
-        )
-    header = f"face constraints for {k} walls ({len(chains)} faces)"
-    _emit(args, {"faces": payload}, "\n".join([header] + rows))
+    answers = map(functools.partial(constraint_for_face, cfg), chains)
+    # the first face is answered, and with it the ambient checked, before
+    # any byte is written, so a refused sweep leaves stdout empty
+    answers = itertools.chain([next(answers)], answers)
+    write = sys.stdout.write
+    if args.json:
+        write('{\n  "faces": [')
+        for i, fc in enumerate(answers):
+            face = json.dumps(_face_json(fc), indent=2, sort_keys=True)
+            write((",\n    " if i else "\n    ") + face.replace("\n", "\n    "))
+        write("\n  ]\n}\n")
+    else:
+        write(f"face constraints for {k} walls ({len(chains)} faces)\n")
+        for fc in answers:
+            ip = fc.iplus
+            sigs = " ".join(str(tuple(s)) for s in fc.piece_signatures)
+            write(
+                f"{str(fc.sequence):<18} i+ {str(ip) if ip is not None else '-':<3} "
+                f"{_face_kind(fc):<20} pieces {sigs}\n"
+            )
     return 0
 
 

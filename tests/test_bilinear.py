@@ -14,6 +14,7 @@ from periodmap.bilinear import (
     minkowski_form,
     nullspace,
     orth_complement,
+    positive_part,
     signature,
     standard_embedding,
     subspace_intersect,
@@ -420,3 +421,98 @@ def test_json_malformed():
         GramForm.from_json({"dim": 3, "gram": [["1", "0"], ["0", "1"]]})
     with pytest.raises(InputError):
         GramForm.from_json({"gram": [["1", "x"], ["x", "1"]]})
+
+
+# ---------------------------------------------------------------------------
+# what a subspace and a form keep from their splits
+# ---------------------------------------------------------------------------
+
+READERS = (positive_part, nullspace, subspace_signature)
+
+
+def _random_subspace(rng):
+    """A subspace of a random, possibly degenerate, integer form."""
+    n = rng.randint(2, 6)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+    form = GramForm(gram)
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        if _rank_int(rows) == len(rows):
+            return form.subspace(rows)
+
+
+def _slots(sub):
+    return sub._columns, sub._sig, sub._positive, sub._radical, sub._canonical
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_subspace_keeps_what_it_reads_from_its_split(seed):
+    # a second read returns the kept object, which equals the one a copy
+    # with the same basis derives afresh; equality, hash and repr of the
+    # subspace and its form do not move
+    sub = _random_subspace(random.Random(seed))
+    form = sub.ambient
+    keys = (hash(sub), repr(sub), hash(form), repr(form))
+    for read in READERS:
+        first = read(sub)
+        assert read(sub) is first
+        fresh = read(Subspace(form, sub.basis))
+        assert fresh == first
+        if isinstance(first, Subspace):
+            assert first.basis == fresh.basis
+    # and so do the form's own reads
+    form.zero_subspace(), form.radical(), signature(form)
+    assert (hash(sub), repr(sub), hash(form), repr(form)) == keys
+    assert sub == Subspace(form, sub.basis) and form == GramForm(form.gram)
+
+
+def test_an_equal_subspace_with_another_basis_keeps_its_own_split():
+    # the split, and with it the positive part, depends on the basis
+    q = minkowski_form(2)
+    s = q.subspace([[1, 0, 0], [0, 1, 0]])
+    t = q.subspace([[1, 2, 0], [0, 1, 0]])
+    assert s == t and hash(s) == hash(t)
+    assert positive_part(s) == q.subspace([[1, 0, 0]])
+    assert t._positive is None and t._columns is None
+    assert positive_part(t) == q.subspace([[2, 1, 0]])
+    assert subspace_signature(s) is not subspace_signature(t)
+    assert subspace_signature(s) == subspace_signature(t) == Signature(1, 1, 0)
+
+
+def test_a_kept_subspace_nobody_reads_stays_unfilled():
+    # reading one of them fills no other, and what is kept holds only its rows
+    q = GramForm([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    sub = q.subspace([[1, 1, 0], [0, 1, 0], [0, 1, 1]])
+    part = positive_part(sub)
+    assert sub._sig is None and sub._radical is None
+    assert subspace_signature(sub) == Signature(1, 1, 1)
+    assert sub._radical is None
+    null = nullspace(sub)
+    assert part == q.subspace([[1, 0, 0]]) and null == q.subspace([[0, 0, 1]])
+    assert _slots(part) == _slots(null) == (None,) * 5
+
+
+def test_a_form_keeps_one_zero_subspace_and_one_radical():
+    q = GramForm([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
+    zero = q.zero_subspace()
+    assert q.zero_subspace() is zero and zero.is_zero()
+    assert q.radical() is q.radical()
+    assert q.radical() == q.subspace([[0, 1, 0]])
+    twin = GramForm(q.gram)
+    assert twin == q and twin.zero_subspace() is not zero
+    assert twin.zero_subspace() == zero and twin.radical() == q.radical()
+
+
+def test_a_zero_radical_or_positive_part_is_the_forms_zero_subspace():
+    q = minkowski_form(2)
+    zero = q.zero_subspace()
+    assert q.radical() is zero
+    negative = q.subspace([[0, 1, 0], [0, 0, 1]])
+    assert positive_part(negative) is zero and nullspace(negative) is zero
+    plane = q.subspace([[1, 0, 0], [0, 1, 0]])
+    assert nullspace(plane) is zero and positive_part(plane) is not zero
+    null = q.subspace([[1, 1, 0]])
+    assert nullspace(null) == null and positive_part(null) is zero

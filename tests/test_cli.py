@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -230,7 +231,7 @@ def test_faces_sweeps_every_face_of_larger_configs(capsys, tmp_path, k):
 
 
 def test_faces_sweep_is_capped(capsys, tmp_path):
-    # 8 vectors give 7,087,260 faces: the sweep is refused before any
+    # 8 vectors give 545,834 faces: the sweep is refused before any
     # work, and one face of them is still answered with --chain
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(random_config(random.Random(8), 7).to_json()))
@@ -251,6 +252,85 @@ def test_faces_sweeps_every_face_of_seven_vectors(capsys, tmp_path):
     assert time.perf_counter() - start < 15.0
     assert code == 0
     assert len(json.loads(out)["faces"]) == 47292
+    # the rows are written as each face is answered, in the bytes of one
+    # json.dumps of the whole table (34,592,666 of them)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4b9549c1553d622225174d8c531a8e1f30da5ac190420ed010b31c4d3233d427"
+    )
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_faces_refused_sweep_writes_nothing(capsys, tmp_path, fmt):
+    # the ambient is checked before the header, so a refusal leaves stdout empty
+    path = tmp_path / "cfg.json"
+    cfg = {
+        "gram": [[1, 0, 0], [0, 0, 0], [0, 0, -1]],
+        "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    }
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "faces", "--config", str(path), *fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: face constraints need a nondegenerate ambient form\n"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_faces_sweep_streams(monkeypatch, tmp_path, fmt):
+    # every write is made while the sweep runs: the first row leaves
+    # before the second face is answered, and each later row as soon as
+    # its face is; the text sweep builds no JSON row
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(random_config(random.Random(5), 4).to_json()))
+    answered, writes, dicts = [0], [], [0]
+    face_json = cli._face_json
+
+    def counted(cfg, ns):
+        answered[0] += 1
+        return constraint_for_face(cfg, ns)
+
+    def counted_json(fc):
+        dicts[0] += 1
+        return face_json(fc)
+
+    class Recorder:
+        def write(self, text):
+            writes.append((answered[0], text))
+            return len(text)
+
+    monkeypatch.setattr(cli, "constraint_for_face", counted)
+    monkeypatch.setattr(cli, "_face_json", counted_json)
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["faces", "--config", str(path), *fmt]) == 0
+    total = sum(face_counts(4))
+    assert answered[0] == total
+    seen = [n for n, _ in writes]
+    assert seen[0] == 1 and seen == sorted(seen) and len(set(seen)) == total
+    assert dicts[0] == (total if fmt else 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--preset", name] for name in ("fig6-i", "fig6-ii", "fig6-iii", "fig6-iv", "degenerate")]
+    + [["--preset", "fig6-i", "--chain", "1;1,2"], ["signature 2, 2"], ["b+ = 0"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_faces_json_is_one_indented_dump(capsys, tmp_path, argv):
+    configs = {
+        "signature 2, 2": {
+            "gram": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+            "vectors": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]],
+        },
+        "b+ = 0": {
+            "gram": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            "vectors": [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
+        },
+    }
+    if argv[0] in configs:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(configs[argv[0]]))
+        argv = ["--config", str(path)]
+    code, out, _ = run(capsys, "faces", *argv, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("name", ["fig6-i", "fig6-ii", "fig6-iii", "fig6-iv", "degenerate"])

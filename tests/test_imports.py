@@ -1,7 +1,7 @@
 """Every name a library or test module imports is used in that module,
 only ``errors`` tests an argument's int or real type, only ``bilinear``
-asks whether a form has signature (1, n), and only ``bilinear`` pairs
-vectors one pair at a time.
+asks whether a form has signature (1, n), only ``bilinear`` pairs
+vectors one pair at a time, and only ``bilinear`` reads a split.
 
 The library's ``__init__.py`` is skipped by the import check: its
 imports are the package's exports.
@@ -176,3 +176,33 @@ def test_the_scan_sees_pairings_one_pair_at_a_time():
 def test_only_bilinear_pairs_one_pair_at_a_time(path):
     # render colours its pencil with evaluate while drawing
     assert pairing_calls(path.read_text()) == []
+
+
+def split_reads(source: str) -> list[int]:
+    """Lines that read a subspace's split (``_split``) or a form's
+    (``_columns``).  A consumer asks ``bilinear`` for the positive part,
+    radical or signature, which each subspace and form keeps, instead of
+    deriving it from the split by hand."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("_split", "_columns")
+    )
+
+
+def test_the_scan_sees_split_reads():
+    source = (
+        "cols = sub._split()\n"
+        "plus = [w for e, w, _, _ in form._columns if e > 0]\n"
+        "split = sub._split\n"
+        "n = sub.split() + len(columns) + getattr(form, '_columns_', 0)\n"
+        "sig = subspace_signature(sub)\n"
+    )
+    assert split_reads(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "bilinear.py"), ids=lambda p: p.name
+)
+def test_only_bilinear_reads_a_split(path):
+    assert split_reads(path.read_text()) == []
