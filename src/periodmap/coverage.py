@@ -4,12 +4,13 @@ piecewise-linear coverage certificate and the OFF export.
 This is the one module of the package that loads numpy; everything it
 builds on (faces, the realization, the exact collapse) is the exact
 ``permutahedron`` module.  The certificate runs on floats over an
-integer-built mesh of P_n.  A passing check maps only the mesh's
-vertices on the boundary of P, and face samples, and claims that every
-continuous map into the simplex's plane with those boundary values is
-onto the simplex but for a thin band along its boundary; only a failing
-check maps the interior too, to locate grid nodes: see
-check_face_mapping_surjectivity for what it proves.  Importing
+integer-built mesh of the boundary of P_n, and maps only its vertices
+and face samples.  A passing check claims that every continuous map
+into the simplex's plane with those boundary values is onto the simplex
+but for a thin band along its boundary; a failing one names the grid
+nodes every such map covers, by the winding number of the boundary
+values around each: see check_face_mapping_surjectivity for what it
+proves.  Importing
 ``periodmap`` or running a command other than ``permutahedron export
 --format off`` never loads this module.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -41,16 +42,13 @@ MAX_GRID_POINTS = 4 * 10**7  # largest grid a coverage check builds
 MAX_MESH_SIMPLICES = 2**21  # largest mesh of P a coverage check builds
 FACE_SAMPLES = 40  # random points per face in the coverage check's face condition
 FACE_TOL = 1e-7  # how far an image coordinate the face pins may stray from 1
-SLAB_ROWS = 2**15  # rows per call of the checked map, simplices per block of mesh work
-DEGENERATE = 1e-6  # |det| / product of edge lengths at or below which an image simplex is flat
-LOCATE_TOL = 1e-9  # barycentric slack with which a grid node lies in an image simplex
+SLAB_ROWS = 2**15  # map rows per call, simplices per block of mesh work, scan pairs per run
+# absolute, in grid steps: how far from the image of the boundary of P a
+# grid node may lie and still count as on it, and so covered
+LOCATE_TOL = 1e-9
 # absolute, in grid steps: how far the edge over the grid step may be
 # from an integer for the step to count as dividing the edge
 GRID_SLACK = 1e-9
-# absolute, in grid steps: how far an image simplex's node box reaches
-# past its corners, so that a node on a box face up to rounding is still
-# tested against the simplex and no node inside one is missed
-BOX_SLACK = 1e-9
 # absolute length in the plane: a rotated direction this short is the
 # centre itself, which the twist fixes, and is not normalized
 TWIST_FLOOR = 1e-14
@@ -258,37 +256,31 @@ class FaceViolation:
 class CoverageReport:
     """What check_face_mapping_surjectivity found for a map f.
 
-    A passing check maps only the boundary vertices of the mesh of P and
-    the face samples, a failing one also the interior vertices of the
-    whole mesh (check_face_mapping_surjectivity), and the fields read:
+    Every field speaks of the PL interpolant of f's images of the
+    boundary vertices of the mesh (check_face_mapping_surjectivity):
 
     ok: no face violation, and so every grid node is covered.
     grid_points: the nodes of the simplex grid at spacing grid_step,
-        counted when passing, built when failing.
-    covered: the nodes shown to lie in the image.  Passing: every node,
-        in the image of every continuous map with f's boundary values
-        up to max_gap.  Failing: the nodes located in an image simplex
-        of the PL interpolant of f on the whole mesh.
+        counted when passing, scanned when failing.
+    covered: the nodes shown to lie in the image of every continuous
+        map with these boundary values.  Passing: every node, up to
+        max_gap.  Failing: the nodes the boundary values wind around, and
+        those within LOCATE_TOL grid steps of the boundary's image.
     uncovered_witness: passing, None; failing, the first uncovered node
-        in grid order, or None when every node was located.
+        in grid order, or None when every node is covered.
     max_gap: an upper bound on the largest distance from a grid node to
         the image.  Passing: the width of the boundary band, widened by
-        the boundary images' float drift off the plane.  Failing: the
-        located nodes' bound, from the drift of every mesh image, raised
-        to each uncovered node's distance to the nearest image of a
-        boundary vertex of the mesh.
+        the boundary images' float drift off the plane.  Failing: that
+        drift and LOCATE_TOL, raised by each uncovered node's path to a
+        covered node or to the image of a boundary vertex (_gaps).
     face_violations: for each face, in all_faces order, the first
         checked point, sample or boundary vertex, whose image leaves the
         face's target by more than FACE_TOL; empty when passing.
-    samples_used: the mesh vertices mapped through f: the boundary
-        vertices when passing, every vertex of the whole mesh when
-        failing.  The face samples are not counted.
-    mesh_step: the longest edge of the boundary mesh when passing (0.0
-        at n = 1, whose boundary is two points), of the whole mesh when
-        failing.
-    image_edge: the longest image of an edge of that mesh, 0.0 at n = 1
-        when passing.  The PL interpolant stands for f only as closely
-        as f varies along an edge.
+    samples_used: the boundary vertices mapped; face samples not counted.
+    mesh_step: the longest edge of the boundary mesh, 0.0 at n = 1,
+        whose boundary is two points.
+    image_edge: the longest image of an edge of that mesh, 0.0 at n = 1:
+        the interpolant is only as close to f as f varies along an edge.
     """
 
     ok: bool
@@ -336,14 +328,12 @@ def _faces(n: int) -> tuple[tuple[NestedSequence, ...], tuple[np.ndarray, ...], 
 def _face_rows(n: int) -> tuple[int, np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
     """The layout of the rows _face_samples returns: face by face in
     all_faces(n) order, FACE_SAMPLES samples, then the face's vertices.
-
     Returns the number of Gamma variates drawn, the owning face of each
     row, and for each vertex count m the faces of m vertices as four
     read-only arrays: the places in the draw of their (FACE_SAMPLES, m)
-    weights, face i's being the draw's i-th block of FACE_SAMPLES * m
-    variates read row by row, their vertices (faces, m, n+1), and the
-    rows of their samples (faces, FACE_SAMPLES) and of their vertices
-    (faces, m).
+    weights (face i's the draw's i-th block of FACE_SAMPLES * m
+    variates, row by row), their vertices (faces, m, n+1), and the rows
+    of their samples (faces, FACE_SAMPLES) and vertices (faces, m).
     """
     _, vertices, _ = _faces(n)
     sizes = np.array([len(fv) for fv in vertices])
@@ -373,11 +363,9 @@ def _face_samples(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     block of weights per face of m vertices, each row scaled by 1 over
     its sum, taken column by column, and mapped through the face's
     vertices: the same points, bit for bit, as a Dirichlet(1, ..., 1)
-    draw of FACE_SAMPLES rows per face from default_rng(seed), which
-    draws these variates in this order and scales them so.  Faces with
-    as many vertices are weighted and mapped in one stacked product
-    (_face_rows), which numpy computes face by face as the per-face
-    product.
+    draw of FACE_SAMPLES rows per face from default_rng(seed).  Faces
+    with as many vertices are weighted and mapped in one stacked product
+    (_face_rows), which numpy computes face by face.
     """
     draws, owners, groups = _face_rows(n)
     gamma = np.random.default_rng(seed).standard_gamma(1.0, size=draws)
@@ -465,12 +453,8 @@ class _Mesh:
     The mesh is kept factored, as its flags times one reference
     subdivision: simplex j of flag i has the vertices inverse[i,
     pieces[j]].  One mesh serves every check at its n and k (_mesh), so
-    its arrays are read-only.  simplices and edges expand the factors
-    for reading; the check itself walks the flags a block at a time
-    (_flag_blocks), takes a per-vertex value to the block's reference
-    points once, and reduces it over each piece's corners or each
-    edge's two ends (_over_corners), gathering float corners only for
-    the simplices whose image boxes hold a grid node (_corners).
+    its arrays are read-only.  simplices and edges expand the factors;
+    the check walks the flags a block at a time (_flag_blocks).
     """
 
     points: np.ndarray  # (vertices, n+1)
@@ -623,202 +607,214 @@ def _grid_divisions(n: int, step: float) -> int:
     return k
 
 
-def _simplex_lattice(n: int, k: int) -> np.ndarray:
-    """The nodes of the simplex grid with k steps along each edge, as the
-    integer points (k_0, ..., k_{n-1}) with sum at most k, in meshgrid
-    order: node i is 1 + step * (k_0, ..., k_{n-1}, k - sum).  Only a
-    check that locates nodes builds it."""
-    ks = np.indices((k + 1,) * n).reshape(n, -1).T
-    return ks[_row_sums(ks) <= k]
-
-
 def _flag_blocks(mesh: _Mesh, reference: np.ndarray):
-    """Pairs of slices, of the flags and of the reference rows (pieces or
-    edges), that walk the whole mesh with at most SLAB_ROWS simplices or
-    edges at a time: whole flags while one holds fewer than SLAB_ROWS
-    rows, otherwise one flag in runs of SLAB_ROWS rows."""
-    per_block = SLAB_ROWS // max(1, len(reference))
-    if per_block:
-        for start in range(0, len(mesh.inverse), per_block):
-            yield slice(start, start + per_block), slice(None)
-        return
-    for flag in range(len(mesh.inverse)):
-        for start in range(0, len(reference), SLAB_ROWS):
-            yield slice(flag, flag + 1), slice(start, start + SLAB_ROWS)
-
-
-def _over_corners(
-    values: np.ndarray, inverse: np.ndarray, reference: np.ndarray, reduce: np.ufunc
-) -> np.ndarray:
-    """reduce (a binary ufunc), left to right, over the corners of each
-    of the given reference rows (pieces or edges) in the given flags
-    (their rows of _Mesh.inverse), of values given per mesh vertex:
-    (rows, flags, ...), row by row and flag by flag within a row."""
-    # np.take, not fancy indexing: on these small rows it is several times faster
-    per_point = np.take(values, inverse.T, axis=0)  # (reference points, flags, ...)
-    out = np.take(per_point, reference[:, 0], axis=0)
-    for column in reference.T[1:]:
-        reduce(out, np.take(per_point, column, axis=0), out=out)
-    return out
-
-
-def _corners(
-    columns: np.ndarray, inverse: np.ndarray, pieces: np.ndarray, picked: np.ndarray
-) -> np.ndarray:
-    """The corners of the picked simplices, given by their places in
-    _over_corners's order, in column form (n, n+1, s): coordinate i of
-    corner c of simplex t is [i, c, t], gathered from the chart's
-    columns (n, vertices)."""
-    piece, flag = np.divmod(picked, len(inverse))
-    vertices = inverse[flag, pieces[piece].T]  # (n+1, s)
-    return np.take(columns, vertices, axis=1)
+    """Slices of the flags that walk the mesh a block at a time: as many
+    flags as hold at most SLAB_ROWS reference rows (pieces or edges), and
+    at least one; under the budgets no boundary mesh's flag holds more."""
+    per_block = max(1, SLAB_ROWS // max(1, len(reference)))
+    for start in range(0, len(mesh.inverse), per_block):
+        yield slice(start, start + per_block)
 
 
 def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
     """The longest of the mesh's edges with the given end points, 0.0
-    when it has none."""
-    longest = 0.0
-    for flags, rows in _flag_blocks(mesh, mesh.reference_edges):
-        ends = mesh.reference_edges[rows]
-        d = _over_corners(points, mesh.inverse[flags], ends, np.subtract)
+    when it has none, taken per flag block to the reference points, then
+    to each edge's ends (np.take: several times faster than indexing)."""
+    longest, ends = 0.0, mesh.reference_edges
+    for flags in _flag_blocks(mesh, ends):
+        per_point = np.take(points, mesh.inverse[flags].T, axis=0)  # (reference points, flags, w)
+        d = np.take(per_point, ends[:, 0], axis=0)
+        d -= np.take(per_point, ends[:, 1], axis=0)
         d = d.reshape(-1, points.shape[1])
         longest = max(longest, float(np.einsum("ij,ij->i", d, d).max(initial=0.0)))
     return math.sqrt(longest)
 
 
-def _minor(a: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-    """The determinants of the square submatrices on the given rows and
-    columns of matrices given entry by entry, a[i, j] the (i, j) entries
-    of all of them: Laplace expansion down the first of the columns."""
-    if len(rows) == 1:
-        return a[rows[0], cols[0]]
-    out = a[rows[0], cols[0]] * _minor(a, rows[1:], cols[1:])
-    for place in range(1, len(rows)):
-        term = a[rows[place], cols[0]] * _minor(a, rows[:place] + rows[place + 1 :], cols[1:])
-        if place % 2:
-            out -= term
-        else:
-            out += term
+def _simplex_lattice(n: int, k: int) -> np.ndarray:
+    """The nodes of the simplex grid with k steps along each edge, as the
+    integer points (k_0, ..., k_{n-1}) with sum at most k, in meshgrid
+    order: node i is 1 + step * (k_0, ..., k_{n-1}, k - sum)."""
+    ks = np.indices((k + 1,) * n).reshape(n, -1).T
+    return ks[_row_sums(ks) <= k]
+
+
+@functools.lru_cache(maxsize=8)
+def _cube_points(n: int, k: int) -> np.ndarray:
+    """Each grid node's point, by mixed radix, in the cube of (k+1)**n
+    lattice points of the chart dropping coordinate n (row 0), 0, ...,
+    n - 2: (n, nodes) in grid order, read-only, kept among the last 8
+    built.  In chart n a lattice line is a run of k + 1 cube points."""
+    nodes = _simplex_lattice(n, k)
+    nodes = np.column_stack([nodes, k - _row_sums(nodes)])
+    radix = (k + 1) ** np.arange(n - 1, -1, -1)
+    out = np.array([np.delete(nodes, c, axis=1) @ radix for c in (n, *range(n - 1))])
+    out.flags.writeable = False
     return out
 
 
-def _inverses(corners: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """For simplices given by their corners in column form (n, n+1, s),
-    whether each is flat, and the affine maps from a grid node's lattice
-    coordinates x to its barycentric coordinates 1..n in each, as rows
-    (n (n+1), s): in row j (n+1) + i, i < n, the coefficient of x_i in
-    coordinate j+1, and in row j (n+1) + n its constant.  A flat
-    simplex's rows are finite and meaningless.
+def _box_pairs(low: np.ndarray, high: np.ndarray):
+    """The (box, integer point) pairs of the integer boxes from low to
+    high, in column form (dimension, boxes), in runs of at most
+    SLAB_ROWS: each pair's box and point in column form.  A box with a
+    high below its low holds no point, one of dimension 0 one."""
+    sizes = np.maximum(high - low + 1, 0)
+    counts = functools.reduce(np.multiply, sizes, np.ones(low.shape[1], dtype=np.int64))
+    ends = np.cumsum(counts)
+    starts, total = ends - counts, int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, SLAB_ROWS):
+        stop = min(start + SLAB_ROWS, total)
+        first, last = np.searchsorted(ends, (start, stop - 1), side="right")
+        held = np.minimum(ends[first : last + 1], stop)
+        held -= np.maximum(starts[first : last + 1], start)
+        owner = np.repeat(np.arange(first, last + 1), held)
+        rank = np.arange(start, stop) - np.take(starts, owner)
+        points = np.empty((len(low), stop - start), dtype=np.int64)
+        for d in range(len(low) - 1, 0, -1):
+            rank, points[d] = np.divmod(rank, np.take(sizes[d], owner))
+            points[d] += np.take(low[d], owner)
+        if len(low):
+            points[0] = rank + np.take(low[0], owner)
+        yield owner, points
 
-    The edge matrix A has the edge from corner 0 to corner j+1 as column
-    j.  Its determinant and cofactors are taken in closed form, by
-    Laplace expansion on whole columns of entries (_minor), and A^-1 is
-    adj A / det A; the cofactor of a 1 x 1 matrix is 1.  A simplex is
-    flat when |det A| is at most DEGENERATE times the product of its
-    edge lengths.  The node at x is 1 + step x, so its coordinates 1..n
-    are (step adj A / det A) x + (adj A / det A) (1 - corner 0).
+
+def _rim_blocks(xs: np.ndarray, rim: _Mesh):
+    """The boundary mesh's simplices a flag block at a time
+    (_flag_blocks): their vertex indices (simplices, n), their corners
+    from xs (n, vertices) in column form (n, n, simplices), and their
+    facing, the sign of det(v_1 - c, ..., v_n - c) over their vertices
+    less P's centre c, in the chart of the first n coordinates.  The
+    cone from c over a simplex is its flag's affine image of the cone
+    over its piece, so facing[f, j] = facing[f, 0] facing[0, j]
+    facing[0, 0]."""
+    n = len(xs)
+    domain = rim.points[:, :n] - (n + 2) / 2.0
+
+    first, pieces = (
+        np.sign(np.linalg.det(np.take(domain, vertices, axis=0)))
+        for vertices in (rim.inverse[:, rim.pieces[0]], rim.inverse[0][rim.pieces])
+    )
+    facing = np.outer(first * first[0], pieces)
+    for flags in _flag_blocks(rim, rim.pieces):
+        simplices = rim.inverse[flags][:, rim.pieces].reshape(-1, n)
+        yield simplices, np.take(xs, simplices.T, axis=1), facing[flags].ravel()
+
+
+def _edge_signs(corners: np.ndarray, ids: np.ndarray, p: np.ndarray):
+    """For triangles of the plane, by corners in column form (2, 3, m)
+    and the corners' mesh indices (m, 3), and a point p each (2, m),
+    det(a - p, b - p) on each edge a -> b, (3, m), and its sign at p +
+    (e, e^2) for an infinitesimal e > 0: taken with the edge's
+    lower-indexed end first and negated for a triangle walking it the
+    other way, so two triangles read one float value; where that is 0,
+    the exact sign of a_y - b_y, then of b_x - a_x, decides, and only a
+    = b gives 0."""
+    dets = np.empty((3, corners.shape[2]))
+    out = np.empty(dets.shape, dtype=np.int8)
+    for i in range(3):
+        j = (i + 1) % 3
+        flip = ids[:, i] > ids[:, j]
+        a = np.where(flip, corners[:, j], corners[:, i])
+        b = np.where(flip, corners[:, i], corners[:, j])
+        det = (a[0] - p[0]) * (b[1] - p[1]) - (a[1] - p[1]) * (b[0] - p[0])
+        sign = np.sign(det)
+        for tie in (a[1] - b[1], b[0] - a[0]):
+            np.copyto(sign, np.sign(tie), where=sign == 0)
+        out[i], dets[i] = np.where(flip, -sign, sign), np.where(flip, -det, det)
+    return out, dets
+
+
+def _crossings(simplices: np.ndarray, corners: np.ndarray, facing: np.ndarray, k: int):
+    """The signed crossings of a block's image simplices (_rim_blocks, in
+    lattice coordinates) with the grid's lattice lines: each crossing's
+    line (the mixed radix of its first n - 1 coordinates p), height (its
+    last coordinate) and sign.
+
+    The line, moved to p + (e, e^2, ...) for an infinitesimal e > 0,
+    crosses a simplex at n = 1 always, at n = 2 when one end a of the
+    edge has a_0 <= p_0 and the other not (the half-open rule), and at
+    n = 3 when the triangle's three edge signs agree (_edge_signs); two
+    simplices decide a shared face alike.  The sign is the facing times
+    that of det(w_1 - y, ..., w_n - y) for y below the crossing, (-1)^(n
+    + 1) times the orientation of the projected images w_i.
     """
     n = len(corners)
-    a = corners[:, 1:] - corners[:, :1]  # a[i, j]: coordinate i of edge j
-    lengths = functools.reduce(np.multiply, np.sqrt(functools.reduce(np.add, a * a)))
-    cofactors = np.ones((n, n, a.shape[2]))
-    if n > 1:
-        for i, j in itertools.product(range(n), repeat=2):
-            others = tuple(r for r in range(n) if r != i), tuple(c for c in range(n) if c != j)
-            cofactors[i, j] = _minor(a, *others)
-            if (i + j) % 2:
-                np.negative(cofactors[i, j], out=cofactors[i, j])
-    det = functools.reduce(np.add, a[:, 0] * cofactors[:, 0])  # down column 0
-    flat = np.abs(det) <= DEGENERATE * lengths
-    np.copyto(det, 1.0, where=flat)  # no division by a zero determinant
-    origin = 1.0 - corners[:, 0]
-    # row by row over the simplices: a temporary of the whole table
-    # costs more here than the arithmetic
-    out = np.empty((n, n + 1, a.shape[2]))
-    for j in range(n):
-        for i in range(n):
-            entry = np.divide(cofactors[i, j], det, out=cofactors[i, j])  # (j, i) of A^-1
-            np.multiply(entry, step, out=out[j, i])
-            if i:
-                out[j, n] += entry * origin[i]
-            else:
-                np.multiply(entry, origin[i], out=out[j, n])
-    return flat, out.reshape(n * (n + 1), -1)
+    # a line crosses only within the projection's box
+    low = np.clip(np.ceil(corners[: n - 1].min(axis=1)), 0, k + 1).astype(np.int64)
+    high = np.clip(np.ceil(corners[: n - 1].max(axis=1)) - 1, -1, k).astype(np.int64)
+    radix = (k + 1) ** np.arange(n - 2, -1, -1)
+    out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
+    for owner, p in _box_pairs(low, high):
+        w = np.take(corners, owner, axis=2)  # (n, n, pairs)
+        if n == 1:
+            height, turn = w[0, 0], 1
+        elif n == 2:
+            (a, b), (ya, yb) = w
+            height = ya + (p[0] - a) * ((yb - ya) / (b - a))
+            turn = np.where(b > a, -1, 1)
+        else:
+            edges, dets = _edge_signs(w[:2], np.take(simplices, owner, axis=0), p)
+            hit = (edges[0] == edges[1]) & (edges[1] == edges[2])
+            owner, p, w, turn = owner[hit], p[:, hit], w[:, :, hit], edges[0, hit]
+            weight = dets[[1, 2, 0]][:, hit]  # each corner's is its opposite edge's
+            total = functools.reduce(np.add, weight)
+            total[total == 0] = 1.0
+            height = functools.reduce(np.add, weight * w[2]) / total
+        out.append((radix @ p, height, np.take(facing, owner) * turn))
+    return [np.concatenate(part) for part in zip(*out)]
 
 
-def _inside(coefficients: np.ndarray, owner: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Whether each node, given by its lattice coordinates in column form
-    (n, m), lies in the simplex owner names, up to LOCATE_TOL in every
-    barycentric coordinate: coordinates 1..n from the owner's rows of
-    _inverses's coefficients, gathered once, coordinate 0 as 1 less
-    their sum."""
-    n = len(nodes)
-    rows = np.take(coefficients, owner, axis=1).reshape(n, n + 1, -1)
-    lam = rows[:, n]  # (n, m): the constants, then each coordinate, in place
-    for i in range(n):
-        lam += np.multiply(rows[:, i], nodes[i], out=rows[:, i])
-    least = functools.reduce(np.minimum, lam)
-    np.minimum(least, 1.0 - functools.reduce(np.add, lam), out=least)
-    return least >= -LOCATE_TOL
+def _winding(blocks: list, k: int) -> np.ndarray:
+    """The winding number of the PL boundary interpolant around each
+    point of the cube of (k+1)**n lattice points, by mixed radix, from
+    the boundary mesh's blocks (_rim_blocks) in lattice coordinates.
 
-
-def _locate(chart: np.ndarray, mesh: _Mesh, k: int, lattice: np.ndarray, step: float) -> np.ndarray:
-    """Which nodes of the simplex grid lie in an image simplex that is not
-    flat, up to LOCATE_TOL in barycentric coordinates.
-
-    A bucket join on the node lattice: each image simplex is tested
-    against the nodes in its bounding box only.  The boxes come first,
-    in integers, from each vertex image's least and greatest node
-    coordinates; only a simplex whose box holds a node is gathered as
-    floats and inverted, once, in closed form (_inverses), which gives
-    its barycentric coordinates as affine functions of a node's lattice
-    coordinates.  Its (simplex, box node) pairs are then tested in runs
-    of at most SLAB_ROWS, each pair a few multiply-adds per coordinate
-    (_inside), and a node inside is marked by its mixed-radix index in
-    the cube of (k+1)**n lattice points that holds the grid.
+    A scan, not a sum of angles: off the image of the boundary it is the
+    signed count of crossings (_crossings) on the ray up the point's
+    lattice line.  A crossing at height h adds its sign to its line's
+    slot ceil(h), clipped to [0, k + 1], the count of points below it,
+    and a point sums its line's slots past it.
     """
-    n = chart.shape[1]
-    radix = (k + 1) ** np.arange(n - 1, -1, -1)
-    hit = np.zeros((k + 1) ** n, dtype=bool)
-    # ceil, floor and clip are monotone, so a simplex's box is its
-    # corners' least low and greatest high
-    scaled = (chart - 1.0) / step  # lattice coordinates
-    low = np.clip(np.ceil(scaled - BOX_SLACK), 0, k).astype(np.int64)
-    high = np.clip(np.floor(scaled + BOX_SLACK), -1, k).astype(np.int64)
-    columns = np.ascontiguousarray(chart.T)
-    for flags, rows in _flag_blocks(mesh, mesh.pieces):
-        inverse, pieces = mesh.inverse[flags], mesh.pieces[rows]
-        lo = _over_corners(low, inverse, pieces, np.minimum).reshape(-1, n)
-        hi = _over_corners(high, inverse, pieces, np.maximum).reshape(-1, n)
-        # a box holds a node when it is not empty and its least node lies in the grid
-        fits = _row_sums(lo) <= k
-        for low_d, high_d in zip(lo.T, hi.T):
-            fits &= high_d >= low_d
-        picked = np.flatnonzero(fits)
-        flat, coefficients = _inverses(_corners(columns, inverse, pieces, picked), step)
-        lo = np.take(lo.T, picked, axis=1)  # (n, boxed simplices), by column
-        sizes = np.take(hi.T, picked, axis=1) - lo + 1
-        # a flat simplex is tested against no node
-        counts = np.where(flat, 0, functools.reduce(np.multiply, sizes))
-        ends = np.cumsum(counts)
-        starts, total = ends - counts, int(ends[-1]) if len(ends) else 0
-        for start in range(0, total, SLAB_ROWS):  # (simplex, box node) pairs, in runs
-            stop = min(start + SLAB_ROWS, total)
-            first, last = np.searchsorted(ends, (start, stop - 1), side="right")
-            held = np.minimum(ends[first : last + 1], stop)
-            held -= np.maximum(starts[first : last + 1], start)
-            owner = np.repeat(np.arange(first, last + 1), held)
-            rank = np.arange(start, stop) - np.take(starts, owner)
-            nodes = np.empty((n, stop - start), dtype=np.int64)
-            for d in range(n - 1, 0, -1):
-                rank, nodes[d] = np.divmod(rank, np.take(sizes[d], owner))
-                nodes[d] += np.take(lo[d], owner)
-            nodes[0] = rank + np.take(lo[0], owner)
-            # a box node past the grid's far face (sum above k) is marked
-            # and never read: dropping it first costs more than testing it
-            inside = _inside(coefficients, owner, nodes.astype(float))
-            hit[radix @ nodes[:, inside]] = True
-    return hit[lattice @ radix]
+    crossings = [_crossings(*block, k) for block in blocks]
+    line, height, sign = (np.concatenate(part) for part in zip(*crossings))
+    slot = line * (k + 2) + np.clip(np.ceil(height), 0, k + 1).astype(np.int64)
+    tally = np.bincount(slot, sign, minlength=(k + 1) ** (len(blocks[0][1]) - 1) * (k + 2))
+    tally = tally.reshape(-1, k + 2)[:, :0:-1]  # the slots past each point, last first
+    return np.rint(np.cumsum(tally, axis=1)[:, ::-1]).astype(np.int64).reshape(-1)
+
+
+def _on_image(blocks: list, k: int) -> np.ndarray:
+    """Which points of the cube of (k+1)**n lattice points, by mixed
+    radix, lie within LOCATE_TOL grid steps of an image simplex, flat or
+    not, of the blocks (_rim_blocks, in lattice coordinates), each tried
+    on the points of its box widened by LOCATE_TOL: a triangle's distance
+    is the least over its edges, or to its plane over the triangle."""
+    n = len(blocks[0][1])
+    on = np.zeros((k + 1) ** n, dtype=bool)
+    dot = functools.partial(np.einsum, "i...,i...->...")
+
+    def to_segment(p, a, b):
+        ab, ap = b - a, p - a
+        length = dot(ab, ab)
+        t = np.clip(dot(ap, ab) / np.where(length > 0, length, 1.0), 0.0, 1.0)
+        return dot(ap - t * ab, ap - t * ab)
+
+    for _, corners, _ in blocks:
+        low = np.clip(np.ceil(corners.min(axis=1) - LOCATE_TOL), 0, k + 1).astype(np.int64)
+        high = np.clip(np.floor(corners.max(axis=1) + LOCATE_TOL), -1, k).astype(np.int64)
+        for owner, point in _box_pairs(low, high):
+            w, p = np.take(corners, owner, axis=2), point.astype(float)
+            ends = itertools.combinations(range(n), 2) if n > 1 else [(0, 0)]
+            gap = functools.reduce(np.minimum, [to_segment(p, w[:, i], w[:, j]) for i, j in ends])
+            if n == 3:
+                a, b, c = w[:, 0], w[:, 1], w[:, 2]
+                normal = np.cross(b - a, c - a, axis=0)
+                foot_area = dot(normal, normal)  # 0 where the foot falls outside
+                for u, v in ((a, b), (b, c), (c, a)):
+                    foot_area *= dot(np.cross(v - u, p - u, axis=0), normal) >= 0
+                plane = dot(normal, p - a) ** 2 / np.where(foot_area > 0, foot_area, 1.0)
+                gap = np.where(foot_area > 0, np.minimum(gap, plane), gap)
+            on[((k + 1) ** np.arange(n - 1, -1, -1)) @ point[:, gap <= LOCATE_TOL**2]] = True
+    return on
 
 
 def _on_plane(
@@ -855,19 +851,14 @@ def check_face_mapping_surjectivity(
     unchanged.
 
     What is mapped.  P is triangulated with edges at most grid_step
-    (_mesh), and a check first maps only the vertices of that mesh on
-    the boundary of P, taken from the boundary mesh (_mesh with
-    boundary: the same triangulation restricted to the boundary, the
-    same vertices in the same order), then FACE_SAMPLES points drawn
-    from each face with the given seed plus the face's vertices.  The
-    samples are one Gamma(1) draw of default_rng(seed), split per face
-    into barycentric weights (_face_samples): the same points as a
-    Dirichlet(1, ..., 1) draw per face from that generator.  Each mesh
-    depends only on n and on the number of cuts of each flag simplex
-    that grid_step asks for: it is built once for that pair, kept
-    read-only among the last 8 built, and shared by every check that
-    asks for it, so no report depends on the checks before it.  Every
-    image is checked to be finite, of the right shape and on the
+    (_mesh), and every check maps only the vertices of that mesh on the
+    boundary of P (_mesh with boundary), then FACE_SAMPLES points drawn
+    from each face with the given seed plus the face's vertices
+    (_face_samples: the same points as a Dirichlet(1, ..., 1) draw per
+    face from default_rng(seed)).  A mesh depends only on n and the cuts
+    of each flag simplex that grid_step asks for, and is built once and
+    shared read-only, so no report depends on the checks before it.
+    Every image is checked to be finite, of the right shape and on the
     simplex's plane within FACE_TOL; then the face condition is checked
     at the samples and at every boundary vertex, against its least face:
     the coordinates of the face's chain's largest subset must map to 1
@@ -879,113 +870,96 @@ def check_face_mapping_surjectivity(
     boundary point x goes where every coordinate that x's least face
     pins is 1.  Then so does every (1 - t) g + t h, so no boundary point
     meets the open simplex along the way, and g and h have the same
-    degree over each of its points: one integer d_n for every such map.
-    d_n = 1 for n <= 3: test_collapse_has_degree_one in
-    tests/test_permutahedron.py counts the oriented preimages, under the
-    PL interpolant of collapse_batch, of points near the centre.  The PL
+    degree over each of its points: one integer d_n for every such map,
+    and d_n = 1 for n <= 3 (test_collapse_has_degree_one counts the
+    collapse's oriented preimages of points near the centre).  The PL
     interpolant of f on the boundary mesh respects the faces when its
     vertices do: a boundary simplex lies in one face F of P, each of its
     vertices has a least face inside F, pinning every coordinate F pins,
     and linearity carries the condition over the simplex.
 
-    What a passing check claims.  It reads f on the boundary of P only.
-    The degree over a point depends only on the boundary values, so with
-    no face violation every continuous map of P_n into the simplex's
-    plane whose boundary values are the PL interpolant of f's images of
-    the boundary vertices is onto every point of the simplex farther
-    than FACE_TOL from its boundary, widened by the boundary images'
-    float drift off the plane.  Every grid node lies within that band,
-    whose width is max_gap, so the nodes are only counted,
-    math.comb(k + n, n) for k steps along an edge.  f's values inside P
-    take no part; how far f on the boundary strays from the interpolant
-    is only hinted at by image_edge.  The whole mesh, the node lattice
-    and node location are never built or run.
+    What a passing check claims.  The degree over a point depends only
+    on the boundary values, so with no face violation every continuous
+    map of P_n into the simplex's plane whose boundary values are the PL
+    interpolant of f's images of the boundary vertices is onto every
+    point of the simplex farther than FACE_TOL from its boundary,
+    widened by the boundary images' float drift off the plane.  Every
+    grid node lies within that band, of width max_gap, so the nodes are
+    only counted, math.comb(k + n, n) for k steps along an edge.  How
+    far f on the boundary strays from the interpolant is only hinted at
+    by image_edge.
 
-    What a failing check reports.  With a face violation the whole mesh
-    is built, its interior vertices are mapped and checked as above, and
-    the report is the PL interpolant's on the whole mesh: the node
-    lattice is built (_simplex_lattice) and its nodes are located in the
-    image simplices that are not flat (_locate); a located node is
-    covered, within 2 n LOCATE_TOL image edges, and an uncovered node's
-    gap is bounded by its distance to the nearest image of a boundary
-    vertex of the mesh.
+    What a failing check reports.  Nothing more is mapped, and the report
+    too speaks of the boundary values only.  Let d be the winding number
+    of the PL boundary interpolant around a grid node y off its image.
+    If d is not 0, every continuous map with these boundary values
+    covers y; if d is 0, the boundary map is null-homotopic in the plane
+    less y, by Hopf's degree theorem, so some such map misses y (Milnor,
+    Topology from the Differentiable Viewpoint, 1965, section 7).  So a
+    node is covered when d is not 0, from one scan of the grid's lattice
+    lines (_winding), or when it lies within LOCATE_TOL grid steps of
+    the image of the boundary (_on_image).  The witness is the first
+    uncovered node in grid order, and an uncovered node's gap is bounded
+    by a path of grid moves to a covered node or a boundary image
+    (_gaps).
 
     n must be a positive int, grid_step a positive finite real number,
     and seed a non-negative int, or InputError is raised.  An n above 3,
     a boundary mesh above MAX_MESH_SIMPLICES simplices or a grid above
-    MAX_GRID_POINTS nodes raises ResourceError before f is called.  The
-    whole mesh is budgeted only where a failing check builds it: above
-    MAX_MESH_SIMPLICES simplices, ResourceError names its size, the
-    limit and the first face whose condition is broken.
+    MAX_GRID_POINTS nodes raises ResourceError before f is called.
     """
     n = _check_n(n, 3, "coverage check")
     grid_step = float(check_real(grid_step, "grid_step"))
     check_int(seed, "seed", low=0)
-    total = plane_total(n)
     k = _grid_divisions(n, grid_step)
     rim = _mesh(n, grid_step, boundary=True)
 
     faces, _, pins = _faces(n)
     samples, owners = _face_samples(n, seed)
     points = np.concatenate([rim.points, samples])
-    images, excess = _on_plane(f, points, total)
+    images, excess = _on_plane(f, points, plane_total(n))
     violations = _face_violations(
         faces, pins, points, images, np.concatenate([rim.face, owners]), len(rim.points)
     )
-    rim_images, rim_excess = images[: len(rim.points)], excess[: len(rim.points)]
-    if not violations:
-        # the inner simplex lies in the image of every map with these
-        # boundary values, and every node lies within the boundary band
-        shift = float(np.abs(rim_excess / (n + 1)).max())
-        return CoverageReport(
-            ok=True,
-            grid_points=math.comb(k + n, n),
-            covered=math.comb(k + n, n),
-            uncovered_witness=None,
-            max_gap=(FACE_TOL + shift) * math.sqrt(n * (n + 1)) + shift * math.sqrt(n + 1),
-            face_violations=(),
-            samples_used=len(rim.points),
-            mesh_step=rim.step,
-            image_edge=_longest_edge(rim_images, rim),
-        )
-
-    try:
-        mesh = _mesh(n, grid_step)
-    except ResourceError as error:
-        raise ResourceError(
-            f"{error}, to locate grid nodes: the face condition is broken on"
-            f" {violations[0].chain}"
-        ) from None
-    inside = mesh.face < 0
-    mapped, excess = np.empty_like(mesh.points), np.empty(len(mesh.points))
-    mapped[~inside], excess[~inside] = rim_images, rim_excess
-    mapped[inside], excess[inside] = _on_plane(f, mesh.points[inside], total)
-    shifts = excess / (n + 1)
-    shift = float(np.abs(shifts).max())
-    image_edge = _longest_edge(mapped, mesh)
-    lattice = _simplex_lattice(n, k)
-    chart = (mapped - shifts[:, None])[:, :n]  # the images moved onto the plane
-    located = _locate(chart, mesh, k, lattice, grid_step)
-    covered = int(located.sum())
-    # barycentric coordinates no lower than -LOCATE_TOL put a node
-    # within 2 n LOCATE_TOL edge lengths of its simplex
-    max_gap = shift * math.sqrt(n + 1) + 2 * n * LOCATE_TOL * image_edge
-    witness = None
-    if covered < len(lattice):
-        grid = 1.0 + grid_step * np.column_stack([lattice, k - _row_sums(lattice)])
-        witness = tuple(grid[int(np.argmin(located))].tolist())
-        gaps = _nearest_distance(grid[~located], _distinct_rows(rim_images))
-        max_gap = max(max_gap, float(gaps.max()))
-    return CoverageReport(
-        ok=False,
-        grid_points=len(lattice),
-        covered=covered,
-        uncovered_witness=witness,
-        max_gap=max_gap,
+    rim_images, shifts = images[: len(rim.points)], excess[: len(rim.points)] / (n + 1)
+    drift = float(np.abs(shifts).max())  # of a coordinate, off the plane
+    nodes = math.comb(k + n, n)
+    report = CoverageReport(
+        ok=not violations,
+        grid_points=nodes,
+        covered=nodes,
+        uncovered_witness=None,
+        # passing, the inner simplex lies in the image of every map with
+        # these boundary values, and every node within the boundary band
+        max_gap=(FACE_TOL + drift) * math.sqrt(n * (n + 1)) + drift * math.sqrt(n + 1),
         face_violations=violations,
-        samples_used=len(mesh.points),
-        mesh_step=mesh.step,
-        image_edge=image_edge,
+        samples_used=len(rim.points),
+        mesh_step=rim.step,
+        image_edge=_longest_edge(rim_images, rim),
+    )
+    if not violations:
+        return report
+
+    # the images moved onto the plane, in the lattice coordinates of the
+    # chart of the first n coordinates
+    xs = np.ascontiguousarray((rim_images[:, :n] - shifts[:, None] - 1.0).T / grid_step)
+    blocks = list(_rim_blocks(xs, rim))
+    covered_at = _winding(blocks, k) != 0
+    covered_at |= _on_image(blocks, k)
+    points = _cube_points(n, k)
+    covered_at = np.take(covered_at, points[0])  # the grid's nodes, in grid order
+    # a node on the image is within LOCATE_TOL grid steps of it in the
+    # chart, and so within sqrt(n + 1) times that on the plane
+    max_gap = (drift + LOCATE_TOL * grid_step) * math.sqrt(n + 1)
+    witness = None
+    uncovered = np.flatnonzero(~covered_at)
+    if len(uncovered):
+        node = np.unravel_index(points[0, uncovered[0]], (k + 1,) * n)
+        witness = tuple((1.0 + grid_step * np.array([*node, k - sum(node)])).tolist())
+        gaps = _gaps(covered_at, rim_images, points, k, grid_step)
+        max_gap += float(np.take(gaps, uncovered).max())
+    return replace(
+        report, covered=nodes - len(uncovered), uncovered_witness=witness, max_gap=max_gap
     )
 
 
@@ -1035,17 +1009,40 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return rows[fresh]
 
 
-def _nearest_distance(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Each node's distance to the nearest target, a block of nodes at a
-    time, from |a - b|^2 = |a|^2 - 2 a.b + |b|^2."""
-    out = np.empty(len(nodes))
-    square = np.einsum("ij,ij->i", targets, targets)
-    rows = max(1, 2**20 // len(targets))
-    for start in range(0, len(nodes), rows):
-        block = nodes[start : start + rows]
-        d2 = square - 2.0 * block @ targets.T
-        out[start : start + rows] = d2.min(axis=1) + np.einsum("ij,ij->i", block, block)
-    return np.sqrt(np.maximum(out, 0.0))
+def _gaps(
+    covered_at: np.ndarray, images: np.ndarray, points: np.ndarray, k: int, step: float
+) -> np.ndarray:
+    """For each grid node, in grid order, a bound on its distance on the
+    plane to the image, less the drift and LOCATE_TOL terms: the length
+    of a path of grid moves e_a - e_b, each sqrt(2) grid steps, from a
+    covered node, or from the cube point nearest a boundary vertex's
+    image at the cost of its distance to it.  In the chart dropping
+    coordinate c the moves e_a - e_c are the cube's axes, and a pass
+    along one is exact: min of cost(j) + |i - j| unit over j <= i is a
+    running minimum of cost(j) - j unit, plus i unit, and likewise over
+    j >= i.  The charts of _cube_points take every move; at n = 2 a path
+    is at most 2/sqrt(3) times the straight distance."""
+    n = images.shape[1] - 1
+    unit = math.sqrt(2) * step
+    targets = _distinct_rows(images)
+    seeds = np.clip(np.rint((targets[:, :n] - 1.0) / step), 0, k).astype(np.int64)
+    seeded = 1.0 + step * np.column_stack([seeds, k - _row_sums(seeds)])
+    cost = np.where(covered_at, 0.0, np.inf)
+    for chart, at in enumerate(points):
+        cube = np.full((k + 1,) * n, np.inf)
+        flat = cube.reshape(-1)
+        if not chart:
+            radix = (k + 1) ** np.arange(n - 1, -1, -1)
+            np.minimum.at(flat, seeds @ radix, np.sqrt(_row_sums((seeded - targets) ** 2)))
+        flat[at] = np.minimum(np.take(flat, at), cost)
+        for axis in range(n):
+            ramp = unit * np.arange(k + 1).reshape([-1 if a == axis else 1 for a in range(n)])
+            back = (slice(None),) * axis + (slice(None, None, -1),)
+            above = np.minimum.accumulate((cube + ramp)[back], axis=axis)[back] - ramp
+            below = np.minimum.accumulate(cube - ramp, axis=axis) + ramp
+            np.minimum(below, above, out=cube)
+        cost = np.take(flat, at)
+    return cost
 
 
 # ---------------------------------------------------------------------------

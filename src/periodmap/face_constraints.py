@@ -56,8 +56,9 @@ class SurfaceConfig:
     """Integer vector configuration inside an exact bilinear form.
 
     From first use on it keeps its integer pairing matrix (``_pairing``)
-    and one table (``_table``) of the spans and pieces every face reads;
-    equality, hashing and repr see neither."""
+    and one table (``_table``) of the spans and pieces every face reads
+    and of their b+ = 1 summaries; equality, hashing and repr see
+    neither."""
 
     form: GramForm
     vectors: tuple[tuple[Fraction, ...], ...]
@@ -115,6 +116,14 @@ class SurfaceConfig:
                 rows = _kernel_rows([[p[i][j] for j in cur] for i in prev], [x[j] for j in cur])
             self._table[prev, cur] = Subspace._echelon(self.form, rows)
         return self._table[prev, cur]
+
+    def _summary(self, key) -> ConstraintSet:
+        """classify_span of the span or piece the table holds under key,
+        kept on the table beside it: every face that reads it for its
+        b+ = 1 summary shares one answer."""
+        if ("summary", key) not in self._table:
+            self._table["summary", key] = classify_span(self._table[key])
+        return self._table["summary", key]
 
     def span_of(self, indices) -> Subspace:
         """V_I: span of the vectors with the given 1-based indices, with
@@ -180,9 +189,7 @@ class _Cut(NamedTuple):
     pieces: tuple[Subspace, ...]
     nulls: tuple[Subspace, ...]
     first: int | None
-
-    def summary(self) -> ConstraintSet:  # see bplus1_summary
-        return classify_span(self.spans[-1] if self.first is None else self.pieces[self.first])
+    summarized: tuple  # the table key of what the b+ = 1 summary reads (bplus1_summary)
 
 
 def _cut(cfg: SurfaceConfig, ns: NestedSequence) -> _Cut:
@@ -195,6 +202,7 @@ def _cut(cfg: SurfaceConfig, ns: NestedSequence) -> _Cut:
     and the final piece is the complement of V_{I_l}.  Spans and pieces
     come from the configuration's table, so every face shares their
     diagonalizations; the radicals and the first index are read anew.
+    summarized is the table key of the last span, or of piece first.
     """
     if ns.n != cfg.n:
         raise InputError(
@@ -204,7 +212,11 @@ def _cut(cfg: SurfaceConfig, ns: NestedSequence) -> _Cut:
     spans = tuple(map(cfg._span, chain))
     pieces = (spans[0], *map(cfg._piece, chain, chain[1:] + [None]))
     first = next((i for i, s in enumerate(spans) if not is_negative_definite(s)), None)
-    return _Cut(spans, pieces, tuple(nullspace(s) for s in spans), first)
+    if first is None:
+        summarized = chain[-1]
+    else:
+        summarized = (chain[first - 1], chain[first]) if first else chain[0]
+    return _Cut(spans, pieces, tuple(nullspace(s) for s in spans), first, summarized)
 
 
 def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstraint:
@@ -236,7 +248,7 @@ def constraint_for_face(cfg: SurfaceConfig, ns: NestedSequence) -> FaceConstrain
         positive_parts=pos_parts,
         semi_positive_sum=total,
         iplus=None if cut.first is None else cut.first + 1,
-        summary=cut.summary() if amb.is_lorentzian() else None,
+        summary=cfg._summary(cut.summarized) if amb.is_lorentzian() else None,
     )
 
 
@@ -287,7 +299,7 @@ def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
     own cut.
     """
     lorentzian_rank(cfg.form, "bplus1_summary")
-    return _cut(cfg, ns).summary()
+    return cfg._summary(_cut(cfg, ns).summarized)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +372,7 @@ def product_codim(cfg: SurfaceConfig, ns: NestedSequence) -> int:
     positive subspaces of a (p, m) form has dimension p*m; the result is
     the ambient dimension minus the sum over the pieces.
     """
-    spans, pieces, _, _ = _cut(cfg, ns)
+    spans, pieces, *_ = _cut(cfg, ns)
     for idx, s in enumerate(spans, start=1):
         if subspace_signature(s).b_null != 0:
             raise PreconditionError(

@@ -589,8 +589,9 @@ def shrink_coverage_reference(n, grid_step, factor):
     simplex.  Computed in Fractions, with the nodes in meshgrid order of
     their first n lattice coordinates.  Returns the counts of nodes
     inside, outside and near (within 1e-9, in the least coordinate of
-    the pulled-back point, of the boundary) and the first outside node
-    as floats computed like the grid's, 1.0 + grid_step * k.
+    the pulled-back point, of the boundary), the first outside node as
+    floats computed like the grid's, 1.0 + grid_step * k, and the place
+    in meshgrid order of every outside node.
     """
     step = Fraction(grid_step).limit_denominator(10**6)
     total = (n + 1) * (n + 2) // 2
@@ -601,9 +602,11 @@ def shrink_coverage_reference(n, grid_step, factor):
     shrink = Fraction(factor).limit_denominator(10**6)
     counts = {"inside": 0, "outside": 0, "near": 0}
     first_outside = None
+    places = []
     for ks in itertools.product(range(k_total + 1), repeat=n):
         if sum(ks) > k_total:
             continue
+        place = sum(counts.values())
         ks = ks + (k_total - sum(ks),)
         pulled = [centre + (1 + step * k - centre) / shrink for k in ks]
         least = min(pulled) - 1
@@ -613,9 +616,15 @@ def shrink_coverage_reference(n, grid_step, factor):
             counts["inside"] += 1
         else:
             counts["outside"] += 1
+            places.append(place)
             if first_outside is None:
                 first_outside = tuple(1.0 + grid_step * float(k) for k in ks)
-    return {**counts, "grid_points": sum(counts.values()), "first_outside": first_outside}
+    return {
+        **counts,
+        "grid_points": sum(counts.values()),
+        "first_outside": first_outside,
+        "outside_places": places,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from periodmap.coverage import (
     FACE_SAMPLES,
     FACE_TOL,
     GRID_SLACK,
-    MAX_MESH_SIMPLICES,
     SLAB_ROWS,
     check_face_mapping_surjectivity,
     collapse_batch,
@@ -28,6 +27,7 @@ from periodmap.coverage import (
     _longest_edge,
     _map_rows,
     _mesh,
+    _row_sums,
 )
 from periodmap.errors import DomainError, InputError, NumericalDomainError, ResourceError
 from periodmap.permutahedron import (
@@ -690,11 +690,12 @@ def test_coverage_refuses_bad_arguments(args):
         (3, {"grid_step": 0.05}),  # 144 flags of 45**3 pieces
     ],
 )
-def test_coverage_refuses_huge_sample_box_before_mapping(n, steps):
-    # a passing check maps only the boundary of P, whose mesh is far
-    # inside MAX_MESH_SIMPLICES, so the collapse certifies; the shrink
-    # breaks the face condition, and the whole mesh it would locate nodes
-    # in is refused before the map sees one interior vertex
+def test_coverage_answers_huge_failing_checks_from_the_boundary(no_whole_mesh, n, steps):
+    # the whole meshes are over MAX_MESH_SIMPLICES, and no check builds
+    # one: the collapse certifies, and the shrink, which breaks the face
+    # condition, answers from the same boundary vertices and face samples,
+    # with the closed-form count of the shrunk simplex's nodes (every
+    # lattice coordinate at least n / 20 over the step) and its witness
     fb, bad = collapse_batch(realize(n)), shrink_map(n, 0.9)
     assert check_face_mapping_surjectivity(fb, n, **steps).ok
     rim = _mesh(n, steps["grid_step"], boundary=True)
@@ -704,14 +705,16 @@ def test_coverage_refuses_huge_sample_box_before_mapping(n, steps):
         calls.append(len(pts))
         return bad(fb(pts))
 
-    size = {2: 12 * 472**2, 3: 144 * 45**3}[n]
     start = time.perf_counter()
-    with pytest.raises(
-        ResourceError, match=rf"needs {size} simplices \(limit {MAX_MESH_SIMPLICES}\).*broken on \{{1\}}$"
-    ):
-        check_face_mapping_surjectivity(f, n, **steps)
+    rep = check_face_mapping_surjectivity(f, n, **steps)
     assert time.perf_counter() - start < 5.0
     assert sum(calls) == len(rim.points) + len(coverage._face_samples(n, 0)[0])
+    k, count = _grid_nodes(n, steps["grid_step"])
+    least = math.ceil(Fraction(n, 20) / Fraction(str(steps["grid_step"])))
+    assert not rep.ok and rep.grid_points == count == math.comb(k + n, n)
+    assert rep.covered == math.comb(k - (n + 1) * least + n, n)
+    assert rep.uncovered_witness == (1.0,) * n + (1.0 + n * (n + 1) / 2,)
+    assert rep.samples_used == len(rim.points) and rep.mesh_step == rim.step
 
 
 @pytest.mark.parametrize("n, step", [(1, 0.1), (2, 0.3), (2, 0.05), (3, 0.5), (3, 0.25)])
@@ -834,21 +837,20 @@ def test_interleaved_checks_share_meshes_without_crosstalk():
 
 
 def test_map_error_mid_check_leaves_the_next_check_as_a_fresh_one():
-    # the shrink fails the face condition, so its check maps the boundary
-    # first and then the interior of the whole mesh, where the error comes
+    # the shrink fails the face condition, and its check maps the
+    # boundary vertices and face samples in one call, where the error
+    # comes after the meshes are built
     fb, bad = collapse_batch(realize(2)), shrink_map(2, 0.9)
     calls = []
 
     def f(pts):
         calls.append(len(pts))
-        if len(calls) == 2:
-            pts[:] = 0.0  # scribbles on its input before it fails
-            raise DomainError("refused by the map")
-        return bad(fb(pts))
+        pts[:] = 0.0  # scribbles on its input before it fails
+        raise DomainError("refused by the map")
 
     with pytest.raises(DomainError):
         check_face_mapping_surjectivity(f, 2, 0.01)
-    assert len(calls) == 2
+    assert len(calls) == 1
     after = check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), 2, 0.01)
     coverage._mesh_of.cache_clear()
     assert check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), 2, 0.01) == after
@@ -915,14 +917,16 @@ _ONTO = [
 
 
 @pytest.fixture
-def no_locate(monkeypatch):
-    """Make locating grid nodes raise: a check that certifies from the
-    face condition never locates one."""
+def no_scan(monkeypatch):
+    """Make scanning the grid raise: a check that certifies from the face
+    condition counts its nodes, and never winds the boundary around
+    one."""
 
     def refuse(*args):
-        raise AssertionError("a certifying check located grid nodes")
+        raise AssertionError("a certifying check scanned the grid")
 
-    monkeypatch.setattr(coverage, "_locate", refuse)
+    for name in ("_cube_points", "_winding", "_on_image", "_gaps"):
+        monkeypatch.setattr(coverage, name, refuse)
 
 
 @pytest.fixture
@@ -950,13 +954,13 @@ def _tight(pts):
 
 @pytest.fixture
 def no_whole_mesh(monkeypatch):
-    """Make building the whole mesh of P raise: a check that certifies
-    builds only the boundary mesh."""
+    """Make building the whole mesh of P raise: a check, passing or
+    failing, builds only the boundary mesh."""
     build = coverage._mesh_of
 
     def boundary_only(n, k, boundary=False):
         if not boundary:
-            raise AssertionError("a certifying check built the whole mesh")
+            raise AssertionError("a coverage check built the whole mesh")
         return build(n, k, boundary)
 
     monkeypatch.setattr(coverage, "_mesh_of", boundary_only)
@@ -972,7 +976,7 @@ def _grid_nodes(n, grid_step):
     "n, grid_step",
     [(2, g) for g in (0.1, 0.05, 0.025, 0.02)] + [(3, g) for g in (0.5, 0.375, 0.25, 0.1, 0.05)],
 )
-def test_certifying_check_builds_no_lattice(no_locate, no_lattice, no_whole_mesh, n, grid_step):
+def test_certifying_check_builds_no_lattice(no_scan, no_lattice, no_whole_mesh, n, grid_step):
     # the benchmark's grids, and n = 3 at 0.1 and 0.05, whose whole meshes
     # hold 1,752,048 and 13,122,000 simplices (over MAX_MESH_SIMPLICES),
     # their boundary meshes 41,616 and 291,600: every node is covered, the
@@ -1003,23 +1007,26 @@ def test_certifying_check_builds_no_lattice(no_locate, no_lattice, no_whole_mesh
     "n, grid_step, witness",
     [(2, 0.05, (1.0, 1.0, 4.0)), (3, 0.25, (1.0, 1.0, 1.0, 7.0))],
 )
-def test_failing_check_builds_the_lattice_once(monkeypatch, n, grid_step, witness):
+def test_failing_check_maps_only_the_boundary(no_whole_mesh, n, grid_step, witness):
     # the benchmark's shrink at n = 2 and the shrink at n = 3 on its
-    # finest grid locate their nodes on the one lattice, and report the
-    # witness they always did
-    calls = []
-    build = coverage._simplex_lattice
-
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(coverage, "_simplex_lattice", counting)
+    # finest grid: f sees only rows on the boundary of P, the boundary
+    # vertices and then the face samples, as when a check certifies, and
+    # the winding number gives the oracle's count and the witness the
+    # located nodes always gave
     fb, bad = collapse_batch(realize(n)), shrink_map(n, 0.9)
-    rep = check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), n, grid_step)
+    rows = []
+
+    def f(pts):
+        rows.append(len(pts))
+        assert _tight(pts).all()
+        return bad(fb(pts))
+
+    rep = check_face_mapping_surjectivity(f, n, grid_step)
+    rim = _mesh(n, grid_step, boundary=True)
+    assert sum(rows) == len(rim.points) + len(coverage._face_samples(n, 0)[0])
+    assert rep.samples_used == len(rim.points) and rep.mesh_step == rim.step
     ref = shrink_coverage_reference(n, grid_step, 0.9)
     k, count = _grid_nodes(n, grid_step)
-    assert calls == [(n, k)]
     assert rep.grid_points == ref["grid_points"] == count == math.comb(k + n, n)
     assert rep.covered == ref["inside"] + ref["near"] and not rep.ok
     assert rep.uncovered_witness == ref["first_outside"] == witness
@@ -1030,9 +1037,9 @@ def test_failing_check_builds_the_lattice_once(monkeypatch, n, grid_step, witnes
     [(2, g, name) for g in (0.1, 0.05, 0.025, 0.02) for name in _ONTO]
     + [(3, g, "collapse") for g in (0.5, 0.375, 0.25)],
 )
-def test_coverage_certifies_shipped_onto_maps(no_locate, n, grid_step, name):
+def test_coverage_certifies_shipped_onto_maps(no_scan, n, grid_step, name):
     # the benchmark's grids, n = 3 at 0.25 included: the face condition
-    # holds, so every node is covered without locating one
+    # holds, so every node is covered without scanning one
     f = _shipped_maps()[name] if n == 2 else collapse_batch(realize(3))
     rep = check_face_mapping_surjectivity(f, n, grid_step)
     assert rep.ok
@@ -1069,7 +1076,7 @@ def _bump_directions(n):
 
 
 @pytest.mark.parametrize("amplitude", [20, -40, 200])
-def test_coverage_certifies_large_bumps_inside(no_locate, amplitude):
+def test_coverage_certifies_large_bumps_inside(no_scan, amplitude):
     # at 200 the fifth direction once read FAIL, 2,907 of 2,925 nodes
     # covered: the image simplex holding the witness (1.5, 3.5, 1.5, 3.5)
     # was skipped as flat when nodes were located
@@ -1080,10 +1087,10 @@ def test_coverage_certifies_large_bumps_inside(no_locate, amplitude):
         assert rep.max_gap <= 1e-6
 
 
-def test_locate_solves_in_slabs(monkeypatch):
-    # the (simplex, node) pairs of a block are tested in runs of at most
-    # SLAB_ROWS, not all at once: 64 simplices of this shrink once gave
-    # 472 pairs in one solve.  Every run size gives the same report
+def test_failing_check_scans_in_slabs(monkeypatch):
+    # the (simplex, lattice point) pairs of the crossing scan and of the
+    # on-image join come in runs of at most SLAB_ROWS, not all at once.
+    # Every run size gives the same report
     fb, bad = collapse_batch(realize(2)), shrink_map(2, 0.9)
 
     def f(pts):
@@ -1091,86 +1098,178 @@ def test_locate_solves_in_slabs(monkeypatch):
 
     want = check_face_mapping_surjectivity(f, 2, 0.05)
     sizes = []
-    inside = coverage._inside
+    pairs = coverage._box_pairs
 
-    def counting(coefficients, owner, nodes):
-        sizes.append(len(owner))
-        return inside(coefficients, owner, nodes)
+    def counting(low, high):
+        for owner, points in pairs(low, high):
+            sizes.append(len(owner))
+            yield owner, points
 
     monkeypatch.setattr(coverage, "SLAB_ROWS", 64)
-    monkeypatch.setattr(coverage, "_inside", counting)
+    monkeypatch.setattr(coverage, "_box_pairs", counting)
     got = check_face_mapping_surjectivity(f, 2, 0.05)
     assert repr(got) == repr(want) and not want.ok
-    assert sizes and max(sizes) <= 64
+    assert len(sizes) > 2 and max(sizes) <= 64
 
 
-def _simplices_near_flat(rng, n, count):
-    """count random simplices (count, n+1, n), count near-flat ones and
-    count flat ones.  A near-flat one has its last corner moved to a
-    random point of the others' affine span, then off it by 10**-10 to
-    10**-2 times a random direction, so that |det| over the product of
-    the edge lengths spans DEGENERATE (at n = 1 the span is the one
-    corner and the edge is merely short).  A flat one repeats corner 0
-    as its last corner."""
-    solid = 1.0 + 3.0 * rng.random((count, n + 1, n))
-    thin = 1.0 + 3.0 * rng.random((count, n + 1, n))
-    weights = rng.dirichlet(np.ones(n), count)  # on the first n corners
-    off = rng.standard_normal((count, n)) * 10.0 ** rng.uniform(-10, -2, (count, 1))
-    thin[:, n] = np.einsum("sc,sci->si", weights, thin[:, :n]) + off
-    flat = 1.0 + 3.0 * rng.random((count, n + 1, n))
-    flat[:, n] = flat[:, 0]
-    return np.concatenate([solid, thin, flat])
+@pytest.mark.parametrize("n", [2, 3])
+def test_failing_check_of_far_images_tries_no_box_beyond_the_grid(n):
+    # a boundary image 10**20 grid steps away: every box is clipped to
+    # the grid before its points are counted, so none overflows or is
+    # walked point by point, and no node is covered
+    far = np.array([1e20, -1e20, *[0.0] * (n - 1)])
+    far[-1] += coverage.plane_total(n)
+    rep = check_face_mapping_surjectivity(lambda pts: np.tile(far, (len(pts), 1)), n, 0.5)
+    assert not rep.ok and rep.covered == 0
+    assert rep.uncovered_witness == (1.0,) * n + (1.0 + n * (n + 1) / 2,)
+    assert 1e19 < rep.max_gap < math.inf
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_closed_form_inverse_matches_numpy(n):
-    # _inverses takes det A and adj A by Laplace expansion; numpy's LU
-    # gives the same flat decisions away from the threshold, and the same
-    # barycentric coordinates 1..n at random lattice points
-    rng = np.random.default_rng(40 + n)
-    step = 0.05
-    corners = _simplices_near_flat(rng, n, 400)  # (s, corner, coordinate)
-    flat, coefficients = coverage._inverses(np.ascontiguousarray(corners.transpose(2, 1, 0)), step)
-    edges = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)  # column j is edge j
-    det = np.abs(np.linalg.det(edges))
-    lengths = np.linalg.norm(edges, axis=1).prod(axis=1)
-    bound = coverage.DEGENERATE * lengths
-    near = (det >= 0.99 * bound) & (det <= 1.01 * bound) & (bound > 0)
-    assert near.sum() < 20 and flat[800:].all() and not flat[:400].any()
-    assert (flat[~near] == (det <= bound)[~near]).all()
+def _scan(chart, n, grid_step):
+    """The failing check's scan of boundary images given in the chart of
+    the first n coordinates, on the plane, one row per boundary vertex of
+    the mesh: at every grid node, in grid order, the winding number and
+    whether the node lies on the image of the boundary."""
+    k = coverage._grid_divisions(n, grid_step)
+    rim = _mesh(n, grid_step, boundary=True)
+    blocks = list(coverage._rim_blocks(np.ascontiguousarray((chart - 1.0).T / grid_step), rim))
+    at = coverage._cube_points(n, k)[0]
+    return coverage._winding(blocks, k)[at], coverage._on_image(blocks, k)[at]
 
-    x = rng.uniform(-10.0, 70.0, (len(corners), n))  # lattice coordinates
-    solid = ~flat
-    want = np.linalg.solve(edges[solid], (1.0 + step * x - corners[:, 0])[solid][:, :, None])[..., 0]
-    rows = coefficients.reshape(n, n + 1, -1)[:, :, solid]
-    got = rows[:, n] + np.einsum("jis,si->js", rows[:, :n], x[solid])
-    # relative to the larger of the coordinates and 1; a near-flat
-    # simplex loses digits to its conditioning in either solution, about
-    # 1 / ratio of them, so its bound widens by 1e-3 / ratio
-    error = np.abs(got.T - want).max(axis=1) / np.maximum(np.abs(want).max(axis=1), 1.0)
-    ratio = det[solid] / lengths[solid]
-    assert (error <= 1e-12 * np.maximum(1.0, 1e-3 / ratio)).all()
+
+def _scan_against_degree(n, grid_step, chart):
+    """Check the scan of the boundary rows of a chart of the whole mesh's
+    images against the oracle's degree over every simplex of the whole
+    mesh, at every grid node off the image of the boundary and clear of
+    the image simplices.  The chart is first moved by a small generic
+    offset: the collapse's image simplices have the grid nodes on their
+    faces, where the oracle cannot count.  Returns the degrees compared."""
+    chart = chart + 1e-3 * np.array([0.31, 0.53, 0.17])[:n]
+    mesh = _mesh(n, grid_step)
+    winding, on = _scan(chart[mesh.face >= 0], n, grid_step)
+    corners = mesh.points[:, :n][mesh.simplices]
+    orientation = np.sign(np.linalg.det(corners[:, 1:] - corners[:, :1]))
+    nodes = 1.0 + grid_step * coverage._simplex_lattice(n, coverage._grid_divisions(n, grid_step))
+    # each node is given the simplices whose boxes hold it, all the
+    # oracle reads, so that it gathers no others
+    images = chart[mesh.simplices]
+    low, high = images.min(axis=1), images.max(axis=1)
+    degrees = []
+    for p in nodes:
+        boxed = ((low <= p) & (high >= p)).all(axis=1)
+        degrees.append(degree_reference(chart, mesh.simplices[boxed], orientation[boxed], p))
+    compared = np.array([d is not None for d in degrees]) & ~on
+    assert compared.sum() > len(nodes) / 3, compared.sum()
+    want = [d for d, c in zip(degrees, compared) if c]
+    assert winding[compared].tolist() == want
+    return want
+
+
+def _shipped(n, name):
+    """The named map of P_n: at n = 2 one of _shipped_maps, else the
+    collapse, or the radial perturbation by 0.3 or the shrink by 0.9,
+    alone or after the collapse."""
+    if n == 2:
+        return _shipped_maps()[name]
+    fb = collapse_batch(realize(n))
+    if name == "collapse":
+        return fb
+    psi, _, after = name.partition("*")
+    g = radial_perturbation(n, 0.3) if psi == "radial+0.3" else shrink_map(n, 0.9)
+    return (lambda pts: g(fb(pts))) if after else g
+
+
+@pytest.mark.parametrize(
+    "n, grid_step, name",
+    [(2, 0.1, name) for name in _shipped_maps()]
+    + [(1, 0.1, "collapse"), (1, 0.1, "shrink0.9*collapse")]
+    + [
+        (3, 0.5, name)
+        for name in (
+            "collapse", "radial+0.3", "radial+0.3*collapse", "shrink0.9", "shrink0.9*collapse"
+        )
+    ],
+)
+def test_winding_matches_the_degree_of_shipped_maps(n, grid_step, name):
+    # every shipped map, and at n = 1 and 3 the collapse, the radial
+    # perturbation and the shrink, alone and after the collapse: off the
+    # image of the boundary, the scan's winding number is the degree of
+    # the PL interpolant on the whole mesh, 1 over the onto maps' inner
+    # nodes, 0 past the boundary's image
+    mapped = _map_rows(_shipped(n, name), _mesh(n, grid_step).points)
+    chart = (mapped - ((_row_sums(mapped) - coverage.plane_total(n)) / (n + 1))[:, None])[:, :n]
+    assert set(_scan_against_degree(n, grid_step, chart)) == {0, 1}
 
 
 @pytest.mark.parametrize("n, grid_step", [(2, 0.1), (3, 0.5)])
-def test_locate_on_a_folded_chart_matches_brute_force(n, grid_step):
+def test_winding_on_a_folded_chart_matches_the_degree(n, grid_step):
     # random points of the simplex as the chart make the image simplices
-    # overlap and fold, so a node is often held by no neighbour of a
-    # simplex that wrongly refuses or takes it: 405 of 496 and 165 of
-    # 455 nodes are covered.  Dropping coordinate 0 from the inside test
-    # covers more, yet the shrinks' oracle and the golden reports miss it
-    k = coverage._grid_divisions(n, grid_step)
+    # overlap and fold, so winding numbers of either sign and above 1
+    # occur
     mesh = _mesh(n, grid_step)
     total = (n + 1) * (n + 2) / 2
     rng = np.random.default_rng(0)
     chart = 1.0 + (total - (n + 1)) * rng.dirichlet(np.ones(n + 1), len(mesh.points))[:, :n]
-    lattice = coverage._simplex_lattice(n, k)
-    got = coverage._locate(chart, mesh, k, lattice, grid_step)
-    want = located_reference(
-        chart, mesh.simplices, 1.0 + grid_step * lattice, coverage.DEGENERATE, coverage.LOCATE_TOL
-    )
-    assert 0 < want.sum() < len(lattice)
-    assert (got == want).all()
+    degrees = set(_scan_against_degree(n, grid_step, chart))
+    assert len(degrees) > 2 and min(degrees) < 0 < max(degrees), degrees
+
+
+def test_a_fold_inside_p_covers_no_node():
+    # the collapse shrunk by half, with the whole mesh's vertex at the
+    # centre of P sent past a node y outside the shrunk simplex, to twice
+    # y's distance from the centre: the whole mesh's PL interpolant then
+    # covers y by one simplex of each orientation, degree 0.  Located in
+    # the whole mesh's image simplices (located_reference), y is covered;
+    # the winding number of the boundary values, which the fold does not
+    # touch, is 0 there, so the check leaves y uncovered, and its report
+    # is the unfolded map's
+    fb, half = collapse_batch(realize(2)), shrink_map(2, 0.5)
+    mesh = _mesh(2, 0.1)
+    plain = half(fb(mesh.points))
+    y = np.array([3.5, 1.3, 1.2])  # a node; the shrunk simplex is x_i >= 1.5
+    v = np.flatnonzero((mesh.points == 2.0).all(axis=1))[0]
+    spike = plain[v] + 2.0 * (y - plain[v])
+    folded = plain.copy()
+    folded[v] = spike
+
+    def fold(pts):
+        out = half(fb(pts))
+        out[(pts == mesh.points[v]).all(axis=1)] = spike
+        return out
+
+    corners = mesh.points[:, :2][mesh.simplices]
+    orientation = np.sign(np.linalg.det(corners[:, 1:] - corners[:, :1]))
+    assert located_reference(folded[:, :2], mesh.simplices, [y[:2]], 1e-6, 1e-9)[0]
+    assert not located_reference(plain[:, :2], mesh.simplices, [y[:2]], 1e-6, 1e-9)[0]
+    assert degree_reference(folded[:, :2], mesh.simplices, orientation, y[:2]) == 0
+    rep = check_face_mapping_surjectivity(fold, 2, 0.1)
+    assert rep == check_face_mapping_surjectivity(lambda pts: half(fb(pts)), 2, 0.1)
+    ref = shrink_coverage_reference(2, 0.1, 0.5)
+    assert not rep.ok and rep.covered == ref["inside"] + ref["near"]
+    k = coverage._grid_divisions(2, 0.1)
+    place = coverage._simplex_lattice(2, k).tolist().index([25, 3])  # y
+    assert place in ref["outside_places"]
+
+
+@pytest.mark.parametrize(
+    "n, grid_step, factor",
+    [(1, 0.1, 0.9), (2, 0.05, 0.9), (2, 0.1, 0.5), (2, 0.02, 0.7), (3, 0.5, 0.9), (3, 0.25, 0.6)],
+)
+def test_failing_check_covers_no_node_outside_the_shrunk_simplex(n, grid_step, factor):
+    # soundness: the shrink after the collapse maps the boundary onto the
+    # shrunk simplex's boundary, and no node outside its closed form is
+    # covered, by winding number or by lying on the image of the boundary
+    fb, bad = collapse_batch(realize(n)), shrink_map(n, factor)
+    rim = _mesh(n, grid_step, boundary=True)
+    mapped = bad(fb(rim.points))
+    chart = (mapped - ((_row_sums(mapped) - coverage.plane_total(n)) / (n + 1))[:, None])[:, :n]
+    winding, on = _scan(chart, n, grid_step)
+    ref = shrink_coverage_reference(n, grid_step, factor)
+    outside = np.zeros(len(winding), dtype=bool)
+    outside[ref["outside_places"]] = True
+    assert not ((winding != 0) | on)[outside].any()
+    assert ((winding != 0) | on).sum() == ref["inside"] + ref["near"]
+    assert set(winding[~outside].tolist()) <= {0, 1} and set(winding[outside].tolist()) == {0}
 
 
 @pytest.mark.parametrize("n, grid_step", [(1, 0.1), (1, 0.02), (2, 0.05), (2, 0.02), (3, 0.5)])
@@ -1459,10 +1558,10 @@ def test_coverage_parts_under_fast_thread_switching(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_coverage_worker_error_reaches_caller_and_no_thread_is_left(monkeypatch, cpus):
     # the check maps on the calling thread, whatever the CPU count; the
-    # shrink fails, so it maps the boundary and then the whole mesh's
-    # interior, where the error comes
+    # shrink fails, and the error comes in its one call, which maps the
+    # boundary vertices and face samples
     _with_cpus(monkeypatch, cpus)
-    fb, bad = collapse_batch(realize(2)), shrink_map(2, 0.9)
+    fb = collapse_batch(realize(2))
     before = threading.active_count()
     check_face_mapping_surjectivity(fb, 2, 0.05)
     assert threading.active_count() == before
@@ -1472,18 +1571,16 @@ def test_coverage_worker_error_reaches_caller_and_no_thread_is_left(monkeypatch,
 
     def f(pts):
         calls.append((len(pts), threading.current_thread()))
-        if len(calls) == 2:
-            raise error
-        return bad(fb(pts))
+        raise error
 
     with pytest.raises(DomainError) as raised:
         check_face_mapping_surjectivity(f, 2, 0.01)
     assert raised.value is error
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert all(thread is threading.main_thread() for _, thread in calls)
     assert threading.active_count() == before
     time.sleep(0.05)
-    assert len(calls) == 2  # nothing went on mapping after the error
+    assert len(calls) == 1  # nothing went on mapping after the error
 
 
 def test_permutahedron_serves_five_coverage_names():
@@ -1678,15 +1775,14 @@ def test_export_off_is_pinned(n):
 
 
 def test_coverage_walks_one_flag_in_slabs(monkeypatch):
-    # a flag holds more than SLAB_ROWS pieces only at n = 2, grid <= 0.007;
-    # a small SLAB_ROWS sends grid 0.05 down that branch of _flag_blocks,
-    # and every block size must give the same report
+    # a small SLAB_ROWS puts one flag of the boundary mesh in each block
+    # of _flag_blocks, and every block size must give the same report
     fb = collapse_batch(realize(2))
     bad = shrink_map(2, 0.9)
     maps = [fb, lambda pts: bad(fb(pts))]
     want = [check_face_mapping_surjectivity(f, 2, 0.05) for f in maps]
-    monkeypatch.setattr(coverage, "SLAB_ROWS", 64)
-    assert len(_mesh(2, 0.05).pieces) > 64
+    monkeypatch.setattr(coverage, "SLAB_ROWS", 16)
+    assert len(_mesh(2, 0.05, boundary=True).pieces) > 16
     got = [check_face_mapping_surjectivity(f, 2, 0.05) for f in maps]
     assert [repr(r) for r in got] == [repr(r) for r in want]
     assert want[0].ok and not want[1].ok
