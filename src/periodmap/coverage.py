@@ -4,13 +4,12 @@ piecewise-linear coverage certificate and the OFF export.
 This is the one module of the package that loads numpy; everything it
 builds on (faces, the realization, the exact collapse) is the exact
 ``permutahedron`` module.  The certificate runs on floats over an
-integer-built mesh of the boundary of P_n, and maps only its vertices
-and face samples.  A passing check claims that every continuous map
-into the simplex's plane with those boundary values is onto the simplex
-but for a thin band along its boundary; a failing one names the grid
-nodes every such map covers, by the winding number of the boundary
-values around each: see check_face_mapping_surjectivity for what it
-proves.  Importing
+integer-built mesh of the boundary of P_n, and maps only its vertices.
+A passing check claims that every continuous map into the simplex's
+plane with those boundary values is onto the simplex but for a thin
+band along its boundary; a failing one names the grid nodes every such
+map covers, by the winding number of the boundary values around each:
+see check_face_mapping_surjectivity for what it proves.  Importing
 ``periodmap`` or running a command other than ``permutahedron export
 --format off`` never loads this module.
 """
@@ -40,7 +39,6 @@ from .permutahedron import (
 
 MAX_GRID_POINTS = 4 * 10**7  # largest grid a coverage check builds
 MAX_MESH_SIMPLICES = 2**21  # largest mesh of P a coverage check builds
-FACE_SAMPLES = 40  # random points per face in the coverage check's face condition
 FACE_TOL = 1e-7  # how far an image coordinate the face pins may stray from 1
 SLAB_ROWS = 2**15  # map rows per call, simplices per block of mesh work, scan pairs per run
 # absolute, in grid steps: how far from the image of the boundary of P a
@@ -274,9 +272,9 @@ class CoverageReport:
         drift and LOCATE_TOL, raised by each uncovered node's path to a
         covered node or to the image of a boundary vertex (_gaps).
     face_violations: for each face, in all_faces order, the first
-        checked point, sample or boundary vertex, whose image leaves the
-        face's target by more than FACE_TOL; empty when passing.
-    samples_used: the boundary vertices mapped; face samples not counted.
+        boundary vertex in the face, in mesh order, whose image leaves
+        the face's target by more than FACE_TOL; empty when passing.
+    samples_used: the boundary vertices mapped, the only points f saw.
     mesh_step: the longest edge of the boundary mesh, 0.0 at n = 1,
         whose boundary is two points.
     image_edge: the longest image of an edge of that mesh, 0.0 at n = 1:
@@ -322,60 +320,6 @@ def _faces(n: int) -> tuple[tuple[NestedSequence, ...], tuple[np.ndarray, ...], 
     for array in (*vertices, pins):
         array.flags.writeable = False
     return faces, vertices, pins
-
-
-@functools.cache
-def _face_rows(n: int) -> tuple[int, np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
-    """The layout of the rows _face_samples returns: face by face in
-    all_faces(n) order, FACE_SAMPLES samples, then the face's vertices.
-    Returns the number of Gamma variates drawn, the owning face of each
-    row, and for each vertex count m the faces of m vertices as four
-    read-only arrays: the places in the draw of their (FACE_SAMPLES, m)
-    weights (face i's the draw's i-th block of FACE_SAMPLES * m
-    variates, row by row), their vertices (faces, m, n+1), and the rows
-    of their samples (faces, FACE_SAMPLES) and vertices (faces, m).
-    """
-    _, vertices, _ = _faces(n)
-    sizes = np.array([len(fv) for fv in vertices])
-    first = np.cumsum(FACE_SAMPLES + sizes) - (FACE_SAMPLES + sizes)  # each face's first row
-    first_draw = FACE_SAMPLES * (np.cumsum(sizes) - sizes)  # and its first variate
-    owners = np.repeat(np.arange(len(sizes)), FACE_SAMPLES + sizes)
-    groups = []
-    for m in np.unique(sizes):
-        ids = np.flatnonzero(sizes == m)
-        groups.append((
-            first_draw[ids, None, None] + np.arange(FACE_SAMPLES * m).reshape(FACE_SAMPLES, m),
-            np.stack([vertices[i] for i in ids]),
-            first[ids, None] + np.arange(FACE_SAMPLES),
-            first[ids, None] + FACE_SAMPLES + np.arange(m),
-        ))
-    for array in (owners, *itertools.chain(*groups)):
-        array.flags.writeable = False
-    return FACE_SAMPLES * int(sizes.sum()), owners, tuple(groups)
-
-
-def _face_samples(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """FACE_SAMPLES seeded points of each face of P_n, uniform in its
-    vertices' barycentric coordinates, then the face's vertices, face by
-    face, and the owning face of each row.
-
-    One Gamma(1) draw for all faces, split into a (FACE_SAMPLES, m)
-    block of weights per face of m vertices, each row scaled by 1 over
-    its sum, taken column by column, and mapped through the face's
-    vertices: the same points, bit for bit, as a Dirichlet(1, ..., 1)
-    draw of FACE_SAMPLES rows per face from default_rng(seed).  Faces
-    with as many vertices are weighted and mapped in one stacked product
-    (_face_rows), which numpy computes face by face.
-    """
-    draws, owners, groups = _face_rows(n)
-    gamma = np.random.default_rng(seed).standard_gamma(1.0, size=draws)
-    rows = np.empty((len(owners), n + 1))
-    for places, vertices, sample_rows, vertex_rows in groups:
-        bary = gamma[places]
-        bary *= (1.0 / _row_sums(bary))[..., None]
-        rows[sample_rows] = bary @ vertices
-        rows[vertex_rows] = vertices
-    return rows, owners
 
 
 @functools.cache
@@ -577,15 +521,14 @@ def _image(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray
 def _map_rows(f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
     """f applied to pts in row blocks of at most SLAB_ROWS rows.
 
-    pts of 2 to SLAB_ROWS rows is mapped as it is, in one call, and its
-    image returned as f gave it, converted to float.  More rows are cut
-    into blocks of near-equal size, so none is a lone row, and a single
-    row is mapped as a block of two copies of itself: numpy multiplies a
-    single row by a matrix through another routine than a block, and its
-    last bits can differ.  Each block's image is checked by _image.
+    pts of at most SLAB_ROWS rows is mapped as it is, in one call, and
+    its image returned as f gave it, converted to float.  More rows are
+    cut into blocks of near-equal size, so none is a lone row: numpy
+    multiplies a single row by a matrix through another routine than a
+    block, and its last bits can differ.  The check's rows, the boundary
+    mesh's vertices, are at least 2 (2 at n = 1).  Each block's image is
+    checked by _image.
     """
-    if len(pts) == 1:
-        return _image(f, np.repeat(pts, 2, axis=0))[:1]
     if len(pts) <= SLAB_ROWS:
         return _image(f, pts)
     blocks = np.array_split(pts, -(-len(pts) // SLAB_ROWS))
@@ -821,9 +764,11 @@ def _on_plane(
     f: Callable[[np.ndarray], np.ndarray], points: np.ndarray, total: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """f(points), mapped by _map_rows, and each image's coordinate sum
-    less total.  The image farthest off the simplex's plane, when it is
-    off by more than FACE_TOL, raises NumericalDomainError naming it."""
-    images = _map_rows(f, points)
+    less total.  f is given a copy of points, which it may write to,
+    while points may be a shared mesh's read-only array.  The image
+    farthest off the simplex's plane, when it is off by more than
+    FACE_TOL, raises NumericalDomainError naming it."""
+    images = _map_rows(f, points.copy())
     excess = _row_sums(images) - total
     drift = np.abs(excess)
     if drift.max() > FACE_TOL:
@@ -852,17 +797,15 @@ def check_face_mapping_surjectivity(
 
     What is mapped.  P is triangulated with edges at most grid_step
     (_mesh), and every check maps only the vertices of that mesh on the
-    boundary of P (_mesh with boundary), then FACE_SAMPLES points drawn
-    from each face with the given seed plus the face's vertices
-    (_face_samples: the same points as a Dirichlet(1, ..., 1) draw per
-    face from default_rng(seed)).  A mesh depends only on n and the cuts
-    of each flag simplex that grid_step asks for, and is built once and
-    shared read-only, so no report depends on the checks before it.
-    Every image is checked to be finite, of the right shape and on the
+    boundary of P (_mesh with boundary), in the mesh's order, and
+    nothing else.  A mesh depends only on n and the cuts of each flag
+    simplex that grid_step asks for, and is built once and shared
+    read-only, so no report depends on the checks before it.  Every
+    image is checked to be finite, of the right shape and on the
     simplex's plane within FACE_TOL; then the face condition is checked
-    at the samples and at every boundary vertex, against its least face:
-    the coordinates of the face's chain's largest subset must map to 1
-    within FACE_TOL.
+    at every boundary vertex, against its least face: the coordinates of
+    the face's chain's largest subset must map to 1 within FACE_TOL.  A
+    broken face is named by its first offending vertex in mesh order.
 
     Why the face condition certifies: the polytopal Sperner and KKM
     lemma (De Loera, Peterson and Su, J. Combin. Theory Ser. A 100,
@@ -906,7 +849,10 @@ def check_face_mapping_surjectivity(
     n must be a positive int, grid_step a positive finite real number,
     and seed a non-negative int, or InputError is raised.  An n above 3,
     a boundary mesh above MAX_MESH_SIMPLICES simplices or a grid above
-    MAX_GRID_POINTS nodes raises ResourceError before f is called.
+    MAX_GRID_POINTS nodes raises ResourceError before f is called.  seed
+    selects nothing, and no report depends on it: it is still accepted
+    because perfbench passes it, and goes when perfbench stops (ROADMAP
+    item 5).
     """
     n = _check_n(n, 3, "coverage check")
     grid_step = float(check_real(grid_step, "grid_step"))
@@ -915,13 +861,9 @@ def check_face_mapping_surjectivity(
     rim = _mesh(n, grid_step, boundary=True)
 
     faces, _, pins = _faces(n)
-    samples, owners = _face_samples(n, seed)
-    points = np.concatenate([rim.points, samples])
-    images, excess = _on_plane(f, points, plane_total(n))
-    violations = _face_violations(
-        faces, pins, points, images, np.concatenate([rim.face, owners]), len(rim.points)
-    )
-    rim_images, shifts = images[: len(rim.points)], excess[: len(rim.points)] / (n + 1)
+    images, excess = _on_plane(f, rim.points, plane_total(n))
+    violations = _face_violations(faces, pins, rim.points, images, rim.face)
+    shifts = excess / (n + 1)
     drift = float(np.abs(shifts).max())  # of a coordinate, off the plane
     nodes = math.comb(k + n, n)
     report = CoverageReport(
@@ -935,14 +877,14 @@ def check_face_mapping_surjectivity(
         face_violations=violations,
         samples_used=len(rim.points),
         mesh_step=rim.step,
-        image_edge=_longest_edge(rim_images, rim),
+        image_edge=_longest_edge(images, rim),
     )
     if not violations:
         return report
 
     # the images moved onto the plane, in the lattice coordinates of the
     # chart of the first n coordinates
-    xs = np.ascontiguousarray((rim_images[:, :n] - shifts[:, None] - 1.0).T / grid_step)
+    xs = np.ascontiguousarray((images[:, :n] - shifts[:, None] - 1.0).T / grid_step)
     blocks = list(_rim_blocks(xs, rim))
     covered_at = _winding(blocks, k) != 0
     covered_at |= _on_image(blocks, k)
@@ -956,7 +898,7 @@ def check_face_mapping_surjectivity(
     if len(uncovered):
         node = np.unravel_index(points[0, uncovered[0]], (k + 1,) * n)
         witness = tuple((1.0 + grid_step * np.array([*node, k - sum(node)])).tolist())
-        gaps = _gaps(covered_at, rim_images, points, k, grid_step)
+        gaps = _gaps(covered_at, images, points, k, grid_step)
         max_gap += float(np.take(gaps, uncovered).max())
     return replace(
         report, covered=nodes - len(uncovered), uncovered_witness=witness, max_gap=max_gap
@@ -969,25 +911,20 @@ def _face_violations(
     points: np.ndarray,
     images: np.ndarray,
     owners: np.ndarray,
-    start: int,
 ) -> tuple[FaceViolation, ...]:
     """For each face, in the order of faces, the first of the points it
-    owns whose image leaves the face's target: a coordinate the face pins
-    (_faces) more than FACE_TOL from 1.
+    owns, in row order, whose image leaves the face's target: a
+    coordinate the face pins (_faces) more than FACE_TOL from 1.
 
-    The points are checked in order from row start to the end, then from
-    row 0 to start.  The condition is tested on the rows as given, over
-    the whole array, with the pins gathered once for every row (np.take,
-    several times faster here than fancy indexing); only the offending
-    rows are put in checked order, to pick each face's first.
+    The condition is tested over the whole array, with the pins gathered
+    once for every row (np.take, several times faster here than fancy
+    indexing); np.unique then picks each face's first offending row.
     """
     off = np.abs(images - 1.0) > FACE_TOL
     off &= np.take(pins, owners, axis=0)
     rows = np.flatnonzero(functools.reduce(np.logical_or, off.T))
     if not len(rows):
         return ()
-    split = np.searchsorted(rows, start)
-    rows = np.concatenate([rows[split:], rows[:split]])
     bad_faces, first = np.unique(owners[rows], return_index=True)
     return tuple(
         FaceViolation(faces[i], tuple(points[r].tolist()), tuple(images[r].tolist()))

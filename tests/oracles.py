@@ -676,16 +676,21 @@ def degree_reference(chart, simplices, orientation, point, clear=1e-6, degenerat
     image simplex whose bounding box holds it is not flat (|det| of its
     edges at most ``degenerate`` times the product of their lengths) and
     its least barycentric coordinate there is farther than ``clear``
-    from 0.  Every simplex is gathered whole and solved in homogeneous
-    coordinates, [1 ... 1; corners] lam = [1; point], whose determinant
-    is that of the edges.  numpy only, imported on the first call so
+    from 0.  Each box is widened by ``clear`` times the largest
+    |coordinate| of its simplex's corners, so that a point within
+    rounding of an image simplex, such as a vertex just outside the
+    exact box, is not clear either.  Every simplex is gathered whole and
+    solved in homogeneous coordinates, [1 ... 1; corners] lam = [1;
+    point], whose determinant is that of the edges.  numpy only, imported on the first call so
     that the exact oracles load no numpy.
     """
     import numpy as np
 
     corners = np.asarray(chart, dtype=float)[np.asarray(simplices)]  # (simplices, n+1, n)
     point = np.asarray(point, dtype=float)
-    boxed = ((corners.min(axis=1) <= point) & (corners.max(axis=1) >= point)).all(axis=1)
+    reach = clear * np.abs(corners).max(axis=(1, 2))[:, None]
+    low, high = corners.min(axis=1) - reach, corners.max(axis=1) + reach
+    boxed = ((low <= point) & (high >= point)).all(axis=1)
     corners = corners[boxed]
     ones = np.ones((len(corners), 1, corners.shape[1]))
     homogeneous = np.concatenate([ones, np.swapaxes(corners, 1, 2)], axis=1)

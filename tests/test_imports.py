@@ -1,7 +1,9 @@
 """Every name a library or test module imports is used in that module,
 only ``errors`` tests an argument's int or real type, only ``bilinear``
 asks whether a form has signature (1, n), only ``bilinear`` pairs
-vectors one pair at a time, and only ``bilinear`` reads a split.
+vectors one pair at a time, only ``bilinear`` reads a split, and no
+library code draws random numbers but the two functions that take a
+caller's ``random.Random``.
 
 The library's ``__init__.py`` is skipped by the import check: its
 imports are the package's exports.
@@ -206,3 +208,72 @@ def test_the_scan_sees_split_reads():
 )
 def test_only_bilinear_reads_a_split(path):
     assert split_reads(path.read_text()) == []
+
+
+def random_draws(source: str, exempt: str | None = None) -> list[int]:
+    """Lines that could draw random numbers, outside the function named
+    exempt: an import of random (but a plain ``import random`` when there
+    is an exempt function, whose annotation names ``random.Random``), of
+    numpy.random or from either, a read of ``random.<name>`` or of
+    ``np.random``, and any ``default_rng``.  A library answer depends
+    only on its arguments."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == exempt:
+            skip |= {n.lineno for n in ast.walk(node) if hasattr(n, "lineno")}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(
+                alias.name == "numpy.random"
+                or alias.name == "random" and (exempt is None or alias.asname)
+                for alias in node.names
+            ):
+                found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in ("random", "numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+            ):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if (
+                node.attr == "default_rng"
+                or owner == "random"
+                or node.attr == "random" and owner in ("np", "numpy")
+            ):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "default_rng":
+            found.add(node.lineno)
+    return sorted(found - skip)
+
+
+def test_the_scan_sees_random_draws():
+    source = (
+        "import random\n"
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "x = np.random.default_rng(0).standard_gamma(1.0)\n"
+        "def draw(rng: random.Random):\n"
+        "    return rng.random()\n"
+        "y = random.random()\n"
+        "z = rng.random() + rng.default_rng\n"
+        "from numpy import random as npr\n"
+        "import random as r\n"
+    )
+    assert random_draws(source) == [1, 3, 4, 5, 7, 8, 9, 10]
+    assert random_draws(source, exempt="draw") == [3, 4, 7, 8, 9, 10]
+
+
+# the two functions that build random inputs from a caller's random.Random
+_DRAWS_FROM_A_CALLERS_RNG = {
+    "face_constraints.py": "random_config",
+    "decomposition.py": "random_decomposition",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_draws_no_random_numbers(path):
+    exempt = _DRAWS_FROM_A_CALLERS_RNG.get(path.name)
+    assert random_draws(path.read_text(), exempt) == []

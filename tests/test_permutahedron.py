@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import os
@@ -14,7 +13,6 @@ import pytest
 
 from periodmap import coverage, permutahedron
 from periodmap.coverage import (
-    FACE_SAMPLES,
     FACE_TOL,
     GRID_SLACK,
     SLAB_ROWS,
@@ -693,22 +691,22 @@ def test_coverage_refuses_bad_arguments(args):
 def test_coverage_answers_huge_failing_checks_from_the_boundary(no_whole_mesh, n, steps):
     # the whole meshes are over MAX_MESH_SIMPLICES, and no check builds
     # one: the collapse certifies, and the shrink, which breaks the face
-    # condition, answers from the same boundary vertices and face samples,
-    # with the closed-form count of the shrunk simplex's nodes (every
-    # lattice coordinate at least n / 20 over the step) and its witness
+    # condition, answers from the same boundary vertices, with the
+    # closed-form count of the shrunk simplex's nodes (every lattice
+    # coordinate at least n / 20 over the step) and its witness
     fb, bad = collapse_batch(realize(n)), shrink_map(n, 0.9)
     assert check_face_mapping_surjectivity(fb, n, **steps).ok
     rim = _mesh(n, steps["grid_step"], boundary=True)
-    calls = []
+    seen = []
 
     def f(pts):
-        calls.append(len(pts))
+        seen.append(pts.copy())
         return bad(fb(pts))
 
     start = time.perf_counter()
     rep = check_face_mapping_surjectivity(f, n, **steps)
     assert time.perf_counter() - start < 5.0
-    assert sum(calls) == len(rim.points) + len(coverage._face_samples(n, 0)[0])
+    assert np.array_equal(np.concatenate(seen), rim.points)
     k, count = _grid_nodes(n, steps["grid_step"])
     least = math.ceil(Fraction(n, 20) / Fraction(str(steps["grid_step"])))
     assert not rep.ok and rep.grid_points == count == math.comb(k + n, n)
@@ -830,7 +828,7 @@ def test_interleaved_checks_share_meshes_without_crosstalk():
     f3 = collapse_batch(realize(3))
     reports = []
     for n, f in [(2, lambda pts: bad(fb(pts))), (3, f3), (2, lambda pts: bad(fb(pts)))]:
-        reports.append(check_face_mapping_surjectivity(f, n, 0.05 if n == 2 else 0.5, seed=4))
+        reports.append(check_face_mapping_surjectivity(f, n, 0.05 if n == 2 else 0.5))
     assert reports[0] == reports[2]
     assert not reports[0].ok and reports[0].uncovered_witness is not None
     assert reports[1].ok
@@ -838,8 +836,8 @@ def test_interleaved_checks_share_meshes_without_crosstalk():
 
 def test_map_error_mid_check_leaves_the_next_check_as_a_fresh_one():
     # the shrink fails the face condition, and its check maps the
-    # boundary vertices and face samples in one call, where the error
-    # comes after the meshes are built
+    # boundary vertices in one call, where the error comes after the
+    # meshes are built
     fb, bad = collapse_batch(realize(2)), shrink_map(2, 0.9)
     calls = []
 
@@ -980,16 +978,15 @@ def test_certifying_check_builds_no_lattice(no_scan, no_lattice, no_whole_mesh, 
     # the benchmark's grids, and n = 3 at 0.1 and 0.05, whose whole meshes
     # hold 1,752,048 and 13,122,000 simplices (over MAX_MESH_SIMPLICES),
     # their boundary meshes 41,616 and 291,600: every node is covered, the
-    # report counts them in closed form, and the map is given only rows on
-    # the boundary of P, the boundary vertices and then the face samples.
-    # Each case takes under 1 s, the nine under 10 s
+    # report counts them in closed form, and the map is given exactly the
+    # boundary vertices, in mesh order.  Each case takes under 1 s, the
+    # nine under 10 s
     start = time.perf_counter()
     fb = collapse_batch(realize(n))
-    rows = []
+    seen = []
 
     def f(pts):
-        rows.append(len(pts))
-        assert _tight(pts).all()
+        seen.append(pts.copy())
         return fb(pts)
 
     rep = check_face_mapping_surjectivity(f, n, grid_step)
@@ -997,8 +994,8 @@ def test_certifying_check_builds_no_lattice(no_scan, no_lattice, no_whole_mesh, 
     assert rep.ok and rep.grid_points == rep.covered == count == math.comb(k + n, n)
     assert rep.uncovered_witness is None and not rep.face_violations
     rim = _mesh(n, grid_step, boundary=True)
-    assert rep.samples_used == len(rim.points)
-    assert sum(rows) == len(rim.points) + len(coverage._face_samples(n, 0)[0])
+    assert rep.samples_used == len(rim.points) and _tight(rim.points).all()
+    assert np.array_equal(np.concatenate(seen), rim.points)
     assert rep.mesh_step == rim.step <= grid_step
     assert time.perf_counter() - start < 1.0
 
@@ -1009,21 +1006,20 @@ def test_certifying_check_builds_no_lattice(no_scan, no_lattice, no_whole_mesh, 
 )
 def test_failing_check_maps_only_the_boundary(no_whole_mesh, n, grid_step, witness):
     # the benchmark's shrink at n = 2 and the shrink at n = 3 on its
-    # finest grid: f sees only rows on the boundary of P, the boundary
-    # vertices and then the face samples, as when a check certifies, and
-    # the winding number gives the oracle's count and the witness the
-    # located nodes always gave
+    # finest grid: f sees exactly the boundary vertices, in mesh order, as
+    # when a check certifies, and the winding number gives the oracle's
+    # count and the witness the located nodes always gave
     fb, bad = collapse_batch(realize(n)), shrink_map(n, 0.9)
-    rows = []
+    seen = []
 
     def f(pts):
-        rows.append(len(pts))
-        assert _tight(pts).all()
+        seen.append(pts.copy())
         return bad(fb(pts))
 
     rep = check_face_mapping_surjectivity(f, n, grid_step)
     rim = _mesh(n, grid_step, boundary=True)
-    assert sum(rows) == len(rim.points) + len(coverage._face_samples(n, 0)[0])
+    assert _tight(rim.points).all()
+    assert np.array_equal(np.concatenate(seen), rim.points)
     assert rep.samples_used == len(rim.points) and rep.mesh_step == rim.step
     ref = shrink_coverage_reference(n, grid_step, 0.9)
     k, count = _grid_nodes(n, grid_step)
@@ -1137,29 +1133,43 @@ def _scan(chart, n, grid_step):
     return coverage._winding(blocks, k)[at], coverage._on_image(blocks, k)[at]
 
 
-def _scan_against_degree(n, grid_step, chart):
-    """Check the scan of the boundary rows of a chart of the whole mesh's
-    images against the oracle's degree over every simplex of the whole
-    mesh, at every grid node off the image of the boundary and clear of
-    the image simplices.  The chart is first moved by a small generic
-    offset: the collapse's image simplices have the grid nodes on their
-    faces, where the oracle cannot count.  Returns the degrees compared."""
-    chart = chart + 1e-3 * np.array([0.31, 0.53, 0.17])[:n]
+def _degrees(n, grid_step, chart):
+    """The scan of the boundary rows of a chart of the whole mesh's
+    images, and the oracle's degree over every simplex of the whole mesh,
+    at every grid node in grid order: the winding numbers, whether each
+    node lies on the image of the boundary, and the degrees, None where a
+    node is not clear of the image simplices."""
     mesh = _mesh(n, grid_step)
     winding, on = _scan(chart[mesh.face >= 0], n, grid_step)
     corners = mesh.points[:, :n][mesh.simplices]
     orientation = np.sign(np.linalg.det(corners[:, 1:] - corners[:, :1]))
     nodes = 1.0 + grid_step * coverage._simplex_lattice(n, coverage._grid_divisions(n, grid_step))
-    # each node is given the simplices whose boxes hold it, all the
-    # oracle reads, so that it gathers no others
+    # each node is given the simplices whose boxes, widened as the oracle
+    # widens them, hold it: all the oracle reads, so that it gathers no
+    # others
     images = chart[mesh.simplices]
-    low, high = images.min(axis=1), images.max(axis=1)
+    pad = 1e-6 * np.abs(images).max(axis=(1, 2))[:, None]
+    low, high = images.min(axis=1) - pad, images.max(axis=1) + pad
     degrees = []
     for p in nodes:
         boxed = ((low <= p) & (high >= p)).all(axis=1)
         degrees.append(degree_reference(chart, mesh.simplices[boxed], orientation[boxed], p))
+    return winding, on, degrees
+
+
+def _scan_against_degree(n, grid_step, chart):
+    """Check the scan of the boundary rows of a chart of the whole mesh's
+    images against the oracle's degree over every simplex of the whole
+    mesh (_degrees), at every grid node off the image of the boundary and
+    clear of the image simplices, and that the oracle calls no node on
+    that image clear.  The chart is first moved by a small generic
+    offset: the collapse's image simplices have the grid nodes on their
+    faces, where the oracle cannot count.  Returns the degrees compared."""
+    chart = chart + 1e-3 * np.array([0.31, 0.53, 0.17])[:n]
+    winding, on, degrees = _degrees(n, grid_step, chart)
+    assert all(d is None for d, o in zip(degrees, on) if o)
     compared = np.array([d is not None for d in degrees]) & ~on
-    assert compared.sum() > len(nodes) / 3, compared.sum()
+    assert compared.sum() > len(degrees) / 3, compared.sum()
     want = [d for d, c in zip(degrees, compared) if c]
     assert winding[compared].tolist() == want
     return want
@@ -1212,6 +1222,25 @@ def test_winding_on_a_folded_chart_matches_the_degree(n, grid_step):
     chart = 1.0 + (total - (n + 1)) * rng.dirichlet(np.ones(n + 1), len(mesh.points))[:, :n]
     degrees = set(_scan_against_degree(n, grid_step, chart))
     assert len(degrees) > 2 and min(degrees) < 0 < max(degrees), degrees
+
+
+def test_degree_reference_calls_no_node_on_the_boundary_image_clear():
+    # shrink_map(2, 0.9) alone, with no offset: 54 nodes lie on the image
+    # of the boundary, 20 of them, such as lattice node (1, 19), within
+    # rounding of the shrunk hexagon's vertex images and outside every
+    # exact bounding box.  Boxes widened by the oracle's clear, relative
+    # to the coordinates, gather them, and the oracle calls none clear
+    n, grid_step = 2, 0.1
+    mesh = _mesh(n, grid_step)
+    chart = shrink_map(n, 0.9)(mesh.points)[:, :n]
+    _, on, degrees = _degrees(n, grid_step, chart)
+    assert on.sum() == 54
+    assert all(d is None for d, o in zip(degrees, on) if o)
+    images = chart[mesh.simplices]
+    low, high = images.min(axis=1), images.max(axis=1)
+    nodes = 1.0 + grid_step * coverage._simplex_lattice(n, coverage._grid_divisions(n, grid_step))
+    unboxed = [not ((low <= p) & (high >= p)).all(axis=1).any() for p in nodes[on]]
+    assert sum(unboxed) == 20
 
 
 def test_a_fold_inside_p_covers_no_node():
@@ -1382,8 +1411,8 @@ def test_coverage_names_the_one_broken_facet(n, facet):
 @pytest.mark.parametrize("n, grid_step", [(2, 0.1), (3, 0.5)])
 def test_coverage_checks_every_boundary_vertex(n, grid_step):
     # the collapse with one boundary vertex of the mesh, inside a facet,
-    # sent 1e-3 off the facet's target: no face sample lands on it, so
-    # only the vertex's own check can name the facet
+    # sent 1e-3 off the facet's target: only the vertex's own check can
+    # name the facet
     rim = _mesh(n, grid_step, boundary=True)
     faces = all_faces(n)
     fb = collapse_batch(realize(n))
@@ -1408,32 +1437,6 @@ def test_coverage_checks_every_boundary_vertex(n, grid_step):
         assert rep.face_violations[0].point == tuple(vertex.tolist())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
-def test_face_samples_are_per_face_dirichlet_draws(n, seed):
-    # the check maps the boundary vertices of its mesh, then, face by face
-    # in all_faces order, FACE_SAMPLES Dirichlet(1, ..., 1) points of the
-    # face's vertices and the vertices themselves, all from
-    # default_rng(seed)
-    mapped = []
-    fb = collapse_batch(realize(n))
-
-    def f(pts):
-        mapped.append(pts.copy())
-        return fb(pts)
-
-    check_face_mapping_surjectivity(f, n, 0.5, seed=seed)
-    rng = np.random.default_rng(seed)
-    want = []
-    for ns in all_faces(n):
-        fv = np.array(realize(n).vertices_of_face(ns), dtype=float)
-        want += [rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES) @ fv, fv]
-    want = np.concatenate(want)
-    points = np.concatenate(mapped)
-    assert np.array_equal(points[: -len(want)], _mesh(n, 0.5, boundary=True).points)
-    assert np.array_equal(points[-len(want) :], want)
-
-
 def _shrunk_collapse(n, factor):
     fb, shrink = collapse_batch(realize(n)), shrink_map(n, factor)
     return lambda pts: shrink(fb(pts))
@@ -1453,37 +1456,26 @@ def _shrunk_collapse(n, factor):
     ids=["shrink1", "shrink2", "grow2", "shrink3", "bump2", "bump3-13", "bump3-2"],
 )
 def test_face_violations_follow_checked_order(n, grid_step, make):
-    # the oracle: every checked row in checked order, the seeded samples
-    # and face vertices face by face first, then the boundary vertices of
-    # the mesh, each against the coordinates its least face pins; for each
-    # face in all_faces order, the first row off its target. These maps
-    # break the condition at samples and at boundary vertices of the same
-    # face, so the order decides which row is named
-    f, seed = make(), 5
-    faces = all_faces(n)
-    rng = np.random.default_rng(seed)
-    points, owner = [], []
-    for index, ns in enumerate(faces):
-        fv = np.array(realize(n).vertices_of_face(ns), dtype=float)
-        points += [rng.dirichlet(np.ones(len(fv)), size=FACE_SAMPLES) @ fv, fv]
-        owner += [index] * (FACE_SAMPLES + len(fv))
-    first_vertex = len(owner)
+    # the oracle: the boundary vertices of the mesh in mesh order, each
+    # against the coordinates its least face pins; for each face in
+    # all_faces order, the first vertex off its target.  These maps break
+    # the condition at several vertices of a face, so the order decides
+    # which vertex is named
+    f = make()
     rim = _mesh(n, grid_step, boundary=True)
-    points = np.concatenate(points + [rim.points])
-    owner = np.array(owner + rim.face.tolist())
-    images = f(points)
-    want, both = [], 0
-    for index, ns in enumerate(faces):
+    images = f(rim.points)
+    want, several = [], False
+    for index, ns in enumerate(all_faces(n)):
         pinned = [i - 1 for i in ns.chain[-1]]
-        rows = np.flatnonzero(owner == index)
+        rows = np.flatnonzero(rim.face == index)
         bad = [r for r in rows if (np.abs(images[r, pinned] - 1.0) > FACE_TOL).any()]
         if bad:
-            point, image = tuple(points[bad[0]].tolist()), tuple(images[bad[0]].tolist())
+            point, image = tuple(rim.points[bad[0]].tolist()), tuple(images[bad[0]].tolist())
             want.append(coverage.FaceViolation(ns, point, image))
-            both += bad[0] < first_vertex <= bad[-1]
-    rep = check_face_mapping_surjectivity(f, n, grid_step, seed=seed)
+            several |= len(bad) > 1
+    rep = check_face_mapping_surjectivity(f, n, grid_step)
     assert rep.face_violations == tuple(want)
-    assert n == 1 or both
+    assert n == 1 or several
 
 
 @pytest.mark.parametrize("n, grid_step", [(1, 0.1), (2, 0.1), (2, 0.02), (3, 0.5), (3, 0.25)])
@@ -1511,17 +1503,16 @@ def test_distinct_rows_match_np_unique_on_random_rows(seed):
         assert np.array_equal(coverage._distinct_rows(a), np.unique(a, axis=0)), rows
 
 
-def test_coverage_seed_moves_only_the_face_samples():
+def test_coverage_seed_moves_nothing():
+    # seed is still accepted, and selects nothing: the shrink's failing
+    # report and the collapse's passing one are the same for every seed
     fb = collapse_batch(realize(2))
     bad = shrink_map(2, 0.9)
-    reports = [
-        check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), 2, 0.05, seed=seed)
-        for seed in (0, 1)
-    ]
-    first, second = (dataclasses.replace(r, face_violations=()) for r in reports)
-    assert first == second
-    points = [[v.point for v in r.face_violations] for r in reports]
-    assert points[0] != points[1]
+    for f in (lambda pts: bad(fb(pts)), fb):
+        reports = [
+            check_face_mapping_surjectivity(f, 2, 0.05, seed=seed) for seed in (0, 1, 2**31 - 1)
+        ]
+        assert all(r == reports[0] and repr(r) == repr(reports[0]) for r in reports)
 
 
 def _with_cpus(monkeypatch, count):
@@ -1559,7 +1550,7 @@ def test_coverage_parts_under_fast_thread_switching(monkeypatch):
 def test_coverage_worker_error_reaches_caller_and_no_thread_is_left(monkeypatch, cpus):
     # the check maps on the calling thread, whatever the CPU count; the
     # shrink fails, and the error comes in its one call, which maps the
-    # boundary vertices and face samples
+    # boundary vertices
     _with_cpus(monkeypatch, cpus)
     fb = collapse_batch(realize(2))
     before = threading.active_count()
@@ -1683,18 +1674,6 @@ def test_coverage_parts_never_pass_a_lone_row(n, grid_step):
 
     check_face_mapping_surjectivity(f, n, grid_step)
     assert min(sizes) >= 2 and max(sizes) <= SLAB_ROWS
-
-
-def test_map_rows_maps_a_lone_row_as_two():
-    blocks = []
-
-    def f(pts):
-        blocks.append(pts.copy())
-        return pts + 1.0
-
-    out = _map_rows(f, np.array([[1.0, 2.0, 3.0]]))
-    assert out.tolist() == [[2.0, 3.0, 4.0]]
-    assert [b.tolist() for b in blocks] == [[[1.0, 2.0, 3.0]] * 2]
 
 
 @pytest.mark.parametrize(
