@@ -8,8 +8,9 @@ integer-built mesh of the boundary of P_n, and maps only its vertices.
 A passing check claims that every continuous map into the simplex's
 plane with those boundary values is onto the simplex but for a thin
 band along its boundary; a failing one names the grid nodes every such
-map covers, by the winding number of the boundary values around each:
-see check_face_mapping_surjectivity for what it proves.  Importing
+map covers, by the winding number of the boundary values around each,
+counted from crossings signed by one rule at every n (_crossings): see
+check_face_mapping_surjectivity for what it proves.  Importing
 ``periodmap`` or running a command other than ``permutahedron export
 --format off`` never loads this module.
 """
@@ -397,8 +398,8 @@ class _Mesh:
     The mesh is kept factored, as its flags times one reference
     subdivision: simplex j of flag i has the vertices inverse[i,
     pieces[j]].  One mesh serves every check at its n and k (_mesh), so
-    its arrays are read-only.  simplices and edges expand the factors;
-    the check walks the flags a block at a time (_flag_blocks).
+    its arrays are read-only.  simplices, edges and oriented expand the
+    factors; _longest_edge walks the flags a block at a time.
     """
 
     points: np.ndarray  # (vertices, n+1)
@@ -417,6 +418,30 @@ class _Mesh:
     def edges(self) -> np.ndarray:
         """(edges, 2) vertex indices, each edge once per flag holding it."""
         return self.inverse[:, self.reference_edges].reshape(-1, 2)
+
+    @functools.cached_property
+    def oriented(self) -> tuple[np.ndarray, np.ndarray]:
+        """Of a boundary mesh, worked out once and kept read-only: the
+        simplices, each with its vertex indices sorted, in column form (n,
+        simplices), and their facing, the sign of det(v_1 - c, ..., v_n -
+        c) over their sorted vertices less P's centre c, in the chart of
+        the first n coordinates.  The cone from c over a simplex is its
+        flag's affine image of the cone over its piece, so facing[f, j] =
+        facing[f, 0] facing[0, j] facing[0, 0] before the sort, which
+        multiplies it by sign(u_j - u_i) over the index pairs i < j."""
+        n = self.pieces.shape[1]
+        domain = self.points[:, :n].T - (n + 2) / 2.0
+        first, pieces = (
+            np.sign(_det(np.take(domain, vertices.T, axis=1)))
+            for vertices in (self.inverse[:, self.pieces[0]], self.inverse[0][self.pieces])
+        )
+        simplices = self.simplices
+        facing = np.outer(first * first[0], pieces).ravel()
+        for i, j in itertools.combinations(range(n), 2):
+            facing *= np.sign(simplices[:, j] - simplices[:, i])
+        ordered = np.stack(_sorted_columns(simplices))
+        ordered.flags.writeable = facing.flags.writeable = False
+        return ordered, facing
 
 
 @functools.cache
@@ -550,21 +575,16 @@ def _grid_divisions(n: int, step: float) -> int:
     return k
 
 
-def _flag_blocks(mesh: _Mesh, reference: np.ndarray):
-    """Slices of the flags that walk the mesh a block at a time: as many
-    flags as hold at most SLAB_ROWS reference rows (pieces or edges), and
-    at least one; under the budgets no boundary mesh's flag holds more."""
-    per_block = max(1, SLAB_ROWS // max(1, len(reference)))
-    for start in range(0, len(mesh.inverse), per_block):
-        yield slice(start, start + per_block)
-
-
 def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
     """The longest of the mesh's edges with the given end points, 0.0
-    when it has none, taken per flag block to the reference points, then
-    to each edge's ends (np.take: several times faster than indexing)."""
+    when it has none, taken a block of flags at a time, as many as hold
+    at most SLAB_ROWS reference edges and at least one, to the reference
+    points, then to each edge's ends (np.take: several times faster than
+    indexing)."""
     longest, ends = 0.0, mesh.reference_edges
-    for flags in _flag_blocks(mesh, ends):
+    per_block = max(1, SLAB_ROWS // max(1, len(ends)))
+    for start in range(0, len(mesh.inverse), per_block):
+        flags = slice(start, start + per_block)
         per_point = np.take(points, mesh.inverse[flags].T, axis=0)  # (reference points, flags, w)
         d = np.take(per_point, ends[:, 0], axis=0)
         d -= np.take(per_point, ends[:, 1], axis=0)
@@ -620,65 +640,47 @@ def _box_pairs(low: np.ndarray, high: np.ndarray):
         yield owner, points
 
 
+def _det(m):
+    """The determinant of a square matrix given as rows, each entry a
+    number or an array over a batch, 1 when empty: cofactor expansion
+    down the first column, added in row order, so that integers give the
+    exact integer and the same float entries the same bits."""
+    total = 1
+    for r, row in enumerate(m):
+        term = row[0] * _det([other[1:] for other in (*m[:r], *m[r + 1 :])])
+        total = term if r == 0 else total - term if r % 2 else total + term
+    return total
+
+
 def _rim_blocks(xs: np.ndarray, rim: _Mesh):
-    """The boundary mesh's simplices a flag block at a time
-    (_flag_blocks): their vertex indices (simplices, n), their corners
-    from xs (n, vertices) in column form (n, n, simplices), and their
-    facing, the sign of det(v_1 - c, ..., v_n - c) over their vertices
-    less P's centre c, in the chart of the first n coordinates.  The
-    cone from c over a simplex is its flag's affine image of the cone
-    over its piece, so facing[f, j] = facing[f, 0] facing[0, j]
-    facing[0, 0]."""
-    n = len(xs)
-    domain = rim.points[:, :n] - (n + 2) / 2.0
-
-    first, pieces = (
-        np.sign(np.linalg.det(np.take(domain, vertices, axis=0)))
-        for vertices in (rim.inverse[:, rim.pieces[0]], rim.inverse[0][rim.pieces])
-    )
-    facing = np.outer(first * first[0], pieces)
-    for flags in _flag_blocks(rim, rim.pieces):
-        simplices = rim.inverse[flags][:, rim.pieces].reshape(-1, n)
-        yield simplices, np.take(xs, simplices.T, axis=1), facing[flags].ravel()
+    """The boundary mesh's simplices (_Mesh.oriented) in runs of at most
+    SLAB_ROWS: their corners from xs (n, vertices) in column form (n, n,
+    simplices) and their facing.  The corners come in sorted vertex
+    order, so _crossings reads a shared facet alike in both simplices."""
+    simplices, facing = rim.oriented
+    for start in range(0, len(facing), SLAB_ROWS):
+        block = slice(start, start + SLAB_ROWS)
+        yield np.take(xs, simplices[:, block], axis=1), facing[block]
 
 
-def _edge_signs(corners: np.ndarray, ids: np.ndarray, p: np.ndarray):
-    """For triangles of the plane, by corners in column form (2, 3, m)
-    and the corners' mesh indices (m, 3), and a point p each (2, m),
-    det(a - p, b - p) on each edge a -> b, (3, m), and its sign at p +
-    (e, e^2) for an infinitesimal e > 0: taken with the edge's
-    lower-indexed end first and negated for a triangle walking it the
-    other way, so two triangles read one float value; where that is 0,
-    the exact sign of a_y - b_y, then of b_x - a_x, decides, and only a
-    = b gives 0."""
-    dets = np.empty((3, corners.shape[2]))
-    out = np.empty(dets.shape, dtype=np.int8)
-    for i in range(3):
-        j = (i + 1) % 3
-        flip = ids[:, i] > ids[:, j]
-        a = np.where(flip, corners[:, j], corners[:, i])
-        b = np.where(flip, corners[:, i], corners[:, j])
-        det = (a[0] - p[0]) * (b[1] - p[1]) - (a[1] - p[1]) * (b[0] - p[0])
-        sign = np.sign(det)
-        for tie in (a[1] - b[1], b[0] - a[0]):
-            np.copyto(sign, np.sign(tie), where=sign == 0)
-        out[i], dets[i] = np.where(flip, -sign, sign), np.where(flip, -det, det)
-    return out, dets
-
-
-def _crossings(simplices: np.ndarray, corners: np.ndarray, facing: np.ndarray, k: int):
+def _crossings(corners: np.ndarray, facing: np.ndarray, k: int):
     """The signed crossings of a block's image simplices (_rim_blocks, in
     lattice coordinates) with the grid's lattice lines: each crossing's
     line (the mixed radix of its first n - 1 coordinates p), height (its
-    last coordinate) and sign.
+    last coordinate) and sign, by one rule at every n.
 
-    The line, moved to p + (e, e^2, ...) for an infinitesimal e > 0,
-    crosses a simplex at n = 1 always, at n = 2 when one end a of the
-    edge has a_0 <= p_0 and the other not (the half-open rule), and at
-    n = 3 when the triangle's three edge signs agree (_edge_signs); two
-    simplices decide a shared face alike.  The sign is the facing times
-    that of det(w_1 - y, ..., w_n - y) for y below the crossing, (-1)^(n
-    + 1) times the orientation of the projected images w_i.
+    Over the corners' projections w_j to the first n - 1 coordinates,
+    corner i weighs c_i = (-1)^(n-1-i) det(w_j - p : j != i) (_det), its
+    cofactor in the matrix of the columns w_j - p over a row of ones.
+    The line crosses where the c_i agree in sign, at their weighted mean
+    height, with the facing times their sign: that of det(w_1 - y, ...,
+    w_n - y) for y below the crossing.  The line is moved to p + (e, e^2,
+    ...) for an infinitesimal e > 0 (Edelsbrunner and Muecke's Simulation
+    of Simplicity): a c_i of 0 takes the sign of minus its determinant
+    with row a replaced by ones, for the first a = 1, ..., n - 1 where
+    that is not 0, the leading term of det(w_j - p - (e, e^2, ...)).  Two
+    simplices list a shared facet's corners alike, sorted, and so decide
+    it alike.
     """
     n = len(corners)
     # a line crosses only within the projection's box
@@ -688,21 +690,27 @@ def _crossings(simplices: np.ndarray, corners: np.ndarray, facing: np.ndarray, k
     out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     for owner, p in _box_pairs(low, high):
         w = np.take(corners, owner, axis=2)  # (n, n, pairs)
-        if n == 1:
-            height, turn = w[0, 0], 1
-        elif n == 2:
-            (a, b), (ya, yb) = w
-            height = ya + (p[0] - a) * ((yb - ya) / (b - a))
-            turn = np.where(b > a, -1, 1)
-        else:
-            edges, dets = _edge_signs(w[:2], np.take(simplices, owner, axis=0), p)
-            hit = (edges[0] == edges[1]) & (edges[1] == edges[2])
-            owner, p, w, turn = owner[hit], p[:, hit], w[:, :, hit], edges[0, hit]
-            weight = dets[[1, 2, 0]][:, hit]  # each corner's is its opposite edge's
-            total = functools.reduce(np.add, weight)
-            total[total == 0] = 1.0
-            height = functools.reduce(np.add, weight * w[2]) / total
-        out.append((radix @ p, height, np.take(facing, owner) * turn))
+        rel = w[: n - 1] - p[:, None]
+        weight, sign = np.empty((2, n, len(owner)))
+        for i in range(n):
+            facet, parity = rel[:, [j for j in range(n) if j != i]], (-1) ** (n - 1 - i)
+            weight[i] = parity * _det(facet)
+            np.sign(weight[i], out=sign[i])
+            tied = np.flatnonzero(sign[i] == 0)
+            for a in range(n - 1):
+                if not len(tied):
+                    break
+                ones = np.take(facet, tied, axis=2)
+                ones[a] = 1.0
+                sign[i, tied] = -parity * np.sign(_det(ones))
+                tied = tied[sign[i, tied] == 0]
+        hit = np.flatnonzero(functools.reduce(np.logical_and, sign[1:] == sign[0], sign[0] != 0))
+        weight = np.take(weight, hit, axis=1)
+        total = functools.reduce(np.add, weight)
+        total[total == 0] = 1.0
+        height = functools.reduce(np.add, weight * np.take(w[n - 1], hit, axis=1)) / total
+        turn = np.take(facing, np.take(owner, hit)) * np.take(sign[0], hit)
+        out.append((radix @ np.take(p, hit, axis=1), height, turn))
     return [np.concatenate(part) for part in zip(*out)]
 
 
@@ -720,7 +728,7 @@ def _winding(blocks: list, k: int) -> np.ndarray:
     crossings = [_crossings(*block, k) for block in blocks]
     line, height, sign = (np.concatenate(part) for part in zip(*crossings))
     slot = line * (k + 2) + np.clip(np.ceil(height), 0, k + 1).astype(np.int64)
-    tally = np.bincount(slot, sign, minlength=(k + 1) ** (len(blocks[0][1]) - 1) * (k + 2))
+    tally = np.bincount(slot, sign, minlength=(k + 1) ** (len(blocks[0][0]) - 1) * (k + 2))
     tally = tally.reshape(-1, k + 2)[:, :0:-1]  # the slots past each point, last first
     return np.rint(np.cumsum(tally, axis=1)[:, ::-1]).astype(np.int64).reshape(-1)
 
@@ -731,7 +739,7 @@ def _on_image(blocks: list, k: int) -> np.ndarray:
     not, of the blocks (_rim_blocks, in lattice coordinates), each tried
     on the points of its box widened by LOCATE_TOL: a triangle's distance
     is the least over its edges, or to its plane over the triangle."""
-    n = len(blocks[0][1])
+    n = len(blocks[0][0])
     on = np.zeros((k + 1) ** n, dtype=bool)
     dot = functools.partial(np.einsum, "i...,i...->...")
 
@@ -741,7 +749,7 @@ def _on_image(blocks: list, k: int) -> np.ndarray:
         t = np.clip(dot(ap, ab) / np.where(length > 0, length, 1.0), 0.0, 1.0)
         return dot(ap - t * ab, ap - t * ab)
 
-    for _, corners, _ in blocks:
+    for corners, _ in blocks:
         low = np.clip(np.ceil(corners.min(axis=1) - LOCATE_TOL), 0, k + 1).astype(np.int64)
         high = np.clip(np.floor(corners.max(axis=1) + LOCATE_TOL), -1, k).astype(np.int64)
         for owner, point in _box_pairs(low, high):
@@ -932,20 +940,6 @@ def _face_violations(
     )
 
 
-def _distinct_rows(a: np.ndarray) -> np.ndarray:
-    """The distinct rows of a float array, sorted with column 0 first:
-    the array np.unique(a, axis=0) returns, from one np.lexsort and a
-    compare of each sorted row with the one before it, column by column.
-    np.unique sorts a structured view of the rows, several times
-    slower."""
-    rows = a[np.lexsort(a.T[::-1])]
-    fresh = np.zeros(len(rows), dtype=bool)
-    fresh[:1] = True
-    for column in rows.T:
-        fresh[1:] |= column[1:] != column[:-1]
-    return rows[fresh]
-
-
 def _gaps(
     covered_at: np.ndarray, images: np.ndarray, points: np.ndarray, k: int, step: float
 ) -> np.ndarray:
@@ -961,8 +955,7 @@ def _gaps(
     is at most 2/sqrt(3) times the straight distance."""
     n = images.shape[1] - 1
     unit = math.sqrt(2) * step
-    targets = _distinct_rows(images)
-    seeds = np.clip(np.rint((targets[:, :n] - 1.0) / step), 0, k).astype(np.int64)
+    seeds = np.clip(np.rint((images[:, :n] - 1.0) / step), 0, k).astype(np.int64)
     seeded = 1.0 + step * np.column_stack([seeds, k - _row_sums(seeds)])
     cost = np.where(covered_at, 0.0, np.inf)
     for chart, at in enumerate(points):
@@ -970,7 +963,7 @@ def _gaps(
         flat = cube.reshape(-1)
         if not chart:
             radix = (k + 1) ** np.arange(n - 1, -1, -1)
-            np.minimum.at(flat, seeds @ radix, np.sqrt(_row_sums((seeded - targets) ** 2)))
+            np.minimum.at(flat, seeds @ radix, np.sqrt(_row_sums((seeded - images) ** 2)))
         flat[at] = np.minimum(np.take(flat, at), cost)
         for axis in range(n):
             ramp = unit * np.arange(k + 1).reshape([-1 if a == axis else 1 for a in range(n)])

@@ -1,9 +1,10 @@
 """Every name a library or test module imports is used in that module,
 only ``errors`` tests an argument's int or real type, only ``bilinear``
 asks whether a form has signature (1, n), only ``bilinear`` pairs
-vectors one pair at a time, only ``bilinear`` reads a split, and no
+vectors one pair at a time, only ``bilinear`` reads a split, no
 library code draws random numbers but the two functions that take a
-caller's ``random.Random``.
+caller's ``random.Random``, and none takes a determinant from
+``np.linalg.det``.
 
 The library's ``__init__.py`` is skipped by the import check: its
 imports are the package's exports.
@@ -277,3 +278,38 @@ _DRAWS_FROM_A_CALLERS_RNG = {
 def test_library_draws_no_random_numbers(path):
     exempt = _DRAWS_FROM_A_CALLERS_RNG.get(path.name)
     assert random_draws(path.read_text(), exempt) == []
+
+
+def lapack_determinants(source: str) -> list[int]:
+    """Lines that take a determinant from numpy's LAPACK routine: a read
+    of ``<module>.linalg.det`` or ``linalg.det``, or an import of det
+    from numpy.linalg.  The coverage scan reads every sign from one
+    cofactor expansion, ``coverage._det``, whose ties are broken alike
+    at every n."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "det":
+            owner = node.value
+            if getattr(owner, "attr", None) == "linalg" or getattr(owner, "id", None) == "linalg":
+                found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(alias.name == "det" for alias in node.names):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_sees_lapack_determinants():
+    source = (
+        "s = np.sign(np.linalg.det(m))\n"
+        "from numpy.linalg import det, solve\n"
+        "d = numpy.linalg.det(a) + linalg.det(b)\n"
+        "x = np.linalg.solve(a, b) + np.linalg.norm(a)\n"
+        "d = _det(m) + bilinear.det(m) + self.det + linalg.slogdet(a)\n"
+        "from numpy.linalg import solve\n"
+    )
+    assert lapack_determinants(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_takes_no_lapack_determinant(path):
+    assert lapack_determinants(path.read_text()) == []

@@ -43,6 +43,7 @@ from periodmap.permutahedron import (
 )
 
 from oracles import (
+    charpoly_coeffs,
     collapse_reference,
     degree_reference,
     located_reference,
@@ -1165,7 +1166,7 @@ def _scan_against_degree(n, grid_step, chart):
     that image clear.  The chart is first moved by a small generic
     offset: the collapse's image simplices have the grid nodes on their
     faces, where the oracle cannot count.  Returns the degrees compared."""
-    chart = chart + 1e-3 * np.array([0.31, 0.53, 0.17])[:n]
+    chart = chart + 1e-3 * np.array([0.31, 0.53, 0.17, 0.41])[:n]
     winding, on, degrees = _degrees(n, grid_step, chart)
     assert all(d is None for d, o in zip(degrees, on) if o)
     compared = np.array([d is not None for d in degrees]) & ~on
@@ -1198,14 +1199,18 @@ def _shipped(n, name):
         for name in (
             "collapse", "radial+0.3", "radial+0.3*collapse", "shrink0.9", "shrink0.9*collapse"
         )
-    ],
+    ]
+    + [(4, 2.0, "collapse"), (4, 2.0, "shrink0.9*collapse")],
 )
 def test_winding_matches_the_degree_of_shipped_maps(n, grid_step, name):
-    # every shipped map, and at n = 1 and 3 the collapse, the radial
-    # perturbation and the shrink, alone and after the collapse: off the
-    # image of the boundary, the scan's winding number is the degree of
-    # the PL interpolant on the whole mesh, 1 over the onto maps' inner
-    # nodes, 0 past the boundary's image
+    # every shipped map, at n = 1 and 3 the collapse, the radial
+    # perturbation and the shrink, alone and after the collapse, and at
+    # n = 4 on the coarsest mesh (126 nodes) the collapse and the shrink
+    # after it: off the image of the boundary, the scan's winding number
+    # is the degree of the PL interpolant on the whole mesh, 1 over the
+    # onto maps' inner nodes, 0 past the boundary's image.  At n = 4 the
+    # crossings are those of tetrahedra with lattice lines, which the
+    # same sign rule decides as it does edges and triangles
     mapped = _map_rows(_shipped(n, name), _mesh(n, grid_step).points)
     chart = (mapped - ((_row_sums(mapped) - coverage.plane_total(n)) / (n + 1))[:, None])[:, :n]
     assert set(_scan_against_degree(n, grid_step, chart)) == {0, 1}
@@ -1222,6 +1227,71 @@ def test_winding_on_a_folded_chart_matches_the_degree(n, grid_step):
     chart = 1.0 + (total - (n + 1)) * rng.dirichlet(np.ones(n + 1), len(mesh.points))[:, :n]
     degrees = set(_scan_against_degree(n, grid_step, chart))
     assert len(degrees) > 2 and min(degrees) < 0 < max(degrees), degrees
+
+
+def _exact_det(rows):
+    """The determinant of an integer matrix, from the oracle's
+    characteristic polynomial."""
+    return (-1) ** len(rows) * charpoly_coeffs(rows)[-1]
+
+
+def _hand_crossings(image, domain, simplices, k):
+    """The scan's crossings (_crossings) of hand-built image simplices,
+    given as vertex labels into image and domain (vertices, n), with each
+    simplex's corners listed in label order, as _rim_blocks lists them,
+    and its facing the exact orientation of its projected domain
+    simplex: in the domain every crossing counts +1."""
+    corners, facing = [], []
+    for simplex in simplices:
+        simplex = sorted(simplex)
+        corners.append(image[simplex].T)
+        facing.append(np.sign(_exact_det([[*domain[v][:-1], 1] for v in simplex])))
+    return coverage._crossings(np.stack(corners, axis=2), np.array(facing, dtype=float), k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_line_through_a_shared_facet_crosses_once_unless_it_folds(n):
+    # two image simplices share a facet whose projection holds the
+    # lattice point p in its relative interior, so that the facet's own
+    # weight is 0 in both and the tie rule decides.  With the apexes on
+    # opposite sides, the line up p crosses exactly one; folded, with
+    # both apexes on one side and the facings of the unfolded domain, it
+    # crosses both with opposite signs or neither.  The first trial's
+    # facet is axis-parallel, so that its first tie determinant is 0 too.
+    # Vertex labels are shuffled, so the shared facet sits at different
+    # corners of the two simplices
+    rng = np.random.default_rng(n)
+    k = 10
+    p = np.full(n - 1, 5)
+    line = (k + 1) ** np.arange(n - 2, -1, -1) @ p
+    folds = set()
+    for trial in range(60):
+        d = rng.integers(-3, 4, (n - 2, n - 1)) if trial else 2 * np.eye(n - 1, dtype=int)[: n - 2]
+        u = rng.integers(-3, 4, n - 1)
+        facet = np.vstack([p + d, p - d.sum(axis=0)])  # mean p
+        heights = rng.integers(0, k + 1, n + 2)[:, None]
+        apexes = np.array([p + u, p - u, p + 2 * u])  # a, b across, b folded
+        points = np.hstack([np.vstack([facet, apexes]), heights])
+        label = rng.permutation(n + 2)
+        labelled = np.empty_like(points)
+        labelled[label] = points
+        simplices = [[*label[: n - 1], label[n - 1 + j]] for j in range(3)]
+        if _exact_det([[*labelled[v][:-1], 1] for v in simplices[0]]) == 0:
+            continue  # a flat simplex: the facet or the apex is degenerate
+        unfolded = labelled.copy()
+        unfolded[label[n + 1]] = labelled[label[n]]
+        image = labelled.astype(float)
+        lines, _, signs = _hand_crossings(image, unfolded, simplices[:2], k)
+        assert signs[lines == line].tolist() == [1.0], trial
+        lines, _, signs = _hand_crossings(image, unfolded, simplices[::2], k)
+        here = sorted(signs[lines == line].tolist())
+        assert here in ([], [-1.0, 1.0]), trial
+        folds.add(len(here))
+    assert folds == {0, 2}
+    for size in range(5):
+        for _ in range(20):
+            m = rng.integers(-9, 10, (size, size)).tolist()
+            assert coverage._det(m) == _exact_det(m)
 
 
 def test_degree_reference_calls_no_node_on_the_boundary_image_clear():
@@ -1478,31 +1548,6 @@ def test_face_violations_follow_checked_order(n, grid_step, make):
     assert n == 1 or several
 
 
-@pytest.mark.parametrize("n, grid_step", [(1, 0.1), (2, 0.1), (2, 0.02), (3, 0.5), (3, 0.25)])
-def test_distinct_rows_match_np_unique_on_boundary_images(n, grid_step):
-    # the collapse sends whole patches of the boundary to one point, so
-    # its images of the boundary mesh repeat many rows
-    images = collapse_batch(realize(n))(_mesh(n, grid_step, boundary=True).points)
-    want = np.unique(images, axis=0)
-    assert n == 1 or len(want) < len(images)
-    assert np.array_equal(coverage._distinct_rows(images), want)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_distinct_rows_match_np_unique_on_random_rows(seed):
-    # rows drawn with repeats from a few values per column, so that sorted
-    # neighbours often agree in their leading columns and differ later,
-    # and from random floats
-    rng = np.random.default_rng(seed)
-    width = 2 + seed % 3
-    few = 1.0 + rng.integers(0, 3, size=(60, width)) / 2.0
-    spread = 1.0 + rng.random((20, width))
-    pool = np.concatenate([few, spread])
-    for rows in (0, 1, 2, 500):
-        a = pool[rng.integers(0, len(pool), size=rows)]
-        assert np.array_equal(coverage._distinct_rows(a), np.unique(a, axis=0)), rows
-
-
 def test_coverage_seed_moves_nothing():
     # seed is still accepted, and selects nothing: the shrink's failing
     # report and the collapse's passing one are the same for every seed
@@ -1755,7 +1800,8 @@ def test_export_off_is_pinned(n):
 
 def test_coverage_walks_one_flag_in_slabs(monkeypatch):
     # a small SLAB_ROWS puts one flag of the boundary mesh in each block
-    # of _flag_blocks, and every block size must give the same report
+    # of _longest_edge and 16 simplices in each run of _rim_blocks, and
+    # every block size must give the same report
     fb = collapse_batch(realize(2))
     bad = shrink_map(2, 0.9)
     maps = [fb, lambda pts: bad(fb(pts))]
