@@ -647,7 +647,7 @@ def _det(m):
     exact integer and the same float entries the same bits."""
     total = 1
     for r, row in enumerate(m):
-        term = row[0] * _det([other[1:] for other in (*m[:r], *m[r + 1 :])])
+        term = row[0] * _det([o[1:] for o in (*m[:r], *m[r + 1 :])]) if len(m) > 1 else row[0]
         total = term if r == 0 else total - term if r % 2 else total + term
     return total
 
@@ -735,36 +735,36 @@ def _winding(blocks: list, k: int) -> np.ndarray:
 
 def _on_image(blocks: list, k: int) -> np.ndarray:
     """Which points of the cube of (k+1)**n lattice points, by mixed
-    radix, lie within LOCATE_TOL grid steps of an image simplex, flat or
-    not, of the blocks (_rim_blocks, in lattice coordinates), each tried
-    on the points of its box widened by LOCATE_TOL: a triangle's distance
-    is the least over its edges, or to its plane over the triangle."""
+    radix, lie within LOCATE_TOL grid steps of an image simplex of the
+    blocks (_rim_blocks, in lattice coordinates), each tried on the points
+    of its box widened by LOCATE_TOL, by one rule at every n: the least
+    distance to a face's foot a_0 + sum l_i (a_i - a_0), over the faces
+    from a corner (its own foot) to the whole simplex, each l_i det by
+    Cramer's rule on the Gram matrix of the a_i - a_0 (_det), where the
+    foot counts: det > 0, every l_i >= 0 and sum l_i <= 1.  A counted foot
+    is a point of the simplex; a flat face is measured by its smaller ones."""
     n = len(blocks[0][0])
     on = np.zeros((k + 1) ** n, dtype=bool)
-    dot = functools.partial(np.einsum, "i...,i...->...")
-
-    def to_segment(p, a, b):
-        ab, ap = b - a, p - a
-        length = dot(ab, ab)
-        t = np.clip(dot(ap, ab) / np.where(length > 0, length, 1.0), 0.0, 1.0)
-        return dot(ap - t * ab, ap - t * ab)
-
+    dot, radix = functools.partial(np.einsum, "i...,i...->..."), (k + 1) ** np.arange(n - 1, -1, -1)
+    faces = [c for size in range(2, n + 1) for c in itertools.combinations(range(n), size)]
     for corners, _ in blocks:
         low = np.clip(np.ceil(corners.min(axis=1) - LOCATE_TOL), 0, k + 1).astype(np.int64)
         high = np.clip(np.floor(corners.max(axis=1) + LOCATE_TOL), -1, k).astype(np.int64)
         for owner, point in _box_pairs(low, high):
-            w, p = np.take(corners, owner, axis=2), point.astype(float)
-            ends = itertools.combinations(range(n), 2) if n > 1 else [(0, 0)]
-            gap = functools.reduce(np.minimum, [to_segment(p, w[:, i], w[:, j]) for i, j in ends])
-            if n == 3:
-                a, b, c = w[:, 0], w[:, 1], w[:, 2]
-                normal = np.cross(b - a, c - a, axis=0)
-                foot_area = dot(normal, normal)  # 0 where the foot falls outside
-                for u, v in ((a, b), (b, c), (c, a)):
-                    foot_area *= dot(np.cross(v - u, p - u, axis=0), normal) >= 0
-                plane = dot(normal, p - a) ** 2 / np.where(foot_area > 0, foot_area, 1.0)
-                gap = np.where(foot_area > 0, np.minimum(gap, plane), gap)
-            on[((k + 1) ** np.arange(n - 1, -1, -1)) @ point[:, gap <= LOCATE_TOL**2]] = True
+            offs = point[:, None] - np.take(corners, owner, axis=2)  # the point less each corner
+            gap = functools.reduce(np.minimum, dot(offs, offs))  # a corner is its own foot
+            for first, *rest in faces:
+                off, sides = offs[:, first], [offs[:, first] - offs[:, j] for j in rest]
+                gram = [[dot(u, v) for v in sides] for u in sides]
+                det = _det(gram)
+                along = [dot(off, u) for u in sides]  # a row for a column: gram is symmetric
+                cramer = [_det([*gram[:i], along, *gram[i + 1 :]]) for i in range(len(sides))]
+                inside = functools.reduce(np.logical_and, [c >= 0 for c in cramer], det > 0)
+                inside &= functools.reduce(np.add, cramer) <= det
+                for c, u in zip(cramer, sides):  # off becomes the point less the foot
+                    off = off - c / np.where(inside, det, 1.0) * u
+                np.minimum(gap, dot(off, off), out=gap, where=inside)
+            on[radix @ np.compress(gap <= LOCATE_TOL**2, point, axis=1)] = True
     return on
 
 
@@ -848,11 +848,11 @@ def check_face_mapping_surjectivity(
     less y, by Hopf's degree theorem, so some such map misses y (Milnor,
     Topology from the Differentiable Viewpoint, 1965, section 7).  So a
     node is covered when d is not 0, from one scan of the grid's lattice
-    lines (_winding), or when it lies within LOCATE_TOL grid steps of
-    the image of the boundary (_on_image).  The witness is the first
-    uncovered node in grid order, and an uncovered node's gap is bounded
-    by a path of grid moves to a covered node or a boundary image
-    (_gaps).
+    lines (_winding), or when it lies within LOCATE_TOL grid steps of a
+    point of an image simplex: its foot in a face's span, by one rule at
+    every n (_on_image).  The witness is the first uncovered node in
+    grid order, and an uncovered node's gap is bounded by a path of grid
+    moves to a covered node or a boundary image (_gaps).
 
     n must be a positive int, grid_step a positive finite real number,
     and seed a non-negative int, or InputError is raised.  An n above 3,

@@ -309,7 +309,9 @@ def bplus1_summary(cfg: SurfaceConfig, ns: NestedSequence) -> ConstraintSet:
 
 def _first_unbounded(cfg: SurfaceConfig) -> list[int] | None:
     """The 1-based indices of the first size-n subset, leaving out v_1,
-    then v_2, ..., whose span is not negative definite, or None."""
+    then v_2, ..., whose span is not negative definite, or None.  Each
+    span is split on its own: the vectors may be fewer than the form's
+    dimension, where simplex_vertex_lines's adjugate test does not hold."""
     k = len(cfg.vectors)
     for out in range(k):
         idx = tuple(i for i in range(k) if i != out)
@@ -335,19 +337,26 @@ def simplex_vertex_lines(cfg: SurfaceConfig) -> list[tuple[Fraction, ...]]:
     many as the ambient dimension, so the pairing matrix P is symmetric
     and invertible and the lines are the dual-basis directions.  Row i
     of adj(P) is a c with P c = det(P) e_i, so line i is c X, turned by
-    the sign of det(P).  In a (1, n) form the line orthogonal to a
-    negative definite hyperplane is positive, so a line needs no test.
+    the sign of det(P), and its norm is c P c^t = det(P) adj(P)_ii.  In
+    a (1, n) form that is positive exactly when hyperplane i, the span
+    of every vector but v_i, is negative definite: its gram determinant
+    adj(P)_ii then has the sign (-1)^n of det(P), where a hyperplane of
+    signature (1, n - 1) has the other sign and a degenerate one 0.  So
+    the first i with det(P) adj(P)_ii <= 0 is refused, and no span is
+    split.
     """
     lorentzian_rank(cfg.form, "simplex_vertex_lines")
-    if len(cfg.vectors) != cfg.form.dim:
+    k = len(cfg.vectors)
+    if k != cfg.form.dim:
         raise PreconditionError(
             "wall simplex needs as many vectors as the ambient dimension"
         )
-    bad = _first_unbounded(cfg)
-    if bad is not None:
-        raise PreconditionError(f"vectors {bad} do not span a negative definite subspace")
     x, p = cfg._pairing
     adj, det = _int_adjugate(p)
+    for out in range(k):
+        if det * adj[out][out] <= 0:
+            bad = [i + 1 for i in range(k) if i != out]
+            raise PreconditionError(f"vectors {bad} do not span a negative definite subspace")
     lines = []
     for c in adj:
         gen = [_dot(c, col) for col in zip(*x)]

@@ -115,13 +115,17 @@ def disk_to_hpoint(d: Sequence[float]) -> HPoint:
 
 
 def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
-    """arccosh of the pairing, with a small clamp for round-off."""
+    """2 arsinh(|p - q| / 2), where |p - q|^2 = -<p - q, p - q> = 2 <p, q>
+    - 2 on the hyperboloid: read from the difference, it is 0 at p = q and
+    keeps its digits near 0, where arccosh <p, q> loses half of them.  A
+    pairing below 1 by more than DISTANCE_CLAMP is refused."""
     c = mink_dot(p.coords, q.coords)
     if c < 1.0 - DISTANCE_CLAMP:
         raise NumericalDomainError(
             f"pairing {c} below 1 beyond tolerance; inputs are not hyperboloid points"
         )
-    return math.acosh(max(c, 1.0))
+    d = [a - b for a, b in zip(p.coords, q.coords)]
+    return 2.0 * math.asinh(0.5 * math.sqrt(max(0.0, -mink_dot(d, d))))
 
 
 def ideal_point_direction(v: Sequence[float]) -> tuple[float, ...]:

@@ -537,10 +537,11 @@ def test_simplex_vertex_lines_are_the_primitive_dual_lines():
             assert math.gcd(*(int(x) for x in gen)) == 1
 
 
-def test_simplex_diagonalizes_each_span_once_and_takes_no_complement(monkeypatch):
-    # k spans, each diagonalized once from its block of the pairing
-    # matrix, and every vertex line read from one adjugate of that
-    # matrix: no kernel is reduced and no orthogonal complement is taken
+def test_simplex_diagonalizes_no_span_and_takes_no_complement(monkeypatch):
+    # every vertex line, and the test that its hyperplane is negative
+    # definite, read from one adjugate of the pairing matrix: no span is
+    # diagonalized, no kernel is reduced and no orthogonal complement is
+    # taken
     calls = {"congruence": 0, "orth_complement": 0, "adjugate": 0, "kernel": 0}
 
     def counting(name, f):
@@ -570,7 +571,7 @@ def test_simplex_diagonalizes_each_span_once_and_takes_no_complement(monkeypatch
         calls.update(congruence=0, orth_complement=0, adjugate=0, kernel=0)
         simplex_vertex_lines(cfg)
         assert calls == {
-            "congruence": len(cfg.vectors), "orth_complement": 0, "adjugate": 1, "kernel": 0
+            "congruence": 0, "orth_complement": 0, "adjugate": 1, "kernel": 0
         }
 
 

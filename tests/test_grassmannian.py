@@ -183,6 +183,26 @@ def test_distance_along_geodesic():
         assert hyperbolic_distance(p, q) == pytest.approx(t, abs=1e-12)
 
 
+def test_distance_keeps_its_digits_near_zero():
+    # d(p, p) is exactly 0 at generic points, where arccosh of the rounded
+    # pairing is not (2.1e-8 at disk point (0.3, 0.1)), and pairs a
+    # geodesic distance t apart, t from 1e-9 to 3, give t to a relative
+    # 1e-5: q = cosh(t) p + sinh(t) u for a unit tangent u at p
+    assert hyperbolic_distance(*[disk_to_hpoint((0.3, 0.1))] * 2) == 0.0
+    rng = random.Random(4)
+    for _ in range(500):
+        r, a = rng.uniform(0.0, 0.6), rng.uniform(0.0, 2 * math.pi)
+        p = disk_to_hpoint((r * math.cos(a), r * math.sin(a)))
+        assert hyperbolic_distance(p, p) == 0.0
+        v = (0.0, rng.uniform(-1, 1), rng.uniform(-1, 1))
+        pull = mink_dot(v, p.coords)
+        v = [x - pull * y for x, y in zip(v, p.coords)]  # tangent: <v, p> = 0
+        u = [x / math.sqrt(-mink_dot(v, v)) for x in v]
+        t = 10 ** rng.uniform(-9, math.log10(3))
+        q = HPoint(tuple(math.cosh(t) * x + math.sinh(t) * y for x, y in zip(p.coords, u)))
+        assert hyperbolic_distance(p, q) == pytest.approx(t, rel=1e-5)
+
+
 def test_distance_triangle_inequality():
     rng = random.Random(11)
     pts = []

@@ -3,8 +3,9 @@ only ``errors`` tests an argument's int or real type, only ``bilinear``
 asks whether a form has signature (1, n), only ``bilinear`` pairs
 vectors one pair at a time, only ``bilinear`` reads a split, no
 library code draws random numbers but the two functions that take a
-caller's ``random.Random``, and none takes a determinant from
-``np.linalg.det``.
+caller's ``random.Random``, none takes a determinant from
+``np.linalg.det``, and the coverage scan's crossings, winding numbers
+and on-image marks do not branch on ``n``.
 
 The library's ``__init__.py`` is skipped by the import check: its
 imports are the package's exports.
@@ -313,3 +314,55 @@ def test_the_scan_sees_lapack_determinants():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_library_takes_no_lapack_determinant(path):
     assert lapack_determinants(path.read_text()) == []
+
+
+def branches_on_n(source: str, names: tuple[str, ...]) -> list[int]:
+    """Lines, inside the functions named names and the functions they
+    hold, of an ``if``, a ``while`` or a conditional expression whose
+    test reads the name ``n``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            for branch in ast.walk(node):
+                if isinstance(branch, (ast.If, ast.While, ast.IfExp)) and any(
+                    isinstance(name, ast.Name) and name.id == "n" for name in ast.walk(branch.test)
+                ):
+                    found.add(branch.lineno)
+    return sorted(found)
+
+
+# the coverage scan's steps, each one rule at every n
+_ONE_RULE_AT_EVERY_N = ("_crossings", "_winding", "_on_image")
+
+
+def test_the_scan_sees_branches_on_n():
+    source = (
+        "def _on_image(blocks, k):\n"
+        "    n = len(blocks)\n"
+        "    if n == 3:\n"
+        "        pass\n"
+        "    ends = pairs if n > 1 else [(0, 0)]\n"
+        "    while k < n:\n"
+        "        k += 1\n"
+        "    if k > 1 and not blocks:\n"
+        "        pass\n"
+        "    rows = [j for j in range(n) if j != k]\n"
+        "def _winding(blocks, k):\n"
+        "    def inner(n):\n"
+        "        if self.n or blocks:\n"
+        "            return n + 1 if k else 0\n"
+        "        elif len(blocks) > n:\n"
+        "            pass\n"
+        "def _gaps(n):\n"
+        "    if n == 2:\n"
+        "        pass\n"
+    )
+    assert branches_on_n(source, _ONE_RULE_AT_EVERY_N) == [3, 5, 6, 15]
+
+
+def test_the_coverage_scan_does_not_branch_on_n():
+    source = (SRC / "coverage.py").read_text()
+    assert branches_on_n(source, _ONE_RULE_AT_EVERY_N) == []
+    tree = ast.parse(source)
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert set(_ONE_RULE_AT_EVERY_N) <= defined

@@ -1294,6 +1294,44 @@ def test_a_line_through_a_shared_facet_crosses_once_unless_it_folds(n):
             assert coverage._det(m) == _exact_det(m)
 
 
+def _marked(simplices, k, shift=0.0):
+    """The lattice points _on_image marks for hand-built image simplices,
+    each a list of n corners in lattice coordinates, all moved by shift,
+    as a set of integer tuples."""
+    corners = np.transpose(np.array(simplices, dtype=float) + shift, (2, 1, 0))  # (n, n, simplices)
+    n = corners.shape[0]
+    on = coverage._on_image([(corners, np.ones(len(simplices)))], k)
+    points = np.unravel_index(np.flatnonzero(on), (k + 1,) * n)
+    return {tuple(int(x) for x in p) for p in zip(*points)}
+
+
+def test_on_image_marks_the_lattice_points_of_hand_built_simplices():
+    # every lattice point of each simplex, and no other, written out by
+    # construction: the inside of a tetrahedron at n = 4 and of a slanted
+    # triangle at n = 3, a flat triangle's segment, a segment at n = 2, a
+    # simplex whose corners coincide at n = 2, 3 and 4, and a point at
+    # n = 1.  Moved off by 1e-12 grid steps, within LOCATE_TOL, each marks
+    # the same points; by 1e-6, none
+    k = 8
+    box = list(itertools.product(range(k + 1), repeat=3))
+    cases = [
+        (
+            [[(0, 0, 0, 2), (6, 0, 0, 2), (0, 6, 0, 2), (0, 0, 6, 2)]],
+            {(x, y, z, 2) for x, y, z in box if x + y + z <= 6},
+        ),
+        ([[(0, 0, 0), (4, 0, 4), (0, 4, 4)]], {(x, y, x + y) for x, y, _ in box if x + y <= 4}),
+        ([[(0, 1, 2), (6, 4, 2), (2, 2, 2)]], {(2 * t, 1 + t, 2) for t in range(4)}),
+        ([[(0, 0), (4, 2)]], {(2 * t, t) for t in range(3)}),
+        *[([[(3, 1, 2, 5)[:n]] * n], {(3, 1, 2, 5)[:n]}) for n in (2, 3, 4)],
+        ([[(5,)], [(0,)]], {(5,), (0,)}),
+    ]
+    assert len(cases[0][1]) == 84
+    for simplices, want in cases:
+        assert _marked(simplices, k) == want
+        assert _marked(simplices, k, 1e-12) == want
+        assert _marked(simplices, k, 1e-6) == set()
+
+
 def test_degree_reference_calls_no_node_on_the_boundary_image_clear():
     # shrink_map(2, 0.9) alone, with no offset: 54 nodes lie on the image
     # of the boundary, 20 of them, such as lattice node (1, 19), within
