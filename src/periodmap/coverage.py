@@ -1,15 +1,15 @@
 """Float half of the permutahedron: batched collapse, test maps, the
 piecewise-linear coverage certificate and the OFF export.
 
-This is the one module of the package that loads numpy; everything it
-builds on (faces, the realization, the exact collapse) is the exact
-``permutahedron`` module.  The certificate runs on floats over an
-integer-built mesh of the boundary of P_n, and maps only its vertices.
-A passing check claims that every continuous map into the simplex's
-plane with those boundary values is onto the simplex but for a thin
-band along its boundary; a failing one names the grid nodes every such
-map covers, by the winding number of the boundary values around each,
-counted from crossings signed by one rule at every n (_crossings): see
+With ``degree``, whose scan it calls, this is the one module of the
+package that loads numpy; all else it builds on (faces, the realization,
+the exact collapse) is the exact ``permutahedron`` module.  The
+certificate runs on floats over an integer-built mesh of the boundary
+of P_n, and maps only its vertices.  A passing check claims that every
+continuous map into the simplex's plane with those boundary values is
+onto the simplex but for a thin band along its boundary; a failing one
+names the grid nodes every such map covers, by the winding number of
+the boundary values around each, which ``degree`` counts: see
 check_face_mapping_surjectivity for what it proves.  Importing
 ``periodmap`` or running a command other than ``permutahedron export
 --format off`` never loads this module.
@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .degree import LOCATE_TOL, SLAB_ROWS, _det, on_image, winding
 from .errors import InputError, NumericalDomainError, ResourceError, check_int, check_real
 from .permutahedron import (
     DAMPING_SLACK,
@@ -41,10 +42,6 @@ from .permutahedron import (
 MAX_GRID_POINTS = 4 * 10**7  # largest grid a coverage check builds
 MAX_MESH_SIMPLICES = 2**21  # largest mesh of P a coverage check builds
 FACE_TOL = 1e-7  # how far an image coordinate the face pins may stray from 1
-SLAB_ROWS = 2**15  # map rows per call, simplices per block of mesh work, scan pairs per run
-# absolute, in grid steps: how far from the image of the boundary of P a
-# grid node may lie and still count as on it, and so covered
-LOCATE_TOL = 1e-9
 # absolute, in grid steps: how far the edge over the grid step may be
 # from an integer for the step to count as dividing the edge
 GRID_SLACK = 1e-9
@@ -408,6 +405,7 @@ class _Mesh:
     pieces: np.ndarray  # (pieces, dimension+1) reference point indices
     reference_edges: np.ndarray  # (reference edges, 2) reference point indices, each edge once
     step: float  # the longest edge, 0.0 when there is none
+    k: int  # the cuts of each flag simplex's edges
 
     @property
     def simplices(self) -> np.ndarray:
@@ -425,21 +423,12 @@ class _Mesh:
         simplices, each with its vertex indices sorted, in column form (n,
         simplices), and their facing, the sign of det(v_1 - c, ..., v_n -
         c) over their sorted vertices less P's centre c, in the chart of
-        the first n coordinates.  The cone from c over a simplex is its
-        flag's affine image of the cone over its piece, so facing[f, j] =
-        facing[f, 0] facing[0, j] facing[0, 0] before the sort, which
-        multiplies it by sign(u_j - u_i) over the index pairs i < j."""
-        n = self.pieces.shape[1]
-        domain = self.points[:, :n].T - (n + 2) / 2.0
-        first, pieces = (
-            np.sign(_det(np.take(domain, vertices.T, axis=1)))
-            for vertices in (self.inverse[:, self.pieces[0]], self.inverse[0][self.pieces])
-        )
-        simplices = self.simplices
-        facing = np.outer(first * first[0], pieces).ravel()
-        for i, j in itertools.combinations(range(n), 2):
-            facing *= np.sign(simplices[:, j] - simplices[:, i])
-        ordered = np.stack(_sorted_columns(simplices))
+        the first n coordinates, taken exactly (_det) on the integers
+        2k(v - c)."""
+        n, k = self.pieces.shape[1], self.k
+        domain = np.rint(self.points[:, :n].T * (2 * k)).astype(np.int64) - (n + 2) * k
+        ordered = np.stack(_sorted_columns(self.simplices))
+        facing = np.sign(_det(np.take(domain, ordered, axis=1)))
         ordered.flags.writeable = facing.flags.writeable = False
         return ordered, facing
 
@@ -513,6 +502,7 @@ def _mesh_of(n: int, k: int, boundary: bool = False) -> _Mesh:
         pieces=pieces,
         reference_edges=edges,
         step=float(np.linalg.norm(moves[kinds] @ bary, axis=-1).max(initial=0.0)) / (2 * k),
+        k=k,
     )
     for field in fields(mesh):
         value = getattr(mesh, field.name)
@@ -615,157 +605,15 @@ def _cube_points(n: int, k: int) -> np.ndarray:
     return out
 
 
-def _box_pairs(low: np.ndarray, high: np.ndarray):
-    """The (box, integer point) pairs of the integer boxes from low to
-    high, in column form (dimension, boxes), in runs of at most
-    SLAB_ROWS: each pair's box and point in column form.  A box with a
-    high below its low holds no point, one of dimension 0 one."""
-    sizes = np.maximum(high - low + 1, 0)
-    counts = functools.reduce(np.multiply, sizes, np.ones(low.shape[1], dtype=np.int64))
-    ends = np.cumsum(counts)
-    starts, total = ends - counts, int(ends[-1]) if len(ends) else 0
-    for start in range(0, total, SLAB_ROWS):
-        stop = min(start + SLAB_ROWS, total)
-        first, last = np.searchsorted(ends, (start, stop - 1), side="right")
-        held = np.minimum(ends[first : last + 1], stop)
-        held -= np.maximum(starts[first : last + 1], start)
-        owner = np.repeat(np.arange(first, last + 1), held)
-        rank = np.arange(start, stop) - np.take(starts, owner)
-        points = np.empty((len(low), stop - start), dtype=np.int64)
-        for d in range(len(low) - 1, 0, -1):
-            rank, points[d] = np.divmod(rank, np.take(sizes[d], owner))
-            points[d] += np.take(low[d], owner)
-        if len(low):
-            points[0] = rank + np.take(low[0], owner)
-        yield owner, points
-
-
-def _det(m):
-    """The determinant of a square matrix given as rows, each entry a
-    number or an array over a batch, 1 when empty: cofactor expansion
-    down the first column, added in row order, so that integers give the
-    exact integer and the same float entries the same bits."""
-    total = 1
-    for r, row in enumerate(m):
-        term = row[0] * _det([o[1:] for o in (*m[:r], *m[r + 1 :])]) if len(m) > 1 else row[0]
-        total = term if r == 0 else total - term if r % 2 else total + term
-    return total
-
-
 def _rim_blocks(xs: np.ndarray, rim: _Mesh):
     """The boundary mesh's simplices (_Mesh.oriented) in runs of at most
     SLAB_ROWS: their corners from xs (n, vertices) in column form (n, n,
     simplices) and their facing.  The corners come in sorted vertex
-    order, so _crossings reads a shared facet alike in both simplices."""
+    order, so the scan reads a shared facet alike in both simplices."""
     simplices, facing = rim.oriented
     for start in range(0, len(facing), SLAB_ROWS):
         block = slice(start, start + SLAB_ROWS)
         yield np.take(xs, simplices[:, block], axis=1), facing[block]
-
-
-def _crossings(corners: np.ndarray, facing: np.ndarray, k: int):
-    """The signed crossings of a block's image simplices (_rim_blocks, in
-    lattice coordinates) with the grid's lattice lines: each crossing's
-    line (the mixed radix of its first n - 1 coordinates p), height (its
-    last coordinate) and sign, by one rule at every n.
-
-    Over the corners' projections w_j to the first n - 1 coordinates,
-    corner i weighs c_i = (-1)^(n-1-i) det(w_j - p : j != i) (_det), its
-    cofactor in the matrix of the columns w_j - p over a row of ones.
-    The line crosses where the c_i agree in sign, at their weighted mean
-    height, with the facing times their sign: that of det(w_1 - y, ...,
-    w_n - y) for y below the crossing.  The line is moved to p + (e, e^2,
-    ...) for an infinitesimal e > 0 (Edelsbrunner and Muecke's Simulation
-    of Simplicity): a c_i of 0 takes the sign of minus its determinant
-    with row a replaced by ones, for the first a = 1, ..., n - 1 where
-    that is not 0, the leading term of det(w_j - p - (e, e^2, ...)).  Two
-    simplices list a shared facet's corners alike, sorted, and so decide
-    it alike.
-    """
-    n = len(corners)
-    # a line crosses only within the projection's box
-    low = np.clip(np.ceil(corners[: n - 1].min(axis=1)), 0, k + 1).astype(np.int64)
-    high = np.clip(np.ceil(corners[: n - 1].max(axis=1)) - 1, -1, k).astype(np.int64)
-    radix = (k + 1) ** np.arange(n - 2, -1, -1)
-    out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
-    for owner, p in _box_pairs(low, high):
-        w = np.take(corners, owner, axis=2)  # (n, n, pairs)
-        rel = w[: n - 1] - p[:, None]
-        weight, sign = np.empty((2, n, len(owner)))
-        for i in range(n):
-            facet, parity = rel[:, [j for j in range(n) if j != i]], (-1) ** (n - 1 - i)
-            weight[i] = parity * _det(facet)
-            np.sign(weight[i], out=sign[i])
-            tied = np.flatnonzero(sign[i] == 0)
-            for a in range(n - 1):
-                if not len(tied):
-                    break
-                ones = np.take(facet, tied, axis=2)
-                ones[a] = 1.0
-                sign[i, tied] = -parity * np.sign(_det(ones))
-                tied = tied[sign[i, tied] == 0]
-        hit = np.flatnonzero(functools.reduce(np.logical_and, sign[1:] == sign[0], sign[0] != 0))
-        weight = np.take(weight, hit, axis=1)
-        total = functools.reduce(np.add, weight)
-        total[total == 0] = 1.0
-        height = functools.reduce(np.add, weight * np.take(w[n - 1], hit, axis=1)) / total
-        turn = np.take(facing, np.take(owner, hit)) * np.take(sign[0], hit)
-        out.append((radix @ np.take(p, hit, axis=1), height, turn))
-    return [np.concatenate(part) for part in zip(*out)]
-
-
-def _winding(blocks: list, k: int) -> np.ndarray:
-    """The winding number of the PL boundary interpolant around each
-    point of the cube of (k+1)**n lattice points, by mixed radix, from
-    the boundary mesh's blocks (_rim_blocks) in lattice coordinates.
-
-    A scan, not a sum of angles: off the image of the boundary it is the
-    signed count of crossings (_crossings) on the ray up the point's
-    lattice line.  A crossing at height h adds its sign to its line's
-    slot ceil(h), clipped to [0, k + 1], the count of points below it,
-    and a point sums its line's slots past it.
-    """
-    crossings = [_crossings(*block, k) for block in blocks]
-    line, height, sign = (np.concatenate(part) for part in zip(*crossings))
-    slot = line * (k + 2) + np.clip(np.ceil(height), 0, k + 1).astype(np.int64)
-    tally = np.bincount(slot, sign, minlength=(k + 1) ** (len(blocks[0][0]) - 1) * (k + 2))
-    tally = tally.reshape(-1, k + 2)[:, :0:-1]  # the slots past each point, last first
-    return np.rint(np.cumsum(tally, axis=1)[:, ::-1]).astype(np.int64).reshape(-1)
-
-
-def _on_image(blocks: list, k: int) -> np.ndarray:
-    """Which points of the cube of (k+1)**n lattice points, by mixed
-    radix, lie within LOCATE_TOL grid steps of an image simplex of the
-    blocks (_rim_blocks, in lattice coordinates), each tried on the points
-    of its box widened by LOCATE_TOL, by one rule at every n: the least
-    distance to a face's foot a_0 + sum l_i (a_i - a_0), over the faces
-    from a corner (its own foot) to the whole simplex, each l_i det by
-    Cramer's rule on the Gram matrix of the a_i - a_0 (_det), where the
-    foot counts: det > 0, every l_i >= 0 and sum l_i <= 1.  A counted foot
-    is a point of the simplex; a flat face is measured by its smaller ones."""
-    n = len(blocks[0][0])
-    on = np.zeros((k + 1) ** n, dtype=bool)
-    dot, radix = functools.partial(np.einsum, "i...,i...->..."), (k + 1) ** np.arange(n - 1, -1, -1)
-    faces = [c for size in range(2, n + 1) for c in itertools.combinations(range(n), size)]
-    for corners, _ in blocks:
-        low = np.clip(np.ceil(corners.min(axis=1) - LOCATE_TOL), 0, k + 1).astype(np.int64)
-        high = np.clip(np.floor(corners.max(axis=1) + LOCATE_TOL), -1, k).astype(np.int64)
-        for owner, point in _box_pairs(low, high):
-            offs = point[:, None] - np.take(corners, owner, axis=2)  # the point less each corner
-            gap = functools.reduce(np.minimum, dot(offs, offs))  # a corner is its own foot
-            for first, *rest in faces:
-                off, sides = offs[:, first], [offs[:, first] - offs[:, j] for j in rest]
-                gram = [[dot(u, v) for v in sides] for u in sides]
-                det = _det(gram)
-                along = [dot(off, u) for u in sides]  # a row for a column: gram is symmetric
-                cramer = [_det([*gram[:i], along, *gram[i + 1 :]]) for i in range(len(sides))]
-                inside = functools.reduce(np.logical_and, [c >= 0 for c in cramer], det > 0)
-                inside &= functools.reduce(np.add, cramer) <= det
-                for c, u in zip(cramer, sides):  # off becomes the point less the foot
-                    off = off - c / np.where(inside, det, 1.0) * u
-                np.minimum(gap, dot(off, off), out=gap, where=inside)
-            on[radix @ np.compress(gap <= LOCATE_TOL**2, point, axis=1)] = True
-    return on
 
 
 def _on_plane(
@@ -822,8 +670,8 @@ def check_face_mapping_surjectivity(
     pins is 1.  Then so does every (1 - t) g + t h, so no boundary point
     meets the open simplex along the way, and g and h have the same
     degree over each of its points: one integer d_n for every such map,
-    and d_n = 1 for n <= 3 (test_collapse_has_degree_one counts the
-    collapse's oriented preimages of points near the centre).  The PL
+    not 0 by induction over facets, d_n = +-d_{n-1} and d_0 = 1
+    (collapse_to_simplex).  The PL
     interpolant of f on the boundary mesh respects the faces when its
     vertices do: a boundary simplex lies in one face F of P, each of its
     vertices has a least face inside F, pinning every coordinate F pins,
@@ -848,9 +696,9 @@ def check_face_mapping_surjectivity(
     less y, by Hopf's degree theorem, so some such map misses y (Milnor,
     Topology from the Differentiable Viewpoint, 1965, section 7).  So a
     node is covered when d is not 0, from one scan of the grid's lattice
-    lines (_winding), or when it lies within LOCATE_TOL grid steps of a
+    lines (degree.winding), or when it lies within LOCATE_TOL grid steps of a
     point of an image simplex: its foot in a face's span, by one rule at
-    every n (_on_image).  The witness is the first uncovered node in
+    every n (degree.on_image).  The witness is the first uncovered node in
     grid order, and an uncovered node's gap is bounded by a path of grid
     moves to a covered node or a boundary image (_gaps).
 
@@ -894,8 +742,8 @@ def check_face_mapping_surjectivity(
     # chart of the first n coordinates
     xs = np.ascontiguousarray((images[:, :n] - shifts[:, None] - 1.0).T / grid_step)
     blocks = list(_rim_blocks(xs, rim))
-    covered_at = _winding(blocks, k) != 0
-    covered_at |= _on_image(blocks, k)
+    covered_at = winding(blocks, k) != 0
+    covered_at |= on_image(blocks, k)
     points = _cube_points(n, k)
     covered_at = np.take(covered_at, points[0])  # the grid's nodes, in grid order
     # a node on the image is within LOCATE_TOL grid steps of it in the

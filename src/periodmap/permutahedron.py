@@ -16,7 +16,8 @@ the nearest point is a sort followed by an isotonic regression
 (pool-adjacent-violators); nothing enumerates coordinate subsets or
 faces outside the face lattice itself.  The float half, the batched
 collapse, the test maps, the coverage certificate and the OFF export,
-is ``coverage``, the one module that loads numpy.
+is ``coverage``, which with the ``degree`` scan it calls is all of
+the package that loads numpy.
 """
 
 from __future__ import annotations
@@ -303,6 +304,12 @@ def collapse_to_simplex(point: Sequence, realization: PermRealization) -> tuple:
     coordinates that include y_i is max(c_k, y_i + c_{k-1}), so the
     tightest slack at coordinate i is the least of those sums minus
     subset_level(k) over k = 1..n: one sort and its prefix sums.
+
+    Its degree d_n is not 0, by induction over facets.  It sends each
+    face F of P_n onto the simplex's face where the coordinates of F's
+    largest subset are 1, so over a point z inside the facet x_i = 1 only
+    P's facet with chain ({i}) reaches z.  That facet is P_{n-1}, and the
+    collapse on it respects its faces, so d_n = +-d_{n-1}; d_0 = 1.
     """
     n1 = realization.n + 1
     x, d = realization._point(point)

@@ -16,8 +16,9 @@ library's sorted-prefix membership test, projection and collapse must
 give identical outputs; and the hyperbolic complement's sequential
 correction loop, whose closed form the library computes.  The coverage
 references at the end use no library code: the shrink of an onto map
-covers the shrunk simplex, and the degree of a piecewise-linear map is
-counted over every simplex in homogeneous coordinates.
+covers the shrunk simplex, the degree of a piecewise-linear map is
+counted over every simplex in homogeneous coordinates, and a
+determinant is taken exactly by Fraction elimination.
 """
 
 import itertools
@@ -664,6 +665,26 @@ def located_reference(chart, simplices, nodes, degenerate, tol):
 # ---------------------------------------------------------------------------
 # degree of a piecewise-linear map over a point
 # ---------------------------------------------------------------------------
+
+
+def det_reference(rows):
+    """The exact determinant of a square matrix of rationals (ints,
+    floats read exactly, or Fractions), 1 when empty: Gaussian
+    elimination in Fraction arithmetic, with a row swap for each zero
+    pivot."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot], det = m[pivot], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
 
 
 def degree_reference(chart, simplices, orientation, point, clear=1e-6, degenerate=1e-6):

@@ -882,6 +882,7 @@ def test_exact_commands_never_load_numpy(tmp_path):
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert periodmap.cli.main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
+        "    assert 'periodmap.degree' not in sys.modules, argv\n"
         "    assert ('periodmap.supremum' in sys.modules) == ('--sup' in argv), argv\n"
         "off = ['permutahedron', 'export', '--n', '3', '--format', 'off', '-o', sys.argv[2]]\n"
         "assert periodmap.cli.main(off) == 0\n"

@@ -5,13 +5,14 @@ vectors one pair at a time, only ``bilinear`` reads a split, no
 library code draws random numbers but the two functions that take a
 caller's ``random.Random``, none takes a determinant from
 ``np.linalg.det``, and the coverage scan's crossings, winding numbers
-and on-image marks do not branch on ``n``.
+and on-image marks live only in ``degree`` and do not branch on ``n``.
 
 The library's ``__init__.py`` is skipped by the import check: its
 imports are the package's exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -285,7 +286,7 @@ def lapack_determinants(source: str) -> list[int]:
     """Lines that take a determinant from numpy's LAPACK routine: a read
     of ``<module>.linalg.det`` or ``linalg.det``, or an import of det
     from numpy.linalg.  The coverage scan reads every sign from one
-    cofactor expansion, ``coverage._det``, whose ties are broken alike
+    cofactor expansion, ``degree._det``, whose ties are broken alike
     at every n."""
     found = set()
     for node in ast.walk(ast.parse(source)):
@@ -331,13 +332,13 @@ def branches_on_n(source: str, names: tuple[str, ...]) -> list[int]:
     return sorted(found)
 
 
-# the coverage scan's steps, each one rule at every n
-_ONE_RULE_AT_EVERY_N = ("_crossings", "_winding", "_on_image")
+# the coverage scan's steps in degree, each one rule at every n
+_ONE_RULE_AT_EVERY_N = ("_weights", "_crossings", "winding", "on_image")
 
 
 def test_the_scan_sees_branches_on_n():
     source = (
-        "def _on_image(blocks, k):\n"
+        "def on_image(blocks, k):\n"
         "    n = len(blocks)\n"
         "    if n == 3:\n"
         "        pass\n"
@@ -347,7 +348,7 @@ def test_the_scan_sees_branches_on_n():
         "    if k > 1 and not blocks:\n"
         "        pass\n"
         "    rows = [j for j in range(n) if j != k]\n"
-        "def _winding(blocks, k):\n"
+        "def winding(blocks, k):\n"
         "    def inner(n):\n"
         "        if self.n or blocks:\n"
         "            return n + 1 if k else 0\n"
@@ -361,8 +362,48 @@ def test_the_scan_sees_branches_on_n():
 
 
 def test_the_coverage_scan_does_not_branch_on_n():
-    source = (SRC / "coverage.py").read_text()
+    source = (SRC / "degree.py").read_text()
     assert branches_on_n(source, _ONE_RULE_AT_EVERY_N) == []
     tree = ast.parse(source)
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert set(_ONE_RULE_AT_EVERY_N) <= defined
+
+
+# the functions of the scan: its determinant, boxes, weights, crossings,
+# winding numbers and on-image marks, public or private
+_SCAN = re.compile(r"_?(det|box_pairs|weights|crossings|winding|on_image)")
+
+
+def scan_definitions(source: str) -> list[str]:
+    """The names of the functions defined in source, at any depth, that
+    are a step of the coverage scan (_SCAN)."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and _SCAN.fullmatch(node.name)
+    )
+
+
+def test_the_scan_sees_scan_definitions():
+    source = (
+        "def _det(m):\n"
+        "    def winding(blocks):\n"
+        "        pass\n"
+        "def _crossings(corners):\n"
+        "    pass\n"
+        "def on_image(blocks, k):\n"
+        "    pass\n"
+        "def _first_crossing(p):\n"
+        "    pass\n"
+        "def determinant(m):\n"
+        "    return _det(m) + _on_plane(m)\n"
+    )
+    assert scan_definitions(source) == ["_crossings", "_det", "on_image", "winding"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_degree_holds_the_scan(path):
+    # coverage builds the blocks and reads the answers; every crossing,
+    # winding number, on-image mark and scan determinant is degree's
+    want = ["_box_pairs", "_crossings", "_det", "_weights", "on_image", "winding"]
+    assert scan_definitions(path.read_text()) == (want if path.name == "degree.py" else [])

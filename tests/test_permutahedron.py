@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from periodmap import coverage, permutahedron
+from periodmap import coverage, degree, permutahedron
 from periodmap.coverage import (
     FACE_TOL,
     GRID_SLACK,
@@ -43,7 +43,6 @@ from periodmap.permutahedron import (
 )
 
 from oracles import (
-    charpoly_coeffs,
     collapse_reference,
     degree_reference,
     located_reference,
@@ -378,6 +377,38 @@ def test_collapse_face_condition_exact():
                 assert img[i - 1] == 1
             assert sum(img) == 6
             assert all(c >= 1 for c in img)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_collapse_sends_every_face_into_its_face_of_the_simplex(n):
+    # step 2 of the facet induction that proves d_n != 0
+    # (collapse_to_simplex): each vertex of a face of P_n, and three
+    # seeded random rational points of it, go into the simplex with the
+    # coordinates of the face's largest subset exactly 1.  Every face at
+    # n <= 4 (3,872 points), a seeded sample of 300 of the 4,682 faces at
+    # n = 5, each n within 1 s
+    start = time.perf_counter()
+    r = realize(n)
+    rng = random.Random(n)
+    faces = all_faces(n)
+    if n == 5:
+        faces = rng.sample(faces, 300)
+    points = 0
+    for ns in faces:
+        fv = r.vertices_of_face(ns)
+        inside = []
+        for _ in range(3):
+            weights = [rng.randint(1, 9) for _ in fv]
+            inside.append(
+                tuple(sum(Fraction(v[i] * w) for v, w in zip(fv, weights)) / sum(weights) for i in range(n + 1))
+            )
+        for y in [*fv, *inside]:
+            image = collapse_to_simplex(y, r)
+            assert sum(image) == r.total and min(image) >= 1, (ns, y)
+            assert all(image[i - 1] == 1 for i in ns.chain[-1]), (ns, y)
+            points += 1
+    assert n == 5 or points == {1: 8, 2: 54, 3: 390, 4: 3420}[n]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_collapse_identity_deep_interior():
@@ -924,7 +955,7 @@ def no_scan(monkeypatch):
     def refuse(*args):
         raise AssertionError("a certifying check scanned the grid")
 
-    for name in ("_cube_points", "_winding", "_on_image", "_gaps"):
+    for name in ("_cube_points", "winding", "on_image", "_gaps"):
         monkeypatch.setattr(coverage, name, refuse)
 
 
@@ -1084,31 +1115,6 @@ def test_coverage_certifies_large_bumps_inside(no_scan, amplitude):
         assert rep.max_gap <= 1e-6
 
 
-def test_failing_check_scans_in_slabs(monkeypatch):
-    # the (simplex, lattice point) pairs of the crossing scan and of the
-    # on-image join come in runs of at most SLAB_ROWS, not all at once.
-    # Every run size gives the same report
-    fb, bad = collapse_batch(realize(2)), shrink_map(2, 0.9)
-
-    def f(pts):
-        return bad(fb(pts))
-
-    want = check_face_mapping_surjectivity(f, 2, 0.05)
-    sizes = []
-    pairs = coverage._box_pairs
-
-    def counting(low, high):
-        for owner, points in pairs(low, high):
-            sizes.append(len(owner))
-            yield owner, points
-
-    monkeypatch.setattr(coverage, "SLAB_ROWS", 64)
-    monkeypatch.setattr(coverage, "_box_pairs", counting)
-    got = check_face_mapping_surjectivity(f, 2, 0.05)
-    assert repr(got) == repr(want) and not want.ok
-    assert len(sizes) > 2 and max(sizes) <= 64
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_failing_check_of_far_images_tries_no_box_beyond_the_grid(n):
     # a boundary image 10**20 grid steps away: every box is clipped to
@@ -1131,7 +1137,7 @@ def _scan(chart, n, grid_step):
     rim = _mesh(n, grid_step, boundary=True)
     blocks = list(coverage._rim_blocks(np.ascontiguousarray((chart - 1.0).T / grid_step), rim))
     at = coverage._cube_points(n, k)[0]
-    return coverage._winding(blocks, k)[at], coverage._on_image(blocks, k)[at]
+    return degree.winding(blocks, k)[at], degree.on_image(blocks, k)[at]
 
 
 def _degrees(n, grid_step, chart):
@@ -1227,109 +1233,6 @@ def test_winding_on_a_folded_chart_matches_the_degree(n, grid_step):
     chart = 1.0 + (total - (n + 1)) * rng.dirichlet(np.ones(n + 1), len(mesh.points))[:, :n]
     degrees = set(_scan_against_degree(n, grid_step, chart))
     assert len(degrees) > 2 and min(degrees) < 0 < max(degrees), degrees
-
-
-def _exact_det(rows):
-    """The determinant of an integer matrix, from the oracle's
-    characteristic polynomial."""
-    return (-1) ** len(rows) * charpoly_coeffs(rows)[-1]
-
-
-def _hand_crossings(image, domain, simplices, k):
-    """The scan's crossings (_crossings) of hand-built image simplices,
-    given as vertex labels into image and domain (vertices, n), with each
-    simplex's corners listed in label order, as _rim_blocks lists them,
-    and its facing the exact orientation of its projected domain
-    simplex: in the domain every crossing counts +1."""
-    corners, facing = [], []
-    for simplex in simplices:
-        simplex = sorted(simplex)
-        corners.append(image[simplex].T)
-        facing.append(np.sign(_exact_det([[*domain[v][:-1], 1] for v in simplex])))
-    return coverage._crossings(np.stack(corners, axis=2), np.array(facing, dtype=float), k)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_a_line_through_a_shared_facet_crosses_once_unless_it_folds(n):
-    # two image simplices share a facet whose projection holds the
-    # lattice point p in its relative interior, so that the facet's own
-    # weight is 0 in both and the tie rule decides.  With the apexes on
-    # opposite sides, the line up p crosses exactly one; folded, with
-    # both apexes on one side and the facings of the unfolded domain, it
-    # crosses both with opposite signs or neither.  The first trial's
-    # facet is axis-parallel, so that its first tie determinant is 0 too.
-    # Vertex labels are shuffled, so the shared facet sits at different
-    # corners of the two simplices
-    rng = np.random.default_rng(n)
-    k = 10
-    p = np.full(n - 1, 5)
-    line = (k + 1) ** np.arange(n - 2, -1, -1) @ p
-    folds = set()
-    for trial in range(60):
-        d = rng.integers(-3, 4, (n - 2, n - 1)) if trial else 2 * np.eye(n - 1, dtype=int)[: n - 2]
-        u = rng.integers(-3, 4, n - 1)
-        facet = np.vstack([p + d, p - d.sum(axis=0)])  # mean p
-        heights = rng.integers(0, k + 1, n + 2)[:, None]
-        apexes = np.array([p + u, p - u, p + 2 * u])  # a, b across, b folded
-        points = np.hstack([np.vstack([facet, apexes]), heights])
-        label = rng.permutation(n + 2)
-        labelled = np.empty_like(points)
-        labelled[label] = points
-        simplices = [[*label[: n - 1], label[n - 1 + j]] for j in range(3)]
-        if _exact_det([[*labelled[v][:-1], 1] for v in simplices[0]]) == 0:
-            continue  # a flat simplex: the facet or the apex is degenerate
-        unfolded = labelled.copy()
-        unfolded[label[n + 1]] = labelled[label[n]]
-        image = labelled.astype(float)
-        lines, _, signs = _hand_crossings(image, unfolded, simplices[:2], k)
-        assert signs[lines == line].tolist() == [1.0], trial
-        lines, _, signs = _hand_crossings(image, unfolded, simplices[::2], k)
-        here = sorted(signs[lines == line].tolist())
-        assert here in ([], [-1.0, 1.0]), trial
-        folds.add(len(here))
-    assert folds == {0, 2}
-    for size in range(5):
-        for _ in range(20):
-            m = rng.integers(-9, 10, (size, size)).tolist()
-            assert coverage._det(m) == _exact_det(m)
-
-
-def _marked(simplices, k, shift=0.0):
-    """The lattice points _on_image marks for hand-built image simplices,
-    each a list of n corners in lattice coordinates, all moved by shift,
-    as a set of integer tuples."""
-    corners = np.transpose(np.array(simplices, dtype=float) + shift, (2, 1, 0))  # (n, n, simplices)
-    n = corners.shape[0]
-    on = coverage._on_image([(corners, np.ones(len(simplices)))], k)
-    points = np.unravel_index(np.flatnonzero(on), (k + 1,) * n)
-    return {tuple(int(x) for x in p) for p in zip(*points)}
-
-
-def test_on_image_marks_the_lattice_points_of_hand_built_simplices():
-    # every lattice point of each simplex, and no other, written out by
-    # construction: the inside of a tetrahedron at n = 4 and of a slanted
-    # triangle at n = 3, a flat triangle's segment, a segment at n = 2, a
-    # simplex whose corners coincide at n = 2, 3 and 4, and a point at
-    # n = 1.  Moved off by 1e-12 grid steps, within LOCATE_TOL, each marks
-    # the same points; by 1e-6, none
-    k = 8
-    box = list(itertools.product(range(k + 1), repeat=3))
-    cases = [
-        (
-            [[(0, 0, 0, 2), (6, 0, 0, 2), (0, 6, 0, 2), (0, 0, 6, 2)]],
-            {(x, y, z, 2) for x, y, z in box if x + y + z <= 6},
-        ),
-        ([[(0, 0, 0), (4, 0, 4), (0, 4, 4)]], {(x, y, x + y) for x, y, _ in box if x + y <= 4}),
-        ([[(0, 1, 2), (6, 4, 2), (2, 2, 2)]], {(2 * t, 1 + t, 2) for t in range(4)}),
-        ([[(0, 0), (4, 2)]], {(2 * t, t) for t in range(3)}),
-        *[([[(3, 1, 2, 5)[:n]] * n], {(3, 1, 2, 5)[:n]}) for n in (2, 3, 4)],
-        ([[(5,)], [(0,)]], {(5,), (0,)}),
-    ]
-    assert len(cases[0][1]) == 84
-    for simplices, want in cases:
-        assert _marked(simplices, k) == want
-        assert _marked(simplices, k, 1e-12) == want
-        assert _marked(simplices, k, 1e-6) == set()
 
 
 def test_degree_reference_calls_no_node_on_the_boundary_image_clear():
