@@ -79,11 +79,15 @@ def _sorted_columns(pts: np.ndarray) -> list[np.ndarray]:
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """The sums of a over its last axis, of a few entries (n or n+1),
-    added left to right one column at a time: the bits of
+    added left to right one column a[..., j] at a time: the bits of
     a.sum(axis=-1), which adds rows this short in the same order, at a
     tenth of its cost (0.03 against 0.36 ms on 30,673 rows of 4, 2-CPU
-    host)."""
-    return functools.reduce(np.add, np.moveaxis(a, -1, 0))
+    host).  The columns are read as views, with no np.moveaxis: that
+    wrapper alone was a fifth of a passing n = 2 check under cProfile."""
+    total = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j]
+    return total
 
 
 def _point_rows(pts: np.ndarray, n: int) -> np.ndarray:
@@ -103,10 +107,11 @@ def collapse_batch(realization: PermRealization) -> Callable[[np.ndarray], np.nd
     The map takes a (k, n+1) array of points (_point_rows), reads it and
     never writes to it, so a read-only array is accepted.  Past the
     prefix sums it works in two arrays of the input's shape, each
-    updated in place, and its row sums are column adds (_row_sums): the
-    same bits as a fresh array for every step and row reductions, in
-    about 40% of the time (0.81 against 1.93 ms on the 20,539 mesh
-    vertices at n = 3, grid 0.25, 2-CPU host).
+    updated in place, its row sums are column adds (_row_sums) and its
+    clip to [0, 1] is np.maximum and np.minimum in place, without
+    np.clip's wrapper: the same bits as a fresh array for every step and
+    row reductions, in about 40% of the time (0.81 against 1.93 ms on
+    the 20,539 mesh vertices at n = 3, grid 0.25, 2-CPU host).
     """
     n1 = realization.n + 1
     eps = float(DAMPING_SLACK)
@@ -124,7 +129,8 @@ def collapse_batch(realization: PermRealization) -> Callable[[np.ndarray], np.nd
             np.minimum(g, least, out=g)
         w = g
         w /= eps
-        np.clip(w, 0.0, 1.0, out=w)
+        np.maximum(w, 0.0, out=w)
+        np.minimum(w, 1.0, out=w)
         pulled = np.subtract(pts, 1.0, out=least)
         pulled *= w
         pulled += 1.0
@@ -145,19 +151,26 @@ def collapse_batch(realization: PermRealization) -> Callable[[np.ndarray], np.nd
 def _exit_time(dirs: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Per row, the t > 0 at which center + t * dirs leaves the simplex:
     the least (1 - c_i) / v_i over the coordinates with v_i < 0, inf
-    when there is none.  Taken column by column with np.minimum."""
+    when there is none.  Taken column by column with np.minimum, each
+    quotient divided only where v_i < 0, so no division is masked and
+    discarded.  The quotients go into one inf-filled buffer: an entry a
+    column leaves alone holds inf or an earlier column's quotient, and t
+    is already no greater than either."""
     t = np.full(len(dirs), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for c, v in zip(center, dirs.T):
-            t = np.minimum(t, np.where(v < 0, (1.0 - c) / v, np.inf))
+    q = np.full(len(dirs), np.inf)
+    for c, v in zip(center, dirs.T):
+        np.divide(1.0 - c, v, out=q, where=v < 0)
+        np.minimum(t, q, out=t)
     return t
 
 
 def _radial_parameter(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """lambda in [0,1]: 0 at the simplex center, 1 on the boundary."""
-    t_star = _exit_time(pts - center, center)
-    lam = np.where(np.isfinite(t_star), 1.0 / t_star, 0.0)
-    return np.clip(lam, 0.0, 1.0)
+    """lambda in [0,1]: 0 at the simplex center, 1 on the boundary.  It
+    is 1 / t* (_exit_time), which is 0 where t* is inf, clipped to [0, 1]
+    without np.clip's wrapper."""
+    lam = np.divide(1.0, _exit_time(pts - center, center))
+    np.maximum(lam, 0.0, out=lam)
+    return np.minimum(lam, 1.0, out=lam)
 
 
 def radial_perturbation(
@@ -396,7 +409,8 @@ class _Mesh:
     subdivision: simplex j of flag i has the vertices inverse[i,
     pieces[j]].  One mesh serves every check at its n and k (_mesh), so
     its arrays are read-only.  simplices, edges and oriented expand the
-    factors; _longest_edge walks the flags a block at a time.
+    factors; _longest_edge walks the flags a block at a time, as many as
+    keep each of its temporaries within SLAB_ROWS floats.
     """
 
     points: np.ndarray  # (vertices, n+1)
@@ -428,7 +442,7 @@ class _Mesh:
         n, k = self.pieces.shape[1], self.k
         domain = np.rint(self.points[:, :n].T * (2 * k)).astype(np.int64) - (n + 2) * k
         ordered = np.stack(_sorted_columns(self.simplices))
-        facing = np.sign(_det(np.take(domain, ordered, axis=1)))
+        facing = np.sign(_det(domain.take(ordered, axis=1)))
         ordered.flags.writeable = facing.flags.writeable = False
         return ordered, facing
 
@@ -567,18 +581,21 @@ def _grid_divisions(n: int, step: float) -> int:
 
 def _longest_edge(points: np.ndarray, mesh: _Mesh) -> float:
     """The longest of the mesh's edges with the given end points, 0.0
-    when it has none, taken a block of flags at a time, as many as hold
-    at most SLAB_ROWS reference edges and at least one, to the reference
-    points, then to each edge's ends (np.take: several times faster than
-    indexing)."""
-    longest, ends = 0.0, mesh.reference_edges
-    per_block = max(1, SLAB_ROWS // max(1, len(ends)))
+    when it has none, taken a block of flags at a time: the points are
+    gathered to the reference points, then to each edge's ends (take:
+    several times faster than indexing).  A block holds as many flags as
+    keep each (edges, flags, w) temporary within SLAB_ROWS floats, and
+    at least one.  A bound on the edges alone would put all 144 flags
+    of n = 3, grid 0.25 in one block, with two 622 KB temporaries whose
+    fresh pages cost more than their arithmetic."""
+    longest, ends, w = 0.0, mesh.reference_edges, points.shape[1]
+    per_block = max(1, SLAB_ROWS // max(1, len(ends) * w))
     for start in range(0, len(mesh.inverse), per_block):
-        flags = slice(start, start + per_block)
-        per_point = np.take(points, mesh.inverse[flags].T, axis=0)  # (reference points, flags, w)
-        d = np.take(per_point, ends[:, 0], axis=0)
-        d -= np.take(per_point, ends[:, 1], axis=0)
-        d = d.reshape(-1, points.shape[1])
+        flags = mesh.inverse[start : start + per_block]
+        per_point = points.take(flags.T, axis=0)  # (reference points, flags, w)
+        d = per_point.take(ends[:, 0], axis=0)
+        d -= per_point.take(ends[:, 1], axis=0)
+        d = d.reshape(-1, w)
         longest = max(longest, float(np.einsum("ij,ij->i", d, d).max(initial=0.0)))
     return math.sqrt(longest)
 
@@ -613,7 +630,7 @@ def _rim_blocks(xs: np.ndarray, rim: _Mesh):
     simplices, facing = rim.oriented
     for start in range(0, len(facing), SLAB_ROWS):
         block = slice(start, start + SLAB_ROWS)
-        yield np.take(xs, simplices[:, block], axis=1), facing[block]
+        yield xs.take(simplices[:, block], axis=1), facing[block]
 
 
 def _on_plane(
@@ -745,7 +762,7 @@ def check_face_mapping_surjectivity(
     covered_at = winding(blocks, k) != 0
     covered_at |= on_image(blocks, k)
     points = _cube_points(n, k)
-    covered_at = np.take(covered_at, points[0])  # the grid's nodes, in grid order
+    covered_at = covered_at.take(points[0])  # the grid's nodes, in grid order
     # a node on the image is within LOCATE_TOL grid steps of it in the
     # chart, and so within sqrt(n + 1) times that on the plane
     max_gap = (drift + LOCATE_TOL * grid_step) * math.sqrt(n + 1)
@@ -755,7 +772,7 @@ def check_face_mapping_surjectivity(
         node = np.unravel_index(points[0, uncovered[0]], (k + 1,) * n)
         witness = tuple((1.0 + grid_step * np.array([*node, k - sum(node)])).tolist())
         gaps = _gaps(covered_at, images, points, k, grid_step)
-        max_gap += float(np.take(gaps, uncovered).max())
+        max_gap += float(gaps.take(uncovered).max())
     return replace(
         report, covered=nodes - len(uncovered), uncovered_witness=witness, max_gap=max_gap
     )
@@ -773,11 +790,11 @@ def _face_violations(
     coordinate the face pins (_faces) more than FACE_TOL from 1.
 
     The condition is tested over the whole array, with the pins gathered
-    once for every row (np.take, several times faster here than fancy
+    once for every row (take, several times faster here than fancy
     indexing); np.unique then picks each face's first offending row.
     """
     off = np.abs(images - 1.0) > FACE_TOL
-    off &= np.take(pins, owners, axis=0)
+    off &= pins.take(owners, axis=0)
     rows = np.flatnonzero(functools.reduce(np.logical_or, off.T))
     if not len(rows):
         return ()
@@ -812,14 +829,14 @@ def _gaps(
         if not chart:
             radix = (k + 1) ** np.arange(n - 1, -1, -1)
             np.minimum.at(flat, seeds @ radix, np.sqrt(_row_sums((seeded - images) ** 2)))
-        flat[at] = np.minimum(np.take(flat, at), cost)
+        flat[at] = np.minimum(flat.take(at), cost)
         for axis in range(n):
             ramp = unit * np.arange(k + 1).reshape([-1 if a == axis else 1 for a in range(n)])
             back = (slice(None),) * axis + (slice(None, None, -1),)
             above = np.minimum.accumulate((cube + ramp)[back], axis=axis)[back] - ramp
             below = np.minimum.accumulate(cube - ramp, axis=axis) + ramp
             np.minimum(below, above, out=cube)
-        cost = np.take(flat, at)
+        cost = flat.take(at)
     return cost
 
 

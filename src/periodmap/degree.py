@@ -21,7 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-SLAB_ROWS = 2**15  # map rows per call, simplices per block of mesh work, scan pairs per run
+# map rows per call, floats per _longest_edge temporary, simplices per run
+# of the rim scan, scan pairs per run
+SLAB_ROWS = 2**15
 LOCATE_TOL = 1e-9  # grid steps: how far off the image a float point may lie and be on it
 
 

@@ -33,6 +33,11 @@ from .errors import DomainError, InputError, ResourceError, check_int, check_rea
 
 DAMPING_SLACK = Fraction(1, 4)  # slack scale below which coordinates are pulled in
 MAX_FACE_N = 7  # largest n whose faces are enumerated: n = 8 has 7,087,260
+# absolute, in coordinates: how far outside the enclosing simplex a
+# projection's input, or outside P a collapse's input, may lie and still
+# be read as inside, so that a float input rounded just off the boundary
+# is accepted
+INPUT_TOL = Fraction(1, 10**9)
 
 
 def subset_level(k: int) -> int:
@@ -265,8 +270,9 @@ def closest_point_map(point: Sequence, realization: PermRealization) -> tuple:
     """
     n1 = realization.n + 1
     x, d = realization._point(point)
-    # in the enclosing simplex up to 1e-9, the test scaled by d
-    if abs(sum(x) - realization.total * d) * 10**9 > d or (min(x) - d) * 10**9 < -d:
+    # in the enclosing simplex up to INPUT_TOL, the test scaled by d
+    t, u = INPUT_TOL.numerator * d, INPUT_TOL.denominator
+    if abs(sum(x) - realization.total * d) * u > t or (min(x) - d) * u < -t:
         raise DomainError("point must lie in the enclosing simplex")
 
     order = sorted(range(n1), key=x.__getitem__, reverse=True)
@@ -313,7 +319,7 @@ def collapse_to_simplex(point: Sequence, realization: PermRealization) -> tuple:
     """
     n1 = realization.n + 1
     x, d = realization._point(point)
-    low = realization._least_sums(x, d, Fraction(1, 10**9))  # low[k] = c_k d
+    low = realization._least_sums(x, d, INPUT_TOL)  # low[k] = c_k d
     if low is None:
         raise DomainError("collapse input must lie in the permutahedron")
     full = DAMPING_SLACK.numerator * d  # y = x / d, and each weight is an integer over full

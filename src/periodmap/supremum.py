@@ -50,6 +50,21 @@ CERT_RADIUS = 1e-3  # the certified neighbourhood reaches no farther
 CERT_SPLIT = 2  # each face of the certified cube starts as CERT_SPLIT^(n-1) cells
 CERT_SCALE = CERT_SPLIT * 2**20  # chart steps per cube half-side: 20 halvings of a cell
 MAX_CERT_CELLS = 1024  # exact evaluations one certificate may spend
+# absolute, in conf: a grid point replaces the best only by beating it by
+# more, so of two tied grid points the walk keeps the first
+GRID_TIE = 1e-15
+# relative to the largest entry: a pivot no larger makes the ascent's
+# Gaussian elimination call its system singular (Wolfe's corral dependent)
+PIVOT_TOL = 1e-13
+# relative to the largest squared norm: Wolfe's least-norm point is optimal
+# once no point lowers the inner product with it by more
+WOLFE_TOL = 1e-12
+# absolute, of weights summing to 1: a corral point whose weight is no
+# larger leaves the corral
+CORRAL_FLOOR = 1e-14
+# relative, in y = e^(2t): a root this near 1 is the tie at t = 0 of two
+# norms that both rise, not a crossing
+CROSSING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -241,7 +256,7 @@ def _grid_start(obj: _DiskObjective, step: float) -> tuple[tuple[float, ...], fl
                 seen.add(w)
                 known.append(obj.line(w))
         val = math.sqrt(val_sq)
-        if val > best_val + 1e-15:
+        if val > best_val + GRID_TIE:
             best_val, best_pt = val, pt
     return best_pt, best_val
 
@@ -271,7 +286,7 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float] | None:
     """Gaussian elimination with partial pivoting; None when near singular."""
     k = len(a)
     rows = [list(r) + [v] for r, v in zip(a, b)]
-    tiny = 1e-13 * max(abs(x) for r in a for x in r)
+    tiny = PIVOT_TOL * max(abs(x) for r in a for x in r)
     for c in range(k):
         p = max(range(c, k), key=lambda i: abs(rows[i][c]))
         if not abs(rows[p][c]) > tiny:
@@ -296,7 +311,7 @@ def _min_norm(points: list[list[float]]) -> tuple[list[float], list[float]]:
     leaves the hull.
     """
     k, dim = len(points), len(points[0])
-    eps = 1e-12 * max(_dot(p, p) for p in points)
+    eps = WOLFE_TOL * max(_dot(p, p) for p in points)
     first = min(range(k), key=lambda i: _dot(points[i], points[i]))
     sup, lam = [first], [1.0]
     x = list(points[first])
@@ -319,7 +334,7 @@ def _min_norm(points: list[list[float]]) -> tuple[list[float], list[float]]:
                 break
             theta = min(l / (l - u) for l, u in zip(lam, mu) if u <= 0.0)
             lam = [l + theta * (u - l) for l, u in zip(lam, mu)]
-            keep = [i for i, l in enumerate(lam) if l > 1e-14]
+            keep = [i for i, l in enumerate(lam) if l > CORRAL_FLOOR]
             sup, lam = [sup[i] for i in keep], [lam[i] for i in keep]
         if mu is None:  # affinely dependent: keep the corral before j
             sup, lam = saved
@@ -347,7 +362,7 @@ def _first_crossing(p: float, r: float, c: float, tmax: float) -> float:
         roots = [q / a] + ([e / q] if q else [])
     ymax = math.exp(2.0 * tmax)
     # a root at t = 0 is a tie of norms that both rise: no crossing
-    ys = [y for y in roots if 1.0 + 1e-12 < y < ymax]
+    ys = [y for y in roots if 1.0 + CROSSING_TOL < y < ymax]
     return 0.5 * math.log(min(ys)) if ys else tmax
 
 

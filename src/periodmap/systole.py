@@ -43,6 +43,11 @@ from .errors import (
 )
 from .grassmannian import HPoint
 
+# relative to the norm, absolute below 1: a float norm this near the least
+# one found ties with it, so a float search keeps every vector within
+# rounding of its minimum (exact norms tie only when equal)
+SHORTEST_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class PeriodPoint:
@@ -252,7 +257,7 @@ def _lll(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     return u, g
 
 
-def _shortest(m, seed, slack=1e-9):
+def _shortest(m, seed, slack=SHORTEST_SLACK):
     """Minimum of w^t m w over nonzero integer w, and its minimizers.
 
     Fincke-Pohst enumeration (Cohen, A Course in Computational Algebraic

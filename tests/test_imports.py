@@ -4,8 +4,10 @@ asks whether a form has signature (1, n), only ``bilinear`` pairs
 vectors one pair at a time, only ``bilinear`` reads a split, no
 library code draws random numbers but the two functions that take a
 caller's ``random.Random``, none takes a determinant from
-``np.linalg.det``, and the coverage scan's crossings, winding numbers
-and on-image marks live only in ``degree`` and do not branch on ``n``.
+``np.linalg.det``, the coverage scan's crossings, winding numbers and
+on-image marks live only in ``degree`` and do not branch on ``n``, no
+library code masks a floating-point error with ``np.errstate``, and
+every float tolerance below 1e-6 is a named module constant.
 
 The library's ``__init__.py`` is skipped by the import check: its
 imports are the package's exports.
@@ -407,3 +409,83 @@ def test_only_degree_holds_the_scan(path):
     # winding number, on-image mark and scan determinant is degree's
     want = ["_box_pairs", "_crossings", "_det", "_weights", "on_image", "winding"]
     assert scan_definitions(path.read_text()) == (want if path.name == "degree.py" else [])
+
+
+def errstate_uses(source: str) -> list[int]:
+    """Lines that read ``errstate``: a name or attribute of that name, or
+    an import of it.  A float pass under ``np.errstate`` computes values
+    whose errors it masks and then discards them; the library divides
+    only where it keeps the quotient (``np.divide(..., where=...)``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "errstate"
+            or isinstance(node, ast.Name) and node.id == "errstate"
+            or isinstance(node, ast.ImportFrom) and any(a.name == "errstate" for a in node.names)
+        ):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_sees_errstate():
+    source = (
+        "with np.errstate(divide='ignore'):\n"
+        "    q = a / b\n"
+        "from numpy import errstate, divide\n"
+        "with errstate(all='raise'):\n"
+        "    pass\n"
+        "np.divide(a, b, out=q, where=b < 0)\n"
+        "state = np.geterr()\n"
+        "errstate_ok = 'np.errstate'\n"
+    )
+    assert errstate_uses(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_masks_no_float_error(path):
+    assert errstate_uses(path.read_text()) == []
+
+
+def bare_tolerances(source: str) -> list[int]:
+    """Lines of a float literal above 0 and below 1e-6 outside a
+    module-level assignment to upper-case names: a tolerance that is not
+    named once, at the top of its module, with its scale and the claim
+    it guards."""
+    tree = ast.parse(source)
+    named = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if all(isinstance(t, ast.Name) and t.id.isupper() for t in targets):
+                named |= {id(n) for n in ast.walk(node)}
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) is float
+            and 0.0 < node.value < 1e-6
+            and id(node) not in named
+        }
+    )
+
+
+def test_the_scan_sees_bare_tolerances():
+    source = (
+        "TOL = 1e-9\n"
+        "SCALED: float = 2.5e-12 * 4\n"
+        "def f(x, slack=1e-9):\n"
+        "    return x > 1e-15 and x < 1e-6 and x != 0.0 and -3e-7 < x\n"
+        "class A:\n"
+        "    EPS = 1e-10\n"
+        "tol = 1e-8\n"
+        "BIG, SMALL = 1e-5, 10**-9\n"
+        "S = f('1e-9', 7)\n"
+        "y = x + TOL * 1e-3\n"
+    )
+    assert bare_tolerances(source) == [3, 4, 6, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_names_every_small_tolerance(path):
+    assert bare_tolerances(path.read_text()) == []

@@ -37,6 +37,7 @@ from periodmap.permutahedron import (
     enumerate_faces,
     export_json,
     face_counts,
+    plane_total,
     proper_subsets,
     realize,
     subset_level,
@@ -532,13 +533,29 @@ def test_collapse_batch_is_bit_equal_to_the_rowwise_formula(n, step):
         assert np.array_equal(collapse_batch(r)(pts), _collapse_rowwise(r, pts))
 
 
+def _reference_exit_time(dirs, center):
+    """coverage._exit_time as first written: np.where over a division
+    whose errors are masked."""
+    t = np.full(len(dirs), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, v in zip(center, dirs.T):
+            t = np.minimum(t, np.where(v < 0, (1.0 - c) / v, np.inf))
+    return t
+
+
+def _reference_radial_parameter(pts, center):
+    """coverage._radial_parameter as first written, with np.where and np.clip."""
+    t_star = _reference_exit_time(pts - center, center)
+    return np.clip(np.where(np.isfinite(t_star), 1.0 / t_star, 0.0), 0.0, 1.0)
+
+
 def _twist_rowwise(angle, pts):
-    """twist_perturbation(2, angle) with np.linalg.norm's row norms and
-    the rows gathered twice, as first written."""
+    """twist_perturbation(2, angle) with np.linalg.norm's row norms, the
+    rows gathered twice and the exit times above, as first written."""
     center = np.full(3, coverage.plane_total(2) / 3.0)
     basis = coverage._hyperplane_basis(2)
     v = pts - center
-    lam = coverage._radial_parameter(pts, center)
+    lam = _reference_radial_parameter(pts, center)
     uv = v @ basis.T
     theta = angle * (1.0 - lam)
     cos, sin = np.cos(theta), np.sin(theta)
@@ -549,7 +566,7 @@ def _twist_rowwise(angle, pts):
     out = np.tile(center, (len(pts), 1))
     nz = np.linalg.norm(new_dir, axis=1) > 1e-14
     unit = new_dir[nz] / np.linalg.norm(new_dir[nz], axis=1, keepdims=True)
-    out[nz] = center + (lam[nz] * coverage._exit_time(unit, center))[:, None] * unit
+    out[nz] = center + (lam[nz] * _reference_exit_time(unit, center))[:, None] * unit
     return out
 
 
@@ -1752,3 +1769,85 @@ def test_coverage_walks_one_flag_in_slabs(monkeypatch):
     got = [check_face_mapping_surjectivity(f, 2, 0.05) for f in maps]
     assert [repr(r) for r in got] == [repr(r) for r in want]
     assert want[0].ok and not want[1].ok
+
+
+@pytest.mark.parametrize("slab", [64, 5, 1000])
+def test_longest_edge_blocks_hold_at_most_slab_rows_floats(monkeypatch, slab):
+    # SLAB_ROWS bounds the floats of each _longest_edge temporary: one
+    # flag's edges hold 87 to 540 floats here, so at 64 and 5 every block
+    # is one flag (the floor of one flag a block), and at 1000 the n = 2
+    # and n = 3, grid 0.5 meshes end in a partial block of flags.  Every
+    # passing report must be the default's, and the image edge the
+    # longest over the expanded mesh's edges.
+    fb2, fb3 = collapse_batch(realize(2)), collapse_batch(realize(3))
+    radial = radial_perturbation(2, 0.3)
+    cases = [
+        (2, 0.05, fb2),
+        (2, 0.05, lambda pts: radial(fb2(pts))),
+        (3, 0.5, fb3),
+        (3, 0.25, fb3),
+    ]
+    want = [check_face_mapping_surjectivity(f, n, step) for n, step, f in cases]
+    for (n, step, f), report in zip(cases, want):
+        rim = _mesh(n, step, boundary=True)
+        images = _map_rows(f, rim.points)
+        d = images[rim.edges[:, 0]] - images[rim.edges[:, 1]]
+        assert report.ok
+        assert report.image_edge == math.sqrt(np.einsum("ij,ij->i", d, d).max())
+    monkeypatch.setattr(coverage, "SLAB_ROWS", slab)
+    got = [check_face_mapping_surjectivity(f, n, step) for n, step, f in cases]
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def _reference_map(n, name, value):
+    """The named map by the formulas it was first written with: row
+    reductions, np.clip, and np.where over a masked division."""
+    center = np.full(n + 1, plane_total(n) / (n + 1))
+    if name == "collapse":
+        return lambda pts: _collapse_rowwise(realize(n), pts)
+    if name == "twist":
+        return lambda pts: _twist_rowwise(value, pts)
+    if name == "radial":
+        return lambda pts: center + (
+            1.0 + value * (1.0 - _reference_radial_parameter(pts, center))
+        )[:, None] * (pts - center)
+    return lambda pts: center + value * (pts - center)
+
+
+_MAPS_UNDER_TEST = [
+    *[(n, "collapse", None, lambda n=n: collapse_batch(realize(n))) for n in (1, 2, 3)],
+    *[
+        (n, "radial", c, lambda n=n, c=c: radial_perturbation(n, c))
+        for n in (1, 2, 3)
+        for c in (0.3, -0.3)
+    ],
+    (2, "twist", 0.7, lambda: twist_perturbation(2, 0.7)),
+    (2, "twist", -0.5, lambda: twist_perturbation(2, -0.5)),
+    *[(n, "shrink", 0.9, lambda n=n: shrink_map(n, 0.9)) for n in (1, 2, 3)],
+]
+
+
+@pytest.mark.parametrize(
+    "n, name, value, make",
+    _MAPS_UNDER_TEST,
+    ids=[f"{name}{'' if v is None else f'{v:+}'}-n{n}" for n, name, v, _ in _MAPS_UNDER_TEST],
+)
+def test_maps_keep_their_bits_and_raise_nothing(n, name, value, make):
+    # the boundary mesh's vertices, the centre (a zero direction from it)
+    # and 200 seeded points of P; the simplex maps also get the collapse's
+    # images of them, which lie on the simplex's boundary.  Under
+    # errstate(all="raise") any masked division would raise.
+    verts = np.array(realize(n).vertices, dtype=float)
+    pts = np.concatenate(
+        [
+            _mesh(n, 0.1 if n < 3 else 0.5, boundary=True).points,
+            np.full((1, n + 1), (n + 2) / 2),
+            np.random.default_rng(47).dirichlet(np.ones(len(verts)), size=200) @ verts,
+        ]
+    )
+    if name != "collapse":
+        pts = np.concatenate([pts, _reference_map(n, "collapse", None)(pts)])
+    want = _reference_map(n, name, value)(pts)
+    with np.errstate(all="raise"):
+        got = make()(pts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
