@@ -12,6 +12,7 @@ input (bad flags, unreadable files, inconsistent data shapes).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -30,14 +31,12 @@ from .errors import (
     DomainError,
     InconsistentDataError,
     InputError,
-    NumericalDomainError,
     PreconditionError,
     ResourceError,
     check_real,
 )
 from .face_constraints import (
     SurfaceConfig,
-    _num_str,
     constraint_for_face,
     preset,
     simplex_vertex_lines,
@@ -55,7 +54,6 @@ from .systole import conf_systole, period_point
 
 _USER_ERRORS = (
     DomainError,
-    NumericalDomainError,
     PreconditionError,
     InconsistentDataError,
     ResourceError,
@@ -229,29 +227,16 @@ def _cmd_systole(args) -> int:
         check_cs_grid(lorentzian_rank(form, "cs_supremum"), args.grid, "--grid")
         search = CsSearchConfig(grid=args.grid, refine_tol=args.refine)
         res = cs_supremum(form, search=search)
-        payload = {
-            "cs": res.value,
-            "disk_point": list(res.disk_point),
-            "grid": res.grid,
-            "refine_tol": res.refine_tol,
-            "certified": res.certified,
-            "minimizers": [list(w) for w in res.minimizers],
-            "evaluations": res.evaluations,
-            "exact_evaluations": res.exact_evaluations,
-            "ascent_steps": res.ascent_steps,
-        }
-        _emit(args, payload, str(res))
-        return 0
-    if not args.period:
+    elif args.period:
+        res = conf_systole(period_point(form.subspace([args.period.split(",")])))
+    else:
         raise InputError("systole needs --period or --sup")
-    res = conf_systole(period_point(form.subspace([args.period.split(",")])))
-    payload = {
-        "value": res.value,
-        "value_sq": str(res.value_sq),
-        "minimizers": [[_num_str(x) for x in m] for m in res.minimizers],
-        "certified": res.certified,
-        "needed_radius": res.needed_radius,
-    }
+    # the result's fields by name, read as they are: asdict would deep-copy
+    payload = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+    if args.sup:
+        payload["cs"] = payload.pop("value")
+    else:
+        payload["value_sq"] = str(res.value_sq)
     _emit(args, payload, str(res))
     return 0
 

@@ -48,12 +48,12 @@ SIZE = 480
 DISK_RADIUS = 200.0
 CENTER = 240.0
 LATTICE_STEP = 48.0
+LATTICE_REACH = 12.0  # lattice units from the origin to each end of a drawn line
 ANTIPODAL_EPS = 1e-9
 
 DEFAULT_PALETTE = {
     "size1": "#2e7d32",
     "size2": "#1565c0",
-    "size3": "#c62828",
     "boundary": "#1a1a1a",
     "accent": "#6a1b9a",
     "muted": "#9e9e9e",
@@ -225,6 +225,11 @@ def _subset_label(subset) -> str:
     return "{" + ",".join(str(i) for i in subset) + "}"
 
 
+def _dot_at(emb, line) -> tuple[float, float]:
+    """Screen point of the disk point of a positive line."""
+    return _screen(to_poincare_disk(line_to_hpoint(emb.to_minkowski(line))))
+
+
 def render_config(cfg: SurfaceConfig, out: str | None = None) -> Scene:
     """Poincare-disk picture of the wall configuration.
 
@@ -239,10 +244,8 @@ def render_config(cfg: SurfaceConfig, out: str | None = None) -> Scene:
         )
     colors = palette()
     emb = standard_embedding(cfg.form)
-    k = len(cfg.vectors)
-    subsets = []
-    for size in (1, 2):
-        subsets.extend(itertools.combinations(range(1, k + 1), size))
+    indices = range(1, len(cfg.vectors) + 1)
+    subsets = [*itertools.combinations(indices, 1), *itertools.combinations(indices, 2)]
 
     elements = [
         SceneElement(
@@ -254,25 +257,20 @@ def render_config(cfg: SurfaceConfig, out: str | None = None) -> Scene:
         cs = classify_span(span)
         color = colors[f"size{len(subset)}"]
         label = _subset_label(subset)
-        if cs.kind is ConstraintKind.GEODESIC:
-            if span.dim == 1:
-                normal = emb.to_minkowski(span.basis[0])
-                e1, e2 = geodesic_endpoints(normal)
-                elements.append(_orthogonal_arc(e1, e2, color, label))
-            else:
-                # the wall of a negative definite plane is a single point
-                gen = orth_complement(span).canonical[0]
-                disk = to_poincare_disk(line_to_hpoint(emb.to_minkowski(gen)))
-                elements.append(SceneElement("dot", color, _screen(disk), label))
+        if cs.kind is ConstraintKind.GEODESIC and span.dim == 1:
+            e1, e2 = geodesic_endpoints(emb.to_minkowski(span.basis[0]))
+            elements.append(_orthogonal_arc(e1, e2, color, label))
+        elif cs.kind is ConstraintKind.GEODESIC:
+            # the wall of a negative definite plane is a single point
+            gen = orth_complement(span).canonical[0]
+            elements.append(SceneElement("dot", color, _dot_at(emb, gen), label))
         elif cs.kind is ConstraintKind.IDEAL_POINT:
-            direction = emb.to_minkowski(cs.vectors[0])
-            disk = ideal_point_direction(direction)
+            disk = ideal_point_direction(emb.to_minkowski(cs.vectors[0]))
             elements.append(SceneElement("ideal_mark", color, _screen(disk), label))
-        elif cs.kind is ConstraintKind.POINT:
-            disk = to_poincare_disk(line_to_hpoint(emb.to_minkowski(cs.vectors[0])))
-            elements.append(SceneElement("dot", color, _screen(disk), label))
         else:
-            raise DomainError("proper subsets cannot fill the whole form")
+            # a Point: one or two vectors span at most a plane of the
+            # 3-dimensional form, so never the whole of it
+            elements.append(SceneElement("dot", color, _dot_at(emb, cs.vectors[0]), label))
 
     encloses = is_bounded_config(cfg)
     vec_text = ";".join(
@@ -304,6 +302,18 @@ def _null_directions(form: GramForm) -> list[tuple[float, float]]:
 def _lattice_screen(v: Sequence[float]) -> tuple[float, float]:
     # coordinate 0 runs up the vertical axis, coordinate 1 to the right
     return (CENTER + LATTICE_STEP * v[1], CENTER - LATTICE_STEP * v[0])
+
+
+def _unit(v: Sequence[float]) -> tuple[float, float]:
+    norm = math.hypot(v[0], v[1])
+    return (v[0] / norm, v[1] / norm)
+
+
+def _through_origin(unit: Sequence[float]) -> tuple[float, float, float, float]:
+    """Screen ends of the line through the origin along a unit vector."""
+    s1 = _lattice_screen((unit[0] * LATTICE_REACH, unit[1] * LATTICE_REACH))
+    s2 = _lattice_screen((-unit[0] * LATTICE_REACH, -unit[1] * LATTICE_REACH))
+    return (s1[0], s1[1], s2[0], s2[1])
 
 
 def _limit_axis(form: GramForm) -> Subspace:
@@ -341,20 +351,12 @@ def render_lattice_lines(form: GramForm, out: str | None = None) -> Scene:
         )
     colors = palette()
     elements: list[SceneElement] = []
-    reach = 12.0
 
     # shaded positive cone: sectors between null rays, tested at bisectors
-    nulls = _null_directions(form)
-    rays = []
-    for d in nulls:
-        norm = math.hypot(d[0], d[1])
-        rays.append((d[0] / norm, d[1] / norm))
-        rays.append((-d[0] / norm, -d[1] / norm))
+    rays = [r for u in map(_unit, _null_directions(form)) for r in (u, (-u[0], -u[1]))]
     rays.sort(key=lambda v: math.atan2(v[0], v[1]))  # angle in screen plane
     angles = [math.atan2(v[0], v[1]) for v in rays]
-    for i in range(4):
-        lo = angles[i]
-        hi = angles[(i + 1) % 4] if i < 3 else angles[0] + 2 * math.pi
+    for lo, hi in zip(angles, angles[1:] + [angles[0] + 2 * math.pi]):
         mid_phi = 0.5 * (lo + hi)
         mid = (math.sin(mid_phi), math.cos(mid_phi))
         val = (
@@ -368,58 +370,29 @@ def render_lattice_lines(form: GramForm, out: str | None = None) -> Scene:
         pts = [_lattice_screen((0.0, 0.0))]
         for j in range(steps + 1):
             phi = lo + (hi - lo) * j / steps
-            v = (math.sin(phi) * reach, math.cos(phi) * reach)
+            v = (math.sin(phi) * LATTICE_REACH, math.cos(phi) * LATTICE_REACH)
             pts.append(_lattice_screen(v))
         flat = tuple(c for p in pts for c in p)
         elements.append(SceneElement("polygon", colors["size1"], flat, "cone"))
 
-    # pencil of primitive integer directions colored by sign
-    pencil = []
+    # pencil of primitive integer directions, in sorted order, colored by sign
+    style = {1: (colors["size1"], 1.6), -1: (colors["muted"], 1.0), 0: (colors["boundary"], 2.2)}
     for p in range(-3, 4):
         for q in range(-3, 4):
-            if (p, q) == (0, 0) or math.gcd(p, q) != 1:
-                continue
-            if (p, q) < (-p, -q):
-                continue
-            pencil.append((p, q))
-    pencil.sort()
-    for p, q in pencil:
-        val = form.evaluate((p, q), (p, q))
-        if val > 0:
-            color, width = colors["size1"], 1.6
-        elif val < 0:
-            color, width = colors["muted"], 1.0
-        else:
-            color, width = colors["boundary"], 2.2
-        norm = math.hypot(p, q)
-        d = (p / norm, q / norm)
-        s1 = _lattice_screen((d[0] * reach, d[1] * reach))
-        s2 = _lattice_screen((-d[0] * reach, -d[1] * reach))
-        elements.append(
-            SceneElement("line", color, (s1[0], s1[1], s2[0], s2[1], width), f"{p},{q}")
-        )
+            if math.gcd(p, q) == 1 and (p, q) > (-p, -q):
+                val = form.evaluate((p, q), (p, q))
+                color, width = style[(val > 0) - (val < 0)]
+                ends = _through_origin(_unit((p, q)))
+                elements.append(SceneElement("line", color, ends + (width,), f"{p},{q}"))
 
     # irrational null edges of the cone, drawn bold
-    for d in rays[:2]:
-        s1 = _lattice_screen((d[0] * reach, d[1] * reach))
-        s2 = _lattice_screen((-d[0] * reach, -d[1] * reach))
-        elements.append(
-            SceneElement(
-                "line", colors["boundary"], (s1[0], s1[1], s2[0], s2[1], 2.2), "null"
-            )
-        )
+    for u in rays[:2]:
+        ends = _through_origin(u) + (2.2,)
+        elements.append(SceneElement("line", colors["boundary"], ends, "null"))
 
     gen = _limit_axis(form).canonical[0]
-    gf = (float(gen[0]), float(gen[1]))
-    norm = math.hypot(gf[0], gf[1])
-    d = (gf[0] / norm, gf[1] / norm)
-    s1 = _lattice_screen((d[0] * reach, d[1] * reach))
-    s2 = _lattice_screen((-d[0] * reach, -d[1] * reach))
-    elements.append(
-        SceneElement(
-            "dashed_line", colors["accent"], (s1[0], s1[1], s2[0], s2[1]), "limit"
-        )
-    )
+    ends = _through_origin(_unit((float(gen[0]), float(gen[1]))))
+    elements.append(SceneElement("dashed_line", colors["accent"], ends, "limit"))
 
     for i in range(-4, 5):
         for j in range(-4, 5):

@@ -40,7 +40,7 @@ from .systole import (
 )
 
 
-PATCH_RADIUS = 0.9  # the searched disk patch; the objective is -inf outside it
+PATCH_RADIUS = 0.9  # the searched disk patch; hpoint maps a point outside it to None
 MAX_CS_GRID = 10**5  # grid tuples one search may walk
 ACTIVE_SLACK = 1e-9  # relative: a vector this near the minimum is active
 CANDIDATE_SLACK = 0.5  # relative: the vectors an ascent step watches

@@ -725,3 +725,31 @@ def degree_reference(chart, simplices, orientation, point, clear=1e-6, degenerat
         return None
     signs = np.asarray(orientation)[boxed] * np.sign(det)
     return int(signs[least > 0].sum())
+
+
+def min_norm_reference(points):
+    """Least-norm point of the convex hull of points, exactly.
+
+    Over every subset of at most dim + 1 points, the least-norm point of
+    its affine hull solves G w + t 1 = 0, sum w = 1, with G the subset's
+    Gram matrix; it is kept when its weights w are all >= 0, and the
+    least of those kept is returned as Fractions.  The hull's least-norm
+    point lies in a face, and is the affine least-norm point of an
+    affinely independent subset of that face's points (Caratheodory), so
+    it is among them.  The points are scaled to integers first, which
+    moves no weight.
+    """
+    scale = math.lcm(*(Fraction(c).denominator for p in points for c in p))
+    pts = [[int(Fraction(c) * scale) for c in p] for p in points]
+    best = None
+    for size in range(1, min(len(pts), len(pts[0]) + 1) + 1):
+        for sub in itertools.combinations(pts, size):
+            kkt = [[sum(a * b for a, b in zip(p, q)) for q in sub] + [1] for p in sub]
+            sol = solve_reference(kkt + [[1] * size + [0]], [0] * size + [1])
+            if sol is None or min(sol[:size]) < 0:
+                continue
+            x = [sum(w * p[c] for w, p in zip(sol, sub)) for c in range(len(pts[0]))]
+            norm = sum(c * c for c in x)
+            if best is None or norm < best[0]:
+                best = (norm, x)
+    return [c / scale for c in best[1]]

@@ -488,6 +488,10 @@ def test_systole_sup(capsys, tmp_path):
     )
     assert code == 0
     data = json.loads(out)
+    assert set(data) == {
+        "cs", "disk_point", "grid", "refine_tol", "certified", "minimizers",
+        "evaluations", "exact_evaluations", "ascent_steps",
+    }
     assert abs(data["cs"] - (4.0 / 3.0) ** 0.25) < 1e-4
     assert data["certified"] is True
     assert data["minimizers"] and all(len(w) == 2 for w in data["minimizers"])

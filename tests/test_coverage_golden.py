@@ -8,7 +8,8 @@ grids 0.5 to 0.25), the shrink at n = 2 and 3 on further grids, and
 ``covered``, ``uncovered_witness`` and ``face_violations``, with floats
 as ``float.hex``; a failing record also pins the report's whole
 ``repr``.  A check that does the same work
-differently must reproduce each of them bit for bit.
+differently must reproduce each of them bit for bit.  A report's text
+is checked against its fields, for a passing and a failing check.
 
 Regenerate (only when a report is meant to change) with
 ``PYTHONPATH=src python tests/test_coverage_golden.py``.
@@ -94,6 +95,30 @@ def test_coverage_reports_match_golden():
     assert len(all_cases) == len(golden) == 26
     for case, want in zip(all_cases, golden):
         assert coverage_record(*case) == want, want["case"]
+
+
+def test_report_text_of_a_passing_check():
+    rep = check_face_mapping_surjectivity(_map(2, "collapse"), 2, 0.1)
+    assert rep.ok
+    assert str(rep).split("\n") == [
+        f"mesh step {rep.mesh_step:.3g}, largest image edge {rep.image_edge:.3g}",
+        f"grid nodes {rep.grid_points}, covered {rep.covered}, max gap {rep.max_gap:.3g}",
+        "PASS",
+    ]
+    assert str(rep).startswith("mesh step 0.0471, largest image edge 0.344\n")
+
+
+def test_report_text_of_a_failing_check_names_five_faces_at_most():
+    rep = check_face_mapping_surjectivity(_map(2, "shrink0.9"), 2, 0.1)
+    assert not rep.ok and len(rep.face_violations) > 5
+    lines = str(rep).split("\n")
+    assert lines[0].startswith("mesh step ") and lines[1].startswith("grid nodes 496, ")
+    assert lines[2] == f"uncovered witness: {rep.uncovered_witness}"
+    assert lines[3:-1] == [
+        f"face condition broken on {v.chain}: {v.point} -> {v.image}"
+        for v in rep.face_violations[:5]
+    ]
+    assert lines[-1] == "FAIL"
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ library code draws random numbers but the two functions that take a
 caller's ``random.Random``, none takes a determinant from
 ``np.linalg.det``, the coverage scan's crossings, winding numbers and
 on-image marks live only in ``degree`` and do not branch on ``n``, no
-library code masks a floating-point error with ``np.errstate``, and
-every float tolerance below 1e-6 is a named module constant.
+library code masks a floating-point error with ``np.errstate``,
+every float tolerance below 1e-6 is a named module constant, and every
+Python file of the library, the tests and the benchmark parses under
+the Python 3.10 grammar, the oldest that ``pyproject.toml`` allows.
 
 The library's ``__init__.py`` is skipped by the import check: its
 imports are the package's exports.
@@ -20,7 +22,8 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "periodmap"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "periodmap"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted(TESTS.glob("*.py"))
 
@@ -489,3 +492,28 @@ def test_the_scan_sees_bare_tolerances():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_library_names_every_small_tolerance(path):
     assert bare_tolerances(path.read_text()) == []
+
+
+def grammar_error(source: str) -> str | None:
+    """Why source does not parse under the Python 3.10 grammar, or None.
+    The parser's feature_version check covers syntax only (``except*``,
+    ``type`` statements, type parameters), not names added to the
+    standard library later."""
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError as exc:
+        return f"line {exc.lineno}: {exc.msg}"
+    return None
+
+
+def test_the_scan_sees_syntax_newer_than_3_10():
+    assert "3.11" in grammar_error("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert grammar_error("match x:\n    case (1, y):\n        pass\n") is None
+
+
+PY_FILES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PY_FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_file_parses_as_python_3_10(path):
+    assert grammar_error(path.read_text()) is None

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from periodmap.face_constraints import (
 )
 from periodmap.grassmannian import ConstraintKind, classify_span, to_poincare_disk
 from periodmap.render import (
+    DEFAULT_PALETTE,
     DISK_RADIUS,
     Scene,
     SceneElement,
@@ -24,6 +26,7 @@ from periodmap.render import (
 )
 
 PRESETS = ["fig6-i", "fig6-ii", "fig6-iii", "fig6-iv", "degenerate"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def to_disk(x: float, y: float) -> tuple[float, float]:
@@ -222,6 +225,24 @@ def test_null_directions_are_exactly_null():
         assert a * x * x + 2 * b * x * y + c * y * y == 0
 
 
+GOLDEN_SCENES = {
+    "lattice-diag": lambda: render_lattice_lines(GramForm([[1, 0], [0, -1]])),
+    "lattice-hyperbolic": lambda: render_lattice_lines(hyperbolic_plane_form()),
+    "lattice-general": lambda: render_lattice_lines(GramForm([[2, 1], [1, -1]])),
+    # 3 ideal marks, 2 arcs and 1 diameter segment
+    "symmetric-2": lambda: render_config(symmetric_config(Fraction(2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENES))
+def test_scene_matches_its_golden_svg(name, tmp_path):
+    # the lattice pictures and the ideal rim marks, byte for byte; the
+    # five disk presets are pinned by acceptance criterion 10
+    out = tmp_path / f"{name}.svg"
+    GOLDEN_SCENES[name]().write(str(out))
+    assert out.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
+
+
 def test_lattice_rejects_bad_forms():
     with pytest.raises(DomainError):
         render_lattice_lines(GramForm([[-1, 0], [0, -2]]))
@@ -267,6 +288,16 @@ def test_palette_refuses_anything_but_a_hex_colour(monkeypatch, tmp_path, capsys
     svg = render_config(preset("fig6-i")).to_svg()
     assert "onload" not in svg
     assert 'stroke="#abc"' in svg and 'fill="#AABBCC"' in svg
+
+
+def test_palette_keys_are_the_drawn_colours(monkeypatch):
+    # disk pictures draw subsets of one and two vectors only, so there is
+    # no size3 colour, and a size3 entry is an unknown key
+    assert sorted(DEFAULT_PALETTE) == [
+        "accent", "background", "boundary", "muted", "size1", "size2",
+    ]
+    monkeypatch.setenv("PERIODMAP_COLORS", "size3=red")
+    assert render_config(preset("fig6-i")).to_svg() == (GOLDEN / "fig6-i.svg").read_text()
 
 
 def test_scene_helpers():

@@ -49,6 +49,7 @@ from oracles import (
     float_brute_force_systole,
     gram_schmidt_reference,
     lagrange_gauss_minimum,
+    min_norm_reference,
     shortest_box_reference,
 )
 
@@ -768,6 +769,33 @@ def test_min_norm_drop_step_keeps_the_least_norm_point():
             xx = sum(c * c for c in x)
             assert all(sum(map(operator.mul, x, p)) >= xx - eps for p in pts), pts
         assert drops - before >= 30, dim
+
+
+def test_min_norm_minor_cycle_agrees_with_the_subset_oracle(monkeypatch):
+    # Wolfe's minor cycle runs when the corral's affine minimizer has a
+    # weight <= 0.  It is counted at the solve that returns such weights,
+    # not by sys.settrace, which would hide its lines from a coverage
+    # tracer.  Every answer is the exact least-norm point of the hull,
+    # found over all subsets, up to rounding
+    solve = supremum._solve
+    minor = 0
+
+    def counting(rows, rhs):
+        nonlocal minor
+        mu = solve(rows, rhs)
+        minor += mu is not None and min(mu[:-1]) <= 0.0
+        return mu
+
+    monkeypatch.setattr(supremum, "_solve", counting)
+    for dim in (1, 2, 3):
+        rng = random.Random(dim)
+        for _ in range(100):
+            pts = [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(rng.randint(2, 6))]
+            x, weights = supremum._min_norm(pts)
+            want = min_norm_reference(pts)
+            assert all(abs(a - float(b)) < 1e-12 for a, b in zip(x, want)), pts
+            assert all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) < 1e-12
+    assert minor >= 25
 
 
 def test_tiny_refine_tolerance_is_best_found():
