@@ -3,16 +3,18 @@
 Values enter and leave this module as ``fractions.Fraction``: gram
 matrices, subspace bases and canonical echelon forms, diagonalizations,
 pairings.  Inside, every routine clears denominators once and works on
-Python integers.  Row reduction is fraction-free Gauss-Jordan
-elimination with each row kept primitive by its gcd; congruence
-(symmetric Gauss) diagonalization runs the same steps on an integer
-multiple of the gram matrix and tracks the scale of every basis column,
-so its output is exactly that of the rational algorithm.  Every
-determinant, adjugate and inverse comes from one fraction-free
-Gauss-Jordan pass (``_int_adjugate``) and every congruence product
-X G X^t from ``_gram_of``; the other modules call these two.  No
-floating point enters signature, complement, or intersection results,
-and Sylvester's law makes signatures basis independent.
+Python integers.  One fraction-free (Bareiss) Gauss-Jordan pass,
+``_eliminate``, does all row reduction and leaves each row the last
+pivot times its reduced echelon row: echelon forms divide it by its
+gcd, and ranks, kernels, determinants, adjugates and inverses
+(``_int_adjugate``) read it as it is.  Congruence (symmetric Gauss)
+diagonalization runs the rational steps on an integer multiple of the
+gram matrix and tracks the scale of every basis column, so its output
+is exactly that of the rational algorithm.  Every congruence product
+X G X^t comes from ``_gram_of``; the other modules call it and
+``_int_adjugate``.  No floating point enters signature, complement, or
+intersection results, and Sylvester's law makes signatures basis
+independent.
 
 A form is a symmetric gram matrix on coordinate space and a subspace is
 a rational span inside it.  Entries may be ints, Fractions, "p/q"
@@ -116,52 +118,56 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
 
-def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination; returns (rows, pivot columns).
+def _eliminate(rows: Sequence[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination: (rows, pivots, p, sign).
 
-    Makes the same pivot choices as rational elimination (left to right,
-    the first row with a nonzero entry), but replaces "subtract f times
-    the normalized pivot row" by the integer combination a * row - b *
-    pivot row and divides every new row by its gcd.  Each returned row
-    is therefore a positive multiple of the reduced row echelon row: its
-    pivot entry is positive and it vanishes in the other pivot columns.
-    The input lists are not modified.
+    Pivots are chosen as in rational elimination: left to right, the
+    first row with a nonzero entry.  The step on column c replaces each
+    other row by (pivot * row - row[c] * pivot row) / previous pivot, an
+    exact division (Bareiss, Math. Comp. 22, 1968).  Each returned row,
+    one per pivot, is p times its reduced echelon row, p the last pivot
+    (1 if none), so every pivot entry is p; sign is the parity of the row
+    swaps, and a square input of full rank has determinant sign * p.  The
+    input lists are not modified: a changed row is a new list.
     """
-    m = []
-    for row in rows:
-        g = gcd(*row)
-        m.append([x // g for x in row] if g > 1 else row)
-    if not m:
-        return [], []
+    m = list(rows)
     nrows = len(m)
     pivots: list[int] = []
-    r = 0
-    for c in range(len(m[0])):
+    p, sign, r = 1, 1, 0
+    for c in range(len(m[0]) if m else 0):
         for i in range(r, nrows):
             if m[i][c]:
                 break
         else:
             continue
-        m[r], m[i] = m[i], m[r]
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
         prow = m[r]
-        p = prow[c]
+        prev, p = p, prow[c]
         for i in range(nrows):
             row = m[i]
             f = row[c]
             if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif not f and p != prev:
+                m[i] = [p * x // prev for x in row]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    out = m[:r]
-    for i, c in enumerate(pivots):
-        if out[i][c] < 0:
-            out[i] = [-x for x in out[i]]
+    return m[:r], pivots, p, sign
+
+
+def _int_rref(rows: Sequence[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """(rows, pivot columns) of ``_eliminate`` with each row divided by
+    its gcd and its pivot made positive: the primitive positive multiple
+    of its reduced row echelon row, which is unique."""
+    red, pivots, p, _ = _eliminate(rows)
+    out = []
+    for row in red:
+        g = gcd(*row) if p > 0 else -gcd(*row)
+        out.append(row if g == 1 else [x // g for x in row])
     return out, pivots
 
 
@@ -182,24 +188,23 @@ def _echelon_rows(red: list[list[int]]) -> list[Vector]:
 
 
 def _int_kernel(
-    red: list[list[int]], pivots: list[int], ncols: int
+    red: list[list[int]], pivots: list[int], p: int, ncols: int
 ) -> list[tuple[int, list[int]]]:
-    """Free-column kernel basis of an echelon form, scaled to integers.
+    """Free-column kernel basis of the rows of ``_eliminate``, scaled to
+    integers: red[i] is p times the reduced row with pivot pivots[i].
 
     One (f, v) per free column f: v is zero at the other free columns,
-    and v / v[f] is the basis vector with a 1 at f.
+    and v / v[f] is the basis vector with a 1 at f; v[f] is p.
     """
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        scale = lcm(*[row[c] for row, c in zip(red, pivots) if row[f]])
         v = [0] * ncols
-        v[f] = scale
+        v[f] = p
         for row, c in zip(red, pivots):
-            if row[f]:
-                v[c] = -row[f] * (scale // row[c])
+            v[c] = -row[f]
         basis.append((f, v))
     return basis
 
@@ -210,8 +215,8 @@ def _kernel_rows(
     """The free-column kernel basis c of a nonempty integer matrix m (see
     ``_int_kernel``), or, given integer rows x, the rows c X.  x may have
     fewer rows than m has columns; c X then reads the leading entries of c."""
-    red, pivots = _int_rref(m)
-    kernel = [c for _, c in _int_kernel(red, pivots, len(m[0]))]
+    red, pivots, p, _ = _eliminate(m)
+    kernel = [c for _, c in _int_kernel(red, pivots, p, len(m[0]))]
     if x is None:
         return kernel
     xt = list(zip(*x))
@@ -224,7 +229,7 @@ def _unit_kernel(kernel: list[tuple[int, list[int]]]) -> tuple[Vector, ...]:
 
 
 def _rank_int(rows: list[list[int]]) -> int:
-    return len(_int_rref(rows)[0])
+    return len(_eliminate(rows)[1])
 
 
 def _congruence(m: list[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
@@ -301,37 +306,19 @@ def _congruence(m: list[list[int]]) -> tuple[list[list[int]], list[int], list[in
 def _int_adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]] | None, int]:
     """(adj(m), det(m)) of a square integer matrix, or (None, 0) if singular.
 
-    One fraction-free (Bareiss) Gauss-Jordan pass turns [m | I] into
-    [p I | E] with E m = p I: the step on column c replaces every other
-    row by (pivot * row - row[c] * pivot row) / previous pivot, exactly;
-    columns up to c are left stale, as nothing reads them again.  Up to
-    the sign of the row swaps, p is det(m) and E is adj(m).
+    ``_eliminate`` turns [m | I] into [p I | E] with E m = p I unless a
+    pivot falls in the right half, which happens exactly when m is
+    singular.  With sign the parity of its row swaps, det(m) is sign * p
+    and adj(m) is sign * E.
     """
     k = len(m)
     if k == 1:  # the norm matrix's R at every b+ = 1 point: no pass needed
         return ([[1]], m[0][0]) if m[0][0] else (None, 0)
     a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
-    sign, prev = 1, 1
-    for c in range(k):
-        for r in range(c, k):
-            if a[r][c]:
-                break
-        else:
-            return None, 0
-        if r != c:
-            a[c], a[r] = a[r], a[c]
-            sign = -sign
-        prow = a[c]
-        p = prow[c]
-        for i in range(k):
-            if i != c:
-                row = a[i]
-                f = row[c]
-                row[c + 1:] = [
-                    (p * x - f * y) // prev for x, y in zip(row[c + 1:], prow[c + 1:])
-                ]
-        prev = p
-    return [[sign * x for x in row[k:]] for row in a], sign * prev
+    red, pivots, p, sign = _eliminate(a)
+    if pivots and pivots[-1] >= k:
+        return None, 0
+    return [[sign * x for x in row[k:]] for row in red], sign * p
 
 
 def _gram_of(
@@ -734,8 +721,8 @@ def orth_complement(sub: Subspace) -> Subspace:
     form = sub.ambient
     if sub.is_zero():
         return form.full_subspace()
-    red, pivots = _int_rref([form._image(x) for x in sub._int_basis()[0]])
-    kernel = _int_kernel(red, pivots, form.dim)
+    red, pivots, p, _ = _eliminate([form._image(x) for x in sub._int_basis()[0]])
+    kernel = _int_kernel(red, pivots, p, form.dim)
     return Subspace._echelon(form, [v for _, v in kernel], _unit_kernel(kernel))
 
 

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .bilinear import (
     GramForm,
@@ -24,8 +23,8 @@ from .bilinear import (
     _clear_all,
     _dot,
     _gram_of,
+    _eliminate,
     _int_adjugate,
-    _int_rref,
     nullspace,
     positive_part,
     signature,
@@ -208,7 +207,8 @@ def hyperbolic_complement(data: DecompositionData) -> HyperbolicComplement:
     (1/2) Q(u_j, u_j) d_j keeps both and clears every Q(w_i, w_j), as d_i
     shifts in index order and then a d_j shift would; Q(d_i, w_j) =
     delta_ij keeps the w_j independent.  In integers, with X_i = c d_i,
-    G = den Q, u_j = U_j / L over the lcm L of the pivots and M = U G U^t,
+    G = den Q, L the last pivot of ``_eliminate`` on [rows | c den I],
+    u_j = U_j / L and M = U G U^t,
     s w_j = 2 den L c U_j - sum_{i<j} 2 M_ij X_i - M_jj X_j, s = 2 den L^2 c.
     """
     _require_valid(data)
@@ -219,24 +219,24 @@ def hyperbolic_complement(data: DecompositionData) -> HyperbolicComplement:
     # rows c G v: one reduction of [rows | c den I] gives every dual, free
     # variables zero, unless a pivot at n + j finds no dual for d_j
     x, _, rows, c = data._pairing
-    red, pivots = _int_rref([r + [c * den * (i == j) for j in k] for i, r in enumerate(rows)])
+    aug = [r + [c * den * (i == j) for j in k] for i, r in enumerate(rows)]
+    red, pivots, pivot, _ = _eliminate(aug)
     late = [p - n for p in pivots if p >= n]
     if late:
         raise InconsistentDataError(
             f"no dual vector for D basis vector {late[0]}; data violates the split"
         )
-    lcd = lcm(*[row[p] for row, p in zip(red, pivots)])
     us = [[0] * n for _ in k]
     for row, p in zip(red, pivots):
         for j, u in enumerate(us, n):
-            u[p] = row[j] * (lcd // row[p])
+            u[p] = row[j]
     m = _gram_of(us, q._igram)[0]
-    scale = 2 * den * lcd * c
+    scale = 2 * den * pivot * c
     sws = []  # s w_j; the rows of D come first in x
     for j, u in enumerate(us):
         coef = [2 * m[i][j] for i in range(j)] + [m[j][j]]
         sws.append([scale * e - _dot(coef, col) for e, col in zip(u, zip(*x[: j + 1]))])
-    s = scale * lcd
+    s = scale * pivot
     w_sub = Subspace._echelon(q, sws, tuple(tuple(Fraction(e, s) for e in v) for v in sws))
     total = subspace_sum(data.H1, data.H2, data.D, w_sub)
     if total.dim != n:

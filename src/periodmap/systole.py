@@ -125,7 +125,10 @@ def _norm_matrix(igram, den: int, x: list[list[int]]) -> tuple[list[list[int]], 
     form's integer gram (``den`` times its gram), Y = X G, R = Y X^t,
     r = det R and A = adj R, that is r den M = 2 Y^t A Y - r G; for a
     line h (b+ = 1) A = 1 and r = Q(h, h), so N = 2 (Gh)(Gh)^t - Q(h, h) G.
+    For H = 0 (b+ = 0) P is 0, so N = -G.
     """
+    if not x:
+        return [[-e for e in row] for row in igram], den
     rmat, y = _gram_of(x, igram)
     adj, r = _int_adjugate(rmat)
     cols = list(zip(*y))  # column a of Y

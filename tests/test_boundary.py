@@ -6,8 +6,9 @@ error it expects.  Counts must be ints (numpy's too), never a bool, a
 float, a string or None.  Steps and coefficients must be finite real
 numbers, never a bool, a string or None.  Coordinates are lists of
 real numbers: the exact permutahedron maps refuse a non-finite one with
-InputError, the float hyperboloid functions with DomainError.  The last
-tests are valid edge inputs that must keep their answers.
+InputError, the float hyperboloid functions with DomainError.  A small
+second table holds refusals of other types and CLI usage errors.  The
+last tests are valid edge inputs that must keep their answers.
 """
 
 import dataclasses
@@ -19,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from periodmap.bilinear import GramForm, minkowski_form
+from periodmap.bilinear import GramForm, StandardEmbedding, Subspace, minkowski_form
+from periodmap.cli import main
 from periodmap.coverage import (
     check_face_mapping_surjectivity,
     collapse_batch,
@@ -28,9 +30,22 @@ from periodmap.coverage import (
     shrink_map,
     twist_perturbation,
 )
-from periodmap.decomposition import connected_sum_split, random_decomposition
-from periodmap.errors import DimensionMismatchError, DomainError, InputError, check_int, check_real
-from periodmap.face_constraints import preset, random_config
+from periodmap.decomposition import DecompositionData, connected_sum_split, random_decomposition
+from periodmap.errors import (
+    DimensionMismatchError,
+    DomainError,
+    InputError,
+    PreconditionError,
+    check_int,
+    check_real,
+)
+from periodmap.face_constraints import (
+    SurfaceConfig,
+    preset,
+    product_codim,
+    random_config,
+    simplex_vertex_lines,
+)
 from periodmap.grassmannian import (
     HPoint,
     disk_to_hpoint,
@@ -49,7 +64,7 @@ from periodmap.permutahedron import (
     face_counts,
     realize,
 )
-from periodmap.supremum import CsSearchConfig
+from periodmap.supremum import CsSearchConfig, cs_invariance_check
 from periodmap.systole import rational_disk_period_point
 
 P2 = realize(2)
@@ -183,6 +198,48 @@ PROBES = [
         lambda: rational_disk_period_point(minkowski_form(1), (Fraction(1, 4), 0)),
     ),
     ("rational_disk_period_point ()", lambda: rational_disk_period_point(minkowski_form(2), ())),
+    ("Subspace.from_json(5)", lambda: Subspace.from_json(5)),
+    ("Subspace.from_json without ambient", lambda: Subspace.from_json({"basis": [[1]]})),
+    ("DecompositionData.from_json([])", lambda: DecompositionData.from_json([])),
+    ("SurfaceConfig with no vectors", lambda: SurfaceConfig(minkowski_form(2), ())),
+    ('preset("nope")', lambda: preset("nope")),
+    ("NestedSequence(2, ((),))", lambda: NestedSequence(2, ((),))),
+    ("vertices_of_face of a 3-chain", lambda: P2.vertices_of_face(NestedSequence(3, ((1,),)))),
+    (
+        'cs_invariance_check with "1/2"',
+        lambda: cs_invariance_check(minkowski_form(1), minkowski_form(1), [[1, 0], ["1/2", 1]]),
+    ),
+    ("twist_perturbation(3, 0.5)", lambda: twist_perturbation(3, 0.5)),
+    ("contains a short vector", lambda: Subspace(minkowski_form(2), [[1, 0, 0]]).contains([1, 0])),
+]
+
+# refusals of other types, and CLI commands that exit with a usage error
+TYPED_PROBES = [
+    (
+        "simplex_vertex_lines of 2 vectors in R^{1,2}",
+        lambda: simplex_vertex_lines(SurfaceConfig(minkowski_form(2), ((0, 1, 0), (0, 0, 1)))),
+        PreconditionError,
+    ),
+    (
+        "product_codim on a degenerate ambient",
+        lambda: product_codim(
+            SurfaceConfig(GramForm([[1, 0, 0], [0, -1, 0], [0, 0, 0]]), ((0, 1, 0), (1, 0, 0))),
+            NestedSequence(1, ((1,),)),
+        ),
+        PreconditionError,
+    ),
+    ("geodesic_endpoints in R^{1,3}", lambda: geodesic_endpoints((0.0, 1.0, 0.0, 0.0)), DomainError),
+    (
+        "to_minkowski of a singular embedding",
+        lambda: StandardEmbedding(((1, 1), (1, 1)), (1, 1)).to_minkowski((1, 0)),
+        PreconditionError,
+    ),
+    ("classify --subset 1", lambda: main(["classify", "--subset", "1"]), 2),
+    (
+        "classify --subset 1,x",
+        lambda: main(["classify", "--preset", "fig6-i", "--subset", "1,x"]),
+        2,
+    ),
 ]
 
 
@@ -196,6 +253,15 @@ def test_bad_argument_is_refused(call, bad, error):
 def test_probe_is_refused(call):
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("call, expected", [p[1:] for p in TYPED_PROBES], ids=[p[0] for p in TYPED_PROBES])
+def test_typed_probe_is_refused(call, expected, capsys):
+    if isinstance(expected, int):  # a CLI exit code
+        assert call() == expected
+    else:
+        with pytest.raises(expected):
+            call()
 
 
 def test_refusals_name_the_argument():

@@ -8,9 +8,14 @@ grams and on spans with and without a radical, and so is the radical
 of a whole integer form.  The one elimination that gives determinants,
 adjugates and inverses is checked on integer matrices, unimodular and
 singular ones among them, and the congruence product X G X^t against a
-plain Fraction triple sum.
+plain Fraction triple sum.  The fraction-free pass under all of them
+(``_eliminate``) is checked directly: its rows are p times the reduced
+rows, its pivot count is the rank and sign * p the determinant.  Last,
+one hash pins the repr of every exact output over seeded inputs.
 """
 
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,18 +25,29 @@ from periodmap.bilinear import (
     _clear_all,
     _congruence,
     _echelon_rows,
+    _eliminate,
     _gram_of,
     _int_adjugate,
     _int_kernel,
     _int_rows,
     _int_rref,
+    _rank_int,
     _unit_kernel,
     nullspace,
+    orth_complement,
+    positive_part,
     signature,
+    subspace_intersect,
+    subspace_signature,
+    subspace_sum,
 )
+from periodmap.decomposition import canonical_limit, hyperbolic_complement, random_decomposition
+from periodmap.face_constraints import constraint_for_face, random_config
+from periodmap.permutahedron import all_faces
 
 from oracles import (
     charpoly_coeffs,
+    det_reference,
     inverse_reference,
     kernel_reference,
     pairing_table,
@@ -85,9 +101,16 @@ def test_row_reduction_matches_reference():
     for _ in range(CASES):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = _matrix(rng, nrows, ncols)
-        red, pivots = _int_rref(_int_rows(rows))
-        assert (_echelon_rows(red), pivots) == rref_reference(rows)
-        assert list(_unit_kernel(_int_kernel(red, pivots, ncols))) == kernel_reference(rows, ncols)
+        x, want = _int_rows(rows), rref_reference(rows)
+        red, pivots = _int_rref(x)
+        assert (_echelon_rows(red), pivots) == want
+        # one pass: every row is p times its reduced row, so every pivot entry is p
+        scaled, pivots, p, _ = _eliminate(x)
+        assert ([tuple(Fraction(e, p) for e in row) for row in scaled], pivots) == want
+        assert all(row[c] == p for row, c in zip(scaled, pivots))
+        assert _rank_int(x) == len(pivots)
+        kernel = _int_kernel(scaled, pivots, p, ncols)
+        assert list(_unit_kernel(kernel)) == kernel_reference(rows, ncols)
 
 
 def test_inverse_matches_reference():
@@ -116,6 +139,8 @@ def test_integer_determinant_matches_charpoly():
         adj, det = _int_adjugate(rows)
         assert det == (-1) ** n * charpoly_coeffs(rows)[-1]
         assert (adj is None) == (det == 0)
+        _, pivots, p, sign = _eliminate(rows)
+        assert (sign * p if len(pivots) == n else 0) == det_reference(rows)
 
 
 def _unimodular(rng, n):
@@ -134,6 +159,7 @@ def _unimodular(rng, n):
 
 
 def test_integer_adjugate_matches_reference():
+    assert _int_adjugate([]) == ([], 1)
     rng = random.Random(20236)
     unimodular = 0
     for case in range(CASES):
@@ -296,3 +322,58 @@ def test_radical_matches_reference():
         assert rad == nullspace(form.full_subspace()), gram
         degenerate += not rad.is_zero()
     assert degenerate > CASES // 3
+
+
+# sha256 of ``_exact_dump``, recorded with the kernel that ran two
+# eliminations (gcd-normalized rows, and Bareiss for adjugates) before
+# ``_eliminate``; a change to any exact output changes it
+EXACT_DUMP_SHA256 = "86d88ed28c4b554a6d4ce03cdee851257539945d135eeb1f869f3c020548dc43"
+
+
+def _random_span(rng, form):
+    """A subspace of the form's space with an independent random basis
+    when the draw is independent, else the span of the draw."""
+    vectors = _matrix(rng, rng.randint(1, form.dim), form.dim)
+    if len(rref_reference(vectors)[0]) == len(vectors):
+        return Subspace(form, vectors)
+    return Subspace.spanned_by(form, vectors)
+
+
+def _exact_dump():
+    """The repr of every exact output over named inputs from Random(49):
+    subspace algebra on 400 random forms, the hyperbolic complement and
+    limit of 200 random splits, and the face constraints of every face
+    of 12 random configurations at n = 2 and at n = 3."""
+    rng = random.Random(49)
+    out = []
+    for case in range(400):
+        form = GramForm(_symmetric(rng, rng.randint(2, 8)))
+        a, b = _random_span(rng, form), _random_span(rng, form)
+        perp = orth_complement(a)
+        out.append((
+            f"form {case}", form.gram, signature(form), form._adjugate,
+            a.basis, b.basis, perp.basis, perp.canonical,
+            subspace_intersect(a, b).canonical, subspace_sum(a, b).canonical,
+            positive_part(a).canonical, positive_part(b).canonical,
+            nullspace(a).canonical, nullspace(b).canonical,
+            subspace_signature(a), subspace_signature(b),
+        ))
+    for case in range(200):
+        data = random_decomposition(rng, 8)
+        hc = hyperbolic_complement(data)
+        out.append((f"split {case}", data.ambient.gram, hc.W.basis, hc.pairing_matrix,
+                    canonical_limit(data).canonical))
+    for n in (2, 3):
+        for case in range(12):
+            cfg = random_config(rng, n)
+            for face in all_faces(n):
+                fc = constraint_for_face(cfg, face)
+                out.append((f"config {n}.{case}", cfg.vectors, *(
+                    getattr(fc, f.name) for f in dataclasses.fields(fc)
+                ), [p.basis for p in fc.pieces]))
+    return "\n".join(map(repr, out))
+
+
+def test_exact_outputs_match_the_pinned_dump():
+    digest = hashlib.sha256(_exact_dump().encode()).hexdigest()
+    assert digest == EXACT_DUMP_SHA256

@@ -1,9 +1,7 @@
-import inspect
 import itertools
 import math
 import operator
 import random
-import sys
 import time
 from fractions import Fraction
 
@@ -467,6 +465,18 @@ def test_conf_systole_on_degenerate_form_raises_precondition():
         conf_systole(pp)
 
 
+@pytest.mark.parametrize(
+    "gram, value_sq, count",
+    [([[-1, 0], [0, -2]], 1, 2), ([[-2, 1], [1, -2]], 2, 6)],
+)
+def test_conf_systole_at_the_zero_period_point(gram, value_sq, count):
+    # b+ = 0: the one period point is H = 0, where the norm is -Q
+    res = conf_systole(period_point(Subspace(GramForm(gram), [])))
+    want, want_mins = shortest_box_reference([[-x for x in row] for row in gram])
+    assert (res.value_sq, set(res.minimizers)) == (want, want_mins)
+    assert (res.value_sq, len(res.minimizers), res.certified) == (value_sq, count, True)
+
+
 def test_conf_log_lipschitz_along_distance():
     rng = random.Random(4)
     for _ in range(20):
@@ -728,26 +738,24 @@ def test_cell_bound_from_the_minimizers_alone_still_refuses(monkeypatch):
         assert not supremum._certify(obj, past, 1e-3, [])[0]
 
 
-def test_min_norm_drop_step_keeps_the_least_norm_point():
+def test_min_norm_drop_step_keeps_the_least_norm_point(monkeypatch):
     # Wolfe's drop step (the theta move) runs when the affine minimizer of
     # the corral leaves its hull; the ascent's gradients reach it rarely,
-    # these seeded point sets often.  Each answer is checked by the
-    # optimality condition alone: x is a convex combination of the points
-    # and <x, p> >= |x|^2 for every point p, up to rounding
-    code = supremum._min_norm.__code__
-    lines, first = inspect.getsourcelines(supremum._min_norm)
-    drop = first + next(i for i, line in enumerate(lines) if "theta = min" in line)
+    # these seeded point sets often.  It is counted at the solve that
+    # returns weights with one <= 0, as in the oracle test below.  Each
+    # answer is checked by the optimality condition alone: x is a convex
+    # combination of the points and <x, p> >= |x|^2 for every point p, up
+    # to rounding
+    solve = supremum._solve
     drops = 0
 
-    def local(frame, event, arg):
+    def counting(rows, rhs):
         nonlocal drops
-        if event == "line" and frame.f_lineno == drop:
-            drops += 1
-        return local
+        mu = solve(rows, rhs)
+        drops += mu is not None and min(mu[:-1]) <= 0.0
+        return mu
 
-    def spy(frame, event, arg):
-        return local if frame.f_code is code else None
-
+    monkeypatch.setattr(supremum, "_solve", counting)
     for dim in (2, 3):
         rng = random.Random(dim)
         before = drops
@@ -756,12 +764,7 @@ def test_min_norm_drop_step_keeps_the_least_norm_point():
                 [rng.uniform(-1.0, 1.0) + (c == 0) for c in range(dim)]
                 for _ in range(rng.randint(3, 30))
             ]
-            tracer = sys.gettrace()
-            sys.settrace(spy)
-            try:
-                x, weights = supremum._min_norm(pts)
-            finally:
-                sys.settrace(tracer)
+            x, weights = supremum._min_norm(pts)
             eps = 1e-12 * max(sum(c * c for c in p) for p in pts)
             assert all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) < 1e-12
             for c in range(dim):
