@@ -23,6 +23,7 @@ from .bilinear import (
     GramForm,
     hyperbolic_plane_form,
     lorentzian_rank,
+    minkowski_form,
     standard_embedding,
     subspace_signature,
 )
@@ -142,6 +143,8 @@ def _cmd_faces(args) -> int:
     those of ``_emit`` on the whole table, without holding it."""
     cfg = _load_config(args)
     k = len(cfg.vectors)
+    if k < 2:
+        raise InputError(f"a face sweep needs at least two vectors, the configuration has {k}")
     if args.chain:
         chains = [NestedSequence.parse(cfg.n, args.chain)]
     else:
@@ -273,7 +276,7 @@ def _cmd_render(args) -> int:
         if args.config:
             form = GramForm.from_json(_load_json_file(args.config))
         elif args.preset == "diag":
-            form = GramForm([[1, 0], [0, -1]])
+            form = minkowski_form(1)
         elif args.preset == "hyperbolic":
             form = hyperbolic_plane_form()
         else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -217,28 +218,21 @@ class PermRealization:
         return low
 
     def vertices_of_face(self, ns: NestedSequence) -> list[tuple[int, ...]]:
-        """Vertices whose value blocks refine the chain: positions in I_1
-        carry the smallest |I_1| values, and so on block by block."""
+        """The face's vertices, sorted: the permutations whose positions in
+        each block I_j - I_{j-1} of the chain (I_{c+1} the whole set) carry
+        the values |I_{j-1}|+1, ..., |I_j|.  They are generated, not
+        filtered: one vertex per choice of an ordering of each block's
+        values, (|I_1|)! (|I_2| - |I_1|)! ... in all."""
         if ns.n != self.n:
             raise InputError("chain does not match this realization")
-        blocks = []
-        prev: tuple[int, ...] = ()
-        for sub in ns.chain + ((tuple(range(1, self.n + 2))),):
-            blocks.append(tuple(sorted(set(sub) - set(prev))))
-            prev = sub
-        out = []
-        for v in self.vertices:
-            lo = 0
-            good = True
-            for block in blocks:
-                vals = sorted(v[i - 1] for i in block)
-                if vals != list(range(lo + 1, lo + len(block) + 1)):
-                    good = False
-                    break
-                lo += len(block)
-            if good:
-                out.append(v)
-        return out
+        order: list[int] = []  # the positions, block by block
+        orderings = []
+        for sub in ns.chain + (tuple(range(1, self.n + 2)),):
+            orderings.append(itertools.permutations(range(len(order) + 1, len(sub) + 1)))
+            order += sorted(set(sub).difference(order))
+        # reads the blocks' values, laid end to end, back in position order
+        pick = operator.itemgetter(*sorted(range(self.n + 1), key=order.__getitem__))
+        return sorted(pick(sum(choice, ())) for choice in itertools.product(*orderings))
 
 
 def _exact(x) -> Fraction:

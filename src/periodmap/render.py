@@ -126,62 +126,52 @@ class Scene:
             raise ResourceError(f"cannot write {path}: {exc}") from exc
 
 
+def _scene(elements: list[SceneElement], meta: str, colors: dict, out: str | None) -> Scene:
+    """The scene on the palette's background, written to out when given."""
+    scene = Scene(tuple(elements), meta, colors["background"])
+    if out is not None:
+        scene.write(out)
+    return scene
+
+
 def _fmt(x: float) -> str:
     s = f"{x:.3f}"
     return "0.000" if s == "-0.000" else s
 
 
 def _element_svg(el: SceneElement) -> str:
-    d = el.data
-    if el.kind == "boundary":
-        cx, cy, r = d
-        return (
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-            f'fill="none" stroke="{el.color}" stroke-width="2"/>'
+    kind, d, color = el.kind, el.data, el.color
+    if kind in ("boundary", "dot", "ideal_mark", "lattice_dot"):
+        head = f'<circle cx="{_fmt(d[0])}" cy="{_fmt(d[1])}" r='
+        if kind == "boundary":
+            return head + f'"{_fmt(d[2])}" fill="none" stroke="{color}" stroke-width="2"/>'
+        if kind == "dot":
+            return head + f'"5" fill="{color}"/>'
+        if kind == "ideal_mark":
+            return head + f'"6" fill="none" stroke="{color}" stroke-width="2.5"/>'
+        return head + f'"{_fmt(d[2])}" fill="{color}"/>'
+    if kind in ("segment", "line", "dashed_line"):
+        head = (
+            f'<line x1="{_fmt(d[0])}" y1="{_fmt(d[1])}" x2="{_fmt(d[2])}" '
+            f'y2="{_fmt(d[3])}" stroke="{color}" stroke-width='
         )
-    if el.kind == "arc":
+        if kind == "segment":
+            return head + '"2"/>'
+        if kind == "line":
+            return head + f'"{_fmt(d[4])}"/>'
+        return head + '"2.5" stroke-dasharray="8 6"/>'
+    if kind == "arc":
         x1, y1, x2, y2, r, large, sweep = d
         return (
             f'<path d="M {_fmt(x1)} {_fmt(y1)} '
             f'A {_fmt(r)} {_fmt(r)} 0 {int(large)} {int(sweep)} '
-            f'{_fmt(x2)} {_fmt(y2)}" fill="none" stroke="{el.color}" '
+            f'{_fmt(x2)} {_fmt(y2)}" fill="none" stroke="{color}" '
             f'stroke-width="2"/>'
         )
-    if el.kind == "segment":
-        x1, y1, x2, y2 = d
-        return (
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="{el.color}" stroke-width="2"/>'
-        )
-    if el.kind == "dot":
-        cx, cy = d
-        return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5" fill="{el.color}"/>'
-    if el.kind == "ideal_mark":
-        cx, cy = d
-        return (
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="6" fill="none" '
-            f'stroke="{el.color}" stroke-width="2.5"/>'
-        )
-    if el.kind == "polygon":
+    if kind == "polygon":
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(d[::2], d[1::2]))
-        return f'<polygon points="{pts}" fill="{el.color}" fill-opacity="0.18"/>'
-    if el.kind == "line":
-        x1, y1, x2, y2, width = d
-        return (
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="{el.color}" stroke-width="{_fmt(width)}"/>'
-        )
-    if el.kind == "dashed_line":
-        x1, y1, x2, y2 = d
-        return (
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="{el.color}" stroke-width="2.5" '
-            f'stroke-dasharray="8 6"/>'
-        )
-    if el.kind == "lattice_dot":
-        cx, cy, r = d
-        return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{el.color}"/>'
-    raise DomainError(f"unknown scene element kind {el.kind!r}")
+        return f'<polygon points="{pts}" fill="{color}" fill-opacity="0.18"/>'
+    raise DomainError(f"unknown scene element kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +200,8 @@ def _orthogonal_arc(e1, e2, color, label) -> SceneElement:
     rs = DISK_RADIUS * r
     th1 = math.atan2(s1[1] - cs[1], s1[0] - cs[0])
     th2 = math.atan2(s2[1] - cs[1], s2[0] - cs[0])
-    delta = th2 - th1
-    while delta <= -math.pi:
-        delta += 2 * math.pi
-    while delta > math.pi:
-        delta -= 2 * math.pi
-    sweep = 1 if delta > 0 else 0
+    # the arc turns by less than pi, so the signed turn is never +-pi
+    sweep = 1 if math.remainder(th2 - th1, 2 * math.pi) > 0 else 0
     return SceneElement(
         "arc", color, (s1[0], s1[1], s2[0], s2[1], rs, 0, sweep), label
     )
@@ -277,10 +263,7 @@ def render_config(cfg: SurfaceConfig, out: str | None = None) -> Scene:
         "(" + ",".join(str(int(x)) for x in v) + ")" for v in cfg.vectors
     )
     meta = f"walls={vec_text} encloses={'true' if encloses else 'false'}"
-    scene = Scene(tuple(elements), meta, colors["background"])
-    if out is not None:
-        scene.write(out)
-    return scene
+    return _scene(elements, meta, colors, out)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +388,4 @@ def render_lattice_lines(form: GramForm, out: str | None = None) -> Scene:
         ",".join(str(x) for x in row) for row in form.gram
     )
     meta = f"lattice gram={gram_text}"
-    scene = Scene(tuple(elements), meta, colors["background"])
-    if out is not None:
-        scene.write(out)
-    return scene
+    return _scene(elements, meta, colors, out)

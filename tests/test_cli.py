@@ -169,6 +169,19 @@ def test_faces_config_file(capsys, tmp_path):
     assert "12 faces" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--chain", "1")])
+def test_faces_refuses_a_one_vector_config(capsys, tmp_path, flags):
+    # a sweep over one vector has no face; the refusal names the vectors,
+    # not the n = 0 of the missing permutahedron
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"gram": [[1, 0], [0, -1]], "vectors": [[0, 1]]}))
+    code, out, err = run(capsys, "faces", "--config", str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert "at least two vectors" in err and "has 1" in err
+    assert "n must be" not in err
+
+
 def test_faces_answers_signature_2_2(capsys, tmp_path):
     # no b+ = 1 summary exists here, so every face is Unconstrained
     cfg = {

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -188,6 +190,37 @@ def test_face_vertex_counts_and_dims():
         arr = np.array(fv, dtype=float)
         rank = np.linalg.matrix_rank(arr - arr[0]) if len(fv) > 1 else 0
         assert rank == ns.dim()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_face_vertices_are_the_vertices_refining_the_chain(n):
+    # the filter over every vertex that the generator replaced: a vertex
+    # is on the face when the positions of each block carry that block's
+    # run of values
+    r = realize(n)
+    for ns in all_faces(n):
+        runs, prev = [], ()
+        for sub in ns.chain + (tuple(range(1, n + 2)),):
+            block = set(sub) - set(prev)
+            runs.append((block, set(range(len(prev) + 1, len(sub) + 1))))
+            prev = sub
+        want = [v for v in r.vertices if all({v[i - 1] for i in b} == vals for b, vals in runs)]
+        assert r.vertices_of_face(ns) == want
+
+
+# sha256 of json.dumps(export_json(n), sort_keys=True), recorded before the
+# face vertices were generated from their chains
+EXPORT_JSON_SHA256 = {
+    2: "03a3426d237292366f5d270ef1d4a510dde7706770c46fa0f33a065652d212d4",
+    3: "b737ae673c527e97eaec0702a22ee0e463aad2fcce67034759b4f4d130fbf913",
+    4: "19221c4fbbcd6d13f6a908fe622d417a85961ce89a90a2cd27950db9f6e949c8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXPORT_JSON_SHA256))
+def test_export_json_matches_the_pinned_hash(n):
+    text = json.dumps(export_json(n), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_JSON_SHA256[n]
 
 
 def test_edge_count_n3():

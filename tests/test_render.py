@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -318,3 +319,50 @@ def test_writing_a_scene_reads_no_environment(monkeypatch):
     assert [scene.to_svg() for scene in scenes] == svgs
     monkeypatch.delenv("PERIODMAP_COLORS")
     assert [scene.to_svg() for scene in scenes] == svgs
+
+
+def _pinned_scenes():
+    """The presets, six symmetric configurations, 150 random ones and 200
+    forms of signature (1, 1), the last 196 with entries drawn in -5..5."""
+    for name in PRESETS:
+        yield render_config(preset(name))
+    for a in (Fraction(1, 2), 1, 2, Fraction(5, 2), 3, Fraction(7, 3)):
+        yield render_config(symmetric_config(Fraction(a)))
+    rng = random.Random(3)
+    for _ in range(150):
+        yield render_config(random_config(rng, 2))
+    forms = [
+        GramForm([[1, 0], [0, -1]]),
+        hyperbolic_plane_form(),
+        GramForm([[2, 1], [1, -1]]),
+        GramForm([[Fraction(1, 10**14), 1], [1, 0]]),
+    ]
+    rng = random.Random(4)
+    while len(forms) < 200:
+        a, b, c = (rng.randint(-5, 5) for _ in range(3))
+        if b * b > a * c:
+            forms.append(GramForm([[a, b], [b, c]]))
+    for form in forms:
+        yield render_lattice_lines(form)
+
+
+# sha256 of the 361 pinned scenes' SVG text, end to end, recorded before
+# the element writer shared one head per tag
+PINNED_SCENES_SHA256 = "469431a5a24565ab48be7dc1ca70b4d44f6cf54696d6f9ffed63c09cbc23c83c"
+
+
+def test_scenes_match_the_pinned_dump(monkeypatch):
+    monkeypatch.delenv("PERIODMAP_COLORS", raising=False)
+    digest = hashlib.sha256()
+    count = 0
+    for scene in _pinned_scenes():
+        digest.update(scene.to_svg().encode("ascii"))
+        count += 1
+    assert count == 361
+    assert digest.hexdigest() == PINNED_SCENES_SHA256
+
+
+def test_unknown_element_kind_is_refused():
+    scene = Scene((SceneElement("star", "#000000", ()),), "")
+    with pytest.raises(DomainError, match="star"):
+        scene.to_svg()
