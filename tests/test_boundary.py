@@ -175,6 +175,13 @@ PROBES = [
     ("export_off(4)", lambda: export_off(4)),
     ("coverage seed -1", lambda: check_face_mapping_surjectivity(_onto, 2, 0.5, -1)),
     ("coverage grid_step 0", lambda: check_face_mapping_surjectivity(_onto, 2, 0)),
+    # GRID_SLACK is absolute, so a step 1e9 times the edge once passed
+    # with k = 0 and reported the one node (1, 1, 1), off the plane
+    ("coverage grid_step 3e9", lambda: check_face_mapping_surjectivity(_onto, 2, 3e9)),
+    (
+        "shrink coverage grid_step 3e9",
+        lambda: check_face_mapping_surjectivity(shrink_map(2, 0.9), 2, 3e9),
+    ),
     ("random_decomposition max_dim=0", lambda: random_decomposition(random.Random(0), max_dim=0)),
     ("random_config entry_bound=0", lambda: random_config(random.Random(0), 2, entry_bound=0)),
     ("split H1=[[1, 0]]", lambda: dataclasses.replace(connected_sum_split(), H1=[[1, 0]])),
@@ -335,6 +342,12 @@ def test_numpy_ints_are_counts():
     assert repr(check_face_mapping_surjectivity(_onto, two, 0.5, np.int64(3))) == repr(
         check_face_mapping_surjectivity(_onto, 2, 0.5, 3)
     )
+
+
+def test_a_grid_step_of_one_edge_is_one_division():
+    # the largest step that divides the edge of 3 at n = 2: the corners
+    rep = check_face_mapping_surjectivity(_onto, 2, 3.0)
+    assert rep.ok and rep.grid_points == rep.covered == 3
 
 
 def test_numpy_int_n_reaches_json_as_int():

@@ -700,6 +700,39 @@ def test_coverage_check_passes_perturbed():
     assert rep.ok
 
 
+def test_collapse_certifies_at_n4_and_a_failing_check_there_is_refused(no_scan, monkeypatch):
+    # the passing check runs up to the mesh budget; a failing one at n = 4
+    # is refused after the face condition and before the scan, whose
+    # float crossing signs are not sound there
+    fb = collapse_batch(realize(4))
+    rep = check_face_mapping_surjectivity(fb, 4, 0.5)
+    assert rep.ok and rep.grid_points == rep.covered == math.comb(24, 4) == 10626
+    assert rep.samples_used == 165060
+
+    def refuse(*args):
+        raise AssertionError("a failing check at n = 4 reached the scan")
+
+    monkeypatch.setattr(coverage, "_rim_blocks", refuse)
+    monkeypatch.setattr(degree, "winding", refuse)
+    bad = shrink_map(4, 0.9)
+    with pytest.raises(ResourceError, match="float signs of its winding scan are not sound"):
+        check_face_mapping_surjectivity(lambda pts: bad(fb(pts)), 4, 0.5)
+
+
+def test_mesh_budget_refuses_n6_before_building_a_flag(monkeypatch):
+    # 7! 6! = 3,628,800 flags, each a simplex at least, are over
+    # MAX_MESH_SIMPLICES: refused before the flags or the faces are built
+    def refuse(*args):
+        raise AssertionError("a mesh over the budget built its flags")
+
+    for name in ("_flags", "_faces", "_reach"):
+        monkeypatch.setattr(coverage, name, refuse)
+    with pytest.raises(ResourceError, match="needs at least 3628800 simplices"):
+        check_face_mapping_surjectivity(lambda pts: pts, 6, 3.0)
+    with pytest.raises(ResourceError):
+        _mesh(6, 3.0)
+
+
 def test_coverage_grid_step_must_divide():
     with pytest.raises(InputError):
         check_face_mapping_surjectivity(
@@ -854,12 +887,66 @@ def test_cached_mesh_is_read_only():
     mesh = _mesh(3, 0.5)
     arrays = [v for v in vars(mesh).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 5
+    # the flags, the faces' pins and the rim's sorted simplices and facing
+    # are cached and shared too
+    arrays += [*coverage._flags(3), coverage._faces(3)[1], *_mesh(3, 0.5, True).oriented]
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 0
     # the expanded views are copies the caller may change
     mesh.simplices[0] = 0
     assert _mesh(3, 0.5).simplices[0].any()
+
+
+# sha256 of each _flags(n) array's dtype, shape and bytes, recorded
+# before the flags were read from their chains
+FLAGS_SHA256 = {
+    1: (
+        "c19e2720c598899d8e7f8e5eb842d641346674a0de19e96572b220c68a08020c",
+        "646fb89477673de97b0e9f0200273dd47110544d2bbc49d48f9ec8533e00af6e",
+    ),
+    2: (
+        "0b69b9d0ccd063dda6e50a07abfb6b50b66f3ac193025c2a2b569d59cb3cb5e5",
+        "c3a47dcc2451040b6d54d261ea02d13eb2f2fee32b56dd1287dafa2e15f28393",
+    ),
+    3: (
+        "30ea4ed077cd04026f8bf023a4a42ce7b5306ab36b29482587c55dcb11c41016",
+        "56814f7c7b27c8fac19caf40414e3dd6ea56bc160c66383c3c0889a227c8eede",
+    ),
+    4: (
+        "cbfc58ca798b898f40bb2f53594c84115a462ccf2783078e197c387ac334e6f3",
+        "bbf87102a84dbe180db15294d5902c28ad2e9bad7a1c20c18a5bc0b19b49b2de",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FLAGS_SHA256))
+def test_flags_match_the_pinned_hash(n):
+    digests = tuple(
+        hashlib.sha256(f"{a.dtype.str} {a.shape}".encode() + a.tobytes()).hexdigest()
+        for a in coverage._flags(n)
+    )
+    assert digests == FLAGS_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flag_barycentres_are_the_means_of_their_faces_vertices(n):
+    # the rule the chain replaced: each row is twice the mean of the
+    # vertices of the face it indexes, the last twice P's centre; a
+    # flag's faces rise one dimension a step from a vertex, each chain
+    # inside the one before
+    bary, ids = coverage._flags(n)
+    faces, r = all_faces(n), realize(n)
+    twice = [2 * np.array(r.vertices_of_face(ns)).mean(axis=0) for ns in faces]
+    assert len(bary) == math.factorial(n + 1) * math.factorial(n)
+    assert np.array_equal(bary[:, :n], np.array(twice)[ids])
+    assert (bary[:, n] == n + 2).all()
+    assert all(faces[i].dim() == j for row in ids.tolist() for j, i in enumerate(row))
+    assert all(
+        set(faces[a].chain) > set(faces[b].chain)
+        for row in ids.tolist()
+        for a, b in zip(row, row[1:])
+    )
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 5), (2, 2), (2, 7), (3, 1), (3, 3)])
