@@ -477,11 +477,13 @@ class Subspace:
     every holder of the instance then shares.  They depend on the
     basis, so they are kept per instance, not shared between equal
     subspaces.  A span made by ``_framed`` holds its integer gram block
-    (``_frame``) until that first split reads it.
+    (``_frame``) until that first split reads it, and, without a
+    ``basis``, its integer basis (``_ints``), whose Fraction rows are
+    made on first access.
     """
 
     __slots__ = (
-        "ambient", "_rows", "_basis", "_canonical", "_columns", "_frame",
+        "ambient", "_rows", "_basis", "_ints", "_canonical", "_columns", "_frame",
         "_sig", "_positive", "_radical",
     )
 
@@ -491,7 +493,7 @@ class Subspace:
         if len(red) != len(rows):
             raise InputError("spanning vectors must be linearly independent")
         self.ambient, self._rows, self._basis = ambient, red, rows
-        self._canonical = self._columns = self._frame = None
+        self._ints = self._canonical = self._columns = self._frame = None
         self._sig = self._positive = self._radical = None
 
     @classmethod
@@ -505,19 +507,33 @@ class Subspace:
         """
         sub = cls.__new__(cls)
         sub.ambient, sub._rows, sub._basis = ambient, _int_rref(rows)[0], basis
-        sub._canonical = sub._columns = sub._frame = sub._sig = sub._positive = sub._radical = None
+        sub._ints = sub._canonical = sub._columns = sub._frame = None
+        sub._sig = sub._positive = sub._radical = None
         return sub
 
     @classmethod
     def _framed(
-        cls, ambient: GramForm, x: list[list[int]], m: list[list[int]], basis: Matrix
+        cls,
+        ambient: GramForm,
+        x: list[list[int]],
+        basis: Matrix | None = None,
+        m: list[list[int]] | None = None,
+        d: int = 1,
     ) -> "Subspace":
-        """Span of independent integer rows x, equal to the rows of
-        ``basis``, whose gram block m (``ambient._den`` times X G X^t) the
-        caller already holds: its split diagonalizes m, which it overwrites,
-        instead of clearing and pairing the basis again."""
+        """Span of independent integer rows x, paired once: its split
+        diagonalizes their gram block m (``ambient._den`` times X G X^t,
+        from ``_gram_of`` unless the caller already holds it), which it
+        overwrites, instead of clearing and pairing the basis again.
+
+        ``basis`` is a basis whose rows are the rows of x, each up to a
+        positive scale.  Without it the basis is x / d, its Fractions made
+        on first read; d must then be the least common denominator of
+        x / d, so ``_int_basis`` is (x, d) as clearing the basis gives it.
+        """
         sub = cls._echelon(ambient, x, basis)
-        sub._frame = (m, x, 1)
+        if basis is None:
+            sub._ints = (x, d)
+        sub._frame = (_gram_of(x, ambient._igram)[0] if m is None else m, x, d)
         return sub
 
     @staticmethod
@@ -534,7 +550,11 @@ class Subspace:
     @property
     def basis(self) -> Matrix:
         if self._basis is None:
-            self._basis = self.canonical
+            if self._ints is None:
+                self._basis = self.canonical
+            else:
+                x, d = self._ints
+                self._basis = tuple(tuple(Fraction(e, d) for e in r) for r in x)
         return self._basis
 
     @property
@@ -556,6 +576,8 @@ class Subspace:
 
     def _int_basis(self) -> tuple[list[list[int]], int]:
         """(x, d) with basis == x / d for one common integer d."""
+        if self._ints is not None:
+            return self._ints
         if self._basis is None:
             leads = [_lead(r) for r in self._rows]
             d = lcm(*leads)

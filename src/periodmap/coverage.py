@@ -465,11 +465,16 @@ class _Mesh:
 def _reach(n: int) -> float:
     """The longest sum, over the flags of P_n and the nonempty sets of j,
     of a flag's axes b_j - b_{j-1}: k times the longest edge a piece of
-    a flag simplex cut k ways can have."""
+    a flag simplex cut k ways can have.  The flags are taken a block at
+    a time, as many as keep the block's sums within SLAB_ROWS floats."""
     bary, _ = _flags(n)
-    axes = np.diff(bary, axis=1) / 2.0  # (flags, n, n+1)
-    sums = np.array(list(itertools.product((0, 1), repeat=n))[1:]) @ axes
-    return float(np.linalg.norm(sums, axis=-1).max())
+    sets = np.array(list(itertools.product((0, 1), repeat=n))[1:])
+    per_block = max(1, SLAB_ROWS // (len(sets) * (n + 1)))
+    longest = 0.0
+    for start in range(0, len(bary), per_block):
+        axes = np.diff(bary[start:start + per_block], axis=1) / 2.0  # (flags, n, n+1)
+        longest = max(longest, float(np.linalg.norm(sets @ axes, axis=-1).max()))
+    return longest
 
 
 def _mesh(n: int, step: float, boundary: bool = False) -> _Mesh:

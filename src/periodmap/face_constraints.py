@@ -99,8 +99,8 @@ class SurfaceConfig:
             self._table[idx] = Subspace._framed(
                 self.form,
                 [x[i] for i in idx],
-                [[p[i][j] for j in idx] for i in idx],
                 tuple(self.vectors[i] for i in idx),
+                [[p[i][j] for j in idx] for i in idx],
             )
         return self._table[idx]
 

@@ -32,7 +32,6 @@ from .errors import (
     check_real,
 )
 
-DISTANCE_CLAMP = 1e-9
 HPOINT_FLOOR = 1e-7  # absolute: |<x, x> - 1| an HPoint may always have
 # relative: |<x, x> - 1| may also reach HPOINT_ROUNDING * 2^-52 * sum x_i^2,
 # the float rounding of <x, x>, which grows as x_0^2 towards the disk rim
@@ -67,6 +66,11 @@ def _floats(v, what: str, least: int = 0) -> tuple[float, ...]:
     return x
 
 
+def _slack(x: Sequence[float]) -> float:
+    """How far from 1 the norm <x, x> of an HPoint with coordinates x may be."""
+    return max(HPOINT_FLOOR, HPOINT_ROUNDING * 2.0**-52 * sum(c * c for c in x))
+
+
 @dataclass(frozen=True)
 class HPoint:
     """A point on the upper hyperboloid sheet in R^{1,n}: x_0 > 0, and
@@ -77,8 +81,7 @@ class HPoint:
     def __post_init__(self):
         x = _floats(self.coords, "hyperboloid coordinates", 2)
         norm = mink_dot(x, x)
-        slack = max(HPOINT_FLOOR, HPOINT_ROUNDING * 2.0**-52 * sum(c * c for c in x))
-        if not (norm > 0 and abs(norm - 1.0) <= slack) or x[0] <= 0:
+        if not (norm > 0 and abs(norm - 1.0) <= _slack(x)) or x[0] <= 0:
             raise DomainError(f"not on the upper hyperboloid sheet: {x} (norm {norm:.3e})")
 
     @property
@@ -117,10 +120,12 @@ def disk_to_hpoint(d: Sequence[float]) -> HPoint:
 def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     """2 arsinh(|p - q| / 2), where |p - q|^2 = -<p - q, p - q> = 2 <p, q>
     - 2 on the hyperboloid: read from the difference, it is 0 at p = q and
-    keeps its digits near 0, where arccosh <p, q> loses half of them.  A
-    pairing below 1 by more than DISTANCE_CLAMP is refused."""
+    keeps its digits near 0, where arccosh <p, q> loses half of them.
+    Two future timelike vectors have <p, q> >= sqrt(<p, p> <q, q>), so
+    for HPoints, each admitted with |<x, x> - 1| up to its slack s_x,
+    the pairing is at least 1 - s_p - s_q; one below that is refused."""
     c = mink_dot(p.coords, q.coords)
-    if c < 1.0 - DISTANCE_CLAMP:
+    if c < 1.0 - _slack(p.coords) - _slack(q.coords):
         raise NumericalDomainError(
             f"pairing {c} below 1 beyond tolerance; inputs are not hyperboloid points"
         )

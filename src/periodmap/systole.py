@@ -7,8 +7,10 @@ a positive definite quadratic form on the lattice.  The conformal
 systole is its minimum over nonzero integer vectors.
 
 Every period point is a rational subspace: a hyperboloid point's float
-coordinates are dyadic rationals, so the line through them is one.  Its
-norm form is an integer matrix from start to finish: it is reduced by
+coordinates are dyadic rationals, so the line through them is one, and
+both constructors build that line as one integer row over one common
+denominator, with no Fraction arithmetic.  Its norm form is an integer
+matrix from start to finish: it is reduced by
 integral LLL, and one Fincke-Pohst enumerator searches the whole seed
 ellipsoid of the reduced form (the lattice vectors no longer than the
 shortest basis vector), shrinking each coordinate range as the best
@@ -26,6 +28,7 @@ from typing import Sequence
 from .bilinear import (
     GramForm,
     Subspace,
+    _clear,
     _dot,
     _gram_of,
     _int_adjugate,
@@ -76,11 +79,15 @@ def period_point(subspace: Subspace) -> PeriodPoint:
 def period_point_from_hpoint(point: HPoint) -> PeriodPoint:
     """The line through a hyperboloid point, on the standard form.
 
-    Every float is a dyadic rational, so the line is rational and read
-    exactly (``Fraction(float)`` is exact).
+    Every float is a dyadic rational p_i / 2^e_i (``as_integer_ratio``),
+    so the line is rational: its generator is the integer row
+    (p_i 2^(k - e_i)) over 2^k, the largest 2^e_i.  A coordinate that is
+    not a float is read as ``Fraction`` reads it, exactly, and the row is
+    then taken over the least common denominator.
     """
-    line = [Fraction(x) for x in point.coords]
-    return period_point(Subspace(minkowski_form(point.n), [line]))
+    ratios = [(x if type(x) is float else Fraction(x)).as_integer_ratio() for x in point.coords]
+    den = math.lcm(*[q for _, q in ratios])
+    return _line(minkowski_form(point.n), [p * (den // q) for p, q in ratios], den)
 
 
 def rational_disk_period_point(
@@ -89,20 +96,33 @@ def rational_disk_period_point(
     """Exact period point on the standard form from rational disk coordinates.
 
     The positive line through the hyperboloid point over a rational disk
-    point has a rational generator: (1 + r^2, 2 d_1, ..., 2 d_n).
+    point d has the generator (1 + |d|^2, 2 d_1, ..., 2 d_n).  With D the
+    common denominator of d and a = D d, that is the integer row
+    (D^2 + |a|^2, 2 D a_1, ..., 2 D a_n) over D^2, reduced by the gcd of
+    D^2 and its entries; the disk point is read once, and no Fraction is
+    formed after it.
     """
     dd = as_vector(disk)
     if len(dd) != form.dim - 1:
         raise DimensionMismatchError(
             f"disk point must have {form.dim - 1} coordinates, got {len(dd)}"
         )
-    r2 = sum(x * x for x in dd)
-    if r2 >= 1:
+    a, den = _clear(dd)
+    den2 = den * den
+    r2 = sum(v * v for v in a)  # den^2 |d|^2
+    if r2 >= den2:
         raise DomainError("disk point must have norm < 1")
-    gen = [1 + r2] + [2 * x for x in dd]
     if not dd or form != minkowski_form(len(dd)):
         raise PreconditionError("rational disk path needs the standard diagonal form")
-    return period_point(Subspace(form, [gen]))
+    gen = [den2 + r2] + [2 * den * v for v in a]
+    g = math.gcd(den2, *gen)
+    return _line(form, [v // g for v in gen], den2 // g)
+
+
+def _line(form: GramForm, gen: list[int], den: int) -> PeriodPoint:
+    """The period point spanned by gen / den, den the least common
+    denominator of that row: ``basis`` is that row, made on first read."""
+    return PeriodPoint(Subspace._framed(form, [gen], d=den))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +385,13 @@ def conf_systole(pp: PeriodPoint) -> SystoleResult:
     is longer than the best standard basis vector); no search enumerates
     that box.
 
-    The norm matrix is an integer matrix N (``_norm_matrix_int``) and
-    the search is exact integer arithmetic from start to finish: it
+    The period point's subspace holds its basis as integer rows X over
+    one common denominator; from the two constructors that is a single
+    row, the generator (D^2 + |a|^2, 2 D a) of a rational disk point
+    d = a / D or the dyadic row of a hyperboloid point.  The norm matrix
+    is an integer matrix N (``_norm_matrix_int``) read from X, and for a
+    line h it is 2 (Gh)(Gh)^t - Q(h, h) G.  The search is exact integer
+    arithmetic from start to finish: it
     enumerates the whole seed ellipsoid of N reduced by integral LLL
     (``_lll``) and maps the minimizers back through the unimodular
     transform.  That complete exact enumeration is the certificate, and
@@ -394,10 +419,11 @@ def _minimum(m: list[list[int]], scale: int) -> tuple[Fraction, tuple]:
     """
     u, g = _lll(m)
     best, coords = _shortest(g, min(g[i][i] for i in range(len(g))))
-    reps = [[_dot(col, c) for col in zip(*u)] for c in coords]
-    return Fraction(best, scale), tuple(
-        sorted(tuple(s * x for x in w) for w in reps for s in (1, -1))
-    )
+    ut = list(zip(*u))
+    reps = [tuple([_dot(col, c) for col in ut]) for c in coords]
+    reps += [tuple([-x for x in w]) for w in reps]
+    reps.sort()
+    return Fraction(best, scale), tuple(reps)
 
 
 # ---------------------------------------------------------------------------

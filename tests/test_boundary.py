@@ -65,7 +65,7 @@ from periodmap.permutahedron import (
     realize,
 )
 from periodmap.supremum import CsSearchConfig, cs_invariance_check
-from periodmap.systole import rational_disk_period_point
+from periodmap.systole import conf_systole, period_point_from_hpoint, rational_disk_period_point
 
 P2 = realize(2)
 
@@ -302,6 +302,50 @@ def test_disk_point_length_is_checked_before_the_form():
             DimensionMismatchError, match=rf"^disk point must have 2 coordinates, got {got}$"
         ):
             rational_disk_period_point(minkowski_form(2), disk)
+
+
+def test_period_point_constructors_refuse_as_the_fraction_route_did():
+    # the type and message of each refusal when both constructors built
+    # their generator in Fractions; the disk's norm is tested before its
+    # form, and the entries before either
+    m1, m2, scaled = minkowski_form(1), minkowski_form(2), GramForm([[2, 0], [0, -1]])
+    for form, disk, error, message in (
+        (m1, (Fraction(1, 4), 0), DimensionMismatchError, "disk point must have 1 coordinates, got 2"),
+        (m2, (Fraction(3, 5), Fraction(4, 5)), DomainError, "disk point must have norm < 1"),
+        (m1, (-1,), DomainError, "disk point must have norm < 1"),
+        (m2, (True, 0), InputError, "a boolean is not a number"),
+        (m2, (0.1, 0), InputError, "float 0.1 is not exact; give it as a 'p/q' string or a Fraction"),
+        (m2, ("x", 0), InputError, "not a rational literal: 'x'"),
+        (m2, ("1/0", 0), InputError, "not a rational literal: '1/0'"),
+        (scaled, (Fraction(1, 3),), PreconditionError, "rational disk path needs the standard diagonal form"),
+        (scaled, (Fraction(3, 2),), DomainError, "disk point must have norm < 1"),
+        (GramForm([[1]]), (), PreconditionError, "rational disk path needs the standard diagonal form"),
+    ):
+        with pytest.raises(error) as info:
+            rational_disk_period_point(form, disk)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_hyperboloid_coordinates_of_very_different_size_are_read_exactly():
+    # 1e-300 beside 1 puts 2^1049 under the row, and a subnormal 2^1074;
+    # the line h = (1, a, b) gives e_2 the norm 1 + 2 b^2 / <h, h>
+    for coords in ((1.0, 1e-300, 0.0), (1.0, 1e-300, -5e-324)):
+        pp = period_point_from_hpoint(HPoint(coords))
+        one, a, b = h = tuple(Fraction(x) for x in coords)
+        assert pp.subspace.basis == (h,)
+        res = conf_systole(pp)
+        assert res.value_sq == 1 + 2 * b * b / (one - a * a - b * b)
+        assert res.minimizers == ((0, 0, -1), (0, 0, 1))
+
+
+def test_hyperboloid_coordinates_that_are_not_floats_are_read_exactly():
+    # ints, and Fractions whose denominators are not powers of two nor
+    # divide one another, are read as Fraction reads them
+    for coords in ((1, 0, 0), (Fraction(5, 4), Fraction(3, 4), Fraction(1, 3**9))):
+        pp = period_point_from_hpoint(HPoint(coords))
+        assert pp.subspace.basis == (tuple(map(Fraction, coords)),)
+        public = Subspace(minkowski_form(2), [coords])
+        assert pp.subspace._int_basis() == public._int_basis()
 
 
 def test_the_checks_return_what_they_accept():

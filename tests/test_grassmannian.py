@@ -12,6 +12,8 @@ from periodmap.errors import (
 )
 from periodmap.grassmannian import (
     ConstraintKind,
+    HPOINT_FLOOR,
+    HPOINT_ROUNDING,
     NULL_DIRECTION_SLACK,
     HPoint,
     classify_span,
@@ -229,6 +231,24 @@ def test_distance_clamp_and_rejection():
 
     with pytest.raises(NumericalDomainError):
         hyperbolic_distance(p, Fake())
+
+
+def test_distance_takes_every_point_hpoint_admits():
+    # points whose norm is off 1 by most of the slack HPoint admitted them
+    # with, the floor at the origin and the float rounding out at t = 15,
+    # were refused when the pairing fell below 1 - 1e-9
+    for t in (0.0, 0.5, 15.0):
+        x = (math.cosh(t), math.sinh(t), 0.0)
+        slack = max(HPOINT_FLOOR, HPOINT_ROUNDING * 2.0**-52 * sum(c * c for c in x))
+        # the norm's rounding is far below the floor, not below the rounding
+        edge = 0.99 if slack == HPOINT_FLOOR else 0.5
+        for off in (-edge * slack, edge * slack):
+            p = HPoint((math.sqrt(x[0] ** 2 + off), x[1], 0.0))
+            assert abs(mink_dot(p.coords, p.coords) - 1.0) > 0.4 * abs(off)
+            q = HPoint((math.cosh(t + 0.1), math.sinh(t + 0.1), 0.0))
+            assert hyperbolic_distance(p, p) == 0.0
+            assert 0.0 < hyperbolic_distance(p, q) < math.inf
+            assert 0.0 < hyperbolic_distance(q, p) < math.inf
 
 
 def test_classify_single_lines():

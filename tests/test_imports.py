@@ -7,7 +7,8 @@ caller's ``random.Random``, none takes a determinant from
 ``np.linalg.det``, the coverage scan's crossings, winding numbers and
 on-image marks live only in ``degree`` and do not branch on ``n``, no
 library code masks a floating-point error with ``np.errstate``,
-every float tolerance below 1e-6 is a named module constant, and every
+every float tolerance below 1e-6 is a named module constant, the
+oracles and samples import nothing from the library, and every
 Python file of the library, the tests and the benchmark parses under
 the Python 3.10 grammar, the oldest that ``pyproject.toml`` allows.
 
@@ -492,6 +493,70 @@ def test_the_scan_sees_bare_tolerances():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_library_names_every_small_tolerance(path):
     assert bare_tolerances(path.read_text()) == []
+
+
+def library_imports(source: str, local: frozenset[str]) -> list[int]:
+    """Lines that import the library: ``periodmap`` or a module in it, a
+    relative import, a module named in local (one that imports the
+    library in turn), or one of these named to ``import_module`` or
+    ``__import__``.  An oracle that reads library code agrees with the
+    library by construction, whatever the library computes."""
+
+    def reaches(name: str) -> bool:
+        top = name.split(".")[0]
+        return top == "periodmap" or top in local
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(reaches(alias.name) for alias in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or reaches(node.module):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Call) and node.args:
+            func, arg = node.func, node.args[0]
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if (
+                name in ("import_module", "__import__")
+                and isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str)
+                and reaches(arg.value)
+            ):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_sees_library_imports():
+    source = (
+        "import periodmap\n"
+        "from periodmap.bilinear import GramForm\n"
+        "import math, periodmap.systole as s\n"
+        "from . import bilinear\n"
+        "from test_systole import x_axis_point\n"
+        "importlib.import_module('periodmap.coverage')\n"
+        "__import__('periodmap')\n"
+        "import math, itertools\n"
+        "from fractions import Fraction\n"
+        "import numpy as np\n"
+        "from samples import random_chain\n"
+        "name = 'periodmap'\n"
+        "importlib.import_module('numpy')\n"
+    )
+    assert library_imports(source, frozenset({"test_systole"})) == [1, 2, 3, 4, 5, 6, 7]
+
+
+# the modules oracles.py and samples.py must not import: the library,
+# the benchmark and every test module, which import the library
+_INDEPENDENT = ("oracles.py", "samples.py")
+_IMPORT_THE_LIBRARY = frozenset(
+    {"perfbench"} | {p.stem for p in TESTS.glob("*.py") if p.name not in _INDEPENDENT}
+)
+
+
+@pytest.mark.parametrize("name", _INDEPENDENT)
+def test_oracles_and_samples_import_nothing_from_the_library(name):
+    assert library_imports((TESTS / name).read_text(), _IMPORT_THE_LIBRARY) == []
 
 
 def grammar_error(source: str) -> str | None:

@@ -930,6 +930,19 @@ def test_flags_match_the_pinned_hash(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reach_block_by_block_is_the_one_shot_formula(n, monkeypatch):
+    # the formula that held every flag's 2^n - 1 axis sums at once (a
+    # 384 MB peak at n = 5), against blocks of the default size and of
+    # one flag each
+    bary, _ = coverage._flags(n)
+    sums = np.array(list(itertools.product((0, 1), repeat=n))[1:]) @ (np.diff(bary, axis=1) / 2.0)
+    want = float(np.linalg.norm(sums, axis=-1).max())
+    assert coverage._reach(n) == want
+    monkeypatch.setattr(coverage, "SLAB_ROWS", 1)
+    assert coverage._reach.__wrapped__(n) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_flag_barycentres_are_the_means_of_their_faces_vertices(n):
     # the rule the chain replaced: each row is twice the mean of the
     # vertices of the face it indexes, the last twice P's centre; a

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -156,6 +157,105 @@ def test_conf_systole_hyperbolic_plane_center():
     res = conf_systole(period_point(Subspace(HYP, [(1, 1)])))
     assert res.value_sq == F(1)
     assert set(res.minimizers) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+
+# sha256 of ``_systole_dump``, recorded when both period point
+# constructors built their generator in Fractions and split it through
+# ``Subspace``; a change to any result field, basis or refusal changes it
+SYSTOLE_DUMP_SHA256 = "ca1ec722e1cc06808f8c0f88bceaedd7b34d47874a4f204046740e26b32556c4"
+
+# three b+ = 2 forms, each with two orthogonal positive vectors
+B2_FORMS = (
+    (
+        GramForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]),
+        ((1, 0, 0, 0), (0, 1, 0, 0)),
+    ),
+    (
+        GramForm([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        ((1, 1, 0, 0), (0, 0, 1, 1)),
+    ),
+    (
+        GramForm([[int(i == j) * d for j in range(5)] for i, d in enumerate((1, 1, -1, -2, -1))]),
+        ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+    ),
+)
+
+
+def _systole_dump():
+    """The repr of every period point's basis and span and of its
+    ``conf_systole`` result, every field, over named inputs from
+    Random(52): rational disk points at ranks 2 to 4, the coordinates
+    of each over one shared denominator and over one denominator each;
+    float points at disk radii out to 0.9996; the stretched family
+    (k - 1) / k for k = 2..100 and both signs; and planes of three b+ = 2
+    forms near a positive plane, each basis row mixed into the other,
+    built through ``Subspace``.  A refusal is dumped as its type and
+    message."""
+    rng = random.Random(52)
+    out = []
+
+    def record(label, make):
+        try:
+            pp = make()
+            out.append((label, pp.subspace.basis, pp.subspace, conf_systole(pp)))
+        except (ValueError, RuntimeError) as exc:
+            out.append((label, type(exc).__name__, str(exc)))
+
+    for n in (1, 2, 3):
+        form = minkowski_form(n)
+        for _ in range(40):
+            den = rng.randint(2, 40)
+            shared = tuple(F(rng.randint(-den, den), den) for _ in range(n))
+            apart = tuple(F(rng.randint(-9, 9), rng.randint(1, 30)) for _ in range(n))
+            for disk in (shared, apart):
+                record(f"disk {disk}", lambda: rational_disk_period_point(form, disk))
+        for rho in (0.0, 0.2, 0.5, 0.8, 0.9, 0.99, 0.999, 0.9996):
+            for _ in range(4):
+                direction = [rng.gauss(0.0, 1.0) for _ in range(n)]
+                norm = math.sqrt(sum(x * x for x in direction))
+                disk = [rho * x / norm for x in direction]
+                record(f"float {disk}", lambda: period_point_from_hpoint(disk_to_hpoint(disk)))
+    for k in range(2, 101):
+        for sign in (1, -1):
+            record(f"stretched {sign} {k}", lambda: _stretched(k, sign))
+    for form, positive in B2_FORMS:
+        for _ in range(40):
+            a, b = (
+                [x + F(rng.randint(-3, 3), rng.randint(4, 12)) for x in p] for p in positive
+            )
+            t = rng.randint(-2, 2)
+            plane = [[x + t * y for x, y in zip(a, b)], b]
+            record(f"plane {form.gram} {plane}", lambda: period_point(Subspace(form, plane)))
+    return "\n".join(map(repr, out))
+
+
+def test_conf_systole_matches_the_pinned_dump():
+    digest = hashlib.sha256(_systole_dump().encode()).hexdigest()
+    assert digest == SYSTOLE_DUMP_SHA256
+
+
+def test_constructors_hold_the_row_their_basis_clears_to():
+    # the integer row a constructor builds is the one Subspace clears the
+    # same basis to, so the norm matrix and its scale are the same too
+    rng = random.Random(53)
+    for n in (1, 2, 3):
+        form = minkowski_form(n)
+        for _ in range(60):
+            den = rng.randint(1, 40)
+            disk = tuple(
+                F(rng.randint(-den, den), rng.choice((den, rng.randint(1, 40)))) for _ in range(n)
+            )
+            if sum(x * x for x in disk) >= F(99, 100):
+                continue
+            for pp in (
+                rational_disk_period_point(form, disk),
+                period_point_from_hpoint(disk_to_hpoint([float(x) for x in disk])),
+            ):
+                row = pp.subspace._int_basis()
+                public = period_point(Subspace(form, pp.subspace.basis))
+                assert row == public.subspace._int_basis(), disk
+                assert _norm_matrix_int(pp) == _norm_matrix_int(public), disk
+                assert pp.subspace == public.subspace
 
 
 def test_conf_systole_deterministic():
