@@ -11,10 +11,11 @@ gcd, and ranks, kernels, determinants, adjugates and inverses
 diagonalization runs the rational steps on an integer multiple of the
 gram matrix and tracks the scale of every basis column, so its output
 is exactly that of the rational algorithm.  Every congruence product
-X G X^t comes from ``_gram_of``; the other modules call it and
-``_int_adjugate``.  No floating point enters signature, complement, or
-intersection results, and Sylvester's law makes signatures basis
-independent.
+X G X^t comes from ``_gram_of`` and every adjugate from ``_int_adjugate``
+(read by ``face_constraints``, ``decomposition`` and ``supremum``, and by
+``systole`` through a form's cached one).  No floating point enters
+signature, complement, or intersection results, and Sylvester's law
+makes signatures basis independent.
 
 A form is a symmetric gram matrix on coordinate space and a subspace is
 a rational span inside it.  Entries may be ints, Fractions, "p/q"
@@ -63,9 +64,16 @@ def _frac(x) -> Fraction:
 
 
 def as_vector(entries: Iterable) -> Vector:
-    if isinstance(entries, (str, bytes)):
+    if not _is_list(entries):
         raise InputError(f"a vector must be a list of numbers, got {entries!r}")
     return tuple(_frac(e) for e in entries)
+
+
+def _exact(x) -> Fraction:
+    """A real that ``check_real`` admits, exactly, numpy's as Python ints or floats."""
+    if hasattr(x, "numerator"):
+        return Fraction(int(x.numerator), int(x.denominator))
+    return Fraction(float(x))  # exact for every numpy float; Fraction reads only float64
 
 
 def _is_list(x) -> bool:
@@ -312,8 +320,6 @@ def _int_adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]] | None, i
     and adj(m) is sign * E.
     """
     k = len(m)
-    if k == 1:  # the norm matrix's R at every b+ = 1 point: no pass needed
-        return ([[1]], m[0][0]) if m[0][0] else (None, 0)
     a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
     red, pivots, p, sign = _eliminate(a)
     if pivots and pivots[-1] >= k:
@@ -658,6 +664,8 @@ def _split_of(
 
 def _rows_in(ambient: GramForm, vectors: Sequence[Sequence]) -> Matrix:
     """The vectors as rows of rationals, each as long as the ambient's dim."""
+    if not _is_list(vectors):
+        raise InputError(f"the vectors must be a list of vectors, got {type(vectors).__name__}")
     rows = tuple(as_vector(v) for v in vectors)
     for r in rows:
         if len(r) != ambient.dim:
@@ -730,11 +738,17 @@ def positive_vectors(sub: Subspace) -> list[Vector]:
     ]
 
 
+def _positive_frame(sub: Subspace) -> list[list[int]]:
+    """The split's positive columns: orthogonal integer rows spanning a
+    maximal positive subspace."""
+    return [w for e, w, _, _ in sub._split() if e > 0]
+
+
 def positive_part(sub: Subspace) -> Subspace:
     """Maximal positive subspace of a subspace, from exact diagonalization,
     kept on it."""
     if sub._positive is None:
-        sub._positive = _span_or_zero(sub.ambient, [w for e, w, _, _ in sub._split() if e > 0])
+        sub._positive = _span_or_zero(sub.ambient, _positive_frame(sub))
     return sub._positive
 
 

@@ -791,9 +791,8 @@ def check_face_mapping_surjectivity(
     # the images moved onto the plane, in the lattice coordinates of the
     # chart of the first n coordinates
     xs = np.ascontiguousarray((images[:, :n] - shifts[:, None] - 1.0).T / grid_step)
-    blocks = list(_rim_blocks(xs, rim))
-    covered_at = winding(blocks, k) != 0
-    covered_at |= on_image(blocks, k)
+    covered_at = winding(_rim_blocks(xs, rim), k) != 0
+    covered_at |= on_image(_rim_blocks(xs, rim), k)
     points = _cube_points(n, k)
     covered_at = covered_at.take(points[0])  # the grid's nodes, in grid order
     # a node on the image is within LOCATE_TOL grid steps of it in the

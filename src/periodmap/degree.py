@@ -141,23 +141,24 @@ def _crossings(corners: np.ndarray, facing: np.ndarray, k: int, unit=1):
     return [np.concatenate(part) for part in zip(*out)]
 
 
-def winding(blocks: list, k: int, unit=1) -> np.ndarray:
+def winding(blocks, k: int, unit=1) -> np.ndarray:
     """The winding number of the blocks' simplices, in lattice units times
     unit, around each point of the cube, by mixed radix.  A scan, not a
     sum of angles: off the image it is the signed count of crossings
     (_crossings) on the ray up the point's lattice line.  A crossing adds
     its sign to its line's slot, the ceiling of its height clipped to [0,
     k + 1], the count of points below it, and a point sums its line's
-    slots past it."""
-    crossings = [_crossings(*block, k, unit) for block in blocks]
+    slots past it.  The blocks are read once, n from the first."""
+    first = next(blocks := iter(blocks))
+    crossings = [_crossings(*block, k, unit) for block in itertools.chain([first], blocks)]
     line, slot, sign = (np.concatenate(part) for part in zip(*crossings))
     slot = line * (k + 2) + np.clip(slot, 0, k + 1).astype(np.int64)
-    tally = np.bincount(slot, sign, minlength=(k + 1) ** (len(blocks[0][0]) - 1) * (k + 2))
+    tally = np.bincount(slot, sign, minlength=(k + 1) ** (len(first[0]) - 1) * (k + 2))
     tally = tally.reshape(-1, k + 2)[:, :0:-1]  # the slots past each point, last first
     return np.rint(np.cumsum(tally, axis=1)[:, ::-1]).astype(np.int64).reshape(-1)
 
 
-def on_image(blocks: list, k: int, unit=1) -> np.ndarray:
+def on_image(blocks, k: int, unit=1) -> np.ndarray:
     """Which points of the cube of (k+1)**n lattice points, by mixed
     radix, lie within the tolerance (LOCATE_TOL grid steps for floats, 0
     for ints) of an image simplex of the blocks (corners, facing), in
@@ -167,13 +168,15 @@ def on_image(blocks: list, k: int, unit=1) -> np.ndarray:
     (its own foot) to the whole simplex, each l_i det by Cramer's rule on
     the Gram matrix of the a_i - a_0 (_det), where the foot counts: det >
     0, every l_i >= 0 and sum l_i <= 1.  A counted foot is a point of the
-    simplex; a flat face is measured by its smaller ones."""
-    n = len(blocks[0][0])
-    tol = 0 if blocks[0][0].dtype == object else LOCATE_TOL * unit
+    simplex; a flat face is measured by its smaller ones.  The blocks are
+    read once, n and the dtype from the first."""
+    first = next(blocks := iter(blocks))
+    n = len(first[0])
+    tol = 0 if first[0].dtype == object else LOCATE_TOL * unit
     on = np.zeros((k + 1) ** n, dtype=bool)
     dot, radix = functools.partial(np.einsum, "i...,i...->..."), (k + 1) ** np.arange(n - 1, -1, -1)
     faces = [c for size in range(2, n + 1) for c in itertools.combinations(range(n), size)]
-    for corners, _ in blocks:
+    for corners, _ in itertools.chain([first], blocks):
         low = np.clip(_ceil(corners.min(axis=1) - tol, unit), 0, k + 1)
         high = np.clip(-_ceil(-(corners.max(axis=1) + tol), unit), -1, k)
         for owner, point in _box_pairs(low.astype(np.int64), high.astype(np.int64)):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bilinear import _clear
+from .bilinear import _clear, _exact
 from .errors import DomainError, InputError, ResourceError, check_int, check_real
 
 DAMPING_SLACK = Fraction(1, 4)  # slack scale below which coordinates are pulled in
@@ -233,11 +233,6 @@ class PermRealization:
         # reads the blocks' values, laid end to end, back in position order
         pick = operator.itemgetter(*sorted(range(self.n + 1), key=order.__getitem__))
         return sorted(pick(sum(choice, ())) for choice in itertools.product(*orderings))
-
-
-def _exact(x) -> Fraction:
-    # Fraction reads no numpy float but float64, and float() holds each exactly
-    return Fraction(x) if hasattr(x, "numerator") else Fraction(float(x))
 
 
 def realize(n: int) -> PermRealization:

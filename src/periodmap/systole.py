@@ -9,13 +9,14 @@ systole is its minimum over nonzero integer vectors.
 Every period point is a rational subspace: a hyperboloid point's float
 coordinates are dyadic rationals, so the line through them is one, and
 both constructors build that line as one integer row over one common
-denominator, with no Fraction arithmetic.  Its norm form is an integer
-matrix from start to finish: it is reduced by
-integral LLL, and one Fincke-Pohst enumerator searches the whole seed
-ellipsoid of the reduced form (the lattice vectors no longer than the
-shortest basis vector), shrinking each coordinate range as the best
-norm found falls.  That exact enumeration is the certificate.  The
-search for the supremum over the period domain is in ``supremum``.
+denominator.  From the orthogonal integer frame w_j of H that checked
+it, the norm form is sum_j 2 (L / Q(w_j)) (G w_j)(G w_j)^t - L G,
+L = lcm Q(w_j), reduced by integral LLL; one Fincke-Pohst enumerator
+searches the whole seed ellipsoid of the reduced form (the lattice
+vectors no longer than the shortest basis vector), shrinking each
+coordinate range as the best norm found falls.  That exact enumeration
+is the certificate.  The search for the supremum over the period domain
+is in ``supremum``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .bilinear import (
     Subspace,
     _clear,
     _dot,
+    _exact,
     _gram_of,
-    _int_adjugate,
+    _positive_frame,
     as_vector,
     minkowski_form,
     signature,
@@ -81,13 +83,14 @@ def period_point_from_hpoint(point: HPoint) -> PeriodPoint:
 
     Every float is a dyadic rational p_i / 2^e_i (``as_integer_ratio``),
     so the line is rational: its generator is the integer row
-    (p_i 2^(k - e_i)) over 2^k, the largest 2^e_i.  A coordinate that is
-    not a float is read as ``Fraction`` reads it, exactly, and the row is
-    then taken over the least common denominator.
+    (p_i 2^(k - e_i)) over 2^k, the largest 2^e_i.  Any other real is
+    read exactly (``bilinear._exact``), and the row is then taken over
+    the least common denominator.
     """
-    ratios = [(x if type(x) is float else Fraction(x)).as_integer_ratio() for x in point.coords]
+    ratios = [(x if type(x) is float else _exact(x)).as_integer_ratio() for x in point.coords]
     den = math.lcm(*[q for _, q in ratios])
-    return _line(minkowski_form(point.n), [p * (den // q) for p, q in ratios], den)
+    row = [p * (den // q) for p, q in ratios]
+    return PeriodPoint(Subspace._framed(minkowski_form(point.n), [row], d=den))
 
 
 def rational_disk_period_point(
@@ -116,13 +119,7 @@ def rational_disk_period_point(
         raise PreconditionError("rational disk path needs the standard diagonal form")
     gen = [den2 + r2] + [2 * den * v for v in a]
     g = math.gcd(den2, *gen)
-    return _line(form, [v // g for v in gen], den2 // g)
-
-
-def _line(form: GramForm, gen: list[int], den: int) -> PeriodPoint:
-    """The period point spanned by gen / den, den the least common
-    denominator of that row: ``basis`` is that row, made on first read."""
-    return PeriodPoint(Subspace._framed(form, [gen], d=den))
+    return PeriodPoint(Subspace._framed(form, [[v // g for v in gen]], d=den2 // g))
 
 
 # ---------------------------------------------------------------------------
@@ -131,34 +128,35 @@ def _line(form: GramForm, gen: list[int], den: int) -> PeriodPoint:
 
 
 def _norm_matrix_int(pp: PeriodPoint) -> tuple[list[list[int]], int]:
-    """(N, scale): the integer matrix N = scale M, with w^t M w = Q(w+, w+) - Q(w-, w-)."""
+    """(N, scale): the integer matrix N = scale M, with w^t M w = Q(w+, w+) - Q(w-, w-),
+    from the split's frame w_j: sum_j 2 (L / Q(w_j)) (G w_j)(G w_j)^t - L G."""
     form = pp.ambient
-    return _norm_matrix(form._igram, form._den, pp.subspace._int_basis()[0])
+    return _norm_matrix(form._igram, form._den, _positive_frame(pp.subspace))
 
 
-def _norm_matrix(igram, den: int, x: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(N, scale) for the span H of the integer rows x, on the form igram / den.
+def _norm_matrix(igram, den: int, ws: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Primitive (N, scale) for the span H of orthogonal integer rows ws, on igram / den.
 
     With P the orthogonal projection onto H the matrix M is G(2P - I):
     symmetric because GP is, positive definite because the form is
     positive on H and negative on the complement.  With G = igram the
-    form's integer gram (``den`` times its gram), Y = X G, R = Y X^t,
-    r = det R and A = adj R, that is r den M = 2 Y^t A Y - r G; for a
-    line h (b+ = 1) A = 1 and r = Q(h, h), so N = 2 (Gh)(Gh)^t - Q(h, h) G.
-    For H = 0 (b+ = 0) P is 0, so N = -G.
+    form's integer gram (``den`` times its gram), P = sum_j w_j (G w_j)^t
+    / Q(w_j), so with L the lcm of the Q(w_j), L den M is N = sum_j
+    2 (L / Q(w_j)) (G w_j)(G w_j)^t - L G: 2 (Gh)(Gh)^t - Q(h, h) G for a
+    line h (b+ = 1), -G for H = 0 (b+ = 0).  N and the scale L den are
+    then divided by their gcd.
     """
-    if not x:
-        return [[-e for e in row] for row in igram], den
-    rmat, y = _gram_of(x, igram)
-    adj, r = _int_adjugate(rmat)
-    cols = list(zip(*y))  # column a of Y
-    ay = list(zip(*[[_dot(row, col) for col in cols] for row in adj]))
-    dim = len(igram)
-    n = [[0] * dim for _ in range(dim)]
-    for a in range(dim):
-        for c in range(a, dim):
-            n[a][c] = n[c][a] = 2 * _dot(cols[a], ay[c]) - r * igram[a][c]
-    return n, r * den
+    q, y = _gram_of(ws, igram)
+    big = math.lcm(*[q[j][j] for j in range(len(ws))])
+    n = [[-big * e for e in row] for row in igram]
+    for j, yj in enumerate(y):
+        t = 2 * big // q[j][j]
+        for row, a in zip(n, yj):
+            a *= t
+            for c, b in enumerate(yj):
+                row[c] += a * b
+    g = math.gcd(big * den, *[x for row in n for x in row])
+    return [[x // g for x in row] for row in n], big * den // g
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +383,12 @@ def conf_systole(pp: PeriodPoint) -> SystoleResult:
     is longer than the best standard basis vector); no search enumerates
     that box.
 
-    The period point's subspace holds its basis as integer rows X over
-    one common denominator; from the two constructors that is a single
-    row, the generator (D^2 + |a|^2, 2 D a) of a rational disk point
-    d = a / D or the dyadic row of a hyperboloid point.  The norm matrix
-    is an integer matrix N (``_norm_matrix_int``) read from X, and for a
-    line h it is 2 (Gh)(Gh)^t - Q(h, h) G.  The search is exact integer
-    arithmetic from start to finish: it
-    enumerates the whole seed ellipsoid of N reduced by integral LLL
+    The period point's split is an orthogonal frame of integer rows w_j,
+    from either constructor its one integer row h, and the norm matrix is
+    the primitive N = sum_j 2 (L / Q(w_j)) (G w_j)(G w_j)^t - L G,
+    L = lcm Q(w_j) (``_norm_matrix_int``): 2 (Gh)(Gh)^t - Q(h, h) G for
+    a line.  The search is exact integer arithmetic from start to finish:
+    it enumerates the whole seed ellipsoid of N reduced by integral LLL
     (``_lll``) and maps the minimizers back through the unimodular
     transform.  That complete exact enumeration is the certificate, and
     it does not depend on how well LLL reduced, so every result is

@@ -20,7 +20,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from periodmap.bilinear import GramForm, StandardEmbedding, Subspace, minkowski_form
+from periodmap.bilinear import (
+    GramForm,
+    StandardEmbedding,
+    Subspace,
+    minkowski_form,
+    standard_embedding,
+)
 from periodmap.cli import main
 from periodmap.coverage import (
     check_face_mapping_surjectivity,
@@ -218,6 +224,13 @@ PROBES = [
     ),
     ("twist_perturbation(3, 0.5)", lambda: twist_perturbation(3, 0.5)),
     ("contains a short vector", lambda: Subspace(minkowski_form(2), [[1, 0, 0]]).contains([1, 0])),
+    # each of these raised an untyped TypeError from iterating a non-list
+    ("rational_disk_period_point None", lambda: rational_disk_period_point(minkowski_form(1), None)),
+    ("evaluate(None, v)", lambda: minkowski_form(1).evaluate(None, (1, 0))),
+    ("evaluate(5, v)", lambda: minkowski_form(1).evaluate(5, (1, 0))),
+    ("Subspace(form, None)", lambda: Subspace(minkowski_form(1), None)),
+    ("Subspace(form, [None])", lambda: Subspace(minkowski_form(1), [None])),
+    ("to_minkowski(None)", lambda: standard_embedding(minkowski_form(1)).to_minkowski(None)),
 ]
 
 # refusals of other types, and CLI commands that exit with a usage error
@@ -346,6 +359,31 @@ def test_hyperboloid_coordinates_that_are_not_floats_are_read_exactly():
         assert pp.subspace.basis == (tuple(map(Fraction, coords)),)
         public = Subspace(minkowski_form(2), [coords])
         assert pp.subspace._int_basis() == public._int_basis()
+
+
+def test_numpy_hyperboloid_coordinates_give_their_python_twins_line():
+    # float32 coordinates raised Fraction's TypeError; a numpy int is read
+    # as a Python int, so the row is not held at a fixed width
+    for wide, plain in (
+        ((np.float32(1), np.float32(0)), (1.0, 0.0)),
+        ((np.float32(1.25), np.float32(0.75)), (1.25, 0.75)),
+        ((np.int64(1), np.int64(0)), (1, 0)),
+        ((np.int64(3), np.int32(2), np.int64(2)), (3, 2, 2)),
+    ):
+        pp, twin = (period_point_from_hpoint(HPoint(c)) for c in (wide, plain))
+        assert (pp.subspace, pp.subspace.basis) == (twin.subspace, twin.subspace.basis)
+        assert repr(pp.subspace.basis) == repr(twin.subspace.basis)
+        assert all(type(x) is int for x in pp.subspace._int_basis()[0][0])
+        assert conf_systole(pp) == conf_systole(twin)
+
+
+def test_the_non_list_refusals_keep_one_message():
+    with pytest.raises(InputError, match=r"^a vector must be a list of numbers, got None$"):
+        rational_disk_period_point(minkowski_form(1), None)
+    with pytest.raises(InputError, match=r"^a vector must be a list of numbers, got 'ab'$"):
+        minkowski_form(1).evaluate("ab", (1, 0))
+    with pytest.raises(InputError, match=r"^the vectors must be a list of vectors, got int$"):
+        Subspace(minkowski_form(1), 5)
 
 
 def test_the_checks_return_what_they_accept():

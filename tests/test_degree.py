@@ -362,3 +362,43 @@ def test_exact_route_winds_the_exact_collapse_once_around_the_centre_at_n4():
     centre = np.flatnonzero((nodes == 1).all(axis=1))
     assert k == 5 and len(centre) == 1
     assert windings[centre[0]] == 1 and set(windings.tolist()) <= {0, 1}
+
+
+@pytest.mark.parametrize("n, grid_step", [(2, 0.05), (3, 0.25)])
+def test_a_failing_check_reads_the_rim_block_by_block(monkeypatch, n, grid_step):
+    # the shrink after the collapse: the scans take the rim's runs as a
+    # stream, so cutting it into many runs gives the report of one run
+    # holding every simplex
+    rim_blocks, reads = coverage._rim_blocks, []
+
+    def one_run(xs, rim):
+        runs = list(rim_blocks(xs, rim))
+        yield np.concatenate([c for c, _ in runs], axis=2), np.concatenate([f for _, f in runs])
+
+    def many_runs(xs, rim):
+        for corners, facing in rim_blocks(xs, rim):
+            for start in range(0, len(facing), 29):
+                reads.append(start)
+                yield corners[:, :, start : start + 29], facing[start : start + 29]
+
+    collapse, shrink = collapse_batch(realize(n)), shrink_map(n, 0.9)
+    reports = []
+    for runs in (one_run, many_runs):
+        monkeypatch.setattr(coverage, "_rim_blocks", runs)
+        reports.append(check_face_mapping_surjectivity(lambda p: shrink(collapse(p)), n, grid_step))
+    assert not reports[0].ok and reports[0].covered < reports[0].grid_points
+    assert reports[1] == reports[0] and repr(reports[1]) == repr(reports[0])
+    assert len(reads) > 8
+
+
+def test_the_scans_take_any_iterable_of_blocks():
+    # a generator is read once, n and the dtype from its first block, by
+    # the float route and by the exact route
+    rim, k, xs = _chart(2, 0.05, 0.9)
+    ints, unit = degree.as_integers(xs)
+    for chart, u in ((xs, 1), (ints, unit)):
+        blocks = list(coverage._rim_blocks(chart, rim))
+        for scan in (degree.winding, degree.on_image):
+            want = scan(blocks, k, u)
+            assert np.array_equal(scan(coverage._rim_blocks(chart, rim), k, u), want)
+            assert np.array_equal(scan(iter(blocks), k, u), want)

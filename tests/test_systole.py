@@ -47,6 +47,7 @@ from oracles import (
     cs_scan_1d,
     float_brute_force_systole,
     gram_schmidt_reference,
+    inverse_reference,
     lagrange_gauss_minimum,
     min_norm_reference,
     shortest_box_reference,
@@ -388,7 +389,8 @@ def _eigen_radius(form, basis):
 
 
 def test_conf_matches_brute_force_on_positive_planes():
-    # b+ = 2: the norm matrix carries adj R / det R for a 2x2 R, and a
+    # b+ = 2: the norm matrix is built from the plane's split, two
+    # orthogonal columns w_j, with weights lcm(Q(w_j)) / Q(w_j), and a
     # rational gram its denominator; planes whose oracle box would pass
     # radius 8 are skipped to bound its size
     rng = random.Random(4422)
@@ -419,6 +421,83 @@ def test_conf_matches_brute_force_on_positive_planes():
             assert res.certified
             assert norm_sq(pp, res.minimizers[0]) == res.value_sq
             checked += 1
+
+
+B3 = GramForm([[int(i == j) * d for j in range(5)] for i, d in enumerate((1, 1, 1, -1, -1))])
+B3_POSITIVE = [[int(i == j) for j in range(5)] for i in range(3)]
+
+
+def test_conf_matches_brute_force_on_positive_three_planes():
+    # b+ = 3: the norm matrix is built from a frame of three orthogonal
+    # split columns; planes whose oracle box would pass radius 4 are
+    # skipped to bound its size (9^5 vectors)
+    rng = random.Random(4433)
+    checked = 0
+    while checked < 25:
+        basis = [[x + F(rng.randint(-4, 4), rng.randint(5, 12)) for x in v] for v in B3_POSITIVE]
+        sub = Subspace(B3, basis)
+        if bilinear.subspace_signature(sub) != (3, 0, 0):
+            continue
+        radius = _eigen_radius(B3, basis)
+        if radius > 4:
+            continue
+        pp = period_point(sub)
+        frame = bilinear._positive_frame(pp.subspace)
+        assert len(frame) == 3
+        assert all(B3.evaluate(frame[i], frame[j]) == 0 for i in range(3) for j in range(i))
+        res = conf_systole(pp)
+        assert res.needed_radius == box_radius_reference(B3.gram, basis)
+        want_sq, want_mins = brute_force_systole(B3.gram, basis, radius=radius)
+        assert res.value_sq == want_sq, basis
+        assert frozenset(res.minimizers) == want_mins, basis
+        assert res.certified
+        assert norm_sq(pp, res.minimizers[0]) == res.value_sq
+        checked += 1
+
+
+def _norm_reference(form, rows):
+    # G (2P - I) in Fractions, P the orthogonal projection onto the rows'
+    # span: 2 (G B^t) R^-1 (B G) - G with R = B G B^t, or -G for no rows
+    g = [[F(x) for x in row] for row in form.gram]
+    gb = [[sum(a * x for a, x in zip(row, v)) for row in g] for v in rows]
+    rinv = inverse_reference([[sum(a * x for a, x in zip(u, v)) for v in rows] for u in gb])
+    k = len(rows)
+    return [
+        [
+            2 * sum(gb[s][i] * rinv[s][t] * gb[t][j] for s in range(k) for t in range(k)) - g[i][j]
+            for j in range(len(g))
+        ]
+        for i in range(len(g))
+    ]
+
+
+def test_norm_matrix_is_primitive_and_exact_at_every_b_plus():
+    # (N, scale) has gcd 1 and N / scale is G (2P - I), for no rows, a
+    # line and orthogonal frames of planes and 3-planes; the frames scaled
+    # by 2 leave the unreduced N and its scale a common factor 4
+    rng = random.Random(4434)
+    cases = [
+        (GramForm([[-2, 1], [1, -2]]), []),
+        (GramForm([[F(-1, 2), 0], [0, F(-3, 4)]]), []),
+        (DIAG, [[2, 0]]),
+        (RATIONAL, [[1, 0, 0, 0]]),
+        (D2, [[2, 0, 0, 0], [0, 2, 0, 0]]),
+        (B3, [[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0]]),
+    ]
+    line = rational_disk_period_point(DIAG, (F(1, 3),)).subspace
+    cases.append((DIAG, bilinear._positive_frame(line)))
+    planes = [(1, 0, 0, 0), (0, 1, 0, 0)]
+    for form, base in ((D2, planes), (RATIONAL, planes), (B3, B3_POSITIVE)):
+        for _ in range(10):
+            basis = [[x + F(rng.randint(-3, 3), rng.randint(4, 9)) for x in v] for v in base]
+            sub = Subspace(form, basis)
+            if bilinear.subspace_signature(sub) == (len(base), 0, 0):
+                cases.append((form, bilinear._positive_frame(sub)))
+    assert len(cases) > 20
+    for form, rows in cases:
+        n, scale = _norm_matrix(form._igram, form._den, rows)
+        assert math.gcd(scale, *[x for row in n for x in row]) == 1, rows
+        assert [[F(x, scale) for x in row] for row in n] == _norm_reference(form, rows), rows
 
 
 def _random_pd_gram(rng, rank):
