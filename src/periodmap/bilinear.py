@@ -34,39 +34,16 @@ from math import gcd, lcm, sqrt
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DimensionMismatchError, InputError, PreconditionError, check_int
+from .errors import DimensionMismatchError, InputError, PreconditionError, check_int, check_rational
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        if isinstance(x, bool):
-            raise InputError("a boolean is not a number")
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational literal: {x!r}") from exc
-    if isinstance(x, float):
-        if x != x or x in (float("inf"), float("-inf")):
-            raise InputError(f"not a finite number: {x!r}")
-        if not x.is_integer():
-            raise InputError(
-                f"float {x!r} is not exact; give it as a 'p/q' string or a Fraction"
-            )
-        return Fraction(int(x))
-    raise InputError(f"cannot interpret {type(x).__name__} as a rational")
-
-
 def as_vector(entries: Iterable) -> Vector:
     if not _is_list(entries):
         raise InputError(f"a vector must be a list of numbers, got {entries!r}")
-    return tuple(_frac(e) for e in entries)
+    return tuple(check_rational(e) for e in entries)
 
 
 def _exact(x) -> Fraction:

@@ -5,12 +5,14 @@ asymmetric gram matrices).  Domain and precondition errors cover
 well-formed data that a particular operation rejects.  The CLI maps
 input errors to exit code 2 and the rest to exit code 1.
 
-Every entry point reads its counts through ``check_int`` and its real
-numbers through ``check_real``, once; a bool or a string is neither.
+Every entry point reads its counts through ``check_int``, its real
+numbers through ``check_real`` and its exact numbers through
+``check_rational``, once; a bool is none of them.
 """
 
 import math
 import numbers
+from fractions import Fraction
 
 
 class InputError(ValueError):
@@ -62,3 +64,36 @@ def check_real(value, name: str, positive: bool | None = True):
             return value
     what = {True: "positive and finite", False: "a finite real number", None: "a real number"}
     raise InputError(f"{name} must be {what[positive]}, got {value!r}")
+
+
+def check_rational(value) -> Fraction:
+    """value as an exact Fraction: a Fraction, an int, a "p/q" string or
+    a float with an integral value, numpy's ints and floats too.  A bool
+    (numpy's too), a non-integral or non-finite float or anything else
+    is InputError."""
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    # numpy's scalars are read without importing numpy, by their dtype
+    kind = getattr(getattr(value, "dtype", None), "kind", None)
+    if isinstance(value, bool) or kind == "b":
+        raise InputError("a boolean is not a number")
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"not a rational literal: {value!r}") from exc
+    if kind == "f":
+        value = float(value)  # exact from float16 and float32
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputError(f"not a finite number: {value!r}")
+        if not value.is_integer():
+            raise InputError(
+                f"float {value!r} is not exact; give it as a 'p/q' string or a Fraction"
+            )
+        return Fraction(int(value))
+    raise InputError(f"cannot interpret {type(value).__name__} as a rational")

@@ -24,7 +24,6 @@ from .bilinear import (
     Signature,
     Subspace,
     _dot,
-    _frac,
     _gram_of,
     _int_adjugate,
     _int_rows,
@@ -46,6 +45,7 @@ from .errors import (
     InputError,
     PreconditionError,
     check_int,
+    check_rational,
 )
 from .grassmannian import ConstraintSet, HPoint, classify_span, line_to_hpoint
 from .permutahedron import NestedSequence
@@ -435,7 +435,7 @@ def symmetric_config(a: Fraction) -> SurfaceConfig:
     form has signature (1, 2) for every nonzero rational a, and the
     walls bound a compact triangle exactly when a > 2.
     """
-    a = _frac(a)
+    a = check_rational(a)
     if a == 0:
         raise PreconditionError("the symmetric family needs a nonzero parameter")
     diag = 1 - a * a

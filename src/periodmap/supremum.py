@@ -14,6 +14,7 @@ command line loads it for ``systole --sup`` only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -26,6 +27,7 @@ from .bilinear import (
     _dot,
     _gram_of,
     _int_adjugate,
+    _rank_int,
     as_matrix,
     lorentzian_rank,
     standard_embedding,
@@ -150,10 +152,11 @@ class _DiskObjective:
         self.igram = _gram_of(u, form._igram)[0]
         self.den = form._den
         self.gram = [[x / self.den for x in row] for row in self.igram]
-        self.pairing = [
-            [sum(map(operator.mul, row, col)) for col in zip(*self.back)]
-            for row in self.gram
+        # kept by columns: pairing[j] takes w to the coefficient of h_j
+        pairing = [
+            [sum(map(operator.mul, row, col)) for col in zip(*self.back)] for row in self.gram
         ]
+        self.pairing = list(zip(*pairing))
         self.evaluations = 0
         self._lines = {}
 
@@ -164,8 +167,7 @@ class _DiskObjective:
             if all(map(math.isfinite, disk)):
                 return None
             raise DomainError(f"disk coordinates must be finite: {tuple(disk)}")
-        denom = 1.0 - r2
-        return [(1.0 + r2) / denom] + [2.0 * x / denom for x in disk]
+        return _lift(disk, r2)
 
     def near_minimal(self, h: Sequence[float], slack: float):
         """conf^2 at the hyperboloid point h, and the vectors within slack of it."""
@@ -180,15 +182,24 @@ class _DiskObjective:
 
     def line(self, w: tuple[int, ...]) -> tuple[list[float], float]:
         """(a, Q(w)) with a the covector of h -> <w, back h>, cached per w."""
-        if w not in self._lines:
-            a = [_dot(w, col) for col in zip(*self.pairing)]
-            self._lines[w] = (a, _dot(w, [_dot(row, w) for row in self.gram]))
-        return self._lines[w]
+        line = self._lines.get(w)
+        if line is None:
+            mul = operator.mul
+            gw = [sum(map(mul, row, w)) for row in self.gram]
+            a = [sum(map(mul, w, col)) for col in self.pairing]
+            line = self._lines[w] = (a, sum(map(mul, w, gw)))
+        return line
 
     def norm(self, w: tuple[int, ...], h: Sequence[float]) -> float:
         """N_w(h) = 2 <w, h>^2 - Q(w), w's norm at the hyperboloid point h."""
         a, q = self.line(w)
         return 2.0 * _dot(a, h) ** 2 - q
+
+
+def _lift(disk: Sequence[float], r2: float) -> list[float]:
+    # the hyperboloid point of a disk point with squared radius r2 < 1
+    denom = 1.0 - r2
+    return [(1.0 + r2) / denom] + [2.0 * x / denom for x in disk]
 
 
 def _tick_count(radius: float, step: float) -> float:
@@ -224,40 +235,60 @@ def _grid_points(n: int, radius: float, step: float):
             yield pt
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_table(n: int, step: float) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
+    """(disk point, hyperboloid point) of every grid point of the patch,
+    in walk order, built once per (n, step) and kept among the last 8
+    built.  Neither depends on the form; the hyperboloid point is
+    ``hpoint``'s, bit for bit.  Call check_cs_grid first: the table
+    holds every point the walk visits."""
+    return tuple(
+        (pt, tuple(_lift(pt, sum(x * x for x in pt))))
+        for pt in _grid_points(n, PATCH_RADIUS, step)
+    )
+
+
 def _grid_start(obj: _DiskObjective, step: float) -> tuple[tuple[float, ...], float]:
     """The grid point of largest conf, first found, and conf there.
 
-    The patch centre starts as the best point, and a grid point replaces
-    it only by beating it.  The walk keeps the line (a, Q(w)) of every
-    vector an enumeration returns; a point where one of them has N_w(h)
-    <= best^2 (1 - ACTIVE_SLACK) has conf below best there, so it is
-    counted as an evaluation but not enumerated.  N_w(h) is off by about
-    1e-13 relative, far inside the margin, so the walk ends where one
-    that enumerates every point ends, bit for bit.  The line that rules
-    a point out is tried first at the next point, its neighbour.
+    The grid and its hyperboloid points do not depend on the form: they
+    are made once per (n, step) by ``_grid_table``, and check_cs_grid
+    must have passed the step.  The patch centre starts as the best
+    point, and a grid point replaces it only by beating it by more than
+    GRID_TIE.  The walk keeps the line (a, Q(w)) of every vector an
+    enumeration returns; a point where one of them has N_w(h) <= best^2
+    (1 - ACTIVE_SLACK) has conf below best there, so it is counted as an
+    evaluation but not enumerated.  N_w(h) is off by about 1e-13
+    relative, far inside the margin, so the walk ends where one that
+    enumerates every point ends, bit for bit.  The line that rules a
+    point out, and the lines an enumeration finds, are tried first at
+    the next point, its neighbour.
     """
     best_pt = (0.0,) * obj.n
     best_sq, first = obj.near_minimal(obj.hpoint(best_pt), ACTIVE_SLACK)
     seen, known = set(first), [obj.line(w) for w in first]
     best_val = math.sqrt(best_sq)
-    for pt in _grid_points(obj.n, PATCH_RADIUS, step):
-        h = obj.hpoint(pt)
-        floor = best_val * best_val * (1.0 - ACTIVE_SLACK)
-        ruled = next(
-            (i for i, (a, q) in enumerate(known) if 2.0 * _dot(a, h) ** 2 - q <= floor), None
-        )
-        if ruled is not None:
-            known.insert(0, known.pop(ruled))
-            obj.evaluations += 1
-            continue
-        val_sq, mins = obj.near_minimal(h, ACTIVE_SLACK)
-        for w in mins:
-            if w not in seen:
-                seen.add(w)
-                known.append(obj.line(w))
-        val = math.sqrt(val_sq)
-        if val > best_val + GRID_TIE:
-            best_val, best_pt = val, pt
+    floor = best_val * best_val * (1.0 - ACTIVE_SLACK)
+    mul = operator.mul
+    ruled = 0
+    for pt, h in _grid_table(obj.n, step):
+        for i, (a, q) in enumerate(known):
+            p = sum(map(mul, a, h))
+            if 2.0 * p * p - q <= floor:
+                if i:
+                    known.insert(0, known.pop(i))
+                ruled += 1
+                break
+        else:
+            val_sq, mins = obj.near_minimal(h, ACTIVE_SLACK)
+            new = [w for w in mins if w not in seen]
+            seen.update(new)
+            known[:0] = [obj.line(w) for w in new]
+            val = math.sqrt(val_sq)
+            if val > best_val + GRID_TIE:
+                best_val, best_pt = val, pt
+                floor = best_val * best_val * (1.0 - ACTIVE_SLACK)
+    obj.evaluations += ruled
     return best_pt, best_val
 
 
@@ -582,7 +613,7 @@ def _certify(obj: _DiskObjective, h: list[float], tol: float, cands: Sequence[tu
     def result(ok):
         return ok, value, minimizers, evaluations
 
-    if _int_adjugate(chart)[1] == 0:
+    if _rank_int(chart) <= n:
         return result(False)  # the chart is degenerate: K is no neighbourhood
     a, b = Fraction(tol).as_integer_ratio()
     near, far = (2 * b * b) ** 2, (2 * b * b + a * a) ** 2 * m[0][0]

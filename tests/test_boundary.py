@@ -426,6 +426,25 @@ def test_numpy_ints_are_counts():
     )
 
 
+def test_numpy_entries_are_read_as_their_python_twins():
+    # a numpy int was refused as "cannot interpret int64 as a rational"
+    form = minkowski_form(1)
+    assert GramForm(np.array([[1, 0], [0, -1]])) == form
+    assert GramForm([[np.int8(2), np.uint16(1)], [1, np.int32(-1)]]) == GramForm([[2, 1], [1, -1]])
+    assert Subspace(form, np.array([[1, 0]])) == Subspace(form, [[1, 0]])
+    assert form.evaluate(np.array([1, 0]), [1, 0]) == 1
+    # a numpy float goes through the float rule: integral values only
+    assert GramForm([[np.float32(2.0), 0], [0, np.float64(-1.0)]]) == GramForm([[2, 0], [0, -1]])
+    for bad, message in (
+        (np.bool_(True), r"^a boolean is not a number$"),
+        (np.float32(0.5), r"^float 0\.5 is not exact"),
+        (np.float32(np.inf), r"^not a finite number: inf$"),
+        (np.complex64(1), r"^cannot interpret complex64 as a rational$"),
+    ):
+        with pytest.raises(InputError, match=message):
+            GramForm([[bad, 0], [0, -1]])
+
+
 def test_a_grid_step_of_one_edge_is_one_division():
     # the largest step that divides the edge of 3 at n = 2: the corners
     rep = check_face_mapping_surjectivity(_onto, 2, 3.0)

@@ -54,14 +54,10 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def hand_type_tests(source: str, exempt: str | None = None) -> list[int]:
+def hand_type_tests(source: str) -> list[int]:
     """Lines that test a type against numbers.Integral, numbers.Real or
-    bool by hand, outside the function named exempt."""
+    bool by hand."""
     tree = ast.parse(source)
-    skip = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == exempt:
-            skip |= {n.lineno for n in ast.walk(node) if hasattr(n, "lineno")}
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in ("Integral", "Real"):
@@ -77,7 +73,7 @@ def hand_type_tests(source: str, exempt: str | None = None) -> list[int]:
             and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
         ):
             found.add(node.lineno)
-    return sorted(found - skip)
+    return sorted(found)
 
 
 def test_the_scan_sees_hand_written_type_tests():
@@ -91,16 +87,13 @@ def test_the_scan_sees_hand_written_type_tests():
         "isinstance(1, int)\n"
     )
     assert hand_type_tests(source) == [2, 4, 6]
-    assert hand_type_tests(source, exempt="_frac") == [2, 4]
 
 
 @pytest.mark.parametrize(
     "path", sorted(p for p in SRC.glob("*.py") if p.name != "errors.py"), ids=lambda p: p.name
 )
 def test_only_errors_checks_number_types(path):
-    # bilinear._frac reads exact numbers, so it tells a bool from an int itself
-    exempt = "_frac" if path.name == "bilinear.py" else None
-    assert hand_type_tests(path.read_text(), exempt) == []
+    assert hand_type_tests(path.read_text()) == []
 
 
 def _is_one(node) -> bool:

@@ -1049,6 +1049,72 @@ def test_cs_grid_screen_skips_only_points_below_the_best():
     assert skipped > 0
 
 
+class _StubObjective:
+    """conf^2 by grid point, with no vectors, so the walk screens nothing
+    out and enumerates every point; the centre's value is 1."""
+
+    n = 1
+
+    def __init__(self, values):
+        self.values = values
+        self.evaluations = 0
+
+    def hpoint(self, disk):
+        return _DiskObjective.hpoint(self, disk)
+
+    def near_minimal(self, h, slack):
+        self.evaluations += 1
+        return self.values.get(tuple(h), 1.0), []
+
+
+def test_a_grid_point_replaces_the_best_only_by_more_than_the_tie():
+    step = 0.1
+    table = supremum._grid_table(1, step)
+    (a, ha), (b, hb), (c, hc) = table[3], table[5], table[8]
+    tie = supremum.GRID_TIE
+    top = 1.0 + 4.0 * tie
+    cases = [
+        # within GRID_TIE of the centre: the centre stays the best
+        ({ha: (1.0 + 0.5 * tie) ** 2}, ((0.0,), 1.0)),
+        # more than GRID_TIE above it: the later point replaces it, and a
+        # still later one within GRID_TIE of the new best does not
+        ({ha: (1.0 + 0.5 * tie) ** 2, hb: top**2, hc: (top + 0.5 * tie) ** 2}, (b, top)),
+        # two points past the tie in a row: the later, higher one wins
+        ({hb: top**2, hc: (top + 2.0 * tie) ** 2}, (c, top + 2.0 * tie)),
+    ]
+    for values, want in cases:
+        stub = _StubObjective(values)
+        assert supremum._grid_start(stub, step) == want, values
+        assert stub.evaluations == 1 + len(table)
+
+
+def test_grid_table_is_the_walks_points_and_their_hyperboloid_points():
+    # bit for bit: repr tells -0.0 from 0.0, which == does not
+    obj = _DiskObjective(minkowski_form(1))
+    for n in (1, 2, 3):
+        for step in (0.3, 0.2, 0.15, 0.1, 0.05, 0.07):
+            table = supremum._grid_table(n, step)
+            want = [(pt, tuple(obj.hpoint(pt))) for pt in _grid_points(n, PATCH_RADIUS, step)]
+            assert list(table) == want and repr(list(table)) == repr(want), (n, step)
+            assert type(table) is tuple
+            assert all(type(pt) is tuple and type(h) is tuple for pt, h in table)
+    with pytest.raises(TypeError):
+        table[0][1][0] = 2.0
+    assert supremum._grid_table(3, 0.07) is table  # built once per (n, step)
+    info = supremum._grid_table.cache_info()
+    assert info.maxsize == 8 and info.currsize == 8  # 18 grids built, 8 kept
+
+
+def test_a_refused_grid_never_reaches_the_table(monkeypatch):
+    def boom(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(supremum, "_grid_table", boom)
+    for n, step in ((2, 0.001), (3, 0.01), (4, 0.05), (1, 1e-300)):
+        with pytest.raises(ResourceError, match="above the limit"):
+            cs_supremum(minkowski_form(n), CsSearchConfig(grid=step))
+
+
 def test_disk_objective_is_the_float_systole():
     # neither enumerates a box, so both answer points whose box would pass
     # the size guard (n = 3 from about rho = 0.87, near the diagonal); the
