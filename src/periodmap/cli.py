@@ -219,16 +219,30 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_systole(args) -> int:
+    # --grid and --refine steer the search, which --period does not run
+    search_flags = [
+        flag
+        for flag, given in (
+            ("--sup", args.sup),
+            ("--grid", args.grid is not None),
+            ("--refine", args.refine is not None),
+        )
+        if given
+    ]
+    if args.period is not None and search_flags:
+        raise InputError(f"--period cannot be combined with {', '.join(search_flags)}")
     form = GramForm.from_json(_load_json_file(args.config))
     if args.sup:
         # the one command that loads the search
         from .supremum import CsSearchConfig, check_cs_grid, cs_supremum
 
+        grid = CsSearchConfig.grid if args.grid is None else args.grid
+        refine = CsSearchConfig.refine_tol if args.refine is None else args.refine
         # refused here too, so the message names the flag that was typed
-        check_real(args.grid, "--grid")
-        check_real(args.refine, "--refine")
-        check_cs_grid(lorentzian_rank(form, "cs_supremum"), args.grid, "--grid")
-        search = CsSearchConfig(grid=args.grid, refine_tol=args.refine)
+        check_real(grid, "--grid")
+        check_real(refine, "--refine")
+        check_cs_grid(lorentzian_rank(form, "cs_supremum"), grid, "--grid")
+        search = CsSearchConfig(grid=grid, refine_tol=refine)
         res = cs_supremum(form, search=search)
     elif args.period:
         res = conf_systole(period_point(form.subspace([args.period.split(",")])))
@@ -339,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON file with a gram matrix")
     p.add_argument("--period", help="rational generator, e.g. 1,1/2")
     p.add_argument("--sup", action="store_true", help="search the CS supremum")
-    p.add_argument("--grid", type=float, default=0.05, help="step of the starting grid")
+    p.add_argument("--grid", type=float, help="step of the starting grid (default 0.05)")
     p.add_argument(
         "--refine",
         type=float,
-        default=1e-6,
-        help="radius of the certified neighbourhood and Newton's step tolerance",
+        help="radius of the certified neighbourhood and Newton's step tolerance"
+        " (default 1e-6)",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_systole)

@@ -143,7 +143,7 @@ class _DiskObjective:
         # (the first column); back maps R^{1,n} coordinates to coordinates
         # in that basis, U^-1 emb.matrix
         cols = list(zip(*emb.matrix))
-        u, _ = _lll(_norm_matrix(form._igram, form._den, cols[:1])[0])
+        u = _lll(_norm_matrix(form._igram, form._den, cols[:1])[0])[0]
         adj, det = _int_adjugate(u)
         back = [[det * _dot(row, col) for col in cols] for row in zip(*adj)]
         scales = [math.sqrt(float(s)) for s in emb.scales]

@@ -11,12 +11,14 @@ coordinates are dyadic rationals, so the line through them is one, and
 both constructors build that line as one integer row over one common
 denominator.  From the orthogonal integer frame w_j of H that checked
 it, the norm form is sum_j 2 (L / Q(w_j)) (G w_j)(G w_j)^t - L G,
-L = lcm Q(w_j), reduced by integral LLL; one Fincke-Pohst enumerator
-searches the whole seed ellipsoid of the reduced form (the lattice
-vectors no longer than the shortest basis vector), shrinking each
-coordinate range as the best norm found falls.  That exact enumeration
-is the certificate.  The search for the supremum over the period domain
-is in ``supremum``.
+L = lcm Q(w_j).  One Fincke-Pohst enumerator searches the whole seed
+ellipsoid of that form (the lattice vectors no longer than the shortest
+basis vector), shrinking each coordinate range as the best norm found
+falls.  The basis is reduced by integral LLL only when its seed
+ellipsoid is not already small (a coordinate range 4 or longer), and
+then the enumerator reads the reducer's own minors.  That exact
+enumeration is the certificate.  The search for the supremum over the
+period domain is in ``supremum``.
 """
 
 from __future__ import annotations
@@ -205,15 +207,19 @@ def _exact_radii(form: GramForm, n: list[list[int]], scale: int) -> list[int]:
     ]
 
 
-def _lll(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+def _lll(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]], tuple]:
     """LLL reduction (delta = 3/4) of a positive definite integer Gram matrix.
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number
     Theory, Alg. 2.6.7): with d_i the Gram determinant of the first i
     basis vectors and lam[k][j] = d_{j+1} mu_kj, every quantity stays an
-    integer and every division is exact.  Returns (u, g): the rows of u
-    are the reduced basis in the input's coordinates, so the matrix U with
-    columns u is unimodular, and g = U^t gram U.
+    integer and every division is exact.  Returns (u, g, minors): the
+    rows of u are the reduced basis in the input's coordinates, so the
+    matrix U with columns u is unimodular, g = U^t gram U, and minors is
+    g's elimination in the layout of ``_minors``, read off the reduction's
+    own d_i and lam: d_{k+1} is the k-th leading principal minor of g and
+    lam[j][k] = d_{k+1} mu_jk the entry j of row k of its k-th scaled
+    Schur complement, so the enumerator eliminates nothing again.
     """
     n = len(gram)
     g = [list(row) for row in gram]
@@ -275,10 +281,46 @@ def _lll(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
         k += 1
-    return u, g
+    return u, g, (list(zip(*lam)), dd)
 
 
-def _shortest(m, seed, slack=SHORTEST_SLACK):
+def _minors(m, exact=True, seed=None):
+    """Fraction-free (Bareiss) elimination of a symmetric matrix: (b, p).
+
+    Right of its diagonal, row k of b ends as row k of the k-th
+    pivot-scaled Schur complement, and p[k + 1] = b[k][k] is the k-th
+    leading principal minor, p[0] = 1.  The complements are symmetric, so
+    only their upper triangles are eliminated, with the same values
+    (floats too: each product pairs the same two factors).  Ints divide
+    exactly; floats divide as floats, and a pivot that is not positive
+    raises NumericalDomainError.
+
+    Given a seed, the elimination stops and returns None at the first
+    level k where the seed ellipsoid's coordinate range, half-width
+    sqrt(seed p_k / p_{k+1}), is not shorter than 4, that is seed p_k >=
+    4 p_{k+1}, or where the pivot is not positive.  While every range is
+    that short the enumeration is small already, so reducing first saves
+    little.
+    """
+    d = len(m)
+    b = [list(row) for row in m]
+    p = [1]
+    for k in range(d):
+        bk, pk, pivot = b[k], p[k], b[k][k]
+        if seed is not None and (pivot <= 0 or seed * pk >= 4 * pivot):
+            return None
+        if pivot <= 0:  # only rounding makes a pivot of a norm matrix non-positive
+            raise NumericalDomainError(f"norm matrix has non-positive pivot {pivot}")
+        for i in range(k + 1, d):
+            bi, bki = b[i], bk[i]
+            for j in range(i, d):
+                t = pivot * bi[j] - bki * bk[j]
+                bi[j] = t // pk if exact else t / pk
+        p.append(pivot)
+    return b, p
+
+
+def _shortest(m, seed, slack=SHORTEST_SLACK, minors=None):
     """Minimum of w^t m w over nonzero integer w, and its minimizers.
 
     Fincke-Pohst enumeration (Cohen, A Course in Computational Algebraic
@@ -292,10 +334,11 @@ def _shortest(m, seed, slack=SHORTEST_SLACK):
     whose entered coordinate ranges hold more than MAX_ENUMERATION nodes
     is refused; a range that shrinks gives back the nodes it will no
     longer visit.  The squares come from pivot-scaled (Bareiss) Schur
-    complements: with p_k the k-th leading principal minor and V the
-    scaled form of the fixed tail, |p_k w_k + s_k| <= sqrt((bound p_k -
-    V) p_{k-1}), so an integer ``m`` and ``seed`` keep every range an
-    isqrt and every comparison exact.  Floats run the same steps, values
+    complements (``_minors``, or the reducer's own when ``minors`` is
+    given): with p_k the k-th leading principal minor and V the scaled
+    form of the fixed tail, |p_k w_k + s_k| <= sqrt((bound p_k - V)
+    p_{k-1}), so an integer ``m`` and ``seed`` keep every range an isqrt
+    and every comparison exact.  Floats run the same steps, values
     within ``slack`` (relative above 1) of the minimum counting as ties,
     so a wide slack returns every vector up to that bound.  Returns the
     minimum and one vector of each sign pair of minimizers.
@@ -303,22 +346,7 @@ def _shortest(m, seed, slack=SHORTEST_SLACK):
     d = len(m)
     exact = isinstance(seed, int)
     root = math.isqrt if exact else math.sqrt
-
-    # row k of b ends as row k of the k-th scaled Schur complement;
-    # p[k + 1] = b[k][k] is the k-th leading principal minor, p[0] = 1
-    b = [list(row) for row in m]
-    p = [1]
-    for k in range(d):
-        bk, pk, pivot = b[k], p[k], b[k][k]
-        if pivot <= 0:  # only rounding makes a pivot of a norm matrix non-positive
-            raise NumericalDomainError(f"norm matrix has non-positive pivot {pivot}")
-        for i in range(k + 1, d):
-            bi = b[i]
-            bik = bi[k]
-            for j in range(k + 1, d):
-                t = pivot * bi[j] - bik * bk[j]
-                bi[j] = t // pk if exact else t / pk
-        p.append(pivot)
+    b, p = minors or _minors(m, exact)
     x = [0] * d
     found = []
     # exact values tie only when equal
@@ -387,12 +415,14 @@ def conf_systole(pp: PeriodPoint) -> SystoleResult:
     from either constructor its one integer row h, and the norm matrix is
     the primitive N = sum_j 2 (L / Q(w_j)) (G w_j)(G w_j)^t - L G,
     L = lcm Q(w_j) (``_norm_matrix_int``): 2 (Gh)(Gh)^t - Q(h, h) G for
-    a line.  The search is exact integer arithmetic from start to finish:
-    it enumerates the whole seed ellipsoid of N reduced by integral LLL
-    (``_lll``) and maps the minimizers back through the unimodular
-    transform.  That complete exact enumeration is the certificate, and
-    it does not depend on how well LLL reduced, so every result is
-    certified.
+    a line.  The search is exact integer arithmetic from start to finish
+    (``_minimum``): it enumerates the whole seed ellipsoid of N as it
+    stands when every coordinate range of that ellipsoid is shorter than
+    4, and otherwise that of N reduced by integral LLL (``_lll``), whose
+    minors the enumerator reads, mapping the minimizers back through the
+    unimodular transform.  That complete exact enumeration is the
+    certificate, and it does not depend on whether or how well LLL
+    reduced, so every result is certified.
     """
     m, scale = _norm_matrix_int(pp)
     needed = max(_exact_radii(pp.ambient, m, scale))
@@ -409,14 +439,22 @@ def conf_systole(pp: PeriodPoint) -> SystoleResult:
 def _minimum(m: list[list[int]], scale: int) -> tuple[Fraction, tuple]:
     """Exact minimum of w^t m w / scale over nonzero integer w, and its minimizers.
 
-    The integer matrix is reduced by integral LLL and its whole seed
-    ellipsoid enumerated; the minimizers, both signs, come back sorted
-    in the coordinates of ``m``.
+    The whole seed ellipsoid of the integer matrix is enumerated.  ``m``
+    is eliminated level by level (``_minors``) and enumerated as it
+    stands while every coordinate range of its seed ellipsoid is shorter
+    than 4; at the first level that is not, it is reduced by integral LLL
+    instead, and the enumerator reads the reducer's minors.  The
+    minimizers, both signs, come back sorted in the coordinates of ``m``.
     """
-    u, g = _lll(m)
-    best, coords = _shortest(g, min(g[i][i] for i in range(len(g))))
-    ut = list(zip(*u))
-    reps = [tuple([_dot(col, c) for col in ut]) for c in coords]
+    seed = min(m[i][i] for i in range(len(m)))
+    minors = _minors(m, seed=seed)
+    if minors is not None:
+        best, reps = _shortest(m, seed, minors=minors)
+    else:
+        u, g, minors = _lll(m)
+        best, coords = _shortest(g, min(g[i][i] for i in range(len(g))), minors=minors)
+        ut = list(zip(*u))
+        reps = [tuple([_dot(col, c) for col in ut]) for c in coords]
     reps += [tuple([-x for x in w]) for w in reps]
     reps.sort()
     return Fraction(best, scale), tuple(reps)

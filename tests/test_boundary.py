@@ -71,7 +71,12 @@ from periodmap.permutahedron import (
     realize,
 )
 from periodmap.supremum import CsSearchConfig, cs_invariance_check
-from periodmap.systole import conf_systole, period_point_from_hpoint, rational_disk_period_point
+from periodmap.systole import (
+    _minimum,
+    conf_systole,
+    period_point_from_hpoint,
+    rational_disk_period_point,
+)
 
 P2 = realize(2)
 
@@ -295,6 +300,27 @@ def test_refusals_name_the_argument():
         twist_perturbation(2, math.nan)
     with pytest.raises(InputError, match=r"^disk coordinates must be a real number, got 'a'$"):
         disk_to_hpoint(["a"])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0]],
+        [[-1]],
+        [[1, 2], [2, 1]],
+        [[1, 0], [0, 0]],
+        [[1, 0], [0, -5]],
+        [[2, 1, 0], [1, 1, 0], [0, 0, -1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+        [[9, 0, 0], [0, 9, 9], [0, 9, 9]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, -100]],
+    ],
+)
+def test_minimum_refuses_a_matrix_that_is_not_positive_definite(m):
+    # the first levels of an elimination may look like a short seed
+    # ellipsoid; the refusal is still the reduction's, word for word
+    with pytest.raises(DomainError, match=r"^Gram matrix is not positive definite$"):
+        _minimum(m, 1)
 
 
 def test_dim_tol_and_distance_refusals_name_what_they_refuse():

@@ -622,6 +622,28 @@ def test_systole_sup_tiny_refine_returns(capsys, tmp_path):
     assert data["refine_tol"] == 1e-20
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--sup"], "--sup"),
+        (["--sup", "--json"], "--sup"),
+        (["--grid", "0.1"], "--grid"),
+        (["--refine", "1e-5"], "--refine"),
+        (["--refine", "-1"], "--refine"),
+        (["--grid", "0", "--refine", "nan"], "--grid, --refine"),
+        (["--sup", "--grid", "0.2"], "--sup, --grid"),
+    ],
+)
+def test_systole_period_refuses_the_search_flags(capsys, tmp_path, flags, named):
+    # --sup once printed the search and ignored the period, and --grid
+    # and --refine were ignored with --period, invalid values included
+    form = write_form(tmp_path, [[1, 0], [0, -1]])
+    code, out, err = run(capsys, "systole", "--config", form, "--period", "5,4", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --period cannot be combined with {named}\n", err
+
+
 def test_systole_requires_mode(capsys, tmp_path):
     form = write_form(tmp_path, [[1, 0], [0, -1]])
     code, _, err = run(capsys, "systole", "--config", form)

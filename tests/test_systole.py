@@ -31,6 +31,7 @@ from periodmap.supremum import (
 from periodmap.systole import (
     _lll,
     _minimum,
+    _minors,
     _norm_matrix,
     _norm_matrix_int,
     _shortest,
@@ -45,6 +46,7 @@ from oracles import (
     brute_force_systole,
     charpoly_coeffs,
     cs_scan_1d,
+    det_reference,
     float_brute_force_systole,
     gram_schmidt_reference,
     inverse_reference,
@@ -522,7 +524,13 @@ def test_lll_reduces_random_grams():
     for trial in range(300):
         rank = 2 + trial % 5
         gram = _random_pd_gram(rng, rank)
-        u, g = _lll(gram)
+        u, g, (b, p) = _lll(gram)
+        # the reducer's own minors are the elimination of its output
+        want_b, want_p = _minors(g)
+        assert p == want_p
+        assert [list(row[k + 1:]) for k, row in enumerate(b)] == [
+            row[k + 1:] for k, row in enumerate(want_b)
+        ]
         # columns of U are the rows of u; det U = (-1)^rank c_rank
         assert charpoly_coeffs(u)[-1] in (1, -1)
         conj = [
@@ -538,7 +546,8 @@ def test_lll_reduces_random_grams():
             assert all(abs(mu[i][j]) <= F(1, 2) for j in range(i)), gram
             if i:
                 assert bstar[i] >= (F(3, 4) - mu[i][i - 1] ** 2) * bstar[i - 1], gram
-    assert _lll([[5]]) == ([[1]], [[5]])
+    u, g, (b, p) = _lll([[5]])
+    assert (u, g, p) == ([[1]], [[5]], [1, 5])
     for indefinite in ([[1, 2], [2, 1]], [[0]], [[2, 1, 0], [1, 1, 0], [0, 0, -1]]):
         with pytest.raises(DomainError):
             _lll(indefinite)
@@ -628,6 +637,107 @@ def test_enumerator_matches_box_oracle():
         assert abs(best - want) <= 1e-13 * want, f
         assert _both_signs(mins) == want_mins and 2 * len(mins) == len(want_mins), f
     assert ties >= 40
+
+
+def _near_identity_form(rng, d):
+    # A^t A for A = diag(1, 2, ..., 2) plus three entries of +-1: a seed
+    # ellipsoid with short ranges and a box the oracle can walk
+    while True:
+        a = [[(1 + (i > 0)) * (i == j) for j in range(d)] for i in range(d)]
+        for _ in range(3):
+            a[rng.randrange(d)][rng.randrange(d)] += rng.choice((-1, 1))
+        if det_reference(a) != 0:
+            return [[sum(r[i] * r[j] for r in a) for j in range(d)] for i in range(d)]
+
+
+def _unimodular(rng, d):
+    # a product of elementary column operations, and its exact inverse
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3 * d):
+        i, j = rng.sample(range(d), 2)
+        q = rng.choice((-3, -2, -1, 1, 2, 3))
+        for row in u:
+            row[j] += q * row[i]
+    return u, [[int(x) for x in row] for row in inverse_reference(u)]
+
+
+def _box_size(m):
+    # points of shortest_box_reference's box
+    inv = inverse_reference(m)
+    seed = min(m[i][i] for i in range(len(m)))
+    return math.prod(2 * math.isqrt(math.floor(seed * inv[i][i])) + 3 for i in range(len(m)))
+
+
+def test_minimum_matches_the_box_oracle_reduced_or_not(monkeypatch):
+    # _minimum enumerates a matrix whose seed ranges are short as it
+    # stands and reduces any other by LLL first; on both sides the value
+    # and the sorted minimizers are the oracle's: the box search on
+    # near-identity and box-sized forms of dimension 2 to 6, the same
+    # forms in skewed unimodular disguises (their minimizers are the
+    # disguise's inverse applied to the form's), and Lagrange-Gauss on
+    # the stretched family's norm matrices up to k = 100
+    reduced = []
+    lll = systole._lll
+    monkeypatch.setattr(systole, "_lll", lambda m: reduced.append(m) or lll(m))
+    rng = random.Random(5555)
+    checked = 0
+    for it in range(150):
+        d = 2 + it % 5
+        m = _near_identity_form(rng, d) if it % 3 or d > 4 else _box_sized_form(rng, d)
+        if _box_size(m) > 4000:
+            continue
+        want, want_mins = shortest_box_reference(m)
+        scale = rng.randint(1, 9)
+        assert _minimum(m, scale) == (F(want, scale), tuple(sorted(want_mins))), m
+        u, inv = _unimodular(rng, d)
+        skew = [
+            [sum(u[a][i] * m[a][b] * u[b][j] for a in range(d) for b in range(d)) for j in range(d)]
+            for i in range(d)
+        ]
+        mins = sorted(tuple(sum(map(operator.mul, row, w)) for row in inv) for w in want_mins)
+        assert _minimum(skew, scale) == (F(want, scale), tuple(mins)), skew
+        checked += 1
+    plain = checked * 2 - len(reduced)
+    assert checked >= 100 and plain >= 50 and len(reduced) >= 50, (checked, len(reduced))
+    reduced.clear()
+    for k in range(2, 101):
+        m, scale = _norm_matrix_int(rational_disk_period_point(DIAG, [F(k - 1, k)]))
+        want, want_mins = lagrange_gauss_minimum(m)
+        assert _minimum(m, scale) == (want / scale, tuple(sorted(want_mins))), k
+    assert reduced and reduced[-1] == m  # k = 100 still reduces
+
+
+def test_minimum_reduces_exactly_when_a_seed_range_is_long(monkeypatch):
+    # a benchmark-like period point (|d| < 1/2) skips LLL unless some
+    # level k of its norm matrix has seed p_k >= 4 p_{k+1}, p_k the
+    # leading principal minors (by the oracle's determinant); that
+    # happens at rank 2 from |d| ~ 0.318 on, and never below |d| = 0.3
+    reduced = []
+    lll = systole._lll
+    monkeypatch.setattr(systole, "_lll", lambda m: reduced.append(m) or lll(m))
+    rng = random.Random(5656)
+    skipped = {2: 0, 3: 0, 4: 0}
+    for it in range(180):
+        n = 1 + it % 3
+        while True:
+            den = rng.randint(18, 30)
+            disk = [F(rng.randint(-den // 2, den // 2), den) for _ in range(n)]
+            if sum(x * x for x in disk) < F(1, 4):
+                break
+        pp = rational_disk_period_point(minkowski_form(n), disk)
+        m, _ = _norm_matrix_int(pp)
+        seed = min(m[i][i] for i in range(n + 1))
+        minors = [det_reference([row[:k] for row in m[:k]]) for k in range(n + 2)]
+        long_range = any(seed * minors[k] >= 4 * minors[k + 1] for k in range(n + 1))
+        assert not long_range or sum(x * x for x in disk) >= F(9, 100), disk
+        reduced.clear()
+        conf_systole(pp)
+        assert reduced == ([m] if long_range else []), disk
+        skipped[n + 1] += not long_range
+    assert skipped[2] >= 20 and skipped[3] >= 40 and skipped[4] >= 50, skipped
+    reduced.clear()
+    conf_systole(rational_disk_period_point(DIAG, [F(99, 100)]))
+    assert len(reduced) == 1
 
 
 def test_enumerator_rejects_non_positive_pivot():
