@@ -73,13 +73,24 @@ def _load_json_file(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _refuse(args, what: str, *flags: str) -> None:
+    """InputError naming each of the flags (by dest) that was given, as
+    ``what`` would silently ignore it; a flag not given is None or False."""
+    values = [(flag, getattr(args, flag)) for flag in flags]
+    given = [f"--{flag}" for flag, v in values if v is not None and v is not False]
+    if given:
+        raise InputError(f"{what} cannot be combined with {', '.join(given)}")
+
+
 def _load_config(args) -> SurfaceConfig:
-    if getattr(args, "preset", None):
-        return preset(args.preset, a=args.a)
-    if getattr(args, "config", None):
-        data = _load_json_file(args.config)
-        return SurfaceConfig.from_json(data)
-    raise InputError("give either --preset or --config")
+    if args.config is not None:
+        _refuse(args, "--config", "preset", "a")
+        return SurfaceConfig.from_json(_load_json_file(args.config))
+    if args.preset is None:
+        raise InputError("give either --preset or --config")
+    if args.preset != "symmetric":
+        _refuse(args, f"--preset {args.preset}", "a")
+    return preset(args.preset, a=args.a)
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
@@ -220,17 +231,8 @@ def _cmd_limit(args) -> int:
 
 def _cmd_systole(args) -> int:
     # --grid and --refine steer the search, which --period does not run
-    search_flags = [
-        flag
-        for flag, given in (
-            ("--sup", args.sup),
-            ("--grid", args.grid is not None),
-            ("--refine", args.refine is not None),
-        )
-        if given
-    ]
-    if args.period is not None and search_flags:
-        raise InputError(f"--period cannot be combined with {', '.join(search_flags)}")
+    if args.period is not None:
+        _refuse(args, "--period", "sup", "grid", "refine")
     form = GramForm.from_json(_load_json_file(args.config))
     if args.sup:
         # the one command that loads the search
@@ -260,6 +262,7 @@ def _cmd_systole(args) -> int:
 
 def _cmd_permutahedron(args) -> int:
     if args.action == "counts":
+        _refuse(args, "counts", "format", "out")
         counts = face_counts(args.n)
         payload = {"n": args.n, "face_counts": counts}
         text = f"P_{args.n} face counts by codimension: " + ", ".join(
@@ -267,6 +270,7 @@ def _cmd_permutahedron(args) -> int:
         )
         _emit(args, payload, text)
         return 0
+    _refuse(args, "export", "json")
     if args.format == "off":
         from .coverage import export_off  # the one command that loads numpy
 
@@ -287,7 +291,9 @@ def _cmd_permutahedron(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.lattice:
+        _refuse(args, "--lattice", "a")
         if args.config:
+            _refuse(args, "--config", "preset")
             form = GramForm.from_json(_load_json_file(args.config))
         elif args.preset == "diag":
             form = minkowski_form(1)
@@ -366,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("permutahedron", help="face data of the permutahedron")
     p.add_argument("action", choices=["counts", "export"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["json", "off"], default="json")
-    p.add_argument("-o", "--out", help="output file (default stdout)")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--format", choices=["json", "off"], help="export format (default json)")
+    p.add_argument("-o", "--out", help="export output file (default stdout)")
+    p.add_argument("--json", action="store_true", help="counts as JSON")
     p.set_defaults(func=_cmd_permutahedron)
 
     p = sub.add_parser("render", help="SVG figure of a configuration or lattice")

@@ -32,8 +32,8 @@ from .bilinear import (
     lorentzian_rank,
     standard_embedding,
 )
-from .errors import DomainError, InputError, PreconditionError, ResourceError, check_real
-from .grassmannian import HPoint, to_poincare_disk
+from .errors import InputError, PreconditionError, ResourceError, check_real
+from .grassmannian import HPoint, disk_to_hpoint, to_poincare_disk
 from .systole import (
     _lll,
     _minimum,
@@ -42,7 +42,7 @@ from .systole import (
 )
 
 
-PATCH_RADIUS = 0.9  # the searched disk patch; hpoint maps a point outside it to None
+PATCH_RADIUS = 0.9  # the searched disk patch; _grid_points keeps no point outside it
 MAX_CS_GRID = 10**5  # grid tuples one search may walk
 ACTIVE_SLACK = 1e-9  # relative: a vector this near the minimum is active
 CANDIDATE_SLACK = 0.5  # relative: the vectors an ascent step watches
@@ -124,14 +124,11 @@ class _DiskObjective:
     that one bounds the work by the rank alone.
 
     The form is checked and reduced once, here; the methods then work in
-    plain floats.  ``hpoint`` maps a disk point of the patch to the
-    hyperboloid point h by the formula of ``disk_to_hpoint``, and one
-    outside it to None.  A point inside the patch is finite, so only one
-    outside it is checked: a non-finite point raises DomainError.
-    ``near_minimal`` takes u = back h and the norm matrix
-    2 (Gu)(Gu)^t - G, and enumerates.  ``pairing`` maps a lattice vector
-    w to the covector of h -> <w, back h>, and ``igram`` is the reduced
-    basis's exact gram times ``den``, for the certificate.
+    plain floats, on hyperboloid points h that the search lifts from the
+    disk by ``disk_to_hpoint``.  ``near_minimal`` takes u = back h and
+    the norm matrix 2 (Gu)(Gu)^t - G, and enumerates.  ``pairing`` maps a
+    lattice vector w to the covector of h -> <w, back h>, and ``igram``
+    is the reduced basis's exact gram times ``den``, for the certificate.
     ``evaluations`` counts the points asked about, enumerated or not.
     """
 
@@ -160,15 +157,6 @@ class _DiskObjective:
         self.evaluations = 0
         self._lines = {}
 
-    def hpoint(self, disk: Sequence[float]) -> list[float] | None:
-        """The hyperboloid point of a disk point, None outside the patch."""
-        r2 = sum(x * x for x in disk)
-        if not r2 <= PATCH_RADIUS * PATCH_RADIUS:
-            if all(map(math.isfinite, disk)):
-                return None
-            raise DomainError(f"disk coordinates must be finite: {tuple(disk)}")
-        return _lift(disk, r2)
-
     def near_minimal(self, h: Sequence[float], slack: float):
         """conf^2 at the hyperboloid point h, and the vectors within slack of it."""
         self.evaluations += 1
@@ -194,12 +182,6 @@ class _DiskObjective:
         """N_w(h) = 2 <w, h>^2 - Q(w), w's norm at the hyperboloid point h."""
         a, q = self.line(w)
         return 2.0 * _dot(a, h) ** 2 - q
-
-
-def _lift(disk: Sequence[float], r2: float) -> list[float]:
-    # the hyperboloid point of a disk point with squared radius r2 < 1
-    denom = 1.0 - r2
-    return [(1.0 + r2) / denom] + [2.0 * x / denom for x in disk]
 
 
 def _tick_count(radius: float, step: float) -> float:
@@ -240,11 +222,10 @@ def _grid_table(n: int, step: float) -> tuple[tuple[tuple[float, ...], tuple[flo
     """(disk point, hyperboloid point) of every grid point of the patch,
     in walk order, built once per (n, step) and kept among the last 8
     built.  Neither depends on the form; the hyperboloid point is
-    ``hpoint``'s, bit for bit.  Call check_cs_grid first: the table
-    holds every point the walk visits."""
+    ``disk_to_hpoint``'s.  Call check_cs_grid first: the table holds
+    every point the walk visits."""
     return tuple(
-        (pt, tuple(_lift(pt, sum(x * x for x in pt))))
-        for pt in _grid_points(n, PATCH_RADIUS, step)
+        (pt, disk_to_hpoint(pt).coords) for pt in _grid_points(n, PATCH_RADIUS, step)
     )
 
 
@@ -265,7 +246,7 @@ def _grid_start(obj: _DiskObjective, step: float) -> tuple[tuple[float, ...], fl
     the next point, its neighbour.
     """
     best_pt = (0.0,) * obj.n
-    best_sq, first = obj.near_minimal(obj.hpoint(best_pt), ACTIVE_SLACK)
+    best_sq, first = obj.near_minimal(disk_to_hpoint(best_pt).coords, ACTIVE_SLACK)
     seen, known = set(first), [obj.line(w) for w in first]
     best_val = math.sqrt(best_sq)
     floor = best_val * best_val * (1.0 - ACTIVE_SLACK)
@@ -683,7 +664,7 @@ def cs_supremum(form: GramForm, search: CsSearchConfig | None = None) -> CsResul
     check_cs_grid(lorentzian_rank(form, "cs_supremum"), cfg.grid)
     obj = _DiskObjective(form)
     best_pt = _grid_start(obj, cfg.grid)[0]
-    h, steps, cands = _ascend(obj, obj.hpoint(best_pt), cfg.refine_tol)
+    h, steps, cands = _ascend(obj, list(disk_to_hpoint(best_pt).coords), cfg.refine_tol)
     certified, value_sq, minimizers, exact = _certify(obj, h, cfg.refine_tol, cands)
     return CsResult(
         value=math.sqrt(value_sq),

@@ -284,16 +284,16 @@ def _lll(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]], tuple
     return u, g, (list(zip(*lam)), dd)
 
 
-def _minors(m, exact=True, seed=None):
+def _minors(m, seed=None):
     """Fraction-free (Bareiss) elimination of a symmetric matrix: (b, p).
 
     Right of its diagonal, row k of b ends as row k of the k-th
     pivot-scaled Schur complement, and p[k + 1] = b[k][k] is the k-th
     leading principal minor, p[0] = 1.  The complements are symmetric, so
     only their upper triangles are eliminated, with the same values
-    (floats too: each product pairs the same two factors).  Ints divide
-    exactly; floats divide as floats, and a pivot that is not positive
-    raises NumericalDomainError.
+    (floats too: each product pairs the same two factors).  The entries
+    say which: an integer matrix divides exactly, a float one divides as
+    floats, and a pivot that is not positive raises NumericalDomainError.
 
     Given a seed, the elimination stops and returns None at the first
     level k where the seed ellipsoid's coordinate range, half-width
@@ -303,6 +303,7 @@ def _minors(m, exact=True, seed=None):
     little.
     """
     d = len(m)
+    exact = isinstance(m[0][0], int)
     b = [list(row) for row in m]
     p = [1]
     for k in range(d):
@@ -346,7 +347,7 @@ def _shortest(m, seed, slack=SHORTEST_SLACK, minors=None):
     d = len(m)
     exact = isinstance(seed, int)
     root = math.isqrt if exact else math.sqrt
-    b, p = minors or _minors(m, exact)
+    b, p = minors or _minors(m)
     x = [0] * d
     found = []
     # exact values tie only when equal

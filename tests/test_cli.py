@@ -644,6 +644,100 @@ def test_systole_period_refuses_the_search_flags(capsys, tmp_path, flags, named)
     assert err == f"error: --period cannot be combined with {named}\n", err
 
 
+# every one of these exited 0 once, ignoring the flags the error names
+IGNORED_FLAGS = [
+    (["permutahedron", "counts", "--n", "3", "--out", "{dir}/y"], "counts", "--out"),
+    (["permutahedron", "counts", "--n", "3", "--format", "off"], "counts", "--format"),
+    (
+        ["permutahedron", "counts", "--n", "2", "--format", "json", "-o", "{dir}/y"],
+        "counts",
+        "--format, --out",
+    ),
+    (["permutahedron", "export", "--n", "2", "--json"], "export", "--json"),
+    (
+        ["permutahedron", "export", "--n", "2", "--json", "-o", "{dir}/y"],
+        "export",
+        "--json",
+    ),
+    (["faces", "--preset", "fig6-i", "--a", "3"], "--preset fig6-i", "--a"),
+    (
+        ["classify", "--preset", "degenerate", "--a", "3", "--subset", "1"],
+        "--preset degenerate",
+        "--a",
+    ),
+    (["render", "--preset", "fig6-iv", "--a", "3", "-o", "{dir}/y"], "--preset fig6-iv", "--a"),
+    (["faces", "--config", "{cfg}", "--a", "3"], "--config", "--a"),
+    (
+        ["classify", "--preset", "fig6-ii", "--config", "{cfg}", "--subset", "2,3"],
+        "--config",
+        "--preset",
+    ),
+    (
+        ["simplex", "--config", "{cfg}", "--preset", "symmetric", "--a", "3"],
+        "--config",
+        "--preset, --a",
+    ),
+    (
+        ["render", "--lattice", "--config", "{form}", "--preset", "hyperbolic", "-o", "{dir}/y"],
+        "--config",
+        "--preset",
+    ),
+    (["render", "--lattice", "--preset", "diag", "--a", "3", "-o", "{dir}/y"], "--lattice", "--a"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, what, named", IGNORED_FLAGS, ids=[" ".join(argv) for argv, _, _ in IGNORED_FLAGS]
+)
+def test_ignored_flags_are_refused(capsys, tmp_path, argv, what, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                "vectors": [[0, 1, 0], [0, 0, 1], [2, 1, 3]],
+            }
+        )
+    )
+    form = write_form(tmp_path, [[0, 1], [1, 0]])
+    argv = [arg.format(dir=tmp_path, cfg=cfg, form=form) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} cannot be combined with {named}\n", err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "form.json"]
+
+
+def test_systole_help_names_the_search_defaults():
+    # the help text states CsSearchConfig's defaults, and building the
+    # parser and printing it does not load the search
+    code = (
+        "import contextlib, io, sys\n"
+        "from periodmap import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):\n"
+        "    cli.build_parser().parse_args(['systole', '--help'])\n"
+        "assert 'periodmap.supremum' not in sys.modules\n"
+        "print(out.getvalue())\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    text = " ".join(done.stdout.split())
+    from periodmap.supremum import CsSearchConfig
+
+    for flag, default in (
+        ("--grid GRID", CsSearchConfig.grid),
+        ("--refine REFINE", CsSearchConfig.refine_tol),
+    ):
+        found = re.search(re.escape(flag) + r" [^(]*\(default ([^)]+)\)", text)
+        assert found, (flag, text)
+        assert float(found.group(1)) == default, (flag, found.group(1))
+
+
 def test_systole_requires_mode(capsys, tmp_path):
     form = write_form(tmp_path, [[1, 0], [0, -1]])
     code, _, err = run(capsys, "systole", "--config", form)

@@ -32,6 +32,7 @@ from periodmap.coverage import (
 from periodmap.errors import DomainError, InputError, NumericalDomainError, ResourceError
 from periodmap.permutahedron import (
     DAMPING_SLACK,
+    INPUT_TOL,
     NestedSequence,
     all_faces,
     closest_point_map,
@@ -755,6 +756,55 @@ def test_grid_slack_boundaries(scale):
     else:
         with pytest.raises(InputError, match="must divide 3 evenly"):
             check_face_mapping_surjectivity(f, 2, step)
+
+
+@pytest.mark.parametrize("scale", [Fraction(9, 10), Fraction(11, 10)])
+def test_input_tol_boundaries(scale):
+    # at n = 2, a point e = 0.9 INPUT_TOL outside one constraint is read as
+    # on it, and one 1.1 INPUT_TOL outside is refused: P's by the collapse
+    # (a coordinate below 1, a pair summing below 3, the sum above 6), the
+    # enclosing simplex's by the projection (the first and the last)
+    e = scale * INPUT_TOL
+    outside = [(1 - e, 2 + e, 3), (Fraction(3, 2) - e / 2, Fraction(3, 2) - e / 2, 3 + e)]
+    outside.append((1, 2, 3 + e))
+    r = realize(2)
+    for point in outside:
+        if scale < 1:
+            collapse_to_simplex(point, r)
+        else:
+            with pytest.raises(DomainError, match="must lie in the permutahedron"):
+                collapse_to_simplex(point, r)
+    for point in outside[0], outside[2]:
+        if scale < 1:
+            closest_point_map(point, r)
+        else:
+            with pytest.raises(DomainError, match="must lie in the enclosing simplex"):
+                closest_point_map(point, r)
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_face_tol_boundaries(scale):
+    # the face condition holds a pinned coordinate to 1 within FACE_TOL:
+    # the collapse with every coordinate it pins at 1 moved by 0.9
+    # FACE_TOL, the row's largest coordinate giving it back so the sum is
+    # kept, passes; moved by 1.1 FACE_TOL it breaks the faces
+    fb = collapse_batch(realize(2))
+    moved = []
+
+    def nudged(pts):
+        images = fb(pts)
+        pinned = images == 1.0
+        moved.append(int(pinned.sum()))
+        images[np.arange(len(images)), images.argmax(axis=1)] -= scale * FACE_TOL * pinned.sum(1)
+        images[pinned] += scale * FACE_TOL
+        return images
+
+    rep = check_face_mapping_surjectivity(nudged, 2, 0.1)
+    assert sum(moved) > 0
+    if scale < 1:
+        assert rep.ok and not rep.face_violations
+    else:
+        assert not rep.ok and rep.face_violations
 
 
 @pytest.mark.parametrize(

@@ -942,7 +942,7 @@ def _candidates(obj, h):
 
 def _conf(obj, disk):
     # conf at a disk point of the patch, by one enumeration
-    return math.sqrt(obj.near_minimal(obj.hpoint(disk), supremum.ACTIVE_SLACK)[0])
+    return math.sqrt(obj.near_minimal(disk_to_hpoint(disk).coords, supremum.ACTIVE_SLACK)[0])
 
 
 def test_stopped_or_tampered_searches_are_not_certified(monkeypatch):
@@ -1153,7 +1153,7 @@ def test_cs_grid_screen_skips_only_points_below_the_best():
         assert supremum._grid_start(obj, step) == (best_pt, best), (form.gram, step)
         assert obj.evaluations == plain.evaluations
         for pt, (val, before) in below.items():
-            if tuple(obj.hpoint(pt)) not in enumerated:
+            if disk_to_hpoint(pt).coords not in enumerated:
                 skipped += 1
                 assert val < before, (form.gram, step, pt)
     assert skipped > 0
@@ -1168,9 +1168,6 @@ class _StubObjective:
     def __init__(self, values):
         self.values = values
         self.evaluations = 0
-
-    def hpoint(self, disk):
-        return _DiskObjective.hpoint(self, disk)
 
     def near_minimal(self, h, slack):
         self.evaluations += 1
@@ -1200,11 +1197,10 @@ def test_a_grid_point_replaces_the_best_only_by_more_than_the_tie():
 
 def test_grid_table_is_the_walks_points_and_their_hyperboloid_points():
     # bit for bit: repr tells -0.0 from 0.0, which == does not
-    obj = _DiskObjective(minkowski_form(1))
     for n in (1, 2, 3):
         for step in (0.3, 0.2, 0.15, 0.1, 0.05, 0.07):
             table = supremum._grid_table(n, step)
-            want = [(pt, tuple(obj.hpoint(pt))) for pt in _grid_points(n, PATCH_RADIUS, step)]
+            want = [(pt, disk_to_hpoint(pt).coords) for pt in _grid_points(n, PATCH_RADIUS, step)]
             assert list(table) == want and repr(list(table)) == repr(want), (n, step)
             assert type(table) is tuple
             assert all(type(pt) is tuple and type(h) is tuple for pt, h in table)
@@ -1272,20 +1268,16 @@ def test_enumeration_refuses_past_the_node_limit():
 def test_disk_objective_maps_no_point_outside_the_patch():
     obj = _DiskObjective(minkowski_form(2))
     assert _conf(obj, (PATCH_RADIUS, 0.0)) > 0.0
-    assert obj.hpoint((0.0, PATCH_RADIUS + 1e-9)) is None
-    assert obj.hpoint((0.7, -0.7)) is None
     assert obj.evaluations == 1
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_disk_objective_refuses_non_finite_points(bad):
-    obj = _DiskObjective(minkowski_form(2))
-    for point in ((bad, 0.0), (0.0, bad)):
-        with pytest.raises(DomainError, match="finite"):
-            obj.hpoint(point)
-    # a finite point far outside the patch is only outside it
-    assert obj.hpoint((1e200, 0.0)) is None
-    assert obj.evaluations == 0
+    # the grid walk lifts only table points: the rim's, and none past it
+    # (step 0.9 puts ticks at the rim on each axis and on (0.9, 0.9))
+    pts = [pt for pt, _ in supremum._grid_table(2, 0.9)]
+    assert (PATCH_RADIUS, 0.0) in pts and (0.0, -PATCH_RADIUS) in pts
+    assert (PATCH_RADIUS, PATCH_RADIUS) not in pts
+    for n, step in ((1, 0.05), (2, 0.1), (3, 0.2)):
+        assert all(
+            sum(x * x for x in pt) <= PATCH_RADIUS**2 for pt, _ in supremum._grid_table(n, step)
+        )
 
 
 def test_grid_ticks_are_numpy_arange_bit_for_bit():
